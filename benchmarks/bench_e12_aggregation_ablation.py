@@ -4,10 +4,12 @@ The paper considered (1) per-processor lists merged by a sparse histogram
 (semisort) and (2) a single shared sparse parallel hash table, and found the
 hash table "fastest and most memory-efficient ... across all of our inputs".
 
-We compare our implementations (dict reference, sort-based semisort analog,
-per-processor-lists histogram, shared hash table, and the hash-partitioned
-per-processor tables) on a realistic sample stream drawn from the actual
-PathSampling stage, reporting throughput and the memory each needs.
+We compare our implementations (dict reference, the sort-reduce kernel that
+is the pipeline's default, per-processor-lists histogram, shared hash table,
+and the hash-partitioned per-processor tables) on a realistic sample stream
+drawn from the actual PathSampling stage, reporting throughput and the memory
+each needs.  The hash variants are kept for this ablation: in numpy they
+lose to the sort kernel (see EXPERIMENTS.md E12).
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ def test_e12_aggregation_throughput(benchmark, name, aggregate, sample_stream):
 def test_e12_sharded_peak_memory(benchmark, table):
     """Shared table vs per-processor tables: the §4.2 memory argument.
 
-    The sharded path pays for the shard tables *and* the merged table at the
-    merge point — exactly why the paper prefers the single shared table."""
+    Shards partition the key space, so their items concatenate without a
+    merge table; what the sharded path pays over the shared table is the
+    power-of-two rounding of every shard's slot array."""
     graph = load("oag_like").graph
     config = PathSamplingConfig(
         window=WINDOW,
@@ -100,7 +103,7 @@ def test_e12_sharded_peak_memory(benchmark, table):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     table(
         "E12 / §4.2 — shared hash vs per-processor tables: the sharded "
-        "variant's peak footprint includes shard tables + merged table "
+        "variant's footprint is the sum of its shard tables "
         "(paper: shared table is most memory-efficient)",
         rows,
     )

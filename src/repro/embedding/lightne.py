@@ -3,7 +3,8 @@
 Pipeline (Figure 1):
 
 1. **Parallel sparsifier construction** — downsampled per-edge PathSampling
-   (Algorithm 2) aggregated by the sparse parallel hash table;
+   (Algorithm 2) aggregated by the sort-reduce kernel (the paper's sparse
+   parallel hash table is the ``aggregator="hash"`` ablation);
 2. **Parallel randomized SVD** (Algorithm 3) of the trunc-log NetMF matrix
    estimator, ``X = U Σ^{1/2}``;
 3. **Spectral propagation** — ProNE's Chebyshev filter on ``X``.
@@ -70,8 +71,12 @@ class LightNEParams:
     propagate / propagation_order / mu / theta:
         Spectral-propagation controls (step 2).
     aggregator:
-        ``"hash"`` (shared sparse parallel hashing, the paper's choice),
-        ``"hash-sharded"`` (per-processor tables, merged) or ``"sort"``.
+        ``"sort"`` (default: the sort-reduce kernel), ``"hash"`` (shared
+        sparse parallel hashing, the paper's choice on a lock-free native
+        table; here a numpy emulation kept as the §4.2 ablation) or
+        ``"hash-sharded"`` (per-processor tables).  Values agree across
+        aggregators up to last-digit summation order; measurements and the
+        determinism contract are in :mod:`repro.sparsifier.aggregation`.
     sparsifier:
         Sparsifier backend building the count matrix: ``"path"`` (default,
         the paper's downsampled PathSampling — bit-identical to the
@@ -119,7 +124,7 @@ class LightNEParams:
     propagation_order: int = 10
     mu: float = 0.2
     theta: float = 0.5
-    aggregator: str = "hash"
+    aggregator: str = "sort"
     sparsifier: str = "path"
     workers: Optional[int] = None
     backend: str = "thread"

@@ -4,7 +4,8 @@ This is the *plain* NetSMF baseline: Algorithm 2's per-edge sampling but with
 the downsampling coin disabled (every draw is kept), the sort-based
 aggregator by default (standing in for NetSMF's per-thread sparsifiers merged
 at the end), followed by randomized SVD.  LightNE differs by (a) enabling
-downsampling, (b) the shared hash table, and (c) adding spectral propagation.
+downsampling and (b) adding spectral propagation (the paper's third
+difference, the shared hash table, is ``aggregator="hash"`` on either).
 """
 
 from __future__ import annotations

@@ -56,7 +56,8 @@ class SketchNEParams:
     ``downsample`` / ``aggregator`` / ``sparsifier`` / ``batch_size``) and
     the propagation knobs (``propagate`` / ``propagation_order`` / ``mu`` /
     ``theta``) mean exactly what they mean on
-    :class:`~repro.embedding.lightne.LightNEParams`.  New here:
+    :class:`~repro.embedding.lightne.LightNEParams` (``aggregator`` defaults
+    to ``"sort"`` there and here).  New here:
 
     nnz_per_row:
         Sparse-sign sketch density ζ (expected nonzeros per sketch row;
@@ -85,7 +86,7 @@ class SketchNEParams:
     propagation_order: int = 10
     mu: float = 0.2
     theta: float = 0.5
-    aggregator: str = "hash"
+    aggregator: str = "sort"
     sparsifier: str = "path"
     workers: Optional[int] = None
     backend: str = "thread"

@@ -4,22 +4,38 @@ The paper considered several ways to count how often each distinct edge is
 sampled: per-processor lists merged by GBBS's sparse histogram (a semisort),
 per-processor hash tables merged periodically, and a single shared sparse
 parallel hash table — the last being fastest and most memory-efficient on
-their hardware.  We implement analogs of every strategy so benchmark E12 can
-compare them:
+their 88-thread hardware with a lock-free ``xadd`` table.  Our table is a
+numpy emulation that pays for a sort (``np.unique``) per batch *and* the
+probe rounds on top, so the measured winner here is the sort-reduce kernel
+(benchmarks/perf: 0.24 s vs 2.0 s on ``sample_heavy``).  It is the
+production path; the hash variants stay as the §4.2 ablation (E12/E15):
 
+* :func:`aggregate_sort` — the default: sort packed keys (``np.unique``),
+  reduce runs with ``np.bincount``; output in row-major key order;
 * :func:`aggregate_hash` — the shared :class:`SparseParallelHashTable`;
 * :func:`aggregate_hash_sharded` — per-processor tables over a hash
-  partition of the key space, built concurrently and merged at the end
-  (the paper's second alternative);
-* :func:`aggregate_sort` — semisort analog: ``np.unique`` on packed keys;
+  partition of the key space, built concurrently (the paper's second
+  alternative);
 * :func:`aggregate_histogram` — per-processor lists + sparse histogram;
 * :func:`aggregate_dict` — plain Python dict (reference implementation used
   by the tests as ground truth).
 
-All return identical ``(rows, cols, values)`` triples up to ordering.  The
-hash-based aggregators accept an optional ``stats`` dict that receives
-``peak_table_bytes`` (the backing-array footprint the paper's §5.2.4 memory
-model tracks) and ``distinct`` entries.
+All return identical ``(rows, cols, values)`` triples up to ordering and
+reject indices outside ``[0, n)`` (and an ``n`` whose packed ``row*n+col``
+key would overflow int64) with :class:`~repro.errors.SamplingError`.  The
+sort and hash aggregators accept an optional ``stats`` dict that receives
+``peak_table_bytes`` (the table backing arrays the paper's §5.2.4 memory
+model tracks; for the sort kernel, its live workspace) and ``distinct``.
+
+Determinism contract
+--------------------
+:func:`aggregate_sort`'s per-key value is the sequential sum, from 0.0, of
+that key's samples in stream order — what :func:`aggregate_dict` computes.
+:func:`aggregate_hash` sums the same way *within* each of its
+``batch_size`` (1 000 000) slices and then adds the per-batch partial sums,
+so it equals the sort kernel bit for bit on streams of at most one batch
+and re-associates above that (last-digit differences); the same holds for
+:func:`aggregate_hash_sharded` per shard.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
+from repro.errors import SamplingError
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
 from repro.telemetry.metrics import PROBE_BUCKETS
 from repro.utils.parallel import default_workers, parallel_map, resolve_backend
@@ -41,7 +58,7 @@ def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
     """Publish a table's probe/occupancy figures to the metrics registry.
 
     No-ops (cheap: one ``is_enabled`` check) when telemetry is disabled.
-    ``kind`` distinguishes the shared table from shard/merge tables.
+    ``kind`` distinguishes the shared table from shard tables.
     """
     if not telemetry.is_enabled():
         return
@@ -58,12 +75,19 @@ def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
     metrics.gauge("hashtable.table_bytes").set_max(table.size_in_bytes())
 
 
-def _as_arrays(rows, cols, values) -> Triple:
+def _as_arrays(rows, cols, values, n: int) -> Triple:
+    """Coerce the sample triple and check every ``row*n+col`` key is exact."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if not (rows.shape == cols.shape == values.shape):
         raise ValueError("rows, cols and values must be parallel arrays")
+    if int(n) ** 2 - 1 > np.iinfo(np.int64).max:
+        raise SamplingError(f"n={n}: packed row*n+col keys overflow int64")
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n
+    ):
+        raise SamplingError(f"sample indices outside [0, {n})")
     return rows, cols, values
 
 
@@ -77,7 +101,7 @@ def aggregate_hash(
     stats: Optional[Dict[str, float]] = None,
 ) -> Triple:
     """Aggregate with the shared sparse parallel hash table (paper's choice)."""
-    rows, cols, values = _as_arrays(rows, cols, values)
+    rows, cols, values = _as_arrays(rows, cols, values, n)
     with telemetry.span("aggregate.hash", samples=int(rows.size)):
         table = SparseParallelHashTable(capacity_hint=max(1024, rows.size // 4))
         for start in range(0, rows.size, batch_size):
@@ -223,13 +247,13 @@ def aggregate_hash_sharded(
     keys are partitioned by :func:`hash_partition` into ``num_shards``
     disjoint slices, each slice is accumulated into its own
     :class:`SparseParallelHashTable` (concurrently, on a thread pool, when
-    ``workers > 1``), and the shard tables are merged into one result table
-    via ``add_batch``.  Because shard membership is a pure function of the
-    key, the aggregated key set always matches :func:`aggregate_hash`, and
-    for a *fixed* ``num_shards`` the output is bit-identical for every
-    ``workers`` value.  Varying ``num_shards`` can permute the output order
-    and reassociate floating-point sums (values then agree only up to
-    rounding).
+    ``workers > 1``), and the shards' items are concatenated in shard order
+    (shards are key-disjoint, so there is nothing left to merge).  Because
+    shard membership is a pure function of the key, the aggregated key set
+    always matches :func:`aggregate_hash`, and for a *fixed* ``num_shards``
+    the output is bit-identical for every ``workers`` value.  Varying
+    ``num_shards`` can permute the output order and reassociate
+    floating-point sums (values then agree only up to rounding).
 
     ``num_shards`` defaults to the resolved worker count; ``workers=None``
     resolves to :func:`repro.utils.parallel.default_workers`.
@@ -238,12 +262,12 @@ def aggregate_hash_sharded(
     packed keys/values are published once through a
     ``multiprocessing.shared_memory`` segment (grouped by shard with a stable
     sort, so each worker reads one contiguous slice), and the compacted
-    per-shard items come back for the same ``add_batch`` merge.  Because each
+    per-shard items come back for the same concatenation.  Because each
     shard table sees the identical key sequence and batch boundaries as the
     thread path, the output is bit-identical to ``backend="thread"`` at every
     worker count (for a fixed ``num_shards``).
     """
-    rows, cols, values = _as_arrays(rows, cols, values)
+    rows, cols, values = _as_arrays(rows, cols, values, n)
     backend = resolve_backend(backend)
     if workers is None:
         workers = default_workers()
@@ -292,35 +316,40 @@ def aggregate_hash_sharded(
             build_shard, args, workers=workers, label="sparsifier.aggregation"
         )
 
-    with telemetry.span("aggregate.merge", shards=num_shards):
-        merged = SparseParallelHashTable(
-            capacity_hint=max(1024, sum(item[2][1] for item in shard_items))
-        )
-        for shard_keys, shard_values, _ in shard_items:
-            merged.add_batch(shard_keys, shard_values)
-    _record_table_metrics(merged, "merged")
+    keys = np.concatenate([item[0] for item in shard_items])
+    values = np.concatenate([item[1] for item in shard_items])
     if stats is not None:
         shard_bytes = sum(item[2][0] for item in shard_items)
-        # Shard tables and the merged table coexist during the merge.
-        stats["peak_table_bytes"] = shard_bytes + merged.size_in_bytes()
+        stats["peak_table_bytes"] = shard_bytes
         stats["shard_table_bytes"] = shard_bytes
         stats["num_shards"] = num_shards
-        stats["distinct"] = len(merged)
-        stats["probe_rounds"] = merged.total_probe_rounds + sum(
-            item[2][2] for item in shard_items
-        )
-    return merged.to_pairs(n)
+        stats["distinct"] = int(keys.size)
+        stats["probe_rounds"] = sum(item[2][2] for item in shard_items)
+    return keys // n, keys % n, values
 
 
-def aggregate_sort(rows, cols, values, n: int) -> Triple:
-    """Semisort-analog aggregation: sort packed keys, reduce runs."""
-    rows, cols, values = _as_arrays(rows, cols, values)
-    if rows.size == 0:
+def aggregate_sort(
+    rows, cols, values, n: int, *, stats: Optional[Dict[str, float]] = None
+) -> Triple:
+    """Sort-reduce aggregation: sort packed keys, sum each run in stream order.
+
+    Returns the distinct pairs in strictly increasing row-major key order —
+    a CSR matrix up to its ``indptr``, which is how the builder assembles
+    it.  ``stats`` receives ``distinct`` and ``peak_table_bytes`` (packed
+    keys, inverse, unique keys and sums: the workspace live at the peak).
+    """
+    rows, cols, values = _as_arrays(rows, cols, values, n)
+    if rows.size == 0:  # np.bincount ignores the weights' dtype when empty
         return rows, cols, values
-    keys = rows * np.int64(n) + cols
+    keys = rows * np.int64(n)
+    keys += cols
     unique_keys, inverse = np.unique(keys, return_inverse=True)
-    sums = np.zeros(unique_keys.size)
-    np.add.at(sums, inverse, values)
+    sums = np.bincount(inverse, weights=values, minlength=unique_keys.size)
+    if stats is not None:
+        stats["peak_table_bytes"] = (
+            keys.nbytes + inverse.nbytes + unique_keys.nbytes + sums.nbytes
+        )
+        stats["distinct"] = int(unique_keys.size)
     return unique_keys // n, unique_keys % n, sums
 
 
@@ -335,7 +364,7 @@ def aggregate_histogram(
     would), locally sort-reduce each partition, then merge the partial
     histograms.  Results match the other aggregators exactly.
     """
-    rows, cols, values = _as_arrays(rows, cols, values)
+    rows, cols, values = _as_arrays(rows, cols, values, n)
     if num_partitions < 1:
         raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
     if rows.size == 0:
@@ -353,7 +382,7 @@ def aggregate_histogram(
 
 def aggregate_dict(rows, cols, values, n: int) -> Triple:
     """Reference dict-of-floats aggregation (slow, obviously correct)."""
-    rows, cols, values = _as_arrays(rows, cols, values)
+    rows, cols, values = _as_arrays(rows, cols, values, n)
     table: Dict[int, float] = {}
     for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         key = r * n + c

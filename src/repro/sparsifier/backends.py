@@ -41,8 +41,6 @@ import abc
 import time
 from typing import ClassVar, Dict, Optional, Union
 
-import scipy.sparse as sp
-
 from repro import telemetry
 from repro.errors import SamplingError
 from repro.telemetry import health
@@ -50,7 +48,7 @@ from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.builder import (
     SparsifierResult,
-    aggregate_sample_counts,
+    aggregate_to_counts,
     build_netmf_sparsifier,
     validate_sparsifier_graph,
 )
@@ -82,7 +80,7 @@ class SparsifierBackend(abc.ABC):
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
-        aggregator: str = "hash",
+        aggregator: str = "sort",
         timer: Optional[StageTimer] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
@@ -107,7 +105,7 @@ class PathSamplingBackend(SparsifierBackend):
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
-        aggregator: str = "hash",
+        aggregator: str = "sort",
         timer: Optional[StageTimer] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
@@ -141,7 +139,7 @@ class PPRBackend(SparsifierBackend):
         config: PathSamplingConfig,
         seed: SeedLike = None,
         *,
-        aggregator: str = "hash",
+        aggregator: str = "sort",
         timer: Optional[StageTimer] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
@@ -173,18 +171,10 @@ class PPRBackend(SparsifierBackend):
             stats["samples_per_sec"] = u.size / max(
                 stats["sampling_seconds"], 1e-12
             )
-            tic = time.perf_counter()
-            with telemetry.span("sparsifier.aggregation", aggregator=aggregator):
-                rows, cols, vals = aggregate_sample_counts(
-                    u, v, w, n, aggregator=aggregator, workers=workers,
-                    backend=backend, stats=stats,
-                )
-            stats["aggregation_seconds"] = time.perf_counter() - tic
-            counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-            telemetry.gauge("sparsifier.nnz").set(counts.nnz)
-            # Same contract stat as build_netmf_sparsifier: retained mass
-            # vs the draw budget M (checked by the health layer).
-            stats["total_mass"] = float(counts.sum())
+            counts = aggregate_to_counts(
+                u, v, w, n, aggregator=aggregator, workers=workers,
+                backend=backend, stats=stats,
+            )
         for name in _STAGE_COUNTERS:
             if name in stats:
                 timer.set_counter("sparsifier", name, float(stats[name]))
@@ -221,7 +211,7 @@ def build_sparsifier(
     seed: SeedLike = None,
     *,
     sparsifier: str = "path",
-    aggregator: str = "hash",
+    aggregator: str = "sort",
     timer: Optional[StageTimer] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,

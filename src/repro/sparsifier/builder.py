@@ -82,8 +82,8 @@ class SparsifierResult:
         The context window ``T`` used.
     stats:
         Construction counters: walk samples, batch count, resolved worker
-        count, sampling/aggregation seconds, samples/sec and (for hash
-        aggregators) peak table bytes.
+        count, sampling/aggregation seconds, samples/sec and the
+        aggregator's peak table (or sort workspace) bytes.
     """
 
     counts: sp.csr_matrix
@@ -104,14 +104,17 @@ def trunc_log(matrix: sp.spmatrix) -> sp.csr_matrix:
     NetMF/NetSMF from the NPR shortcut).  Entries with ``x <= 1`` vanish,
     which also re-sparsifies the matrix.
     """
-    result = matrix.tocsr(copy=True)
-    data = result.data
-    out = np.zeros_like(data)
-    positive = data > 1.0
-    out[positive] = np.log(data[positive])
-    result.data = out
-    result.eliminate_zeros()
-    return result
+    return _trunc_log_inplace(matrix.tocsr(copy=True))
+
+
+def _trunc_log_inplace(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """:func:`trunc_log` overwriting ``matrix`` (which the caller owns)."""
+    data = matrix.data
+    keep = data > 1.0
+    np.log(data, out=data, where=keep)
+    data[~keep] = 0.0
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def validate_sparsifier_graph(graph: GraphLike) -> bool:
@@ -141,7 +144,7 @@ def aggregate_sample_counts(
     w: np.ndarray,
     n: int,
     *,
-    aggregator: str = "hash",
+    aggregator: str = "sort",
     workers: int = 1,
     backend: str = "thread",
     stats: Optional[Dict[str, float]] = None,
@@ -149,10 +152,13 @@ def aggregate_sample_counts(
     """Merge sample triples into unique ``(rows, cols, vals)`` — the shared
     aggregation stage behind every sparsifier backend.
 
-    ``aggregator`` selects ``"hash"`` (shared-table, serial in the parent so
-    the result is identical across execution backends), ``"hash-sharded"``
-    (fixed 8-shard key partition mapped onto the worker pool — threads or
-    shared-memory processes) or ``"sort"``.
+    ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
+    serial pass in the parent, ``workers``/``backend`` not consulted, output
+    in row-major key order), or one of the §4.2 ablation variants:
+    ``"hash"`` (shared-table, serial in the parent so the result is
+    identical across execution backends) and ``"hash-sharded"`` (fixed
+    8-shard key partition mapped onto the worker pool — threads or
+    shared-memory processes).
     """
     if aggregator == "hash":
         # The shared-table aggregation is already serial in the parent;
@@ -169,8 +175,47 @@ def aggregate_sample_counts(
             backend=backend, stats=stats,
         )
     if aggregator == "sort":
-        return aggregate_sort(u, v, w, n)
+        return aggregate_sort(u, v, w, n, stats=stats)
     raise SamplingError(f"unknown aggregator {aggregator!r}")
+
+
+def aggregate_to_counts(
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    n: int,
+    *,
+    aggregator: str,
+    workers: int,
+    backend: str,
+    stats: Dict[str, float],
+) -> sp.csr_matrix:
+    """Aggregate sample triples into the ``n × n`` count matrix ``W``.
+
+    The back half of every backend's ``"sparsifier"`` stage: runs
+    :func:`aggregate_sample_counts` under the ``sparsifier.aggregation``
+    span and records ``aggregation_seconds`` and ``total_mass`` in ``stats``.
+    """
+    tic = time.perf_counter()
+    with telemetry.span("sparsifier.aggregation", aggregator=aggregator):
+        rows, cols, vals = aggregate_sample_counts(
+            u, v, w, n, aggregator=aggregator, workers=workers,
+            backend=backend, stats=stats,
+        )
+    stats["aggregation_seconds"] = time.perf_counter() - tic
+    if aggregator == "sort":
+        # aggregate_sort returns distinct keys in row-major order: the triple
+        # is already CSR, so count rows instead of re-sorting through COO.
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    else:
+        counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    telemetry.gauge("sparsifier.nnz").set(counts.nnz)
+    # Total retained mass: the health layer's contract check compares this
+    # against the draw budget M (E[Σ W] = M for the estimator).
+    stats["total_mass"] = float(counts.sum())
+    return counts
 
 
 def build_netmf_sparsifier(
@@ -178,7 +223,7 @@ def build_netmf_sparsifier(
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
-    aggregator: str = "hash",
+    aggregator: str = "sort",
     timer: Optional[StageTimer] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -193,9 +238,10 @@ def build_netmf_sparsifier(
     config:
         Sampling parameters (window ``T``, sample budget ``M``, downsampling).
     aggregator:
-        ``"hash"`` (paper's shared sparse parallel hashing),
-        ``"hash-sharded"`` (per-processor tables over a key partition,
-        built on the worker pool) or ``"sort"`` (semisort analog).
+        ``"sort"`` (default: sort-reduce kernel), ``"hash"`` (paper's shared
+        sparse parallel hashing, numpy emulation) or ``"hash-sharded"``
+        (per-processor tables over a key partition, built on the worker
+        pool) — see :mod:`repro.sparsifier.aggregation`.
     timer:
         Optional :class:`StageTimer` to record the construction time under
         ``"sparsifier"`` (Table 5's first column).  Sampling counters
@@ -236,18 +282,10 @@ def build_netmf_sparsifier(
             )
         stats["sampling_seconds"] = time.perf_counter() - tic
         stats["samples_per_sec"] = u.size / max(stats["sampling_seconds"], 1e-12)
-        tic = time.perf_counter()
-        with telemetry.span("sparsifier.aggregation", aggregator=aggregator):
-            rows, cols, vals = aggregate_sample_counts(
-                u, v, w, n, aggregator=aggregator, workers=workers,
-                backend=backend, stats=stats,
-            )
-        stats["aggregation_seconds"] = time.perf_counter() - tic
-        counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        telemetry.gauge("sparsifier.nnz").set(counts.nnz)
-        # Total retained mass: the health layer's contract check compares
-        # this against the draw budget M (E[Σ W] = M for the estimator).
-        stats["total_mass"] = float(counts.sum())
+        counts = aggregate_to_counts(
+            u, v, w, n, aggregator=aggregator, workers=workers,
+            backend=backend, stats=stats,
+        )
     for name in (
         "walk_samples", "batches", "workers", "samples_per_sec",
         "peak_table_bytes",
@@ -288,7 +326,13 @@ def sparsifier_to_netmf_matrix(
     volume = graph.volume
     scale = volume * volume / (negative_samples * result.num_draws)
 
-    symmetric = (result.counts + result.counts.T) * 0.5
-    inv_d = sp.diags(1.0 / degrees)
-    scaled = (inv_d @ symmetric @ inv_d) * scale
-    return trunc_log(scaled)
+    # ((D⁻¹ · (W + Wᵀ)/2) · D⁻¹) · scale, entry by entry in that order, on
+    # the one matrix the symmetrisation allocates.
+    matrix = (result.counts + result.counts.T).tocsr()
+    inv_d = 1.0 / degrees
+    data = matrix.data
+    data *= 0.5
+    data *= np.repeat(inv_d, np.diff(matrix.indptr))
+    data *= inv_d[matrix.indices]
+    data *= scale
+    return _trunc_log_inplace(matrix)

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SamplingError
+from repro.graph.generators import erdos_renyi_graph
 from repro.sparsifier.aggregation import (
     aggregate_dict,
     aggregate_hash,
     aggregate_hash_sharded,
+    aggregate_histogram,
     aggregate_sort,
 )
+from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
 
 
 def _canon(triple):
@@ -22,6 +26,7 @@ def _canon(triple):
 
 
 ALL = [aggregate_dict, aggregate_sort, aggregate_hash, aggregate_hash_sharded]
+GUARDED = ALL + [aggregate_histogram]
 
 
 class TestAgreement:
@@ -89,6 +94,97 @@ class TestAgreement:
             aggregate(np.array([0]), np.array([0, 1]), np.array([1.0]), n=3)
 
 
+class TestSortKernel:
+    """The default aggregator: stream-order sums, row-major sorted output."""
+
+    # Few distinct keys and up to 60 samples: some key repeats > 8 times in
+    # most examples, where a pairwise (reduceat-style) sum would differ from
+    # the sequential one in the last digit.
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=2),
+                st.floats(min_value=1e-3, max_value=1e3),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_dict_exactly(self, samples):
+        rows = np.array([s[0] for s in samples], dtype=np.int64)
+        cols = np.array([s[1] for s in samples], dtype=np.int64)
+        values = np.array([s[2] for s in samples], dtype=np.float64)
+        got = aggregate_sort(rows, cols, values, 3)
+        keys = got[0] * 3 + got[1]
+        assert np.all(np.diff(keys) > 0)
+        assert got[2].dtype == np.float64
+        for a, b in zip(got, _canon(aggregate_dict(rows, cols, values, 3))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_key_many_times_sums_in_stream_order(self, rng):
+        values = rng.random(1000) * 10.0 ** rng.integers(-8, 8, size=1000)
+        zeros = np.zeros(1000, dtype=np.int64)
+        _, _, got = aggregate_sort(zeros, zeros, values, 1)
+        sequential = 0.0
+        for value in values.tolist():
+            sequential += value
+        assert got.tolist() == [sequential]
+
+    def test_single_sample(self):
+        r, c, v = aggregate_sort([3], [1], [2.5], 4)
+        assert (r.tolist(), c.tolist(), v.tolist()) == ([3], [1], [2.5])
+
+    def test_stats_recorded(self, rng):
+        stats = {}
+        r, _, _ = aggregate_sort(
+            rng.integers(0, 10, 200), rng.integers(0, 10, 200), np.ones(200),
+            10, stats=stats,
+        )
+        assert stats["distinct"] == r.size
+        # packed keys + inverse (one per sample), unique keys + sums.
+        assert stats["peak_table_bytes"] == 8 * (2 * 200 + 2 * r.size)
+
+    def test_hash_variants_bitwise_equal_below_one_batch(self):
+        # A real 1/p_e-weighted sample stream shorter than aggregate_hash's
+        # 1M batch: all three production aggregators sum each key in stream
+        # order, so they agree bit for bit, not just to rounding.
+        graph = erdos_renyi_graph(60, 0.3, seed=0)
+        config = PathSamplingConfig(
+            window=3, num_samples=20_000, downsample=True,
+            downsample_constant=0.5,
+        )
+        u, v, w, _ = sample_sparsifier_edges(graph, config, 1)
+        assert 0 < u.size < 1_000_000 and np.unique(w).size > 1
+        reference = aggregate_sort(u, v, w, 60)
+        for aggregate in (aggregate_hash, aggregate_hash_sharded):
+            for a, b in zip(_canon(aggregate(u, v, w, 60)), reference):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestInputGuards:
+    """Keys pack as ``row*n+col``: out-of-range input must not alias."""
+
+    @pytest.mark.parametrize("aggregate", GUARDED)
+    @pytest.mark.parametrize(
+        "rows, cols", [([0, 5], [1, 1]), ([0, 1], [1, 5]), ([-1], [0]), ([0], [-2])]
+    )
+    def test_out_of_range_index_rejected(self, aggregate, rows, cols):
+        with pytest.raises(SamplingError):
+            aggregate(np.array(rows), np.array(cols), np.ones(len(rows)), n=5)
+
+    @pytest.mark.parametrize("aggregate", GUARDED)
+    def test_key_overflow_rejected(self, aggregate):
+        n = 2**32  # n*n - 1 == 2**64 - 1 does not fit int64
+        with pytest.raises(SamplingError):
+            aggregate(np.array([n - 1]), np.array([n - 1]), np.ones(1), n=n)
+
+    def test_largest_exact_key_space_accepted(self):
+        n = 3_037_000_499  # floor(sqrt(2**63)): n*n - 1 still fits
+        r, c, v = aggregate_sort([n - 1, n - 1], [n - 1, n - 1], [1.0, 2.0], n)
+        assert (r.tolist(), c.tolist(), v.tolist()) == ([n - 1], [n - 1], [3.0])
+
+
 class TestShardedAggregation:
     """The §4.2 per-processor-tables alternative: hash-partitioned shards."""
 
@@ -149,7 +245,10 @@ class TestShardedAggregation:
         )
         assert stats["num_shards"] == 4
         assert stats["distinct"] == r.size
-        assert stats["peak_table_bytes"] > stats["shard_table_bytes"] > 0
+        # Shards are key-disjoint: their items are concatenated, no merge
+        # table exists, so the shard tables are the whole footprint.
+        assert stats["peak_table_bytes"] == stats["shard_table_bytes"] > 0
+        assert stats["probe_rounds"] > 0
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):

@@ -10,17 +10,33 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.embedding.netmf import netmf_matrix_dense
+from repro.embedding.netsmf import NetSMFParams, netsmf_embedding
+from repro.embedding.sketchne import SketchNEParams, sketchne_embedding
 from repro.errors import SamplingError
+from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
+from repro.sparsifier.aggregation import aggregate_sort
 from repro.sparsifier.builder import (
     SparsifierResult,
+    aggregate_to_counts,
     build_netmf_sparsifier,
     sparsifier_to_netmf_matrix,
     trunc_log,
 )
 from repro.sparsifier.path_sampling import PathSamplingConfig
+from repro.telemetry.health import fingerprint
 from repro.utils.timer import StageTimer
+
+
+def _assert_same_csr(got, expected):
+    """Bit-identical CSR: same structure arrays (and dtypes), same data."""
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestTruncLog:
@@ -116,7 +132,11 @@ class TestBuilder:
         # The builder pins the shard count so the decomposition (and fp
         # summation order) is independent of the worker count.
         assert result.stats["num_shards"] == 8
-        assert result.stats["peak_table_bytes"] >= result.stats["shard_table_bytes"]
+        # No merge table: the eight shard tables are the whole footprint.
+        assert (
+            result.stats["peak_table_bytes"]
+            == result.stats["shard_table_bytes"] > 0
+        )
 
     def test_sharded_worker_count_invariance(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=3000, downsample=True)
@@ -127,6 +147,130 @@ class TestBuilder:
             er_graph, config, seed=9, aggregator="hash-sharded", workers=4
         )
         assert (serial.counts != threaded.counts).nnz == 0
+
+
+class TestSortDefault:
+    """The sort-reduce kernel is the production aggregator."""
+
+    def test_builder_default_is_sort(self, er_graph):
+        config = PathSamplingConfig(window=2, num_samples=2000, downsample=False)
+        default = build_netmf_sparsifier(er_graph, config, seed=3)
+        explicit = build_netmf_sparsifier(
+            er_graph, config, seed=3, aggregator="sort"
+        )
+        _assert_same_csr(default.counts, explicit.counts)
+        assert default.stats["peak_table_bytes"] > 0
+        assert "probe_rounds" not in default.stats  # no hash table was built
+
+    def test_params_defaults_and_peak_bytes(self, er_graph):
+        for params_type in (LightNEParams, SketchNEParams, NetSMFParams):
+            assert params_type().aggregator == "sort"
+        result = lightne_embedding(er_graph, LightNEParams(dimension=8, window=2), 0)
+        assert result.info["peak_table_bytes"] > 0
+        for embed, params in (
+            (sketchne_embedding, SketchNEParams(dimension=8, window=2)),
+            (netsmf_embedding, NetSMFParams(dimension=8, window=2)),
+        ):
+            counters = embed(er_graph, params, 0).timer.counters["sparsifier"]
+            assert counters["peak_table_bytes"] > 0
+
+    @pytest.mark.parametrize("aggregator", ["sort", "hash", "hash-sharded"])
+    def test_direct_csr_assembly_equals_coo_construction(self, rng, aggregator):
+        # n leaves empty leading, interior and trailing rows.
+        n = 50
+        u = rng.integers(5, 40, size=3000)
+        u[u == 17] = 18
+        v = rng.integers(0, n, size=3000)
+        w = rng.random(3000)
+        counts = aggregate_to_counts(
+            u, v, w, n, aggregator=aggregator, workers=2, backend="thread",
+            stats={},
+        )
+        rows, cols, vals = aggregate_sort(u, v, w, n)
+        _assert_same_csr(counts, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        assert counts.has_sorted_indices and counts.has_canonical_format
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("aggregator", ["sort", "hash", "hash-sharded"])
+    def test_counts_unchanged_from_pre_sort_default_commit(
+        self, aggregator, backend
+    ):
+        # Content digest of the count matrix recorded at the commit before
+        # sort became the default (there: identical for all six cells).
+        # Under one 1M hash batch every aggregator sums in stream order.
+        graph = erdos_renyi_graph(120, 0.1, seed=5)
+        config = PathSamplingConfig(
+            window=3, num_samples=6000, downsample=True, downsample_constant=1.0
+        )
+        result = build_netmf_sparsifier(
+            graph, config, seed=11, aggregator=aggregator, workers=2,
+            backend=backend, batch_size=1500,
+        )
+        assert fingerprint("counts", result.counts).digest == "c0c7eb3f2bab41b8"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_hash_variants_embed_identically_to_default(self, er_graph, backend):
+        vectors = [
+            lightne_embedding(
+                er_graph,
+                LightNEParams(
+                    dimension=8, window=3, aggregator=aggregator, workers=2,
+                    backend=backend, batch_size=700,
+                ),
+                seed=4,
+            ).vectors
+            for aggregator in ("sort", "hash", "hash-sharded")
+        ]
+        np.testing.assert_array_equal(vectors[0], vectors[1])
+        np.testing.assert_array_equal(vectors[0], vectors[2])
+
+
+def _netmf_transform_oracle(graph, result, negative_samples=1.0):
+    """``sparsifier_to_netmf_matrix`` as written before it went in place:
+    sparse×diagonal products, then a masked log into a fresh array."""
+    degrees = graph.weighted_degrees()
+    degrees = np.where(degrees > 0, degrees, 1.0)
+    scale = graph.volume * graph.volume / (negative_samples * result.num_draws)
+    symmetric = (result.counts + result.counts.T) * 0.5
+    inv_d = sp.diags(1.0 / degrees)
+    scaled = ((inv_d @ symmetric @ inv_d) * scale).tocsr()
+    out = np.zeros_like(scaled.data)
+    positive = scaled.data > 1.0
+    out[positive] = np.log(scaled.data[positive])
+    scaled.data = out
+    scaled.eliminate_zeros()
+    return scaled
+
+
+def _transform_graph(kind):
+    if kind == "unweighted":
+        return erdos_renyi_graph(60, 0.15, seed=7)
+    rng = np.random.default_rng(0)
+    src, dst = rng.integers(0, 40, size=300), rng.integers(0, 40, size=300)
+    if kind == "weighted":
+        return from_edges(src, dst, rng.random(300) + 0.1)
+    if kind == "self_loops":
+        return from_edges(src, dst, drop_self_loops=False)
+    # vertices 40..49 are isolated (degree 0 -> scaled as degree 1)
+    return from_edges(src, dst, num_vertices=50)
+
+
+class TestInPlaceTransform:
+    @pytest.mark.parametrize(
+        "kind", ["unweighted", "weighted", "self_loops", "isolated"]
+    )
+    def test_equals_sparse_diagonal_expression(self, kind):
+        graph = _transform_graph(kind)
+        config = PathSamplingConfig(
+            window=3,
+            num_samples=PathSamplingConfig.samples_for_multiplier(graph, 3, 5),
+        )
+        result = build_netmf_sparsifier(graph, config, seed=2)
+        before = result.counts.copy()
+        got = sparsifier_to_netmf_matrix(graph, result, negative_samples=2.0)
+        _assert_same_csr(got, _netmf_transform_oracle(graph, result, 2.0))
+        assert 0 < got.nnz < (result.counts + result.counts.T).nnz
+        _assert_same_csr(result.counts, before)  # the sparsifier is not consumed
 
 
 class TestEstimator:
