@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro import (
     LightNEParams,
-    NetSMFParams,
     ProNEParams,
     dcsbm_graph,
     lightne_embedding,
@@ -52,7 +51,7 @@ def main() -> None:
           f"{f1(prone.vectors, labels):>14.2f}")
 
     netsmf = netsmf_embedding(
-        graph, NetSMFParams(dimension=64, window=WINDOW, sample_multiplier=8), seed=0
+        graph, LightNEParams(dimension=64, window=WINDOW, sample_multiplier=8), seed=0
     )
     print(f"{'NetSMF 8Tm':<18} {netsmf.total_seconds:>9.2f} "
           f"{f1(netsmf.vectors, labels):>14.2f}")

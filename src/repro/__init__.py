@@ -49,7 +49,6 @@ from repro.embedding import (
     MethodSpec,
     NRPParams,
     NetMFParams,
-    NetSMFParams,
     Node2VecParams,
     PBGParams,
     ProNEParams,
@@ -112,7 +111,6 @@ __all__ = [
     "EmbeddingResult",
     "LightNEParams",
     "lightne_embedding",
-    "NetSMFParams",
     "netsmf_embedding",
     "ProNEParams",
     "prone_embedding",

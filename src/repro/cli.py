@@ -46,8 +46,8 @@ import numpy as np
 
 from repro.datasets import dataset_names, load_dataset
 from repro.embedding.registry import (
+    GENERIC_KNOBS,
     get_method,
-    list_methods,
     make_params,
     method_names,
 )
@@ -97,13 +97,10 @@ def _load_graph(args: argparse.Namespace):
     raise SystemExit("one of --input or --dataset is required")
 
 
-# Generic knobs offered as CLI flags; only values the user explicitly set
-# (default=None sentinels) reach make_params, so each method keeps its own
-# dataclass defaults for everything else.
-_KNOB_ARGS = (
-    "window", "multiplier", "propagate", "downsample", "workers", "backend",
-    "precision", "sparsifier", "factorizer", "batch_size",
-)
+# Flags forwarded to make_params: the registry's generic knobs plus two plain
+# fields.  Only values the user explicitly set (default=None sentinels) are
+# forwarded, so each method keeps its own defaults for everything else.
+_KNOB_ARGS = (*GENERIC_KNOBS, "backend", "batch_size")
 
 
 def _embed(graph, args: argparse.Namespace):
@@ -363,67 +360,53 @@ def build_parser() -> argparse.ArgumentParser:
             help="embedding method (canonical name or registered alias)",
         )
         p.add_argument("--dim", type=int, default=dim_default)
-        offered = {
-            knob
-            for spec in list_methods()
-            for knob, on in spec.capabilities.items()
-            if on
-        }
-        if "window" in offered:
-            p.add_argument(
-                "--window", type=int, default=None,
-                help="context window T (methods with the window knob; "
-                     "default: the method's own)",
-            )
-        if "multiplier" in offered:
-            p.add_argument(
-                "--multiplier", type=float, default=None,
-                help="sample multiplier (M = multiplier*T*m) for the "
-                     "sampling-based methods",
-            )
-        if "propagate" in offered:
-            p.add_argument(
-                "--no-propagate", dest="propagate", action="store_const",
-                const=False, default=None,
-                help="skip the spectral-propagation stage",
-            )
-        if "downsample" in offered:
-            p.add_argument(
-                "--no-downsample", dest="downsample", action="store_const",
-                const=False, default=None,
-                help="disable the degree-based downsampling coin",
-            )
-        if "precision" in offered:
-            p.add_argument(
-                "--precision", choices=("single", "double"), default=None,
-                help="dense-kernel dtype policy: 'single' runs the "
-                     "factorize/propagate stages in float32 (about half the "
-                     "peak memory), 'double' is the bit-exact legacy path "
-                     "(default: the method's own)",
-            )
-        if "sparsifier" in offered:
-            from repro.sparsifier.backends import sparsifier_backend_names
+        p.add_argument(
+            "--window", type=int, default=None,
+            help="context window T (methods with the window knob; "
+                 "default: the method's own)",
+        )
+        p.add_argument(
+            "--multiplier", type=float, default=None,
+            help="sample multiplier (M = multiplier*T*m) for the "
+                 "sampling-based methods",
+        )
+        p.add_argument(
+            "--no-propagate", dest="propagate", action="store_const",
+            const=False, default=None,
+            help="skip the spectral-propagation stage",
+        )
+        p.add_argument(
+            "--no-downsample", dest="downsample", action="store_const",
+            const=False, default=None,
+            help="disable the degree-based downsampling coin",
+        )
+        p.add_argument(
+            "--precision", choices=("single", "double"), default=None,
+            help="dense-kernel dtype policy: 'single' runs the "
+                 "factorize/propagate stages in float32 (about half the "
+                 "peak memory), 'double' is the bit-exact legacy path "
+                 "(default: the method's own)",
+        )
+        from repro.linalg.single_pass import FACTORIZERS
+        from repro.sparsifier.backends import sparsifier_backend_names
 
-            p.add_argument(
-                "--sparsifier", choices=sparsifier_backend_names(),
-                default=None,
-                help="sparsifier backend building the count matrix: 'path' "
-                     "(the paper's downsampled PathSampling, default) or "
-                     "'ppr' (PSNE-style push-based PPR proximity); both are "
-                     "deterministic per (seed, batch-size) at every worker "
-                     "count and on both --backend substrates",
-            )
-        if "factorizer" in offered:
-            from repro.linalg.single_pass import FACTORIZERS
-
-            p.add_argument(
-                "--factorizer", choices=FACTORIZERS, default=None,
-                help="factorization backend: 'rsvd' (the paper's Algorithm "
-                     "3, 2+2q operator passes) or 'single_pass' (SketchNE-"
-                     "style sparse-sign sketch, one streamed pass; lower "
-                     "peak memory); both deterministic per seed at every "
-                     "worker count (default: the method's own)",
-            )
+        p.add_argument(
+            "--sparsifier", choices=sparsifier_backend_names(),
+            default=None,
+            help="sparsifier backend building the count matrix: 'path' "
+                 "(the paper's downsampled PathSampling, default) or "
+                 "'ppr' (PSNE-style push-based PPR proximity); both are "
+                 "deterministic per (seed, batch-size) at every worker "
+                 "count and on both --backend substrates",
+        )
+        p.add_argument(
+            "--factorizer", choices=FACTORIZERS, default=None,
+            help="factorization backend: 'rsvd' (the paper's Algorithm "
+                 "3, 2+2q operator passes) or 'single_pass' (SketchNE-"
+                 "style sparse-sign sketch, one streamed pass; lower "
+                 "peak memory); both deterministic per seed at every "
+                 "worker count (default: the method's own)",
+        )
         p.add_argument(
             "--batch-size", dest="batch_size", type=int, default=None,
             help="samples per parallel sampling batch (methods with a "

@@ -1,5 +1,6 @@
-"""Embedding algorithms: LightNE, its two building blocks (NetSMF, ProNE),
-the exact NetMF reference, and the baseline systems the paper compares to.
+"""Embedding algorithms: LightNE (with NetSMF and SketchNE as presets of its
+pipeline), ProNE, the exact NetMF reference, and the baseline systems the
+paper compares to.
 
 All methods run on the shared pipeline skeleton in
 :mod:`repro.embedding.base` and are dispatched by name through the
@@ -12,10 +13,13 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.embedding.netmf import NetMFParams, netmf_embedding, netmf_matrix_dense
-from repro.embedding.netsmf import NetSMFParams, netsmf_embedding
 from repro.embedding.prone import ProNEParams, prone_embedding
-from repro.embedding.lightne import LightNEParams, lightne_embedding
-from repro.embedding.sketchne import SketchNEParams, sketchne_embedding
+from repro.embedding.lightne import (
+    LightNEParams,
+    lightne_embedding,
+    netsmf_embedding,
+    sketchne_embedding,
+)
 from repro.embedding.line import LINEParams, line_embedding
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
 from repro.embedding.pbg import PBGParams, pbg_embedding
@@ -48,13 +52,11 @@ __all__ = [
     "NetMFParams",
     "netmf_embedding",
     "netmf_matrix_dense",
-    "NetSMFParams",
     "netsmf_embedding",
     "ProNEParams",
     "prone_embedding",
     "LightNEParams",
     "lightne_embedding",
-    "SketchNEParams",
     "sketchne_embedding",
     "LINEParams",
     "line_embedding",

@@ -15,6 +15,12 @@ configurations are exposed as constructors:
 ``LightNEParams.small(T)`` (M = 0.1·T·m) and ``LightNEParams.large(T)``
 (M = 20·T·m).  For very large graphs the paper sets ``T=2, d=32`` and skips
 propagation — pass ``propagate=False``.
+
+The paper presents LightNE as NetSMF plus two switches, and SketchNE swaps
+one box of the same skeleton, so both are *presets* of this one body rather
+than modules of their own: :func:`netsmf_embedding` pins ``downsample`` and
+``propagate`` off, :func:`sketchne_embedding` defaults
+``factorizer="single_pass"``.
 """
 
 from __future__ import annotations
@@ -245,6 +251,14 @@ def _lightne_body(ctx: PipelineContext):
 
 LIGHTNE_PIPELINE = PipelineSpec(name="lightne", body=_lightne_body)
 
+# The two named presets of the same body.  Each keeps its own method name
+# (``EmbeddingResult.method``, root span, ledger identity); the values are
+# written here once and read by the registry and by the entry points below.
+NETSMF_PIPELINE = PipelineSpec(name="netsmf", body=_lightne_body)
+NETSMF_PINS = {"downsample": False, "propagate": False}
+SKETCHNE_PIPELINE = PipelineSpec(name="sketchne", body=_lightne_body)
+SKETCHNE_DEFAULTS = {"factorizer": "single_pass"}
+
 
 def lightne_embedding(
     graph: GraphLike,
@@ -263,6 +277,37 @@ def lightne_embedding(
     carries a snapshot of the metrics registry.
     """
     return run_pipeline(graph, LIGHTNE_PIPELINE, params, seed)
+
+
+def netsmf_embedding(
+    graph: GraphLike,
+    params: LightNEParams = LightNEParams(),
+    seed: SeedLike = None,
+) -> EmbeddingResult:
+    """NetSMF [22], the paper's §3.1 baseline: the LightNE pipeline with the
+    downsampling coin and spectral propagation pinned off, whatever
+    ``params`` says (every draw is kept; stages ``sparsifier`` / ``svd``)."""
+    return run_pipeline(
+        graph, NETSMF_PIPELINE, replace(params, **NETSMF_PINS), seed
+    )
+
+
+def sketchne_embedding(
+    graph: GraphLike,
+    params: LightNEParams = LightNEParams(**SKETCHNE_DEFAULTS),
+    seed: SeedLike = None,
+) -> EmbeddingResult:
+    """SketchNE / NetMF+ (arXiv 2110.12782; LIGHTNE 2.0, arXiv 2302.07084):
+    the LightNE pipeline with the factorization defaulting to the one-pass
+    sparse-sign sketch (:mod:`repro.linalg.single_pass`) instead of
+    Algorithm 3.  Registered as ``sketchne`` (aliases ``netmf+`` /
+    ``netmfplus``).  A default, not a pin: ``params`` is used as given, so
+    build it with ``make_params("sketchne", ...)`` or set ``factorizer``
+    yourself — ``factorizer="rsvd"`` is the in-place ablation with every
+    other stage held fixed.  With telemetry on, the ``sketch.*``
+    spans/counters (operator passes, flops, bytes, sketch width/density)
+    appear under the ``svd`` stage."""
+    return run_pipeline(graph, SKETCHNE_PIPELINE, params, seed)
 
 
 def refresh_embedding(

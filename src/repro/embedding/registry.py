@@ -4,16 +4,19 @@ Before this module existed, ``cli.py``, ``experiments/runner.py`` and the
 benchmark harness each kept an if/elif chain with diverging method names
 (``prone`` vs ``prone+``, ``deepwalk`` vs ``graphvite``) and diverging knob
 support.  Now each method is described once by a :class:`MethodSpec` —
-canonical name, aliases, params dataclass, builder function, capability
-flags — and every layer resolves names and builds params through
-:func:`get_method` / :func:`make_params` / :func:`run_method`.
+canonical name, aliases, params dataclass, builder function, preset values —
+and every layer resolves names and builds params through
+:func:`get_method` / :func:`make_params` / :func:`run_method`.  Which
+generic knobs a method takes is not declared: it is read off the fields of
+its params dataclass (:data:`GENERIC_KNOBS`).
 
 Registering a new method is a single :func:`register` call at the bottom of
 this file (CI enforces that every ``*_embedding`` entry point in
 ``repro.embedding`` is registered).
 
-Run ``python -m repro.embedding.registry`` to print the method table used in
-``README.md``.
+``README.md``'s method table is ``print(format_methods_table())``
+(``python -c "from repro.embedding.registry import format_methods_table as
+t; print(t())"``); a tier-1 test keeps the two equal.
 """
 
 from __future__ import annotations
@@ -27,36 +30,45 @@ from repro.embedding.base import EmbeddingResult
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
 from repro.embedding.grarep import GraRepParams, grarep_embedding
 from repro.embedding.hope import HOPEParams, hope_embedding
-from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.embedding.lightne import (
+    NETSMF_PINS,
+    SKETCHNE_DEFAULTS,
+    LightNEParams,
+    lightne_embedding,
+    netsmf_embedding,
+    sketchne_embedding,
+)
 from repro.embedding.line import LINEParams, line_embedding
 from repro.embedding.netmf import NetMFParams, netmf_embedding
-from repro.embedding.netsmf import NetSMFParams, netsmf_embedding
 from repro.embedding.node2vec import Node2VecParams, node2vec_embedding
 from repro.embedding.nrp import NRPParams, nrp_embedding
 from repro.embedding.pbg import PBGParams, pbg_embedding
 from repro.embedding.prone import ProNEParams, prone_embedding
-from repro.embedding.sketchne import SketchNEParams, sketchne_embedding
 from repro.errors import MethodParameterError, UnknownMethodError
 from repro.utils.rng import SeedLike
 
-# The "generic knobs" every dispatch layer may offer uniformly.  Each maps to
-# the MethodSpec capability flag that gates it and (via _KNOB_FIELD) to the
-# params-dataclass field it sets.
-_KNOB_CAPABILITY: Dict[str, str] = {
-    "window": "supports_window",
-    "workers": "supports_workers",
-    # The execution substrate rides the workers capability: every method
-    # that accepts a pool width also accepts the thread/process choice.
-    "backend": "supports_workers",
-    "multiplier": "supports_multiplier",
-    "sample_multiplier": "supports_multiplier",
-    "propagate": "supports_propagate",
-    "downsample": "supports_downsample",
-    "precision": "supports_precision",
-    "sparsifier": "supports_sparsifier",
-    "factorizer": "supports_factorizer",
+# The generic knobs every dispatch layer offers uniformly, as knob -> the
+# params-dataclass field it sets.  A method supports a knob iff its params
+# dataclass has that field and its preset does not pin it.  The CLI's flag
+# forwarding and the README table are derived from this one list.
+GENERIC_KNOBS: Dict[str, str] = {
+    "window": "window",
+    "workers": "workers",
+    "multiplier": "sample_multiplier",
+    "propagate": "propagate",
+    "downsample": "downsample",
+    "precision": "precision",
+    "sparsifier": "sparsifier",
+    "factorizer": "factorizer",
 }
-_KNOB_FIELD: Dict[str, str] = {"multiplier": "sample_multiplier"}
+# Gated the same way without being listed as knobs of their own: the
+# execution substrate accompanies every pool width, and
+# ``sample_multiplier`` is the field-name spelling of ``multiplier``.
+_KNOB_FIELD: Dict[str, str] = {
+    **GENERIC_KNOBS,
+    "backend": "backend",
+    "sample_multiplier": "sample_multiplier",
+}
 
 
 @dataclass(frozen=True)
@@ -78,20 +90,15 @@ class MethodSpec:
         ``prone+`` / ``graphvite``).
     defaults:
         Field overrides applied on top of the dataclass defaults by
-        :func:`make_params` (e.g. ``netmf-eigen`` pins ``strategy``).
+        :func:`make_params` (e.g. ``netmf-eigen`` sets ``strategy``,
+        ``sketchne`` sets ``factorizer``); callers may override them.
+    pins:
+        Field values the method fixes (``netsmf``: no downsampling, no
+        propagation).  A pinned field is not a knob of the method:
+        :func:`make_params` treats an override aimed at it like any other
+        unsupported knob and always builds the pinned value.
     stages:
         The Table-5 stage names this method records on its ``StageTimer``.
-    supports_window / supports_workers / supports_multiplier /
-    supports_propagate / supports_downsample / supports_precision /
-    supports_sparsifier / supports_factorizer:
-        Capability flags gating the generic knobs shared across dispatch
-        layers; unsupported knobs are rejected (``strict=True``) or dropped
-        (``strict=False``) by :func:`make_params`.  ``precision`` selects
-        the dense-kernel dtype policy (``"double"``/``"single"``) of
-        :mod:`repro.linalg.kernels`; ``sparsifier`` selects the count-matrix
-        backend (``"path"``/``"ppr"``) of :mod:`repro.sparsifier.backends`;
-        ``factorizer`` selects the factorization backend
-        (``"rsvd"``/``"single_pass"``) of :mod:`repro.linalg.single_pass`.
     """
 
     name: str
@@ -100,34 +107,21 @@ class MethodSpec:
     description: str = ""
     aliases: Tuple[str, ...] = ()
     defaults: Mapping[str, object] = dataclass_field(default_factory=dict)
+    pins: Mapping[str, object] = dataclass_field(default_factory=dict)
     stages: Tuple[str, ...] = ()
-    supports_window: bool = False
-    supports_workers: bool = False
-    supports_multiplier: bool = False
-    supports_propagate: bool = False
-    supports_downsample: bool = False
-    supports_precision: bool = False
-    supports_sparsifier: bool = False
-    supports_factorizer: bool = False
 
     def supports(self, knob: str) -> bool:
-        """Whether the generic ``knob`` applies to this method."""
-        capability = _KNOB_CAPABILITY.get(knob)
-        return bool(getattr(self, capability)) if capability else False
+        """Whether the generic ``knob`` applies to this method: its field
+        exists on the params dataclass and is not pinned.  Unsupported knobs
+        are rejected (``strict=True``) or dropped (``strict=False``) by
+        :func:`make_params`."""
+        field_name = _KNOB_FIELD.get(knob)
+        return field_name in self.param_fields and field_name not in self.pins
 
     @property
     def capabilities(self) -> Dict[str, bool]:
         """Generic knob -> supported, for flag derivation and docs."""
-        return {
-            "window": self.supports_window,
-            "workers": self.supports_workers,
-            "multiplier": self.supports_multiplier,
-            "propagate": self.supports_propagate,
-            "downsample": self.supports_downsample,
-            "precision": self.supports_precision,
-            "sparsifier": self.supports_sparsifier,
-            "factorizer": self.supports_factorizer,
-        }
+        return {knob: self.supports(knob) for knob in GENERIC_KNOBS}
 
     @property
     def param_fields(self) -> Tuple[str, ...]:
@@ -184,8 +178,8 @@ def make_params(name: str, *, strict: bool = True, **overrides: object):
 
     ``overrides`` values of ``None`` mean "not set" and are skipped (so CLI
     flags with ``default=None`` sentinels pass through verbatim).  A generic
-    knob (``window`` / ``workers`` / ``multiplier`` / ``propagate`` /
-    ``downsample``) the method does not support raises
+    knob (:data:`GENERIC_KNOBS`, plus ``backend``) the method does not
+    support — no such field, or the method pins it — raises
     :class:`MethodParameterError` when ``strict`` (the CLI) and is silently
     dropped otherwise (comparison sweeps sharing one knob set across
     methods).  Names that are neither generic knobs nor fields of the params
@@ -198,7 +192,7 @@ def make_params(name: str, *, strict: bool = True, **overrides: object):
         if value is None:
             continue
         field_name = _KNOB_FIELD.get(key, key)
-        if key in _KNOB_CAPABILITY and not spec.supports(key):
+        if key in _KNOB_FIELD and not spec.supports(key):
             if strict:
                 raise MethodParameterError(
                     f"method {spec.name!r} does not support {key!r} "
@@ -212,6 +206,7 @@ def make_params(name: str, *, strict: bool = True, **overrides: object):
                 f"parameter {field_name!r}"
             )
         merged[field_name] = value
+    merged.update(spec.pins)
     return spec.params_type(**merged)
 
 
@@ -253,47 +248,27 @@ register(
         params_type=LightNEParams,
         description="the paper's system: downsampled sparsifier + rSVD + spectral propagation",
         stages=("sparsifier", "svd", "propagation"),
-        supports_window=True,
-        supports_workers=True,
-        supports_multiplier=True,
-        supports_propagate=True,
-        supports_downsample=True,
-        supports_precision=True,
-        supports_sparsifier=True,
-        supports_factorizer=True,
     )
 )
 register(
     MethodSpec(
         name="sketchne",
         builder=sketchne_embedding,
-        params_type=SketchNEParams,
+        params_type=LightNEParams,
         description="SketchNE/NetMF+: sparse-sign sketch, single-pass factorization, propagation",
         aliases=("netmf+", "netmfplus"),
+        defaults=SKETCHNE_DEFAULTS,
         stages=("sparsifier", "svd", "propagation"),
-        supports_window=True,
-        supports_workers=True,
-        supports_multiplier=True,
-        supports_propagate=True,
-        supports_downsample=True,
-        supports_precision=True,
-        supports_sparsifier=True,
-        supports_factorizer=True,
     )
 )
 register(
     MethodSpec(
         name="netsmf",
         builder=netsmf_embedding,
-        params_type=NetSMFParams,
+        params_type=LightNEParams,
         description="NetSMF baseline: PathSampling sparsifier + rSVD, no downsampling/propagation",
+        pins=NETSMF_PINS,
         stages=("sparsifier", "svd"),
-        supports_window=True,
-        supports_workers=True,
-        supports_multiplier=True,
-        supports_precision=True,
-        supports_sparsifier=True,
-        supports_factorizer=True,
     )
 )
 register(
@@ -304,9 +279,6 @@ register(
         description="ProNE(+): modulated-Laplacian factorization + Chebyshev propagation",
         aliases=("prone+",),
         stages=("svd", "propagation"),
-        supports_workers=True,
-        supports_propagate=True,
-        supports_precision=True,
     )
 )
 register(
@@ -316,10 +288,6 @@ register(
         params_type=NetMFParams,
         description="exact dense NetMF (small graphs; the sparsifier's oracle)",
         stages=("matrix", "svd"),
-        supports_window=True,
-        supports_workers=True,
-        supports_precision=True,
-        supports_factorizer=True,
     )
 )
 register(
@@ -330,10 +298,6 @@ register(
         description="NetMF-large: truncated-eigenpair approximation of Eq. (1)",
         defaults={"strategy": "eigen"},
         stages=("matrix", "svd"),
-        supports_window=True,
-        supports_workers=True,
-        supports_precision=True,
-        supports_factorizer=True,
     )
 )
 register(
@@ -353,7 +317,6 @@ register(
         description="DeepWalk trained by skip-gram SGD (the GraphVite stand-in)",
         aliases=("graphvite", "deepwalk-sgd"),
         stages=("walks", "sgd"),
-        supports_window=True,
     )
 )
 register(
@@ -363,7 +326,6 @@ register(
         params_type=Node2VecParams,
         description="node2vec: p/q-biased second-order walks + skip-gram SGD",
         stages=("walks", "sgd"),
-        supports_window=True,
     )
 )
 register(
@@ -383,9 +345,6 @@ register(
         params_type=NRPParams,
         description="NRP/NPR: implicit PPR-polynomial factorization (no entry-wise log)",
         stages=("svd",),
-        supports_workers=True,
-        supports_precision=True,
-        supports_factorizer=True,
     )
 )
 register(
@@ -406,7 +365,3 @@ register(
         stages=("svd",),
     )
 )
-
-
-if __name__ == "__main__":
-    print(format_methods_table())

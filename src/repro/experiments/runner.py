@@ -38,23 +38,21 @@ def dispatch_method(
     multiplier: float = 1.0,
     propagate: bool = True,
     downsample: bool = True,
-    workers: Optional[int] = None,
-    precision: Optional[str] = None,
-    sparsifier: Optional[str] = None,
-    factorizer: Optional[str] = None,
     seed: int = DEFAULT_SEED,
+    **knobs: object,
 ) -> EmbeddingResult:
     """Run one named method with the harness-level knobs.
 
     Any name or alias in :mod:`repro.embedding.registry` is accepted (the
     paper tables' spellings ``prone+`` and ``graphvite`` are registered
-    aliases).  The knob set is shared across methods, so knobs a method does
-    not support are dropped (``strict=False``); unknown method names raise
-    :class:`repro.errors.UnknownMethodError`.  ``sparsifier`` selects the
-    count-matrix backend (``"path"``/``"ppr"``) on the methods that expose
-    it (lightne, sketchne, netsmf); ``factorizer`` the factorization backend
-    (``"rsvd"``/``"single_pass"``) on the methods that call the shared
-    factorize dispatcher.
+    aliases); unknown names raise :class:`repro.errors.UnknownMethodError`.
+    The five named arguments carry the harness's own defaults; ``knobs``
+    passes any further generic knob (``workers``, ``precision``,
+    ``sparsifier``, ``factorizer``, ... — the registry's
+    :data:`~repro.embedding.registry.GENERIC_KNOBS`) or params field
+    through, ``None`` meaning "the method's default".  One knob set is
+    shared across methods, so a knob a method lacks or pins is dropped
+    (``strict=False``): ``netsmf`` ignores ``propagate`` / ``downsample``.
     """
     return run_method(
         method,
@@ -66,10 +64,7 @@ def dispatch_method(
         multiplier=multiplier,
         propagate=propagate,
         downsample=downsample,
-        workers=workers,
-        precision=precision,
-        sparsifier=sparsifier,
-        factorizer=factorizer,
+        **knobs,
     )
 
 

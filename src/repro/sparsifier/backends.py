@@ -31,8 +31,8 @@ Backends:
     mass deterministically with per-source residual thresholding and
     randomized-rounds it into counts (:mod:`repro.sparsifier.ppr`).
 
-Select per run with the ``sparsifier=`` field of ``LightNEParams`` /
-``NetSMFParams`` (CLI: ``--sparsifier``).
+Select per run with the ``sparsifier=`` field of ``LightNEParams``
+(CLI: ``--sparsifier``).
 """
 
 from __future__ import annotations

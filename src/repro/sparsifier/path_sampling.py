@@ -19,7 +19,7 @@ grouped by walk length ``r``, and the two walks are advanced in lock-step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,83 +33,6 @@ from repro.utils.parallel import default_workers, parallel_map, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
 
 GraphLike = Union[CSRGraph, CompressedGraph]
-
-
-# Per-process sampling context, installed once per worker by the pool
-# initializer (see ``sample_sparsifier_edges(backend="process")``): the walk
-# graph plus the derived seed-edge arrays, so each task pickles only its
-# batch of seed indices and its RNG stream.
-_SAMPLE_CTX: Dict[str, object] = {}
-
-
-def _sample_worker_init(graph_spec: tuple, config: "PathSamplingConfig") -> None:
-    """Rebuild the sampling context inside a worker process.
-
-    ``graph_spec`` is ``("mmap", path)`` — reopen the CSR v2 container
-    memmapped, so every worker shares the page cache instead of holding a
-    private copy of the graph — or ``("pickle", graph)`` for in-memory
-    graphs.  The derived arrays (masked endpoints, downsampling
-    probabilities) are recomputed here; they are pure deterministic functions
-    of the graph and config, so they match the parent's bit for bit.
-    """
-    if graph_spec[0] == "mmap":
-        from repro.graph.io import load_csr
-
-        graph = load_csr(graph_spec[1])
-    else:
-        graph = graph_spec[1]
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    src, dst = flat.edge_endpoints()
-    mask = src < dst
-    src, dst = src[mask], dst[mask]
-    edge_w = flat.weights[mask] if flat.weights is not None else None
-    if config.downsample:
-        probs = downsampling_probabilities(
-            src,
-            dst,
-            flat.weighted_degrees(),
-            constant=config.downsample_constant,
-            edge_weights=edge_w,
-        )
-    else:
-        probs = np.ones(src.size)
-    _SAMPLE_CTX.update(
-        graph=graph, src=src, dst=dst, probs=probs, window=config.window
-    )
-
-
-def _walk_chunk_proc(
-    index: int, batch: np.ndarray, chunk_rng: np.random.Generator
-):
-    """Process-pool walk task: same operation sequence as the thread path's
-    ``walk_chunk`` closure (telemetry spans aside — they draw no randomness),
-    so a given ``(batch, chunk_rng)`` yields bit-identical walks.
-
-    The span/metric instrumentation mirrors ``walk_chunk`` and records into
-    the *worker's* tracer/registry (installed by the telemetry shim when
-    tracing is on); the parent merges the spool at pool shutdown, so
-    ``sparsifier.batch`` spans appear on the worker-pid lanes of the unified
-    trace.  With telemetry off these are the usual gated no-ops.
-    """
-    src = _SAMPLE_CTX["src"]
-    dst = _SAMPLE_CTX["dst"]
-    probs = _SAMPLE_CTX["probs"]
-    with telemetry.span(
-        "sparsifier.batch", batch=index, size=int(batch.size)
-    ) as span:
-        lengths = chunk_rng.integers(1, _SAMPLE_CTX["window"] + 1, size=batch.size)
-        flip = chunk_rng.random(batch.size) < 0.5
-        s_u = np.where(flip, dst[batch], src[batch])
-        s_v = np.where(flip, src[batch], dst[batch])
-        u_prime, v_prime = path_sample_pairs(
-            _SAMPLE_CTX["graph"], s_u, s_v, lengths, chunk_rng
-        )
-    elapsed = getattr(span, "duration", None)
-    if elapsed is not None:
-        telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
-        telemetry.counter("sparsifier.batches").inc()
-        telemetry.counter("sparsifier.walk_samples").inc(batch.size)
-    return u_prime, v_prime, 1.0 / probs[batch]
 
 
 @dataclass(frozen=True)
@@ -203,6 +126,138 @@ def _weighted_sample_counts(
     return base + (rng.random(edge_weights.size) < frac)
 
 
+# The sampler context a pool worker's initializer built (``None`` in every
+# other process): tasks then pickle only their slab and its RNG stream.
+_WORKER_CONTEXT = None
+
+
+def _worker_init(build, graph_spec: tuple, build_args: tuple) -> None:
+    """Pool initializer: open the graph and build this worker's context.
+
+    ``("mmap", path)`` reopens the CSR v2 container memmapped, so every
+    worker shares the page cache instead of holding a private copy of the
+    graph; ``("pickle", graph)`` is one pickled copy per worker.
+    """
+    global _WORKER_CONTEXT
+    kind, graph = graph_spec
+    if kind == "mmap":
+        from repro.graph.io import load_csr
+
+        graph = load_csr(graph)
+    _WORKER_CONTEXT = build(graph, *build_args)
+
+
+def _worker_walk(index: int, batch: np.ndarray, rng: np.random.Generator):
+    return _WORKER_CONTEXT.walk(index, batch, rng, telemetry.current_span())
+
+
+def walk_slabs(
+    build,
+    graph: GraphLike,
+    build_args: tuple,
+    slabs: Sequence[tuple],
+    *,
+    workers: int,
+    backend: str,
+    label: str,
+    context=None,
+) -> list:
+    """``walk(index, batch, rng)`` for every slab, in slab order.
+
+    One task function serves both substrates.  Threads (and the serial
+    loop) call it on ``context`` — ``build(graph, *build_args)`` when the
+    caller has none yet.  ``backend="process"`` calls it on the context each
+    pool worker built for itself with the same module-level ``build``;
+    contexts are pure functions of the graph and the arguments, so a slab
+    gives the same bits wherever it runs.
+    """
+    if backend == "process" and workers > 1 and len(slabs) > 1:
+        mmap_source = getattr(graph, "mmap_source", None)
+        spec = ("mmap", mmap_source) if mmap_source else ("pickle", graph)
+        return parallel_map(
+            _worker_walk, slabs, workers=workers, backend="process",
+            initializer=_worker_init, initargs=(build, spec, build_args),
+            label=label,
+        )
+    if context is None:
+        context = build(graph, *build_args)
+    # Slab spans run on pool threads, which carry no current-span stack —
+    # capture the parent here (the sparsifier stage span when tracing).
+    parent_span = telemetry.current_span()
+
+    def task(index: int, batch: np.ndarray, rng: np.random.Generator):
+        return context.walk(index, batch, rng, parent_span)
+
+    return parallel_map(task, slabs, workers=workers, label=label)
+
+
+@dataclass(frozen=True)
+class _WalkContext:
+    """What one PathSampling slab reads: the walk graph (the possibly
+    compressed original) and the per-seed-edge arrays derived from it."""
+
+    graph: GraphLike
+    src: np.ndarray
+    dst: np.ndarray
+    edge_weights: Optional[np.ndarray]
+    probs: np.ndarray
+    window: int
+
+    def walk(
+        self,
+        index: int,
+        batch: np.ndarray,
+        rng: np.random.Generator,
+        parent_span=None,
+    ):
+        """Walk the seed edges ``batch`` on the slab's own RNG stream."""
+        with telemetry.span(
+            "sparsifier.batch", parent=parent_span,
+            batch=index, size=int(batch.size),
+        ) as span:
+            lengths = rng.integers(1, self.window + 1, size=batch.size)
+            # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge
+            # process is orientation-symmetric.
+            flip = rng.random(batch.size) < 0.5
+            s_u = np.where(flip, self.dst[batch], self.src[batch])
+            s_v = np.where(flip, self.src[batch], self.dst[batch])
+            u_prime, v_prime = path_sample_pairs(
+                self.graph, s_u, s_v, lengths, rng
+            )
+        elapsed = getattr(span, "duration", None)
+        if elapsed is not None:
+            telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
+            telemetry.counter("sparsifier.batches").inc()
+            telemetry.counter("sparsifier.walk_samples").inc(batch.size)
+        return u_prime, v_prime, 1.0 / self.probs[batch]
+
+
+def _walk_context(graph: GraphLike, config: PathSamplingConfig) -> _WalkContext:
+    """Seed edges (one per undirected non-loop edge) and their coin ``p_e``."""
+    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
+    if flat.num_edges == 0:
+        raise SamplingError("cannot sample from an empty graph")
+    src, dst = flat.edge_endpoints()
+    mask = src < dst
+    src, dst = src[mask], dst[mask]
+    # Self-loops are not seedable, so every per-edge array is sized by the
+    # masked count, not ``flat.num_edges``.
+    if src.size == 0:
+        raise SamplingError("graph has no non-loop edges to seed from")
+    edge_w = flat.weights[mask] if flat.weights is not None else None
+    if config.downsample:
+        probs = downsampling_probabilities(
+            src,
+            dst,
+            flat.weighted_degrees(),
+            constant=config.downsample_constant,
+            edge_weights=edge_w,
+        )
+    else:
+        probs = np.ones(src.size)
+    return _WalkContext(graph, src, dst, edge_w, probs, config.window)
+
+
 def sample_sparsifier_edges(
     graph: GraphLike,
     config: PathSamplingConfig,
@@ -251,76 +306,24 @@ def sample_sparsifier_edges(
         workers = default_workers()
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
-    if isinstance(graph, CompressedGraph):
-        flat = graph.decompress()
-    else:
-        flat = graph
-    if flat.num_edges == 0:
-        raise SamplingError("cannot sample from an empty graph")
+    context = _walk_context(graph, config)
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
+    m = context.src.size
 
-    src, dst = flat.edge_endpoints()
-    mask = src < dst
-    src, dst = src[mask], dst[mask]
-    edge_w = flat.weights[mask] if flat.weights is not None else None
-    # ``m`` is the number of *seedable* (non-loop) undirected edges.  It can
-    # be smaller than ``flat.num_edges`` when the graph carries self-loops —
-    # every per-edge array below must be sized by the masked count or the
-    # seed indices drift out of alignment.
-    m = src.size
-    if m == 0:
-        raise SamplingError("graph has no non-loop edges to seed from")
-
-    if edge_w is not None:
-        counts = _weighted_sample_counts(edge_w, config.num_samples, rng)
+    if context.edge_weights is not None:
+        counts = _weighted_sample_counts(
+            context.edge_weights, config.num_samples, rng
+        )
     else:
         counts = _per_edge_sample_counts(m, config.num_samples, rng)
     total_draws = int(counts.sum())
 
-    if config.downsample:
-        probs = downsampling_probabilities(
-            src,
-            dst,
-            flat.weighted_degrees(),
-            constant=config.downsample_constant,
-            edge_weights=edge_w,
-        )
-    else:
-        probs = np.ones(m)
-
     # Expand seeds, apply the coin per draw, then walk survivors in batches.
     seed_edge = np.repeat(np.arange(m, dtype=np.int64), counts)
     if config.downsample:
-        survive = rng.random(seed_edge.size) < probs[seed_edge]
+        survive = rng.random(seed_edge.size) < context.probs[seed_edge]
         seed_edge = seed_edge[survive]
-    walk_graph = graph  # walks run on the (possibly compressed) original
-    # Batch spans run on pool threads, which carry no current-span stack —
-    # capture the parent here (the sparsifier/sampling span when tracing).
-    parent_span = telemetry.current_span()
-
-    def walk_chunk(
-        index: int, batch: np.ndarray, chunk_rng: np.random.Generator
-    ):
-        with telemetry.span(
-            "sparsifier.batch", parent=parent_span,
-            batch=index, size=int(batch.size),
-        ) as span:
-            lengths = chunk_rng.integers(1, config.window + 1, size=batch.size)
-            # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge
-            # process is orientation-symmetric.
-            flip = chunk_rng.random(batch.size) < 0.5
-            s_u = np.where(flip, dst[batch], src[batch])
-            s_v = np.where(flip, src[batch], dst[batch])
-            u_prime, v_prime = path_sample_pairs(
-                walk_graph, s_u, s_v, lengths, chunk_rng
-            )
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
-            telemetry.counter("sparsifier.batches").inc()
-            telemetry.counter("sparsifier.walk_samples").inc(batch.size)
-        return u_prime, v_prime, 1.0 / probs[batch]
 
     starts = list(range(0, seed_edge.size, batch_size))
     if stats is not None:
@@ -338,28 +341,14 @@ def sample_sparsifier_edges(
     # decomposition depends only on ``batch_size``, so the sampled walks are
     # independent of how many threads execute them.
     batch_rngs = spawn_batch_rngs(rng, len(starts))
-    args = [
+    slabs = [
         (index, seed_edge[start : start + batch_size], batch_rng)
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
-    if backend == "process" and workers > 1:
-        mmap_source = getattr(graph, "mmap_source", None)
-        graph_spec = (
-            ("mmap", mmap_source) if mmap_source else ("pickle", graph)
-        )
-        results = parallel_map(
-            _walk_chunk_proc,
-            args,
-            workers=workers,
-            backend="process",
-            initializer=_sample_worker_init,
-            initargs=(graph_spec, config),
-            label="sparsifier.sampling",
-        )
-    else:
-        results = parallel_map(
-            walk_chunk, args, workers=workers, label="sparsifier.sampling"
-        )
+    results = walk_slabs(
+        _walk_context, graph, (config,), slabs, workers=workers,
+        backend=backend, label="sparsifier.sampling", context=context,
+    )
     telemetry.counter("sparsifier.draws").inc(total_draws)
     return (
         np.concatenate([r[0] for r in results]),

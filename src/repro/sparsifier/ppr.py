@@ -37,6 +37,7 @@ execution substrates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -46,8 +47,8 @@ from repro import telemetry
 from repro.errors import SamplingError
 from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
-from repro.sparsifier.path_sampling import PathSamplingConfig
-from repro.utils.parallel import default_workers, parallel_map, resolve_backend
+from repro.sparsifier.path_sampling import PathSamplingConfig, walk_slabs
+from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
 
 GraphLike = Union[CSRGraph, CompressedGraph]
@@ -55,11 +56,6 @@ GraphLike = Union[CSRGraph, CompressedGraph]
 # Sources per slab are capped so one frontier block stays cache-friendly even
 # with the default (walk-oriented) 2M batch_size.
 _MAX_SOURCE_BATCH = 16_384
-
-# Per-process PPR context, installed once per worker by the pool initializer
-# (mirrors ``_SAMPLE_CTX`` in path_sampling): the walk operator plus scalar
-# config, so each task pickles only its source ids and its RNG stream.
-_PPR_CTX: Dict[str, object] = {}
 
 
 def walk_operator(graph: GraphLike) -> Tuple[sp.csr_matrix, np.ndarray, float]:
@@ -99,14 +95,15 @@ def ppr_batch_counts(
     num_samples: int,
     resolution: float,
     rng: np.random.Generator,
-    stats: Optional[Dict[str, float]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected-count triples ``(rows, cols, weights)`` for one source slab.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Expected-count triples for one source slab, plus its push count:
+    ``(rows, cols, weights, pushes)``.
 
     Runs ``window`` frontier pushes from the given sources, prunes entries
     whose expected count ``M_x·S̃(x,y)`` would land below ``resolution``, and
     randomized-rounds sub-unit counts with ``rng`` (one coin array per slab —
-    the batch's RNG stream).
+    the batch's RNG stream).  ``pushes`` is the frontier nnz summed over the
+    pushes, before pruning.
     """
     batch = sources.size
     n = operator.shape[0]
@@ -128,8 +125,6 @@ def ppr_batch_counts(
         accumulator = frontier if accumulator is None else accumulator + frontier
         if frontier.nnz == 0:
             break
-    if stats is not None:
-        stats["pushes"] = stats.get("pushes", 0.0) + pushes
     # t(x, y) = M_x · S̃(x, y) with S̃ = accumulated frontier mass / T.
     expected = (sp.diags(budgets / window) @ accumulator.tocsr()).tocoo()
     values = expected.data
@@ -139,56 +134,49 @@ def ppr_batch_counts(
     rows = sources[expected.row[keep]].astype(np.int64)
     cols = expected.col[keep].astype(np.int64)
     weights = np.maximum(values[keep], 1.0)
-    return rows, cols, weights
+    return rows, cols, weights, pushes
 
 
-def _ppr_worker_init(
-    graph_spec: tuple, window: int, num_samples: int, resolution: float
-) -> None:
-    """Rebuild the PPR context inside a pool worker process.
+@dataclass(frozen=True)
+class _PushContext:
+    """What one PPR slab reads: the walk operator and the scalar config."""
 
-    ``graph_spec`` follows the sampling convention: ``("mmap", path)``
-    reopens the CSR v2 container memmapped, ``("pickle", graph)`` receives
-    one pickled copy.  The walk operator is recomputed here — it is a pure
-    function of the graph, so it matches the parent bit for bit.
-    """
-    if graph_spec[0] == "mmap":
-        from repro.graph.io import load_csr
+    operator: sp.csr_matrix
+    degrees: np.ndarray
+    volume: float
+    window: int
+    num_samples: int
+    resolution: float
 
-        graph = load_csr(graph_spec[1])
-    else:
-        graph = graph_spec[1]
-    operator, degrees, volume = walk_operator(graph)
-    _PPR_CTX.update(
-        operator=operator, degrees=degrees, volume=volume,
-        window=window, num_samples=num_samples, resolution=resolution,
-    )
+    def walk(
+        self,
+        index: int,
+        sources: np.ndarray,
+        rng: np.random.Generator,
+        parent_span=None,
+    ):
+        """Push from ``sources``, rounding on the slab's own RNG stream."""
+        with telemetry.span(
+            "sparsifier.ppr.batch", parent=parent_span,
+            batch=index, size=int(sources.size),
+        ) as span:
+            result = ppr_batch_counts(
+                self.operator, self.degrees, self.volume, sources,
+                window=self.window, num_samples=self.num_samples,
+                resolution=self.resolution, rng=rng,
+            )
+        elapsed = getattr(span, "duration", None)
+        if elapsed is not None:
+            telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
+            telemetry.counter("sparsifier.ppr.batches").inc()
+            telemetry.counter("sparsifier.ppr.entries").inc(result[0].size)
+        return result
 
 
-def _ppr_chunk_proc(
-    index: int, sources: np.ndarray, chunk_rng: np.random.Generator
-):
-    """Process-pool PPR task — the module-level twin of the thread closure.
-
-    Instrumentation mirrors the thread path and records into the worker's
-    spooled tracer/registry (merged by the parent at pool shutdown), so
-    ``sparsifier.ppr.batch`` spans land on the worker-pid trace lanes.
-    """
-    with telemetry.span(
-        "sparsifier.ppr.batch", batch=index, size=int(sources.size)
-    ) as span:
-        triple = ppr_batch_counts(
-            _PPR_CTX["operator"], _PPR_CTX["degrees"], _PPR_CTX["volume"],
-            sources, window=_PPR_CTX["window"],
-            num_samples=_PPR_CTX["num_samples"],
-            resolution=_PPR_CTX["resolution"], rng=chunk_rng,
-        )
-    elapsed = getattr(span, "duration", None)
-    if elapsed is not None:
-        telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
-        telemetry.counter("sparsifier.ppr.batches").inc()
-        telemetry.counter("sparsifier.ppr.entries").inc(triple[0].size)
-    return triple
+def _push_context(
+    graph: GraphLike, window: int, num_samples: int, resolution: float
+) -> _PushContext:
+    return _PushContext(*walk_operator(graph), window, num_samples, resolution)
 
 
 def sample_ppr_counts(
@@ -231,13 +219,12 @@ def sample_ppr_counts(
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
     if resolution <= 0:
         raise SamplingError(f"resolution must be > 0, got {resolution}")
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    if flat.num_edges == 0:
+    if graph.num_edges == 0:
         raise SamplingError("cannot sparsify an empty graph")
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
 
-    n = flat.num_vertices
+    n = graph.num_vertices
     source_batch = max(1, min(int(batch_size), _MAX_SOURCE_BATCH))
     starts = list(range(0, n, source_batch))
     if stats is not None:
@@ -248,56 +235,22 @@ def sample_ppr_counts(
         stats["backend"] = backend
         stats["resolution"] = float(resolution)
 
-    operator, degrees, volume = walk_operator(flat)
     all_sources = np.arange(n, dtype=np.int64)
     batch_rngs = spawn_batch_rngs(rng, len(starts))
-    args = [
+    slabs = [
         (index, all_sources[start : start + source_batch], batch_rng)
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
-    # Batch spans run on pool threads with no current-span stack — capture
-    # the parent here (the sparsifier stage span when tracing is on).
-    parent_span = telemetry.current_span()
-
-    def push_chunk(
-        index: int, sources: np.ndarray, chunk_rng: np.random.Generator
-    ):
-        with telemetry.span(
-            "sparsifier.ppr.batch", parent=parent_span,
-            batch=index, size=int(sources.size),
-        ) as span:
-            triple = ppr_batch_counts(
-                operator, degrees, volume, sources,
-                window=config.window, num_samples=config.num_samples,
-                resolution=resolution, rng=chunk_rng, stats=stats,
-            )
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
-            telemetry.counter("sparsifier.ppr.batches").inc()
-            telemetry.counter("sparsifier.ppr.entries").inc(triple[0].size)
-        return triple
-
-    if backend == "process" and workers > 1:
-        mmap_source = getattr(graph, "mmap_source", None)
-        graph_spec = ("mmap", mmap_source) if mmap_source else ("pickle", graph)
-        results = parallel_map(
-            _ppr_chunk_proc,
-            args,
-            workers=workers,
-            backend="process",
-            initializer=_ppr_worker_init,
-            initargs=(graph_spec, config.window, config.num_samples, resolution),
-            label="sparsifier.ppr",
-        )
-    else:
-        results = parallel_map(
-            push_chunk, args, workers=workers, label="sparsifier.ppr"
-        )
+    results = walk_slabs(
+        _push_context, graph,
+        (config.window, config.num_samples, resolution),
+        slabs, workers=workers, backend=backend, label="sparsifier.ppr",
+    )
     rows = np.concatenate([r[0] for r in results])
     cols = np.concatenate([r[1] for r in results])
     weights = np.concatenate([r[2] for r in results])
     if stats is not None:
         stats["walk_samples"] = int(rows.size)
+        stats["pushes"] = sum(r[3] for r in results)
     telemetry.counter("sparsifier.draws").inc(int(config.num_samples))
     return rows, cols, weights, int(config.num_samples)

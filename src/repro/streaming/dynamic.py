@@ -17,7 +17,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.embedding.base import EmbeddingResult
-from repro.embedding.lightne import LightNEParams
 from repro.errors import GraphConstructionError
 from repro.graph.csr import CSRGraph
 from repro.graph.transforms import add_edges, remove_edges
@@ -60,7 +59,7 @@ class DynamicEmbedder:
         Full method configuration, *forwarded verbatim at every refresh* —
         including the sparsifier backend, execution substrate and worker
         knobs (historically refreshes silently fell back to default
-        params).  ``None`` uses the method's dataclass defaults.
+        params).  ``None`` uses the method's registry defaults.
     method:
         Any registered embedding method name or alias (default
         ``"lightne"``); resolved through
@@ -81,14 +80,11 @@ class DynamicEmbedder:
         policy: Optional[RefreshPolicy] = None,
         seed: Optional[int] = 0,
     ) -> None:
-        from repro.embedding.registry import get_method
+        from repro.embedding.registry import get_method, make_params
 
         spec = get_method(method)
         if params is None:
-            params = (
-                LightNEParams() if spec.params_type is LightNEParams
-                else spec.params_type()
-            )
+            params = make_params(method)
         elif not isinstance(params, spec.params_type):
             raise GraphConstructionError(
                 f"params {type(params).__name__} does not match method "

@@ -299,6 +299,22 @@ class TestNewMethods:
                  "--output", str(tmp_path / "v.npy")]
             )
 
+    def test_netsmf_takes_batch_size_and_equals_pinned_lightne(
+        self, edge_file, tmp_path
+    ):
+        """``--method netsmf --batch-size N`` used to exit with "NetSMFParams
+        has no parameter 'batch_size'"; netsmf is lightne with two flags."""
+        shared = ["embed", "--input", edge_file, "--dim", "8", "--window", "2",
+                  "--seed", "3", "--batch-size", "400"]
+        smf, light = str(tmp_path / "smf.npy"), str(tmp_path / "light.npy")
+        assert main(shared + ["--method", "netsmf", "--output", smf]) == 0
+        assert main(shared + ["--method", "lightne", "--no-downsample",
+                              "--no-propagate", "--output", light]) == 0
+        np.testing.assert_array_equal(np.load(smf), np.load(light))
+        with pytest.raises(SystemExit, match="does not support 'propagate'"):
+            main(shared + ["--method", "netsmf", "--no-propagate",
+                           "--output", smf])
+
     @pytest.mark.parametrize("alias,canonical", [("prone+", "prone"),
                                                  ("graphvite", "deepwalk")])
     def test_embed_accepts_registry_aliases(self, alias, canonical, edge_file,

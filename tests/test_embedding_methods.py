@@ -13,7 +13,6 @@ from repro.embedding import (
     DeepWalkSGDParams,
     LightNEParams,
     NRPParams,
-    NetSMFParams,
     PBGParams,
     ProNEParams,
     deepwalk_sgd_embedding,
@@ -100,7 +99,7 @@ class TestNetSMF:
     def test_shape_and_info(self, sbm_bundle):
         graph, _ = sbm_bundle
         r = netsmf_embedding(
-            graph, NetSMFParams(dimension=16, window=3, sample_multiplier=3), seed=0
+            graph, LightNEParams(dimension=16, window=3, sample_multiplier=3), seed=0
         )
         assert r.vectors.shape == (graph.num_vertices, 16)
         assert r.info["num_draws"] > 0
@@ -109,16 +108,40 @@ class TestNetSMF:
     def test_quality(self, sbm_bundle):
         graph, labels = sbm_bundle
         r = netsmf_embedding(
-            graph, NetSMFParams(dimension=16, window=3, sample_multiplier=5), seed=0
+            graph, LightNEParams(dimension=16, window=3, sample_multiplier=5), seed=0
         )
         assert micro_f1(r, labels) > 0.7
 
     def test_deterministic(self, sbm_bundle):
         graph, _ = sbm_bundle
-        params = NetSMFParams(dimension=8, window=2, sample_multiplier=1)
+        params = LightNEParams(dimension=8, window=2, sample_multiplier=1)
         a = netsmf_embedding(graph, params, seed=5)
         b = netsmf_embedding(graph, params, seed=5)
         np.testing.assert_allclose(a.vectors, b.vectors)
+
+    def test_is_the_lightne_body_with_both_switches_pinned_off(self, sbm_bundle):
+        """Whatever the params say: no downsampling, no propagation."""
+        graph, _ = sbm_bundle
+        asked = LightNEParams(
+            dimension=8, window=2, downsample=True, propagate=True, batch_size=900
+        )
+        r = netsmf_embedding(graph, asked, seed=5)
+        assert r.method == r.info["method"] == "netsmf"
+        assert list(r.timer.stages) == ["sparsifier", "svd"]
+        assert r.info["downsample"] is False and r.info["propagated"] is False
+        assert r.info["params"]["downsample"] is False
+        assert r.info["params"]["propagate"] is False
+        assert r.info["sparsifier_batches"] > 1  # batch_size reaches the sampler
+        off = lightne_embedding(
+            graph,
+            LightNEParams(
+                dimension=8, window=2, downsample=False, propagate=False,
+                batch_size=900,
+            ),
+            seed=5,
+        )
+        np.testing.assert_array_equal(r.vectors, off.vectors)
+        assert off.method == "lightne"
 
 
 class TestProNE:

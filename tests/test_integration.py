@@ -13,7 +13,6 @@ import pytest
 
 from repro.embedding import (
     LightNEParams,
-    NetSMFParams,
     ProNEParams,
     lightne_embedding,
     netmf_embedding,
@@ -56,7 +55,7 @@ class TestQualityOrdering:
         graph, labels = bundle
         shared = dict(dimension=16, window=3)
         smf = netsmf_embedding(
-            graph, NetSMFParams(sample_multiplier=5, **shared), seed=0
+            graph, LightNEParams(sample_multiplier=5, **shared), seed=0
         )
         light = lightne_embedding(
             graph, LightNEParams(sample_multiplier=5, **shared), seed=0

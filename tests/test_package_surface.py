@@ -35,7 +35,6 @@ SUBPACKAGES = [
     "repro.linalg.operators",
     "repro.embedding",
     "repro.embedding.lightne",
-    "repro.embedding.netsmf",
     "repro.embedding.prone",
     "repro.embedding.netmf",
     "repro.embedding.line",
@@ -118,13 +117,12 @@ def test_embedding_params_are_frozen_dataclasses():
         LINEParams,
         NRPParams,
         NetMFParams,
-        NetSMFParams,
         Node2VecParams,
         PBGParams,
         ProNEParams,
     )
 
-    for cls in (LightNEParams, NetSMFParams, ProNEParams, NetMFParams,
+    for cls in (LightNEParams, ProNEParams, NetMFParams,
                 LINEParams, DeepWalkSGDParams, PBGParams, NRPParams,
                 Node2VecParams, GraRepParams, HOPEParams):
         assert dataclasses.is_dataclass(cls)

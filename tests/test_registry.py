@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.embedding.registry import (
+    GENERIC_KNOBS,
     MethodSpec,
     canonical_name,
     format_methods_table,
@@ -93,6 +94,25 @@ class TestMakeParams:
         params = make_params("grarep", strict=False, dimension=8, window=5,
                              multiplier=2.0, propagate=False, workers=4)
         assert params == make_params("grarep", dimension=8)
+
+    def test_pinned_field_is_not_a_knob(self):
+        # netsmf is lightne with downsample/propagate pinned off: it samples
+        # in batch_size slabs like every other sampling method ...
+        params = make_params("netsmf", dimension=8, batch_size=2000)
+        assert params.batch_size == 2000
+        assert (params.downsample, params.propagate) == (False, False)
+        assert type(params) is type(make_params("lightne"))
+        # ... and a knob aimed at a pin is rejected (strict) or dropped.
+        for knob in ("propagate", "downsample"):
+            with pytest.raises(MethodParameterError, match=f"does not support '{knob}'"):
+                make_params("netsmf", **{knob: True})
+        assert make_params(
+            "netsmf", strict=False, propagate=True, downsample=True
+        ) == make_params("netsmf")
+
+    def test_preset_default_stays_overridable(self):
+        assert make_params("sketchne").factorizer == "single_pass"
+        assert make_params("netmf+", factorizer="rsvd") == make_params("lightne")
 
     def test_unknown_field_always_raises(self):
         with pytest.raises(MethodParameterError, match="no parameter"):
@@ -179,8 +199,28 @@ class TestConsistency:
             assert f"`{spec.name}`" in table
 
     def test_spec_capability_introspection(self):
-        spec = get_method("lightne")
-        assert isinstance(spec, MethodSpec)
-        assert spec.supports("window") and spec.supports("downsample")
-        assert not spec.supports("not-a-knob")
-        assert "dimension" in spec.param_fields
+        """A method's knobs are the unpinned fields of its params class."""
+        for spec in list_methods():
+            assert isinstance(spec, MethodSpec)
+            fields = {f.name for f in dataclasses.fields(spec.params_type)}
+            assert set(spec.param_fields) == fields
+            assert set(spec.pins) <= fields and set(spec.defaults) <= fields
+            assert spec.capabilities == {
+                knob: field in fields and field not in spec.pins
+                for knob, field in GENERIC_KNOBS.items()
+            }, spec.name
+            for knob, on in spec.capabilities.items():
+                assert spec.supports(knob) is on
+            assert spec.supports("backend") is ("backend" in fields)
+            assert spec.supports("sample_multiplier") is spec.supports("multiplier")
+            assert not spec.supports("not-a-knob")
+            assert not spec.supports("dimension")  # a field, not a generic knob
+        assert get_method("lightne").supports("downsample")
+        assert not get_method("netsmf").supports("downsample")
+
+    def test_readme_method_table_is_generated(self):
+        """README's table is ``format_methods_table()`` verbatim."""
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert format_methods_table() in readme.read_text(encoding="utf-8")

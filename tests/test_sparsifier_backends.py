@@ -14,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.embedding.lightne import (
+    LightNEParams,
+    lightne_embedding,
+    netsmf_embedding,
+)
 from repro.embedding.netmf import netmf_matrix_dense
-from repro.embedding.netsmf import NetSMFParams, netsmf_embedding
+from repro.embedding.prone import ProNEParams
 from repro.embedding.registry import make_params
 from repro.errors import (
     GraphConstructionError,
@@ -140,11 +144,11 @@ class TestPathBackendBitIdentity:
 
     def test_netsmf_embedding_default_equals_explicit_path(self, er_graph):
         default = netsmf_embedding(
-            er_graph, NetSMFParams(dimension=8, window=2, sample_multiplier=2), seed=5
+            er_graph, LightNEParams(dimension=8, window=2, sample_multiplier=2), seed=5
         )
         explicit = netsmf_embedding(
             er_graph,
-            NetSMFParams(dimension=8, window=2, sample_multiplier=2, sparsifier="path"),
+            LightNEParams(dimension=8, window=2, sample_multiplier=2, sparsifier="path"),
             seed=5,
         )
         np.testing.assert_array_equal(default.vectors, explicit.vectors)
@@ -164,6 +168,26 @@ class TestPPRDeterminism:
             backend=backend, batch_size=20,
         )
         assert _identical(reference, other)
+
+    def test_stats_equal_on_every_substrate(self, er_graph):
+        """``pushes`` used to be recorded on the thread substrate only, by an
+        unsynchronised read-modify-write from the pool threads; each slab now
+        returns its count and the parent sums them."""
+        config = PathSamplingConfig(window=3, num_samples=4000)
+
+        def stats(workers, backend):
+            out = {}
+            sample_ppr_counts(
+                er_graph, config, 21, batch_size=20, workers=workers,
+                backend=backend, stats=out,
+            )
+            assert (out.pop("workers"), out.pop("backend")) == (workers, backend)
+            return out
+
+        reference = stats(1, "thread")
+        assert reference["batches"] > 2 and reference["pushes"] > 0
+        assert stats(2, "thread") == reference
+        assert stats(2, "process") == reference
 
     def test_embedding_level_determinism(self, er_graph):
         params = LightNEParams(
@@ -470,12 +494,22 @@ class TestDynamicEmbedderMethods:
 
         embedder = DynamicEmbedder(
             er_graph,
-            NetSMFParams(dimension=8, window=2, sample_multiplier=2),
+            LightNEParams(dimension=8, window=2, sample_multiplier=2),
             method="netsmf",
             seed=0,
         )
         assert embedder.method == "netsmf"
         assert embedder.vectors.shape == (er_graph.num_vertices, 8)
+        assert embedder.result.info["propagated"] is False
+
+    def test_default_params_are_the_registry_preset(self):
+        from repro.streaming import DynamicEmbedder
+
+        graph = erdos_renyi_graph(140, 0.08, seed=2)  # default dimension is 128
+        embedder = DynamicEmbedder(graph, method="netmf+", seed=0)
+        assert embedder.method == "sketchne"
+        assert embedder.params == make_params("sketchne")
+        assert embedder.result.info["factorizer"] == "single_pass"
 
     def test_default_params_from_method(self, sbm_bundle):
         from repro.streaming import DynamicEmbedder
@@ -490,5 +524,5 @@ class TestDynamicEmbedderMethods:
 
         with pytest.raises(GraphConstructionError):
             DynamicEmbedder(
-                er_graph, NetSMFParams(dimension=8), method="lightne", seed=0
+                er_graph, ProNEParams(dimension=8), method="lightne", seed=0
             )

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.embedding.lightne import (
+    LightNEParams,
+    lightne_embedding,
+    netsmf_embedding,
+    sketchne_embedding,
+)
 from repro.embedding.netmf import netmf_matrix_dense
-from repro.embedding.netsmf import NetSMFParams, netsmf_embedding
-from repro.embedding.sketchne import SketchNEParams, sketchne_embedding
+from repro.embedding.registry import make_params, run_method
 from repro.errors import SamplingError
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
@@ -26,6 +30,7 @@ from repro.sparsifier.builder import (
     trunc_log,
 )
 from repro.sparsifier.path_sampling import PathSamplingConfig
+from repro.telemetry import health
 from repro.telemetry.health import fingerprint
 from repro.utils.timer import StageTimer
 
@@ -163,16 +168,13 @@ class TestSortDefault:
         assert "probe_rounds" not in default.stats  # no hash table was built
 
     def test_params_defaults_and_peak_bytes(self, er_graph):
-        for params_type in (LightNEParams, SketchNEParams, NetSMFParams):
-            assert params_type().aggregator == "sort"
-        result = lightne_embedding(er_graph, LightNEParams(dimension=8, window=2), 0)
-        assert result.info["peak_table_bytes"] > 0
-        for embed, params in (
-            (sketchne_embedding, SketchNEParams(dimension=8, window=2)),
-            (netsmf_embedding, NetSMFParams(dimension=8, window=2)),
-        ):
-            counters = embed(er_graph, params, 0).timer.counters["sparsifier"]
-            assert counters["peak_table_bytes"] > 0
+        for method in ("lightne", "sketchne", "netsmf"):
+            assert make_params(method).aggregator == "sort"
+        params = LightNEParams(dimension=8, window=2)
+        for embed in (lightne_embedding, sketchne_embedding, netsmf_embedding):
+            result = embed(er_graph, params, 0)
+            assert result.info["peak_table_bytes"] > 0
+            assert result.timer.counters["sparsifier"]["peak_table_bytes"] > 0
 
     @pytest.mark.parametrize("aggregator", ["sort", "hash", "hash-sharded"])
     def test_direct_csr_assembly_equals_coo_construction(self, rng, aggregator):
@@ -207,6 +209,26 @@ class TestSortDefault:
             backend=backend, batch_size=1500,
         )
         assert fingerprint("counts", result.counts).digest == "c0c7eb3f2bab41b8"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "method,digest",
+        [("netsmf", "d63037f42f61db2a"), ("sketchne", "4139cb3136911f18")],
+    )
+    def test_preset_counts_unchanged_from_their_own_modules(
+        self, method, digest, backend
+    ):
+        # Count-matrix content digests recorded at the last commit where
+        # netsmf / sketchne had pipeline bodies and params classes of their
+        # own; as presets of the lightne body they build the same matrix.
+        graph = erdos_renyi_graph(120, 0.1, seed=5)
+        with health.policy_scope("record"):
+            result = run_method(
+                method, graph, seed=11, dimension=8, window=3, multiplier=4.0,
+                workers=2, backend=backend,
+            )
+        assert result.method == method
+        assert result.info["digests"]["sparsifier"] == digest
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_hash_variants_embed_identically_to_default(self, er_graph, backend):
