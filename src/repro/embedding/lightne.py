@@ -109,13 +109,13 @@ class LightNEParams:
         paper's single-precision MKL routines: ``"single"`` keeps the whole
         factorize + propagate path in float32 (float64 accumulation only in
         the small reductions), roughly halving dense-stage peak memory.
-        ``"double"`` (default) is bit-identical to the legacy float64 path.
+        Both run the same kernels (Cholesky-QR orthonormalization, Gram
+        rescale — :mod:`repro.linalg.kernels`); only the dtype differs.
     factorizer:
         Factorization backend for the NetMF matrix: ``"rsvd"`` (default,
-        the paper's Algorithm 3 — bit-identical to the pre-knob pipeline)
-        or ``"single_pass"`` (the SketchNE-style sparse-sign sketched
-        factorization, one streamed pass over the matrix; see
-        :mod:`repro.linalg.single_pass`).
+        the paper's Algorithm 3) or ``"single_pass"`` (the SketchNE-style
+        sparse-sign sketched factorization, one streamed pass over the
+        matrix; see :mod:`repro.linalg.single_pass`).
     batch_size:
         Maximum walk-slab size during sampling (peak-memory bound).
     """
@@ -199,7 +199,8 @@ def _lightne_body(ctx: PipelineContext):
             graph, sparsifier, negative_samples=params.negative_samples
         )
         health.checkpoint("svd.netmf_matrix", matrix)
-        # The trunc-log NetMF matrix is symmetric by construction, so the
+        # The trunc-log NetMF matrix is symmetric by construction: the
+        # rSVD runs its Aᵀ· passes on the row-blocked CSR kernel and the
         # single-pass backend gets both sketched products from one pass.
         u, sigma, _ = factorize(
             matrix, params.dimension, factorizer=params.factorizer,

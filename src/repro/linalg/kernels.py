@@ -1,8 +1,10 @@
-"""Shared parallel single-precision linear-algebra kernels (the MKL analog).
+"""Shared parallel linear-algebra kernels (the MKL analog).
 
-The paper's dense stages all run on MKL's *single-precision* routines
-(``mkl_sparse_s_mm`` / ``sgeqrf`` / ``sgesvd``) with every SPMM threaded.
-This module is the Python counterpart those stages dispatch through:
+The paper's dense stages all run on MKL routines (``mkl_sparse_s_mm`` /
+``sgeqrf`` / ``sgesvd``) with every SPMM threaded.  This module is the Python
+counterpart those stages dispatch through, and the **one** BLAS-3
+tall-skinny layer of the library: float64 and float32 pipelines call the same
+functions and differ in dtype only.
 
 * :func:`spmm` — a threaded row-blocked sparse @ dense product.  Contiguous
   row chunks of the CSR operator are dispatched onto the shared thread pool
@@ -11,31 +13,49 @@ This module is the Python counterpart those stages dispatch through:
   disjoint slice of one preallocated output.  Because every output row
   depends only on that row's stored entries — accumulated in storage order —
   the result is **bit-identical** to ``matrix @ dense`` for every worker
-  count.  CSC operators (the ``Aᵀ`` side of Algorithm 3) are parallelized
-  over column chunks of the dense block instead, which preserves the same
-  per-column accumulation order and hence the same bit-identity.
+  count.  CSC operators (the ``Aᵀ`` side of Algorithm 3 on a non-symmetric
+  matrix) are parallelized over column chunks of the dense block instead,
+  which preserves the same per-column accumulation order and hence the same
+  bit-identity.
 * :func:`resolve_precision` — the dtype policy mirroring MKL's ``s``/``d``
   routine split: ``"single"`` casts the operator and sketch once and keeps
   the whole pipeline in float32; ``"double"`` is numpy's default.
 * :func:`gram` — blocked ``AᵀB`` with float64 accumulation, so the small
-  ``d×d`` / ``sketch×sketch`` reductions of the single-precision pipeline
-  keep double-precision sums (the one place MKL's ``s`` routines lose the
-  most accuracy).
-* :func:`cholesky_qr` / :func:`orthonormalize` — fast tall-skinny
-  orthonormalization: Cholesky-QR (one Gram + one triangular solve, both
-  BLAS-3) with an automatic Householder-QR fallback on ill-conditioned or
-  rank-deficient blocks.
-* :func:`gram_rescale` — ProNE's re-orthogonalization without the full
-  ``n×d`` dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
+  ``d×d`` / ``sketch×sketch`` reductions of a float32 pipeline keep
+  double-precision sums (the one place MKL's ``s`` routines lose the most
+  accuracy).
+* :func:`cholesky_qr` — the tall-skinny orthonormalization (Algorithm 3's
+  ``sgeqrf``/``sorgqr``) as CholeskyQR2: Gram → Cholesky → triangular
+  solve applied in place, all BLAS-3.  :func:`orthonormalize` names it ``"cholesky"`` next
+  to the Householder oracle ``"qr"``.
+* :func:`gram_rescale` — ProNE's re-orthogonalization without the ``n×d``
+  dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
   ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
+
+**Orthogonality contract** (stated here once; enforced by
+``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
+the block's dtype and ``cond`` its 2-norm condition number, read off the
+Gram matrix's extreme eigenvalues:
+
+* every block :func:`cholesky_qr` accepts comes back with
+  ``‖QᵀQ − I‖_max ≤ 1e3·eps`` and ``range(Q) = range(block)``;
+* ``cond² ≤ 100`` (:data:`ONE_PASS_COND_SQ`) takes one pass (its loss is
+  ``~eps·cond²``); up to ``cond ≤ 1/√eps`` a second pass repairs the first;
+* beyond ``1/√eps`` — rank-deficient blocks included — and whenever the Gram
+  matrix does not factor or the repair pass finds the block still poorly
+  conditioned, Householder QR takes over and
+  ``linalg.cholesky_qr_fallbacks`` counts it;
+* a block with non-finite entries raises
+  :class:`~repro.errors.FactorizationError` (never a NaN basis);
+* the input is untouched unless the caller passes ``overwrite=True``, in
+  which case the result lives in the input's memory.
 
 Telemetry: each :func:`spmm` call bumps the ``spmm.calls`` / ``spmm.flops``
 / ``spmm.bytes`` counters, sets the ``spmm.gflops`` gauge to the call's
 achieved rate and feeds the per-block ``spmm.block_seconds`` histogram;
 :func:`spmm_chunked` additionally traces one ``spmm.chunk`` span per
 streamed row block (and counts them under ``spmm.chunks``), so out-of-core
-propagation shows up block-by-block in the unified trace;
-Cholesky-QR fallbacks count under ``linalg.cholesky_qr_fallbacks``
+propagation shows up block-by-block in the unified trace
 (all no-ops until :func:`repro.telemetry.enable`).
 """
 
@@ -64,6 +84,14 @@ PRECISIONS = ("single", "double")
 # upcast of a block to ~64k × d temporaries).
 GRAM_BLOCK_ROWS = 65_536
 
+# Row-block height of :func:`cholesky_qr`'s in-place solve (its scratch is
+# this many rows × k).
+SOLVE_BLOCK_ROWS = 4_096
+
+# ``cond(B)²`` up to which one Cholesky-QR pass meets the orthogonality
+# contract: the pass loses ~c·eps·cond², measured c ≤ 6 in max-norm.
+ONE_PASS_COND_SQ = 100.0
+
 # dtypes the compiled csr_matvecs kernel accepts; anything else goes through
 # the generic scipy fallback path.
 _BLAS_DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
@@ -73,7 +101,7 @@ def resolve_precision(precision: Union[str, np.dtype, None]) -> np.dtype:
     """Map the ``precision`` knob to a numpy dtype.
 
     ``"single"`` → float32 (the paper's MKL ``s``-routines), ``"double"`` /
-    ``None`` → float64 (numpy's default, the bit-compatible legacy path).
+    ``None`` → float64 (numpy's default).
     Raw dtypes pass through when they already name one of the two.
     """
     if precision is None or precision == "double":
@@ -438,51 +466,109 @@ def gram(
     return out
 
 
-def cholesky_qr(block: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ``range(block)`` via Cholesky-QR.
+def _gram_condition(g: np.ndarray) -> float:
+    """``cond(B)²`` from ``G = BᵀB``: ``λ_max / λ_min`` of the small Gram matrix.
 
-    Computes ``G = blockᵀ block`` (float64 accumulation), factors
-    ``G = L Lᵀ`` and returns ``Q = block L⁻ᵀ`` — two BLAS-3 calls instead of
-    a Householder QR, the standard fast path for tall-skinny blocks.
-    Cholesky-QR squares the condition number, so ill-conditioned or
-    rank-deficient Gram matrices (non-finite entries, failed factorization,
-    or condition beyond the working precision's safe range) fall back to
-    ``np.linalg.qr``; fallbacks count under the
-    ``linalg.cholesky_qr_fallbacks`` telemetry counter.
+    Exact up to ``eigvalsh``'s rounding (one ``k×k`` symmetric eigenvalue
+    call, ~1 ms at ``k = 138``).  ``diag(L)`` of the Cholesky factor is
+    cheaper but only a *lower* bound — measured up to 40× below the true
+    condition on blocks whose small singular directions are spread over all
+    columns, and a one-pass decision taken on it accepted blocks that had
+    lost ``2e3·eps``.  Numerically indefinite matrices report ``inf``.
+    """
+    eigenvalues = np.linalg.eigvalsh(g)
+    smallest, largest = float(eigenvalues[0]), float(eigenvalues[-1])
+    if not smallest > 0.0:
+        return float("inf")
+    return largest / smallest
+
+
+def _solve_in_place(work: np.ndarray, lower: np.ndarray) -> None:
+    """``work ← work · L⁻ᵀ`` in ``work``'s own memory, one row block at a time.
+
+    Each block is multiplied by the ``k×k`` factor ``L⁻ᵀ`` into one reused
+    ``SOLVE_BLOCK_ROWS × k`` scratch and copied back, so no second ``n×k``
+    array exists.  A ``trsm`` on the transposed view would avoid forming
+    ``L⁻ᵀ``, but numpy exposes none and scipy's BLAS is a second OpenBLAS
+    with its own spinning thread pool: alternating between the two pools
+    measured 72 ms against 28 ms for this Gram + solve pair on 2 cores.
+    The inverse's error (``~eps·cond``) is below the Gram matrix's
+    (``~eps·cond²``) and is repaired by the same second pass.
+    """
+    factor = np.ascontiguousarray(np.linalg.inv(lower).T, dtype=work.dtype)
+    scratch = np.empty(
+        (min(SOLVE_BLOCK_ROWS, work.shape[0]), work.shape[1]), dtype=work.dtype
+    )
+    for r0 in range(0, work.shape[0], SOLVE_BLOCK_ROWS):
+        rows = work[r0 : r0 + SOLVE_BLOCK_ROWS]
+        rows[...] = np.matmul(rows, factor, out=scratch[: rows.shape[0]])
+
+
+def cholesky_qr(block: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """Orthonormal basis of ``range(block)`` via CholeskyQR2 — see the module
+    docstring for the orthogonality contract.
+
+    One pass forms ``G = blockᵀ block`` (float64 accumulation), factors
+    ``G = L Lᵀ`` and applies ``L⁻ᵀ`` in place.  The pass squares the
+    condition number, so ``cond² = λ_max(G)/λ_min(G)`` decides what happens:
+    up to :data:`ONE_PASS_COND_SQ` the one-pass result is returned; up to
+    ``1/eps`` a second pass over the now nearly orthonormal block repairs
+    the loss; beyond that — or when the Gram matrix does not factor, or the
+    second pass still sees a poorly conditioned block — Householder QR takes
+    over and ``linalg.cholesky_qr_fallbacks`` counts it.
+
+    ``overwrite=True`` lets the result reuse ``block``'s memory (a
+    C-contiguous writable float32/float64 array is orthonormalized in place
+    and returned; anything else is copied first).  The default leaves
+    ``block`` untouched.  A block with non-finite entries raises
+    :class:`~repro.errors.FactorizationError`; a block without columns or
+    rows is returned as is.
     """
     block = np.asarray(block)
     if block.ndim != 2:
         raise FactorizationError(f"cholesky_qr expects a 2-D block, got {block.ndim}-D")
-    g = gram(block)
-    eps = float(np.finfo(block.dtype).eps) if block.dtype.kind == "f" else float(
-        np.finfo(np.float64).eps
-    )
-    try:
+    dtype = block.dtype if block.dtype in (np.float32, np.float64) else np.float64
+    if overwrite:  # the block itself when it is C-contiguous, aligned, writable
+        work = np.require(block, dtype=dtype, requirements="CAW")
+    else:
+        work = np.array(block, dtype=dtype, order="C")
+    if work.size == 0:
+        return work
+    limit = 1.0 / float(np.finfo(dtype).eps)
+    for _ in range(2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = gram(work)
         if not np.all(np.isfinite(g)):
-            raise np.linalg.LinAlgError("non-finite Gram matrix")
-        lower = np.linalg.cholesky(g)
-        diag = np.abs(np.diagonal(lower))
-        # diag ratio ~ sqrt(cond(G)); beyond ~1/sqrt(eps) the solve is junk.
-        if diag.min() <= np.sqrt(eps) * diag.max():
-            raise np.linalg.LinAlgError("ill-conditioned Gram matrix")
-    except np.linalg.LinAlgError:
-        telemetry.counter("linalg.cholesky_qr_fallbacks").inc()
-        q, _ = np.linalg.qr(block)
-        return q
-    # Q = B L^{-T}: invert the small k×k triangle once, one big GEMM after.
-    identity = np.eye(lower.shape[0], dtype=np.float64)
-    from scipy.linalg import solve_triangular
-
-    inv_lower = solve_triangular(lower, identity, lower=True)
-    return block @ inv_lower.T.astype(block.dtype, copy=False)
+            if not np.all(np.isfinite(work)):
+                raise FactorizationError(
+                    f"cholesky_qr: block of shape {work.shape} has non-finite entries"
+                )
+            break  # finite block whose Gram matrix overflowed
+        try:
+            cond_sq = _gram_condition(g)
+            if cond_sq > limit:
+                break
+            lower = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            break
+        _solve_in_place(work, lower)
+        if cond_sq <= ONE_PASS_COND_SQ:
+            return work
+        # The repair pass must see what a sound first pass leaves behind.
+        limit = ONE_PASS_COND_SQ
+    telemetry.counter("linalg.cholesky_qr_fallbacks").inc()
+    q, _ = np.linalg.qr(work)
+    return q
 
 
 def orthonormalize(block: np.ndarray, *, strategy: str = "qr") -> np.ndarray:
     """Orthonormalize ``block`` — the sgeqrf/sorgqr pair of Algorithm 3.
 
-    ``strategy="qr"`` is Householder QR (the legacy, bit-compatible double
-    path); ``"cholesky"`` is :func:`cholesky_qr` (the fast single-precision
-    path, with its built-in QR fallback).
+    ``strategy="cholesky"`` is :func:`cholesky_qr`, which every
+    factorization in the library calls directly (in place) on both
+    precisions; ``"qr"`` is Householder QR, kept as its fallback and as the
+    oracle that tests and benchmarks compare against.  Neither touches
+    ``block``.
     """
     if strategy == "qr":
         q, _ = np.linalg.qr(block)
@@ -499,15 +585,20 @@ def gram_rescale(
 ) -> np.ndarray:
     """``U_d Σ_d^{1/2}`` of ``matrix`` via ``eigh`` of the ``d×d`` Gram matrix.
 
-    Replaces the full ``n×d`` dense SVD of
-    :func:`repro.linalg.spectral.rescale_embedding` with the Gram trick:
+    ProNE's re-orthogonalization (:func:`repro.linalg.spectral.
+    rescale_embedding`'s default) without the ``n×d`` dense SVD:
     ``MᵀM = V Σ² Vᵀ`` gives the right singular vectors and values, and
     ``U = M V Σ⁻¹`` recovers the left ones — one small ``eigh`` plus one
-    GEMM, matching the SVD-based rescale up to column sign.  The output
-    keeps ``matrix``'s dtype (the Gram matrix itself is accumulated in
-    float64 via :func:`gram`).
+    GEMM, matching the SVD-based rescale up to column sign.  Directions whose
+    eigenvalue is below ``d·eps·λ_max`` (the Gram matrix's own rounding
+    level) are numerically null and come back as zero columns, as
+    ``U·√0`` does from the SVD.  The output is a fresh in-RAM array of
+    ``matrix``'s dtype (the Gram matrix itself is accumulated in float64 via
+    :func:`gram`).
     """
     matrix = np.asarray(matrix)
+    if matrix.dtype not in (np.float32, np.float64):
+        matrix = matrix.astype(np.float64)
     if dimension is None:
         dimension = matrix.shape[1]
     if dimension < 1 or dimension > matrix.shape[1]:
@@ -515,13 +606,13 @@ def gram_rescale(
             f"dimension {dimension} invalid for matrix with {matrix.shape[1]} columns"
         )
     g = gram(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(g)
-    order = np.argsort(eigenvalues)[::-1][:dimension]
-    values = np.maximum(eigenvalues[order], 0.0)
-    vectors = eigenvectors[:, order]
-    sigma = np.sqrt(values)
-    tiny = np.finfo(np.float64).tiny
-    inv_sigma = np.where(sigma > tiny, 1.0 / np.maximum(sigma, tiny), 0.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(g)  # ascending
+    values = eigenvalues[::-1][:dimension]
+    vectors = eigenvectors[:, ::-1][:, :dimension]
+    floor = matrix.shape[1] * np.finfo(np.float64).eps * max(float(values[0]), 0.0)
+    live = values > floor
     # Fold V Σ⁻¹ Σ^{1/2} = V Σ^{-1/2} into one small d×d factor, one GEMM.
-    factor = vectors * (inv_sigma * np.sqrt(sigma))[None, :]
+    scale = np.zeros_like(values)
+    scale[live] = values[live] ** -0.25
+    factor = vectors * scale[None, :]
     return matrix @ factor.astype(matrix.dtype, copy=False)

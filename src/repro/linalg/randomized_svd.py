@@ -13,21 +13,26 @@ pseudo-code (with the MKL routine used per line) is:
     8  SVD C = U Σ Vᵀ                               # sgesvd
     9  return Z U, Σ, Y V                           # cblas_sgemm
 
-We reproduce exactly this two-sided sketch with numpy's QR/SVD standing in
-for LAPACK, add the standard oversampling and power-iteration knobs, and
-accept anything with ``@``/``.T`` semantics — scipy sparse matrices, dense
-arrays, or :class:`scipy.sparse.linalg.LinearOperator` (the NRP baseline
-factorizes an *implicit* polynomial operator through the same code path).
+We reproduce exactly this two-sided sketch, add the standard oversampling and
+power-iteration knobs, and accept anything with ``@``/``.T`` semantics —
+scipy sparse matrices, dense arrays, or
+:class:`scipy.sparse.linalg.LinearOperator` (the NRP baseline factorizes an
+*implicit* polynomial operator through the same code path).
 
-All SPMMs dispatch through the shared kernel layer
-(:mod:`repro.linalg.kernels`): ``workers`` threads the sparse products over
-contiguous row/column blocks (bit-identical to the serial result at every
-width), and ``precision="single"`` mirrors MKL's ``s``-routines — the
-operator and every sketch block are cast to float32 once, Cholesky-QR
-replaces Householder QR for the tall-skinny orthonormalizations, and only
-the small ``sketch×sketch`` reduction (line 7) accumulates in float64.  The
-default (``precision="double"``, any ``workers``) is bit-identical to the
-historical all-float64 implementation.
+Every big-``n`` step dispatches through the shared kernel layer
+(:mod:`repro.linalg.kernels`), identically on both precisions: the SPMMs
+(lines 2/4 and the power iterations) are threaded over contiguous row/column
+blocks, bit-identical to the serial result at every ``workers``; the
+orthonormalizations (lines 3/6) are in-place CholeskyQR2
+(:func:`~repro.linalg.kernels.cholesky_qr`, Householder only as its counted
+fallback); the ``sketch×sketch`` reduction (line 7) accumulates in float64.
+The call owns two sketch-wide buffers — ``rows × l`` and ``cols × l`` — and
+ping-pongs them through ``spmm(out=)`` and the in-place orthonormalization,
+so the passes allocate nothing.  ``symmetric=True`` (every NetMF-style
+matrix) runs the three ``Aᵀ·`` passes as ``A·`` on the row-blocked CSR
+kernel instead of the column-chunked CSC path over ``A.T``.
+``precision="single"`` mirrors MKL's ``s``-routines — the operator and every
+sketch block are cast to float32 once — and changes nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from repro import telemetry
 from repro.errors import FactorizationError
-from repro.linalg.kernels import gram, orthonormalize, resolve_precision, spmm
+from repro.linalg.kernels import cholesky_qr, gram, resolve_precision, spmm
 from repro.utils.rng import SeedLike, ensure_rng
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator]
@@ -61,11 +66,11 @@ def _gaussian_sketch(
 ) -> np.ndarray:
     """Gaussian test matrix in ``dtype`` without a full-size float64 copy.
 
-    The float64 path is one plain ``standard_normal`` call (bit-identical to
-    the historical generation).  The float32 path consumes the *same* draws
-    — ``standard_normal`` fills C-order, so drawing row blocks sequentially
-    yields identical values — but casts each block into the preallocated
-    float32 output, so the float64 transient is one block, not the sketch.
+    The float64 path is one plain ``standard_normal`` call.  The float32
+    path consumes the *same* draws — ``standard_normal`` fills C-order, so
+    drawing row blocks sequentially yields identical values — but casts each
+    block into the preallocated float32 output, so the float64 transient is
+    one block, not the sketch.
     """
     if np.dtype(dtype) == np.float64:
         return rng.standard_normal(shape)
@@ -77,20 +82,24 @@ def _gaussian_sketch(
     return out
 
 
-def _matmat(matrix: MatrixLike, block: np.ndarray, *, workers=1) -> np.ndarray:
-    """``matrix @ block`` for all supported matrix types."""
-    if sp.issparse(matrix):
-        return spmm(matrix, block, workers=workers)
-    return np.asarray(matrix @ block)
+def _apply(
+    matrix: MatrixLike,
+    block: np.ndarray,
+    *,
+    transpose: bool = False,
+    out: Optional[np.ndarray] = None,
+    workers: Optional[int] = 1,
+) -> np.ndarray:
+    """``matrix @ block`` (``matrixᵀ @ block`` with ``transpose``).
 
-
-def _rmatmat(matrix: MatrixLike, block: np.ndarray, *, workers=1) -> np.ndarray:
-    """``matrixᵀ @ block`` for all supported matrix types."""
+    Explicit matrices go through :func:`~repro.linalg.kernels.spmm` and land
+    in ``out`` when one is given; implicit operators return whatever their
+    ``matmat``/``rmatmat`` allocates.
+    """
     if isinstance(matrix, spla.LinearOperator):
-        return np.asarray(matrix.rmatmat(block))
-    if sp.issparse(matrix):
-        return spmm(matrix.T, block, workers=workers)
-    return np.asarray(matrix.T @ block)
+        product = matrix.rmatmat(block) if transpose else matrix.matmat(block)
+        return np.asarray(product)
+    return spmm(matrix.T if transpose else matrix, block, out=out, workers=workers)
 
 
 def randomized_svd(
@@ -102,6 +111,7 @@ def randomized_svd(
     seed: SeedLike = None,
     precision: str = "double",
     workers: Optional[int] = 1,
+    symmetric: Optional[bool] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``rank`` randomized SVD of a (possibly implicit) matrix.
 
@@ -119,13 +129,18 @@ def randomized_svd(
     seed:
         RNG seed or generator.
     precision:
-        ``"double"`` (default, bit-compatible float64) or ``"single"`` — the
-        paper's MKL dtype policy: cast the operator and sketches to float32
-        once, orthonormalize with Cholesky-QR, keep float64 accumulation
-        only in the small ``sketch×sketch`` reduction.
+        ``"double"`` (default) or ``"single"`` — the paper's MKL dtype
+        policy: cast the operator and sketches to float32 once.  The
+        algorithm is the same on both; only the dtype differs.
     workers:
         Thread count for the sparse products (``None`` = one per core,
         capped at 8).  The result is bit-identical for every value.
+    symmetric:
+        ``True`` — the caller built ``matrix`` symmetric (every NetMF-style
+        matrix): the ``Aᵀ·`` passes run as ``A·``, which for a CSR operator
+        is the row-blocked kernel instead of the column-chunked CSC path
+        over ``A.T``.  A non-square matrix is an error.  ``None``/``False``
+        (default) keep the general two-sided scheme; nothing is probed.
 
     Returns
     -------
@@ -135,8 +150,6 @@ def randomized_svd(
     """
     rng = ensure_rng(seed)
     dtype = resolve_precision(precision)
-    single = dtype == np.float32
-    ortho = "cholesky" if single else "qr"
     rows, cols = matrix.shape
     if rank < 1:
         raise FactorizationError(f"rank must be >= 1, got {rank}")
@@ -146,51 +159,52 @@ def randomized_svd(
         )
     if oversampling < 0:
         raise FactorizationError(f"oversampling must be >= 0, got {oversampling}")
+    if symmetric and rows != cols:
+        raise FactorizationError(
+            f"symmetric randomized SVD needs a square matrix, got {matrix.shape}"
+        )
     sketch = min(rank + oversampling, min(rows, cols))
+    adjoint = not symmetric  # whether an ``Aᵀ·`` pass really transposes
 
-    if single and hasattr(matrix, "astype") and matrix.dtype != dtype:
+    if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
         matrix = matrix.astype(dtype)  # cast the operator once, like MKL's s-path
 
-    # Line 1-3: Y = Aᵀ O, orthonormalized.  The sketch consumes the same
-    # float64 draws on both precisions (so single/double runs share their
-    # random sketch), but the float32 path casts per row block instead of
-    # materializing then casting the whole float64 array.
+    # Two owned buffers serve the whole call: ``tall`` (rows × sketch) holds
+    # Ω and then every A·Y, ``wide`` (cols × sketch) every Y; each product
+    # lands in the buffer whose contents it replaces and is orthonormalized
+    # there.  The sketch consumes the same float64 draws on both precisions
+    # (single/double runs share their random sketch).
+    # Lines 1-3: Y = Aᵀ O, orthonormalized.
     with telemetry.span("svd.range_finder", rank=rank, sketch=sketch):
-        omega = _gaussian_sketch(rng, (rows, sketch), dtype)
-        y = orthonormalize(_rmatmat(matrix, omega, workers=workers), strategy=ortho)
+        tall = _gaussian_sketch(rng, (rows, sketch), dtype)
+        wide = _apply(matrix, tall, transpose=adjoint, workers=workers)
+        wide = cholesky_qr(wide, overwrite=True)
         telemetry.counter("svd.operator_passes").inc()
-    # Optional subspace iteration (QR-stabilized).
+    # Optional subspace iteration (orthonormalization-stabilized).
     for iteration in range(power_iterations):
         with telemetry.span("svd.power_iteration", iteration=iteration) as span:
-            forward = orthonormalize(
-                _matmat(matrix, y, workers=workers), strategy=ortho
-            )
-            y = orthonormalize(
-                _rmatmat(matrix, forward, workers=workers), strategy=ortho
-            )
+            tall = _apply(matrix, wide, out=tall, workers=workers)
+            tall = cholesky_qr(tall, overwrite=True)
+            wide = _apply(matrix, tall, transpose=adjoint, out=wide, workers=workers)
+            wide = cholesky_qr(wide, overwrite=True)
             telemetry.counter("svd.operator_passes").inc(2)
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
             telemetry.histogram("svd.iteration_seconds").observe(elapsed)
     with telemetry.span("svd.factorize", sketch=sketch):
         # Line 4: B = A Y  (n × sketch).
-        b = _matmat(matrix, y, workers=workers)
+        b = _apply(matrix, wide, out=tall, workers=workers)
         telemetry.counter("svd.operator_passes").inc()
         # Lines 5-6: Z = orth(B P) with P Gaussian (sketch × sketch).
-        p = _gaussian_sketch(rng, (sketch, sketch), dtype)
-        z = orthonormalize(b @ p, strategy=ortho)
-        # Lines 7-8: small SVD of C = Zᵀ B.  In single precision the big-n
-        # reduction accumulates in float64 (the d×d/sketch×sketch exception
-        # to the float32 policy) and the small SVD runs in float64 too.
-        c = gram(z, b) if single else z.T @ b
-        u_small, sigma, vt_small = np.linalg.svd(c, full_matrices=False)
-        if single:
-            u_small = u_small.astype(dtype)
-            vt_small = vt_small.astype(dtype)
+        p = _gaussian_sketch(rng, (sketch, sketch), b.dtype)
+        z = cholesky_qr(b @ p, overwrite=True)
+        # Lines 7-8: small SVD of C = Zᵀ B; the big-n reduction accumulates
+        # in float64 and the small SVD runs in float64 on both precisions.
+        u_small, sigma, vt_small = np.linalg.svd(gram(z, b), full_matrices=False)
         # Line 9: map back. Columns of (Z U) approximate left singular
         # vectors of A restricted to range(Y); right vectors are Y V.
-        u = z @ u_small[:, :rank]
-        vt = (y @ vt_small[:rank].T).T
+        u = z @ u_small[:, :rank].astype(z.dtype, copy=False)
+        vt = (wide @ vt_small[:rank].T.astype(wide.dtype, copy=False)).T
     return u, sigma[:rank], vt
 
 
@@ -238,7 +252,7 @@ def residual_estimate(
     rng = ensure_rng(seed)
     cols = matrix.shape[1]
     g = rng.standard_normal((cols, probes))
-    ag = _matmat(matrix, g, workers=1).astype(np.float64, copy=False)
+    ag = _apply(matrix, g).astype(np.float64, copy=False)
     approx = u.astype(np.float64, copy=False) @ (
         np.asarray(sigma, dtype=np.float64)[:, None]
         * (vt.astype(np.float64, copy=False) @ g)

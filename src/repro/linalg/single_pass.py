@@ -34,10 +34,12 @@ one forward plus one adjoint application instead of rSVD's ``2 + 2q``.
 
 Memory: the factorization holds one ``n × (3w+1)`` sketched product plus a
 transient dense staging copy of the sketches (freed before the core
-solve), against rSVD's simultaneous ``omega`` / ``y`` / ``forward`` /
-``b`` / ``z`` blocks — and, unlike rSVD, never materializes a dense
-Gaussian test matrix.  Passes: 1 (symmetric) or 2 (general) versus
-``2 + 2·power_iterations``.
+solve), against rSVD's two ``n × (d+p)`` sketch buffers plus ``Z`` — and,
+unlike rSVD, never materializes a dense Gaussian test matrix.  Passes: 1
+(symmetric) or 2 (general) versus ``2 + 2·power_iterations``.  The range
+basis ``Q`` comes from the same in-place CholeskyQR2
+(:func:`repro.linalg.kernels.cholesky_qr`) the rSVD uses, on both
+precisions.
 
 Determinism: sketch generation is a pure function of the seed
 (:mod:`repro.linalg.sketch`), the streamed pass is bit-identical for every
@@ -63,8 +65,8 @@ from repro import telemetry
 from repro.errors import FactorizationError
 from repro.telemetry import health
 from repro.linalg.kernels import (
+    cholesky_qr,
     gram,
-    orthonormalize,
     resolve_precision,
     spmm,
     spmm_chunked,
@@ -269,7 +271,6 @@ def single_pass_svd(
     """
     rng = ensure_rng(seed)
     dtype = resolve_precision(precision)
-    single = dtype == np.float32
     rows, cols = matrix.shape
     if rank < 1:
         raise FactorizationError(f"rank must be >= 1, got {rank}")
@@ -290,22 +291,19 @@ def single_pass_svd(
             f"symmetric single-pass factorization needs a square matrix, "
             f"got {matrix.shape}"
         )
-    if single and hasattr(matrix, "astype") and matrix.dtype != dtype:
+    if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
         matrix = matrix.astype(dtype)  # cast the operator once (MKL s-path)
-    ortho = "cholesky" if single else "qr"
     co_width = _co_range_width(width, rows)
-    sketch_dtype = dtype if single else np.float64
 
     with telemetry.span(
         "sketch.generate", width=width, co_width=co_width,
         nnz_per_row=nnz_per_row, symmetric=symmetric,
     ):
         omega = sparse_sign_sketch(
-            cols, width, nnz_per_row=nnz_per_row, seed=rng, dtype=sketch_dtype
+            cols, width, nnz_per_row=nnz_per_row, seed=rng, dtype=dtype
         )
         psi = sparse_sign_sketch(
-            rows, co_width, nnz_per_row=nnz_per_row, seed=rng,
-            dtype=sketch_dtype,
+            rows, co_width, nnz_per_row=nnz_per_row, seed=rng, dtype=dtype
         )
         telemetry.gauge("sketch.width").set(width)
         telemetry.gauge("sketch.density").set(sketch_density(omega))
@@ -345,7 +343,9 @@ def single_pass_svd(
     with telemetry.span(
         "sketch.core", width=width, co_width=co_width, symmetric=symmetric
     ):
-        q = orthonormalize(np.ascontiguousarray(y), strategy=ortho)
+        # ``y`` is dead past this point: a column slice of the one-pass
+        # product (copied out here) or the general scheme's own product.
+        q = cholesky_qr(np.ascontiguousarray(y), overwrite=True)
         psi_t_q = _sparse_cross(psi, q)  # ΨᵀQ, (2w+1) × w, float64
         if symmetric:
             # C = (ΨᵀQ)⁺ (ΨᵀA Q) ≈ QᵀAQ without ever forming X = QᵀA:
@@ -355,10 +355,7 @@ def single_pass_svd(
             eigenvalues, eigenvectors = np.linalg.eigh(core)
             order = np.argsort(np.abs(eigenvalues), kind="stable")[::-1][:rank]
             spectrum = eigenvalues[order]
-            small = eigenvectors[:, order]
-            if single:
-                small = small.astype(dtype)
-            u = q @ small
+            u = q @ eigenvectors[:, order].astype(q.dtype, copy=False)
             sigma = np.abs(spectrum)
             signs = np.where(spectrum < 0.0, -1.0, 1.0).astype(u.dtype)
             vt = (u * signs[None, :]).T
@@ -369,14 +366,9 @@ def single_pass_svd(
                 psi_t_q, z.T.astype(np.float64, copy=False), rcond=None
             )
             u_small, sigma_all, vt_all = np.linalg.svd(x, full_matrices=False)
-            small = u_small[:, :rank]
-            if single:
-                small = small.astype(dtype)
-            u = q @ small
+            u = q @ u_small[:, :rank].astype(q.dtype, copy=False)
             sigma = sigma_all[:rank]
-            vt = vt_all[:rank]
-            if single:
-                vt = vt.astype(dtype)
+            vt = vt_all[:rank].astype(q.dtype, copy=False)
     return u, sigma, vt
 
 
@@ -397,16 +389,18 @@ def factorize(
     """Dispatch the ``factorizer`` knob to a factorization backend.
 
     ``"rsvd"`` (or ``None``) runs the paper's two-sided Gaussian randomized
-    SVD with *exactly* the historical argument set, so the default path
-    stays bit-identical to calling :func:`~repro.linalg.randomized_svd.
-    randomized_svd` directly.  ``"single_pass"`` runs the SketchNE-style
-    sketched factorization above.  The sketch-only knobs (``nnz_per_row``,
-    ``symmetric``, ``block_rows``) are ignored by the rSVD backend, and
+    SVD — the same call as :func:`~repro.linalg.randomized_svd.
+    randomized_svd` with these arguments, bit for bit.  ``"single_pass"``
+    runs the SketchNE-style sketched factorization above.  Both backends
+    take ``symmetric``: ``True`` lets the rSVD run its ``Aᵀ·`` passes on the
+    row-blocked CSR kernel and lets the sketch get both products from one
+    pass; ``None`` means "general" to the rSVD (it never probes) and
+    "probe explicit matrices" to the single-pass backend.  ``nnz_per_row``
+    and ``block_rows`` are sketch-only and ignored by the rSVD;
     ``power_iterations`` is meaningless to the single-pass backend — by
     construction it never revisits the operator.  ``oversampling=None``
-    resolves per backend: the rSVD keeps its historical ``10`` (bit-exact
-    default path), the single-pass backend widens to ``max(10, 3·rank)``
-    (see :func:`single_pass_svd`).
+    resolves per backend: ``10`` for the rSVD, ``max(10, 3·rank)`` for the
+    single-pass backend (see :func:`single_pass_svd`).
     """
     name = "rsvd" if factorizer is None else str(factorizer).replace("-", "_")
     if name == "rsvd":
@@ -418,6 +412,7 @@ def factorize(
             seed=seed,
             precision=precision,
             workers=workers,
+            symmetric=symmetric,
         )
     elif name == "single_pass":
         factors = single_pass_svd(

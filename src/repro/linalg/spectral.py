@@ -9,8 +9,9 @@ We implement ProNE's concrete instantiation: the Gaussian band-pass kernel
 coefficients are modified Bessel functions ``i_r(θ)`` (``scipy.special.iv``),
 evaluated with the three-term recurrence on the *modulated* Laplacian
 ``M = L - μI`` where ``L = I - D⁻¹(A + I)`` (self-loops added for stability).
-The filtered signal is re-orthogonalized by a small dense SVD, matching
-ProNE's ``get_embedding_dense``.
+The filtered signal is re-orthogonalized to ``U_d Σ_d^{1/2}`` as in ProNE's
+``get_embedding_dense`` — through the ``d×d`` Gram matrix
+(:func:`repro.linalg.kernels.gram_rescale`) instead of an ``n×d`` dense SVD.
 
 Every matrix product here is an SPMM between a sparse ``n × n`` operator and
 the dense ``n × d`` embedding — the operation the paper offloads to MKL
@@ -22,9 +23,8 @@ a fixed set of ``lx0``/``lx1``/``lx2`` buffers with in-place axpy updates
 ``D⁻¹(A + I)`` is cached on the graph object keyed by dtype so repeated
 propagation calls — and :class:`~repro.graph.compression.CompressedGraph`
 inputs — neither rebuild nor re-decompress it.  ``precision="single"`` runs
-the whole filter in float32 and swaps the dense-SVD rescale for the
-Gram-trick ``eigh`` (:func:`repro.linalg.kernels.gram_rescale`); the default
-double path is bit-identical to the historical implementation.
+the same filter and the same rescale in float32; nothing else depends on the
+precision.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def chebyshev_gaussian_filter(
     mu, theta:
         Band-pass center and width of the Gaussian kernel.
     precision:
-        ``"double"`` (default, bit-compatible float64) or ``"single"``
-        (float32 operator, buffers and output).
+        ``"double"`` (default) or ``"single"`` (float32 operator, buffers
+        and output).
     workers:
         Thread count for the SPMMs (bit-identical at every width).
     offload_dir:
@@ -363,23 +363,25 @@ def rescale_embedding(
     matrix: np.ndarray,
     dimension: Optional[int] = None,
     *,
-    method: str = "svd",
+    method: str = "gram",
 ) -> np.ndarray:
     """Re-orthogonalize via ``U_d · Σ_d^{1/2}``, then L2-ish rescale.
 
     Mirrors ProNE's ``get_embedding_dense``: project the propagated signal
     back onto its top singular directions so columns stay well-conditioned.
-    ``method="svd"`` (default) is the full dense float64 SVD — the legacy,
-    bit-compatible path; ``method="gram"`` is the Gram-trick ``eigh`` of the
-    ``d×d`` Gram matrix (:func:`repro.linalg.kernels.gram_rescale`), which
-    matches the SVD result up to column sign, keeps the input dtype, and
-    never materializes an ``n×d`` temporary beyond the output.
+    ``method="gram"`` (default, the only path the pipelines take) is the
+    Gram-trick ``eigh`` of the ``d×d`` Gram matrix
+    (:func:`repro.linalg.kernels.gram_rescale`): it keeps the input dtype,
+    never materializes an ``n×d`` temporary beyond the output, and returns a
+    fresh in-RAM array whatever backs the input.  ``method="svd"`` is the
+    full dense float64 SVD, kept as the oracle the tests compare against
+    (equal up to column sign).
     """
     if method == "gram":
-        return gram_rescale(np.asarray(matrix), dimension)
+        return gram_rescale(matrix, dimension)
     if method != "svd":
         raise FactorizationError(
-            f"rescale method must be 'svd' or 'gram', got {method!r}"
+            f"rescale method must be 'gram' or 'svd', got {method!r}"
         )
     matrix = np.asarray(matrix, dtype=np.float64)
     if dimension is None:
@@ -409,18 +411,15 @@ def spectral_propagation(
     """Full ProNE enhancement: Chebyshev filter then re-orthogonalization.
 
     ``seed`` is accepted for interface uniformity (the step is
-    deterministic).  ``precision="single"`` runs the filter in float32 and
-    re-orthogonalizes with the Gram-trick ``eigh`` instead of the full dense
-    SVD; the default double path is bit-identical to the historical
-    implementation.  ``offload_dir`` enables the filter's out-of-core buffer
-    mode (see :func:`chebyshev_gaussian_filter`); the rescale always returns
-    a fresh in-RAM array, so no memmap escapes this function.
+    deterministic).  ``precision`` picks the dtype of the filter and of the
+    result and nothing else.  ``offload_dir`` enables the filter's
+    out-of-core buffer mode (see :func:`chebyshev_gaussian_filter`); the
+    rescale always returns a fresh in-RAM array, so no memmap escapes this
+    function.
     """
-    dtype = resolve_precision(precision)
     filtered = chebyshev_gaussian_filter(
         graph, embedding, order=order, mu=mu, theta=theta,
         precision=precision, workers=workers, offload_dir=offload_dir,
     )
     with telemetry.span("propagation.rescale", dimension=embedding.shape[1]):
-        method = "gram" if dtype == np.float32 else "svd"
-        return rescale_embedding(filtered, embedding.shape[1], method=method)
+        return rescale_embedding(filtered, embedding.shape[1])
