@@ -1,6 +1,6 @@
 """E17 — sparsifier-backend ablation: PathSampling vs push-based PPR.
 
-The PR-8 backend layer makes the count-matrix estimator pluggable; this
+The sparsifier stage's sampler table makes the count-matrix estimator pluggable; this
 experiment compares the two backends at *equal sample budgets M* on the
 BlogCatalog analog, along the axes the paper uses for its own sparsifier
 (§5.3): nnz of the count matrix, wall-clock, peak anonymous/RSS memory

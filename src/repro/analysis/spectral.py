@@ -15,28 +15,21 @@ scale.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import EvaluationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.graph.stats import spectral_gap
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 DENSE_LIMIT = 2_000
 
 
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
-
-
 def laplacian_matrix(graph: GraphLike) -> sp.csr_matrix:
     """Combinatorial Laplacian ``L = D - A`` (weighted)."""
-    flat = _flat(graph)
+    flat = graph.flat()
     adjacency = flat.adjacency()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     return (sp.diags(degrees) - adjacency).tocsr()
@@ -50,7 +43,7 @@ def effective_resistances(
     Requires a connected graph with at most ``DENSE_LIMIT`` vertices (uses
     the dense pseudo-inverse of ``L``).
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     if n > DENSE_LIMIT:
         raise EvaluationError(
@@ -75,7 +68,7 @@ def lovasz_resistance_bounds(
     ``lower = (1/2)(1/d_u + 1/d_v)`` and
     ``upper = (1/(1-λ₂))(1/d_u + 1/d_v)``.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     degrees = flat.weighted_degrees()
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -98,7 +91,7 @@ def quadratic_form_ratio(
     Directions (columns of ``directions``) are projected off the all-ones
     kernel first; directions with negligible ``xᵀL_G x`` are skipped (nan).
     """
-    flat = _flat(original)
+    flat = original.flat()
     lap_g = laplacian_matrix(flat)
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if directions.shape[0] != flat.num_vertices:
@@ -132,7 +125,7 @@ def exact_resistance_probabilities(
     """
     from repro.sparsifier.downsampling import default_constant
 
-    flat = _flat(graph)
+    flat = graph.flat()
     src, dst = flat.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
@@ -155,7 +148,7 @@ def spectral_approximation_factor(
     A value ``ε`` certifies the sparsifier behaved like a ``(1±ε)``-spectral
     approximation on the tested directions (a lower bound on the true ε).
     """
-    flat = _flat(original)
+    flat = original.flat()
     n = flat.num_vertices
     rng = np.random.default_rng(seed)
     directions = [rng.standard_normal((n, num_directions))]

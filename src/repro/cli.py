@@ -384,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--precision", choices=("single", "double"), default=None,
             help="dense-kernel dtype policy: 'single' runs the "
                  "factorize/propagate stages in float32 (about half the "
-                 "peak memory), 'double' is the bit-exact legacy path "
+                 "peak memory), 'double' runs the same kernels in float64 "
                  "(default: the method's own)",
         )
         from repro.linalg.single_pass import FACTORIZERS
-        from repro.sparsifier.backends import sparsifier_backend_names
+        from repro.sparsifier.builder import sparsifier_backend_names
 
         p.add_argument(
             "--sparsifier", choices=sparsifier_backend_names(),
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--dim", type=int, default=32)
     p_stream.add_argument("--window", type=int, default=5)
     p_stream.add_argument("--multiplier", type=float, default=2.0)
-    from repro.sparsifier.backends import sparsifier_backend_names as _sbn
+    from repro.sparsifier.builder import sparsifier_backend_names as _sbn
 
     p_stream.add_argument(
         "--sparsifier", choices=_sbn(), default=None,

@@ -99,7 +99,8 @@ class PipelineContext:
     Attributes
     ----------
     graph:
-        The input graph (CSR or compressed).
+        The input graph as flat CSR arrays (``graph.flat()`` of whatever
+        container the caller passed).
     params:
         The method's frozen params dataclass.
     rng:
@@ -151,9 +152,11 @@ def run_pipeline(
 ) -> EmbeddingResult:
     """Run ``spec.body`` under the shared method scaffolding.
 
-    Owns, for every method: ``validate_dimension``, ``ensure_rng(seed)``, the
-    method-level telemetry root span (named ``spec.name``, carrying ``n`` /
-    ``m`` / ``dimension``), the ``StageTimer`` lifecycle, and the
+    Owns, for every method: the flat view of the input (``graph.flat()``,
+    taken once here so no body knows the Ligra+ encoding exists),
+    ``validate_dimension``, ``ensure_rng(seed)``, the method-level telemetry
+    root span (named ``spec.name``, carrying ``n`` / ``m`` /
+    ``dimension``), the ``StageTimer`` lifecycle, and the
     standardized ``info`` keys (``method``, ``params``, ``n``, ``m``,
     ``telemetry_enabled`` and — when telemetry is on — a ``telemetry``
     snapshot of the metrics registry and span count).
@@ -167,6 +170,7 @@ def run_pipeline(
     the policy on, ``info["health"]`` / ``info["digests"]`` carry the
     recorder summary into the ledger record.
     """
+    graph = graph.flat()
     validate_dimension(graph.num_vertices, params.dimension)
     rng = ensure_rng(seed)
     timer = StageTimer()

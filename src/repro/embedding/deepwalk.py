@@ -13,7 +13,7 @@ is exercised directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -24,12 +24,9 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.graph.walks import random_walk_matrix_sample
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)

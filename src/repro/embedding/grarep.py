@@ -12,8 +12,6 @@ style comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from repro.embedding.base import (
@@ -24,12 +22,9 @@ from repro.embedding.base import (
 )
 from repro.embedding.netmf import DENSE_LIMIT
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -59,8 +54,6 @@ def _grarep_body(ctx: PipelineContext):
         raise FactorizationError(
             f"GraRep materializes dense P^k; limited to {DENSE_LIMIT} vertices"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
 
     per_step = params.dimension // params.steps
     remainder = params.dimension - per_step * params.steps

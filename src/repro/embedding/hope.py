@@ -14,7 +14,7 @@ SVD signs; we return ``U Σ^{1/2}`` as elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +26,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.operators import polynomial_operator
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,7 @@ class HOPEParams:
 
 def katz_decay_rate(graph: GraphLike) -> float:
     """Largest adjacency eigenvalue ``λ_max`` (power iteration)."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     adjacency = graph.adjacency()
     n = graph.num_vertices
     if n == 0 or adjacency.nnz == 0:
@@ -78,8 +74,6 @@ def _hope_body(ctx: PipelineContext):
     n = graph.num_vertices
     if params.order < 1:
         raise FactorizationError(f"order must be >= 1, got {params.order}")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
 
     with ctx.timer.stage("svd"):
         lam = katz_decay_rate(graph)

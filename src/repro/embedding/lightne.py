@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.embedding.base import (
     EmbeddingResult,
@@ -35,19 +35,15 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.linalg.spectral import spectral_propagation
-from repro.sparsifier.backends import build_sparsifier
-from repro.sparsifier.builder import sparsifier_to_netmf_matrix
+from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 logger = get_logger(__name__)
 
@@ -84,11 +80,11 @@ class LightNEParams:
         aggregators up to last-digit summation order; measurements and the
         determinism contract are in :mod:`repro.sparsifier.aggregation`.
     sparsifier:
-        Sparsifier backend building the count matrix: ``"path"`` (default,
-        the paper's downsampled PathSampling — bit-identical to the
-        pre-backend-layer pipeline) or ``"ppr"`` (PSNE-style push-based PPR
-        proximity; same estimator contract, deterministic walk mass instead
-        of Monte-Carlo draws).  See :mod:`repro.sparsifier.backends`.
+        Sampler that emits the count matrix's triples: ``"path"`` (default,
+        the paper's downsampled PathSampling) or ``"ppr"`` (PSNE-style
+        push-based PPR proximity; same estimator contract, deterministic
+        walk mass instead of Monte-Carlo draws).  See
+        :func:`repro.sparsifier.builder.build_sparsifier`.
     workers:
         Thread-pool width for sparsifier construction *and* the dense-stage
         SPMMs (randomized SVD, spectral propagation); ``None`` (default)

@@ -9,7 +9,7 @@ it sparsely and reuse the randomized SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,13 +20,10 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.sparsifier.builder import trunc_log
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,7 @@ class LINEParams:
 
 def line_matrix(graph: GraphLike, negative_samples: float = 1.0) -> sp.csr_matrix:
     """``trunc_log( vol(G)/b · D⁻¹ A D⁻¹ )`` — Eq. (1) at ``T = 1``, sparse."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
     inv_d = sp.diags(1.0 / safe)

@@ -13,7 +13,7 @@ oracle for the sparsifier's estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -24,13 +24,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 DENSE_LIMIT = 20_000
 
@@ -85,8 +82,7 @@ def netmf_matrix_dense(
         raise FactorizationError(
             f"dense NetMF limited to {DENSE_LIMIT} vertices; use NetSMF/LightNE"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     adjacency = graph.adjacency().toarray()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
@@ -128,8 +124,7 @@ def netmf_matrix_eigen(
         raise FactorizationError(
             f"NetMF-large still materializes n x n; limited to {DENSE_LIMIT}"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     rank = min(rank, n - 1)
     if rank < 1:
         raise FactorizationError("graph too small for eigen approximation")

@@ -16,8 +16,6 @@ tables per edge pair, and vectorizes well).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from repro.embedding.base import (
@@ -28,11 +26,8 @@ from repro.embedding.base import (
 )
 from repro.embedding.deepwalk import DeepWalkSGDParams, _sgd_step, _walks_to_pairs
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.utils.rng import SeedLike, ensure_rng
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -78,8 +73,7 @@ def biased_walks(
         )
     if return_p <= 0 or in_out_q <= 0:
         raise SamplingError("p and q must be positive")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     rng = ensure_rng(seed)
     n = graph.num_vertices
     degrees = graph.degrees()

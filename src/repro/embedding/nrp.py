@@ -19,7 +19,7 @@ the truncated log forces NetSMF-style sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,15 +31,12 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.kernels import resolve_precision
 from repro.linalg.operators import polynomial_operator
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,6 @@ def _nrp_body(ctx: PipelineContext):
         raise FactorizationError(f"alpha must be in (0, 1), got {params.alpha}")
     if params.order < 1:
         raise FactorizationError(f"order must be >= 1, got {params.order}")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
 
     with ctx.timer.stage("svd"):
         degrees = graph.weighted_degrees()

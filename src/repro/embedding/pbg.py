@@ -12,8 +12,6 @@ comparator for experiment E1 (LiveJournal link prediction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from repro.embedding.base import (
@@ -22,11 +20,8 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -53,11 +48,7 @@ def _pbg_body(ctx: PipelineContext):
     graph, params, rng = ctx.graph, ctx.params, ctx.rng
     n = graph.num_vertices
 
-    if isinstance(graph, CompressedGraph):
-        flat = graph.decompress()
-    else:
-        flat = graph
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,13 +30,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.linalg.spectral import spectral_propagation
 from repro.utils.rng import SeedLike
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,7 @@ def prone_factorization_matrix(
         raise FactorizationError(
             f"negative_samples must be > 0, got {negative_samples}"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     adjacency = graph.adjacency()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)

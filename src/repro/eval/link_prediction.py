@@ -12,18 +12,16 @@ number of random non-edges and report ROC AUC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EvaluationError
 from repro.eval.metrics import auc_score, ranking_positions, ranking_report
+from repro.graph import GraphLike
 from repro.graph.builders import from_edges
-from repro.graph.compression import CompressedGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,7 @@ def train_test_split_edges(
         raise EvaluationError(
             f"test_fraction must be in (0, 1), got {test_fraction}"
         )
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     rng = ensure_rng(seed)
     src, dst = graph.edge_endpoints()
     mask = src < dst
@@ -135,8 +132,7 @@ def sample_non_edges(
     """Rejection-sample ``count`` vertex pairs that are not edges (u != v)."""
     if count < 1:
         raise EvaluationError(f"count must be >= 1, got {count}")
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     rng = ensure_rng(seed)
     n = graph.num_vertices
     out_u = np.empty(count, dtype=np.int64)

@@ -11,16 +11,13 @@ neighbors land in the top ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.utils.rng import SeedLike, ensure_rng
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,7 @@ def neighbor_retrieval(
     ``|top-k ∩ neighbors| / k``.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     n = graph.num_vertices
     if embeddings.shape[0] != n:
         raise EvaluationError(

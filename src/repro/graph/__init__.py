@@ -7,7 +7,7 @@ lists, and a vectorized random-walk engine.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.compression import CompressedGraph, compress_graph
+from repro.graph.compression import CompressedGraph, GraphLike, compress_graph
 from repro.graph.builders import (
     from_bipartite_edges,
     from_edges,
@@ -58,6 +58,7 @@ __all__ = [
     "partition_edge_cut",
     "CSRGraph",
     "CompressedGraph",
+    "GraphLike",
     "compress_graph",
     "from_bipartite_edges",
     "from_edges",

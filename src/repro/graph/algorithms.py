@@ -13,27 +13,19 @@ BFS that defines the Ligra processing model):
 * :func:`kcore_decomposition` — peeling, the standard GBBS benchmark.
 
 All of them accept both :class:`CSRGraph` and :class:`CompressedGraph`
-(decoding neighbor lists on the fly), which doubles as a functional test of
-the compressed accessor surface.
+and run on the flat arrays ``graph.flat()`` returns.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
-
-GraphLike = Union[CSRGraph, CompressedGraph]
+from repro.graph.compression import GraphLike
 
 UNREACHED = -1
-
-
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
 
 
 def bfs(graph: GraphLike, source: int) -> np.ndarray:
@@ -46,7 +38,7 @@ def bfs(graph: GraphLike, source: int) -> np.ndarray:
     n = graph.num_vertices
     if not 0 <= source < n:
         raise GraphConstructionError(f"source {source} out of range [0, {n})")
-    flat = _flat(graph)
+    flat = graph.flat()
     distances = np.full(n, UNREACHED, dtype=np.int64)
     distances[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -91,7 +83,7 @@ def connected_components(graph: GraphLike) -> np.ndarray:
     neighborhood; converges in O(diameter) vectorized rounds.  Labels are
     the minimum vertex id of each component.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     labels = np.arange(n, dtype=np.int64)
     if flat.num_directed_edges == 0:
@@ -116,7 +108,7 @@ def pagerank(
     """PageRank by power iteration (dangling mass redistributed uniformly)."""
     if not 0.0 < damping < 1.0:
         raise GraphConstructionError(f"damping must be in (0, 1), got {damping}")
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     if n == 0:
         return np.empty(0)
@@ -142,7 +134,7 @@ def triangle_count(graph: GraphLike) -> int:
     Uses the standard degree-ordered orientation so each triangle is
     counted exactly once.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     degrees = flat.degrees()
     # Rank vertices by (degree, id); orient edges low -> high rank.
@@ -164,7 +156,7 @@ def triangle_count(graph: GraphLike) -> int:
 
 def kcore_decomposition(graph: GraphLike) -> np.ndarray:
     """Core numbers by iterative peeling (the GBBS k-core benchmark)."""
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     degrees = flat.degrees().copy()
     core = np.zeros(n, dtype=np.int64)
@@ -189,7 +181,7 @@ def kcore_decomposition(graph: GraphLike) -> np.ndarray:
 
 def diameter_lower_bound(graph: GraphLike, probes: int = 4, seed: int = 0) -> int:
     """Double-sweep lower bound on the diameter (cheap, standard trick)."""
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     if n == 0:
         return 0

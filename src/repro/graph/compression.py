@@ -17,7 +17,11 @@ This module implements:
 * :class:`CompressedGraph` — whole-graph container exposing the same accessor
   surface as :class:`~repro.graph.csr.CSRGraph` (``degrees``, ``neighbors``,
   ``ith_neighbor``, ``ith_neighbors``) so random walks run on either;
-* :func:`compress_graph` / :meth:`CompressedGraph.decompress` round trip.
+* :func:`compress_graph` / :meth:`CompressedGraph.decompress` round trip;
+* :meth:`CompressedGraph.flat` — the one place the rest of the library reads
+  an encoded graph as flat arrays: the decode, kept on the object.  Nothing
+  outside :mod:`repro.graph` imports this module; code that accepts either
+  container (:data:`GraphLike`) calls ``graph.flat()`` and works on CSR.
 
 Weighted graphs store weights uncompressed alongside (the paper's inputs are
 unweighted; weights only appear in the sparsifier, which is a hash table).
@@ -25,12 +29,12 @@ unweighted; weights only appear in the sparsifier, which is a hash table).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, row_weight_sums
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -162,7 +166,7 @@ class CompressedGraph:
         "block_size",
         "weights",
         "_volume",
-        "_op_cache",
+        "_flat",
     )
 
     def __init__(
@@ -183,9 +187,7 @@ class CompressedGraph:
         self.block_size = block_size
         self.weights = weights
         self._volume: Optional[float] = None
-        # Derived-operator memo (propagation operator keyed by dtype); also
-        # saves repeated decompression for propagation-heavy callers.
-        self._op_cache: Optional[dict] = None
+        self._flat: Optional[CSRGraph] = None
 
     # ------------------------------------------------------------ size facts
     @property
@@ -240,14 +242,8 @@ class CompressedGraph:
         """Weighted degrees; equals :meth:`degrees` when unweighted."""
         if self.weights is None:
             return self.degrees_array.astype(np.float64)
-        starts = np.zeros(self.num_vertices, dtype=np.int64)
-        np.cumsum(self.degrees_array[:-1], out=starts[1:])
-        if self.weights.size == 0:
-            return np.zeros(self.num_vertices, dtype=np.float64)
-        clipped = np.minimum(starts, self.weights.size - 1)
-        sums = np.add.reduceat(self.weights, clipped)
-        sums[self.degrees_array == 0] = 0.0
-        return sums
+        starts = np.cumsum(self.degrees_array) - self.degrees_array
+        return row_weight_sums(self.weights, starts, self.degrees_array)
 
     def neighbor_weights(self, u: int) -> Optional[np.ndarray]:
         """View of ``u``'s edge weights (stored uncompressed), or ``None``."""
@@ -296,13 +292,28 @@ class CompressedGraph:
         return out
 
     # ------------------------------------------------------------- conversion
+    def flat(self) -> CSRGraph:
+        """The graph as flat CSR arrays: decoded on first use, then kept.
+
+        Everything that reads ``offsets`` / ``targets`` — the embedding
+        pipelines, the sparsifier, the operators — goes through this, so an
+        encoded input is decoded once per object however many runs it feeds,
+        and derived memos (the propagation operator) live on the returned
+        :class:`CSRGraph`.  The price is holding both forms while the object
+        lives; call :meth:`decompress` for a throwaway copy.
+        """
+        if self._flat is None:
+            self._flat = self.decompress()
+        return self._flat
+
     def decompress(self, *, vectorized: bool = True) -> CSRGraph:
-        """Rebuild the uncompressed :class:`CSRGraph`.
+        """Rebuild the uncompressed :class:`CSRGraph` — a fresh decode on
+        every call (the block decoder E11/E14 time); :meth:`flat` is the
+        cached view.
 
         ``vectorized=True`` (default) decodes every varint in the payload in
-        bulk numpy passes — the fast path used throughout the library;
-        ``vectorized=False`` decodes vertex by vertex (the reference path the
-        property tests compare against).
+        bulk numpy passes; ``vectorized=False`` decodes vertex by vertex (the
+        reference path the property tests compare against).
         """
         n = self.num_vertices
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -320,6 +331,10 @@ class CompressedGraph:
             f"CompressedGraph(n={self.num_vertices}, m={self.num_edges}, "
             f"block_size={self.block_size}, bytes={self.size_in_bytes()})"
         )
+
+
+# Either container; ``graph.flat()`` turns it into CSR arrays.
+GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 def _bulk_decode(graph: "CompressedGraph") -> np.ndarray:

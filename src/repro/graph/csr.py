@@ -25,6 +25,23 @@ import scipy.sparse as sp
 from repro.errors import GraphConstructionError
 
 
+def row_weight_sums(
+    weights: np.ndarray, starts: np.ndarray, degrees: np.ndarray
+) -> np.ndarray:
+    """Sum ``weights[starts[u] : starts[u] + degrees[u]]`` for every row ``u``.
+
+    ``np.add.reduceat`` misreads an empty segment as its start element, and a
+    start past the end of ``weights`` (trailing empty rows) is an error, so
+    only the non-empty rows are reduced: consecutive non-empty starts delimit
+    exactly one row each, and the last one runs to the end of the array.
+    """
+    sums = np.zeros(degrees.size, dtype=np.float64)
+    nonempty = np.flatnonzero(degrees)
+    if nonempty.size:
+        sums[nonempty] = np.add.reduceat(weights, starts[nonempty])
+    return sums
+
+
 class CSRGraph:
     """An undirected (symmetric) graph in CSR form.
 
@@ -136,13 +153,7 @@ class CSRGraph:
         unweighted)."""
         if self.weights is None:
             return self.degrees().astype(np.float64)
-        if self.weights.size == 0:
-            return np.zeros(self.num_vertices, dtype=np.float64)
-        # reduceat misreads empty segments; clip indices then zero them out.
-        starts = np.minimum(self.offsets[:-1], self.weights.size - 1)
-        sums = np.add.reduceat(self.weights, starts)
-        sums[self.degrees() == 0] = 0.0
-        return sums.astype(np.float64, copy=False)
+        return row_weight_sums(self.weights, self.offsets[:-1], self.degrees())
 
     def degree(self, u: int) -> int:
         """Degree of a single vertex."""
@@ -207,6 +218,13 @@ class CSRGraph:
                 yield u, int(self.targets[k]), w
 
     # ------------------------------------------------------------- conversion
+    def flat(self) -> "CSRGraph":
+        """The graph as flat CSR arrays — ``self``; the encoded container's
+        :meth:`~repro.graph.compression.CompressedGraph.flat` decodes instead.
+        Code that reads ``offsets`` / ``targets`` calls this once and never
+        asks which container it was handed."""
+        return self
+
     def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
         """The (symmetric) adjacency matrix as ``scipy.sparse.csr_matrix``."""
         n = self.num_vertices

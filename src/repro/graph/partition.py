@@ -17,23 +17,17 @@ whole-graph embedding (see ``examples/partition_vs_whole.py``):
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from repro.embedding.base import EmbeddingResult
 from repro.errors import GraphConstructionError
-from repro.graph.compression import CompressedGraph
+from repro.graph.compression import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.transforms import induced_subgraph
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
-
-GraphLike = Union[CSRGraph, CompressedGraph]
-
-
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
 
 
 def bfs_partition(
@@ -46,7 +40,7 @@ def bfs_partition(
     vertices are scattered round-robin.  Parts end up within ±1 of the
     target size — the balance constraint real partitioners enforce.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     if num_parts < 1:
         raise GraphConstructionError(f"num_parts must be >= 1, got {num_parts}")
@@ -105,7 +99,7 @@ def bfs_partition(
 
 def partition_edge_cut(graph: GraphLike, assignment: np.ndarray) -> float:
     """Fraction of undirected edges whose endpoints land in different parts."""
-    flat = _flat(graph)
+    flat = graph.flat()
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (flat.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
@@ -141,7 +135,7 @@ def embed_partitioned(
     vertex ids.  Cross-partition edges never reach any embedder — that
     information loss is the point being measured.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (flat.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")

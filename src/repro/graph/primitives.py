@@ -10,15 +10,13 @@ stay deterministic regardless of ``workers``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph.compression import GraphLike
 from repro.utils.parallel import chunk_ranges, parallel_map
 
-GraphLike = Union[CSRGraph, CompressedGraph]
 T = TypeVar("T")
 
 
@@ -29,8 +27,7 @@ def edge_chunks(graph: GraphLike, chunks: int) -> List[tuple]:
     when unweighted).  Each undirected edge appears exactly once, matching the
     per-edge sampling loop in Algorithm 2 of the paper.
     """
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]

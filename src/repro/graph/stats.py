@@ -9,16 +9,12 @@ Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
-
-GraphLike = Union[CSRGraph, CompressedGraph]
+from repro.graph.compression import GraphLike
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,7 @@ def normalized_laplacian(graph: GraphLike) -> sp.csr_matrix:
 
     Zero-degree vertices get an identity row (their Laplacian row is just 1).
     """
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     adjacency = graph.adjacency()
     n = graph.num_vertices
     degrees = graph.weighted_degrees()
@@ -85,8 +80,7 @@ def spectral_gap(graph: GraphLike, *, tol: float = 1e-6) -> float:
     spectrum as ``D⁻¹A``).  Requires a connected graph for the textbook
     interpretation; disconnected graphs return ~0.
     """
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     n = graph.num_vertices
     if n < 3:
         return 1.0

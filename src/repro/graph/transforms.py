@@ -11,20 +11,14 @@ scaled experiments.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.builders import from_edges
-from repro.graph.compression import CompressedGraph
+from repro.graph.compression import GraphLike
 from repro.graph.csr import CSRGraph
-
-GraphLike = Union[CSRGraph, CompressedGraph]
-
-
-def _flat(graph: GraphLike) -> CSRGraph:
-    return graph.decompress() if isinstance(graph, CompressedGraph) else graph
 
 
 def permute_vertices(graph: GraphLike, permutation: np.ndarray) -> CSRGraph:
@@ -32,7 +26,7 @@ def permute_vertices(graph: GraphLike, permutation: np.ndarray) -> CSRGraph:
 
     ``permutation`` must be a bijection on ``range(n)``.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     permutation = np.asarray(permutation, dtype=np.int64)
     if permutation.shape != (n,):
@@ -61,7 +55,7 @@ def reorder_by_degree(graph: GraphLike, *, descending: bool = True) -> Tuple[CSR
     parallel-byte compressed size because high-degree vertices land on small
     ids and gap codes get shorter.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     degrees = flat.degrees()
     order = np.lexsort((np.arange(flat.num_vertices), -degrees if descending else degrees))
     permutation = np.empty(flat.num_vertices, dtype=np.int64)
@@ -75,7 +69,7 @@ def induced_subgraph(graph: GraphLike, vertices) -> Tuple[CSRGraph, np.ndarray]:
     Returns ``(subgraph, kept)`` where ``kept[i]`` is the original id of new
     vertex ``i`` (sorted ascending).
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     kept = np.unique(np.asarray(vertices, dtype=np.int64))
     if kept.size and (kept[0] < 0 or kept[-1] >= n):
@@ -101,7 +95,7 @@ def add_edges(graph: GraphLike, new_sources, new_targets, new_weights=None) -> C
     The building block of the streaming/dynamic extension (paper §6 future
     work): batch edge arrivals, then re-embed.
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     src, dst = flat.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
@@ -132,7 +126,7 @@ def remove_edges(graph: GraphLike, del_sources, del_targets) -> CSRGraph:
 
     Edges absent from the graph are ignored (idempotent deletion).
     """
-    flat = _flat(graph)
+    flat = graph.flat()
     n = flat.num_vertices
     src, dst = flat.edge_endpoints()
     mask = src < dst

@@ -13,16 +13,11 @@ fast path is pure integer indexing.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph.compression import GraphLike
 from repro.utils.rng import SeedLike, ensure_rng
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 def step_random_walk(

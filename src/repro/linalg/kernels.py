@@ -31,6 +31,9 @@ functions and differ in dtype only.
 * :func:`gram_rescale` — ProNE's re-orthogonalization without the ``n×d``
   dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
   ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
+* :func:`release_pages` — the one ``MADV_DONTNEED`` helper of the
+  out-of-core mode: :func:`spmm_chunked` and the Chebyshev filter drop the
+  pages of memmapped buffers they are done with through it.
 
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
@@ -61,6 +64,7 @@ propagation shows up block-by-block in the unified trace
 
 from __future__ import annotations
 
+import mmap
 import time
 from typing import Optional, Union
 
@@ -376,7 +380,6 @@ def spmm_chunked(
         dense = np.ascontiguousarray(dense, dtype=result_dtype)
     workspace = np.empty((block_rows, cols), dtype=result_dtype)
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    release = _written_page_releaser(out)
     num_chunks = (rows + block_rows - 1) // block_rows
     for chunk, r0 in enumerate(range(0, rows, block_rows)):
         r1 = min(rows, r0 + block_rows)
@@ -394,49 +397,53 @@ def spmm_chunked(
             view = workspace[: r1 - r0]
             spmm(block, dense, out=view, workers=workers)
             out[r0:r1] = view
-            if release is not None:
-                release(r1)
+            # Keep a streaming write to a memmapped ``out`` from piling up
+            # in the resident set: rows [0, r1) are final.
+            release_pages(out, 0, r1)
         telemetry.counter("spmm.chunks").inc()
     return out[:, 0] if squeeze else out
 
 
-def _written_page_releaser(out: np.ndarray):
-    """Incremental ``MADV_DONTNEED`` over a memmapped output's written rows.
+def release_pages(
+    array: np.ndarray, r0: int = 0, r1: Optional[int] = None
+) -> None:
+    """``MADV_DONTNEED`` the pages fully covered by rows ``[r0, r1)`` of a
+    memmapped buffer (the whole array when ``r1`` is omitted).
 
-    Keeps a streaming write to a memmapped ``out`` from accumulating in the
-    resident set: once a row block is written, its fully-covered pages are
-    dropped from the process (the dirty pages live on in the page cache for
-    a *shared* mapping, so the data is unchanged — only residency drops).
-    Returns ``None`` — and the caller skips releasing — unless ``out`` is a
-    shared-mapping ``np.memmap`` starting at file offset 0; mode ``"c"``
-    (``MAP_PRIVATE``) must never be released or dirty pages would be lost.
+    For a *shared* file mapping this only drops the pages from the process:
+    dirty pages live on in the page cache and are repopulated on the next
+    access, so the contents are unchanged — released pages leave the RSS at
+    once and their page-cache copies are evictable.  The range is aligned
+    inward, so pages shared with neighbouring rows are left alone, and
+    releasing an already released range is harmless.
+
+    A no-op unless ``array`` is a C-contiguous ``np.memmap`` opened ``"r+"``
+    or ``"w+"`` that spans its whole mapping from file offset 0 (so a row
+    index is a byte offset into the mapping).  Mode ``"c"`` (``MAP_PRIVATE``)
+    must never be released — its dirty pages would be lost — and plain
+    ndarrays, views of part of a mapping and platforms without ``madvise``
+    are skipped.
     """
-    if not isinstance(out, np.memmap):
-        return None
-    if getattr(out, "mode", None) not in ("r+", "w+"):
-        return None
-    if getattr(out, "offset", 0) != 0 or not out.flags["C_CONTIGUOUS"]:
-        return None
-    raw = getattr(out, "_mmap", None)
-    if raw is None or not hasattr(raw, "madvise"):
-        return None
-    import mmap as mmap_mod
-
-    page = mmap_mod.PAGESIZE
-    row_bytes = out.shape[1] * out.itemsize if out.ndim == 2 else out.itemsize
-    state = {"released": 0}
-
-    def release(upto_row: int) -> None:
-        end = (upto_row * row_bytes) // page * page
-        if end > state["released"]:
-            try:
-                raw.madvise(mmap_mod.MADV_DONTNEED, state["released"],
-                            end - state["released"])
-            except (ValueError, OSError):  # pragma: no cover
-                return
-            state["released"] = end
-
-    return release
+    raw = getattr(array, "_mmap", None)
+    if (
+        not isinstance(array, np.memmap)
+        or array.mode not in ("r+", "w+")
+        or array.offset != 0
+        or not array.flags["C_CONTIGUOUS"]
+        or not hasattr(raw, "madvise")
+        or array.nbytes != len(raw)
+        or array.shape[0] == 0
+    ):
+        return
+    row_bytes = array.nbytes // array.shape[0]
+    page = mmap.PAGESIZE
+    start = -(-r0 * row_bytes // page) * page
+    end = array.nbytes if r1 is None else r1 * row_bytes // page * page
+    if end > start:
+        try:
+            raw.madvise(mmap.MADV_DONTNEED, start, end - start)
+        except (ValueError, OSError):  # pragma: no cover
+            pass
 
 
 def gram(

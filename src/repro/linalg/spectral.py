@@ -20,16 +20,14 @@ Sparse BLAS.  They all run through :func:`repro.linalg.kernels.spmm`:
 Bessel coefficients are precomputed as one vector, the recurrence ping-pongs
 a fixed set of ``lx0``/``lx1``/``lx2`` buffers with in-place axpy updates
 (no per-term temporaries), and the row-normalized propagation operator
-``D⁻¹(A + I)`` is cached on the graph object keyed by dtype so repeated
-propagation calls — and :class:`~repro.graph.compression.CompressedGraph`
-inputs — neither rebuild nor re-decompress it.  ``precision="single"`` runs
-the same filter and the same rescale in float32; nothing else depends on the
-precision.
+``D⁻¹(A + I)`` is cached on the flat graph object (``graph.flat()``) keyed by
+dtype so repeated propagation calls do not rebuild it.
+``precision="single"`` runs the same filter and the same rescale in float32;
+nothing else depends on the precision.
 """
 
 from __future__ import annotations
 
-import mmap as _mmap_mod
 import os
 import tempfile
 from typing import Optional
@@ -40,11 +38,12 @@ from scipy.special import iv
 
 from repro import telemetry
 from repro.errors import FactorizationError
-from repro.graph.compression import CompressedGraph
+from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.linalg.kernels import (
     SPMM_WORKSPACE_BYTES,
     gram_rescale,
+    release_pages,
     resolve_precision,
     spmm,
     spmm_chunked,
@@ -71,62 +70,8 @@ def _offload_buffer(shape, dtype, offload_dir: str) -> np.ndarray:
     return buffer
 
 
-def _release_row_range(array: np.ndarray, r0: int, r1: int) -> None:
-    """Drop the fully-covered pages of rows ``[r0, r1)`` of an offload buffer.
-
-    Same safety argument as :func:`_release_pages` (shared mapping → page
-    cache keeps the contents); page-aligned inward so partially-covered
-    boundary pages are left alone.  No-op for anything that is not a
-    C-contiguous shared-mapping ``np.memmap`` at file offset 0.
-    """
-    if (
-        not isinstance(array, np.memmap)
-        or getattr(array, "mode", None) not in ("r+", "w+")
-        or getattr(array, "offset", 0) != 0
-        or array.ndim != 2
-        or not array.flags["C_CONTIGUOUS"]
-    ):
-        return
-    raw = getattr(array, "_mmap", None)
-    if raw is None or not hasattr(raw, "madvise"):
-        return
-    page = _mmap_mod.PAGESIZE
-    row_bytes = array.shape[1] * array.itemsize
-    start = (r0 * row_bytes + page - 1) // page * page
-    end = (r1 * row_bytes) // page * page
-    if end > start:
-        try:
-            raw.madvise(_mmap_mod.MADV_DONTNEED, start, end - start)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
-
-
-def _release_pages(array: Optional[np.ndarray]) -> None:
-    """Drop a memmap buffer's resident pages (``MADV_DONTNEED``).
-
-    For a *shared file* mapping this only unmaps the PTEs — dirty pages
-    live in the page cache and are repopulated on the next access — so it
-    is safe to call on a buffer whose current contents are still needed.
-    The point is accounting + reclaimability: released pages leave the
-    process's RSS immediately and the page-cache copies are evictable.
-    No-op for plain ndarrays and on platforms without ``madvise``.
-    """
-    base = array
-    while base is not None and not isinstance(base, np.memmap):
-        base = getattr(base, "base", None)
-    raw = getattr(base, "_mmap", None)
-    if raw is None:
-        return
-    try:
-        raw.madvise(_mmap_mod.MADV_DONTNEED)
-    except (AttributeError, ValueError, OSError):  # pragma: no cover
-        pass
-
-
-def _row_normalized_adjacency(graph) -> sp.csr_matrix:
+def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """``D⁻¹(A + I)`` — ProNE adds the identity before normalizing."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
     n = graph.num_vertices
     adjacency = (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -134,38 +79,27 @@ def _row_normalized_adjacency(graph) -> sp.csr_matrix:
     return (sp.diags(inv) @ adjacency).tocsr()
 
 
-def propagation_operator(graph, dtype=np.float64) -> sp.csr_matrix:
+def propagation_operator(graph: GraphLike, dtype=np.float64) -> sp.csr_matrix:
     """The cached row-normalized propagation operator ``D⁻¹(A + I)``.
 
-    The float64 operator is built once per graph and memoized on the graph
-    object (``CSRGraph`` and ``CompressedGraph`` both reserve a cache slot);
-    other dtypes are cast from the cached float64 build and memoized under
-    their own key.  For compressed graphs this also means the decompression
-    happens at most once across all propagation calls.  Callers must not
-    mutate the returned matrix.
+    The float64 operator is built once per graph and memoized on the flat
+    :class:`~repro.graph.csr.CSRGraph` (``graph.flat()``, itself kept on an
+    encoded input); other dtypes are cast from the cached float64 build and
+    memoized under their own key.  Callers must not mutate the returned
+    matrix.
     """
+    graph = graph.flat()
     dtype = np.dtype(dtype)
-    cache = getattr(graph, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            graph._op_cache = cache
-        except AttributeError:  # foreign graph-likes without the cache slot
-            cache = None
+    if graph._op_cache is None:
+        graph._op_cache = {}
+    cache = graph._op_cache
     key = ("row_normalized", dtype.str)
-    if cache is not None and key in cache:
-        return cache[key]
-    base_key = ("row_normalized", np.dtype(np.float64).str)
-    if cache is not None and base_key in cache:
-        base = cache[base_key]
-    else:
-        base = _row_normalized_adjacency(graph)
-        if cache is not None:
-            cache[base_key] = base
-    operator = base if dtype == np.float64 else base.astype(dtype)
-    if cache is not None:
-        cache[key] = operator
-    return operator
+    if key not in cache:
+        base_key = ("row_normalized", np.dtype(np.float64).str)
+        if base_key not in cache:
+            cache[base_key] = _row_normalized_adjacency(graph)
+        cache[key] = cache[base_key].astype(dtype, copy=False)
+    return cache[key]
 
 
 def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:
@@ -258,9 +192,9 @@ def chebyshev_gaussian_filter(
     if order < 1:
         raise FactorizationError(f"order must be >= 1, got {order}")
     if order == 1:
-        # Identity filter: hand back a copy in the *input* dtype (no forced
-        # float64 upcast).
-        return np.array(embedding, copy=True)
+        # Identity filter: a copy in the dtype ``precision`` resolves to,
+        # like every higher order.
+        return np.array(embedding, dtype=dtype, copy=True)
 
     with telemetry.span("propagation.operator"):
         da = propagation_operator(graph, dtype)
@@ -293,11 +227,11 @@ def chebyshev_gaussian_filter(
             for r0 in range(0, out.shape[0], _ew_block):
                 r1 = min(out.shape[0], r0 + _ew_block)
                 op(a[r0:r1], b[r0:r1] if b_is_array else b, out=out[r0:r1])
-                _release_row_range(out, r0, r1)
+                release_pages(out, r0, r1)
                 if a is not out:
-                    _release_row_range(a, r0, r1)
+                    release_pages(a, r0, r1)
                 if b_is_array and b is not out and b is not a:
-                    _release_row_range(b, r0, r1)
+                    release_pages(b, r0, r1)
     else:
         alloc_like = np.empty_like
 
@@ -345,7 +279,8 @@ def chebyshev_gaussian_filter(
             lx0, lx1, spare = lx1, spare, (None if released is x else released)
             # The rotated-out buffer is fully overwritten next iteration;
             # its pages can leave the resident set right now.
-            _release_pages(spare)
+            if spare is not None:
+                release_pages(spare)
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
             telemetry.histogram("propagation.term_seconds").observe(elapsed)
@@ -353,9 +288,9 @@ def chebyshev_gaussian_filter(
     # One more smoothing hop through D⁻¹(A+I), as in ProNE.
     elementwise(np.subtract, x, conv, conv)
     if lx1 is not x:
-        _release_pages(lx1)
+        release_pages(lx1)
     if spare is not None:
-        _release_pages(spare)
+        release_pages(spare)
     return product(da, conv, work)
 
 

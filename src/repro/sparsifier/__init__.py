@@ -1,11 +1,11 @@
 """Parallel sparsifier construction (paper Sections 3.2 and 4.2).
 
-Pipeline: a pluggable **sparsifier backend** (:mod:`repro.sparsifier.backends`)
-builds the count matrix — either degree-based edge **downsampling**
+Pipeline: one stage body (:func:`repro.sparsifier.builder.build_sparsifier`)
+runs a named **sampler** — either degree-based edge **downsampling**
 probabilities → per-edge **PathSampling** (Algorithms 1 and 2), or the
-PSNE-style push-based **PPR** estimator — merged by **sparse hashing**
-aggregation into the trunc-log **NetMF matrix estimator** factorized
-downstream.
+PSNE-style push-based **PPR** estimator — and merges its triples by
+sort-reduce **aggregation** into the count matrix behind the trunc-log
+**NetMF matrix estimator** factorized downstream.
 """
 
 from repro.sparsifier.downsampling import downsampling_probabilities
@@ -23,20 +23,14 @@ from repro.sparsifier.aggregation import (
     aggregate_sort,
 )
 from repro.sparsifier.builder import (
+    SPARSIFIER_SAMPLERS,
     SparsifierResult,
     aggregate_sample_counts,
     build_netmf_sparsifier,
+    build_sparsifier,
+    sparsifier_backend_names,
     sparsifier_to_netmf_matrix,
     validate_sparsifier_graph,
-)
-from repro.sparsifier.backends import (
-    PathSamplingBackend,
-    PPRBackend,
-    SPARSIFIER_BACKENDS,
-    SparsifierBackend,
-    build_sparsifier,
-    get_sparsifier_backend,
-    sparsifier_backend_names,
 )
 from repro.sparsifier.ppr import sample_ppr_counts, walk_operator
 
@@ -57,12 +51,8 @@ __all__ = [
     "build_netmf_sparsifier",
     "sparsifier_to_netmf_matrix",
     "validate_sparsifier_graph",
-    "SparsifierBackend",
-    "PathSamplingBackend",
-    "PPRBackend",
-    "SPARSIFIER_BACKENDS",
+    "SPARSIFIER_SAMPLERS",
     "build_sparsifier",
-    "get_sparsifier_backend",
     "sparsifier_backend_names",
     "sample_ppr_counts",
     "walk_operator",

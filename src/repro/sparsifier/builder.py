@@ -39,32 +39,50 @@ and its downsampling probability degenerates to ``p_e = 0`` (an infinite
 reweight if it ever survived) — :func:`validate_sparsifier_graph` rejects
 those graphs with a typed :class:`~repro.errors.UnsupportedGraphError`
 instead of silently producing a biased sparsifier.
+
+Samplers
+--------
+The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`; what
+varies is the function that emits the sample triples, looked up by name in
+:data:`SPARSIFIER_SAMPLERS` (``LightNEParams.sparsifier``, CLI
+``--sparsifier``).  ``"path"`` is the Monte-Carlo estimator derived above
+(:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`);
+``"ppr"`` computes the same walk mass with a PSNE-style thresholded push and
+randomized-rounds it into counts
+(:func:`~repro.sparsifier.ppr.sample_ppr_counts`).  Every sampler honours
+
+* ``sampler(graph, config, rng, *, batch_size, workers, backend, stats)
+  -> (rows, cols, weights, draws)`` with
+  ``E[W(x, y)] = (M / vol(G)) · d_x · S(x, y)``,
+  ``S = (1/T)·Σ_{r=1..T}(D⁻¹A)^r``, and ``draws = M``, so the estimator
+  above is sampler-independent;
+* bit-identical triples for a fixed ``(seed, batch_size)`` at every worker
+  count on both execution substrates, via the per-batch RNG streams.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError, UnsupportedGraphError
-from repro.graph.compression import CompressedGraph
-from repro.graph.csr import CSRGraph
+from repro.graph import GraphLike
 from repro.sparsifier.aggregation import (
     aggregate_hash,
     aggregate_hash_sharded,
     aggregate_sort,
 )
 from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
+from repro.sparsifier.ppr import sample_ppr_counts
+from repro.telemetry import health
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timer import StageTimer
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass
@@ -118,18 +136,18 @@ def _trunc_log_inplace(matrix: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def validate_sparsifier_graph(graph: GraphLike) -> bool:
-    """Check ``graph`` is servable by a sparsifier backend.
+    """Check ``graph`` is servable by a sparsifier sampler.
 
-    Returns ``True`` when the graph is weighted (backends then use
+    Returns ``True`` when the graph is weighted (samplers then use
     weight-aware seeding / weighted degrees) and ``False`` for the plain
     unweighted case.  Weighted graphs with zero-weight edges raise
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
     the estimator's seeding and downsampling laws degenerate there.
     """
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    if flat.weights is None:
+    weights = graph.flat().weights
+    if weights is None:
         return False
-    if flat.weights.size and float(flat.weights.min()) <= 0.0:
+    if weights.size and float(weights.min()) <= 0.0:
         raise UnsupportedGraphError(
             "sparsifier backends require strictly positive edge weights on "
             "weighted graphs (zero-weight edges cannot be seeded and break "
@@ -150,7 +168,7 @@ def aggregate_sample_counts(
     stats: Optional[Dict[str, float]] = None,
 ):
     """Merge sample triples into unique ``(rows, cols, vals)`` — the shared
-    aggregation stage behind every sparsifier backend.
+    aggregation stage behind every sampler.
 
     ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
     serial pass in the parent, ``workers``/``backend`` not consulted, output
@@ -192,7 +210,7 @@ def aggregate_to_counts(
 ) -> sp.csr_matrix:
     """Aggregate sample triples into the ``n × n`` count matrix ``W``.
 
-    The back half of every backend's ``"sparsifier"`` stage: runs
+    The back half of the ``"sparsifier"`` stage: runs
     :func:`aggregate_sample_counts` under the ``sparsifier.aggregation``
     span and records ``aggregation_seconds`` and ``total_mass`` in ``stats``.
     """
@@ -218,25 +236,53 @@ def aggregate_to_counts(
     return counts
 
 
-def build_netmf_sparsifier(
+def _sample_path(graph: GraphLike, config: PathSamplingConfig, rng, **kwargs):
+    with telemetry.span("sparsifier.sampling"):
+        return sample_sparsifier_edges(graph, config, rng, **kwargs)
+
+
+def _sample_ppr(graph: GraphLike, config: PathSamplingConfig, rng, **kwargs):
+    with telemetry.span(
+        "sparsifier.ppr", window=config.window, num_samples=config.num_samples
+    ):
+        return sample_ppr_counts(graph, config, rng, **kwargs)
+
+
+# Sampler per ``sparsifier=`` name (contract in the module docstring), each
+# under the trace span it has always reported; the default comes first.
+SPARSIFIER_SAMPLERS = {"path": _sample_path, "ppr": _sample_ppr}
+
+
+def sparsifier_backend_names() -> list:
+    """Names ``sparsifier=`` accepts, default first."""
+    return list(SPARSIFIER_SAMPLERS)
+
+
+def build_sparsifier(
     graph: GraphLike,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
+    sparsifier: str = "path",
     aggregator: str = "sort",
     timer: Optional[StageTimer] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     batch_size: int = 2_000_000,
 ) -> SparsifierResult:
-    """Sample (Algorithm 2) and aggregate into the count matrix ``W``.
+    """Sample and aggregate the count matrix ``W`` — the ``"sparsifier"``
+    stage of every pipeline, whichever sampler emits the triples.
 
     Parameters
     ----------
     graph:
-        Input graph (CSR or compressed).
+        Input graph.
     config:
         Sampling parameters (window ``T``, sample budget ``M``, downsampling).
+    sparsifier:
+        Sampler name from :data:`SPARSIFIER_SAMPLERS`: ``"path"`` (default,
+        Algorithm 2) or ``"ppr"`` (thresholded push); unknown names raise
+        :class:`~repro.errors.SamplingError`.
     aggregator:
         ``"sort"`` (default: sort-reduce kernel), ``"hash"`` (paper's shared
         sparse parallel hashing, numpy emulation) or ``"hash-sharded"``
@@ -262,7 +308,19 @@ def build_netmf_sparsifier(
         :func:`repro.sparsifier.aggregation.aggregate_hash_sharded`.
     batch_size:
         Maximum walk-slab size; bounds peak memory of the sampling stage.
+
+    The numerical-health layer fingerprints the count matrix here (stage
+    ``"sparsifier"``) and checks the estimator's total-mass contract
+    ``E[Σ W] = M``; both are no-ops unless a pipeline installed an active
+    :class:`~repro.telemetry.health.HealthRecorder`.
     """
+    try:
+        sampler = SPARSIFIER_SAMPLERS[sparsifier]
+    except KeyError:
+        raise SamplingError(
+            f"unknown sparsifier backend {sparsifier!r}; known backends: "
+            f"{', '.join(SPARSIFIER_SAMPLERS)}"
+        ) from None
     rng = ensure_rng(seed)
     backend = resolve_backend(backend)
     if workers is None:
@@ -271,15 +329,17 @@ def build_netmf_sparsifier(
     timer = timer if timer is not None else StageTimer()
     stats: Dict[str, float] = {}
     stats["weighted_seeding"] = float(validate_sparsifier_graph(graph))
+    # Only a non-default sampler names itself on the stage span.
+    named = {} if sparsifier == "path" else {"sparsifier": sparsifier}
     with timer.stage(
-        "sparsifier", aggregator=aggregator, workers=workers, backend=backend
+        "sparsifier", **named, aggregator=aggregator, workers=workers,
+        backend=backend,
     ):
         tic = time.perf_counter()
-        with telemetry.span("sparsifier.sampling"):
-            u, v, w, draws = sample_sparsifier_edges(
-                graph, config, rng, batch_size=batch_size, workers=workers,
-                backend=backend, stats=stats,
-            )
+        u, v, w, draws = sampler(
+            graph, config, rng, batch_size=batch_size, workers=workers,
+            backend=backend, stats=stats,
+        )
         stats["sampling_seconds"] = time.perf_counter() - tic
         stats["samples_per_sec"] = u.size / max(stats["sampling_seconds"], 1e-12)
         counts = aggregate_to_counts(
@@ -292,8 +352,28 @@ def build_netmf_sparsifier(
     ):
         if name in stats:
             timer.set_counter("sparsifier", name, float(stats[name]))
+    health.checkpoint("sparsifier", counts)
+    health.check_sparsifier_mass(counts, draws)
     return SparsifierResult(
         counts=counts, num_draws=draws, window=config.window, stats=stats
+    )
+
+
+def build_netmf_sparsifier(
+    graph: GraphLike,
+    config: PathSamplingConfig,
+    seed: SeedLike = None,
+    *,
+    aggregator: str = "sort",
+    timer: Optional[StageTimer] = None,
+    workers: Optional[int] = None,
+    backend: Optional[str] = None,
+    batch_size: int = 2_000_000,
+) -> SparsifierResult:
+    """:func:`build_sparsifier` with the paper's sampler (Algorithm 2)."""
+    return build_sparsifier(
+        graph, config, seed, sparsifier="path", aggregator=aggregator,
+        timer=timer, workers=workers, backend=backend, batch_size=batch_size,
     )
 
 
@@ -310,7 +390,7 @@ def sparsifier_to_netmf_matrix(
     graph:
         The graph the sparsifier was built from (provides ``vol`` and ``D``).
     result:
-        Output of :func:`build_netmf_sparsifier`.
+        Output of :func:`build_sparsifier`.
     negative_samples:
         The ``b`` in Eq. (1) (skip-gram negative-sample count, default 1).
     """

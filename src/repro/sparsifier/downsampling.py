@@ -17,15 +17,13 @@ expected number of kept edges is ``O(n·C)`` because
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
+from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 def default_constant(num_vertices: int) -> float:
@@ -80,8 +78,7 @@ def graph_downsampling_probabilities(
     graph: GraphLike, *, constant: Optional[float] = None
 ) -> np.ndarray:
     """``p_e`` for every undirected edge of ``graph`` (``u < v`` order)."""
-    if isinstance(graph, CompressedGraph):
-        graph = graph.decompress()
+    graph = graph.flat()
     src, dst = graph.edge_endpoints()
     mask = src < dst
     wts = graph.weights[mask] if graph.weights is not None else None

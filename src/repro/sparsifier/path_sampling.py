@@ -19,20 +19,18 @@ grouped by walk length ``r``, and the two walks are advanced in lock-step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
+from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import step_random_walk
 from repro.sparsifier.downsampling import downsampling_probabilities
 from repro.utils.parallel import default_workers, parallel_map, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def _worker_walk(index: int, batch: np.ndarray, rng: np.random.Generator):
 
 def walk_slabs(
     build,
-    graph: GraphLike,
+    graph: CSRGraph,
     build_args: tuple,
     slabs: Sequence[tuple],
     *,
@@ -193,10 +191,10 @@ def walk_slabs(
 
 @dataclass(frozen=True)
 class _WalkContext:
-    """What one PathSampling slab reads: the walk graph (the possibly
-    compressed original) and the per-seed-edge arrays derived from it."""
+    """What one PathSampling slab reads: the flat walk graph and the
+    per-seed-edge arrays derived from it."""
 
-    graph: GraphLike
+    graph: CSRGraph
     src: np.ndarray
     dst: np.ndarray
     edge_weights: Optional[np.ndarray]
@@ -232,24 +230,23 @@ class _WalkContext:
         return u_prime, v_prime, 1.0 / self.probs[batch]
 
 
-def _walk_context(graph: GraphLike, config: PathSamplingConfig) -> _WalkContext:
+def _walk_context(graph: CSRGraph, config: PathSamplingConfig) -> _WalkContext:
     """Seed edges (one per undirected non-loop edge) and their coin ``p_e``."""
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    if flat.num_edges == 0:
+    if graph.num_edges == 0:
         raise SamplingError("cannot sample from an empty graph")
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
     # Self-loops are not seedable, so every per-edge array is sized by the
-    # masked count, not ``flat.num_edges``.
+    # masked count, not ``graph.num_edges``.
     if src.size == 0:
         raise SamplingError("graph has no non-loop edges to seed from")
-    edge_w = flat.weights[mask] if flat.weights is not None else None
+    edge_w = graph.weights[mask] if graph.weights is not None else None
     if config.downsample:
         probs = downsampling_probabilities(
             src,
             dst,
-            flat.weighted_degrees(),
+            graph.weighted_degrees(),
             constant=config.downsample_constant,
             edge_weights=edge_w,
         )
@@ -306,6 +303,7 @@ def sample_sparsifier_edges(
         workers = default_workers()
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
+    graph = graph.flat()
     context = _walk_context(graph, config)
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")

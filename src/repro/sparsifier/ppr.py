@@ -38,20 +38,18 @@ execution substrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph.compression import CompressedGraph
+from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.path_sampling import PathSamplingConfig, walk_slabs
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
-
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 # Sources per slab are capped so one frontier block stays cache-friendly even
 # with the default (walk-oriented) 2M batch_size.
@@ -65,12 +63,12 @@ def walk_operator(graph: GraphLike) -> Tuple[sp.csr_matrix, np.ndarray, float]:
     PathSampling process which can never seed there).  Pure deterministic
     function of the graph, so parent and pool workers agree bit for bit.
     """
-    flat = graph.decompress() if isinstance(graph, CompressedGraph) else graph
-    degrees = flat.weighted_degrees().astype(np.float64)
-    adjacency = flat.adjacency(dtype=np.float64)
+    graph = graph.flat()
+    degrees = graph.weighted_degrees().astype(np.float64)
+    adjacency = graph.adjacency(dtype=np.float64)
     inv = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-300), 0.0)
     operator = (sp.diags(inv) @ adjacency).tocsr()
-    return operator, degrees, float(flat.volume)
+    return operator, degrees, float(graph.volume)
 
 
 def _prune_rows(matrix: sp.csr_matrix, floors: np.ndarray) -> sp.csr_matrix:
@@ -174,7 +172,7 @@ class _PushContext:
 
 
 def _push_context(
-    graph: GraphLike, window: int, num_samples: int, resolution: float
+    graph: CSRGraph, window: int, num_samples: int, resolution: float
 ) -> _PushContext:
     return _PushContext(*walk_operator(graph), window, num_samples, resolution)
 
@@ -224,6 +222,7 @@ def sample_ppr_counts(
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
 
+    graph = graph.flat()
     n = graph.num_vertices
     source_batch = max(1, min(int(batch_size), _MAX_SOURCE_BATCH))
     starts = list(range(0, n, source_batch))

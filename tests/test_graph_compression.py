@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,21 @@ class TestCompressedGraph:
         assert cg.is_weighted
         assert cg.decompress() == g
         np.testing.assert_allclose(cg.weighted_degrees(), g.weighted_degrees())
+
+    def test_flat_is_the_cached_decode(self, graphs):
+        """``flat()`` decodes once per object; ``decompress()`` stays the raw
+        decoder (a fresh graph per call — what E11/E14 time)."""
+        g, _ = graphs
+        cg = compress_graph(g)
+        assert g.flat() is g
+        flat = cg.flat()
+        assert flat == g
+        assert cg.flat() is flat
+        fresh = cg.decompress()
+        assert fresh == g and fresh is not flat
+        assert cg.decompress() is not fresh
+        clone = pickle.loads(pickle.dumps(cg))
+        assert clone.flat() == g
 
     def test_empty_graph(self):
         g = from_edges([], [], num_vertices=3)

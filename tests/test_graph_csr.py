@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.graph.builders import from_edges
+from repro.graph.compression import compress_graph
 from repro.graph.csr import CSRGraph
 
 
@@ -74,6 +77,43 @@ class TestDegrees:
     def test_weighted_degrees_with_isolated_vertex(self):
         g = from_edges([0], [1], [2.0], num_vertices=4)
         np.testing.assert_allclose(g.weighted_degrees(), [2.0, 2.0, 0.0, 0.0])
+
+    def test_last_row_keeps_its_last_weight_before_trailing_isolated(self):
+        """The clipped-``reduceat`` bug: vertex 2 used to lose the weight-4
+        edge because vertices 3 and 4 are isolated."""
+        g = from_edges([0, 0, 1], [1, 2, 2], weights=[1, 2, 4], num_vertices=5)
+        np.testing.assert_array_equal(g.weighted_degrees(), [3, 5, 6, 0, 0])
+        assert g.weighted_degrees().sum() == g.volume == 14
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 11), st.integers(0, 11), st.integers(1, 1000)
+            ),
+            min_size=1, max_size=60,
+        ),
+        st.integers(1, 3),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_degrees_are_adjacency_row_sums(self, edges, stride, trailing):
+        """On both containers, whatever rows are empty: ids are spread by
+        ``stride`` (interior isolated vertices) and ``trailing`` isolated
+        vertices follow the last edge.  Integer weights make it exact."""
+        src = np.array([a for a, _, _ in edges]) * stride
+        dst = np.array([b for _, b, _ in edges]) * stride
+        weights = np.array([w for _, _, w in edges], dtype=np.float64)
+        keep = src != dst
+        if not keep.any():
+            return
+        n = int(max(src[keep].max(), dst[keep].max())) + 1 + trailing
+        g = from_edges(src[keep], dst[keep], weights=weights[keep], num_vertices=n)
+        row_sums = np.asarray(g.adjacency().sum(axis=1)).ravel()
+        for graph in (g, compress_graph(g)):
+            degrees = graph.weighted_degrees()
+            assert degrees.dtype == np.float64
+            np.testing.assert_array_equal(degrees, row_sums)
+            assert degrees.sum() == graph.volume
 
     def test_volume_unweighted(self, triangle):
         assert triangle.volume == 6.0

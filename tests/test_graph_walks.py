@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
+from repro.graph.compression import CompressedGraph, compress_graph
 from repro.graph.walks import random_walk_matrix_sample, step_random_walk
 
 
@@ -60,13 +60,30 @@ class TestStepRandomWalk:
         b = step_random_walk(er_graph, starts, steps, seed=9)
         np.testing.assert_array_equal(a, b)
 
-    def test_compressed_graph_walks(self, er_graph):
+    def test_compressed_graph_walks(self, er_graph, monkeypatch):
+        """A walk called directly on the encoded graph fetches the i-th
+        edge block by block (what E11/E14 time) — it never asks for the
+        flat view — and lands where the CSR walk lands."""
         cg = compress_graph(er_graph, block_size=4)
+        lookups = []
+        fetch = CompressedGraph.ith_neighbors
+
+        def spy(self, vertices, indices):
+            lookups.append(len(vertices))
+            return fetch(self, vertices, indices)
+
+        def no_flat(self):
+            raise AssertionError("a direct walk must not decode the graph")
+
+        monkeypatch.setattr(CompressedGraph, "ith_neighbors", spy)
+        monkeypatch.setattr(CompressedGraph, "flat", no_flat)
         starts = np.arange(er_graph.num_vertices)
         steps = np.full(starts.size, 3)
         out = step_random_walk(cg, starts, steps, seed=4)
-        assert out.shape == starts.shape
-        assert out.min() >= 0 and out.max() < er_graph.num_vertices
+        assert len(lookups) == 3 and min(lookups) > 0
+        np.testing.assert_array_equal(
+            out, step_random_walk(er_graph, starts, steps, seed=4)
+        )
 
     def test_stationary_distribution_proportional_to_degree(self):
         # Long walks on a connected non-bipartite graph approach pi ~ degree.

@@ -26,7 +26,7 @@ from repro.eval import (
     train_test_split_edges,
 )
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
+from repro.graph.compression import CompressedGraph, compress_graph
 from repro.graph.generators import dcsbm_graph
 
 
@@ -84,17 +84,62 @@ class TestQualityOrdering:
         assert classify(light.vectors, labels) >= classify(prone.vectors, labels) - 0.08
 
 
+@pytest.fixture
+def decode_counts(monkeypatch):
+    """``id(graph) -> number of CompressedGraph.decompress calls``."""
+    counts = {}
+    original = CompressedGraph.decompress
+
+    def counting(self, **kwargs):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(CompressedGraph, "decompress", counting)
+    return counts
+
+
+def assert_encoded_runs_are_the_csr_run(graph, params, decode_counts):
+    """An encoded input is decoded once per object, before any stage, and
+    from there on *is* the CSR run: same draws, same walks, same bits."""
+    encoded = compress_graph(graph)
+    raw = lightne_embedding(graph, params, seed=0)
+    first = lightne_embedding(encoded, params, seed=0)
+    second = lightne_embedding(encoded, params, seed=0)
+    assert np.array_equal(first.vectors, raw.vectors)
+    assert np.array_equal(second.vectors, raw.vectors)
+    assert first.info["num_draws"] == raw.info["num_draws"]
+    assert decode_counts == {id(encoded): 1}
+
+
 class TestSubstrateEquivalence:
-    def test_compressed_and_raw_same_distribution(self, bundle):
-        """Embedding quality must be statistically identical on compressed
-        input (walks differ by RNG consumption, not by law)."""
-        graph, labels = bundle
+    def test_compressed_and_raw_same_distribution(self, bundle, decode_counts):
+        """Not merely the same distribution: the same embedding."""
+        graph, _ = bundle
         params = LightNEParams(dimension=16, window=3, sample_multiplier=5)
-        raw = lightne_embedding(graph, params, seed=0)
-        compressed = lightne_embedding(compress_graph(graph), params, seed=0)
-        raw_f1 = classify(raw.vectors, labels)
-        comp_f1 = classify(compressed.vectors, labels)
-        assert abs(raw_f1 - comp_f1) < 0.1
+        assert_encoded_runs_are_the_csr_run(graph, params, decode_counts)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
+    def test_encoded_input_bit_identical(
+        self, sparsifier, weighted, backend, decode_counts
+    ):
+        graph, _ = dcsbm_graph(120, 3, avg_degree=8, mixing=0.15, seed=9)
+        if weighted:
+            src, dst = graph.edge_endpoints()
+            once = src < dst
+            weights = np.random.default_rng(1).uniform(0.5, 2.0, int(once.sum()))
+            graph = from_edges(
+                src[once], dst[once], weights=weights,
+                num_vertices=graph.num_vertices,
+            )
+        # Small slabs and two workers, so the process substrate really
+        # ships the graph to a pool.
+        params = LightNEParams(
+            dimension=8, window=3, sample_multiplier=2, sparsifier=sparsifier,
+            backend=backend, workers=2, batch_size=50,
+        )
+        assert_encoded_runs_are_the_csr_run(graph, params, decode_counts)
 
     def test_downsampling_quality_preserved(self, bundle):
         """§3.2: downsampling has 'negligible effects on quality' while

@@ -360,12 +360,35 @@ class TestChebyshevReference:
         np.testing.assert_array_equal(x, snapshot)
 
     def test_order_one_keeps_input_dtype(self, bundle, rng):
+        """The identity filter is a copy: no widening past the requested
+        precision, and never the caller's own array."""
         graph, _ = bundle
         x = rng.standard_normal((graph.num_vertices, 4)).astype(np.float32)
-        out = chebyshev_gaussian_filter(graph, x, order=1)
+        out = chebyshev_gaussian_filter(graph, x, order=1, precision="single")
         assert out.dtype == np.float32
         assert out is not x
         np.testing.assert_array_equal(out, x)
+
+    @pytest.mark.parametrize("input_dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize(
+        "precision, dtype", (("double", np.float64), ("single", np.float32))
+    )
+    @pytest.mark.parametrize("order", (1, 2))
+    def test_result_dtype_follows_precision(
+        self, bundle, rng, order, precision, dtype, input_dtype
+    ):
+        """``precision`` picks the dtype of the result at every order —
+        order 1 used to hand back the input dtype instead."""
+        graph, _ = bundle
+        x = rng.standard_normal((graph.num_vertices, 4)).astype(input_dtype)
+        filtered = chebyshev_gaussian_filter(
+            graph, x, order=order, precision=precision
+        )
+        assert filtered.dtype == dtype
+        propagated = spectral_propagation(
+            graph, x, order=order, precision=precision
+        )
+        assert propagated.dtype == dtype
 
     def test_single_precision_close_to_double(self, bundle, rng):
         graph, _ = bundle

@@ -8,6 +8,8 @@ buffers live, never a single output bit — at every worker count.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ import scipy.sparse as sp
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import load_csr_v2, save_csr_v2
-from repro.linalg.kernels import spmm, spmm_chunked
+from repro.linalg.kernels import release_pages, spmm, spmm_chunked
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier.builder import build_netmf_sparsifier
 from repro.sparsifier.path_sampling import PathSamplingConfig
@@ -117,6 +119,111 @@ class TestChunkedSPMM:
         _, dense = operands
         with pytest.raises(FactorizationError):
             spmm_chunked(np.eye(300), dense)
+
+
+class _MadviseRecorder:
+    """Stands in for a memmap's raw mapping: forwards, and notes each range."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.ranges = []
+
+    def __len__(self):
+        return len(self.raw)
+
+    def madvise(self, option, start, length):
+        assert option == mmap.MADV_DONTNEED
+        self.ranges.append((start, start + length))
+        return self.raw.madvise(option, start, length)
+
+
+@pytest.mark.skipif(
+    not hasattr(mmap.mmap, "madvise"), reason="platform without madvise"
+)
+class TestReleasePages:
+    ROWS, COLS = 1000, 24  # 192-byte rows: row and page boundaries interleave
+
+    def _buffer(self, tmp_path, mode):
+        """A raw offset-0 memmap over known contents, with a spied mapping."""
+        path = tmp_path / "buffer.bin"
+        contents = np.arange(self.ROWS * self.COLS, dtype=np.float64)
+        contents.tofile(path)
+        buffer = np.memmap(
+            path, dtype=np.float64, mode=mode, shape=(self.ROWS, self.COLS)
+        )
+        buffer._mmap = _MadviseRecorder(buffer._mmap)
+        return buffer, contents.reshape(self.ROWS, self.COLS)
+
+    def test_shared_mapping_survives_whole_array_release(self, tmp_path):
+        buffer, contents = self._buffer(tmp_path, "r+")
+        buffer *= 2.0  # dirty every page
+        release_pages(buffer)
+        assert buffer._mmap.ranges == [(0, buffer.nbytes)]
+        np.testing.assert_array_equal(buffer, contents * 2.0)
+
+    def test_row_range_is_aligned_inward(self, tmp_path):
+        buffer, contents = self._buffer(tmp_path, "r+")
+        buffer += 1.0
+        page, row_bytes = mmap.PAGESIZE, self.COLS * 8
+        r0, r1 = 30, 700
+        release_pages(buffer, r0, r1)
+        (start, end), = buffer._mmap.ranges
+        assert start % page == 0 and end % page == 0
+        assert r0 * row_bytes <= start < r0 * row_bytes + page
+        assert r1 * row_bytes - page < end <= r1 * row_bytes
+        np.testing.assert_array_equal(buffer, contents + 1.0)
+        # A range that covers no whole page releases nothing.
+        release_pages(buffer, 1, 3)
+        assert len(buffer._mmap.ranges) == 1
+
+    def test_fresh_w_plus_buffer(self, tmp_path):
+        buffer = np.memmap(
+            tmp_path / "fresh.bin", dtype=np.float32, mode="w+", shape=(600, 33)
+        )
+        buffer[:] = np.arange(33, dtype=np.float32)
+        release_pages(buffer, 0, 300)
+        release_pages(buffer)
+        np.testing.assert_array_equal(
+            buffer, np.tile(np.arange(33, dtype=np.float32), (600, 1))
+        )
+
+    def test_private_mapping_is_never_released(self, tmp_path):
+        """``MADV_DONTNEED`` on a ``MAP_PRIVATE`` mapping would throw the
+        dirty pages away; mode ``"c"`` must be left alone."""
+        buffer, contents = self._buffer(tmp_path, "c")
+        buffer -= 5.0
+        release_pages(buffer)
+        release_pages(buffer, 0, self.ROWS)
+        assert buffer._mmap.ranges == []
+        np.testing.assert_array_equal(buffer, contents - 5.0)
+
+    def test_other_arrays_are_never_touched(self, tmp_path):
+        plain = np.ones((64, 8))
+        release_pages(plain)
+        release_pages(plain, 0, 64)
+        np.testing.assert_array_equal(plain, np.ones((64, 8)))
+        # Rows of a partial view are not offsets into the mapping, and a
+        # read-only mapping has nothing of ours to drop.
+        buffer, _ = self._buffer(tmp_path, "r+")
+        release_pages(buffer[100:])
+        release_pages(buffer[:, :8])
+        assert buffer._mmap.ranges == []
+        readonly, _ = self._buffer(tmp_path, "r")
+        release_pages(readonly)
+        assert readonly._mmap.ranges == []
+
+    def test_chunked_spmm_releases_the_written_prefix(self, tmp_path):
+        rng = np.random.default_rng(3)
+        matrix = sp.random(self.ROWS, 300, density=0.03, random_state=7, format="csr")
+        dense = rng.standard_normal((300, self.COLS))
+        out, _ = self._buffer(tmp_path, "r+")
+        spmm_chunked(matrix, dense, out=out, block_rows=128)
+        page, row_bytes = mmap.PAGESIZE, self.COLS * 8
+        blocks = range(128, self.ROWS + 128, 128)
+        assert out._mmap.ranges == [
+            (0, min(r1, self.ROWS) * row_bytes // page * page) for r1 in blocks
+        ]
+        np.testing.assert_array_equal(np.asarray(out), spmm(matrix, dense))
 
 
 class TestPropagationOffload:

@@ -3,8 +3,10 @@ consistent with ``__all__``."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -139,3 +141,44 @@ def test_errors_inherit_base():
         if inspect.isclass(obj) and issubclass(obj, Exception):
             if obj is not errors.ReproError:
                 assert issubclass(obj, errors.ReproError), name
+
+
+def test_encoding_stays_inside_graph_package():
+    """Layering: how an encoded graph is read is ``repro.graph``'s business.
+
+    Outside that package (the top-level re-export aside) no module imports
+    ``repro.graph.compression`` or the container class, nothing calls
+    ``decompress()`` — readers take ``graph.flat()`` — and the
+    either-container alias ``GraphLike`` has exactly one definition.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    graphlike_definitions = []
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        exempt = relative.startswith("graph/") or relative == "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Assign):
+                if any(
+                    isinstance(target, ast.Name) and target.id == "GraphLike"
+                    for target in node.targets
+                ):
+                    graphlike_definitions.append(relative)
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = [f"{node.func.attr}()"]
+            if not exempt:
+                offenders += [
+                    f"{relative}:{node.lineno}: {name}" for name in names
+                    if name.endswith(
+                        ("compression", "CompressedGraph", "decompress()")
+                    )
+                ]
+    assert offenders == []
+    assert graphlike_definitions == ["graph/compression.py"]

@@ -1,12 +1,12 @@
-"""Tests for the pluggable sparsifier backend layer.
+"""Tests for the sparsifier stage's sampler table.
 
-Covers the backend contract from three sides: the default ``"path"``
-backend must be bit-identical to the pre-backend pipeline at every worker
-count on both execution substrates; the ``"ppr"`` backend must be
-deterministic under the same sweep and estimate the NetMF matrix at least
-as well as PathSampling at equal sample budgets; and the widened
-workloads (weighted / bipartite / temporal) must run the full
-builders → sparsifier → eval path.
+Covers the sampler contract from three sides: the default ``"path"``
+sampler through ``build_sparsifier`` must be bit-identical to
+``build_netmf_sparsifier`` at every worker count on both execution
+substrates; the ``"ppr"`` sampler must be deterministic under the same
+sweep and estimate the NetMF matrix at least as well as PathSampling at
+equal sample budgets; and the widened workloads (weighted / bipartite /
+temporal) must run the full builders → sparsifier → eval path.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ from repro.errors import (
 )
 from repro.graph.builders import from_bipartite_edges, from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
-from repro.sparsifier.backends import (
-    SPARSIFIER_BACKENDS,
-    PathSamplingBackend,
-    PPRBackend,
-    SparsifierBackend,
-    build_sparsifier,
-    get_sparsifier_backend,
-    sparsifier_backend_names,
-)
 from repro.sparsifier.builder import (
+    SPARSIFIER_SAMPLERS,
     build_netmf_sparsifier,
+    build_sparsifier,
+    sparsifier_backend_names,
     sparsifier_to_netmf_matrix,
     validate_sparsifier_graph,
 )
@@ -57,22 +51,31 @@ def _identical(a, b) -> bool:
 class TestRegistry:
     def test_backend_names(self):
         assert sparsifier_backend_names() == ["path", "ppr"]
+        assert sparsifier_backend_names() == list(SPARSIFIER_SAMPLERS)
 
     def test_default_is_path(self):
         assert sparsifier_backend_names()[0] == "path"
 
-    def test_lookup(self):
-        assert isinstance(get_sparsifier_backend("path"), PathSamplingBackend)
-        assert isinstance(get_sparsifier_backend("ppr"), PPRBackend)
+    def test_unknown_backend_raises(self, er_graph):
+        config = PathSamplingConfig(window=2, num_samples=100)
+        with pytest.raises(SamplingError, match="wat.*path, ppr"):
+            build_sparsifier(er_graph, config, seed=0, sparsifier="wat")
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SamplingError):
-            get_sparsifier_backend("wat")
-
-    def test_every_backend_implements_protocol(self):
-        for name, backend in SPARSIFIER_BACKENDS.items():
-            assert isinstance(backend, SparsifierBackend)
-            assert backend.name == name
+    @pytest.mark.parametrize("name", list(SPARSIFIER_SAMPLERS))
+    def test_every_sampler_honours_the_call_contract(self, er_graph, name):
+        """One signature, parallel triples, and ``draws`` equal to the
+        budget ``M`` the estimator divides by (realized, for ``path``)."""
+        config = PathSamplingConfig(window=2, num_samples=4000)
+        stats = {}
+        rows, cols, weights, draws = SPARSIFIER_SAMPLERS[name](
+            er_graph, config, np.random.default_rng(5), batch_size=1000,
+            workers=1, backend="thread", stats=stats,
+        )
+        assert rows.shape == cols.shape == weights.shape
+        assert rows.dtype == cols.dtype == np.int64
+        assert weights.min() > 0
+        assert abs(draws - config.num_samples) <= er_graph.num_edges
+        assert stats["walk_samples"] == rows.size
 
     def test_make_params_accepts_sparsifier(self):
         params = make_params("lightne", sparsifier="ppr", dimension=8)
@@ -264,9 +267,14 @@ class TestPPREstimator:
 
     def test_resolution_controls_density(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=20_000)
-        fine = PPRBackend(resolution=0.05).build(er_graph, config, seed=3)
-        coarse = PPRBackend(resolution=2.0).build(er_graph, config, seed=3)
-        assert fine.counts.nnz >= coarse.counts.nnz
+
+        def distinct_pairs(resolution):
+            rows, cols, _, _ = sample_ppr_counts(
+                er_graph, config, 3, resolution=resolution
+            )
+            return np.unique(rows * er_graph.num_vertices + cols).size
+
+        assert distinct_pairs(0.05) >= distinct_pairs(2.0)
 
     def test_invalid_inputs(self, er_graph):
         rng = np.random.default_rng(0)

@@ -26,6 +26,7 @@ from repro.sparsifier.builder import (
     SparsifierResult,
     aggregate_to_counts,
     build_netmf_sparsifier,
+    build_sparsifier,
     sparsifier_to_netmf_matrix,
     trunc_log,
 )
@@ -351,6 +352,37 @@ class TestEstimator:
         mask = (exact > 0) | (approx > 0)
         correlation = np.corrcoef(exact[mask], approx[mask])[0, 1]
         assert correlation > 0.8
+
+    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
+    def test_padding_with_isolated_vertices_changes_nothing(self, sparsifier):
+        """Trailing isolated vertices used to cost the last connected vertex
+        its final edge weight in ``weighted_degrees``, skewing its coin, its
+        walk-operator row and its ``D⁻¹`` scaling.  With the degrees right
+        the padded graph draws the same samples, and its NetMF matrix is the
+        original one bordered by empty rows."""
+        graph = _transform_graph("weighted")
+        n = graph.num_vertices
+        assert graph.degree(n - 1) >= 2
+        src, dst = graph.edge_endpoints()
+        once = src < dst
+        padded = from_edges(
+            src[once], dst[once], graph.weights[once], num_vertices=n + 5
+        )
+        np.testing.assert_array_equal(
+            padded.weighted_degrees()[:n], graph.weighted_degrees()
+        )
+        # A fixed C: the default log n would differ between the two graphs.
+        config = PathSamplingConfig(
+            window=3, num_samples=20_000, downsample_constant=2.0
+        )
+        matrices = [
+            sparsifier_to_netmf_matrix(
+                g, build_sparsifier(g, config, seed=6, sparsifier=sparsifier)
+            )
+            for g in (graph, padded)
+        ]
+        assert matrices[0].nnz == matrices[1].nnz > 0
+        assert (matrices[1][:n, :n] != matrices[0]).nnz == 0
 
     def test_symmetry(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=5000, downsample=False)
