@@ -549,21 +549,12 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     metrics_out = getattr(args, "metrics_out", None)
     profile_mem = getattr(args, "profile_memory", False)
     wants_telemetry = bool(trace_out or metrics_out or profile_mem)
-    if not wants_telemetry:
-        try:
-            return args.func(args)
-        finally:
-            if wants_progress:
-                progress_mod.disable()
-            if health_policy:
-                health_mod.clear_policy()
-            if wants_ledger:
-                print(f"run ledger -> {ledger_mod.active_path()}")
-                ledger_mod.disable()
-
-    tracer = telemetry.enable()
-    telemetry.reset_metrics()
+    if wants_telemetry:
+        tracer = telemetry.enable()
+        telemetry.reset_metrics()
     try:
+        if not wants_telemetry:
+            return args.func(args)
         with telemetry.span("cli", command=args.command) as root:
             if profile_mem:
                 with telemetry.profile_memory(span=root) as sampler:
@@ -576,6 +567,7 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
                     )
             else:
                 code = args.func(args)
+        return code
     finally:
         if wants_progress:
             progress_mod.disable()
@@ -590,8 +582,8 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
         if wants_ledger:
             print(f"run ledger -> {ledger_mod.active_path()}")
             ledger_mod.disable()
-        telemetry.disable()
-    return code
+        if wants_telemetry:
+            telemetry.disable()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

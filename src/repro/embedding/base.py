@@ -2,19 +2,19 @@
 
 :func:`run_pipeline` owns the scaffolding that every embedding module used to
 duplicate by hand: seed normalization (:func:`repro.utils.rng.ensure_rng`),
-dimension validation, the method-level telemetry root span, the
-:class:`~repro.utils.timer.StageTimer` lifecycle, and the standardized
-``EmbeddingResult.info`` keys (``method`` / ``params`` / ``n`` / ``m`` plus
-the telemetry snapshot).  A method contributes only its stage body, wrapped
-in a :class:`PipelineSpec`; the public name -> builder mapping lives in
-:mod:`repro.embedding.registry`.
+dimension validation, the run's root span (whose child spans are the Table-5
+stages and whose metrics are the run's own — :mod:`repro.telemetry.run`),
+and the standardized ``EmbeddingResult.info`` keys (``method`` / ``params``
+/ ``n`` / ``m`` plus the telemetry snapshot).  A method contributes only its
+stage body, wrapped in a :class:`PipelineSpec`; the public name -> builder
+mapping lives in :mod:`repro.embedding.registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.telemetry import environment, health, ledger
 from repro.errors import FactorizationError, NumericalHealthError
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.timer import StageTimer
 
 logger = get_logger(__name__)
 
@@ -41,7 +40,9 @@ class EmbeddingResult:
         Canonical method name (``"lightne"``, ``"netsmf"``, ...), matching
         the registry entry that produced it.
     timer:
-        Stage-level wall-clock breakdown (Table 5 rows).
+        Stage-level wall-clock breakdown (Table 5 rows): a read-only
+        :class:`~repro.telemetry.run.StageTable` over the run span's stage
+        children.
     info:
         Diagnostics.  Always contains ``method``, ``params`` (the params
         dataclass as a plain dict), ``n``, ``m`` and ``telemetry_enabled``;
@@ -50,7 +51,7 @@ class EmbeddingResult:
 
     vectors: np.ndarray
     method: str
-    timer: StageTimer = field(default_factory=StageTimer)
+    timer: telemetry.StageTable = field(default_factory=telemetry.StageTable)
     info: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -105,30 +106,20 @@ class PipelineContext:
         The method's frozen params dataclass.
     rng:
         The normalized :class:`numpy.random.Generator` for the whole run.
-    timer:
-        The run's :class:`StageTimer`; bodies open Table-5 stages on it.
     span:
-        The method-level telemetry root span (a no-op object when telemetry
-        is disabled); bodies may attach attributes.
+        The run's root span (real whether or not tracing is on); bodies may
+        attach attributes, and open their Table-5 stages under it with
+        :func:`repro.telemetry.stage`.
     info:
         Method-specific diagnostics; merged into the standardized
         ``EmbeddingResult.info`` after the body returns.
-    health:
-        The run's :class:`~repro.telemetry.health.HealthRecorder` (a fresh
-        recorder honoring the active policy; ``enabled`` is False when the
-        policy is ``off``).  ``run_pipeline`` also installs it as the
-        thread's active recorder, so stage code normally reaches it through
-        the module-level :func:`repro.telemetry.health.checkpoint` helper
-        rather than this field.
     """
 
     graph: Any
     params: Any
     rng: np.random.Generator
-    timer: StageTimer
     span: Any
     info: Dict[str, object] = field(default_factory=dict)
-    health: Any = None
 
 
 @dataclass(frozen=True)
@@ -154,37 +145,34 @@ def run_pipeline(
 
     Owns, for every method: the flat view of the input (``graph.flat()``,
     taken once here so no body knows the Ligra+ encoding exists),
-    ``validate_dimension``, ``ensure_rng(seed)``, the method-level telemetry
-    root span (named ``spec.name``, carrying ``n`` / ``m`` /
-    ``dimension``), the ``StageTimer`` lifecycle, and the
-    standardized ``info`` keys (``method``, ``params``, ``n``, ``m``,
+    ``validate_dimension``, ``ensure_rng(seed)``, the run's root span (named
+    ``spec.name``, carrying ``n`` / ``m`` / ``dimension``; the result's
+    ``timer`` is the view of its stage children), and the standardized
+    ``info`` keys (``method``, ``params``, ``n``, ``m``,
     ``telemetry_enabled`` and — when telemetry is on — a ``telemetry``
-    snapshot of the metrics registry and span count).
+    snapshot of this run's metrics and span count).
 
     Numerical health: a fresh :class:`~repro.telemetry.health.HealthRecorder`
     is installed for the body (stage checkpoints, contract probes), the
     final embedding is fingerprinted as stage ``"final"``, and — regardless
     of the health policy — a fail-fast non-finite guard runs on the result
     (raising :class:`~repro.errors.NumericalHealthError` under policy
-    ``raise``, warning and counting ``health.nonfinite`` otherwise).  With
+    ``raise``, warning otherwise; it is the one place the final embedding's
+    non-finite entries are counted into ``health.nonfinite``).  With
     the policy on, ``info["health"]`` / ``info["digests"]`` carry the
     recorder summary into the ledger record.
     """
     graph = graph.flat()
     validate_dimension(graph.num_vertices, params.dimension)
     rng = ensure_rng(seed)
-    timer = StageTimer()
     recorder = health.HealthRecorder()
-    with telemetry.span(
+    with telemetry.run_scope(
         spec.name,
         n=graph.num_vertices,
         m=graph.num_edges,
         dimension=params.dimension,
     ) as root:
-        ctx = PipelineContext(
-            graph=graph, params=params, rng=rng, timer=timer, span=root,
-            health=recorder,
-        )
+        ctx = PipelineContext(graph=graph, params=params, rng=rng, span=root)
         # The recorder is thread-local-active for the body so lower layers
         # (sparsifier dispatcher, factorize) hit their health hooks without
         # threading the context through every signature.
@@ -227,21 +215,20 @@ def run_pipeline(
     if recorder.enabled:
         info["health"] = recorder.summary()
         info["digests"] = recorder.digest_map()
-    info["telemetry_enabled"] = telemetry.is_enabled()
-    if telemetry.is_enabled():
+    info["telemetry_enabled"] = root.metrics is not None
+    if root.metrics is not None:
         info["telemetry"] = {
-            "metrics": telemetry.get_metrics().snapshot(),
-            "trace_spans": telemetry.get_tracer().span_count,
+            "metrics": root.metrics.snapshot(),
+            "trace_spans": sum(1 for _ in root.walk()),
         }
+    timer = telemetry.StageTable(root.children)
     logger.debug(
         "%s: done in %.3fs (%s)",
         spec.name,
         timer.total,
         ", ".join(f"{name}={secs:.3f}s" for name, secs in timer.as_rows()),
     )
-    result = EmbeddingResult(
-        vectors=vectors, method=spec.name, timer=timer, info=info
-    )
+    result = EmbeddingResult(vectors, spec.name, timer, info)
     # Opt-in run ledger (REPRO_LEDGER=1, CLI --ledger, or the benchmark
     # harness's enabled_scope): one persisted RunRecord per pipeline run.
     ledger.maybe_record(result, seed=seed, context="run_pipeline")

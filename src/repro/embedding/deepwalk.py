@@ -17,6 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -71,13 +72,13 @@ def _deepwalk_body(ctx: PipelineContext):
     if params.window < 1:
         raise SamplingError(f"window must be >= 1, got {params.window}")
 
-    with ctx.timer.stage("walks"):
+    with telemetry.stage("walks"):
         walks = random_walk_matrix_sample(
             graph, params.walk_length, params.walks_per_vertex, rng
         )
         center, context = _walks_to_pairs(walks, params.window, rng)
 
-    with ctx.timer.stage("sgd"):
+    with telemetry.stage("sgd"):
         degrees = graph.degrees().astype(np.float64)
         noise = np.maximum(degrees, 1.0) ** 0.75
         noise /= noise.sum()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -63,7 +64,7 @@ def _grarep_body(ctx: PipelineContext):
     transition = adjacency / safe[:, None]
 
     blocks = []
-    with ctx.timer.stage("matrix+svd"):
+    with telemetry.stage("matrix+svd"):
         power = np.eye(n)
         for k in range(params.steps):
             power = power @ transition

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -75,7 +76,7 @@ def _hope_body(ctx: PipelineContext):
     if params.order < 1:
         raise FactorizationError(f"order must be >= 1, got {params.order}")
 
-    with ctx.timer.stage("svd"):
+    with telemetry.stage("svd"):
         lam = katz_decay_rate(graph)
         if params.beta is None:
             beta = 0.5 / lam if lam > 0 else 0.5

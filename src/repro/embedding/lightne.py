@@ -41,6 +41,7 @@ from repro.linalg.single_pass import factorize
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
 from repro.sparsifier.path_sampling import PathSamplingConfig
+from repro import telemetry
 from repro.telemetry import health
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike
@@ -181,16 +182,15 @@ def _lightne_body(ctx: PipelineContext):
     ctx.span.set_attribute("sparsifier", params.sparsifier)
     sparsifier = build_sparsifier(
         graph, config, ctx.rng, sparsifier=params.sparsifier,
-        aggregator=params.aggregator, timer=ctx.timer,
-        workers=params.workers, backend=params.backend,
-        batch_size=params.batch_size,
+        aggregator=params.aggregator, workers=params.workers,
+        backend=params.backend, batch_size=params.batch_size,
     )
     logger.debug(
         "lightne: sparsifier nnz=%d from %d draws (%.1f%% of draws kept "
         "distinct)", sparsifier.nnz, sparsifier.num_draws,
         100.0 * sparsifier.nnz / max(1, sparsifier.num_draws),
     )
-    with ctx.timer.stage("svd", rank=params.dimension):
+    with telemetry.stage("svd", rank=params.dimension):
         matrix = sparsifier_to_netmf_matrix(
             graph, sparsifier, negative_samples=params.negative_samples
         )
@@ -206,7 +206,7 @@ def _lightne_body(ctx: PipelineContext):
         vectors = embedding_from_svd(u, sigma)
         health.checkpoint("svd", vectors)
     if params.propagate:
-        with ctx.timer.stage("propagation", order=params.propagation_order):
+        with telemetry.stage("propagation", order=params.propagation_order):
             # Out-of-core mode spills the filter's ping-pong buffers to
             # unlinked temp-file memmaps (bit-transparent; see
             # chebyshev_gaussian_filter).

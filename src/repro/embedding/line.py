@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -46,9 +47,9 @@ def line_matrix(graph: GraphLike, negative_samples: float = 1.0) -> sp.csr_matri
 
 def _line_body(ctx: PipelineContext):
     params = ctx.params
-    with ctx.timer.stage("matrix"):
+    with telemetry.stage("matrix"):
         matrix = line_matrix(ctx.graph, params.negative_samples)
-    with ctx.timer.stage("svd"):
+    with telemetry.stage("svd"):
         u, sigma, _ = randomized_svd(matrix, params.dimension, seed=ctx.rng)
         vectors = embedding_from_svd(u, sigma)
     ctx.info["window"] = 1

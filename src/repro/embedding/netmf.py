@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -151,7 +152,7 @@ def netmf_matrix_eigen(
 
 def _netmf_body(ctx: PipelineContext):
     params = ctx.params
-    with ctx.timer.stage("matrix"):
+    with telemetry.stage("matrix"):
         if params.strategy == "exact":
             matrix = netmf_matrix_dense(
                 ctx.graph, params.window, params.negative_samples
@@ -163,7 +164,7 @@ def _netmf_body(ctx: PipelineContext):
                 params.negative_samples,
                 rank=params.eigen_rank,
             )
-    with ctx.timer.stage("svd"):
+    with telemetry.stage("svd"):
         # Eq. (1)'s trunc-log matrix is symmetric for both strategies.
         u, sigma, _ = factorize(
             matrix, params.dimension, factorizer=params.factorizer,

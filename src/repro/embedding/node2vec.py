@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -132,7 +133,7 @@ def _node2vec_body(ctx: PipelineContext):
     if params.window < 1:
         raise SamplingError(f"window must be >= 1, got {params.window}")
 
-    with ctx.timer.stage("walks"):
+    with telemetry.stage("walks"):
         walks = biased_walks(
             graph,
             params.walk_length,
@@ -143,7 +144,7 @@ def _node2vec_body(ctx: PipelineContext):
         )
         center, context = _walks_to_pairs(walks, params.window, rng)
 
-    with ctx.timer.stage("sgd"):
+    with telemetry.stage("sgd"):
         degrees = graph.degrees().astype(np.float64)
         noise = np.maximum(degrees, 1.0) ** 0.75
         noise /= noise.sum()

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -69,7 +70,7 @@ def _nrp_body(ctx: PipelineContext):
     if params.order < 1:
         raise FactorizationError(f"order must be >= 1, got {params.order}")
 
-    with ctx.timer.stage("svd"):
+    with telemetry.stage("svd"):
         degrees = graph.weighted_degrees()
         safe = np.where(degrees > 0, degrees, 1.0)
         walk = (sp.diags(1.0 / safe) @ graph.adjacency()).tocsr()

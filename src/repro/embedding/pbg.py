@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -52,7 +53,7 @@ def _pbg_body(ctx: PipelineContext):
     mask = src < dst
     src, dst = src[mask], dst[mask]
 
-    with ctx.timer.stage("sgd"):
+    with telemetry.stage("sgd"):
         scale = 1.0 / np.sqrt(params.dimension)
         w = rng.standard_normal((n, params.dimension)) * scale
         adagrad = np.full(n, 1e-8)  # per-row accumulated squared gradients

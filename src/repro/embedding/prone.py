@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.base import (
     EmbeddingResult,
     PipelineContext,
@@ -98,7 +99,7 @@ def prone_factorization_matrix(
 
 def _prone_body(ctx: PipelineContext):
     params = ctx.params
-    with ctx.timer.stage("svd"):
+    with telemetry.stage("svd"):
         matrix = prone_factorization_matrix(
             ctx.graph, alpha=params.alpha, negative_samples=params.negative_samples
         )
@@ -108,7 +109,7 @@ def _prone_body(ctx: PipelineContext):
         )
         vectors = embedding_from_svd(u, sigma)
     if params.propagate:
-        with ctx.timer.stage("propagation"):
+        with telemetry.stage("propagation"):
             vectors = spectral_propagation(
                 ctx.graph,
                 vectors,

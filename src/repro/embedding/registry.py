@@ -98,7 +98,7 @@ class MethodSpec:
         :func:`make_params` treats an override aimed at it like any other
         unsupported knob and always builds the pinned value.
     stages:
-        The Table-5 stage names this method records on its ``StageTimer``.
+        The Table-5 stage names this method opens (``result.timer.stages``).
     """
 
     name: str

@@ -49,6 +49,16 @@ class NumericalHealthError(ReproError):
     """
 
 
+class WorkerError(ReproError):
+    """A pool worker process died before finishing its task.
+
+    Raised by :func:`repro.utils.parallel.parallel_map` in place of
+    ``concurrent.futures.process.BrokenProcessPool`` (a worker was killed,
+    ran out of memory, or its initializer failed); names the stage label and
+    chains the original exception.
+    """
+
+
 class EvaluationError(ReproError):
     """Invalid evaluation setup (e.g. empty test split, label mismatch)."""
 

@@ -21,13 +21,13 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.embedding.base import EmbeddingResult
 from repro.errors import GraphConstructionError
 from repro.graph.compression import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.transforms import induced_subgraph
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.timer import StageTimer
 
 
 def bfs_partition(
@@ -140,11 +140,12 @@ def embed_partitioned(
     if assignment.shape != (flat.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
     rng = ensure_rng(seed)
-    timer = StageTimer()
     vectors = np.zeros((flat.num_vertices, dimension))
     parts = np.unique(assignment)
     cut = partition_edge_cut(flat, assignment)
-    with timer.stage("partitioned-embedding"):
+    # The whole stage table is this one span; each part's embedder call is
+    # a run of its own nested under it.
+    with telemetry.run_scope("partitioned-embedding") as stage:
         for part in parts:
             members = np.flatnonzero(assignment == part)
             subgraph, kept = induced_subgraph(flat, members)
@@ -162,8 +163,8 @@ def embed_partitioned(
                 )
             vectors[kept, : result.vectors.shape[1]] = result.vectors
     return EmbeddingResult(
-        vectors=vectors,
-        method="partitioned",
-        timer=timer,
-        info={"num_parts": int(parts.size), "edge_cut": cut},
+        vectors,
+        "partitioned",
+        telemetry.StageTable([stage]),
+        {"num_parts": int(parts.size), "edge_cut": cut},
     )

@@ -62,17 +62,16 @@ def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
     """
     if not telemetry.is_enabled():
         return
-    metrics = telemetry.get_metrics()
     if table.insert_calls:
-        metrics.histogram("hashtable.probe_rounds", PROBE_BUCKETS).observe(
+        telemetry.histogram("hashtable.probe_rounds", PROBE_BUCKETS).observe(
             table.total_probe_rounds / table.insert_calls
         )
-    metrics.gauge(f"hashtable.{kind}.load_factor").set(table.load_factor)
-    metrics.gauge(f"hashtable.{kind}.max_probe_rounds").set_max(
+    telemetry.gauge(f"hashtable.{kind}.load_factor").set(table.load_factor)
+    telemetry.gauge(f"hashtable.{kind}.max_probe_rounds").set_max(
         table.max_probe_rounds
     )
-    metrics.counter("hashtable.distinct_keys").inc(len(table))
-    metrics.gauge("hashtable.table_bytes").set_max(table.size_in_bytes())
+    telemetry.counter("hashtable.distinct_keys").inc(len(table))
+    telemetry.gauge("hashtable.table_bytes").set_max(table.size_in_bytes())
 
 
 def _as_arrays(rows, cols, values, n: int) -> Triple:
@@ -284,15 +283,11 @@ def aggregate_hash_sharded(
             keys, values, shard_of, num_shards, workers, batch_size
         )
     else:
-        # Shard spans run on pool threads; parent them to the caller's span.
-        parent_span = telemetry.current_span()
-
         def build_shard(
             shard: int, shard_keys: np.ndarray, shard_values: np.ndarray
         ):
             with telemetry.span(
-                "aggregate.shard", parent=parent_span,
-                shard=shard, keys=int(shard_keys.size),
+                "aggregate.shard", shard=shard, keys=int(shard_keys.size)
             ):
                 table = SparseParallelHashTable(
                     capacity_hint=max(64, shard_keys.size // 4)

@@ -82,7 +82,6 @@ from repro.sparsifier.ppr import sample_ppr_counts
 from repro.telemetry import health
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.timer import StageTimer
 
 
 @dataclass
@@ -265,13 +264,17 @@ def build_sparsifier(
     *,
     sparsifier: str = "path",
     aggregator: str = "sort",
-    timer: Optional[StageTimer] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     batch_size: int = 2_000_000,
 ) -> SparsifierResult:
     """Sample and aggregate the count matrix ``W`` — the ``"sparsifier"``
     stage of every pipeline, whichever sampler emits the triples.
+
+    Runs under :func:`repro.telemetry.stage` (Table 5's first column when a
+    pipeline run is active); ``SparsifierResult.stats`` is written onto that
+    stage span, which is where the run's stage table reads the sampling
+    counters (samples/sec, batches, peak table bytes, workers) from.
 
     Parameters
     ----------
@@ -288,11 +291,6 @@ def build_sparsifier(
         sparse parallel hashing, numpy emulation) or ``"hash-sharded"``
         (per-processor tables over a key partition, built on the worker
         pool) — see :mod:`repro.sparsifier.aggregation`.
-    timer:
-        Optional :class:`StageTimer` to record the construction time under
-        ``"sparsifier"`` (Table 5's first column).  Sampling counters
-        (samples/sec, batches, peak table bytes, workers) are attached to the
-        same stage.
     workers:
         Thread-pool width for sampling (and sharded aggregation); ``None``
         resolves to :func:`repro.utils.parallel.default_workers`.  For a
@@ -326,15 +324,14 @@ def build_sparsifier(
     if workers is None:
         workers = default_workers()
     n = graph.num_vertices
-    timer = timer if timer is not None else StageTimer()
     stats: Dict[str, float] = {}
     stats["weighted_seeding"] = float(validate_sparsifier_graph(graph))
     # Only a non-default sampler names itself on the stage span.
     named = {} if sparsifier == "path" else {"sparsifier": sparsifier}
-    with timer.stage(
+    with telemetry.stage(
         "sparsifier", **named, aggregator=aggregator, workers=workers,
         backend=backend,
-    ):
+    ) as stage:
         tic = time.perf_counter()
         u, v, w, draws = sampler(
             graph, config, rng, batch_size=batch_size, workers=workers,
@@ -346,12 +343,7 @@ def build_sparsifier(
             u, v, w, n, aggregator=aggregator, workers=workers,
             backend=backend, stats=stats,
         )
-    for name in (
-        "walk_samples", "batches", "workers", "samples_per_sec",
-        "peak_table_bytes",
-    ):
-        if name in stats:
-            timer.set_counter("sparsifier", name, float(stats[name]))
+        stage.set_attributes(**stats)
     health.checkpoint("sparsifier", counts)
     health.check_sparsifier_mass(counts, draws)
     return SparsifierResult(
@@ -359,22 +351,9 @@ def build_sparsifier(
     )
 
 
-def build_netmf_sparsifier(
-    graph: GraphLike,
-    config: PathSamplingConfig,
-    seed: SeedLike = None,
-    *,
-    aggregator: str = "sort",
-    timer: Optional[StageTimer] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    batch_size: int = 2_000_000,
-) -> SparsifierResult:
-    """:func:`build_sparsifier` with the paper's sampler (Algorithm 2)."""
-    return build_sparsifier(
-        graph, config, seed, sparsifier="path", aggregator=aggregator,
-        timer=timer, workers=workers, backend=backend, batch_size=batch_size,
-    )
+# The paper's sampler (Algorithm 2) is the default ``sparsifier="path"``, so
+# the NetMF-specific name is the same call.
+build_netmf_sparsifier = build_sparsifier
 
 
 def sparsifier_to_netmf_matrix(

@@ -146,7 +146,7 @@ def _worker_init(build, graph_spec: tuple, build_args: tuple) -> None:
 
 
 def _worker_walk(index: int, batch: np.ndarray, rng: np.random.Generator):
-    return _WORKER_CONTEXT.walk(index, batch, rng, telemetry.current_span())
+    return _WORKER_CONTEXT.walk(index, batch, rng)
 
 
 def walk_slabs(
@@ -179,14 +179,7 @@ def walk_slabs(
         )
     if context is None:
         context = build(graph, *build_args)
-    # Slab spans run on pool threads, which carry no current-span stack —
-    # capture the parent here (the sparsifier stage span when tracing).
-    parent_span = telemetry.current_span()
-
-    def task(index: int, batch: np.ndarray, rng: np.random.Generator):
-        return context.walk(index, batch, rng, parent_span)
-
-    return parallel_map(task, slabs, workers=workers, label=label)
+    return parallel_map(context.walk, slabs, workers=workers, label=label)
 
 
 @dataclass(frozen=True)
@@ -201,17 +194,10 @@ class _WalkContext:
     probs: np.ndarray
     window: int
 
-    def walk(
-        self,
-        index: int,
-        batch: np.ndarray,
-        rng: np.random.Generator,
-        parent_span=None,
-    ):
+    def walk(self, index: int, batch: np.ndarray, rng: np.random.Generator):
         """Walk the seed edges ``batch`` on the slab's own RNG stream."""
         with telemetry.span(
-            "sparsifier.batch", parent=parent_span,
-            batch=index, size=int(batch.size),
+            "sparsifier.batch", batch=index, size=int(batch.size)
         ) as span:
             lengths = rng.integers(1, self.window + 1, size=batch.size)
             # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge

@@ -146,17 +146,10 @@ class _PushContext:
     num_samples: int
     resolution: float
 
-    def walk(
-        self,
-        index: int,
-        sources: np.ndarray,
-        rng: np.random.Generator,
-        parent_span=None,
-    ):
+    def walk(self, index: int, sources: np.ndarray, rng: np.random.Generator):
         """Push from ``sources``, rounding on the slab's own RNG stream."""
         with telemetry.span(
-            "sparsifier.ppr.batch", parent=parent_span,
-            batch=index, size=int(sources.size),
+            "sparsifier.ppr.batch", batch=index, size=int(sources.size)
         ) as span:
             result = ppr_batch_counts(
                 self.operator, self.degrees, self.volume, sources,

@@ -8,13 +8,16 @@ The observability substrate for the whole pipeline (see
   (Perfetto / ``chrome://tracing``) or a JSONL event stream;
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
   fixed-bucket histograms in a snapshot-able registry;
+* **Runs** (:mod:`repro.telemetry.run`) — one pipeline run is one root span:
+  its child spans are the Table-5 stages (``EmbeddingResult.timer`` is a
+  view of them, tracing on or off) and its metrics are its own;
 * **Memory** (:mod:`repro.telemetry.memory`) — a background RSS /
   ``tracemalloc`` peak sampler attachable to any span;
 * **Workers** (:mod:`repro.telemetry.worker`) — the cross-process layer:
   pool workers spool their spans/metrics/memory to per-worker JSONL files
   and emit heartbeats; the parent merges the spools into the main tracer
   and registry (clock-corrected, per-pid Perfetto lanes) and flags stalled
-  workers (``REPRO_STALL_TIMEOUT_S``);
+  workers;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
   progress driven by task completions and worker heartbeats (the CLI's
   ``--progress`` flag).
@@ -58,6 +61,7 @@ from repro.telemetry.tracer import (
     NULL_SPAN,
     Span,
     Tracer,
+    adopt,
     current_span,
     disable,
     enable,
@@ -78,6 +82,7 @@ from repro.telemetry.metrics import (
     histogram,
     reset_metrics,
 )
+from repro.telemetry.run import StageTable, run_scope, stage
 from repro.telemetry.memory import (
     MemoryProfile,
     MemorySampler,
@@ -111,6 +116,7 @@ __all__ = [
     "NULL_SPAN",
     "span",
     "current_span",
+    "adopt",
     "enable",
     "disable",
     "is_enabled",
@@ -127,6 +133,10 @@ __all__ = [
     "reset_metrics",
     "DEFAULT_LATENCY_BUCKETS",
     "PROBE_BUCKETS",
+    # runs
+    "run_scope",
+    "stage",
+    "StageTable",
     # memory
     "MemoryProfile",
     "MemorySampler",

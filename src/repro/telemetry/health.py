@@ -364,7 +364,10 @@ class HealthRecorder:
 
         Publishes the digest/norm to the current telemetry span and the
         ``health.checkpoints`` counter; a non-finite entry count additionally
-        registers a failed ``finite`` probe (policy handling applies).
+        registers a failed ``finite`` probe carrying the count (policy
+        handling applies).  The ``health.nonfinite`` counter is not touched
+        here: ``run_pipeline``'s guard counts the final embedding once,
+        whatever the policy.
         """
         if not self.enabled:
             return None
@@ -376,7 +379,6 @@ class HealthRecorder:
             span.set_attribute(f"health.norm.{digest.stage}", digest.norm)
         _metrics.counter("health.checkpoints").inc()
         if digest.nonfinite:
-            _metrics.counter("health.nonfinite").inc(digest.nonfinite)
             self.record_probe(
                 ProbeResult(
                     name="finite",

@@ -4,8 +4,8 @@ PR 2's spans and metrics evaporate at process exit, so nothing could say
 whether a change made the sparsifier 2× slower.  The ledger fixes that:
 each run appends one structured JSON line — method, canonical params hash,
 dataset, seed, environment fingerprint, the Table-5 per-stage wall times
-lifted from the run's :class:`~repro.utils.timer.StageTimer`, a compacted
-metrics snapshot, peak RSS and optional quality metrics — to
+read off the run's stage spans (``result.timer``), a compacted snapshot of
+the run's own metrics, peak RSS and optional quality metrics — to
 ``benchmarks/results/runs.jsonl`` via a crash-safe atomic append
 (:func:`repro.utils.fileio.append_line`).  Downstream,
 :mod:`repro.telemetry.regression` selects baselines from the ledger and
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.telemetry.environment import collect_fingerprint, fingerprint_key
+from repro.telemetry.memory import peak_rss_bytes
 from repro.utils.fileio import append_line
 from repro.utils.log import get_logger
 
@@ -363,19 +364,6 @@ def _registry_stage_order(method: str) -> Tuple[str, ...]:
         return ()
 
 
-def _peak_rss(metrics: Mapping[str, object]) -> Optional[int]:
-    """Peak RSS: the profiled gauge when present, else the OS lifetime peak."""
-    gauges = metrics.get("gauges", {})
-    if isinstance(gauges, Mapping):
-        gauge = gauges.get("memory.rss_peak_bytes")
-        if isinstance(gauge, Mapping) and gauge.get("max") is not None:
-            return int(gauge["max"])  # type: ignore[arg-type]
-    from repro.telemetry.memory import peak_rss_bytes
-
-    peak = peak_rss_bytes()
-    return int(peak) if peak is not None else None
-
-
 WORKER_SECONDS_PREFIX = "worker.seconds."
 
 
@@ -442,9 +430,10 @@ def build_record(
 ) -> RunRecord:
     """Turn an :class:`~repro.embedding.base.EmbeddingResult` into a record.
 
-    Stage timings come from the result's ``StageTimer`` in the **registry's
+    Stage timings come from the result's ``timer`` in the **registry's
     declared stage order** (Table 5 columns), so cross-run diffs line up
     column-for-column regardless of the order stages happened to execute.
+    ``peak_rss_bytes`` is the process's OS lifetime peak at record time.
     Process-backend runs with telemetry on additionally carry merged worker
     stage-seconds as ``worker.<name>`` stage rows and per-worker peak RSS
     under ``extra``; the resolved worker count and backend are recorded in
@@ -495,7 +484,7 @@ def build_record(
         quality=dict(quality or {}),
         health=dict(health_block) if isinstance(health_block, Mapping) else {},
         digests=dict(digest_block) if isinstance(digest_block, Mapping) else {},
-        peak_rss_bytes=_peak_rss(raw_metrics),
+        peak_rss_bytes=peak_rss_bytes(),
         context=context,
         extra=record_extra,
     )

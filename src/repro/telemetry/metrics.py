@@ -19,6 +19,9 @@ Like tracing, metric *collection* is off by default: the module-level
 :func:`counter` / :func:`gauge` / :func:`histogram` helpers return shared
 no-op instruments until :func:`repro.telemetry.enable` installs a tracer,
 so instrumented hot paths cost one function call when telemetry is off.
+They write to :func:`current` — the registry of the calling thread's current
+span (one pipeline run's, rolled up into the enclosing registry when the run
+ends; see :func:`repro.telemetry.run.run_scope`), else the process-global one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import os
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.telemetry import tracer as _tracer_mod
 
 # Latency buckets in seconds: sub-millisecond through a minute, roughly
 # geometric.  Wide enough for per-batch sampling and per-iteration SVD times.
@@ -342,6 +347,17 @@ class MetricsRegistry:
             except (TypeError, ValueError) as exc:
                 logger.warning("metrics merge: histogram %r skipped (%s)", name, exc)
 
+    def roll_up(self, scope: "MetricsRegistry") -> None:
+        """Fold the registry of a finished nested scope (one pipeline run)
+        into this one, leaving it as if the scope had written here:
+        :meth:`merge_snapshot`, except that a gauge ends on the scope's last
+        reading (and keeps the larger peak)."""
+        snapshot = scope.snapshot()
+        self.merge_snapshot(snapshot)
+        for name, reading in snapshot["gauges"].items():
+            if reading["value"] is not None:
+                self.gauge(name).set(reading["value"])
+
     def reset(self) -> None:
         """Drop every instrument (fresh registry state)."""
         with self._lock:
@@ -367,28 +383,31 @@ def reset_metrics() -> None:
     _registry.reset()
 
 
-def counter(name: str):
-    """Global counter, or a shared no-op when telemetry is disabled."""
-    from repro.telemetry import tracer as _tracer_mod
+def current() -> MetricsRegistry:
+    """The registry the helpers below write to on the calling thread: the
+    one its current span names (a pipeline run's), else the global one."""
+    span = _tracer_mod.current_span()
+    if span is None or span.metrics is None:
+        return _registry
+    return span.metrics
 
+
+def counter(name: str):
+    """Current counter, or a shared no-op when telemetry is disabled."""
     if _tracer_mod._tracer is None:
         return NULL_INSTRUMENT
-    return _registry.counter(name)
+    return current().counter(name)
 
 
 def gauge(name: str):
-    """Global gauge, or a shared no-op when telemetry is disabled."""
-    from repro.telemetry import tracer as _tracer_mod
-
+    """Current gauge, or a shared no-op when telemetry is disabled."""
     if _tracer_mod._tracer is None:
         return NULL_INSTRUMENT
-    return _registry.gauge(name)
+    return current().gauge(name)
 
 
 def histogram(name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
-    """Global histogram, or a shared no-op when telemetry is disabled."""
-    from repro.telemetry import tracer as _tracer_mod
-
+    """Current histogram, or a shared no-op when telemetry is disabled."""
     if _tracer_mod._tracer is None:
         return NULL_INSTRUMENT
-    return _registry.histogram(name, buckets)
+    return current().histogram(name, buckets)

@@ -19,10 +19,14 @@ context manager when no tracer is installed — no allocation, no timestamps,
 no locks.  Enable with :func:`enable` (or the CLI's ``--trace-out``).
 
 Parenting is thread-aware: each thread keeps its own current-span stack, so
-concurrent stages nest correctly.  Work dispatched to a pool inherits no
-stack — callers capture :func:`current_span` before dispatch and pass it as
-``parent=`` (see :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`
-for the idiom).
+concurrent stages nest correctly.  A fresh thread has an empty stack; whoever
+hands work to one captures :func:`current_span` and runs the work under
+:func:`adopt` — :func:`repro.utils.parallel.parallel_map` does this for every
+pool task, so no caller threads a parent span through its signatures.
+
+A span also names the metrics registry its subtree writes to
+(:attr:`Span.metrics`, inherited from the parent on entry): that is how
+:func:`repro.telemetry.run.run_scope` scopes the metrics of one pipeline run.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, TextIO, Union
-
-_UNSET = object()
 
 
 def _json_safe(value: object) -> object:
@@ -60,21 +63,19 @@ class Span:
     __slots__ = (
         "tracer", "name", "span_id", "parent", "start", "end",
         "pid", "thread_id", "thread_name", "attributes", "children",
-        "_explicit_parent",
+        "metrics",
     )
 
     def __init__(
         self,
         tracer: "Tracer",
         name: str,
-        parent: object = _UNSET,
         attributes: Optional[Dict[str, object]] = None,
     ) -> None:
         self.tracer = tracer
         self.name = name
         self.span_id = -1
         self.parent: Optional[Span] = None
-        self._explicit_parent = parent
         self.start: float = 0.0
         self.end: Optional[float] = None
         self.pid = 0
@@ -82,6 +83,9 @@ class Span:
         self.thread_name = ""
         self.attributes: Dict[str, object] = dict(attributes or {})
         self.children: List["Span"] = []
+        # The registry telemetry.counter/gauge/histogram write to under this
+        # span (``None`` = the process-global one); see repro.telemetry.run.
+        self.metrics = None
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "Span":
@@ -89,10 +93,9 @@ class Span:
         self.pid = os.getpid()
         self.thread_id = thread.ident or 0
         self.thread_name = thread.name
-        if self._explicit_parent is _UNSET:
-            self.parent = self.tracer.current_span()
-        else:
-            self.parent = self._explicit_parent  # type: ignore[assignment]
+        self.parent = self.tracer.current_span()
+        if self.parent is not None:
+            self.metrics = self.parent.metrics
         self.tracer._register(self)
         self.tracer._push(self)
         self.start = time.perf_counter()
@@ -124,6 +127,14 @@ class Span:
         if self.end is None:
             return None
         return self.end - self.start
+
+    def walk(self) -> Iterator["Span"]:
+        """Depth-first walk over this span and everything recorded under it."""
+        stack = [self]
+        while stack:
+            span = stack.pop()
+            yield span
+            stack.extend(reversed(span.children))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.duration:.6f}s" if self.end is not None else "open"
@@ -166,7 +177,6 @@ class Tracer:
         self._local = threading.local()
         self.roots: List[Span] = []
         self._next_id = 0
-        self._finished = 0
         self._listeners: List[Callable[[Span], None]] = []
         # Epochs pair a wall-clock anchor with the perf_counter origin so
         # exported timestamps are stable within the trace — and so spool
@@ -178,13 +188,10 @@ class Tracer:
         self.process_labels: Dict[int, str] = {os.getpid(): "main"}
 
     # ---------------------------------------------------------- span control
-    def span(self, name: str, parent: object = _UNSET, **attributes: object) -> Span:
-        """Create a span (use as a context manager).
-
-        ``parent`` defaults to the calling thread's current span; pass an
-        explicit span (or ``None`` for a root) when crossing threads.
-        """
-        return Span(self, name, parent=parent, attributes=attributes)
+    def span(self, name: str, **attributes: object) -> Span:
+        """Create a span (use as a context manager); its parent is the
+        calling thread's current span (see :func:`adopt` across threads)."""
+        return Span(self, name, attributes)
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span on *this* thread (``None`` at top level)."""
@@ -221,25 +228,17 @@ class Tracer:
         parent's trace: timestamps must already be expressed on *this*
         tracer's ``perf_counter`` timeline (see
         :func:`repro.telemetry.worker.clock_offset`).  The span is appended
-        to the tree and counted as finished, but never touches any thread's
-        current-span stack and notifies no listeners (it was already
-        streamed once, in the worker).
+        to the tree but never touches any thread's current-span stack and
+        notifies no listeners (it was already streamed once, in the worker).
         """
-        span = Span(self, name, parent=parent, attributes=attributes)
+        span = Span(self, name, attributes)
         span.parent = parent
         span.start = float(start)
         span.end = float(end)
         span.pid = int(pid)
         span.thread_id = int(tid)
         span.thread_name = thread_name
-        with self._lock:
-            span.span_id = self._next_id
-            self._next_id += 1
-            if parent is None:
-                self.roots.append(span)
-            else:
-                parent.children.append(span)
-            self._finished += 1
+        self._register(span)
         return span
 
     def _push(self, span: Span) -> None:
@@ -267,7 +266,6 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         with self._lock:
-            self._finished += 1
             listeners = list(self._listeners)
         for callback in listeners:
             callback(span)
@@ -281,11 +279,9 @@ class Tracer:
     def iter_spans(self) -> Iterator[Span]:
         """Depth-first walk over the recorded span tree."""
         with self._lock:
-            stack = list(reversed(self.roots))
-        while stack:
-            span = stack.pop()
-            yield span
-            stack.extend(reversed(span.children))
+            roots = list(self.roots)
+        for root in roots:
+            yield from root.walk()
 
     def find_spans(self, name: str) -> List[Span]:
         """All spans with the given ``name`` (depth-first order)."""
@@ -474,9 +470,7 @@ def get_tracer() -> Optional[Tracer]:
     return _tracer
 
 
-def span(
-    name: str, parent: object = _UNSET, **attributes: object
-) -> Union[Span, _NullSpan]:
+def span(name: str, **attributes: object) -> Union[Span, _NullSpan]:
     """Open a span on the global tracer (no-op context manager when disabled).
 
     This is the one call every instrumentation site makes; keep it on the
@@ -485,7 +479,7 @@ def span(
     tracer = _tracer
     if tracer is None:
         return NULL_SPAN
-    return tracer.span(name, parent=parent, **attributes)
+    return tracer.span(name, **attributes)
 
 
 def current_span() -> Optional[Span]:
@@ -494,3 +488,22 @@ def current_span() -> Optional[Span]:
     if tracer is None:
         return None
     return tracer.current_span()
+
+
+@contextmanager
+def adopt(parent: Optional[Span]) -> Iterator[None]:
+    """Make ``parent`` the calling thread's current span for a block.
+
+    The cross-thread parenting rule: spans (and metrics) recorded on a pool
+    or monitor thread land where they would have on the thread that handed
+    the work over, whose :func:`current_span` ``parent`` is.  ``None`` (no
+    span was open, or tracing is off) is a no-op.
+    """
+    if parent is None:
+        yield
+        return
+    parent.tracer._push(parent)
+    try:
+        yield
+    finally:
+        parent.tracer._pop(parent)

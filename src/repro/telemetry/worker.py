@@ -29,9 +29,9 @@ per-worker peak memory published as ``parallel.worker.*`` gauges.
 Every line in a spool is self-describing JSON; truncated or garbage lines
 (killed workers) are skipped, never fatal.
 
-Knobs (environment): ``REPRO_HEARTBEAT_S`` — worker beat period (default
-0.25 s); ``REPRO_STALL_TIMEOUT_S`` — silence threshold before a worker is
-reported stalled (default 30 s).
+Workers beat every :data:`HEARTBEAT_S` seconds and count as stalled after
+:data:`STALL_TIMEOUT_S` of silence; :class:`SpoolCollector` takes explicit
+values for either.
 """
 
 from __future__ import annotations
@@ -57,36 +57,8 @@ SPOOL_SUFFIX = ".jsonl"
 BEAT_PREFIX = "beat-"
 BEAT_SUFFIX = ".json"
 
-ENV_HEARTBEAT = "REPRO_HEARTBEAT_S"
-ENV_STALL_TIMEOUT = "REPRO_STALL_TIMEOUT_S"
-DEFAULT_HEARTBEAT_S = 0.25
-DEFAULT_STALL_TIMEOUT_S = 30.0
-
-
-def heartbeat_interval() -> float:
-    """Worker beat period in seconds (``REPRO_HEARTBEAT_S`` override)."""
-    raw = os.environ.get(ENV_HEARTBEAT, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            logger.warning("ignoring invalid %s=%r", ENV_HEARTBEAT, raw)
-    return DEFAULT_HEARTBEAT_S
-
-
-def stall_timeout() -> float:
-    """Silence threshold before a worker counts as stalled (env override)."""
-    raw = os.environ.get(ENV_STALL_TIMEOUT, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            logger.warning("ignoring invalid %s=%r", ENV_STALL_TIMEOUT, raw)
-    return DEFAULT_STALL_TIMEOUT_S
+HEARTBEAT_S = 0.25
+STALL_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +289,10 @@ class StallMonitor:
         """Launch the daemon polling thread (idempotent)."""
         if self._thread is not None:
             return
+        # Stall metrics belong to whatever launched the pool (its run).
         self._thread = threading.Thread(
-            target=self._run, name="repro-stall-monitor", daemon=True
+            target=self._run, args=(tracer_mod.current_span(),),
+            name="repro-stall-monitor", daemon=True,
         )
         self._thread.start()
 
@@ -329,12 +303,13 @@ class StallMonitor:
             self._thread.join(timeout=5.0)
             self._thread = None
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_s):
-            try:
-                self.poll_once()
-            except Exception:  # pragma: no cover - monitoring must not kill runs
-                logger.exception("stall monitor poll failed")
+    def _run(self, parent: Optional[Span]) -> None:
+        with tracer_mod.adopt(parent):
+            while not self._stop.wait(self.poll_s):
+                try:
+                    self.poll_once()
+                except Exception:  # pragma: no cover - must not kill runs
+                    logger.exception("stall monitor poll failed")
 
     def poll_once(self, now: Optional[float] = None) -> set:
         """One scan over the beat files; returns the currently-stalled pids."""
@@ -624,17 +599,19 @@ class SpoolCollector:
         self.label = label or "parallel"
         self.total_tasks = int(total_tasks)
         self.tracing = bool(tracing)
-        self.heartbeat_s = (
-            float(heartbeat_s) if heartbeat_s is not None else heartbeat_interval()
+        self.heartbeat_s = float(
+            heartbeat_s if heartbeat_s is not None else HEARTBEAT_S
         )
         self.spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        # Worker roots nest under the span that launched the pool.
+        # Worker roots nest under the span that launched the pool, and
+        # worker metrics merge into the registry that span writes to.
         self.parent_span = tracer_mod.current_span() if self.tracing else None
+        self.registry = metrics_mod.current() if self.tracing else None
         self.monitor = StallMonitor(
             self.spool_dir,
             label=self.label,
-            timeout_s=(
-                float(timeout_s) if timeout_s is not None else stall_timeout()
+            timeout_s=float(
+                timeout_s if timeout_s is not None else STALL_TIMEOUT_S
             ),
             total_tasks=self.total_tasks,
             progress=progress,
@@ -668,11 +645,10 @@ class SpoolCollector:
         self.monitor.stop()
         try:
             tracer = tracer_mod.get_tracer() if self.tracing else None
-            registry = metrics_mod.get_metrics() if self.tracing else None
             self.summary = merge_spools(
                 self.spool_dir,
                 tracer=tracer,
-                registry=registry,
+                registry=self.registry,
                 label=self.label,
                 parent=self.parent_span,
             )

@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, timers, validation and chunked parallelism."""
+"""Shared utilities: RNG handling, validation and chunked parallelism."""
 
 from repro.utils.rng import ensure_rng, spawn_batch_rngs, spawn_rngs
-from repro.utils.timer import StageTimer, Timer
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -13,8 +12,6 @@ __all__ = [
     "ensure_rng",
     "spawn_batch_rngs",
     "spawn_rngs",
-    "Timer",
-    "StageTimer",
     "check_fraction",
     "check_positive",
     "check_square_sparse",

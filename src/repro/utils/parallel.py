@@ -22,18 +22,19 @@ Two execution backends are offered:
 
 Failure semantics (both backends): the first task that raises wins — every
 not-yet-started task is cancelled, the pool is torn down, and the original
-exception is re-raised.  Earlier versions collected futures strictly in
-submission order, so a failure in task 0 still let tasks 1..N-1 run to
-completion before the exception surfaced.
+exception is re-raised.  A worker *process* that dies (killed, out of memory,
+failed initializer) surfaces as a typed :class:`~repro.errors.WorkerError`
+naming ``label``.
 
-Observability: when telemetry or progress rendering is enabled, a
-process-backend ``parallel_map`` transparently installs the cross-process
-telemetry shim (:mod:`repro.telemetry.worker`) in every worker — worker
-spans/metrics/memory spool to per-worker files and are merged into the
-parent tracer/registry when the pool finishes, and worker heartbeats feed
-a stall detector.  ``label`` names the stage for progress lines, stall
-warnings and worker Perfetto lanes; with telemetry off and no progress the
-whole machinery is skipped (one gated call).
+Observability: ``parallel_map`` owns span parenting.  Whatever a task records
+— spans, and through them the metrics of the enclosing pipeline run — lands
+under the submitting thread's current span: pool threads run each task under
+:func:`repro.telemetry.adopt`, and a process pool (when tracing or progress
+rendering is on) gets the cross-process shim (:mod:`repro.telemetry.worker`)
+in every worker — spans/metrics/memory spool to per-worker files merged under
+that same span when the pool finishes, heartbeats feed a stall detector.
+``label`` names the stage for progress lines, stall warnings and worker
+Perfetto lanes; with telemetry and progress off all of it is one gated call.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+
+from repro import telemetry
+from repro.errors import WorkerError
 
 T = TypeVar("T")
 
@@ -131,6 +136,12 @@ def _collect_fail_fast(pool, futures) -> List[T]:
     return [future.result() for future in futures]
 
 
+def _run_adopted(parent, func: Callable[..., T], *args) -> T:
+    """Thread-pool task body: ``func(*args)`` under the submitter's span."""
+    with telemetry.adopt(parent):
+        return func(*args)
+
+
 def parallel_map(
     func: Callable[..., T],
     argument_tuples: Sequence[tuple],
@@ -201,13 +212,24 @@ def parallel_map(
                     ]
                 _attach_progress(futures, label)
                 return _collect_fail_fast(pool, futures)
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"{label or 'parallel'}: a pool worker process died before "
+                f"finishing its task ({exc})"
+            ) from exc
         finally:
             if collector is not None:
                 collector.finish()
+    # Pool threads start with no current span: run each task under the
+    # submitter's, so its spans and metrics land where a serial loop's would.
+    parent = telemetry.current_span()
     pool = ThreadPoolExecutor(
         max_workers=workers, initializer=initializer, initargs=initargs
     )
     with pool:
-        futures = [pool.submit(func, *args) for args in argument_tuples]
+        futures = [
+            pool.submit(_run_adopted, parent, func, *args)
+            for args in argument_tuples
+        ]
         _attach_progress(futures, label)
         return _collect_fail_fast(pool, futures)

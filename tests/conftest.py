@@ -7,12 +7,32 @@ import pytest
 
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
+from repro.telemetry import StageTable, Tracer
 
 
 @pytest.fixture
 def rng():
     """A fixed-seed generator for deterministic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def stage_table():
+    """Factory: a :class:`StageTable` over synthetic finished stage spans,
+    one per ``(name, seconds[, attributes])`` row, laid end to end."""
+
+    def build(*rows):
+        tracer = Tracer()
+        clock = 0.0
+        for name, seconds, *attributes in rows:
+            tracer.add_merged_span(
+                name, start=clock, end=clock + seconds, pid=0,
+                attributes=attributes[0] if attributes else None,
+            )
+            clock += seconds
+        return StageTable(tracer.roots)
+
+    return build
 
 
 @pytest.fixture

@@ -288,6 +288,43 @@ class TestPipelineIntegration:
         )
         assert np.isnan(res.vectors).all()  # returned, not raised
 
+    @staticmethod
+    def _nan_seeded_run(er_graph):
+        """One traced run of a body returning 3 NaN entries, two of which an
+        earlier stage checkpoint also saw; returns its ``health.nonfinite``."""
+        from repro import telemetry
+        from repro.embedding.base import PipelineSpec, run_pipeline
+
+        def body(ctx):
+            vectors = np.ones((ctx.graph.num_vertices, ctx.params.dimension))
+            vectors[0, :2] = np.nan
+            health.checkpoint("svd", vectors)
+            vectors[1, 0] = np.nan
+            return vectors
+
+        telemetry.enable()
+        try:
+            result = run_pipeline(
+                er_graph, PipelineSpec("nan-seeded", body), LightNEParams(**SMALL)
+            )
+        finally:
+            telemetry.disable()
+            telemetry.reset_metrics()
+        return result.info["telemetry"]["metrics"]["counters"]["health.nonfinite"]
+
+    @pytest.mark.parametrize("policy", ["off", "record", "warn"])
+    def test_nonfinite_counted_once_whatever_the_policy(self, er_graph, policy):
+        """``health.nonfinite`` is the final embedding's count, taken by the
+        guard alone: not doubled by the ``final`` checkpoint, not inflated by
+        what earlier stage checkpoints saw (those stay in the probes)."""
+        with health.policy_scope(policy):
+            assert self._nan_seeded_run(er_graph) == 3.0
+
+    def test_nonfinite_still_raises_under_raise(self, er_graph):
+        with health.policy_scope("raise"):
+            with pytest.raises(NumericalHealthError):
+                self._nan_seeded_run(er_graph)
+
 
 # ---------------------------------------------------------------------------
 # Determinism sweep: digests stable across workers × substrate.

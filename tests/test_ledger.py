@@ -17,7 +17,6 @@ from repro.telemetry.ledger import (
     params_hash,
     validate_record,
 )
-from repro.utils.timer import StageTimer
 
 
 @pytest.fixture
@@ -204,6 +203,25 @@ class TestPipelineWiring:
         recorded = [s for s in record.stages if s in declared]
         assert recorded == declared
 
+    def test_peak_rss_is_the_os_lifetime_peak_at_record_time(self, graph, tmp_path):
+        """Non-decreasing across the runs of one process, and not whatever an
+        earlier ``profile_memory`` block left in a ``memory.rss_peak_bytes``
+        gauge (its publisher runs *around* the command, after the append)."""
+        from repro import telemetry
+
+        path = tmp_path / "runs.jsonl"
+        telemetry.enable()
+        try:
+            telemetry.get_metrics().gauge("memory.rss_peak_bytes").set_max(1.0)
+            with ledger.enabled_scope(path=path, dataset="ds"):
+                for _ in range(2):
+                    run_method("lightne", graph, seed=0, dimension=8, window=3)
+        finally:
+            telemetry.disable()
+            telemetry.reset_metrics()
+        first, second = (r.peak_rss_bytes for r in RunLedger(path).records())
+        assert (1 << 20) < first <= second <= telemetry.peak_rss_bytes()
+
     def test_record_failure_does_not_break_run(self, graph, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -228,29 +246,22 @@ class TestPipelineWiring:
 
 
 # ---------------------------------------------------------------------------
-# StageTimer.ordered_stages (the stable Table-5 ordering)
+# StageTable.ordered_stages (the stable Table-5 ordering)
 # ---------------------------------------------------------------------------
 
 
 class TestOrderedStages:
-    def test_declared_order_wins(self):
-        timer = StageTimer()
-        timer.add("propagation", 1.0)
-        timer.add("sparsifier", 2.0)
-        timer.add("svd", 3.0)
+    def test_declared_order_wins(self, stage_table):
+        timer = stage_table(("propagation", 1.0), ("sparsifier", 2.0), ("svd", 3.0))
         ordered = timer.ordered_stages(("sparsifier", "svd", "propagation"))
         assert list(ordered) == ["sparsifier", "svd", "propagation"]
         assert ordered["sparsifier"] == 2.0
 
-    def test_extra_stages_appended(self):
-        timer = StageTimer()
-        timer.add("warmup", 0.1)
-        timer.add("svd", 3.0)
+    def test_extra_stages_appended(self, stage_table):
+        timer = stage_table(("warmup", 0.1), ("svd", 3.0))
         ordered = timer.ordered_stages(("sparsifier", "svd"))
         assert list(ordered) == ["svd", "warmup"]
 
-    def test_empty_order_keeps_insertion(self):
-        timer = StageTimer()
-        timer.add("b", 1.0)
-        timer.add("a", 2.0)
+    def test_empty_order_keeps_insertion(self, stage_table):
+        timer = stage_table(("b", 1.0), ("a", 2.0))
         assert list(timer.ordered_stages()) == ["b", "a"]

@@ -8,19 +8,29 @@ buffers live, never a single output bit — at every worker count.
 
 from __future__ import annotations
 
+import glob
 import mmap
+import multiprocessing
+import os
+import signal
+import tempfile
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.errors import ReproError, WorkerError
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import load_csr_v2, save_csr_v2
 from repro.linalg.kernels import release_pages, spmm, spmm_chunked
 from repro.linalg.spectral import spectral_propagation
+from repro.sparsifier import aggregation, path_sampling
 from repro.sparsifier.builder import build_netmf_sparsifier
 from repro.sparsifier.path_sampling import PathSamplingConfig
+from repro.utils.parallel import parallel_map
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +83,93 @@ class TestSparsifierParity:
             graph, config, np.random.default_rng(0), backend="process", workers=2
         )
         assert result.stats["backend"] == "process"
+
+
+def _leftovers():
+    """What a pool must not leave behind: shm segments, spool dirs, children."""
+    return (
+        set(glob.glob("/dev/shm/psm_*")),
+        set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spool-*"))),
+        multiprocessing.active_children(),
+    )
+
+
+def _die_once(flag, inner):
+    """``inner``, except that the first *pool worker* to call it (fork
+    children inherit the patch) SIGKILLs itself mid-task."""
+    parent = os.getpid()
+
+    def wrapper(*args, **kwargs):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return inner(*args, **kwargs)
+
+    return wrapper
+
+
+def _double(x):
+    return 2 * x
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+class TestDeadWorker:
+    """A pool worker killed mid-task is a typed error in bounded time that
+    leaks nothing and leaves the interpreter able to run the next pool."""
+
+    def _assert_clean_worker_error(self, traced, call):
+        before = _leftovers()
+        if traced:
+            telemetry.enable()
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkerError, match="sparsifier") as caught:
+                call()
+        finally:
+            telemetry.disable()
+            telemetry.reset_metrics()
+        assert time.monotonic() - start < 10.0
+        assert isinstance(caught.value, ReproError)
+        assert type(caught.value.__cause__).__name__ == "BrokenProcessPool"
+        assert _leftovers() == (before[0], before[1], [])
+        again = parallel_map(
+            _double, [(i,) for i in range(4)], workers=2, backend="process"
+        )
+        assert again == [0, 2, 4, 6]
+
+    def test_killed_mid_slab(self, graph, tmp_path, monkeypatch, traced):
+        monkeypatch.setattr(
+            path_sampling, "path_sample_pairs",
+            _die_once(str(tmp_path / "died"), path_sampling.path_sample_pairs),
+        )
+        config = PathSamplingConfig(window=3, num_samples=3000, downsample=False)
+        self._assert_clean_worker_error(
+            traced,
+            lambda: path_sampling.sample_sparsifier_edges(
+                graph, config, 5, batch_size=500, workers=2, backend="process"
+            ),
+        )
+        assert (tmp_path / "died").exists()
+
+    def test_killed_inside_shard_build(self, tmp_path, monkeypatch, traced):
+        monkeypatch.setattr(
+            aggregation, "SparseParallelHashTable",
+            _die_once(str(tmp_path / "died"), aggregation.SparseParallelHashTable),
+        )
+        rng = np.random.default_rng(0)
+        rows, cols = rng.integers(0, 50, size=(2, 4000))
+        self._assert_clean_worker_error(
+            traced,
+            lambda: aggregation.aggregate_hash_sharded(
+                rows, cols, np.ones(4000), 50, num_shards=4, workers=2,
+                backend="process",
+            ),
+        )
+        assert (tmp_path / "died").exists()
 
 
 class TestChunkedSPMM:

@@ -67,6 +67,7 @@ SUBPACKAGES = [
     "repro.telemetry",
     "repro.telemetry.tracer",
     "repro.telemetry.metrics",
+    "repro.telemetry.run",
     "repro.telemetry.memory",
     "repro.cli",
     "repro.errors",
@@ -182,3 +183,48 @@ def test_encoding_stays_inside_graph_package():
                 ]
     assert offenders == []
     assert graphlike_definitions == ["graph/compression.py"]
+
+
+def test_the_span_tree_is_the_only_stage_clock():
+    """Layering: one run, one clock, one parenting rule.
+
+    ``repro.utils.timer`` / ``StageTimer`` are gone from the package; no
+    embedding module reads ``time.perf_counter`` (stages are spans); and only
+    ``repro.telemetry`` and ``utils/parallel.py`` handle a parent span —
+    nobody else names ``parent_span`` or calls ``current_span()``.
+    """
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        owns_parenting = (
+            relative.startswith("telemetry/") or relative == "utils/parallel.py"
+        )
+        source = path.read_text()
+        offenders += [  # not even in prose
+            f"{relative}: {word}"
+            for word in ("StageTimer", "utils.timer") if word in source
+        ]
+        banned = set()
+        if not owns_parenting:
+            banned |= {"parent_span", "current_span"}
+        if relative.startswith("embedding/"):
+            banned.add("perf_counter")
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.arg):
+                names = [node.arg]
+            elif isinstance(node, ast.keyword):
+                names = [node.arg or ""]
+            offenders += [
+                f"{relative}:{node.lineno}: {name}"
+                for name in names if name in banned
+            ]
+    assert offenders == []
+    assert not (root / "utils" / "timer.py").exists()

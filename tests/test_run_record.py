@@ -1,0 +1,253 @@
+"""One record per run: the run's span tree is the only stage clock, its
+metrics are scoped to the run, and ``parallel_map`` owns span parenting."""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import threading
+from collections import Counter
+
+import pytest
+
+from repro import telemetry
+from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.embedding.registry import get_method, list_methods, make_params
+from repro.graph.generators import dcsbm_graph
+from repro.graph.partition import bfs_partition, embed_partitioned
+from repro.streaming import DynamicEmbedder
+from repro.telemetry import ledger
+from repro.telemetry import run as run_mod
+from repro.utils.parallel import parallel_map
+
+TRACE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_tree_b6192f7.json"
+SUBSTRATES = ["thread", "process"]
+
+
+@pytest.fixture(scope="module")
+def graph():
+    g, _ = dcsbm_graph(600, 3, avg_degree=8, seed=1)
+    return g
+
+
+@pytest.fixture(scope="module")
+def small_graph():
+    g, _ = dcsbm_graph(80, 2, avg_degree=6, seed=1)
+    return g
+
+
+@pytest.fixture
+def tracer():
+    active = telemetry.enable()
+    telemetry.reset_metrics()
+    yield active
+    telemetry.disable()
+    telemetry.reset_metrics()
+
+
+def _params(backend, **knobs):
+    return LightNEParams(
+        dimension=8, window=3, propagation_order=3, workers=2, batch_size=250,
+        backend=backend, **knobs,
+    )
+
+
+def _run_to_run(counters):
+    """A record's counters minus the wall-clock-valued ones."""
+    return {k: v for k, v in counters.items() if not k.startswith("worker.seconds.")}
+
+
+class TestRunScopedMetrics:
+    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_consecutive_runs_report_themselves_only(
+        self, graph, tracer, tmp_path, backend, sparsifier
+    ):
+        path = tmp_path / "runs.jsonl"
+        with ledger.enabled_scope(path=path, dataset="ds"):
+            results = [
+                lightne_embedding(graph, _params(backend, sparsifier=sparsifier), 7)
+                for _ in range(3)
+            ]
+        blocks = [r.info["telemetry"] for r in results]
+        for block in blocks:
+            counters = block["metrics"]["counters"]
+            assert counters["svd.operator_passes"] == 6
+            for name in ("sparsifier.draws", "spmm.calls"):
+                assert counters[name] == blocks[0]["metrics"]["counters"][name] > 0
+            assert block["trace_spans"] == blocks[0]["trace_spans"]
+        # Every span of the process belongs to exactly one of the three runs.
+        assert 3 * blocks[0]["trace_spans"] == tracer.span_count
+        records = ledger.RunLedger(path).records()
+        first = _run_to_run(records[0].metrics["counters"])
+        assert all(_run_to_run(r.metrics["counters"]) == first for r in records)
+        # ... and everything rolled up: the enclosing registry has the totals.
+        totals = telemetry.get_metrics().snapshot()["counters"]
+        assert _run_to_run(totals) == {k: 3 * v for k, v in first.items()}
+
+    def test_gauges_and_histograms_roll_up_with_their_own_semantics(self, tracer):
+        outer = telemetry.get_metrics()
+        outer.gauge("g").set(5.0)
+        with telemetry.run_scope("run") as root:
+            telemetry.gauge("g").set(3.0)
+            telemetry.gauge("peak").set_max(2.0)
+            telemetry.gauge("peak").set_max(1.0)
+            telemetry.histogram("h").observe(0.01)
+        scoped = root.metrics.snapshot()
+        assert scoped["gauges"]["g"] == {"value": 3.0, "max": 3.0}
+        assert scoped["gauges"]["peak"] == {"value": 2.0, "max": 2.0}
+        assert scoped["histograms"]["h"]["count"] == 1
+        rolled = outer.snapshot()
+        assert rolled["gauges"]["g"] == {"value": 3.0, "max": 5.0}  # last write wins
+        assert rolled["gauges"]["peak"] == {"value": 2.0, "max": 2.0}
+        assert rolled["histograms"]["h"] == scoped["histograms"]["h"]
+
+
+class TestTraceTreeParity:
+    """``parallel_map`` parents pool-task spans itself; the tree is the one
+    the hand-threaded ``parent_span`` arguments used to build."""
+
+    @pytest.mark.parametrize(
+        "variant,knobs",
+        [("path", {}), ("ppr", {"sparsifier": "ppr"}),
+         ("hash-sharded", {"aggregator": "hash-sharded"})],
+    )
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_tree_equals_parent_commit_fixture(
+        self, graph, tracer, backend, variant, knobs
+    ):
+        result = lightne_embedding(graph, _params(backend, **knobs), seed=7)
+        own = os.getpid()
+        rows = Counter(
+            (
+                span.name,
+                span.parent.name if span.parent else None,
+                "main" if span.pid in (0, own) else "worker",
+                tuple(sorted(span.attributes)),
+            )
+            for span in tracer.iter_spans()
+        )
+        recorded = json.loads(TRACE_FIXTURE.read_text())[f"{backend}/{variant}"]
+        expected = Counter(
+            {(name, parent, lane, tuple(keys)): count
+             for name, parent, lane, keys, count in recorded}
+        )
+        # The one addition: SparsifierResult.stats on the sparsifier stage span.
+        stage = tracer.find_spans("sparsifier")[0]
+        stats = set(stage.attributes) - {"aggregator", "backend", "workers", "sparsifier"}
+        assert stats and stats <= set(result.timer.counters["sparsifier"])
+        bare = tuple(sorted(set(stage.attributes) - stats))
+        rows[("sparsifier", "lightne", "main", bare)] = rows.pop(
+            ("sparsifier", "lightne", "main", tuple(sorted(stage.attributes)))
+        )
+        assert rows == expected
+
+
+    def test_thread_pool_tasks_land_under_the_submitting_span(self, tracer):
+        def task(index):
+            with telemetry.span("task", index=index):
+                telemetry.counter("task.calls").inc()
+            return threading.get_ident()
+
+        with telemetry.run_scope("run") as root:
+            with telemetry.stage("stage") as stage:
+                idents = parallel_map(task, [(i,) for i in range(6)], workers=3)
+        assert set(idents) != {threading.get_ident()}
+        tasks = tracer.find_spans("task")
+        assert len(tasks) == 6 and all(span.parent is stage for span in tasks)
+        assert root.metrics.snapshot()["counters"] == {"task.calls": 6.0}
+
+
+class TestStageClock:
+    @pytest.mark.parametrize("name", [s.name for s in list_methods()])
+    def test_untraced_run_allocates_root_and_stages_only(
+        self, small_graph, monkeypatch, name
+    ):
+        tracers = []
+
+        class Recording(telemetry.Tracer):
+            def __init__(self):
+                super().__init__()
+                tracers.append(self)
+
+        monkeypatch.setattr(run_mod, "Tracer", Recording)
+        assert not telemetry.is_enabled()
+        spec = get_method(name)
+        result = spec.builder(small_graph, make_params(name, dimension=8), seed=0)
+        assert list(result.timer.stages) == list(spec.stages)
+        (own,) = tracers
+        assert own.span_count == 1 + len(spec.stages)
+        assert [root.name for root in own.roots] == [spec.name]
+        assert "telemetry" not in result.info
+
+    @pytest.mark.parametrize("name", [s.name for s in list_methods()])
+    def test_traced_run_has_the_same_stage_table(self, small_graph, tracer, name):
+        spec = get_method(name)
+        result = spec.builder(small_graph, make_params(name, dimension=8), seed=0)
+        assert list(result.timer.stages) == list(spec.stages)
+        (root,) = tracer.roots
+        assert result.timer.stages == {
+            child.name: child.duration for child in root.children
+        }
+
+
+class TestNestedRuns:
+    def test_partitioned_parts_keep_their_own_tables(self, graph, tracer):
+        inner = []
+
+        def embedder(subgraph, seed):
+            inner.append(
+                lightne_embedding(subgraph, _params("thread"), seed)
+            )
+            return inner[-1]
+
+        assignment = bfs_partition(graph, 2, seed=0)
+        outer = embed_partitioned(graph, assignment, embedder, dimension=8, seed=0)
+        assert list(outer.timer.stages) == ["partitioned-embedding"]
+        assert len(inner) == 2
+        for part in inner:
+            assert list(part.timer.stages) == ["sparsifier", "svd", "propagation"]
+            assert part.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
+        assert inner[0].timer.stages != inner[1].timer.stages
+        assert outer.timer.total >= sum(part.timer.total for part in inner)
+        totals = telemetry.get_metrics().snapshot()["counters"]
+        assert totals["svd.operator_passes"] == 12
+        # Tracing on: both part runs sit under the one stage span, as before.
+        (stage,) = tracer.roots
+        assert [child.name for child in stage.children] == ["lightne", "lightne"]
+
+    def test_partitioned_untraced(self, graph):
+        assignment = bfs_partition(graph, 2, seed=0)
+        outer = embed_partitioned(
+            graph, assignment,
+            lambda sub, seed: lightne_embedding(sub, _params("thread"), seed),
+            dimension=8, seed=0,
+        )
+        assert list(outer.timer.stages) == ["partitioned-embedding"]
+        assert outer.timer.total > 0
+
+    def test_dynamic_embedder_refreshes_are_runs_of_their_own(self, graph, tracer):
+        embedder = DynamicEmbedder(graph, _params("thread"), seed=0)
+        first = embedder.result
+        second = embedder.refresh()
+        for result in (first, second):
+            assert list(result.timer.stages) == ["sparsifier", "svd", "propagation"]
+            assert result.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
+        assert first.timer.stages != second.timer.stages
+        assert telemetry.get_metrics().snapshot()["counters"]["svd.operator_passes"] == 12
+
+    def test_run_inside_a_run_rolls_up_through_it(self, tracer):
+        with telemetry.run_scope("outer") as outer:
+            telemetry.counter("c").inc()
+            with telemetry.run_scope("inner") as inner:
+                telemetry.counter("c").inc(2)
+                with telemetry.stage("s"):
+                    pass
+            with telemetry.stage("t"):
+                pass
+        assert inner.metrics.snapshot()["counters"] == {"c": 2.0}
+        assert outer.metrics.snapshot()["counters"] == {"c": 3.0}
+        assert telemetry.get_metrics().snapshot()["counters"] == {"c": 3.0}
+        assert [c.name for c in inner.children] == ["s"]
+        assert [c.name for c in outer.children] == ["inner", "t"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.embedding.lightne import (
     LightNEParams,
     lightne_embedding,
@@ -40,7 +41,6 @@ from repro.sparsifier.builder import (
 )
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.sparsifier.ppr import sample_ppr_counts, walk_operator
-from repro.utils.timer import StageTimer
 
 
 def _identical(a, b) -> bool:
@@ -288,12 +288,14 @@ class TestPPREstimator:
             sample_ppr_counts(empty, good, rng)
 
     def test_stage_and_counters_recorded(self, er_graph):
-        timer = StageTimer()
         config = PathSamplingConfig(window=2, num_samples=1500)
-        result = build_sparsifier(
-            er_graph, config, seed=33, sparsifier="ppr", timer=timer, workers=2
-        )
+        with telemetry.run_scope("run") as root:
+            result = build_sparsifier(
+                er_graph, config, seed=33, sparsifier="ppr", workers=2
+            )
+        timer = telemetry.StageTable(root.children)
         assert "sparsifier" in timer.stages
+        assert root.children[0].attributes["sparsifier"] == "ppr"
         counters = timer.counters["sparsifier"]
         assert counters["workers"] == 2
         assert counters["walk_samples"] == result.stats["walk_samples"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import telemetry
 from repro.embedding.lightne import (
     LightNEParams,
     lightne_embedding,
@@ -33,7 +34,6 @@ from repro.sparsifier.builder import (
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
 from repro.telemetry.health import fingerprint
-from repro.utils.timer import StageTimer
 
 
 def _assert_same_csr(got, expected):
@@ -78,10 +78,11 @@ class TestBuilder:
         assert result.counts.sum() == pytest.approx(result.num_draws, rel=0.1)
 
     def test_timer_records_stage(self, er_graph):
-        timer = StageTimer()
+        """Inside a run the builder's stage is a real span, tracing off."""
         config = PathSamplingConfig(window=2, num_samples=500, downsample=False)
-        build_netmf_sparsifier(er_graph, config, seed=2, timer=timer)
-        assert "sparsifier" in timer.stages
+        with telemetry.run_scope("run") as root:
+            build_netmf_sparsifier(er_graph, config, seed=2)
+        assert "sparsifier" in telemetry.StageTable(root.children).stages
 
     def test_aggregators_agree(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=2000, downsample=False)
@@ -117,12 +118,14 @@ class TestBuilder:
         assert (serial.counts != threaded.counts).nnz == 0
 
     def test_counters_recorded(self, er_graph):
-        timer = StageTimer()
         config = PathSamplingConfig(window=2, num_samples=1500, downsample=False)
-        result = build_netmf_sparsifier(
-            er_graph, config, seed=7, timer=timer, workers=2
-        )
-        counters = timer.counters["sparsifier"]
+        with telemetry.run_scope("run") as root:
+            result = build_netmf_sparsifier(er_graph, config, seed=7, workers=2)
+        (stage,) = root.children
+        # SparsifierResult.stats is written onto the stage span as is ...
+        assert stage.attributes.items() >= result.stats.items()
+        # ... and its numeric entries are the stage's counters.
+        counters = telemetry.StageTable(root.children).counters["sparsifier"]
         assert counters["workers"] == 2
         assert counters["walk_samples"] == result.stats["walk_samples"]
         assert counters["samples_per_sec"] > 0

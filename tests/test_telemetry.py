@@ -72,12 +72,12 @@ class TestSpans:
         assert telemetry.current_span() is None
 
     def test_cross_thread_parenting(self, enabled):
-        """Worker threads attach to an explicitly passed parent span."""
+        """Worker threads attach to the span they adopt from the dispatcher."""
         with telemetry.span("dispatch") as parent:
             captured = telemetry.current_span()
 
             def work(i):
-                with telemetry.span("task", parent=captured, index=i):
+                with telemetry.adopt(captured), telemetry.span("task", index=i):
                     pass
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]

@@ -42,7 +42,8 @@ def _remember(tag):
 def _read_tag(_):
     return _INIT_STATE.get("tag")
 from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs, spawn_rngs
-from repro.utils.timer import StageTimer, Timer
+from repro import telemetry
+from repro.telemetry import StageTable, Tracer
 from repro.utils.validation import (
     as_int_array,
     check_fraction,
@@ -153,160 +154,140 @@ class TestDeriveSeed:
 
 
 class TestTimer:
+    """The one stopwatch is the span (``repro.utils.timer.Timer`` is gone)."""
+
     def test_elapsed_positive(self):
-        with Timer() as t:
+        with Tracer().span("t") as span:
+            assert span.duration is None  # still open
             time.sleep(0.001)
-        assert t.elapsed > 0
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.002)
-        assert t.elapsed >= 0 and t.elapsed != first or t.elapsed >= 0
-
-    def test_nested_reentry_raises(self):
-        t = Timer()
-        with t:
-            with pytest.raises(RuntimeError, match="not re-entrant"):
-                with t:
-                    pass
-        # The failed re-entry must not corrupt the outer measurement.
-        assert t.elapsed >= 0
-        with t:  # and sequential reuse still works afterwards
-            pass
+        assert span.duration > 0
 
 
 class TestStageTimer:
-    def test_stage_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        with timer.stage("a"):
-            pass
-        assert timer.stages["a"] >= 0
-        assert timer._order == ["a"]
+    """``EmbeddingResult.timer``: the read-only stage table over a run
+    span's children (what ``StageTimer`` used to accumulate by hand)."""
 
-    def test_total(self):
-        timer = StageTimer()
-        timer.add("x", 1.0)
-        timer.add("y", 2.0)
+    def test_stage_accumulates(self):
+        with telemetry.run_scope("run") as root:
+            with telemetry.stage("a") as first:
+                pass
+            with telemetry.stage("a") as second:
+                pass
+        timer = StageTable(root.children)
+        assert timer.stages["a"] == pytest.approx(
+            first.duration + second.duration
+        )
+        assert list(timer.stages) == ["a"]
+
+    def test_total(self, stage_table):
+        timer = stage_table(("x", 1.0), ("y", 2.0))
         assert timer.total == pytest.approx(3.0)
 
-    def test_add_negative_raises(self):
-        with pytest.raises(ValueError):
-            StageTimer().add("x", -1.0)
-
-    def test_order_preserved(self):
-        timer = StageTimer()
-        timer.add("b", 1.0)
-        timer.add("a", 1.0)
+    def test_order_preserved(self, stage_table):
+        timer = stage_table(("b", 1.0), ("a", 1.0))
         assert [name for name, _ in timer.as_rows()] == ["b", "a"]
 
     def test_format_empty(self):
-        assert "no stages" in StageTimer().format()
+        assert "no stages" in StageTable().format()
 
-    def test_format_contains_stage_names(self):
-        timer = StageTimer()
-        timer.add("sparsifier", 1.5)
-        text = timer.format()
+    def test_format_contains_stage_names(self, stage_table):
+        text = stage_table(("sparsifier", 1.5)).format()
         assert "sparsifier" in text and "total" in text
 
-    def test_counter_set_get(self):
-        timer = StageTimer()
-        timer.set_counter("sparsifier", "workers", 4)
+    def test_counter_set_get(self, stage_table):
+        timer = stage_table(("sparsifier", 1.0, {"workers": 4}))
         assert timer.get_counter("sparsifier", "workers") == 4
         assert timer.get_counter("sparsifier", "missing", default=-1.0) == -1.0
         assert timer.get_counter("nope", "workers") == 0.0
 
     def test_counter_overwrites(self):
-        timer = StageTimer()
-        timer.set_counter("s", "batches", 1)
-        timer.set_counter("s", "batches", 9)
-        assert timer.get_counter("s", "batches") == 9
+        """A counter is a stage-span attribute: the last write is the value,
+        also across two spans of one (re-entered) stage."""
+        with telemetry.run_scope("run") as root:
+            with telemetry.stage("s") as span:
+                span.set_attribute("batches", 1)
+                span.set_attribute("batches", 9)
+            timer = StageTable(root.children)
+            assert timer.get_counter("s", "batches") == 9
+            with telemetry.stage("s", batches=12):
+                pass
+        assert timer.get_counter("s", "batches") == 12
 
-    def test_counter_rows_follow_stage_order(self):
-        timer = StageTimer()
-        timer.add("svd", 1.0)
-        timer.add("sparsifier", 1.0)
-        timer.set_counter("sparsifier", "samples_per_sec", 10.5)
-        timer.set_counter("svd", "rank", 32)
-        timer.set_counter("orphan", "x", 1)  # counter without a timed stage
-        rows = timer.counter_rows()
-        assert rows == [
-            ("svd", "rank", 32),
-            ("sparsifier", "samples_per_sec", 10.5),
-            ("orphan", "x", 1),
-        ]
+    def test_counter_rows_follow_stage_order(self, stage_table):
+        timer = stage_table(
+            ("svd", 1.0, {"rank": 32}),
+            ("sparsifier", 1.0, {"samples_per_sec": 10.5, "aggregator": "sort"}),
+        )
+        assert timer.counters == {
+            "svd": {"rank": 32.0},
+            "sparsifier": {"samples_per_sec": 10.5},
+        }
+        assert list(timer.counters) == ["svd", "sparsifier"]
 
-    def test_format_includes_counters(self):
-        timer = StageTimer()
-        timer.add("sparsifier", 0.5)
-        timer.set_counter("sparsifier", "samples_per_sec", 1234567.0)
-        timer.set_counter("sparsifier", "batches", 3)
-        text = timer.format()
+    def test_format_includes_counters(self, stage_table):
+        text = stage_table(
+            ("sparsifier", 0.5, {
+                "samples_per_sec": 1234567.0, "batches": 3,
+                "sampling_seconds": 0.00162,
+            }),
+        ).format()
         assert "sparsifier.samples_per_sec = 1,234,567" in text
         assert "sparsifier.batches = 3" in text
-
-    def test_format_counters_only(self):
-        """Counters must survive format() even with zero timed stages."""
-        timer = StageTimer()
-        timer.set_counter("sparsifier", "workers", 4)
-        text = timer.format()
-        assert "no stages" not in text
-        assert "sparsifier.workers = 4" in text
-
-    def test_counter_rows_for_never_timed_stages(self):
-        """Counters whose stages were never timed keep registration order."""
-        timer = StageTimer()
-        timer.set_counter("zeta", "a", 1)
-        timer.set_counter("alpha", "b", 2)
-        assert timer.counter_rows() == [("zeta", "a", 1), ("alpha", "b", 2)]
-        # Timing one of them promotes it to stage order, ahead of orphans.
-        timer.add("alpha", 0.1)
-        assert timer.counter_rows() == [("alpha", "b", 2), ("zeta", "a", 1)]
+        assert "sparsifier.sampling_seconds = 0.00162" in text
 
     def test_stage_nesting_is_safe(self):
-        timer = StageTimer()
-        with timer.stage("outer"):
-            with timer.stage("inner"):
-                time.sleep(0.001)
-        assert set(timer.stages) == {"outer", "inner"}
-        assert timer.stages["outer"] >= timer.stages["inner"]
-        # Inner completes first, so it appears first in record order.
-        assert timer._order == ["inner", "outer"]
+        with telemetry.run_scope("run") as root:
+            with telemetry.stage("outer") as outer:
+                with telemetry.stage("inner") as inner:
+                    time.sleep(0.001)
+        timer = StageTable(root.children)
+        # The nested block is a child of the stage, not a second stage: it
+        # is inside "outer"'s time and not counted again in the total.
+        assert list(timer.stages) == ["outer"]
+        assert inner.parent is outer
+        assert timer.total == timer.stages["outer"] >= inner.duration
 
     def test_stage_yields_span_and_writes_through_to_tracer(self):
-        from repro import telemetry
-
         tracer = telemetry.enable()
         try:
-            timer = StageTimer()
-            with timer.stage("svd", rank=8) as span:
-                span.set_attribute("extra", 1)
+            with telemetry.run_scope("run") as root:
+                with telemetry.stage("svd", rank=8) as span:
+                    span.set_attribute("extra", 1)
             assert tracer.find_spans("svd")[0].attributes == {
                 "rank": 8, "extra": 1,
             }
+            # Outside a run a stage is a plain span on the installed tracer.
+            with telemetry.stage("sparsifier"):
+                pass
+            assert tracer.find_spans("sparsifier")[0].parent is None
         finally:
             telemetry.disable()
             telemetry.reset_metrics()
-        assert "svd" in timer.stages
+        assert "svd" in StageTable(root.children).stages
+
+    def test_stage_is_real_inside_a_run_and_noop_outside_when_disabled(self):
+        assert not telemetry.is_enabled()
+        assert telemetry.stage("svd") is telemetry.NULL_SPAN
+        with telemetry.run_scope("run") as root:
+            with telemetry.stage("svd"):
+                assert telemetry.span("svd.batch") is telemetry.NULL_SPAN
+        assert root.metrics is None
+        assert [child.name for child in root.children] == ["svd"]
+        assert root.tracer.span_count == 2
 
     def test_from_spans_builds_table5_view(self):
-        from repro import telemetry
-
         tracer = telemetry.enable()
         try:
             with telemetry.span("sparsifier", workers=2):
                 pass
             with telemetry.span("svd", rank=16, label="x"):
                 pass
-            timer = StageTimer.from_spans(tracer.roots)
+            with telemetry.span("open"):
+                timer = StageTable(tracer.roots)
+                assert list(timer.stages) == ["sparsifier", "svd"]
         finally:
             telemetry.disable()
-        assert timer._order == ["sparsifier", "svd"]
+        assert list(timer.stages) == ["sparsifier", "svd", "open"]  # a live view
         assert timer.get_counter("svd", "rank") == 16.0
         assert timer.get_counter("sparsifier", "workers") == 2.0
         # Non-numeric attributes are not counters.

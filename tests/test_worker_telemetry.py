@@ -24,7 +24,6 @@ from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.report import flame_boxes
 from repro.telemetry.tracer import Tracer
 from repro.utils.parallel import parallel_map
-from repro.utils.timer import StageTimer
 
 
 @pytest.fixture
@@ -381,14 +380,21 @@ class TestStallMonitor:
         assert snap["gauges"]["parallel.stalled_workers_current"]["value"] == 0.0
 
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "0.5")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "2.5")
-        assert worker_mod.heartbeat_interval() == 0.5
-        assert worker_mod.stall_timeout() == 2.5
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "garbage")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "-3")
-        assert worker_mod.heartbeat_interval() == worker_mod.DEFAULT_HEARTBEAT_S
-        assert worker_mod.stall_timeout() == worker_mod.DEFAULT_STALL_TIMEOUT_S
+        """The two periods are module constants; the environment variables
+        that used to override them are not consulted, explicit values are."""
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.5")
+        monkeypatch.setenv("REPRO_STALL_TIMEOUT_S", "2.5")
+        default = worker_mod.SpoolCollector("x", 1, tracing=False, progress=False)
+        explicit = worker_mod.SpoolCollector(
+            "x", 1, tracing=False, progress=False, heartbeat_s=0.5, timeout_s=2.5
+        )
+        try:
+            assert default.heartbeat_s == worker_mod.HEARTBEAT_S == 0.25
+            assert default.monitor.timeout_s == worker_mod.STALL_TIMEOUT_S == 30.0
+            assert (explicit.heartbeat_s, explicit.monitor.timeout_s) == (0.5, 2.5)
+        finally:
+            default.finish()
+            explicit.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +456,17 @@ class TestProcessPoolEndToEnd:
         # Beats only at init/task-completion (huge interval), and a stall
         # threshold far below the sleep: the monitor must flag the silent
         # worker while the task is still running.
-        monkeypatch.setenv(worker_mod.ENV_HEARTBEAT, "3600")
-        monkeypatch.setenv(worker_mod.ENV_STALL_TIMEOUT, "0.2")
-        parallel_map(
-            _sleepy, [(1.2,), (1.2,)], workers=2,
-            backend="process", label="pool.sleepy",
-        )
+        monkeypatch.setattr(worker_mod, "HEARTBEAT_S", 3600.0)
+        monkeypatch.setattr(worker_mod, "STALL_TIMEOUT_S", 0.2)
+        with telemetry.run_scope("run") as root:
+            parallel_map(
+                _sleepy, [(1.2,), (1.2,)], workers=2,
+                backend="process", label="pool.sleepy",
+            )
         snap = telemetry.get_metrics().snapshot()
         assert snap["counters"].get("parallel.stalled_workers", 0) >= 1.0
+        # The monitor thread counts into the run that launched the pool.
+        assert root.metrics.snapshot()["counters"] == snap["counters"]
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +525,12 @@ class TestProgress:
 def _result_with(info):
     from repro.embedding.base import EmbeddingResult
 
-    timer = StageTimer()
-    with timer.stage("sparsifier"):
-        pass
+    with telemetry.run_scope("lightne") as root:
+        with telemetry.stage("sparsifier"):
+            pass
     return EmbeddingResult(
-        vectors=np.zeros((2, 2)), method="lightne", timer=timer, info=info
+        vectors=np.zeros((2, 2)), method="lightne",
+        timer=telemetry.StageTable(root.children), info=info,
     )
 
 
