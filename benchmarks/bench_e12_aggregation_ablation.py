@@ -6,10 +6,12 @@ hash table "fastest and most memory-efficient ... across all of our inputs".
 
 We compare our implementations (dict reference, the sort-reduce kernel that
 is the pipeline's default, per-processor-lists histogram, shared hash table,
-and the hash-partitioned per-processor tables) on a realistic sample stream
-drawn from the actual PathSampling stage, reporting throughput and the memory
-each needs.  The hash variants are kept for this ablation: in numpy they
-lose to the sort kernel (see EXPERIMENTS.md E12).
+and the hash-partitioned per-processor tables) on a realistic *per-draw*
+sample stream — what one slab of the PathSampling stage holds before it packs
+and reduces (``per_draw_samples``; the stage's own output is already
+distinct, on which every aggregator is the identity) — reporting throughput
+and the memory each needs.  The hash variants are kept for this ablation: in
+numpy they lose to the sort kernel (see EXPERIMENTS.md E12).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.sparsifier.aggregation import (
     aggregate_sort,
 )
 from repro.sparsifier.hashtable import SparseParallelHashTable
-from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
+from repro.sparsifier.path_sampling import PathSamplingConfig, per_draw_samples
 from repro.systems.memory import hash_table_bytes, per_thread_list_bytes
 
 WINDOW = 10
@@ -40,7 +42,7 @@ def sample_stream():
         num_samples=PathSamplingConfig.samples_for_multiplier(graph, WINDOW, 5.0),
         downsample=True,
     )
-    u, v, w, _ = sample_sparsifier_edges(graph, config, SEED)
+    u, v, w, _ = per_draw_samples(graph, config, SEED)
     return graph.num_vertices, u, v, w
 
 
@@ -73,7 +75,7 @@ def test_e12_sharded_peak_memory(benchmark, table):
         num_samples=PathSamplingConfig.samples_for_multiplier(graph, WINDOW, 5.0),
         downsample=True,
     )
-    u, v, w, _ = sample_sparsifier_edges(graph, config, SEED)
+    u, v, w, _ = per_draw_samples(graph, config, SEED)
 
     def run():
         rows = []
@@ -134,7 +136,7 @@ def test_e12_memory_scaling(benchmark, table):
                 ),
                 downsample=True,
             )
-            u, v, w, _ = sample_sparsifier_edges(graph, config, SEED)
+            u, v, w, _ = per_draw_samples(graph, config, SEED)
             _, _, vals = aggregate_sort(u, v, w, graph.num_vertices)
             list_bytes = per_thread_list_bytes(u.size)
             hash_bytes = hash_table_bytes(vals.size)

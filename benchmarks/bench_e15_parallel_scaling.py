@@ -1,14 +1,17 @@
 """E15 — end-to-end sparsifier construction scaling with worker count.
 
-The PR's tentpole: PathSampling batches and the hash-partitioned aggregation
-shards both run on a thread pool whose width is the ``workers`` knob.  This
-benchmark sweeps workers ∈ {1, 2, 4, 8} over the full sampling + aggregation
-path and reports wall-clock, samples/sec and speedup over the serial run.
+PathSampling slabs and the hash-partitioned aggregation shards both run on a
+thread pool whose width is the ``workers`` knob.  This benchmark sweeps
+workers ∈ {1, 2, 4, 8} over the sampling stream (walk, per-slab sort-reduce,
+ordered merge) plus the §4.2 sharded aggregation of the same budget's
+*per-draw* samples (the stream's own output is already distinct, so handing
+it to an aggregator would time the identity) and reports wall-clock,
+samples/sec and speedup over the serial run.
 
 Two invariants are asserted unconditionally:
 
-* the sparsifier triple is **bit-identical** for every worker count (the
-  per-batch-index RNG stream design);
+* the reduced stream and the sharded aggregate are **bit-identical** for
+  every worker count (the per-slab-index RNG stream design);
 * the samples/sec counter is populated.
 
 The ≥1.5× speedup-at-8-workers check only fires on machines that actually
@@ -26,7 +29,11 @@ import pytest
 
 from benchmarks.harness import RUNS_PATH, SEED, load, run_probe
 from repro.sparsifier.aggregation import aggregate_hash_sharded
-from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
+from repro.sparsifier.path_sampling import (
+    PathSamplingConfig,
+    per_draw_samples,
+    sample_sparsifier_edges,
+)
 
 WINDOW = 10
 WORKER_SWEEP = (1, 2, 4, 8)
@@ -47,10 +54,16 @@ def config(graph):
     )
 
 
-def _run_once(graph, config, workers):
+@pytest.fixture(scope="module")
+def samples(graph, config):
+    """The budget's per-draw triples, drawn once: the aggregator's input."""
+    return per_draw_samples(graph, config, SEED)[:3]
+
+
+def _run_once(graph, config, workers, samples):
     stats = {}
     start = time.perf_counter()
-    u, v, w, draws = sample_sparsifier_edges(
+    stream = sample_sparsifier_edges(
         graph, config, SEED, batch_size=BATCH_SIZE, workers=workers, stats=stats
     )
     sampling = time.perf_counter() - start
@@ -58,22 +71,22 @@ def _run_once(graph, config, workers):
     # Shard count pinned (as in the builder): the decomposition must not vary
     # with workers or the fp summation order — and thus bit-identity — breaks.
     rows, cols, vals = aggregate_hash_sharded(
-        u, v, w, graph.num_vertices, workers=workers, num_shards=8
+        *samples, graph.num_vertices, workers=workers, num_shards=8
     )
     aggregation = time.perf_counter() - start
     return {
-        "triple": (u, v, w, draws, rows, cols, vals),
+        "triple": (*stream, rows, cols, vals),
         "seconds": sampling + aggregation,
         "samples_per_sec": stats["walk_samples"] / max(sampling, 1e-12),
         "batches": int(stats["batches"]),
     }
 
 
-def test_e15_parallel_scaling(benchmark, graph, config, table):
+def test_e15_parallel_scaling(benchmark, graph, config, samples, table):
     benchmark.group = "scaling"
 
     def run():
-        return {w: _run_once(graph, config, w) for w in WORKER_SWEEP}
+        return {w: _run_once(graph, config, w, samples) for w in WORKER_SWEEP}
 
     runs = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -409,10 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--batch-size", dest="batch_size", type=int, default=None,
-            help="samples per parallel sampling batch (methods with a "
-                 "batch_size parameter; smaller values mean more, smaller "
-                 "pool tasks — changes which RNG stream draws each sample, "
-                 "so keep it fixed when comparing runs)",
+            help="PathSampling draws (before the downsampling coin) per "
+                 "sampling slab (methods with a batch_size parameter): a "
+                 "slab holds ~13 arrays of that length per worker while "
+                 "it walks, and only its reduced pairs afterwards; "
+                 "smaller values mean more, smaller pool tasks — changes "
+                 "which RNG stream draws each sample, so keep it fixed "
+                 "when comparing runs (default: 65536)",
         )
         # --workers is already on add_common (shared with info/stream).
 

@@ -40,7 +40,7 @@ from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
-from repro.sparsifier.path_sampling import PathSamplingConfig
+from repro.sparsifier.path_sampling import DEFAULT_BATCH_SIZE, PathSamplingConfig
 from repro import telemetry
 from repro.telemetry import health
 from repro.utils.log import get_logger
@@ -77,9 +77,9 @@ class LightNEParams:
         ``"sort"`` (default: the sort-reduce kernel), ``"hash"`` (shared
         sparse parallel hashing, the paper's choice on a lock-free native
         table; here a numpy emulation kept as the §4.2 ablation) or
-        ``"hash-sharded"`` (per-processor tables).  Values agree across
-        aggregators up to last-digit summation order; measurements and the
-        determinism contract are in :mod:`repro.sparsifier.aggregation`.
+        ``"hash-sharded"`` (per-processor tables).  All three build the same
+        count matrix bit for bit; measurements and the determinism contract
+        are in :mod:`repro.sparsifier.aggregation`.
     sparsifier:
         Sampler that emits the count matrix's triples: ``"path"`` (default,
         the paper's downsampled PathSampling) or ``"ppr"`` (PSNE-style
@@ -114,7 +114,15 @@ class LightNEParams:
         sparse-sign sketched factorization, one streamed pass over the
         matrix; see :mod:`repro.linalg.single_pass`).
     batch_size:
-        Maximum walk-slab size during sampling (peak-memory bound).
+        PathSampling draws — counted *before* the downsampling coin — per
+        sampling slab.  A slab is expanded, walked and sort-reduced on its
+        own RNG stream, so the sparsifier stage holds about
+        ``13·workers·batch_size·8 B`` of slab workspace plus ``~6·nnz·16 B``
+        of reduced runs, whatever the draw budget ``M``
+        (:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`).
+        It fixes the slab decomposition and with it every random stream:
+        results are bit-identical across ``workers`` and ``backend`` for a
+        given ``(seed, batch_size)``, not across batch sizes.
     """
 
     dimension: int = 128
@@ -133,7 +141,7 @@ class LightNEParams:
     backend: str = "thread"
     precision: str = "double"
     factorizer: str = "rsvd"
-    batch_size: int = 2_000_000
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     @staticmethod
     def small(window: int = 10, dimension: int = 128) -> "LightNEParams":

@@ -196,7 +196,9 @@ class CSRGraph:
         Callers guarantee ``0 <= indices < degree(vertices)`` (random walks
         draw indices modulo the degree); out-of-range indices corrupt results.
         """
-        return self.targets[self.offsets[vertices] + indices]
+        slots = self.offsets[vertices]
+        slots += indices
+        return self.targets[slots]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Binary-search membership test (neighbor lists are sorted)."""

@@ -72,20 +72,21 @@ def step_random_walk(
         active = np.flatnonzero(remaining > 0)
         if active.size == 0:
             break
-        current = positions[active]
-        deg = degrees[current]
+        cur = positions[active]
+        deg = degrees[cur]
         movable = deg > 0
-        move_idx = active[movable]
+        move_idx = active
+        if not movable.all():  # stranded walkers: rare, so the gathers above are kept
+            move_idx, cur, deg = active[movable], cur[movable], deg[movable]
         if move_idx.size:
-            cur = positions[move_idx]
             if weighted:
                 positions[move_idx] = _weighted_step(graph, cur, rng)
             elif strategy == "sorted":
                 positions[move_idx] = _sorted_gather_step(graph, cur, degrees, rng)
             else:
                 draws = rng.integers(0, 2**32, size=move_idx.size, dtype=np.uint64)
-                idx = (draws % degrees[cur].astype(np.uint64)).astype(np.int64)
-                positions[move_idx] = graph.ith_neighbors(cur, idx)
+                np.remainder(draws, deg.astype(np.uint64), out=draws)
+                positions[move_idx] = graph.ith_neighbors(cur, draws.view(np.int64))
         remaining[active] -= 1
     return positions
 

@@ -3,15 +3,17 @@
 Pipeline: one stage body (:func:`repro.sparsifier.builder.build_sparsifier`)
 runs a named **sampler** — either degree-based edge **downsampling**
 probabilities → per-edge **PathSampling** (Algorithms 1 and 2), or the
-PSNE-style push-based **PPR** estimator — and merges its triples by
-sort-reduce **aggregation** into the count matrix behind the trunc-log
-**NetMF matrix estimator** factorized downstream.
+PSNE-style push-based **PPR** estimator — as a stream: each slab is
+sort-reduced where it is produced and the runs are merged in slab order
+(**aggregation**) into the count matrix behind the trunc-log **NetMF matrix
+estimator** factorized downstream.
 """
 
 from repro.sparsifier.downsampling import downsampling_probabilities
 from repro.sparsifier.path_sampling import (
     PathSamplingConfig,
     path_sample_pairs,
+    per_draw_samples,
     sample_sparsifier_edges,
 )
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
@@ -38,6 +40,7 @@ __all__ = [
     "downsampling_probabilities",
     "PathSamplingConfig",
     "path_sample_pairs",
+    "per_draw_samples",
     "sample_sparsifier_edges",
     "SparseParallelHashTable",
     "hash_partition",

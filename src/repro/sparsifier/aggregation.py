@@ -4,14 +4,25 @@ The paper considered several ways to count how often each distinct edge is
 sampled: per-processor lists merged by GBBS's sparse histogram (a semisort),
 per-processor hash tables merged periodically, and a single shared sparse
 parallel hash table — the last being fastest and most memory-efficient on
-their 88-thread hardware with a lock-free ``xadd`` table.  Our table is a
-numpy emulation that pays for a sort (``np.unique``) per batch *and* the
-probe rounds on top, so the measured winner here is the sort-reduce kernel
-(benchmarks/perf: 0.24 s vs 2.0 s on ``sample_heavy``).  It is the
-production path; the hash variants stay as the §4.2 ablation (E12/E15):
+their 88-thread hardware with a lock-free ``xadd`` table, because samples
+are reduced as they are produced and memory follows the distinct entries.
+Our table is a numpy emulation that pays for a sort (``np.unique``) per
+batch *and* the probe rounds on top, so the measured winner here is the
+sort-reduce kernel (benchmarks/perf: 0.24 s vs 2.0 s on ``sample_heavy``).
+The production path keeps the paper's property with that kernel — every
+sampling slab is reduced where it is produced and the reduced runs are
+merged as they arrive:
 
-* :func:`aggregate_sort` — the default: sort packed keys (``np.unique``),
-  reduce runs with ``np.bincount``; output in row-major key order;
+* :func:`reduce_pairs` — one slab's samples as a *run*: canonical
+  ``min·n + max`` keys (:func:`sort_reduce`: ``np.unique`` ranks the keys,
+  ``np.bincount`` adds each key's values in stream order);
+* :func:`merge_runs` — the ordered fold of the runs into the reduced upper
+  triangle, in key order: a CSR matrix up to its ``indptr``.
+
+The per-draw aggregators take any ``(rows, cols, values)`` stream; the hash
+variants stay as the §4.2 ablation (E12/E15):
+
+* :func:`aggregate_sort` — :func:`sort_reduce` on row-major keys;
 * :func:`aggregate_hash` — the shared :class:`SparseParallelHashTable`;
 * :func:`aggregate_hash_sharded` — per-processor tables over a hash
   partition of the key space, built concurrently (the paper's second
@@ -25,23 +36,32 @@ reject indices outside ``[0, n)`` (and an ``n`` whose packed ``row*n+col``
 key would overflow int64) with :class:`~repro.errors.SamplingError`.  The
 sort and hash aggregators accept an optional ``stats`` dict that receives
 ``peak_table_bytes`` (the table backing arrays the paper's §5.2.4 memory
-model tracks; for the sort kernel, its live workspace) and ``distinct``.
+model tracks; for the sort kernel and the run fold, their live workspace)
+and ``distinct``.
 
 Determinism contract
 --------------------
-:func:`aggregate_sort`'s per-key value is the sequential sum, from 0.0, of
-that key's samples in stream order — what :func:`aggregate_dict` computes.
-:func:`aggregate_hash` sums the same way *within* each of its
-``batch_size`` (1 000 000) slices and then adds the per-batch partial sums,
-so it equals the sort kernel bit for bit on streams of at most one batch
-and re-associates above that (last-digit differences); the same holds for
-:func:`aggregate_hash_sharded` per shard.
+Stated here once.  :func:`sort_reduce` (hence :func:`aggregate_sort` and
+every run) gives a key the sequential sum, from 0.0, of its values in stream
+order — what :func:`aggregate_dict` computes.  :func:`merge_runs` consumes
+runs in slab order and folds when the runs set aside outgrow the running
+reduction — a function of the run lengths alone — adding a key's entries in
+run order within a fold; so for a fixed ``(seed, batch_size)`` a key's value
+is one fixed expression over its samples, whatever the worker count, the
+substrate or the order in which slabs finish.  :func:`aggregate_hash` and
+:func:`aggregate_hash_sharded` sum in stream order *within* each of their
+``batch_size`` (1 000 000) slices and then add the per-batch partial sums:
+on per-draw streams they equal the sort kernel bit for bit up to one batch
+and re-associate above that (last-digit differences).  On the stage's own
+stream every key occurs once, so each of them returns ``0.0 + x == x``: the
+three ``aggregator`` names build the same count matrix bit for bit at any
+size (``tests/test_sparsifier_builder.py::test_replay_contract``).
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +72,8 @@ from repro.telemetry.metrics import PROBE_BUCKETS
 from repro.utils.parallel import default_workers, parallel_map, resolve_backend
 
 Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# Packed keys, strictly increasing, and the sum of each key's samples.
+Run = Tuple[np.ndarray, np.ndarray]
 
 
 def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
@@ -74,6 +96,11 @@ def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
     telemetry.gauge("hashtable.table_bytes").set_max(table.size_in_bytes())
 
 
+def _check_packable(n: int) -> None:
+    if int(n) ** 2 - 1 > np.iinfo(np.int64).max:
+        raise SamplingError(f"n={n}: packed row*n+col keys overflow int64")
+
+
 def _as_arrays(rows, cols, values, n: int) -> Triple:
     """Coerce the sample triple and check every ``row*n+col`` key is exact."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -81,8 +108,7 @@ def _as_arrays(rows, cols, values, n: int) -> Triple:
     values = np.asarray(values, dtype=np.float64)
     if not (rows.shape == cols.shape == values.shape):
         raise ValueError("rows, cols and values must be parallel arrays")
-    if int(n) ** 2 - 1 > np.iinfo(np.int64).max:
-        raise SamplingError(f"n={n}: packed row*n+col keys overflow int64")
+    _check_packable(n)
     if rows.size and (
         min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n
     ):
@@ -323,29 +349,122 @@ def aggregate_hash_sharded(
     return keys // n, keys % n, values
 
 
+def sort_reduce(keys: np.ndarray, values: np.ndarray) -> Run:
+    """The sort-reduce kernel on packed keys: the distinct keys in increasing
+    order, each with the sequential sum, from 0.0, of its values in stream
+    order (the sort only ranks keys; ``np.bincount`` adds in input order)."""
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=values, minlength=unique_keys.size)
+    # np.bincount ignores the weights' dtype when empty.
+    return unique_keys, sums.astype(np.float64, copy=False)
+
+
 def aggregate_sort(
     rows, cols, values, n: int, *, stats: Optional[Dict[str, float]] = None
 ) -> Triple:
     """Sort-reduce aggregation: sort packed keys, sum each run in stream order.
 
     Returns the distinct pairs in strictly increasing row-major key order —
-    a CSR matrix up to its ``indptr``, which is how the builder assembles
-    it.  ``stats`` receives ``distinct`` and ``peak_table_bytes`` (packed
-    keys, inverse, unique keys and sums: the workspace live at the peak).
+    a CSR matrix up to its ``indptr``.  ``stats`` receives ``distinct`` and
+    ``peak_table_bytes`` (packed keys, inverse, unique keys and sums: the
+    workspace live at the peak).
     """
     rows, cols, values = _as_arrays(rows, cols, values, n)
-    if rows.size == 0:  # np.bincount ignores the weights' dtype when empty
-        return rows, cols, values
     keys = rows * np.int64(n)
     keys += cols
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=unique_keys.size)
+    unique_keys, sums = sort_reduce(keys, values)
     if stats is not None:
         stats["peak_table_bytes"] = (
-            keys.nbytes + inverse.nbytes + unique_keys.nbytes + sums.nbytes
+            2 * keys.nbytes + unique_keys.nbytes + sums.nbytes
         )
         stats["distinct"] = int(unique_keys.size)
     return unique_keys // n, unique_keys % n, sums
+
+
+def reduce_pairs(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int
+) -> Run:
+    """One slab of samples as a run: canonical ``min·n + max`` keys (the
+    sampling law is symmetric, so one triangle carries it), sort-reduced."""
+    keys = np.minimum(rows, cols)
+    keys *= np.int64(n)
+    keys += np.maximum(rows, cols)
+    return sort_reduce(keys, values)
+
+
+def _fold(runs: List[Run]) -> Run:
+    """Merge runs into one (empties ``runs``): concatenate, stable-sort,
+    add each key's entries in run order.  Every operand is dropped as soon
+    as it has been gathered, so about four key-sized arrays are live at
+    once whatever the number of runs."""
+    filled = [run for run in runs if run[0].size] or runs[:1]
+    runs.clear()
+    if len(filled) == 1:
+        return filled[0]
+    sums = [run_sums for _, run_sums in filled]
+    keys = np.concatenate([run_keys for run_keys, _ in filled])
+    del filled
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    segment = np.cumsum(first)
+    segment -= 1
+    del first
+    gathered = np.concatenate(sums)[order]
+    del sums, order
+    return keys, np.bincount(segment, weights=gathered, minlength=keys.size)
+
+
+def merge_runs(
+    runs: Iterable[Run], n: int, *, stats: Optional[Dict[str, float]] = None
+) -> Triple:
+    """Fold an ordered stream of runs into the reduced triangle.
+
+    A run is ``(keys, sums)`` with strictly increasing packed keys — what
+    :func:`reduce_pairs` returns.  Runs are consumed one at a time and set
+    aside until together they outgrow the running reduction, then folded
+    into it; each fold costs about what it absorbs, so the total stays
+    ``O(N log N)`` in the summed run lengths while at most the reduction,
+    as much again of pending runs and one fold's workspace are resident.
+    When a fold happens depends only on the run lengths, so a key's value
+    is a fixed function of the run sequence: within a fold its entries are
+    added in run order.
+
+    Returns ``(rows, cols, sums)`` with ``rows <= cols``, distinct and in
+    increasing key order.  ``stats`` receives ``distinct`` and
+    ``peak_table_bytes`` — the most this reducer held at once: reduction,
+    pending runs and the widest fold's sort workspace.
+    """
+    _check_packable(n)
+    # The running reduction, then the runs set aside since the last fold.
+    held: List[Run] = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    pending_size = peak_bytes = 0
+
+    def fold() -> None:
+        nonlocal held, pending_size, peak_bytes
+        # Operands are 16 B an entry; a real merge (the reduction is not
+        # empty) adds the sort order and the sorted keys, 8 B each.
+        per_entry = 32 if held[0][0].size else 16
+        peak_bytes = max(peak_bytes, per_entry * (held[0][0].size + pending_size))
+        held = [_fold(held)]
+        pending_size = 0
+
+    for run in runs:
+        held.append(run)
+        pending_size += run[0].size
+        if pending_size > held[0][0].size:
+            fold()
+    if len(held) > 1:
+        fold()
+    keys, sums = held.pop()
+    if stats is not None:
+        stats["peak_table_bytes"] = peak_bytes
+        stats["distinct"] = int(keys.size)
+    rows, cols = np.divmod(keys, np.int64(n))
+    return rows, cols, sums
 
 
 def aggregate_histogram(

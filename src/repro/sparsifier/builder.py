@@ -24,6 +24,19 @@ so the sparsified Eq. (1) entry is
 where ``W̄`` is the symmetrized aggregate ``(W + Wᵀ)/2`` (the sampling law is
 symmetric, so averaging the two orientations halves the variance for free).
 
+Because only ``W̄`` is ever used, the samplers never tell the two
+orientations apart: a draw is filed under its *unordered* endpoint pair, so
+the count matrix holds one triangle — ``counts(x, y) = W(x, y) + W(y, x)``
+for ``x < y``, ``counts(x, x) = W(x, x)`` — and ``(counts + countsᵀ)/2`` is
+``W̄`` exactly, diagonal included.  (For the same reason a seed edge needs no
+random orientation: the split is uniform, so walking ``s`` steps from one
+end and ``r-1-s`` from the other has the same unordered law either way.)  A
+self-loop is one diagonal entry of ``A`` where an edge is two off-diagonal
+ones, so it is seeded with half an edge's mass;
+``tests/contracts/test_estimator_unbiased.py`` checks the expectation above
+entry by entry on weighted, self-loop, isolated-vertex and multi-component
+graphs.
+
 Weighted graphs
 ---------------
 The derivation above generalizes verbatim when edges carry positive weights:
@@ -43,7 +56,7 @@ instead of silently producing a biased sparsifier.
 Samplers
 --------
 The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`; what
-varies is the function that emits the sample triples, looked up by name in
+varies is the function that emits the samples, looked up by name in
 :data:`SPARSIFIER_SAMPLERS` (``LightNEParams.sparsifier``, CLI
 ``--sparsifier``).  ``"path"`` is the Monte-Carlo estimator derived above
 (:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`);
@@ -52,12 +65,20 @@ randomized-rounds it into counts
 (:func:`~repro.sparsifier.ppr.sample_ppr_counts`).  Every sampler honours
 
 * ``sampler(graph, config, rng, *, batch_size, workers, backend, stats)
-  -> (rows, cols, weights, draws)`` with
-  ``E[W(x, y)] = (M / vol(G)) · d_x · S(x, y)``,
+  -> (rows, cols, sums, draws)`` — *pre-reduced canonical* triples: the
+  distinct pairs of the upper triangle (``rows <= cols``) in increasing
+  ``row·n + col`` order with their summed weights, never one triple per
+  draw — whose symmetrisation satisfies
+  ``E[W̄(x, y)] = (M / vol(G)) · d_x · S(x, y)``,
   ``S = (1/T)·Σ_{r=1..T}(D⁻¹A)^r``, and ``draws = M``, so the estimator
   above is sampler-independent;
+* ``stats`` filled with the per-draw counters (``draws``, ``walk_samples``,
+  ``batches``, ``batch_size``, ``workers``, ``backend``) and the reducer's
+  ``distinct`` / ``peak_table_bytes``;
 * bit-identical triples for a fixed ``(seed, batch_size)`` at every worker
-  count on both execution substrates, via the per-batch RNG streams.
+  count on both execution substrates, via the per-slab RNG streams and the
+  in-order fold (:func:`~repro.sparsifier.aggregation.merge_runs`), drawing
+  nothing from ``rng`` that the stage does not draw through the sampler.
 """
 
 from __future__ import annotations
@@ -77,7 +98,11 @@ from repro.sparsifier.aggregation import (
     aggregate_hash_sharded,
     aggregate_sort,
 )
-from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
+from repro.sparsifier.path_sampling import (
+    DEFAULT_BATCH_SIZE,
+    PathSamplingConfig,
+    sample_sparsifier_edges,
+)
 from repro.sparsifier.ppr import sample_ppr_counts
 from repro.telemetry import health
 from repro.utils.parallel import default_workers, resolve_backend
@@ -91,16 +116,19 @@ class SparsifierResult:
     Attributes
     ----------
     counts:
-        Sparse ``n × n`` matrix of aggregated sample weights ``W`` (not yet
-        symmetrized or log-transformed).
+        Sparse ``n × n`` upper-triangular matrix of aggregated sample
+        weights — entry ``(x, y)``, ``x <= y``, holds every draw whose
+        endpoints were the unordered pair ``{x, y}`` (not yet symmetrized
+        or log-transformed), so :attr:`nnz` counts unordered pairs.
     num_draws:
         Realized number of PathSampling trials ``M`` before downsampling.
     window:
         The context window ``T`` used.
     stats:
-        Construction counters: walk samples, batch count, resolved worker
-        count, sampling/aggregation seconds, samples/sec and the
-        aggregator's peak table (or sort workspace) bytes.
+        Construction counters: draws, walk samples (draws that survived the
+        coin), batch count, resolved worker count, sampling/aggregation
+        seconds, walk samples/sec, distinct pairs and the reducer's peak
+        workspace (for the hash ablations, table) bytes.
     """
 
     counts: sp.csr_matrix
@@ -166,8 +194,12 @@ def aggregate_sample_counts(
     backend: str = "thread",
     stats: Optional[Dict[str, float]] = None,
 ):
-    """Merge sample triples into unique ``(rows, cols, vals)`` — the shared
-    aggregation stage behind every sampler.
+    """Merge sample triples into unique ``(rows, cols, vals)`` by name.
+
+    The general entry point — any triples, duplicates or not (the E12/E15
+    ablations feed it per-draw samples).  Inside the stage it only ever sees
+    a sampler's already-distinct stream, on which every aggregator returns
+    the values unchanged (:func:`aggregate_to_counts`).
 
     ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
     serial pass in the parent, ``workers``/``backend`` not consulted, output
@@ -197,9 +229,9 @@ def aggregate_sample_counts(
 
 
 def aggregate_to_counts(
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
     n: int,
     *,
     aggregator: str,
@@ -207,27 +239,31 @@ def aggregate_to_counts(
     backend: str,
     stats: Dict[str, float],
 ) -> sp.csr_matrix:
-    """Aggregate sample triples into the ``n × n`` count matrix ``W``.
+    """Assemble the ``n × n`` count matrix ``W`` from a sampler's stream.
 
-    The back half of the ``"sparsifier"`` stage: runs
-    :func:`aggregate_sample_counts` under the ``sparsifier.aggregation``
-    span and records ``aggregation_seconds`` and ``total_mass`` in ``stats``.
+    The back half of the ``"sparsifier"`` stage, under the
+    ``sparsifier.aggregation`` span; records ``aggregation_seconds`` and
+    ``total_mass`` in ``stats``.  The stream arrives reduced — distinct
+    pairs in row-major key order — so for ``"sort"`` it already is the
+    sort-reduce's output, a CSR matrix up to its ``indptr``.  The §4.2
+    ablation names run it through their table first
+    (:func:`aggregate_sample_counts`): every key occurs once, so the values
+    come back unchanged (``0.0 + x``) in table order and the matrix is the
+    same one, bit for bit.
     """
     tic = time.perf_counter()
     with telemetry.span("sparsifier.aggregation", aggregator=aggregator):
-        rows, cols, vals = aggregate_sample_counts(
-            u, v, w, n, aggregator=aggregator, workers=workers,
-            backend=backend, stats=stats,
-        )
+        if aggregator == "sort":
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+        else:
+            rows, cols, vals = aggregate_sample_counts(
+                rows, cols, vals, n, aggregator=aggregator, workers=workers,
+                backend=backend, stats=stats,
+            )
+            counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     stats["aggregation_seconds"] = time.perf_counter() - tic
-    if aggregator == "sort":
-        # aggregate_sort returns distinct keys in row-major order: the triple
-        # is already CSR, so count rows instead of re-sorting through COO.
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
-    else:
-        counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     telemetry.gauge("sparsifier.nnz").set(counts.nnz)
     # Total retained mass: the health layer's contract check compares this
     # against the draw budget M (E[Σ W] = M for the estimator).
@@ -266,7 +302,7 @@ def build_sparsifier(
     aggregator: str = "sort",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    batch_size: int = 2_000_000,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SparsifierResult:
     """Sample and aggregate the count matrix ``W`` — the ``"sparsifier"``
     stage of every pipeline, whichever sampler emits the triples.
@@ -305,7 +341,10 @@ def build_sparsifier(
         :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges` and
         :func:`repro.sparsifier.aggregation.aggregate_hash_sharded`.
     batch_size:
-        Maximum walk-slab size; bounds peak memory of the sampling stage.
+        Draws (before the coin) per sampling slab.  The stage holds about
+        ``13·workers·batch_size·8 B`` of slab workspace plus ``~6·nnz·16 B``
+        of reduced runs — it follows the slab and the sparsifier's distinct
+        pairs, not the budget ``M``.
 
     The numerical-health layer fingerprints the count matrix here (stage
     ``"sparsifier"``) and checks the estimator's total-mass contract
@@ -333,14 +372,16 @@ def build_sparsifier(
         backend=backend,
     ) as stage:
         tic = time.perf_counter()
-        u, v, w, draws = sampler(
+        rows, cols, vals, draws = sampler(
             graph, config, rng, batch_size=batch_size, workers=workers,
             backend=backend, stats=stats,
         )
         stats["sampling_seconds"] = time.perf_counter() - tic
-        stats["samples_per_sec"] = u.size / max(stats["sampling_seconds"], 1e-12)
+        stats["samples_per_sec"] = stats["walk_samples"] / max(
+            stats["sampling_seconds"], 1e-12
+        )
         counts = aggregate_to_counts(
-            u, v, w, n, aggregator=aggregator, workers=workers,
+            rows, cols, vals, n, aggregator=aggregator, workers=workers,
             backend=backend, stats=stats,
         )
         stage.set_attributes(**stats)

@@ -12,14 +12,18 @@ that is cache-friendly and compression-friendly: every edge ``e`` runs the
 sampler ``n_e = ⌊M/m⌋ + Bernoulli({M/m})`` times, and each run first flips the
 downsampling coin ``p_e``; survivors carry weight ``1/p_e``.
 
-Everything here is vectorized: seed edges are expanded into flat arrays,
-grouped by walk length ``r``, and the two walks are advanced in lock-step.
+Everything here is vectorized and streamed: the seed edges are cut into
+slabs of about ``batch_size`` draws, a slab expands only its own range into
+flat arrays, flips its coins, advances the two walks in lock-step and
+sort-reduces its endpoint pairs to a run of canonical keys, and the runs are
+merged in slab order (:func:`sample_sparsifier_edges`) — so what is resident
+follows the slab and the sparsifier's distinct pairs, not the draw budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +32,17 @@ from repro.errors import SamplingError
 from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import step_random_walk
+from repro.sparsifier.aggregation import merge_runs, reduce_pairs
 from repro.sparsifier.downsampling import downsampling_probabilities
-from repro.utils.parallel import default_workers, parallel_map, resolve_backend
+from repro.utils.parallel import default_workers, parallel_imap, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
+
+
+# Draws per slab when the caller does not say.  docs/performance.md ("The
+# sparsifier as a stream") has the sweep: the stage's time is flat from 2**16
+# up, while what a pool thread's malloc arena keeps after its slabs — which
+# the later stages' peak sits on — doubles with every doubling.
+DEFAULT_BATCH_SIZE = 65_536
 
 
 @dataclass(frozen=True)
@@ -115,8 +127,9 @@ def _weighted_sample_counts(
 
     The unweighted uniform-edge process generalizes to weighted graphs by
     seeding proportional to edge weight (a random walk traverses edge ``e``
-    with stationary frequency ``w_e / Σw``); floor + Bernoulli keeps the
-    realization integral and the expectation exact per edge.
+    with stationary frequency ``w_e / Σw``; a self-loop counts half, see
+    :func:`_walk_context`); floor + Bernoulli keeps the realization integral
+    and the expectation exact per edge.
     """
     expectation = num_samples * edge_weights / edge_weights.sum()
     base = np.floor(expectation).astype(np.int64)
@@ -145,8 +158,8 @@ def _worker_init(build, graph_spec: tuple, build_args: tuple) -> None:
     _WORKER_CONTEXT = build(graph, *build_args)
 
 
-def _worker_walk(index: int, batch: np.ndarray, rng: np.random.Generator):
-    return _WORKER_CONTEXT.walk(index, batch, rng)
+def _worker_walk(*slab):
+    return _WORKER_CONTEXT.walk(*slab)
 
 
 def walk_slabs(
@@ -159,8 +172,9 @@ def walk_slabs(
     backend: str,
     label: str,
     context=None,
-) -> list:
-    """``walk(index, batch, rng)`` for every slab, in slab order.
+) -> Iterator:
+    """``walk(*slab)`` for every slab, yielded in slab order with at most
+    ``2·workers`` slabs walked and not yet consumed.
 
     One task function serves both substrates.  Threads (and the serial
     loop) call it on ``context`` — ``build(graph, *build_args)`` when the
@@ -172,62 +186,89 @@ def walk_slabs(
     if backend == "process" and workers > 1 and len(slabs) > 1:
         mmap_source = getattr(graph, "mmap_source", None)
         spec = ("mmap", mmap_source) if mmap_source else ("pickle", graph)
-        return parallel_map(
+        return parallel_imap(
             _worker_walk, slabs, workers=workers, backend="process",
             initializer=_worker_init, initargs=(build, spec, build_args),
-            label=label,
+            label=label, window=2 * workers,
         )
     if context is None:
         context = build(graph, *build_args)
-    return parallel_map(context.walk, slabs, workers=workers, label=label)
+    return parallel_imap(
+        context.walk, slabs, workers=workers, label=label, window=2 * workers
+    )
 
 
 @dataclass(frozen=True)
 class _WalkContext:
     """What one PathSampling slab reads: the flat walk graph and the
-    per-seed-edge arrays derived from it."""
+    per-seed-edge arrays derived from it (``seed_mass`` is ``None`` when
+    seeding is uniform, ``probs`` without the downsampling coin)."""
 
     graph: CSRGraph
     src: np.ndarray
     dst: np.ndarray
-    edge_weights: Optional[np.ndarray]
-    probs: np.ndarray
+    seed_mass: Optional[np.ndarray]
+    probs: Optional[np.ndarray]
     window: int
 
-    def walk(self, index: int, batch: np.ndarray, rng: np.random.Generator):
-        """Walk the seed edges ``batch`` on the slab's own RNG stream."""
+    def draw(self, first: int, draws: np.ndarray, rng: np.random.Generator):
+        """Per-draw triples ``(u', v', 1/p_e)`` of the seed edges ``first,
+        first + 1, …``, edge ``first + i`` running ``draws[i]`` trials.
+
+        An edge's coins are one binomial draw (``draws[i]`` independent
+        flips of ``p_e`` and their count have the same law); each survivor
+        walks from the edge's ``src <= dst`` ends.  The orientation is not
+        randomised: the split is uniform, so the *unordered* pair already
+        has the symmetrised law, which is all a canonical key keeps.
+        """
+        edges = slice(first, first + draws.size)
+        kept = draws if self.probs is None else rng.binomial(draws, self.probs[edges])
+        # Slab-local seed-edge index of every survivor.
+        seeds = np.repeat(np.arange(draws.size), kept)
+        lengths = rng.integers(1, self.window + 1, size=seeds.size)
+        u_prime, v_prime = path_sample_pairs(
+            self.graph, self.src[edges][seeds], self.dst[edges][seeds], lengths, rng
+        )
+        if self.probs is None:
+            return u_prime, v_prime, np.ones(seeds.size)
+        return u_prime, v_prime, (1.0 / self.probs[edges])[seeds]
+
+    def walk(
+        self, index: int, first: int, draws: np.ndarray, rng: np.random.Generator
+    ):
+        """One slab of the stream on its own RNG stream: its draws reduced
+        to a run, and how many of them survived the coin."""
         with telemetry.span(
-            "sparsifier.batch", batch=index, size=int(batch.size)
+            "sparsifier.batch", batch=index, size=int(draws.sum())
         ) as span:
-            lengths = rng.integers(1, self.window + 1, size=batch.size)
-            # Randomize seed orientation: (u,v) vs (v,u) — the uniform-edge
-            # process is orientation-symmetric.
-            flip = rng.random(batch.size) < 0.5
-            s_u = np.where(flip, self.dst[batch], self.src[batch])
-            s_v = np.where(flip, self.src[batch], self.dst[batch])
-            u_prime, v_prime = path_sample_pairs(
-                self.graph, s_u, s_v, lengths, rng
-            )
+            u_prime, v_prime, weights = self.draw(first, draws, rng)
+            run = reduce_pairs(u_prime, v_prime, weights, self.graph.num_vertices)
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
             telemetry.histogram("sparsifier.batch_seconds").observe(elapsed)
             telemetry.counter("sparsifier.batches").inc()
-            telemetry.counter("sparsifier.walk_samples").inc(batch.size)
-        return u_prime, v_prime, 1.0 / self.probs[batch]
+            telemetry.counter("sparsifier.walk_samples").inc(u_prime.size)
+        return run, u_prime.size
 
 
 def _walk_context(graph: CSRGraph, config: PathSamplingConfig) -> _WalkContext:
-    """Seed edges (one per undirected non-loop edge) and their coin ``p_e``."""
+    """Seed edges (one per undirected edge, self-loops included), their
+    seeding mass and their coin ``p_e``."""
     if graph.num_edges == 0:
         raise SamplingError("cannot sample from an empty graph")
     src, dst = graph.edge_endpoints()
-    mask = src < dst
+    mask = src <= dst
     src, dst = src[mask], dst[mask]
-    # Self-loops are not seedable, so every per-edge array is sized by the
-    # masked count, not ``graph.num_edges``.
-    if src.size == 0:
+    loops = src == dst
+    if loops.all():
         raise SamplingError("graph has no non-loop edges to seed from")
     edge_w = graph.weights[mask] if graph.weights is not None else None
+    # A draw seeds a uniformly random *entry* of A: an edge owns two (one
+    # per orientation), a self-loop its one diagonal entry — half the mass.
+    seed_mass = edge_w
+    if loops.any():
+        seed_mass = np.where(loops, 0.5, 1.0) * (1.0 if edge_w is None else edge_w)
+    probs = None
     if config.downsample:
         probs = downsampling_probabilities(
             src,
@@ -236,9 +277,40 @@ def _walk_context(graph: CSRGraph, config: PathSamplingConfig) -> _WalkContext:
             constant=config.downsample_constant,
             edge_weights=edge_w,
         )
-    else:
-        probs = np.ones(src.size)
-    return _WalkContext(graph, src, dst, edge_w, probs, config.window)
+    return _WalkContext(graph, src, dst, seed_mass, probs, config.window)
+
+
+def _seed_edge_draws(
+    context: _WalkContext, num_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Algorithm 2, line 3: how many trials ``n_e`` each seed edge runs."""
+    if num_samples <= 0:
+        raise SamplingError("config.num_samples must be set (> 0)")
+    if context.seed_mass is not None:
+        return _weighted_sample_counts(context.seed_mass, num_samples, rng)
+    return _per_edge_sample_counts(context.src.size, num_samples, rng)
+
+
+def per_draw_samples(
+    graph: GraphLike, config: PathSamplingConfig, seed: SeedLike = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Algorithm 2 as one unreduced slab: ``(u', v', weights, draws)`` with
+    one triple per *surviving draw* (``weights[i] = 1/p_e`` of its seed
+    edge, ones without downsampling) and ``draws`` the trials before the
+    coin.
+
+    This is what the single slab of ``sample_sparsifier_edges(graph, config,
+    seed, batch_size=∞)`` holds before it packs and reduces, draw for draw —
+    the input the aggregator ablations compare on and the sampling-law
+    tests count.  Pairs come in the seed edge's fixed ``src <= dst``
+    orientation; it is the unordered pair ``{u', v'}`` that follows the
+    walk-matrix law.  Memory is ``O(M)``.
+    """
+    rng = ensure_rng(seed)
+    context = _walk_context(graph.flat(), config)
+    draws = _seed_edge_draws(context, config.num_samples, rng)
+    (slab_rng,) = spawn_batch_rngs(rng, 1)
+    return (*context.draw(0, draws, slab_rng), int(draws.sum()))
 
 
 def sample_sparsifier_edges(
@@ -246,42 +318,54 @@ def sample_sparsifier_edges(
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
-    batch_size: int = 2_000_000,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: Optional[int] = 1,
     backend: Optional[str] = None,
     stats: Optional[Dict[str, float]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run Algorithm 2 end to end.
+    """Run Algorithm 2 end to end, as a stream.
 
-    Returns ``(u', v', weights, draws)`` where ``weights[i] = 1/p_e`` of the
-    seed edge of sample ``i`` (all ones when downsampling is off) and
-    ``draws`` is the realized number of PathSampling trials before the coin
-    (the paper's ``M``; needed for the estimator's normalization).
+    Returns ``(rows, cols, sums, draws)``: the *reduced* upper triangle of
+    the sample aggregate — distinct pairs ``rows <= cols`` in increasing
+    ``row·n + col`` order, ``sums`` the total weight (``1/p_e`` per
+    surviving draw, 1 without downsampling) of the draws whose endpoints
+    were that unordered pair — and ``draws``, the realized number of
+    PathSampling trials before the coin (the paper's ``M``; needed for the
+    estimator's normalization).
 
-    Work is split into fixed-size slabs of at most ``batch_size`` surviving
-    seeds — bounding peak memory regardless of ``workers`` — and each slab is
-    walked with its own RNG stream derived from the *batch index* via a
-    ``SeedSequence``.  Slabs run on a thread pool when ``workers > 1`` (numpy
-    walk kernels release the GIL — the Python analog of the paper's parallel
-    ``MapEdges``) and results are concatenated in batch order, so for a fixed
-    ``seed`` and ``batch_size`` the output is bit-identical for every worker
-    count.  ``workers=None`` resolves to
+    The parent draws the per-edge trial counts ``n_e`` and cuts the seed
+    edges into contiguous ranges of about ``batch_size`` *draws* each (an
+    edge is never split, so a range holds at least one edge however small
+    ``batch_size`` is).  A slab — on its own RNG stream, derived from the
+    *slab index* via a ``SeedSequence`` — expands only its range, flips its
+    coins, walks the survivors and sort-reduces them to a ``(keys, sums)``
+    run (:func:`~repro.sparsifier.aggregation.reduce_pairs`); the parent
+    consumes the runs in slab order, at most ``2·workers`` in flight, and
+    folds them (:func:`~repro.sparsifier.aggregation.merge_runs`).  What is
+    resident is therefore about ``13·workers·batch_size·8 B`` of slab
+    workspace plus ``~6·nnz·16 B`` of runs — it follows the sparsifier's
+    distinct pairs, not ``M`` — and for a fixed ``seed`` and ``batch_size``
+    the output is bit-identical for every worker count, substrate and
+    completion order.  ``workers=None`` resolves to
     :func:`repro.utils.parallel.default_workers`.
 
-    ``backend="process"`` walks the slabs in worker *processes* instead:
-    each worker rebuilds the sampling context once via a pool initializer —
-    reopening the graph's CSR v2 container memmapped when the graph was
-    loaded with ``mmap`` (``graph.mmap_source``), falling back to one
-    pickled copy otherwise — and tasks ship only a batch of seed indices
-    plus the batch's RNG stream.  The per-batch-index streams make the
-    result bit-identical to the thread backend at every worker count.
+    Slabs run on a thread pool when ``workers > 1`` (numpy walk kernels
+    release the GIL — the Python analog of the paper's parallel
+    ``MapEdges``).  ``backend="process"`` walks them in worker *processes*
+    instead: each worker rebuilds the sampling context once via a pool
+    initializer — reopening the graph's CSR v2 container memmapped when the
+    graph was loaded with ``mmap`` (``graph.mmap_source``), falling back to
+    one pickled copy otherwise — and a task ships its range's ``n_e`` and
+    RNG stream out and its run (16 B per distinct pair) back.
 
-    ``stats``, when given, receives sampling counters: realized draws,
-    surviving walk samples, batch count/size and the resolved worker count.
-    When telemetry is enabled (:func:`repro.telemetry.enable`) each slab is
-    additionally traced as a ``sparsifier.batch`` span under the caller's
-    current span, with per-batch latency and sample-count metrics recorded
-    in the global registry.
+    ``stats``, when given, receives the per-draw counters — realized
+    ``draws``, ``walk_samples`` (draws that survived the coin), ``batches``,
+    ``batch_size``, resolved ``workers``, ``backend`` — and the reducer's
+    ``distinct`` and ``peak_table_bytes``.  When telemetry is enabled
+    (:func:`repro.telemetry.enable`) each slab is additionally traced as a
+    ``sparsifier.batch`` span under the caller's current span, with
+    per-batch latency and sample-count metrics recorded in the run's
+    registry.
     """
     rng = ensure_rng(seed)
     backend = resolve_backend(backend)
@@ -290,53 +374,45 @@ def sample_sparsifier_edges(
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
     graph = graph.flat()
-    context = _walk_context(graph, config)
-    if config.num_samples <= 0:
-        raise SamplingError("config.num_samples must be set (> 0)")
-    m = context.src.size
+    tally = {"draws": 0, "walk_samples": 0, "batches": 0}
 
-    if context.edge_weights is not None:
-        counts = _weighted_sample_counts(
-            context.edge_weights, config.num_samples, rng
-        )
-    else:
-        counts = _per_edge_sample_counts(m, config.num_samples, rng)
-    total_draws = int(counts.sum())
+    def runs():
+        # This frame owns the context, the trial counts and the slabs: they
+        # are released when it finishes, before the reducer's last fold
+        # allocates the result.
+        context = _walk_context(graph, config)
+        draws = _seed_edge_draws(context, config.num_samples, rng)
+        tally["draws"] = int(draws.sum())
+        # A slab is the edges whose first draw falls in the same
+        # batch_size-wide window of the draw sequence.
+        window = np.cumsum(draws)
+        window -= draws
+        window //= batch_size
+        cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
+        del window
+        bounds = [0, *cuts.tolist(), draws.size]
+        # One RNG stream per slab *index* (not per worker chunk): the slab
+        # decomposition depends only on ``batch_size``, so the sampled walks
+        # are independent of how many workers execute them.
+        slab_rngs = spawn_batch_rngs(rng, len(bounds) - 1)
+        slabs = [
+            (index, first, draws[first:stop], slab_rng)
+            for index, (first, stop, slab_rng)
+            in enumerate(zip(bounds, bounds[1:], slab_rngs))
+        ]
+        tally["batches"] = len(slabs)
+        for run, survivors in walk_slabs(
+            _walk_context, graph, (config,), slabs, workers=workers,
+            backend=backend, label="sparsifier.sampling", context=context,
+        ):
+            tally["walk_samples"] += survivors
+            yield run
 
-    # Expand seeds, apply the coin per draw, then walk survivors in batches.
-    seed_edge = np.repeat(np.arange(m, dtype=np.int64), counts)
-    if config.downsample:
-        survive = rng.random(seed_edge.size) < context.probs[seed_edge]
-        seed_edge = seed_edge[survive]
-
-    starts = list(range(0, seed_edge.size, batch_size))
+    rows, cols, sums = merge_runs(runs(), graph.num_vertices, stats=stats)
     if stats is not None:
-        stats["draws"] = total_draws
-        stats["walk_samples"] = int(seed_edge.size)
-        stats["batches"] = len(starts)
-        stats["batch_size"] = int(batch_size)
-        stats["workers"] = int(workers)
-        stats["backend"] = backend
-    if seed_edge.size == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0), total_draws
-
-    # One RNG stream per batch *index* (not per worker chunk): the batch
-    # decomposition depends only on ``batch_size``, so the sampled walks are
-    # independent of how many threads execute them.
-    batch_rngs = spawn_batch_rngs(rng, len(starts))
-    slabs = [
-        (index, seed_edge[start : start + batch_size], batch_rng)
-        for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
-    ]
-    results = walk_slabs(
-        _walk_context, graph, (config,), slabs, workers=workers,
-        backend=backend, label="sparsifier.sampling", context=context,
-    )
-    telemetry.counter("sparsifier.draws").inc(total_draws)
-    return (
-        np.concatenate([r[0] for r in results]),
-        np.concatenate([r[1] for r in results]),
-        np.concatenate([r[2] for r in results]),
-        total_draws,
-    )
+        stats.update(
+            tally, batch_size=int(batch_size), workers=int(workers),
+            backend=backend,
+        )
+    telemetry.counter("sparsifier.draws").inc(tally["draws"])
+    return rows, cols, sums, tally["draws"]

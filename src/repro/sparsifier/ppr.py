@@ -47,12 +47,17 @@ from repro import telemetry
 from repro.errors import SamplingError
 from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
-from repro.sparsifier.path_sampling import PathSamplingConfig, walk_slabs
+from repro.sparsifier.aggregation import merge_runs, reduce_pairs
+from repro.sparsifier.path_sampling import (
+    DEFAULT_BATCH_SIZE,
+    PathSamplingConfig,
+    walk_slabs,
+)
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
 
 # Sources per slab are capped so one frontier block stays cache-friendly even
-# with the default (walk-oriented) 2M batch_size.
+# with a walk-oriented (draws per slab) batch_size.
 _MAX_SOURCE_BATCH = 16_384
 
 
@@ -151,17 +156,18 @@ class _PushContext:
         with telemetry.span(
             "sparsifier.ppr.batch", batch=index, size=int(sources.size)
         ) as span:
-            result = ppr_batch_counts(
+            rows, cols, weights, pushes = ppr_batch_counts(
                 self.operator, self.degrees, self.volume, sources,
                 window=self.window, num_samples=self.num_samples,
                 resolution=self.resolution, rng=rng,
             )
+            run = reduce_pairs(rows, cols, weights, self.operator.shape[0])
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
             telemetry.histogram("sparsifier.ppr.batch_seconds").observe(elapsed)
             telemetry.counter("sparsifier.ppr.batches").inc()
-            telemetry.counter("sparsifier.ppr.entries").inc(result[0].size)
-        return result
+            telemetry.counter("sparsifier.ppr.entries").inc(rows.size)
+        return run, rows.size, pushes
 
 
 def _push_context(
@@ -175,7 +181,7 @@ def sample_ppr_counts(
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
-    batch_size: int = 2_000_000,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: Optional[int] = 1,
     backend: Optional[str] = None,
     stats: Optional[Dict[str, float]] = None,
@@ -183,11 +189,12 @@ def sample_ppr_counts(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run the push-based PPR estimator end to end.
 
-    Returns ``(rows, cols, weights, draws)`` with the same contract as
-    :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`:
-    aggregated, the triples estimate the count matrix ``W`` with
-    ``E[W(x,y)] = (M/vol)·d_x·S(x,y)``, and ``draws`` is the nominal sample
-    budget ``M`` the downstream estimator divides by.
+    Returns ``(rows, cols, sums, draws)`` with the same contract as
+    :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`: the
+    reduced upper triangle (each slab's triples go through the same
+    canonical reducer, the runs through the same fold) of an estimate of the
+    count matrix ``W`` with ``E[W(x,y)] = (M/vol)·d_x·S(x,y)``, and ``draws``
+    is the nominal sample budget ``M`` the downstream estimator divides by.
 
     ``config`` is the shared :class:`PathSamplingConfig` — ``window`` is the
     push depth ``T``, ``num_samples`` the budget ``M``; the downsampling
@@ -233,16 +240,21 @@ def sample_ppr_counts(
         (index, all_sources[start : start + source_batch], batch_rng)
         for index, (start, batch_rng) in enumerate(zip(starts, batch_rngs))
     ]
-    results = walk_slabs(
+    pushed = walk_slabs(
         _push_context, graph,
         (config.window, config.num_samples, resolution),
         slabs, workers=workers, backend=backend, label="sparsifier.ppr",
     )
-    rows = np.concatenate([r[0] for r in results])
-    cols = np.concatenate([r[1] for r in results])
-    weights = np.concatenate([r[2] for r in results])
+    tally = {"walk_samples": 0, "pushes": 0}
+
+    def runs():
+        for run, entries, pushes in pushed:
+            tally["walk_samples"] += entries
+            tally["pushes"] += pushes
+            yield run
+
+    rows, cols, sums = merge_runs(runs(), n, stats=stats)
     if stats is not None:
-        stats["walk_samples"] = int(rows.size)
-        stats["pushes"] = sum(r[3] for r in results)
+        stats.update(tally)
     telemetry.counter("sparsifier.draws").inc(int(config.num_samples))
-    return rows, cols, weights, int(config.num_samples)
+    return rows, cols, sums, int(config.num_samples)

@@ -40,14 +40,15 @@ Perfetto lanes; with telemetry and progress off all of it is one gated call.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import (
-    FIRST_EXCEPTION,
+    FIRST_COMPLETED,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
 from repro.errors import WorkerError
@@ -103,43 +104,155 @@ def chunk_ranges(total: int, chunks: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _attach_progress(futures, label: Optional[str]) -> None:
-    """Feed parent-side task completions into the progress renderer."""
+def _track_progress(label: Optional[str], total: int) -> Optional[Callable]:
+    """Start ``label``'s progress line; the future done-callback that feeds
+    it, or ``None`` when progress rendering is off."""
     if label is None:
-        return
+        return None
     from repro.telemetry import progress
 
     if not progress.is_enabled():
-        return
-    progress.begin(label, total=len(futures))
-    for future in futures:
-        future.add_done_callback(lambda _f: progress.task_completed(label))
+        return None
+    progress.begin(label, total=total)
+    return lambda _future: progress.task_completed(label)
 
 
-def _collect_fail_fast(pool, futures) -> List[T]:
-    """Results in submission order; on first failure cancel the rest, re-raise.
+def _ordered_results(
+    pool, submit: Callable, argument_tuples: Sequence[tuple],
+    window: Optional[int], label: Optional[str],
+) -> Iterator[T]:
+    """Results in submission order with at most ``window`` tasks submitted
+    and not yet yielded; on first failure cancel the rest, re-raise.
 
-    ``wait(..., FIRST_EXCEPTION)`` returns as soon as any future raises (or
-    all complete); pending futures are then cancelled before the original
-    exception propagates, so one bad batch does not leave the rest of the
-    queue burning CPU behind the traceback.
+    The wait returns as soon as the next result in order is ready *or* any
+    task behind it raised, so one bad batch does not leave the rest of the
+    queue burning CPU behind the traceback.  The window is refilled before a
+    result is handed out: workers stay busy while the consumer works on it.
     """
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next(
-        (f for f in futures if f in done and f.exception() is not None), None
-    )
-    if failed is not None:
-        for future in not_done:
-            future.cancel()
+    on_done = _track_progress(label, len(argument_tuples))
+    remaining = iter(argument_tuples)
+    in_flight: deque = deque()
+
+    def refill() -> None:
+        while window is None or len(in_flight) < window:
+            args = next(remaining, None)
+            if args is None:
+                return
+            future = submit(args)
+            if on_done is not None:
+                future.add_done_callback(on_done)
+            in_flight.append(future)
+
+    try:
+        refill()
+        while in_flight:
+            head = in_flight[0]
+            running = {f for f in in_flight if not f.done()}
+            failed = any(
+                f.exception() is not None for f in in_flight if f not in running
+            )
+            while not failed and head in running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                failed = any(f.exception() is not None for f in done)
+            if failed:
+                # The earliest failure in submission order wins.
+                raise next(
+                    f.exception() for f in in_flight
+                    if f.done() and f.exception() is not None
+                )
+            in_flight.popleft()
+            refill()
+            yield head.result()
+    finally:
+        # Failure, or a consumer that stopped early: nothing still queued may
+        # start, and the pool's own exit then joins what is already running.
         pool.shutdown(wait=True, cancel_futures=True)
-        raise failed.exception()
-    return [future.result() for future in futures]
 
 
 def _run_adopted(parent, func: Callable[..., T], *args) -> T:
     """Thread-pool task body: ``func(*args)`` under the submitter's span."""
     with telemetry.adopt(parent):
         return func(*args)
+
+
+def parallel_imap(
+    func: Callable[..., T],
+    argument_tuples: Sequence[tuple],
+    *,
+    workers: int = 1,
+    backend: str = "thread",
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: tuple = (),
+    label: Optional[str] = None,
+    window: Optional[int] = None,
+) -> Iterator[T]:
+    """Yield ``func(*args)`` for every tuple in input order, serially or from
+    a worker pool — the body of :func:`parallel_map`, as a generator.
+
+    ``window`` bounds how many tasks are submitted and not yet yielded
+    (``None``: all of them up front), so a consumer that reduces results as
+    they arrive holds at most ``window`` of them however many tasks there
+    are.  The serial path computes each result when it is asked for.  The
+    pool lives until the generator is exhausted or closed.  Every other
+    parameter is :func:`parallel_map`'s.
+    """
+    backend = resolve_backend(backend)
+    if workers is None:
+        workers = default_workers()
+    if workers <= 1 or len(argument_tuples) <= 1:
+        if initializer is not None:
+            initializer(*initargs)
+        for args in argument_tuples:
+            yield func(*args)
+        return
+    if backend == "process":
+        # Cross-process telemetry: with tracing or progress on, chain the
+        # worker shim in front of the caller's initializer, wrap each task
+        # so workers account completions, and merge the spools afterwards.
+        from repro.telemetry import worker as worker_telemetry
+
+        collector = worker_telemetry.maybe_collector(label, len(argument_tuples))
+        if collector is not None:
+            initializer, initargs = collector.initializer(initializer, initargs)
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(argument_tuples)),
+            initializer=initializer,
+            initargs=initargs,
+        )
+        if collector is not None:
+            def submit(args):
+                return pool.submit(worker_telemetry.run_task, func, tuple(args))
+        else:
+            def submit(args):
+                return pool.submit(func, *args)
+        try:
+            with pool:
+                if collector is not None:
+                    collector.start()
+                yield from _ordered_results(
+                    pool, submit, argument_tuples, window, label
+                )
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"{label or 'parallel'}: a pool worker process died before "
+                f"finishing its task ({exc})"
+            ) from exc
+        finally:
+            if collector is not None:
+                collector.finish()
+        return
+    # Pool threads start with no current span: run each task under the
+    # submitter's, so its spans and metrics land where a serial loop's would.
+    parent = telemetry.current_span()
+    pool = ThreadPoolExecutor(
+        max_workers=workers, initializer=initializer, initargs=initargs
+    )
+    with pool:
+        yield from _ordered_results(
+            pool,
+            lambda args: pool.submit(_run_adopted, parent, func, *args),
+            argument_tuples, window, label,
+        )
 
 
 def parallel_map(
@@ -177,59 +290,7 @@ def parallel_map(
         for process pools when tracing is on, under the generic
         ``"parallel"`` label).
     """
-    backend = resolve_backend(backend)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(argument_tuples) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [func(*args) for args in argument_tuples]
-    if backend == "process":
-        # Cross-process telemetry: with tracing or progress on, chain the
-        # worker shim in front of the caller's initializer, wrap each task
-        # so workers account completions, and merge the spools afterwards.
-        from repro.telemetry import worker as worker_telemetry
-
-        collector = worker_telemetry.maybe_collector(label, len(argument_tuples))
-        if collector is not None:
-            initializer, initargs = collector.initializer(initializer, initargs)
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(argument_tuples)),
-            initializer=initializer,
-            initargs=initargs,
-        )
-        try:
-            with pool:
-                if collector is not None:
-                    collector.start()
-                    futures = [
-                        pool.submit(worker_telemetry.run_task, func, tuple(args))
-                        for args in argument_tuples
-                    ]
-                else:
-                    futures = [
-                        pool.submit(func, *args) for args in argument_tuples
-                    ]
-                _attach_progress(futures, label)
-                return _collect_fail_fast(pool, futures)
-        except BrokenProcessPool as exc:
-            raise WorkerError(
-                f"{label or 'parallel'}: a pool worker process died before "
-                f"finishing its task ({exc})"
-            ) from exc
-        finally:
-            if collector is not None:
-                collector.finish()
-    # Pool threads start with no current span: run each task under the
-    # submitter's, so its spans and metrics land where a serial loop's would.
-    parent = telemetry.current_span()
-    pool = ThreadPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    )
-    with pool:
-        futures = [
-            pool.submit(_run_adopted, parent, func, *args)
-            for args in argument_tuples
-        ]
-        _attach_progress(futures, label)
-        return _collect_fail_fast(pool, futures)
+    return list(parallel_imap(
+        func, argument_tuples, workers=workers, backend=backend,
+        initializer=initializer, initargs=initargs, label=label,
+    ))

@@ -15,8 +15,10 @@ from repro.sparsifier.aggregation import (
     aggregate_hash_sharded,
     aggregate_histogram,
     aggregate_sort,
+    merge_runs,
+    reduce_pairs,
 )
-from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
+from repro.sparsifier.path_sampling import PathSamplingConfig, per_draw_samples
 
 
 def _canon(triple):
@@ -154,12 +156,116 @@ class TestSortKernel:
             window=3, num_samples=20_000, downsample=True,
             downsample_constant=0.5,
         )
-        u, v, w, _ = sample_sparsifier_edges(graph, config, 1)
+        u, v, w, _ = per_draw_samples(graph, config, 1)
         assert 0 < u.size < 1_000_000 and np.unique(w).size > 1
         reference = aggregate_sort(u, v, w, 60)
         for aggregate in (aggregate_hash, aggregate_hash_sharded):
             for a, b in zip(_canon(aggregate(u, v, w, 60)), reference):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestRunReducer:
+    """The stream's reducer: slabs become canonical sorted runs, runs are
+    folded in order into the reduced upper triangle."""
+
+    @staticmethod
+    def _oracle(rows, cols, values, n):
+        return _canon(aggregate_dict(
+            np.minimum(rows, cols), np.maximum(rows, cols), values, n
+        ))
+
+    def test_a_slab_is_reduced_onto_the_upper_triangle(self):
+        keys, sums = reduce_pairs(
+            np.array([2, 1, 3, 1, 0]), np.array([1, 2, 3, 2, 4]),
+            np.array([1.0, 2.0, 8.0, 4.0, 16.0]), 5,
+        )
+        assert keys.tolist() == [0 * 5 + 4, 1 * 5 + 2, 3 * 5 + 3]
+        assert sums.tolist() == [16.0, 7.0, 8.0]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5), st.integers(0, 5),
+                st.floats(min_value=1e-3, max_value=1e3),
+            ),
+            max_size=120,
+        ),
+        st.integers(1, 12),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_any_slab_cut_merges_to_the_oracle(
+        self, samples, slab, whole_weights
+    ):
+        rows = np.array([s[0] for s in samples], dtype=np.int64)
+        cols = np.array([s[1] for s in samples], dtype=np.int64)
+        values = np.array([s[2] for s in samples], dtype=np.float64)
+        if whole_weights:
+            values = np.ceil(values)
+        runs = [
+            reduce_pairs(rows[i:i + slab], cols[i:i + slab], values[i:i + slab], 6)
+            for i in range(0, rows.size, slab)
+        ]
+        stats = {}
+        got = merge_runs(iter(runs), 6, stats=stats)
+        want = self._oracle(rows, cols, values, 6)
+        assert np.all(got[0] <= got[1])
+        assert np.all(np.diff(got[0] * 6 + got[1]) > 0)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2].dtype == np.float64
+        if whole_weights:  # partial sums of integers are exact in any order
+            np.testing.assert_array_equal(got[2], want[2])
+        else:
+            np.testing.assert_allclose(got[2], want[2], rtol=1e-13)
+        assert stats["distinct"] == got[0].size
+        assert stats["peak_table_bytes"] >= 16 * got[0].size
+
+    def test_a_keys_entries_are_added_in_run_order(self, rng):
+        # One key in every run, the runs growing so that each is folded on
+        # arrival: the value is the left-to-right sum over the runs.
+        values = rng.random(40) * 10.0 ** rng.integers(-8, 8, size=40)
+        runs = [(np.array([7]), np.array([value])) for value in values]
+        _, _, got = merge_runs(iter(runs), 4)
+        sequential = 0.0
+        for value in values.tolist():
+            sequential += value
+        assert got.tolist() == [sequential]
+        # ... and within one fold too (all forty set aside behind a wide run).
+        wide = (np.arange(100), np.ones(100))
+        _, _, got = merge_runs(iter([wide, *runs]), 10)
+        folded = 1.0
+        for value in values.tolist():
+            folded += value
+        assert got[7] == folded
+
+    def test_same_runs_same_bits_whatever_their_container(self, rng):
+        rows, cols = rng.integers(0, 30, size=(2, 5000))
+        values = rng.random(5000) + 1.0
+        runs = [
+            reduce_pairs(rows[i:i + 300], cols[i:i + 300], values[i:i + 300], 30)
+            for i in range(0, 5000, 300)
+        ]
+        first = merge_runs(iter(runs), 30)
+        again = merge_runs((run for run in list(runs)), 30)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_runs_and_empty_runs(self):
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        for runs in ([], [empty], [empty, empty, empty]):
+            stats = {}
+            rows, cols, sums = merge_runs(iter(runs), 5, stats=stats)
+            assert rows.size == cols.size == sums.size == 0
+            assert rows.dtype == cols.dtype == np.int64 and sums.dtype == np.float64
+            assert stats == {"peak_table_bytes": 0, "distinct": 0}
+        one = reduce_pairs(np.array([1]), np.array([0]), np.array([2.0]), 5)
+        rows, cols, sums = merge_runs(iter([empty, one, empty]), 5)
+        assert (rows.tolist(), cols.tolist(), sums.tolist()) == ([0], [1], [2.0])
+
+    def test_key_overflow_rejected(self):
+        with pytest.raises(SamplingError):
+            merge_runs(iter([]), 2**32)
 
 
 class TestInputGuards:

@@ -63,8 +63,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(SPARSIFIER_SAMPLERS))
     def test_every_sampler_honours_the_call_contract(self, er_graph, name):
-        """One signature, parallel triples, and ``draws`` equal to the
-        budget ``M`` the estimator divides by (realized, for ``path``)."""
+        """One signature, a pre-reduced canonical stream (distinct pairs of
+        the upper triangle in key order), and ``draws`` equal to the budget
+        ``M`` the estimator divides by (realized, for ``path``)."""
         config = PathSamplingConfig(window=2, num_samples=4000)
         stats = {}
         rows, cols, weights, draws = SPARSIFIER_SAMPLERS[name](
@@ -74,8 +75,10 @@ class TestRegistry:
         assert rows.shape == cols.shape == weights.shape
         assert rows.dtype == cols.dtype == np.int64
         assert weights.min() > 0
+        assert np.all(rows <= cols)
+        assert np.all(np.diff(rows * er_graph.num_vertices + cols) > 0)
         assert abs(draws - config.num_samples) <= er_graph.num_edges
-        assert stats["walk_samples"] == rows.size
+        assert stats["walk_samples"] >= stats["distinct"] == rows.size
 
     def test_make_params_accepts_sparsifier(self):
         params = make_params("lightne", sparsifier="ppr", dimension=8)

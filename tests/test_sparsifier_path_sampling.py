@@ -18,6 +18,7 @@ from repro.sparsifier.path_sampling import (
     PathSamplingConfig,
     _per_edge_sample_counts,
     path_sample_pairs,
+    per_draw_samples,
     sample_sparsifier_edges,
 )
 
@@ -111,13 +112,28 @@ class TestSampleSparsifierEdges:
     def test_draw_count_near_target(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=5000, downsample=False)
         u, v, w, draws = sample_sparsifier_edges(er_graph, config, seed=0)
-        assert u.size == draws
+        assert w.sum() == draws  # every draw kept, at weight one
         assert abs(draws - 5000) < 500
 
     def test_no_downsample_unit_weights(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=1000, downsample=False)
-        _, _, w, _ = sample_sparsifier_edges(er_graph, config, seed=1)
-        np.testing.assert_allclose(w, 1.0)
+        _, _, w, draws = per_draw_samples(er_graph, config, seed=1)
+        assert w.size == draws
+        np.testing.assert_array_equal(w, 1.0)
+        # ... so the stream's sums are whole multiplicities.
+        _, _, sums, _ = sample_sparsifier_edges(er_graph, config, seed=1)
+        np.testing.assert_array_equal(sums, np.round(sums))
+        assert sums.min() >= 1.0
+
+    def test_stream_is_the_reduced_upper_triangle(self, er_graph):
+        config = PathSamplingConfig(window=3, num_samples=4000)
+        rows, cols, sums, _ = sample_sparsifier_edges(
+            er_graph, config, seed=2, batch_size=300
+        )
+        assert np.all(rows <= cols)
+        keys = rows * er_graph.num_vertices + cols
+        assert np.all(np.diff(keys) > 0)  # distinct, in key order
+        assert sums.dtype == np.float64 and np.all(sums >= 1.0)
 
     def test_downsample_reduces_output(self):
         g = erdos_renyi_graph(100, 0.4, seed=3)  # dense: m >> n
@@ -125,9 +141,11 @@ class TestSampleSparsifierEdges:
         down = PathSamplingConfig(
             window=3, num_samples=20_000, downsample=True, downsample_constant=1.0
         )
-        u0, _, _, _ = sample_sparsifier_edges(g, base, seed=4)
-        u1, _, w1, _ = sample_sparsifier_edges(g, down, seed=4)
-        assert u1.size < u0.size * 0.6
+        kept, dropped = {}, {}
+        sample_sparsifier_edges(g, base, seed=4, stats=kept)
+        _, _, w1, _ = sample_sparsifier_edges(g, down, seed=4, stats=dropped)
+        assert kept["walk_samples"] == kept["draws"]
+        assert dropped["walk_samples"] < kept["walk_samples"] * 0.6
         assert np.all(w1 >= 1.0)  # weights are 1/p_e >= 1
 
     def test_downsample_preserves_total_weight(self):
@@ -144,7 +162,11 @@ class TestSampleSparsifierEdges:
         cg = compress_graph(er_graph)
         config = PathSamplingConfig(window=3, num_samples=500, downsample=False)
         u, v, w, draws = sample_sparsifier_edges(cg, config, seed=7)
-        assert u.size == draws
+        assert w.sum() == draws
+        for a, b in zip(
+            sample_sparsifier_edges(er_graph, config, seed=7), (u, v, w, draws)
+        ):
+            np.testing.assert_array_equal(a, b)
 
     def test_empty_graph_rejected(self):
         g = from_edges([], [], num_vertices=3)
@@ -159,10 +181,10 @@ class TestSampleSparsifierEdges:
 
     def test_batching_equivalence_in_size(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=2000, downsample=False)
-        u1, _, _, d1 = sample_sparsifier_edges(er_graph, config, seed=8, batch_size=100)
-        u2, _, _, d2 = sample_sparsifier_edges(er_graph, config, seed=8, batch_size=10**6)
+        _, _, w1, d1 = sample_sparsifier_edges(er_graph, config, seed=8, batch_size=100)
+        _, _, w2, d2 = sample_sparsifier_edges(er_graph, config, seed=8, batch_size=10**6)
         assert d1 == d2  # draw counts are pre-batching, hence identical
-        assert u1.size == u2.size
+        assert w1.sum() == w2.sum() == d1
 
     def test_invalid_batch_size(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=100)
@@ -171,13 +193,16 @@ class TestSampleSparsifierEdges:
 
 
 class TestSelfLoopAlignment:
-    """Regression: per-edge arrays must be sized by the masked (non-loop)
-    edge count, not ``graph.num_edges`` — self-loops used to misalign the
-    seed indices (IndexError / wrong ``1/p_e`` weights)."""
+    """Regression: per-edge arrays must be sized by the seed-edge count
+    (one per undirected edge, a self-loop being its own), not
+    ``graph.num_edges`` — self-loops used to misalign the seed indices
+    (IndexError / wrong ``1/p_e`` weights).  Loops are seeded at half an
+    edge's mass; ``tests/contracts/test_estimator_unbiased.py`` holds the
+    law."""
 
     @pytest.fixture
     def loopy(self):
-        # 4-cycle plus self-loops at 1 and 2: num_edges=5, seedable edges=4.
+        # 4-cycle plus self-loops at 1 and 2: num_edges=5, seed edges=6.
         return from_edges(
             [0, 1, 2, 0, 1, 2], [1, 2, 3, 3, 1, 2], drop_self_loops=False
         )
@@ -189,13 +214,12 @@ class TestSelfLoopAlignment:
     def test_runs_without_downsampling(self, loopy):
         config = PathSamplingConfig(window=3, num_samples=400, downsample=False)
         u, v, w, draws = sample_sparsifier_edges(loopy, config, seed=0)
-        assert u.size == draws
-        np.testing.assert_allclose(w, 1.0)
+        assert w.sum() == draws
 
     def test_weights_match_serial_reference(self, loopy):
-        """Every kept weight must be a ``1/p_e`` of a *seedable* edge, and
-        the parallel run must equal the serial one exactly."""
-        from repro.sparsifier.downsampling import graph_downsampling_probabilities
+        """Every kept weight must be a ``1/p_e`` of a *seed* edge, and the
+        parallel run must equal the serial one exactly."""
+        from repro.sparsifier.downsampling import downsampling_probabilities
 
         config = PathSamplingConfig(window=3, num_samples=600, downsample=True)
         u1, v1, w1, d1 = sample_sparsifier_edges(loopy, config, seed=5, workers=1)
@@ -204,9 +228,13 @@ class TestSelfLoopAlignment:
         np.testing.assert_array_equal(v1, v4)
         np.testing.assert_array_equal(w1, w4)
         assert d1 == d4
-        probs = graph_downsampling_probabilities(loopy)
+        src, dst = loopy.edge_endpoints()
+        seeds = src <= dst
+        probs = downsampling_probabilities(
+            src[seeds], dst[seeds], loopy.weighted_degrees()
+        )
         legal = np.unique(1.0 / probs)
-        assert np.isin(w1, legal).all()
+        assert np.isin(per_draw_samples(loopy, config, seed=5)[2], legal).all()
 
     def test_full_lightne_pipeline(self, loopy):
         from repro.embedding.lightne import LightNEParams, lightne_embedding
@@ -241,6 +269,27 @@ class TestParallelSampling:
             np.testing.assert_array_equal(a, b)
         assert serial[3] == threaded[3]
 
+    def test_more_workers_than_cores_under_fast_switching(self, er_graph):
+        """Stress: eight threads on tiny slabs with the interpreter switching
+        every 10 µs — slabs finish out of order and interleave with the
+        parent's folds; the stream must still be the serial one, bit for bit."""
+        import sys
+
+        serial = sample_sparsifier_edges(
+            er_graph, self.CONFIG, seed=21, workers=1, batch_size=60
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                stressed = sample_sparsifier_edges(
+                    er_graph, self.CONFIG, seed=21, workers=8, batch_size=60
+                )
+                for a, b in zip(serial, stressed):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_workers_none_resolves_to_default(self, er_graph):
         u, _, _, draws = sample_sparsifier_edges(
             er_graph, self.CONFIG, seed=12, workers=None
@@ -248,8 +297,9 @@ class TestParallelSampling:
         assert u.size <= draws
 
     def test_batch_size_honored_with_workers(self, er_graph, monkeypatch):
-        """The walk kernel must only ever see slabs of <= batch_size seeds,
-        also on the threaded path (it used to get one chunk per worker)."""
+        """The walk kernel must only ever see the survivors of one slab —
+        about ``batch_size`` draws, an edge's draws never split — also on
+        the threaded path (it used to get one chunk per worker)."""
         import repro.sparsifier.path_sampling as ps
 
         sizes = []
@@ -267,9 +317,15 @@ class TestParallelSampling:
             batch_size=batch_size, stats=stats,
         )
         assert sizes, "walk kernel never invoked"
-        assert max(sizes) <= batch_size
+        src, dst = er_graph.edge_endpoints()
+        most_per_edge = -(-self.CONFIG.num_samples // int((src < dst).sum()))
+        assert max(sizes) < batch_size + most_per_edge
+        assert sum(sizes) == stats["walk_samples"]
         assert len(sizes) == stats["batches"]
-        assert stats["batches"] == -(-stats["walk_samples"] // batch_size)
+        # One slab per batch_size-wide window of the draw sequence in which
+        # some edge's first draw falls: all of them, but perhaps the last.
+        whole, ragged = divmod(stats["draws"], batch_size)
+        assert whole <= stats["batches"] <= whole + bool(ragged)
 
     def test_stats_populated(self, er_graph):
         stats = {}
@@ -288,3 +344,40 @@ class TestParallelSampling:
         b = sample_sparsifier_edges(er_graph, self.CONFIG, seed=seq, workers=3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resident_set_is_batch_plus_nnz(workers):
+    """The memory law ``batch_size``'s docstring states: what the stage holds
+    follows the slab workspace and the distinct pairs, not the draw budget."""
+    import tracemalloc
+
+    from repro.sparsifier.builder import build_sparsifier
+
+    # Dense and small: 7 260 possible pairs, saturated from multiplier 4 on.
+    graph = erdos_renyi_graph(120, 0.5, seed=2)
+
+    def peak(multiplier, batch_size):
+        config = PathSamplingConfig(
+            window=3,
+            num_samples=PathSamplingConfig.samples_for_multiplier(
+                graph, 3, multiplier
+            ),
+            downsample=False,
+        )
+        tracemalloc.start()
+        try:
+            result = build_sparsifier(
+                graph, config, seed=3, workers=workers, batch_size=batch_size
+            )
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    small, few = peak(4, 2048)
+    large, many = peak(16, 2048)
+    assert many.num_draws > 3.9 * few.num_draws
+    assert many.nnz < 1.1 * few.nnz  # saturated: the same pairs, drawn more often
+    assert large < 1.5 * small  # the parent commit read 3.9x
+    wide, _ = peak(16, 8192)
+    assert large < 0.9 * wide

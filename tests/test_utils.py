@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from repro.utils.parallel import (
     BACKENDS,
     chunk_ranges,
+    parallel_imap,
     parallel_map,
     resolve_backend,
 )
@@ -410,6 +411,76 @@ class TestParallelMap:
         got = parallel_map(_read_tag, [(0,)], workers=4, backend="thread",
                            initializer=_remember, initargs=("inline",))
         assert got == ["inline"]
+
+
+class TestParallelImap:
+    """The generator body of ``parallel_map``: ordered, bounded in flight."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ordered_results_through_a_window(self, backend, workers):
+        stream = parallel_imap(
+            _double, [(i,) for i in range(9)], workers=workers,
+            backend=backend, window=2,
+        )
+        assert next(stream) == 0  # a generator, not a list
+        assert list(stream) == [2, 4, 6, 8, 10, 12, 14, 16]
+
+    def test_window_bounds_tasks_submitted_and_not_yet_consumed(self):
+        started = []
+
+        def work(x):
+            started.append(x)
+            time.sleep(0.002 * (x % 3))
+            return x
+
+        consumed = 0
+        for got in parallel_imap(
+            work, [(i,) for i in range(20)], workers=4, window=3
+        ):
+            assert got == consumed
+            consumed += 1
+            # Refilled before the hand-over: the window, plus what was read.
+            assert len(started) <= consumed + 3
+        assert consumed == 20 and sorted(started) == list(range(20))
+
+    def test_serial_path_computes_on_demand(self):
+        calls = []
+        stream = parallel_imap(calls.append, [(i,) for i in range(5)], workers=1)
+        assert calls == []
+        next(stream)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fail_fast_through_a_window(self, backend):
+        stream = parallel_imap(
+            _boom, [(i,) for i in range(8)], workers=2, backend=backend, window=2
+        )
+        got = []
+        # Task 2 may fail while task 1 still runs: the error does not wait.
+        with pytest.raises(RuntimeError, match="worker failure"):
+            for value in stream:
+                got.append(value)
+        assert got in ([0], [0, 1])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_closing_early_stops_the_pool(self, backend):
+        import multiprocessing
+        import threading
+
+        before = threading.active_count()
+        stream = parallel_imap(
+            _double, [(i,) for i in range(50)], workers=2, backend=backend,
+            window=2,
+        )
+        assert next(stream) == 0
+        stream.close()
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() <= before
+        # ... and the next pool works.
+        assert parallel_map(
+            _double, [(1,), (2,)], workers=2, backend=backend
+        ) == [2, 4]
 
 
 class TestResolveBackend:

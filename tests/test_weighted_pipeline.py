@@ -52,11 +52,8 @@ class TestWeightedSampling:
         # Path 0 -(w=10)- 1 -(w=1)- 2; seeds are edges; walks prefer 0-1.
         g = from_edges([0, 1], [1, 2], [10.0, 1.0])
         config = PathSamplingConfig(window=3, num_samples=4000, downsample=False)
-        u, v, _, _ = sample_sparsifier_edges(g, config, seed=1)
-        pair_counts = {}
-        for a, b in zip(u, v):
-            key = (min(a, b), max(a, b))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+        u, v, w, _ = sample_sparsifier_edges(g, config, seed=1)
+        pair_counts = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
         assert pair_counts.get((0, 1), 0) > pair_counts.get((1, 2), 0)
 
 
