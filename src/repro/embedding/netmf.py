@@ -43,11 +43,9 @@ class NetMFParams:
     separate methods (``netmf`` / ``netmf-eigen``) differing only in the
     ``strategy`` default.  ``workers`` / ``precision`` control the SVD's
     kernel layer (:mod:`repro.linalg.kernels`); ``precision="single"``
-    halves the dense matrix's footprint during factorization.  ``backend``
-    is accepted for CLI uniformity (dense NetMF has no out-of-core stage —
-    the substrate knob is a no-op here).  ``factorizer`` picks the
-    factorization backend (``"rsvd"`` default / ``"single_pass"``; see
-    :mod:`repro.linalg.single_pass`).
+    halves the dense matrix's footprint during factorization.
+    ``factorizer`` picks the factorization backend (``"rsvd"`` default /
+    ``"single_pass"``; see :mod:`repro.linalg.single_pass`).
     """
 
     dimension: int = 128
@@ -56,7 +54,6 @@ class NetMFParams:
     strategy: str = "exact"
     eigen_rank: int = 256
     workers: Optional[int] = None
-    backend: str = "thread"
     precision: str = "double"
     factorizer: str = "rsvd"
 

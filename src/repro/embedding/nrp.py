@@ -46,8 +46,7 @@ class NRPParams:
 
     ``workers`` / ``precision`` thread the Horner SPMVs and the SVD through
     :mod:`repro.linalg.kernels` (``"single"`` keeps the implicit operator's
-    walk matrix and work buffers in float32).  ``backend`` is accepted for
-    CLI uniformity (NRP's implicit operator has no out-of-core stage).
+    walk matrix and work buffers in float32).
     ``factorizer="single_pass"`` swaps the rSVD for the two-sided sketched
     factorization (the PPR polynomial is *not* symmetric, so this path uses
     one forward plus one adjoint operator application instead of rSVD's
@@ -58,7 +57,6 @@ class NRPParams:
     alpha: float = 0.15
     order: int = 10
     workers: Optional[int] = None
-    backend: str = "thread"
     precision: str = "double"
     factorizer: str = "rsvd"
 

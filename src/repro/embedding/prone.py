@@ -120,7 +120,7 @@ def _prone_body(ctx: PipelineContext):
                 workers=params.workers,
                 offload_dir=(
                     tempfile.gettempdir()
-                    if getattr(params, "backend", "thread") == "process"
+                    if params.backend == "process"
                     else None
                 ),
             )
@@ -129,7 +129,7 @@ def _prone_body(ctx: PipelineContext):
             "alpha": params.alpha,
             "propagated": params.propagate,
             "precision": params.precision,
-            "backend": getattr(params, "backend", "thread"),
+            "backend": params.backend,
         }
     )
     return vectors

@@ -6,17 +6,19 @@ counterpart those stages dispatch through, and the **one** BLAS-3
 tall-skinny layer of the library: float64 and float32 pipelines call the same
 functions and differ in dtype only.
 
-* :func:`spmm` — a threaded row-blocked sparse @ dense product.  Contiguous
-  row chunks of the CSR operator are dispatched onto the shared thread pool
-  (:func:`repro.utils.parallel.parallel_map`); each chunk calls scipy's
+* :func:`spmm` — the one threaded row-blocked sparse @ dense product, in RAM
+  and out of core alike.  Contiguous row blocks of the CSR operator are
+  dispatched onto the shared thread pool
+  (:func:`repro.utils.parallel.parallel_map`); each block calls scipy's
   compiled ``csr_matvecs`` kernel, which releases the GIL, writing into a
-  disjoint slice of one preallocated output.  Because every output row
-  depends only on that row's stored entries — accumulated in storage order —
-  the result is **bit-identical** to ``matrix @ dense`` for every worker
-  count.  CSC operators (the ``Aᵀ`` side of Algorithm 3 on a non-symmetric
-  matrix) are parallelized over column chunks of the dense block instead,
-  which preserves the same per-column accumulation order and hence the same
-  bit-identity.
+  disjoint slice of one preallocated output — an ndarray or an
+  ``np.memmap``, whose finished blocks leave the resident set at once.
+  Because every output row depends only on that row's stored entries —
+  accumulated in storage order — the result is **bit-identical** to
+  ``matrix @ dense`` for every worker and block count.  CSC operators (the
+  ``Aᵀ`` side of Algorithm 3 on a non-symmetric matrix) are parallelized
+  over column chunks of the dense block instead, which preserves the same
+  per-column accumulation order and hence the same bit-identity.
 * :func:`resolve_precision` — the dtype policy mirroring MKL's ``s``/``d``
   routine split: ``"single"`` casts the operator and sketch once and keeps
   the whole pipeline in float32; ``"double"`` is numpy's default.
@@ -32,8 +34,8 @@ functions and differ in dtype only.
   dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
   ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
 * :func:`release_pages` — the one ``MADV_DONTNEED`` helper of the
-  out-of-core mode: :func:`spmm_chunked` and the Chebyshev filter drop the
-  pages of memmapped buffers they are done with through it.
+  out-of-core mode: :func:`spmm` and the Chebyshev filter drop the pages of
+  memmapped buffers they are done with through it.
 
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
@@ -55,10 +57,7 @@ Gram matrix's extreme eigenvalues:
 
 Telemetry: each :func:`spmm` call bumps the ``spmm.calls`` / ``spmm.flops``
 / ``spmm.bytes`` counters, sets the ``spmm.gflops`` gauge to the call's
-achieved rate and feeds the per-block ``spmm.block_seconds`` histogram;
-:func:`spmm_chunked` additionally traces one ``spmm.chunk`` span per
-streamed row block (and counts them under ``spmm.chunks``), so out-of-core
-propagation shows up block-by-block in the unified trace
+achieved rate and feeds the per-block ``spmm.block_seconds`` histogram
 (all no-ops until :func:`repro.telemetry.enable`).
 """
 
@@ -139,7 +138,8 @@ def _csr_rows_kernel(
     r1: int,
     timed: bool,
 ) -> None:
-    """``out[r0:r1] = A[r0:r1] @ dense`` without copying the chunk's entries."""
+    """``out[r0:r1] = A[r0:r1] @ dense`` without copying the block's entries,
+    written straight into ``out`` (whose pages are released if file-backed)."""
     start = time.perf_counter() if timed else 0.0
     ptr = indptr[r0 : r1 + 1]
     lo, hi = int(ptr[0]), int(ptr[-1])
@@ -163,6 +163,7 @@ def _csr_rows_kernel(
             copy=False,
         )
         segment[...] = block @ dense
+    release_pages(out, r0, r1)  # rows [r0, r1) are final
     if timed:
         telemetry.histogram("spmm.block_seconds").observe(
             time.perf_counter() - start
@@ -186,6 +187,13 @@ def _csc_cols_kernel(
         )
 
 
+# Bound on the bytes of ``out`` one row block of :func:`spmm` covers, and on
+# one block of the Chebyshev filter's element-wise sweeps (64 MiB — small
+# enough to coexist with memmapped operands, large enough that block dispatch
+# overhead is negligible).
+SPMM_WORKSPACE_BYTES = 64 * 1024 * 1024
+
+
 def spmm(
     matrix,
     dense: np.ndarray,
@@ -203,23 +211,28 @@ def spmm(
     dense:
         ``(k, c)`` dense block (1-D vectors are treated as one column).
     out:
-        Optional preallocated C-contiguous output of the product's shape and
-        dtype; allocated when omitted.  Reusing ``out`` across calls is what
-        keeps the Chebyshev recurrence allocation-free.
+        Optional preallocated, writable, C-contiguous output of the
+        product's shape and dtype that shares no memory with ``dense``
+        (a row block is zeroed before ``dense`` is read); allocated when
+        omitted.  Reusing ``out`` across calls is what keeps the Chebyshev
+        recurrence allocation-free.  Where ``out`` lives is the caller's
+        residency decision and nothing else: an ``np.memmap`` is written in
+        place, one row block at a time, and each finished block's pages are
+        handed back through :func:`release_pages`.
     workers:
         Thread count; ``None`` resolves to
         :func:`repro.utils.parallel.default_workers`.  The result is
         **bit-identical for every value** — CSR operators are split into
-        contiguous row blocks (each output row's accumulation order is
-        unchanged), CSC operators into dense column blocks (each output
-        column is computed by the same compiled loop as the serial product).
+        ``max(workers, ⌈out.nbytes / SPMM_WORKSPACE_BYTES⌉)`` contiguous row
+        blocks (each output row's accumulation order is unchanged), CSC
+        operators into dense column blocks (each output column is computed
+        by the same compiled loop as the serial product).
     """
     workers = _resolve_workers(workers)
-    squeeze = False
     dense = np.asarray(dense)
-    if dense.ndim == 1:
+    squeeze = dense.ndim == 1
+    if squeeze:
         dense = dense.reshape(-1, 1)
-        squeeze = True
     if dense.ndim != 2:
         raise FactorizationError(f"dense block must be 1-D or 2-D, got {dense.ndim}-D")
     if matrix.shape[1] != dense.shape[0]:
@@ -231,6 +244,8 @@ def spmm(
     if out is None:
         out = np.empty((rows, cols), dtype=result_dtype)
     else:
+        if squeeze and out.ndim == 1:
+            out = out.reshape(-1, 1)
         if out.shape != (rows, cols):
             raise FactorizationError(
                 f"out has shape {out.shape}, expected {(rows, cols)}"
@@ -241,6 +256,10 @@ def spmm(
             )
         if not out.flags.c_contiguous:
             raise FactorizationError("out must be C-contiguous")
+        if not out.flags.writeable:
+            raise FactorizationError("out is read-only")
+        if np.may_share_memory(dense, out):
+            raise FactorizationError("out must not share memory with dense")
 
     if not sp.issparse(matrix):  # dense @ dense: one BLAS call, already threaded
         np.matmul(np.asarray(matrix), dense, out=out)
@@ -261,25 +280,22 @@ def spmm(
     if csc:
         # Parallelize over dense columns: each output column is produced by
         # the same compiled per-column loop as the serial csc product.
+        kernel = _csc_cols_kernel
         tasks = [
             (matrix, dense, out, c0, c1, timed)
             for c0, c1 in chunk_ranges(cols, workers)
         ]
-        if len(tasks) == 1:
-            _csc_cols_kernel(*tasks[0])
-        else:
-            parallel_map(_csc_cols_kernel, tasks, workers=workers)
     else:
+        kernel = _csr_rows_kernel
+        blocks = max(workers, -(-out.nbytes // SPMM_WORKSPACE_BYTES))
         tasks = [
             (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1, timed)
-            for r0, r1 in chunk_ranges(rows, workers)
+            for r0, r1 in chunk_ranges(rows, blocks)
         ]
-        if not tasks:  # zero-row matrix
-            pass
-        elif len(tasks) == 1:
-            _csr_rows_kernel(*tasks[0])
-        else:
-            parallel_map(_csr_rows_kernel, tasks, workers=workers)
+    if len(tasks) == 1:
+        kernel(*tasks[0])
+    elif tasks:  # none for a zero-row or zero-column product
+        parallel_map(kernel, tasks, workers=workers)
 
     if timed:
         elapsed = max(time.perf_counter() - start, 1e-12)
@@ -296,111 +312,6 @@ def spmm(
         telemetry.counter("spmm.flops").inc(flops)
         telemetry.counter("spmm.bytes").inc(moved)
         telemetry.gauge("spmm.gflops").set(flops / elapsed / 1e9)
-    return out[:, 0] if squeeze else out
-
-
-# Default bound on the resident workspace of :func:`spmm_chunked` (64 MiB —
-# small enough to coexist with memmapped operands, large enough that block
-# dispatch overhead is negligible).
-SPMM_WORKSPACE_BYTES = 64 * 1024 * 1024
-
-
-def spmm_chunked(
-    matrix,
-    dense: np.ndarray,
-    *,
-    out: Optional[np.ndarray] = None,
-    workspace_bytes: int = SPMM_WORKSPACE_BYTES,
-    block_rows: Optional[int] = None,
-    workers: Optional[int] = 1,
-) -> np.ndarray:
-    """Row-block streaming ``matrix @ dense`` through a bounded workspace.
-
-    The out-of-core SPMM: ``dense`` and ``out`` may be ``numpy.memmap``
-    arrays (and the CSR arrays themselves may be disk-backed).  Output rows
-    are produced in contiguous blocks sized so one block of the result fits
-    in ``workspace_bytes`` of resident memory; each block is computed by
-    :func:`spmm` (threaded, bit-identical per row) into the reused in-RAM
-    workspace and then written to ``out`` in one sequential assignment, so
-    dirty pages hit a memmapped ``out`` in stream order.
-
-    Because a row block's entries are accumulated by exactly the same
-    compiled loop as the full product, the result is **bit-identical** to
-    ``spmm(matrix, dense)`` for every ``block_rows``/``workers``
-    combination.
-
-    Parameters
-    ----------
-    workspace_bytes:
-        Resident-workspace bound used to derive the block height (default
-        :data:`SPMM_WORKSPACE_BYTES`).
-    block_rows:
-        Explicit block height; overrides ``workspace_bytes`` when given.
-    """
-    workers = _resolve_workers(workers)
-    dense = np.asarray(dense)
-    squeeze = False
-    if dense.ndim == 1:
-        dense = dense.reshape(-1, 1)
-        squeeze = True
-    if dense.ndim != 2:
-        raise FactorizationError(f"dense block must be 1-D or 2-D, got {dense.ndim}-D")
-    if not sp.issparse(matrix):
-        raise FactorizationError("spmm_chunked expects a sparse matrix operand")
-    if matrix.shape[1] != dense.shape[0]:
-        raise FactorizationError(f"shape mismatch: {matrix.shape} @ {dense.shape}")
-    if getattr(matrix, "format", None) != "csr":
-        matrix = matrix.tocsr()
-    result_dtype = np.result_type(matrix.dtype, dense.dtype)
-    rows, cols = matrix.shape[0], dense.shape[1]
-    if out is None:
-        out = np.empty((rows, cols), dtype=result_dtype)
-    else:
-        if out.shape != (rows, cols):
-            raise FactorizationError(
-                f"out has shape {out.shape}, expected {(rows, cols)}"
-            )
-        if out.dtype != result_dtype:
-            raise FactorizationError(
-                f"out has dtype {out.dtype}, expected {result_dtype}"
-            )
-    if block_rows is None:
-        if workspace_bytes < 1:
-            raise FactorizationError(
-                f"workspace_bytes must be >= 1, got {workspace_bytes}"
-            )
-        row_bytes = max(1, cols * result_dtype.itemsize)
-        block_rows = max(1, workspace_bytes // row_bytes)
-    if block_rows < 1:
-        raise FactorizationError(f"block_rows must be >= 1, got {block_rows}")
-    block_rows = min(block_rows, max(rows, 1))
-    if dense.dtype != result_dtype:
-        # One cast up front instead of one per block (spmm would otherwise
-        # re-cast the full dense operand inside every block call).
-        dense = np.ascontiguousarray(dense, dtype=result_dtype)
-    workspace = np.empty((block_rows, cols), dtype=result_dtype)
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    num_chunks = (rows + block_rows - 1) // block_rows
-    for chunk, r0 in enumerate(range(0, rows, block_rows)):
-        r1 = min(rows, r0 + block_rows)
-        with telemetry.span(
-            "spmm.chunk", chunk=chunk, rows=r1 - r0, of=num_chunks
-        ):
-            ptr = np.asarray(indptr[r0 : r1 + 1])
-            lo, hi = int(ptr[0]), int(ptr[-1])
-            # Zero-copy CSR window over the block's rows.
-            block = sp.csr_matrix(
-                (data[lo:hi], indices[lo:hi], ptr - lo),
-                shape=(r1 - r0, matrix.shape[1]),
-                copy=False,
-            )
-            view = workspace[: r1 - r0]
-            spmm(block, dense, out=view, workers=workers)
-            out[r0:r1] = view
-            # Keep a streaming write to a memmapped ``out`` from piling up
-            # in the resident set: rows [0, r1) are final.
-            release_pages(out, 0, r1)
-        telemetry.counter("spmm.chunks").inc()
     return out[:, 0] if squeeze else out
 
 

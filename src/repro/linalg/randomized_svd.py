@@ -111,7 +111,7 @@ def randomized_svd(
     seed: SeedLike = None,
     precision: str = "double",
     workers: Optional[int] = 1,
-    symmetric: Optional[bool] = None,
+    symmetric: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``rank`` randomized SVD of a (possibly implicit) matrix.
 
@@ -139,8 +139,8 @@ def randomized_svd(
         ``True`` — the caller built ``matrix`` symmetric (every NetMF-style
         matrix): the ``Aᵀ·`` passes run as ``A·``, which for a CSR operator
         is the row-blocked kernel instead of the column-chunked CSC path
-        over ``A.T``.  A non-square matrix is an error.  ``None``/``False``
-        (default) keep the general two-sided scheme; nothing is probed.
+        over ``A.T``.  A non-square matrix is an error.  ``False``
+        (default) keeps the general two-sided scheme; nothing is probed.
 
     Returns
     -------

@@ -14,8 +14,9 @@ Udell–Cevher (SIAM J. Matrix Anal. 2017):
    of width ``2w + 1`` (the extra co-range oversampling is what keeps the
    core solve stable — the naive one-sided consistency solve
    ``C (QᵀΩ) = QᵀY`` amplifies the spectral tail through ``(QᵀΩ)⁻¹``);
-2. stream row blocks of ``A`` exactly once through the blocked SPMM layer
-   (so memmapped/out-of-core operands compose), computing ``Y = A Ω`` and
+2. read ``A`` exactly once through the row-blocked SPMM
+   (:func:`repro.linalg.kernels.spmm` — memmapped/out-of-core operands
+   compose, the blocking is the kernel's own), computing ``Y = A Ω`` and
    ``Z = A Ψ`` from the *same* pass — for symmetric ``A`` (every
    NetMF-style matrix in this library) ``Zᵀ = Ψᵀ A`` is the left sketch
    for free;
@@ -43,7 +44,7 @@ precisions.
 
 Determinism: sketch generation is a pure function of the seed
 (:mod:`repro.linalg.sketch`), the streamed pass is bit-identical for every
-``workers`` / ``block_rows`` by the :func:`~repro.linalg.kernels.spmm`
+``workers`` and row-block count by the :func:`~repro.linalg.kernels.spmm`
 contract, and every small dense solve is serial LAPACK — so the factors are
 bit-identical at every worker count and on both execution substrates.
 
@@ -64,14 +65,8 @@ import scipy.sparse.linalg as spla
 from repro import telemetry
 from repro.errors import FactorizationError
 from repro.telemetry import health
-from repro.linalg.kernels import (
-    cholesky_qr,
-    gram,
-    resolve_precision,
-    spmm,
-    spmm_chunked,
-)
-from repro.linalg.randomized_svd import randomized_svd
+from repro.linalg.kernels import cholesky_qr, gram, resolve_precision
+from repro.linalg.randomized_svd import _apply, randomized_svd
 from repro.linalg.sketch import (
     SKETCH_NNZ_PER_ROW,
     densify_sketch,
@@ -89,41 +84,10 @@ FACTORIZERS = ("rsvd", "single_pass")
 # upcast transient to ~16k × width float64).
 CROSS_BLOCK_ROWS = 16_384
 
-# Relative tolerance of the symmetry auto-detection.
-_SYMMETRY_RTOL = 1e-10
-
 
 def _co_range_width(width: int, dim: int) -> int:
     """Co-range sketch width: the 2w+1 rule of Tropp et al. (2017), §4.5."""
     return min(2 * width + 1, dim)
-
-
-def is_symmetric(matrix: MatrixLike) -> bool:
-    """Best-effort symmetry probe for explicit matrices.
-
-    Sparse and dense square matrices are compared against their transpose up
-    to a tiny relative tolerance (NetMF-style matrices are symmetric by
-    construction but not always bit-symmetric after scaling).  Implicit
-    :class:`~scipy.sparse.linalg.LinearOperator` inputs return ``False`` —
-    probing them would cost operator passes, which is exactly what this
-    backend exists to avoid; callers that *know* the operator is symmetric
-    pass ``symmetric=True`` explicitly.
-    """
-    rows, cols = matrix.shape
-    if rows != cols:
-        return False
-    if isinstance(matrix, spla.LinearOperator):
-        return False
-    if sp.issparse(matrix):
-        difference = (matrix - matrix.T).tocoo()
-        if difference.nnz == 0:
-            return True
-        scale = float(np.max(np.abs(matrix.data))) if matrix.nnz else 0.0
-        if scale == 0.0:
-            return True
-        return float(np.max(np.abs(difference.data))) <= _SYMMETRY_RTOL * scale
-    dense = np.asarray(matrix)
-    return bool(np.allclose(dense, dense.T, rtol=_SYMMETRY_RTOL, atol=0.0))
 
 
 def _sparse_cross(
@@ -153,46 +117,6 @@ def _sparse_cross(
     return out
 
 
-def _streamed_product(
-    matrix: MatrixLike,
-    dense: np.ndarray,
-    *,
-    workers: Optional[int],
-    block_rows: Optional[int],
-) -> np.ndarray:
-    """``matrix @ dense`` with the storage-appropriate streaming kernel."""
-    if isinstance(matrix, spla.LinearOperator):
-        return np.asarray(matrix.matmat(dense))
-    if sp.issparse(matrix):
-        out = np.empty(
-            (matrix.shape[0], dense.shape[1]),
-            dtype=np.result_type(matrix.dtype, dense.dtype),
-        )
-        if block_rows is None:
-            return spmm_chunked(matrix, dense, out=out, workers=workers)
-        return spmm_chunked(
-            matrix, dense, out=out, workers=workers, block_rows=block_rows
-        )
-    return spmm(np.asarray(matrix), dense, workers=workers)
-
-
-def _adjoint_product(
-    matrix: MatrixLike,
-    dense: np.ndarray,
-    *,
-    workers: Optional[int],
-    block_rows: Optional[int],
-) -> np.ndarray:
-    """``matrixᵀ @ dense`` for the general (two-sided) scheme."""
-    if isinstance(matrix, spla.LinearOperator):
-        return np.asarray(matrix.rmatmat(dense))
-    if sp.issparse(matrix):
-        # ``.T`` of CSR is CSC: spmm parallelizes over dense columns there,
-        # preserving per-column accumulation order (bit-identical).
-        return spmm(matrix.T, dense, workers=workers)
-    return spmm(np.asarray(matrix).T, dense, workers=workers)
-
-
 def _pass_telemetry(matrix: MatrixLike, width: int, passes: int) -> None:
     telemetry.counter("sketch.operator_passes").inc(passes)
     if sp.issparse(matrix):
@@ -219,8 +143,7 @@ def single_pass_svd(
     seed: SeedLike = None,
     precision: str = "double",
     workers: Optional[int] = 1,
-    symmetric: Optional[bool] = None,
-    block_rows: Optional[int] = None,
+    symmetric: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``rank`` factors of ``matrix`` from a single streamed pass.
 
@@ -233,9 +156,9 @@ def single_pass_svd(
     Parameters
     ----------
     matrix:
-        Dense array, sparse matrix, or LinearOperator.  Sparse operands are
-        streamed in row blocks through :func:`~repro.linalg.kernels.
-        spmm_chunked` (memmapped CSR composes — the out-of-core path).
+        Dense array, sparse matrix, or LinearOperator.  Explicit operands
+        go through :func:`~repro.linalg.kernels.spmm`, row block by row
+        block (memmapped CSR composes — the out-of-core path).
     rank / oversampling:
         Target rank ``d`` and extra range-sketch columns ``p``; the range
         sketch width is ``w = d + p`` and the co-range sketch is ``2w + 1``
@@ -260,14 +183,9 @@ def single_pass_svd(
     symmetric:
         ``True`` → both sketched products come from one streamed pass and
         the core is recovered by ``eigh`` (callers that built the matrix
-        symmetric, e.g. every NetMF matrix, should say so); ``False`` →
-        the general scheme (one forward + one adjoint pass, small SVD);
-        ``None`` (default) → probe explicit matrices, assume ``False`` for
-        LinearOperators.
-    block_rows:
-        Explicit row-block height for the streamed pass (default: the
-        64 MiB workspace bound of :func:`~repro.linalg.kernels.
-        spmm_chunked`).  The result is bit-identical for every value.
+        symmetric, e.g. every NetMF matrix, say so; a non-square matrix
+        is an error); ``False`` (default) → the general scheme (one forward
+        + one adjoint pass, small SVD).  Nothing is probed.
     """
     rng = ensure_rng(seed)
     dtype = resolve_precision(precision)
@@ -283,9 +201,6 @@ def single_pass_svd(
     if oversampling < 0:
         raise FactorizationError(f"oversampling must be >= 0, got {oversampling}")
     width = min(rank + oversampling, min(rows, cols))
-    if symmetric is None:
-        symmetric = is_symmetric(matrix)
-    symmetric = bool(symmetric)
     if symmetric and rows != cols:
         raise FactorizationError(
             f"symmetric single-pass factorization needs a square matrix, "
@@ -318,23 +233,17 @@ def single_pass_svd(
             combined = sp.hstack([omega, psi], format="csc")
             staging = densify_sketch(combined)
             del combined
-            products = _streamed_product(
-                matrix, staging, workers=workers, block_rows=block_rows
-            )
+            products = _apply(matrix, staging, workers=workers)
             del staging  # free the sketch staging block before the core
             y = products[:, :width]
             z = products[:, width:]
             _pass_telemetry(matrix, width + co_width, 1)
         else:
             staging = densify_sketch(omega)
-            y = _streamed_product(
-                matrix, staging, workers=workers, block_rows=block_rows
-            )
+            y = _apply(matrix, staging, workers=workers)
             del staging
             staging = densify_sketch(psi)
-            z = _adjoint_product(
-                matrix, staging, workers=workers, block_rows=block_rows
-            )
+            z = _apply(matrix, staging, transpose=True, workers=workers)
             del staging
             _pass_telemetry(matrix, width + co_width, 1)
             telemetry.counter("sketch.operator_passes").inc()
@@ -383,8 +292,7 @@ def factorize(
     seed: SeedLike = None,
     precision: str = "double",
     workers: Optional[int] = 1,
-    symmetric: Optional[bool] = None,
-    block_rows: Optional[int] = None,
+    symmetric: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dispatch the ``factorizer`` knob to a factorization backend.
 
@@ -394,11 +302,10 @@ def factorize(
     runs the SketchNE-style sketched factorization above.  Both backends
     take ``symmetric``: ``True`` lets the rSVD run its ``Aᵀ·`` passes on the
     row-blocked CSR kernel and lets the sketch get both products from one
-    pass; ``None`` means "general" to the rSVD (it never probes) and
-    "probe explicit matrices" to the single-pass backend.  ``nnz_per_row``
-    and ``block_rows`` are sketch-only and ignored by the rSVD;
-    ``power_iterations`` is meaningless to the single-pass backend — by
-    construction it never revisits the operator.  ``oversampling=None``
+    pass; ``False`` is the general scheme on both.  ``nnz_per_row`` is
+    sketch-only and ignored by the rSVD; ``power_iterations`` is
+    meaningless to the single-pass backend — by construction it never
+    revisits the operator.  ``oversampling=None``
     resolves per backend: ``10`` for the rSVD, ``max(10, 3·rank)`` for the
     single-pass backend (see :func:`single_pass_svd`).
     """
@@ -424,7 +331,6 @@ def factorize(
             precision=precision,
             workers=workers,
             symmetric=symmetric,
-            block_rows=block_rows,
         )
     else:
         raise FactorizationError(

@@ -129,7 +129,7 @@ def densify_sketch(
     """Materialize the sketch as one C-contiguous dense staging block.
 
     The streamed pass computes ``A @ S`` through :func:`repro.linalg.kernels.
-    spmm_chunked`, whose dense operand must be a contiguous array; this is
+    spmm`, whose dense operand must be a contiguous array; this is
     the only ``rows × width`` dense allocation the sketch ever costs, and
     callers free it as soon as the pass finishes.
     """

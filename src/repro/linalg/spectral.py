@@ -40,15 +40,8 @@ from repro import telemetry
 from repro.errors import FactorizationError
 from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
-from repro.linalg.kernels import (
-    SPMM_WORKSPACE_BYTES,
-    gram_rescale,
-    release_pages,
-    resolve_precision,
-    spmm,
-    spmm_chunked,
-)
-from repro.utils.rng import SeedLike
+from repro.linalg import kernels
+from repro.linalg.kernels import gram_rescale, release_pages, resolve_precision, spmm
 
 
 def _offload_buffer(shape, dtype, offload_dir: str) -> np.ndarray:
@@ -58,16 +51,27 @@ def _offload_buffer(shape, dtype, offload_dir: str) -> np.ndarray:
     needed — the disk space is reclaimed when the mapping is garbage
     collected — while the pages stay file-backed and therefore evictable:
     the kernel can write them out under memory pressure instead of holding
-    the whole buffer in RSS (the point of the out-of-core mode).
+    the whole buffer in RSS (the point of the out-of-core mode).  A
+    directory that cannot be created or written is a
+    :class:`~repro.errors.FactorizationError` naming it.
     """
-    os.makedirs(offload_dir, exist_ok=True)
-    fd, path = tempfile.mkstemp(dir=offload_dir, prefix="cheb-", suffix=".buf")
-    os.close(fd)
     try:
-        buffer = np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-    finally:
-        os.unlink(path)
-    return buffer
+        os.makedirs(offload_dir, exist_ok=True)
+        fd, path = tempfile.mkstemp(dir=offload_dir, prefix="cheb-", suffix=".buf")
+        os.close(fd)
+        try:
+            return np.memmap(path, dtype=dtype, mode="w+", shape=shape)
+        finally:
+            os.unlink(path)
+    except OSError as error:
+        raise FactorizationError(
+            f"cannot create an offload buffer under {offload_dir!r}: {error}"
+        ) from error
+
+
+def _release_rows(r0: int, r1: int, *buffers: np.ndarray) -> None:
+    for buffer in buffers:
+        release_pages(buffer, r0, r1)
 
 
 def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
@@ -169,13 +173,13 @@ def chebyshev_gaussian_filter(
     workers:
         Thread count for the SPMMs (bit-identical at every width).
     offload_dir:
-        When set (the out-of-core mode), the recurrence's four ``n×d``
+        When set (the out-of-core mode), the recurrence's ``n×d``
         ping-pong buffers are unlinked temp-file memmaps under this
-        directory and every SPMM streams row blocks through the bounded
-        workspace of :func:`repro.linalg.kernels.spmm_chunked`, so the
-        filter's resident set stays roughly one workspace plus the input —
-        with bit-identical output (the chunked SPMM and the element-wise
-        updates preserve every accumulation order).
+        directory instead of anonymous arrays.  Nothing else changes: the
+        same :func:`repro.linalg.kernels.spmm` calls and the same
+        element-wise sweeps run on them, releasing each finished row block,
+        so the filter's resident set stays roughly one block per buffer
+        plus the input — with bit-identical output.
 
     Returns
     -------
@@ -203,43 +207,23 @@ def chebyshev_gaussian_filter(
     # Bessel coefficients i_r(θ), precomputed as one vector.
     coefficients = iv(np.arange(order), theta)
 
-    # Out-of-core mode: buffers become evictable temp-file memmaps and the
-    # SPMMs stream bounded row-block workspaces.  Both substitutions are
-    # bit-transparent, so the two branches below differ only in residency.
-    if offload_dir is not None:
-        def alloc_like(template: np.ndarray) -> np.ndarray:
-            return _offload_buffer(template.shape, template.dtype, offload_dir)
+    # Residency is where the buffers live — anonymous memory, or evictable
+    # temp-file memmaps in the out-of-core mode — and nothing below depends
+    # on it: ``spmm`` writes either kind in place and ``release_pages`` is a
+    # no-op for anything but a shared file mapping.
+    def allocate() -> np.ndarray:
+        if offload_dir is None:
+            return np.empty_like(x)
+        return _offload_buffer(x.shape, x.dtype, offload_dir)
 
-        def product(operator, operand, out):
-            return spmm_chunked(operator, operand, out=out, workers=workers)
-
-        _ew_block = max(1, SPMM_WORKSPACE_BYTES // max(1, x.shape[1] * x.itemsize))
-
-        def elementwise(op, a, b, out):
-            # Blocked traversal with per-range page release: the whole-array
-            # element-wise updates are the residency hot spot (they fault
-            # every page of their operands in), so stream them through the
-            # same row-block budget as the chunked SPMM.  Bit-identical to
-            # the one-shot call — element-wise ops have no cross-row
-            # interaction — and only ever a no-op release for anonymous
-            # operands such as the input embedding.
-            b_is_array = isinstance(b, np.ndarray)
-            for r0 in range(0, out.shape[0], _ew_block):
-                r1 = min(out.shape[0], r0 + _ew_block)
-                op(a[r0:r1], b[r0:r1] if b_is_array else b, out=out[r0:r1])
-                release_pages(out, r0, r1)
-                if a is not out:
-                    release_pages(a, r0, r1)
-                if b_is_array and b is not out and b is not a:
-                    release_pages(b, r0, r1)
-    else:
-        alloc_like = np.empty_like
-
-        def product(operator, operand, out):
-            return spmm(operator, operand, out=out, workers=workers)
-
-        def elementwise(op, a, b, out):
-            op(a, b, out=out)
+    # The element-wise updates sweep row blocks of the SPMM's own byte bound
+    # (one block in RAM at any size run so far) and release each finished
+    # block: they fault every page of their operands in, so unblocked they
+    # would be the residency hot spot.  Element-wise ops have no cross-row
+    # interaction, so the block height never changes a bit.
+    n, row_bytes = x.shape[0], max(1, x.shape[1] * x.itemsize)
+    height = max(1, kernels.SPMM_WORKSPACE_BYTES // row_bytes)
+    blocks = [(r0, min(n, r0 + height)) for r0 in range(0, n, height)]
 
     # Chebyshev recurrence (ProNE's exact update rule) on ping-pong buffers:
     # lx0/lx1 hold the last two Chebyshev terms, `spare` receives the next
@@ -250,30 +234,34 @@ def chebyshev_gaussian_filter(
     progress_mod.begin("propagation", total=order - 1)
     with telemetry.span("propagation.chebyshev_term", term=0):
         lx0 = x  # read-only alias; replaced by a real buffer at the first swap
-        work = product(modulated, x, alloc_like(x))
-        lx1 = product(modulated, work, alloc_like(x))
-        elementwise(np.multiply, lx1, 0.5, lx1)
-        elementwise(np.subtract, lx1, x, lx1)
-        conv = alloc_like(x)
-        elementwise(np.multiply, x, float(coefficients[0]), conv)
-        elementwise(np.multiply, lx1, 2.0 * float(coefficients[1]), work)
-        elementwise(np.subtract, conv, work, conv)
+        work = spmm(modulated, x, out=allocate(), workers=workers)
+        lx1 = spmm(modulated, work, out=allocate(), workers=workers)
+        conv = allocate()
+        first, second = float(coefficients[0]), 2.0 * float(coefficients[1])
+        for r0, r1 in blocks:
+            np.multiply(lx1[r0:r1], 0.5, out=lx1[r0:r1])
+            np.subtract(lx1[r0:r1], x[r0:r1], out=lx1[r0:r1])
+            np.multiply(x[r0:r1], first, out=conv[r0:r1])
+            np.multiply(lx1[r0:r1], second, out=work[r0:r1])
+            np.subtract(conv[r0:r1], work[r0:r1], out=conv[r0:r1])
+            _release_rows(r0, r1, lx1, work, conv)
     progress_mod.task_completed("propagation")
     sign = 1.0
     spare: Optional[np.ndarray] = None
     for i in range(2, order):
         with telemetry.span("propagation.chebyshev_term", term=i) as span:
             if spare is None:
-                spare = alloc_like(x)
-            product(modulated, lx1, work)   # work = M lx1
-            product(modulated, work, spare)  # spare = M²lx1
-            elementwise(np.multiply, lx1, 2.0, work)
-            elementwise(np.subtract, spare, work, spare)
-            elementwise(np.subtract, spare, lx0, spare)        # spare = lx2
-            elementwise(
-                np.multiply, spare, sign * 2.0 * float(coefficients[i]), work
-            )
-            elementwise(np.add, conv, work, conv)
+                spare = allocate()
+            spmm(modulated, lx1, out=work, workers=workers)    # work = M lx1
+            spmm(modulated, work, out=spare, workers=workers)  # spare = M²lx1
+            scale = sign * 2.0 * float(coefficients[i])
+            for r0, r1 in blocks:
+                np.multiply(lx1[r0:r1], 2.0, out=work[r0:r1])
+                np.subtract(spare[r0:r1], work[r0:r1], out=spare[r0:r1])
+                np.subtract(spare[r0:r1], lx0[r0:r1], out=spare[r0:r1])  # = lx2
+                np.multiply(spare[r0:r1], scale, out=work[r0:r1])
+                np.add(conv[r0:r1], work[r0:r1], out=conv[r0:r1])
+                _release_rows(r0, r1, lx0, lx1, spare, work, conv)
             sign = -sign
             released = lx0
             lx0, lx1, spare = lx1, spare, (None if released is x else released)
@@ -286,12 +274,14 @@ def chebyshev_gaussian_filter(
             telemetry.histogram("propagation.term_seconds").observe(elapsed)
         progress_mod.task_completed("propagation")
     # One more smoothing hop through D⁻¹(A+I), as in ProNE.
-    elementwise(np.subtract, x, conv, conv)
+    for r0, r1 in blocks:
+        np.subtract(x[r0:r1], conv[r0:r1], out=conv[r0:r1])
+        release_pages(conv, r0, r1)
     if lx1 is not x:
         release_pages(lx1)
     if spare is not None:
         release_pages(spare)
-    return product(da, conv, work)
+    return spmm(da, conv, out=work, workers=workers)
 
 
 def rescale_embedding(
@@ -338,15 +328,13 @@ def spectral_propagation(
     order: int = 10,
     mu: float = 0.2,
     theta: float = 0.5,
-    seed: SeedLike = None,
     precision: str = "double",
     workers: Optional[int] = 1,
     offload_dir: Optional[str] = None,
 ) -> np.ndarray:
     """Full ProNE enhancement: Chebyshev filter then re-orthogonalization.
 
-    ``seed`` is accepted for interface uniformity (the step is
-    deterministic).  ``precision`` picks the dtype of the filter and of the
+    The step is deterministic.  ``precision`` picks the dtype of the filter and of the
     result and nothing else.  ``offload_dir`` enables the filter's
     out-of-core buffer mode (see :func:`chebyshev_gaussian_filter`); the
     rescale always returns a fresh in-RAM array, so no memmap escapes this

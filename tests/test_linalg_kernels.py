@@ -185,6 +185,39 @@ class TestSpmmOut:
         with pytest.raises(FactorizationError):
             spmm(matrix, rng.standard_normal((20, 3)), out=backing[:, ::2])
 
+    def test_out_overlapping_dense_rejected(self, rng):
+        """A row block is zeroed before ``dense`` is read: in-place use would
+        silently return garbage, so it is an error, whole or partial."""
+        matrix = sp.random(20, 20, density=0.2, random_state=7, format="csr")
+        y = rng.standard_normal((20, 3))
+        backing = rng.standard_normal((30, 3))
+        for dense, out in ((y, y), (backing[:20], backing[10:])):
+            before = dense.copy()
+            with pytest.raises(FactorizationError, match="share memory"):
+                spmm(matrix, dense, out=out, workers=2)
+            np.testing.assert_array_equal(dense, before)  # rejected before any write
+
+    def test_read_only_out_rejected(self, rng, tmp_path):
+        matrix = sp.random(20, 20, density=0.2, random_state=7, format="csr")
+        dense = rng.standard_normal((20, 3))
+        np.zeros((20, 3)).tofile(tmp_path / "out.bin")
+        mapped = np.memmap(tmp_path / "out.bin", dtype=np.float64, mode="r", shape=(20, 3))
+        frozen = np.zeros((20, 3))
+        frozen.flags.writeable = False
+        for out in (mapped, frozen):
+            with pytest.raises(FactorizationError, match="read-only"):
+                spmm(matrix, dense, out=out, workers=2)
+
+    def test_vector_out_for_vector_dense(self, rng):
+        matrix = sp.random(20, 15, density=0.2, random_state=7, format="csr")
+        vector = rng.standard_normal(15)
+        out = np.full(20, np.nan)
+        result = spmm(matrix, vector, out=out, workers=2)
+        assert result.shape == (20,) and np.shares_memory(result, out)
+        np.testing.assert_array_equal(out, matrix @ vector)
+        with pytest.raises(FactorizationError):
+            spmm(matrix, vector, out=np.empty(19))
+
     def test_shape_mismatch_rejected(self, rng):
         matrix = sp.random(20, 10, density=0.2, random_state=7, format="csr")
         with pytest.raises(FactorizationError):

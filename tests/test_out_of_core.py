@@ -22,10 +22,11 @@ import scipy.sparse as sp
 
 from repro import telemetry
 from repro.embedding.lightne import LightNEParams, lightne_embedding
-from repro.errors import ReproError, WorkerError
+from repro.errors import FactorizationError, ReproError, WorkerError
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import load_csr_v2, save_csr_v2
-from repro.linalg.kernels import release_pages, spmm, spmm_chunked
+from repro.linalg import kernels
+from repro.linalg.kernels import release_pages, spmm
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier import aggregation, path_sampling
 from repro.sparsifier.builder import build_netmf_sparsifier
@@ -173,6 +174,9 @@ class TestDeadWorker:
 
 
 class TestChunkedSPMM:
+    """``spmm`` bounds its own row blocks (the cases of the former chunked
+    kernel; the block height is ``SPMM_WORKSPACE_BYTES // row_bytes``)."""
+
     @pytest.fixture(scope="class")
     def operands(self):
         rng = np.random.default_rng(3)
@@ -180,42 +184,42 @@ class TestChunkedSPMM:
         dense = rng.standard_normal((300, 17))
         return matrix, dense
 
-    @pytest.mark.parametrize("block_rows", [None, 1, 7, 100, 10_000])
-    def test_matches_spmm(self, operands, block_rows):
-        matrix, dense = operands
-        reference = spmm(matrix, dense)
-        got = spmm_chunked(matrix, dense, block_rows=block_rows, workers=2)
-        np.testing.assert_array_equal(got, reference)
+    @staticmethod
+    def _block_rows(monkeypatch, rows, out_cols, itemsize=8):
+        monkeypatch.setattr(
+            kernels, "SPMM_WORKSPACE_BYTES", rows * out_cols * itemsize
+        )
 
-    def test_memmapped_out(self, operands, tmp_path):
+    @pytest.mark.parametrize("block_rows", [None, 1, 7, 100, 10_000])
+    def test_matches_spmm(self, operands, block_rows, monkeypatch):
+        matrix, dense = operands
+        reference = matrix @ dense
+        if block_rows is not None:
+            self._block_rows(monkeypatch, block_rows, dense.shape[1])
+        np.testing.assert_array_equal(spmm(matrix, dense, workers=2), reference)
+
+    def test_memmapped_out(self, operands, tmp_path, monkeypatch):
         matrix, dense = operands
         out = np.lib.format.open_memmap(
             tmp_path / "out.npy", mode="w+", dtype=np.float64,
             shape=(matrix.shape[0], dense.shape[1]),
         )
-        got = spmm_chunked(matrix, dense, out=out, block_rows=64)
+        self._block_rows(monkeypatch, 64, dense.shape[1])
+        got = spmm(matrix, dense, out=out)
         assert got is out
-        np.testing.assert_array_equal(np.asarray(out), spmm(matrix, dense))
+        np.testing.assert_array_equal(np.asarray(out), matrix @ dense)
 
-    def test_vector_rhs(self, operands):
+    def test_vector_rhs(self, operands, monkeypatch):
         matrix, _ = operands
         vector = np.random.default_rng(1).standard_normal(matrix.shape[1])
-        np.testing.assert_array_equal(
-            spmm_chunked(matrix, vector, block_rows=33), spmm(matrix, vector)
-        )
+        self._block_rows(monkeypatch, 33, 1)
+        np.testing.assert_array_equal(spmm(matrix, vector), matrix @ vector)
 
-    def test_workspace_bound_respected(self, operands):
+    def test_workspace_bound_respected(self, operands, monkeypatch):
         matrix, dense = operands
-        # A tiny workspace must still cover every row, one block at a time.
-        got = spmm_chunked(matrix, dense, workspace_bytes=dense.itemsize)
-        np.testing.assert_array_equal(got, spmm(matrix, dense))
-
-    def test_dense_input_rejected(self, operands):
-        from repro.errors import FactorizationError
-
-        _, dense = operands
-        with pytest.raises(FactorizationError):
-            spmm_chunked(np.eye(300), dense)
+        # A workspace below one row must still cover every row, one per block.
+        monkeypatch.setattr(kernels, "SPMM_WORKSPACE_BYTES", dense.itemsize)
+        np.testing.assert_array_equal(spmm(matrix, dense), matrix @ dense)
 
 
 class _MadviseRecorder:
@@ -309,18 +313,22 @@ class TestReleasePages:
         release_pages(readonly)
         assert readonly._mmap.ranges == []
 
-    def test_chunked_spmm_releases_the_written_prefix(self, tmp_path):
+    def test_chunked_spmm_releases_the_written_prefix(self, tmp_path, monkeypatch):
+        """``spmm`` hands back each finished row block of a memmapped ``out``
+        (all of the written prefix, block by block)."""
         rng = np.random.default_rng(3)
         matrix = sp.random(self.ROWS, 300, density=0.03, random_state=7, format="csr")
         dense = rng.standard_normal((300, self.COLS))
         out, _ = self._buffer(tmp_path, "r+")
-        spmm_chunked(matrix, dense, out=out, block_rows=128)
         page, row_bytes = mmap.PAGESIZE, self.COLS * 8
-        blocks = range(128, self.ROWS + 128, 128)
+        monkeypatch.setattr(kernels, "SPMM_WORKSPACE_BYTES", 128 * row_bytes)
+        spmm(matrix, dense, out=out)
+        blocks = [(r0, r0 + 125) for r0 in range(0, self.ROWS, 125)]  # ⌈1000/128⌉ = 8
         assert out._mmap.ranges == [
-            (0, min(r1, self.ROWS) * row_bytes // page * page) for r1 in blocks
+            (-(-r0 * row_bytes // page) * page, r1 * row_bytes // page * page)
+            for r0, r1 in blocks
         ]
-        np.testing.assert_array_equal(np.asarray(out), spmm(matrix, dense))
+        np.testing.assert_array_equal(np.asarray(out), matrix @ dense)
 
 
 class TestPropagationOffload:
@@ -339,6 +347,39 @@ class TestPropagationOffload:
         # No memmap may escape: downstream code mutates embeddings in place.
         assert type(offloaded) is np.ndarray
         assert not isinstance(offloaded.base, np.memmap)
+
+    def test_unusable_offload_dir_is_a_typed_error(self, graph, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("x")
+        vectors = np.random.default_rng(2).standard_normal((graph.num_vertices, 8))
+        with pytest.raises(FactorizationError, match="not-a-directory") as caught:
+            spectral_propagation(
+                graph, vectors, order=6, offload_dir=str(blocker / "spill")
+            )
+        assert isinstance(caught.value.__cause__, OSError)
+        assert os.listdir(tmp_path) == ["not-a-directory"]
+
+    def test_failure_mid_filter_leaves_the_offload_dir_empty(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """Nothing cleans up after the failing call: each buffer's file is
+        unlinked right after it is mapped, so there is never a name left."""
+        from repro.linalg import spectral
+
+        calls = []
+
+        def failing_spmm(*args, **kwargs):
+            calls.append(os.listdir(tmp_path))
+            if len(calls) == 3:
+                raise RuntimeError("third product fails")
+            return spmm(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "spmm", failing_spmm)
+        vectors = np.random.default_rng(2).standard_normal((graph.num_vertices, 8))
+        with pytest.raises(RuntimeError, match="third product"):
+            spectral_propagation(graph, vectors, order=6, offload_dir=str(tmp_path))
+        assert calls == [[], [], []]  # already nameless while mapped and in use
+        assert os.listdir(tmp_path) == []
 
 
 class TestEndToEndParity:

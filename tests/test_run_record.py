@@ -21,7 +21,7 @@ from repro.telemetry import ledger
 from repro.telemetry import run as run_mod
 from repro.utils.parallel import parallel_map
 
-TRACE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_tree_b6192f7.json"
+TRACE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_tree_7a8c75f.json"
 SUBSTRATES = ["thread", "process"]
 
 
@@ -117,7 +117,7 @@ class TestTraceTreeParity:
     def test_tree_equals_parent_commit_fixture(
         self, graph, tracer, backend, variant, knobs
     ):
-        result = lightne_embedding(graph, _params(backend, **knobs), seed=7)
+        lightne_embedding(graph, _params(backend, **knobs), seed=7)
         own = os.getpid()
         rows = Counter(
             (
@@ -133,19 +133,8 @@ class TestTraceTreeParity:
             {(name, parent, lane, tuple(keys)): count
              for name, parent, lane, keys, count in recorded}
         )
-        # Declared since the fixture: a slab is ~batch_size draws *before* the
-        # coin (it was batch_size survivors), so there are more batch spans.
-        for row in [r for r in expected if r[0] == "sparsifier.batch"]:
-            assert expected[row] == 25 <= result.info["num_draws"] // 250
-            expected[row] = result.info["sparsifier_batches"]
-        # The one addition: SparsifierResult.stats on the sparsifier stage span.
-        stage = tracer.find_spans("sparsifier")[0]
-        stats = set(stage.attributes) - {"aggregator", "backend", "workers", "sparsifier"}
-        assert stats and stats <= set(result.timer.counters["sparsifier"])
-        bare = tuple(sorted(set(stage.attributes) - stats))
-        rows[("sparsifier", "lightne", "main", bare)] = rows.pop(
-            ("sparsifier", "lightne", "main", tuple(sorted(stage.attributes)))
-        )
+        # Recorded from the parent commit; the one declared difference is the
+        # process runs' five ``spmm.chunk`` spans, deleted from the recording.
         assert rows == expected
 
 
