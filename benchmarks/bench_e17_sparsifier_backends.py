@@ -152,7 +152,7 @@ def test_e17_ledger_records_backend(bundle):
             "lightne", bundle.graph, dimension=16, window=3,
             multiplier=0.5, sparsifier=sparsifier,
         )
-    records = ledger.load_records(RUNS_PATH)
+    records = ledger.RunLedger(RUNS_PATH).records()
     seen = {
         r.params.get("sparsifier")
         for r in records

@@ -162,7 +162,7 @@ def test_e18_ledger_records_factorizer(bundle):
             multiplier=0.5, factorizer=factorizer,
         )
     embed("sketchne", bundle.graph, dimension=16, window=3, multiplier=0.5)
-    records = ledger.load_records(RUNS_PATH)
+    records = ledger.RunLedger(RUNS_PATH).records()
     seen = {
         r.params.get("factorizer")
         for r in records

@@ -14,22 +14,24 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.harness import SEED, embed, link_prediction_rows, load
+from benchmarks.harness import SEED, embed, load
+from repro.experiments import run_link_prediction_comparison
 
 
 @pytest.fixture(scope="module")
 def livejournal():
-    return load("livejournal_like").graph
+    return load("livejournal_like")
 
 
 def test_e1_pbg_vs_lightne(benchmark, table, livejournal):
     rows = benchmark.pedantic(
-        lambda: link_prediction_rows(
+        lambda: run_link_prediction_comparison(
             livejournal,
             ["pbg", "lightne"],
             dimension=32,
             window=5,  # the paper's cross-validated T for LiveJournal
             multiplier=2.0,
+            seed=SEED,
         ),
         rounds=1,
         iterations=1,
@@ -45,7 +47,8 @@ def test_e1_pbg_vs_lightne(benchmark, table, livejournal):
 def test_e1_lightne_timing(benchmark, livejournal):
     """Timing-only probe pytest-benchmark can average over several rounds."""
     benchmark.pedantic(
-        lambda: embed("lightne", livejournal, dimension=32, window=5, multiplier=1.0),
+        lambda: embed("lightne", livejournal.graph, dimension=32, window=5,
+                      multiplier=1.0),
         rounds=3,
         iterations=1,
     )

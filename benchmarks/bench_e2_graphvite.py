@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.harness import SEED, auc_row, classification_row, cost_of, embed, load
+from benchmarks.harness import SEED, auc_row, classification_row, embed, load
+from repro.experiments.runner import cost_of
 
 RATIOS = (0.01, 0.05, 0.10)
 

@@ -22,7 +22,6 @@ from benchmarks.harness import (
     classification_row,
     embed,
     load,
-    macro_row,
 )
 
 RATIOS = (0.02, 0.05, 0.1, 0.3)
@@ -62,7 +61,12 @@ def test_e3_table4(benchmark, table, oag, results):
             row.update(
                 classification_row(result.vectors, oag.labels, RATIOS, repeats=2)
             )
-            row.update(macro_row(result.vectors, oag.labels, RATIOS[-1:], repeats=2))
+            row.update(
+                classification_row(
+                    result.vectors, oag.labels, RATIOS[-1:], metric="macro",
+                    repeats=2,
+                )
+            )
             rows.append(row)
         return rows
 
@@ -85,13 +89,13 @@ def test_e3_table4(benchmark, table, oag, results):
 def test_e3_lightne_large_beats_netsmf_macro(table, benchmark, oag, results):
     def build():
         macro = f"macro@{RATIOS[-1]:g}"
-        large = macro_row(
-            results["LightNE-Large"].vectors, oag.labels, RATIOS[-1:], repeats=2
-        )[macro]
-        netsmf = macro_row(
-            results["NetSMF (M=8Tm)"].vectors, oag.labels, RATIOS[-1:], repeats=2
-        )[macro]
-        return large, netsmf
+        return tuple(
+            classification_row(
+                results[name].vectors, oag.labels, RATIOS[-1:], metric="macro",
+                repeats=2,
+            )[macro]
+            for name in ("LightNE-Large", "NetSMF (M=8Tm)")
+        )
 
     large, netsmf = benchmark.pedantic(build, rounds=1, iterations=1)
     table(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.harness import SEED, classification_row, embed, load
+from repro.experiments import run_multiplier_sweep
 
 MULTIPLIERS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 WINDOW = 10
@@ -25,23 +26,14 @@ def oag():
 
 
 def test_e4_tradeoff_curve(benchmark, table, oag):
-    def sweep():
-        rows = []
-        for multiplier in MULTIPLIERS:
-            result = embed(
-                "lightne", oag.graph, dimension=32, window=WINDOW,
-                multiplier=multiplier,
-            )
-            row = {"M": f"{multiplier:g}Tm",
-                   "time_s": round(result.total_seconds, 2),
-                   "nnz": result.info["sparsifier_nnz"]}
-            row.update(
-                classification_row(result.vectors, oag.labels, (RATIO,), repeats=2)
-            )
-            rows.append(row)
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: run_multiplier_sweep(
+            oag, MULTIPLIERS, ratio=RATIO, dimension=32, window=WINDOW,
+            repeats=2, seed=SEED,
+        ),
+        rounds=1,
+        iterations=1,
+    )
     table(
         "E4 / Figure 2 — LightNE efficiency-effectiveness trade-off on "
         "oag_like (paper: monotone curve, user-tunable)",

@@ -18,45 +18,31 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.harness import SEED, embed, load
+from benchmarks.harness import SEED, load
+from repro.experiments import run_stage_breakdown
 
 WINDOW = 10
 
 
 @pytest.fixture(scope="module")
-def oag_graph():
-    return load("oag_like").graph
+def oag():
+    return load("oag_like")
 
 
-def test_e5_stage_breakdown(benchmark, table, oag_graph):
-    def run():
-        configs = [
-            ("LightNE-Large", "lightne", 20.0),
-            ("NetSMF (M=8Tm)", "netsmf", 8.0),
-            ("LightNE-Small", "lightne", 0.1),
-            ("ProNE+", "prone+", None),
-        ]
-        rows = []
-        for name, method, multiplier in configs:
-            result = embed(
-                method, oag_graph, dimension=32, window=WINDOW,
-                multiplier=multiplier if multiplier is not None else 1.0,
-            )
-            stages = result.timer.stages
-            rows.append(
-                {
-                    "method": name,
-                    "sparsifier_s": round(stages.get("sparsifier", float("nan")), 3)
-                    if "sparsifier" in stages else None,
-                    "svd_s": round(stages.get("svd", 0.0), 3),
-                    "propagation_s": round(stages["propagation"], 3)
-                    if "propagation" in stages else None,
-                    "total_s": round(result.total_seconds, 3),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_e5_stage_breakdown(benchmark, table, oag):
+    configs = [
+        ("LightNE-Large", "lightne", 20.0),
+        ("NetSMF (M=8Tm)", "netsmf", 8.0),
+        ("LightNE-Small", "lightne", 0.1),
+        ("ProNE+", "prone+", None),
+    ]
+    rows = benchmark.pedantic(
+        lambda: run_stage_breakdown(
+            oag, configs, dimension=32, window=WINDOW, seed=SEED
+        ),
+        rounds=1,
+        iterations=1,
+    )
     table(
         "E5 / Table 5 — stage breakdown on oag_like (paper: NetSMF "
         "sparsifier-dominated; Small SVD-dominated like ProNE+; NA = stage "

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.harness import SEED, classification_row, embed, load
+from benchmarks.harness import SEED, load
+from repro.experiments import run_method_comparison
 
 METHODS = ("graphvite", "pbg", "netsmf", "prone+", "nrp", "lightne")
 
@@ -23,19 +24,10 @@ YOUTUBE_RATIOS = (0.02, 0.05, 0.1)
 
 
 def _panel(dataset_name, ratios, window, multiplier):
-    bundle = load(dataset_name)
-    rows = []
-    for method in METHODS:
-        result = embed(
-            method, bundle.graph, dimension=32, window=window,
-            multiplier=multiplier,
-        )
-        row = {"method": method}
-        row.update(
-            classification_row(result.vectors, bundle.labels, ratios, repeats=2)
-        )
-        rows.append(row)
-    return rows
+    return run_method_comparison(
+        load(dataset_name), METHODS, ratios=ratios, dimension=32,
+        window=window, multiplier=multiplier, repeats=2, seed=SEED,
+    )
 
 
 def _check_panel(rows, ratios):

@@ -7,19 +7,18 @@ analog, run the method, evaluate with the paper's protocol, report a table.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets import load_dataset
 from repro.embedding.base import EmbeddingResult
 from repro.eval import (
-    evaluate_link_prediction,
     evaluate_node_classification,
     link_prediction_auc,
     train_test_split_edges,
 )
-from repro.systems.cost import estimate_cost
+from repro.experiments import runner
 from repro.telemetry import ledger
 
 SEED = 2021  # the year of the paper; fixed everywhere for comparability
@@ -32,27 +31,17 @@ RUNS_PATH = os.environ.get(ledger.ENV_PATH) or os.path.join(
 )
 
 
-def embed(method: str, graph, *, dimension=32, window=5, multiplier=1.0, seed=SEED,
-          propagate=True, downsample=True, workers=None,
-          precision=None, sparsifier=None, factorizer=None) -> EmbeddingResult:
+def embed(method: str, graph, *, seed=SEED, **knobs) -> EmbeddingResult:
     """Uniform dispatch used by the cross-method benchmarks.
 
-    Thin wrapper over :func:`repro.experiments.runner.dispatch_method` (which
-    resolves ``method`` through :mod:`repro.embedding.registry`) so the
-    benchmarks and the library's programmatic experiment API stay in sync.
-    Every call appends one :class:`~repro.telemetry.ledger.RunRecord` to
+    :func:`repro.experiments.runner.dispatch_method` (its defaults and every
+    knob it forwards) at the harness-wide seed.  Every call appends one
+    :class:`~repro.telemetry.ledger.RunRecord` to
     ``benchmarks/results/runs.jsonl`` — the run ledger the regression gate
     and trajectory reports consume.
     """
-    from repro.experiments.runner import dispatch_method
-
     with ledger.enabled_scope(path=RUNS_PATH):
-        return dispatch_method(
-            method, graph, dimension=dimension, window=window,
-            multiplier=multiplier, propagate=propagate, downsample=downsample,
-            workers=workers, precision=precision, sparsifier=sparsifier,
-            factorizer=factorizer, seed=seed,
-        )
+        return runner.dispatch_method(method, graph, seed=seed, **knobs)
 
 
 def classification_row(
@@ -60,70 +49,19 @@ def classification_row(
     labels: np.ndarray,
     ratios: Sequence[float],
     *,
+    metric: str = "micro",
     repeats: int = 2,
     seed: int = SEED,
 ) -> Dict[str, float]:
-    """Micro-F1 (percent) at each training ratio, keyed ``micro@<ratio>``."""
+    """``metric``-F1 (``"micro"`` or ``"macro"``, percent) at each training
+    ratio, keyed ``<metric>@<ratio>``."""
     row: Dict[str, float] = {}
     for ratio in ratios:
         result = evaluate_node_classification(
             vectors, labels, ratio, repeats=repeats, seed=seed
         )
-        row[f"micro@{ratio:g}"] = round(100 * result.micro_f1, 2)
+        row[f"{metric}@{ratio:g}"] = round(100 * getattr(result, f"{metric}_f1"), 2)
     return row
-
-
-def macro_row(
-    vectors: np.ndarray,
-    labels: np.ndarray,
-    ratios: Sequence[float],
-    *,
-    repeats: int = 2,
-    seed: int = SEED,
-) -> Dict[str, float]:
-    """Macro-F1 (percent) at each training ratio, keyed ``macro@<ratio>``."""
-    row: Dict[str, float] = {}
-    for ratio in ratios:
-        result = evaluate_node_classification(
-            vectors, labels, ratio, repeats=repeats, seed=seed
-        )
-        row[f"macro@{ratio:g}"] = round(100 * result.macro_f1, 2)
-    return row
-
-
-def link_prediction_rows(
-    graph,
-    methods: Sequence[str],
-    *,
-    dimension=32,
-    window=5,
-    multiplier=2.0,
-    test_fraction=0.02,
-    num_negatives=100,
-    seed: int = SEED,
-) -> List[Dict[str, object]]:
-    """PBG-protocol comparison rows: time, cost, MR, MRR, HITS@10 per method."""
-    train, pos_u, pos_v = train_test_split_edges(graph, test_fraction, seed=seed)
-    rows = []
-    for method in methods:
-        result = embed(
-            method, train, dimension=dimension, window=window, multiplier=multiplier
-        )
-        metrics = evaluate_link_prediction(
-            result.vectors, pos_u, pos_v, num_negatives=num_negatives,
-            ks=(1, 10, 50), seed=seed,
-        )
-        rows.append(
-            {
-                "method": method,
-                "time_s": round(result.total_seconds, 3),
-                "cost_$": cost_of(method, result.total_seconds),
-                "MR": round(metrics.mean_rank, 2),
-                "MRR": round(metrics.mrr, 3),
-                "HITS@10": round(metrics.hits[10], 3),
-            }
-        )
-    return rows
 
 
 def auc_row(graph, method: str, *, dimension=32, window=5, multiplier=2.0,
@@ -136,18 +74,9 @@ def auc_row(graph, method: str, *, dimension=32, window=5, multiplier=2.0,
     return {
         "method": method,
         "time_s": round(result.total_seconds, 3),
-        "cost_$": cost_of(method, result.total_seconds),
+        "cost_$": runner.cost_of(method, result.total_seconds),
         "AUC": round(100 * auc, 2),
     }
-
-
-def cost_of(method: str, seconds: float) -> float:
-    """Azure-pricing cost (Table 2 methodology), rounded for tables.
-
-    ``SYSTEM_INSTANCE`` covers every registry name and alias, so no name
-    remapping is needed here anymore.
-    """
-    return round(estimate_cost(method, seconds), 6)
 
 
 def load(name: str):

@@ -15,19 +15,24 @@ Subcommands
     Convert any readable graph into the memmappable CSR v2 container
     (``*.csrv2``) that the out-of-core ``--backend process`` path loads
     without materializing the arrays in RAM.
-``audit``
-    Diff the per-stage content digests of two ledger runs and localize
-    the first diverging stage (:mod:`repro.telemetry.audit`); pair with
-    ``--health record`` on the runs being compared.
+``regress`` / ``report`` / ``audit``
+    The readers of finished runs, mounted by their modules'
+    ``init_subparser``: the regression gate
+    (:mod:`repro.telemetry.regression`), the trajectory report
+    (:mod:`repro.telemetry.report`) and the stage-digest diff that localizes
+    the first diverging stage (:mod:`repro.telemetry.audit`; pair with
+    ``--health record`` on the runs being compared).  Here ``--ledger PATH``
+    names the file to read.
 
-Observability flags (every subcommand, see ``docs/observability.md``):
-``--verbose`` turns on the library's DEBUG log lines
-(:func:`repro.utils.log.configure_logging`; ``REPRO_LOG`` also works),
+``--verbose`` (every subcommand that loads a graph) turns on the library's
+DEBUG log lines (:func:`repro.utils.log.configure_logging`; ``REPRO_LOG``
+also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
+``eval-lp``, ``stream``, ``compare``; see ``docs/observability.md``):
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
 ``--metrics-out m.json`` writes the metrics-registry snapshot,
 ``--profile-memory`` samples RSS in the background and reports the peak,
 ``--progress`` renders a single-line live progress indicator on stderr
-(stage completion counts, plus worker liveness on ``--backend process``), and
+(stage completion counts, plus worker liveness on ``--backend process``),
 ``--ledger`` / ``--ledger-out runs.jsonl`` append one
 :class:`~repro.telemetry.ledger.RunRecord` per pipeline run to the run
 ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
@@ -38,12 +43,14 @@ ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.datasets import dataset_names, load_dataset
 from repro.embedding.registry import (
     GENERIC_KNOBS,
@@ -59,6 +66,10 @@ from repro.eval import (
 )
 from repro.graph import graph_io
 from repro.graph.stats import summarize
+from repro.linalg.single_pass import FACTORIZERS
+from repro.sparsifier.builder import sparsifier_backend_names
+from repro.telemetry import audit, health, ledger, progress, regression, report
+from repro.utils.log import configure_logging
 
 _READERS = {
     "edgelist": graph_io.read_edge_list,
@@ -82,15 +93,11 @@ def _detect_format(path: str) -> str:
 
 def _load_graph(args: argparse.Namespace):
     """Resolve ``--input`` (file) or ``--dataset`` (registry) to a graph."""
-    from repro.telemetry import ledger
-
     if args.dataset:
         bundle = load_dataset(args.dataset, seed=args.seed)
         ledger.set_dataset(bundle.name)
         return bundle.graph, bundle.labels
     if args.input:
-        import os
-
         fmt = getattr(args, "format", None) or _detect_format(args.input)
         ledger.set_dataset(os.path.splitext(os.path.basename(args.input))[0])
         return _READERS[fmt](args.input), None
@@ -191,7 +198,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         params = make_params(
             args.method, strict=False, dimension=args.dim, window=args.window,
             multiplier=args.multiplier, workers=args.workers,
-            sparsifier=getattr(args, "sparsifier", None),
+            backend=args.backend, sparsifier=args.sparsifier,
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -230,20 +237,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    """Stage-digest diff of two ledger runs (repro.telemetry.audit)."""
-    from repro.telemetry.audit import run_audit
-
-    return run_audit(
-        args.ledger_path,
-        args.runs,
-        method=args.audit_method,
-        dataset=args.audit_dataset,
-        strict=args.strict,
-        table_out=args.table_out,
-    )
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     """Method comparison table via the experiments runner."""
     from repro.experiments import format_table, run_method_comparison
@@ -258,6 +251,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         window=args.window,
         multiplier=args.multiplier,
         repeats=args.repeats,
+        workers=args.workers,
+        backend=args.backend,
         seed=args.seed,
     )
     print(format_table(rows))
@@ -271,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_graph_arguments(p: argparse.ArgumentParser) -> None:
+        """Which graph, and how loudly: every subcommand that loads one."""
         p.add_argument(
             "--input",
             help="graph file (edge list / METIS / .adj / .npz / .csrv2 dir)",
@@ -284,6 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--dataset", choices=dataset_names(), help="registered synthetic dataset"
         )
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--verbose", "-v", action="store_true",
+            help="emit the library's DEBUG log lines (stage boundaries, "
+                 "sample counts); REPRO_LOG=<level> sets a custom level",
+        )
+
+    def add_run_arguments(p: argparse.ArgumentParser, command) -> None:
+        """How a pipeline runs and what it records: mounted only on the
+        subcommands that reach ``run_pipeline``, which execute ``command``
+        under :func:`_run_with_telemetry`."""
+        p.set_defaults(func=_run_with_telemetry, pipeline=command)
         p.add_argument(
             "--workers", type=int, default=None,
             help="thread-pool width for sparsifier construction and the "
@@ -303,11 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="render a single-line live progress indicator on stderr "
                  "(parallel-stage completion counts; with --backend process "
                  "also live worker/stall counts from heartbeats)",
-        )
-        p.add_argument(
-            "--verbose", "-v", action="store_true",
-            help="emit the library's DEBUG log lines (stage boundaries, "
-                 "sample counts); REPRO_LOG=<level> sets a custom level",
         )
         p.add_argument(
             "--trace-out", metavar="PATH",
@@ -387,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "peak memory), 'double' runs the same kernels in float64 "
                  "(default: the method's own)",
         )
-        from repro.linalg.single_pass import FACTORIZERS
-        from repro.sparsifier.builder import sparsifier_backend_names
-
         p.add_argument(
             "--sparsifier", choices=sparsifier_backend_names(),
             default=None,
@@ -417,36 +416,36 @@ def build_parser() -> argparse.ArgumentParser:
                  "which RNG stream draws each sample, so keep it fixed "
                  "when comparing runs (default: 65536)",
         )
-        # --workers is already on add_common (shared with info/stream).
 
     p_embed = sub.add_parser("embed", help="compute an embedding")
-    add_common(p_embed)
+    add_graph_arguments(p_embed)
+    add_run_arguments(p_embed, _cmd_embed)
     add_method_arguments(p_embed, dim_default=128)
     p_embed.add_argument("--output", default="embedding.npy")
-    p_embed.set_defaults(func=_cmd_embed)
 
     p_info = sub.add_parser("info", help="print graph statistics")
-    add_common(p_info)
+    add_graph_arguments(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_nc = sub.add_parser("eval-nc", help="node-classification evaluation")
-    add_common(p_nc)
+    add_graph_arguments(p_nc)
     p_nc.add_argument("--embeddings", required=True, help=".npy vectors")
     p_nc.add_argument("--train-ratio", type=float, default=0.1)
     p_nc.add_argument("--repeats", type=int, default=3)
     p_nc.set_defaults(func=_cmd_eval_nc)
 
     p_lp = sub.add_parser("eval-lp", help="link-prediction evaluation")
-    add_common(p_lp)
+    add_graph_arguments(p_lp)
+    add_run_arguments(p_lp, _cmd_eval_lp)
     add_method_arguments(p_lp, dim_default=64)
     p_lp.add_argument("--test-fraction", type=float, default=0.05)
     p_lp.add_argument("--negatives", type=int, default=100)
-    p_lp.set_defaults(func=_cmd_eval_lp)
 
     p_stream = sub.add_parser(
         "stream", help="dynamic embedding demo over a replayed edge stream"
     )
-    add_common(p_stream)
+    add_graph_arguments(p_stream)
+    add_run_arguments(p_stream, _cmd_stream)
     p_stream.add_argument(
         "--method", choices=method_names(), default="lightne",
         help="embedding method re-run at every refresh (full params "
@@ -455,10 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--dim", type=int, default=32)
     p_stream.add_argument("--window", type=int, default=5)
     p_stream.add_argument("--multiplier", type=float, default=2.0)
-    from repro.sparsifier.builder import sparsifier_backend_names as _sbn
-
     p_stream.add_argument(
-        "--sparsifier", choices=_sbn(), default=None,
+        "--sparsifier", choices=sparsifier_backend_names(), default=None,
         help="sparsifier backend used at every refresh (methods with the "
              "sparsifier knob)",
     )
@@ -467,14 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--churn", type=float, default=0.0)
     p_stream.add_argument("--refresh-fraction", type=float, default=0.05)
     p_stream.add_argument("--output", default="stream_embedding.npy")
-    p_stream.set_defaults(func=_cmd_stream)
 
     p_conv = sub.add_parser(
         "convert",
         help="convert a graph to the memmappable CSR v2 container "
              "(required for out-of-core --backend process loads)",
     )
-    add_common(p_conv)
+    add_graph_arguments(p_conv)
     p_conv.add_argument(
         "--output", default="graph" + graph_io.CSR_V2_SUFFIX,
         help="output directory (conventionally *.csrv2)",
@@ -484,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", help="side-by-side method comparison on a labeled dataset"
     )
-    add_common(p_cmp)
+    add_graph_arguments(p_cmp)
+    add_run_arguments(p_cmp, _cmd_compare)
     p_cmp.add_argument(
         "--methods", default="prone+,lightne",
         help="comma-separated subset of: " + ",".join(method_names()),
@@ -494,74 +491,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--window", type=int, default=5)
     p_cmp.add_argument("--multiplier", type=float, default=1.0)
     p_cmp.add_argument("--repeats", type=int, default=2)
-    p_cmp.set_defaults(func=_cmd_compare)
 
-    from repro.telemetry.audit import add_audit_arguments
-
-    p_audit = sub.add_parser(
-        "audit",
-        help="diff two ledger runs' stage digests; localize the first "
-             "diverging stage (record runs with --health record first)",
-    )
-    # Distinct dests: --ledger/--method mean other things on the embed-side
-    # subcommands and _run_with_telemetry inspects args.ledger.
-    add_audit_arguments(
-        p_audit, ledger_dest="ledger_path", method_dest="audit_method",
-        dataset_dest="audit_dataset",
-    )
-    p_audit.set_defaults(func=_cmd_audit)
+    # The readers of finished runs mount themselves (--ledger is a path here).
+    regression.init_subparser(sub)
+    report.init_subparser(sub)
+    audit.init_subparser(sub)
 
     return parser
 
 
 def _run_with_telemetry(args: argparse.Namespace) -> int:
-    """Run ``args.func`` under the requested observability instrumentation."""
-    import os
-
-    from repro import telemetry
-    from repro.telemetry import ledger as ledger_mod
-    from repro.telemetry import progress as progress_mod
-    from repro.utils.log import configure_logging
-
-    if getattr(args, "verbose", False):
-        configure_logging("DEBUG")
-    elif os.environ.get("REPRO_LOG"):
-        configure_logging()
-
-    ledger_out = getattr(args, "ledger_out", None)
-    wants_ledger = bool(getattr(args, "ledger", False) or ledger_out)
+    """Run ``args.pipeline`` under the run arguments' instrumentation."""
+    wants_ledger = bool(args.ledger or args.ledger_out)
     if wants_ledger:
-        ledger_mod.enable(path=ledger_out)
+        ledger.enable(path=args.ledger_out)
 
-    # --health sets the numerical-health policy for the whole command
-    # (the audit subcommand has no such flag — getattr keeps it optional).
-    health_policy = getattr(args, "health", None)
-    if health_policy:
-        from repro.telemetry import health as health_mod
-
-        health_mod.set_policy(health_policy)
+    if args.health:
+        health.set_policy(args.health)
 
     # --progress is independent of span tracing: it only needs the stage
     # labels parallel_map already carries (plus worker heartbeats on the
     # process backend), so it works with telemetry fully disabled.
-    wants_progress = bool(getattr(args, "progress", False))
-    if wants_progress:
-        progress_mod.enable()
+    if args.progress:
+        progress.enable()
 
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    profile_mem = getattr(args, "profile_memory", False)
-    wants_telemetry = bool(trace_out or metrics_out or profile_mem)
+    wants_telemetry = bool(
+        args.trace_out or args.metrics_out or args.profile_memory
+    )
     if wants_telemetry:
         tracer = telemetry.enable()
         telemetry.reset_metrics()
     try:
         if not wants_telemetry:
-            return args.func(args)
+            return args.pipeline(args)
         with telemetry.span("cli", command=args.command) as root:
-            if profile_mem:
+            if args.profile_memory:
                 with telemetry.profile_memory(span=root) as sampler:
-                    code = args.func(args)
+                    code = args.pipeline(args)
                 profile = sampler.profile
                 if profile is not None and profile.rss_peak_bytes is not None:
                     print(
@@ -569,31 +535,35 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
                         f"({profile.num_samples} samples)"
                     )
             else:
-                code = args.func(args)
+                code = args.pipeline(args)
         return code
     finally:
-        if wants_progress:
-            progress_mod.disable()
-        if health_policy:
-            health_mod.clear_policy()
-        if trace_out:
-            tracer.write_chrome_trace(trace_out)
-            print(f"trace ({tracer.span_count} spans) -> {trace_out}")
-        if metrics_out:
-            telemetry.get_metrics().write_json(metrics_out)
-            print(f"metrics -> {metrics_out}")
+        if args.progress:
+            progress.disable()
+        if args.health:
+            health.clear_policy()
+        if args.trace_out:
+            tracer.write_chrome_trace(args.trace_out)
+            print(f"trace ({tracer.span_count} spans) -> {args.trace_out}")
+        if args.metrics_out:
+            telemetry.get_metrics().write_json(args.metrics_out)
+            print(f"metrics -> {args.metrics_out}")
         if wants_ledger:
-            print(f"run ledger -> {ledger_mod.active_path()}")
-            ledger_mod.disable()
+            print(f"run ledger -> {ledger.active_path()}")
+            ledger.disable()
         if wants_telemetry:
             telemetry.disable()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _run_with_telemetry(args)
+    args = build_parser().parse_args(argv)
+    # The readers have no --verbose; REPRO_LOG reaches every subcommand.
+    if getattr(args, "verbose", False):
+        configure_logging("DEBUG")
+    elif os.environ.get("REPRO_LOG"):
+        configure_logging()
+    return args.func(args)
 
 
 if __name__ == "__main__":

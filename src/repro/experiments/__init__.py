@@ -1,7 +1,9 @@
 """Experiment harness: programmatic regeneration of the paper's tables.
 
-The benchmarks under ``benchmarks/`` are thin pytest wrappers around this
-subpackage; users can run the same comparisons from their own code:
+``lightne compare`` and the paper-table benchmarks E1 (link prediction), E4
+(multiplier sweep), E5 (stage breakdown) and E8 (small-graph panels) call
+the runners below and assert on the rows they return; users can run the same
+comparisons from their own code:
 
 >>> from repro.experiments import run_method_comparison
 >>> rows = run_method_comparison("oag_like", ["prone+", "lightne"],
@@ -10,12 +12,12 @@ subpackage; users can run the same comparisons from their own code:
 """
 
 from repro.experiments.runner import (
-    format_table,
     run_link_prediction_comparison,
     run_method_comparison,
     run_multiplier_sweep,
     run_stage_breakdown,
 )
+from repro.utils.table import format_table
 
 __all__ = [
     "format_table",

@@ -3,15 +3,16 @@
 Each runner loads a registered dataset analog (or accepts a prepared
 graph/labels pair), runs one or more embedding methods, evaluates with the
 paper's protocol, and returns plain list-of-dict rows that
-:func:`format_table` renders as aligned text — the same rows the
-``benchmarks/bench_e*.py`` files assert on and print.
+:func:`repro.utils.format_table` renders as aligned text.  ``lightne
+compare`` prints them and the E-benchmarks assert on them:
+``bench_e1`` calls :func:`run_link_prediction_comparison`, ``bench_e4``
+:func:`run_multiplier_sweep`, ``bench_e5`` :func:`run_stage_breakdown` and
+``bench_e8`` :func:`run_method_comparison`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Sequence, Union
 
 from repro.datasets import LabeledGraph, load_dataset
 from repro.embedding.base import EmbeddingResult
@@ -68,18 +69,23 @@ def dispatch_method(
     )
 
 
-def _resolve(dataset: Union[str, LabeledGraph], seed: int) -> LabeledGraph:
+def _resolve(
+    dataset: Union[str, LabeledGraph], seed: int, labeled: bool = False
+) -> LabeledGraph:
     from repro.telemetry import ledger
 
-    if isinstance(dataset, LabeledGraph):
-        ledger.set_dataset(dataset.name)
-        return dataset
-    bundle = load_dataset(dataset, seed=seed)
+    bundle = (
+        dataset if isinstance(dataset, LabeledGraph)
+        else load_dataset(dataset, seed=seed)
+    )
+    if labeled and bundle.labels is None:
+        raise EvaluationError(f"dataset {bundle.name!r} has no labels")
     ledger.set_dataset(bundle.name)
     return bundle
 
 
-def _cost(method: str, seconds: float) -> float:
+def cost_of(method: str, seconds: float) -> float:
+    """Azure-pricing cost of one run (Table 2 methodology), rounded for tables."""
     key = method.lower()
     if key not in SYSTEM_INSTANCE:
         key = canonical_name(method)
@@ -95,26 +101,26 @@ def run_method_comparison(
     window: int = 5,
     multiplier: float = 1.0,
     repeats: int = 2,
-    workers: Optional[int] = None,
     seed: int = DEFAULT_SEED,
+    **knobs: object,
 ) -> List[Row]:
     """Node-classification comparison (the Table 4 / Figure 4 shape).
 
-    One row per method: time, cost, and Micro-F1 (percent) per ratio.
+    One row per method: time, cost, and Micro-/Macro-F1 (percent) per
+    ratio.  ``knobs`` (``workers``, ``backend``, ...) ride
+    :func:`dispatch_method` to every method that has them.
     """
-    bundle = _resolve(dataset, seed)
-    if bundle.labels is None:
-        raise EvaluationError(f"dataset {bundle.name!r} has no labels")
+    bundle = _resolve(dataset, seed, labeled=True)
     rows: List[Row] = []
     for method in methods:
         result = dispatch_method(
             method, bundle.graph, dimension=dimension, window=window,
-            multiplier=multiplier, workers=workers, seed=seed,
+            multiplier=multiplier, seed=seed, **knobs,
         )
         row: Row = {
             "method": method,
             "time_s": round(result.total_seconds, 3),
-            "cost_$": _cost(method, result.total_seconds),
+            "cost_$": cost_of(method, result.total_seconds),
         }
         for ratio in ratios:
             score = evaluate_node_classification(
@@ -135,10 +141,11 @@ def run_link_prediction_comparison(
     multiplier: float = 2.0,
     test_fraction: float = 0.02,
     num_negatives: int = 100,
-    workers: Optional[int] = None,
     seed: int = DEFAULT_SEED,
+    **knobs: object,
 ) -> List[Row]:
-    """PBG-protocol comparison (the §5.2.1 table shape)."""
+    """PBG-protocol comparison (the §5.2.1 table shape); ``knobs`` as in
+    :func:`run_method_comparison`."""
     bundle = _resolve(dataset, seed)
     train, pos_u, pos_v = train_test_split_edges(
         bundle.graph, test_fraction, seed=seed
@@ -147,7 +154,7 @@ def run_link_prediction_comparison(
     for method in methods:
         result = dispatch_method(
             method, train, dimension=dimension, window=window,
-            multiplier=multiplier, workers=workers, seed=seed,
+            multiplier=multiplier, seed=seed, **knobs,
         )
         metrics = evaluate_link_prediction(
             result.vectors, pos_u, pos_v, num_negatives=num_negatives,
@@ -157,7 +164,7 @@ def run_link_prediction_comparison(
             {
                 "method": method,
                 "time_s": round(result.total_seconds, 3),
-                "cost_$": _cost(method, result.total_seconds),
+                "cost_$": cost_of(method, result.total_seconds),
                 "MR": round(metrics.mean_rank, 2),
                 "MRR": round(metrics.mrr, 3),
                 "HITS@10": round(metrics.hits[10], 3),
@@ -177,9 +184,7 @@ def run_multiplier_sweep(
     seed: int = DEFAULT_SEED,
 ) -> List[Row]:
     """The Figure-2 sweep: LightNE quality/time as M grows."""
-    bundle = _resolve(dataset, seed)
-    if bundle.labels is None:
-        raise EvaluationError(f"dataset {bundle.name!r} has no labels")
+    bundle = _resolve(dataset, seed, labeled=True)
     rows: List[Row] = []
     for multiplier in multipliers:
         result = dispatch_method(
@@ -229,25 +234,3 @@ def run_stage_breakdown(
             }
         )
     return rows
-
-
-def format_table(rows: Sequence[Row]) -> str:
-    """Render rows as an aligned text table (column order from row 0)."""
-    if not rows:
-        return "(no rows)"
-    columns = list(rows[0].keys())
-
-    def fmt(value) -> str:
-        if value is None:
-            return "NA"
-        if isinstance(value, (float, np.floating)):
-            return f"{value:.4g}"
-        return str(value)
-
-    widths = {c: max(len(str(c)), *(len(fmt(r.get(c))) for r in rows)) for c in columns}
-    header = "  ".join(str(c).ljust(widths[c]) for c in columns)
-    rule = "-" * len(header)
-    body = "\n".join(
-        "  ".join(fmt(r.get(c)).ljust(widths[c]) for c in columns) for r in rows
-    )
-    return f"{header}\n{rule}\n{body}"

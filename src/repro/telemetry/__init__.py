@@ -28,19 +28,23 @@ On top of the substrate sits the *persistence* layer:
   one :class:`RunRecord` (params hash, environment fingerprint, Table-5
   stage times, metrics, peak RSS) to ``benchmarks/results/runs.jsonl``;
 * **Regression gate** (:mod:`repro.telemetry.regression`, CLI
-  ``python -m repro.telemetry.regress``) — noise-aware median/MAD
-  comparison of new runs against ledger baselines;
-* **Reports** (:mod:`repro.telemetry.report`, CLI
-  ``python -m repro.telemetry.report``) — terminal and self-contained
-  HTML trajectory/stage-breakdown/flamegraph rendering;
+  ``lightne regress``) — noise-aware median/MAD comparison of new runs
+  against ledger baselines;
+* **Reports** (:mod:`repro.telemetry.report`, CLI ``lightne report``) —
+  terminal and self-contained HTML trajectory/stage-breakdown/flamegraph
+  rendering;
 * **Numerical health** (:mod:`repro.telemetry.health`, CLI ``--health``)
   — per-stage content digests plus contract probes (sparsifier mass,
   factorization residual, finiteness), recorded into spans, metrics and
   the ledger's ``health``/``digests`` blocks under a configurable
   ``off|record|warn|raise`` policy;
 * **Determinism audit** (:mod:`repro.telemetry.audit`, CLI
-  ``lightne audit`` / ``python -m repro.telemetry.audit``) — diffs two
-  ledger runs digest by digest and localizes the first diverging stage.
+  ``lightne audit``) — diffs two ledger runs digest by digest and
+  localizes the first diverging stage.
+
+The three readers share ``RunLedger.records``, ``ledger.find_run`` and
+:func:`repro.utils.format_table`, and mount themselves on the ``lightne``
+CLI through their ``init_subparser``.
 
 Everything is **disabled by default** and the instrumentation left in the
 hot paths costs a single gated function call in that state.  Typical use::

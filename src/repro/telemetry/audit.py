@@ -11,10 +11,9 @@ matched bit for bit, so the divergence was introduced there.
 
 Run selection (CLI positional ``RUN`` arguments):
 
-* a ledger ``run_id`` prefix (``lightne audit 3f2a 9c1d``);
-* an integer index into the ledger, 1-based from the start or negative from
-  the end (``lightne audit 1 2``, ``lightne audit -2 -1``) — the form CI
-  scripts use, where run ids are random but append order is scripted;
+* two specs, each a ledger index or ``run_id`` prefix as
+  :func:`~repro.telemetry.ledger.find_run` reads them (``lightne audit 1 2``,
+  ``lightne audit -2 -1``, ``lightne audit 3f2a 9c1d``);
 * no arguments: the newest digest-carrying run against the nearest earlier
   run of the same method × dataset (same params hash preferred, but not
   required — thread-vs-process pairs legitimately differ in params, which
@@ -28,12 +27,12 @@ artifact upload.
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunLedger, RunRecord, active_path
-from repro.telemetry.report import format_rows
+from repro.telemetry.ledger import RunLedger, RunRecord, active_path, find_run
+from repro.utils.fileio import atomic_write_text
+from repro.utils.table import format_table, key_union
 
 
 @dataclass
@@ -116,47 +115,29 @@ class AuditReport:
 
 
 def _stage_stats(record: RunRecord) -> Dict[str, Mapping[str, object]]:
-    """Per-stage digest stats from the record's ``health`` block."""
-    health = record.health if isinstance(record.health, Mapping) else {}
-    stats: Dict[str, Mapping[str, object]] = {}
-    for entry in health.get("stages") or []:
-        if isinstance(entry, Mapping) and entry.get("stage"):
-            stats[str(entry["stage"])] = entry
-    return stats
-
-
-def _stage_order(record_a: RunRecord, record_b: RunRecord) -> List[str]:
-    """Checkpoint order: run A's recorded order, then B-only extras."""
-    order: List[str] = []
-    for record in (record_a, record_b):
-        health = record.health if isinstance(record.health, Mapping) else {}
-        listed = [
-            str(e["stage"])
-            for e in (health.get("stages") or [])
-            if isinstance(e, Mapping) and e.get("stage")
-        ] or list(record.digests)
-        for stage in listed:
-            if stage not in order:
-                order.append(stage)
-    return order
+    """Per-checkpoint digest stats in recorded order: the ``health`` block's
+    stage entries, or bare ``digests`` keys on a record without them."""
+    stats: Dict[str, Mapping[str, object]] = {
+        str(entry["stage"]): entry
+        for entry in record.health.get("stages") or []
+        if isinstance(entry, Mapping) and entry.get("stage")
+    }
+    return stats or {stage: {} for stage in record.digests}
 
 
 def compare_runs(record_a: RunRecord, record_b: RunRecord) -> AuditReport:
     """Stage-by-stage digest diff of two ledger records."""
     report = AuditReport(run_a=record_a, run_b=record_b)
-    if not record_a.digests:
-        report.warnings.append(
-            f"run {record_a.run_id} carries no stage digests "
-            "(recorded without --health?)"
-        )
-    if not record_b.digests:
-        report.warnings.append(
-            f"run {record_b.run_id} carries no stage digests "
-            "(recorded without --health?)"
-        )
+    for record in (record_a, record_b):
+        if not record.digests:
+            report.warnings.append(
+                f"run {record.run_id} carries no stage digests "
+                "(recorded without --health?)"
+            )
     stats_a = _stage_stats(record_a)
     stats_b = _stage_stats(record_b)
-    for stage in _stage_order(record_a, record_b):
+    # Checkpoint order: run A's recorded order, then B-only extras.
+    for stage in key_union([stats_a, stats_b]):
         entry_a = stats_a.get(stage, {})
         entry_b = stats_b.get(stage, {})
         delta = AuditDelta(
@@ -173,8 +154,7 @@ def compare_runs(record_a: RunRecord, record_b: RunRecord) -> AuditReport:
             delta.note = f"missing in {missing}"
         report.deltas.append(delta)
     for label, record in (("a", record_a), ("b", record_b)):
-        health = record.health if isinstance(record.health, Mapping) else {}
-        for probe in health.get("probes") or []:
+        for probe in record.health.get("probes") or []:
             if isinstance(probe, Mapping) and not probe.get("ok", True):
                 report.warnings.append(
                     f"run {label} ({record.run_id}): probe "
@@ -184,56 +164,25 @@ def compare_runs(record_a: RunRecord, record_b: RunRecord) -> AuditReport:
     return report
 
 
-def _resolve_run(records: Sequence[RunRecord], spec: str) -> RunRecord:
-    """A positional RUN argument: integer ledger index or run-id prefix.
-
-    An all-digit spec is first read as an index; when that index does not
-    resolve (0 or out of range) it falls back to prefix matching, so runs
-    whose random hex ids happen to start with digits stay addressable.
-    """
-    matches = [r for r in records if spec and r.run_id.startswith(spec)]
-    try:
-        index = int(spec)
-    except ValueError:
-        if not matches:
-            raise SystemExit(f"no run with id prefix {spec!r} in the ledger")
-        return matches[-1]
-    if index != 0:
-        offset = index - 1 if index > 0 else index
-        try:
-            return records[offset]
-        except IndexError:
-            pass
-    if matches:
-        return matches[-1]
-    if index == 0:
-        raise SystemExit("run indices are 1-based (or negative from the end)")
-    raise SystemExit(
-        f"run index {index} out of range (ledger has {len(records)} runs)"
-    )
-
-
 def select_runs(
     records: Sequence[RunRecord],
     specs: Sequence[str] = (),
 ) -> Tuple[RunRecord, RunRecord]:
     """Resolve the audited pair ``(a, b)`` from CLI arguments.
 
-    With two specs, each resolves independently (index or id prefix).  With
+    With two specs, each resolves independently (:func:`find_run`).  With
     none, the newest digest-carrying run is ``b`` and the nearest earlier
     run of the same method × dataset is ``a`` (same params hash preferred).
     """
     if len(specs) == 2:
-        return _resolve_run(records, specs[0]), _resolve_run(records, specs[1])
+        return find_run(records, specs[0]), find_run(records, specs[1])
     if specs:
         raise SystemExit("audit takes exactly two RUN arguments, or none")
-    with_digests = [r for r in records if r.digests]
-    pool = with_digests or list(records)
-    if len(pool) < 2 and len(records) < 2:
+    if len(records) < 2:
         raise SystemExit(
             f"ledger has {len(records)} runs — need at least two to audit"
         )
-    newest = pool[-1] if pool else records[-1]
+    newest = ([r for r in records if r.digests] or records)[-1]
     earlier = [
         r for r in records
         if r.run_id != newest.run_id
@@ -260,26 +209,14 @@ def _describe(record: RunRecord, label: str) -> str:
     )
 
 
-def run_audit(
-    ledger_path: str,
-    specs: Sequence[str] = (),
-    *,
-    method: Optional[str] = None,
-    dataset: Optional[str] = None,
-    strict: bool = False,
-    table_out: Optional[str] = None,
-) -> int:
+def _run(args: argparse.Namespace) -> int:
     """The audit command body; returns the process exit code."""
-    records = RunLedger(ledger_path).records()
-    if method:
-        records = [r for r in records if r.method == method]
-    if dataset:
-        records = [r for r in records if r.dataset == dataset]
+    records = RunLedger(args.ledger).records(args.method, args.dataset)
     if not records:
-        print(f"ledger {ledger_path}: no matching runs")
-        return 1 if strict else 0
+        print(f"ledger {args.ledger}: no matching runs")
+        return 1 if args.strict else 0
 
-    run_a, run_b = select_runs(records, specs)
+    run_a, run_b = select_runs(records, args.runs)
     report = compare_runs(run_a, run_b)
 
     lines = [
@@ -289,7 +226,7 @@ def run_audit(
     ]
     for warning in report.warnings:
         lines.append(f"  warning: {warning}")
-    table = format_rows(report.rows()) if report.deltas else "(no stage digests)"
+    table = format_table(report.rows()) if report.deltas else "(no stage digests)"
     lines.append(table)
     if report.identical:
         lines.append(
@@ -301,47 +238,23 @@ def run_audit(
         lines.append("-> NOTHING TO COMPARE: no stage digests on either run")
     text = "\n".join(lines)
     print(text)
-    if table_out:
-        from repro.utils.fileio import atomic_write_text
-
-        atomic_write_text(table_out, text + "\n")
-        print(f"audit table -> {table_out}")
-    if strict and not report.identical:
+    if args.table_out:
+        atomic_write_text(args.table_out, text + "\n")
+        print(f"audit table -> {args.table_out}")
+    if args.strict and not report.identical:
         return 1
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.telemetry.audit`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.audit",
+def init_subparser(subparsers) -> None:
+    """Mount ``lightne audit`` on the CLI's subparsers action."""
+    parser = subparsers.add_parser(
+        "audit",
+        help="diff two ledger runs' stage digests; localize the first "
+             "diverging stage (record runs with --health record first)",
         description="Diff two runs' stage digests; localize the first "
                     "diverging stage",
     )
-    add_audit_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_audit(
-        args.ledger,
-        args.runs,
-        method=args.method,
-        dataset=args.dataset,
-        strict=args.strict,
-        table_out=args.table_out,
-    )
-
-
-def add_audit_arguments(
-    parser: argparse.ArgumentParser,
-    *,
-    ledger_dest: str = "ledger",
-    method_dest: str = "method",
-    dataset_dest: str = "dataset",
-) -> None:
-    """The audit argument set (shared with the ``lightne audit`` subcommand).
-
-    The ``*_dest`` overrides let the main CLI mount these flags without
-    colliding with its own ``--ledger`` / ``--method`` namespace entries.
-    """
     parser.add_argument(
         "runs", nargs="*", metavar="RUN",
         help="two runs to compare: run-id prefixes or 1-based ledger "
@@ -349,17 +262,12 @@ def add_audit_arguments(
              "nearest earlier run of the same method × dataset",
     )
     parser.add_argument(
-        "--ledger", dest=ledger_dest, default=active_path(),
+        "--ledger", default=active_path(),
         help="run-ledger JSONL path (default: REPRO_LEDGER_PATH or "
              "benchmarks/results/runs.jsonl)",
     )
-    parser.add_argument(
-        "--method", dest=method_dest, help="consider only this method's runs"
-    )
-    parser.add_argument(
-        "--dataset", dest=dataset_dest,
-        help="consider only this dataset's runs",
-    )
+    parser.add_argument("--method", help="consider only this method's runs")
+    parser.add_argument("--dataset", help="consider only this dataset's runs")
     parser.add_argument(
         "--strict", action="store_true",
         help="exit non-zero unless every compared stage digest matches "
@@ -369,7 +277,4 @@ def add_audit_arguments(
         "--table-out", metavar="PATH",
         help="also write the delta table to PATH (CI artifact upload)",
     )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    parser.set_defaults(func=_run)

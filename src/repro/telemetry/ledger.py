@@ -33,7 +33,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.environment import collect_fingerprint, fingerprint_key
 from repro.telemetry.memory import peak_rss_bytes
@@ -235,10 +235,15 @@ class RunLedger:
         append_line(self.path, record.to_json())
         return record
 
-    def iter_records(self) -> Iterator[RunRecord]:
-        """Yield parsed records, skipping (and logging) malformed lines."""
+    def records(
+        self, method: Optional[str] = None, dataset: Optional[str] = None
+    ) -> List[RunRecord]:
+        """The parseable records in append (chronological) order, optionally
+        only one method's and/or one dataset's (the readers' ``--method`` /
+        ``--dataset`` filter); malformed lines are skipped and logged."""
+        records: List[RunRecord] = []
         if not os.path.exists(self.path):
-            return
+            return records
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -256,19 +261,42 @@ class RunLedger:
                         "ledger %s: skipping non-record line %d", self.path, lineno
                     )
                     continue
-                yield RunRecord.from_dict(data)
-
-    def records(self) -> List[RunRecord]:
-        """All parseable records, in append (chronological) order."""
-        return list(self.iter_records())
-
-    def __len__(self) -> int:
-        return len(self.records())
+                record = RunRecord.from_dict(data)
+                if (method is None or record.method == method) and (
+                    dataset is None or record.dataset == dataset
+                ):
+                    records.append(record)
+        return records
 
 
-def load_records(path: Union[str, "os.PathLike"]) -> List[RunRecord]:
-    """Convenience: the records of the ledger at ``path``."""
-    return RunLedger(path).records()
+def find_run(records: Sequence[RunRecord], spec: str) -> RunRecord:
+    """The run a reader's ``RUN`` argument names: ledger index or id prefix.
+
+    An integer spec is a position in ``records``, 1-based from the start or
+    negative from the end (the form CI scripts use: run ids are random,
+    append order is scripted).  Anything else — and an integer that is not a
+    valid position, so ids that happen to be all digits stay addressable —
+    is a ``run_id`` prefix; of several matches the newest wins.
+    """
+    try:
+        index: Optional[int] = int(spec)
+    except ValueError:
+        index = None
+    if index:
+        try:
+            return records[index - 1 if index > 0 else index]
+        except IndexError:
+            pass
+    matches = [r for r in records if spec and r.run_id.startswith(spec)]
+    if matches:
+        return matches[-1]
+    if index is None:
+        raise SystemExit(f"no run with id prefix {spec!r} in the ledger")
+    if index == 0:
+        raise SystemExit("run indices are 1-based (or negative from the end)")
+    raise SystemExit(
+        f"run index {index} out of range (ledger has {len(records)} runs)"
+    )
 
 
 # ---------------------------------------------------------------------------

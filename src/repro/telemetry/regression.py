@@ -29,18 +29,39 @@ micro-F1, MRR, ...): per metric, a candidate median more than
 environment fingerprint differs — a deterministic pipeline's scores do not
 depend on the machine — while timing rows stay advisory in that case.
 
-The CLI wrapper lives in :mod:`repro.telemetry.regress`
-(``python -m repro.telemetry.regress``), which exits non-zero on a
-confirmed regression and prints the per-stage delta table.
+``lightne regress`` (:func:`init_subparser`) is the CI gate over this
+module.  It reads the run ledger, prints a per-stage delta table for every
+group and exits
+
+* ``0`` — no confirmed regression (including the empty-ledger and
+  no-baseline cases, which warn instead of failing: a gate that has
+  nothing to compare must not block),
+* ``1`` — at least one confirmed regression in a fingerprint-matched
+  group, or a quality drop in any group.
+
+Examples
+--------
+Gate the newest run in the default ledger::
+
+    lightne regress
+
+Gate against a separately committed baseline ledger, with a looser bound
+for the sparsifier stage::
+
+    lightne regress --ledger new_runs.jsonl \\
+        --baseline benchmarks/results/runs.jsonl \\
+        --tolerance 0.5 --stage-tolerance sparsifier=1.0
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunRecord
+from repro.telemetry.ledger import RunLedger, RunRecord
+from repro.utils.table import format_table, key_union
 
 # A stage must be at least this slow (baseline or candidate) to be gated at
 # all; micro-stages in the microsecond range are pure scheduling noise.
@@ -148,10 +169,12 @@ class RegressionReport:
         ]
 
     @property
-    def gated(self) -> bool:
-        """Whether this group may fail the gate on *timing* (fingerprint
-        matched); quality rows gate regardless."""
-        return self.fingerprint_matched
+    def timing_regressions(self) -> List[StageDelta]:
+        """Confirmed stage slowdowns (everything but the ``quality.*`` rows)."""
+        return [
+            d for d in self.regressions
+            if not d.stage.startswith(QUALITY_STAGE_PREFIX)
+        ]
 
     @property
     def ok(self) -> bool:
@@ -164,33 +187,26 @@ class RegressionReport:
         """
         if self.quality_regressions:
             return False
-        timing = [
-            d for d in self.regressions
-            if not d.stage.startswith(QUALITY_STAGE_PREFIX)
-        ]
-        return not (self.gated and timing)
+        return not (self.fingerprint_matched and self.timing_regressions)
 
 
 def select_baseline(
     records: Sequence[RunRecord],
     candidate: RunRecord,
-    *,
-    match_fingerprint: bool = True,
 ) -> Tuple[List[RunRecord], bool]:
     """Earlier runs comparable to ``candidate``.
 
-    Matching is ``method × dataset × params_hash``; with
-    ``match_fingerprint`` the environment fingerprint must also agree.
-    Returns ``(baseline_records, fingerprint_matched)`` — when no
-    fingerprint-matching baseline exists the selection silently retries
-    without the fingerprint and reports ``fingerprint_matched=False`` so
-    the caller can warn instead of gate.
+    Matching is ``method × dataset × params_hash``, and the environment
+    fingerprint when the candidate has one.  Returns ``(baseline_records,
+    fingerprint_matched)`` — when no fingerprint-matching baseline exists
+    the selection silently retries without the fingerprint and reports
+    ``fingerprint_matched=False`` so the caller can warn instead of gate.
     """
     same_key = [
         r for r in records
         if r.key == candidate.key and r.run_id != candidate.run_id
     ]
-    if match_fingerprint and candidate.fingerprint:
+    if candidate.fingerprint:
         matched = [r for r in same_key if r.fingerprint == candidate.fingerprint]
         if matched:
             return matched, True
@@ -198,15 +214,37 @@ def select_baseline(
     return same_key, True
 
 
-def _stage_union(records: Sequence[RunRecord]) -> List[str]:
-    """Stage names across ``records`` in first-appearance order, then total."""
-    names: List[str] = []
-    for record in records:
-        for name in record.stages:
-            if name not in names:
-                names.append(name)
-    names.append("total")
-    return names
+def _summarize(
+    stage: str,
+    baseline: Sequence[Optional[float]],
+    candidates: Sequence[Optional[float]],
+    *,
+    new_note: str,
+) -> Optional[StageDelta]:
+    """One row's medians, MAD and z-score, before any verdict.
+
+    ``None`` when neither side has a finite value; a row only one side has
+    comes back with its ``note`` set (there is nothing to judge).
+    """
+    base_values, cand_values = _finite(baseline), _finite(candidates)
+    if not base_values and not cand_values:
+        return None
+    delta = StageDelta(
+        stage=stage,
+        baseline_median=median(base_values) if base_values else None,
+        baseline_mad=mad(base_values) if len(base_values) > 1 else None,
+        baseline_count=len(base_values),
+        candidate=median(cand_values) if cand_values else None,
+    )
+    if not cand_values:
+        delta.note = "missing in candidate"
+    elif not base_values:
+        delta.note = new_note
+    elif delta.baseline_mad:
+        delta.z_score = (delta.candidate - delta.baseline_median) / (
+            MAD_SIGMA_SCALE * delta.baseline_mad
+        )
+    return delta
 
 
 def compare(
@@ -256,50 +294,21 @@ def compare(
             "comparison is advisory only (warn, not gate)"
         )
 
-    for stage in _stage_union(list(baseline) + list(candidates)):
-        base_values = _finite([r.stage_seconds(stage) for r in baseline])
-        cand_values = _finite([r.stage_seconds(stage) for r in candidates])
-        if not base_values and not cand_values:
-            continue
-        if not cand_values:
-            report.deltas.append(
-                StageDelta(
-                    stage=stage,
-                    baseline_median=median(base_values),
-                    baseline_mad=mad(base_values) if len(base_values) > 1 else None,
-                    baseline_count=len(base_values),
-                    candidate=None,
-                    note="missing in candidate",
-                )
-            )
-            continue
-        cand = median(cand_values)
-        if not base_values:
-            report.deltas.append(
-                StageDelta(
-                    stage=stage,
-                    baseline_median=None,
-                    baseline_mad=None,
-                    baseline_count=0,
-                    candidate=cand,
-                    note="new stage (no baseline)",
-                )
-            )
-            continue
-
-        base = median(base_values)
-        spread = mad(base_values, base) if len(base_values) > 1 else None
-        delta = StageDelta(
-            stage=stage,
-            baseline_median=base,
-            baseline_mad=spread,
-            baseline_count=len(base_values),
-            candidate=cand,
+    runs = list(baseline) + list(candidates)
+    for stage in key_union(r.stages for r in runs) + ["total"]:
+        delta = _summarize(
+            stage,
+            [r.stage_seconds(stage) for r in baseline],
+            [r.stage_seconds(stage) for r in candidates],
+            new_note="new stage (no baseline)",
         )
+        if delta is None:
+            continue
+        report.deltas.append(delta)
+        if delta.note:
+            continue
+        base, cand = delta.baseline_median, delta.candidate
         delta.rel_delta = (cand - base) / base if base > 0 else None
-        if spread is not None and spread > 0:
-            delta.z_score = (cand - base) / (MAD_SIGMA_SCALE * spread)
-
         if max(base, cand) < min_seconds:
             delta.note = "below min_seconds"
         elif delta.rel_delta is None:
@@ -319,61 +328,25 @@ def compare(
             delta.regressed = slower_enough and noise_confirmed
             if not delta.regressed and slower_enough:
                 delta.note = "within noise (z)"
-        report.deltas.append(delta)
 
     # Quality rows: absolute-slack gate on score drops (higher = better).
-    quality_keys: List[str] = []
-    for record in list(baseline) + list(candidates):
-        for name in record.quality:
-            if name not in quality_keys:
-                quality_keys.append(name)
-    for name in quality_keys:
-        stage = QUALITY_STAGE_PREFIX + name
-        base_values = _finite([r.quality.get(name) for r in baseline])
-        cand_values = _finite([r.quality.get(name) for r in candidates])
-        if not base_values and not cand_values:
-            continue
-        if not cand_values:
-            report.deltas.append(
-                StageDelta(
-                    stage=stage,
-                    baseline_median=median(base_values),
-                    baseline_mad=mad(base_values) if len(base_values) > 1 else None,
-                    baseline_count=len(base_values),
-                    candidate=None,
-                    note="missing in candidate",
-                )
-            )
-            continue
-        cand = median(cand_values)
-        if not base_values:
-            report.deltas.append(
-                StageDelta(
-                    stage=stage,
-                    baseline_median=None,
-                    baseline_mad=None,
-                    baseline_count=0,
-                    candidate=cand,
-                    note="new metric (no baseline)",
-                )
-            )
-            continue
-        base = median(base_values)
-        spread = mad(base_values, base) if len(base_values) > 1 else None
-        delta = StageDelta(
-            stage=stage,
-            baseline_median=base,
-            baseline_mad=spread,
-            baseline_count=len(base_values),
-            candidate=cand,
+    for name in key_union(r.quality for r in runs):
+        delta = _summarize(
+            QUALITY_STAGE_PREFIX + name,
+            [r.quality.get(name) for r in baseline],
+            [r.quality.get(name) for r in candidates],
+            new_note="new metric (no baseline)",
         )
+        if delta is None:
+            continue
+        report.deltas.append(delta)
+        if delta.note:
+            continue
+        base, cand = delta.baseline_median, delta.candidate
         delta.rel_delta = (cand - base) / base if base != 0 else None
-        if spread is not None and spread > 0:
-            delta.z_score = (cand - base) / (MAD_SIGMA_SCALE * spread)
         delta.regressed = (base - cand) > quality_slack
         if not delta.regressed and cand < base:
             delta.note = "within slack"
-        report.deltas.append(delta)
     return report
 
 
@@ -383,13 +356,8 @@ def detect(
     method: Optional[str] = None,
     dataset: Optional[str] = None,
     candidate_runs: int = 1,
-    tolerance: float = DEFAULT_TOLERANCE,
-    stage_tolerances: Optional[Mapping[str, float]] = None,
-    abs_slack: float = DEFAULT_ABS_SLACK,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-    quality_slack: float = DEFAULT_QUALITY_SLACK,
     baseline_records: Optional[Sequence[RunRecord]] = None,
+    **thresholds: object,
 ) -> List[RegressionReport]:
     """Run the gate over every matching group in ``records``.
 
@@ -398,8 +366,14 @@ def detect(
     newest ``candidate_runs`` records are compared against the group's
     earlier runs — or against ``baseline_records`` when an explicit
     baseline ledger is supplied (the CI shape: candidate ledger from this
-    build, baseline ledger from the committed results).
+    build, baseline ledger from the committed results).  ``thresholds``
+    (``tolerance``, ``stage_tolerances``, ``abs_slack``, ``z_threshold``,
+    ``min_seconds``, ``quality_slack``) are :func:`compare`'s.
     """
+    if candidate_runs < 1:
+        # group[-0:] is the whole group: every run a candidate, no baseline,
+        # and a gate that can never fail.
+        raise ValueError(f"candidate_runs must be >= 1, got {candidate_runs}")
     groups: Dict[Tuple[str, str, str], List[RunRecord]] = {}
     for record in records:
         if method is not None and record.method != method:
@@ -423,15 +397,178 @@ def detect(
         # and applies fingerprint preference in one place.
         reports.append(
             compare(
-                baseline,
-                candidates,
-                tolerance=tolerance,
-                stage_tolerances=stage_tolerances,
-                abs_slack=abs_slack,
-                z_threshold=z_threshold,
-                min_seconds=min_seconds,
-                quality_slack=quality_slack,
-                fingerprint_matched=matched,
+                baseline, candidates, fingerprint_matched=matched, **thresholds
             )
         )
     return reports
+
+
+# ---------------------------------------------------------------------------
+# CLI: lightne regress
+# ---------------------------------------------------------------------------
+
+
+def _candidate_runs(text: str) -> int:
+    """``--candidate-runs`` value: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _parse_stage_tolerances(pairs: Sequence[str]) -> Dict[str, float]:
+    """``["sparsifier=0.5", "svd=0.3"]`` -> ``{"sparsifier": 0.5, ...}``."""
+    out: Dict[str, float] = {}
+    for pair in pairs:
+        for item in pair.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            if "=" not in item:
+                raise SystemExit(
+                    f"--stage-tolerance expects STAGE=FRACTION, got {item!r}"
+                )
+            stage, _, value = item.partition("=")
+            try:
+                out[stage.strip()] = float(value)
+            except ValueError:
+                raise SystemExit(
+                    f"--stage-tolerance {item!r}: {value!r} is not a number"
+                )
+    return out
+
+
+def _print_report(report: RegressionReport) -> None:
+    gate = "gate" if report.fingerprint_matched else "warn-only"
+    print(
+        f"\n=== {report.method} × {report.dataset} "
+        f"[params {report.params_hash[:8]}] — "
+        f"{report.candidate_count} candidate vs {report.baseline_count} "
+        f"baseline runs ({gate}) ==="
+    )
+    for warning in report.warnings:
+        print(f"  warning: {warning}")
+    if report.deltas:
+        print(format_table([d.as_row() for d in report.deltas]))
+    status = "OK" if report.ok else "REGRESSION"
+    if report.regressions:
+        quality = report.quality_regressions
+        timing = report.timing_regressions
+        parts = []
+        if timing:
+            stages = ", ".join(d.stage for d in timing)
+            qualifier = (
+                "" if report.fingerprint_matched
+                else " (not gated: fingerprint mismatch)"
+            )
+            parts.append(f"slower stages: {stages}{qualifier}")
+        if quality:
+            # Quality drops gate regardless of the fingerprint.
+            parts.append(
+                "quality drops: " + ", ".join(d.stage for d in quality)
+            )
+        print(f"  -> {status}: " + "; ".join(parts))
+    else:
+        print(f"  -> {status}")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The gate command body; returns the process exit code."""
+    stage_tolerances = _parse_stage_tolerances(args.stage_tolerance)
+
+    records = RunLedger(args.ledger).records()
+    if not records:
+        print(f"ledger {args.ledger}: empty or missing — nothing to gate")
+        return 0
+
+    baseline_records = None
+    if args.baseline:
+        baseline_records = RunLedger(args.baseline).records()
+        if not baseline_records:
+            print(
+                f"baseline ledger {args.baseline}: empty or missing — "
+                "nothing to gate"
+            )
+            return 0
+
+    reports = detect(
+        records,
+        method=args.method,
+        dataset=args.dataset,
+        candidate_runs=args.candidate_runs,
+        tolerance=args.tolerance,
+        stage_tolerances=stage_tolerances,
+        abs_slack=args.abs_slack,
+        z_threshold=args.z_threshold,
+        min_seconds=args.min_seconds,
+        quality_slack=args.quality_slack,
+        baseline_records=baseline_records,
+    )
+    if not reports:
+        print("no runs match the requested method/dataset filters")
+        return 0
+
+    for report in reports:
+        _print_report(report)
+
+    failed = [r for r in reports if not r.ok]
+    print()
+    if failed:
+        print(
+            f"regression gate: FAILED "
+            f"({len(failed)}/{len(reports)} groups regressed)"
+        )
+        return 1
+    print(f"regression gate: passed ({len(reports)} groups)")
+    return 0
+
+
+def init_subparser(subparsers) -> None:
+    """Mount ``lightne regress`` on the CLI's subparsers action."""
+    parser = subparsers.add_parser(
+        "regress",
+        help="statistical perf/quality regression gate over the run ledger",
+        description="Statistical perf-regression gate over the run ledger",
+    )
+    parser.add_argument(
+        "--ledger", default=RunLedger().path,
+        help="candidate ledger (runs.jsonl); its newest runs are gated",
+    )
+    parser.add_argument(
+        "--baseline", metavar="PATH",
+        help="separate baseline ledger (default: earlier runs of --ledger)",
+    )
+    parser.add_argument("--method", help="gate only this method")
+    parser.add_argument("--dataset", help="gate only this dataset")
+    parser.add_argument(
+        "--candidate-runs", type=_candidate_runs, default=1,
+        help="how many newest runs per group form the candidate (median)",
+    )
+    parser.add_argument(
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help="relative slowdown that trips the gate (default %(default)s)",
+    )
+    parser.add_argument(
+        "--stage-tolerance", action="append", default=[],
+        metavar="STAGE=FRACTION",
+        help="per-stage tolerance override (repeatable, comma-separable)",
+    )
+    parser.add_argument(
+        "--abs-slack", type=float, default=DEFAULT_ABS_SLACK,
+        help="absolute seconds a stage must slow down by (default %(default)s)",
+    )
+    parser.add_argument(
+        "--z-threshold", type=float, default=DEFAULT_Z_THRESHOLD,
+        help="robust sigmas beyond baseline noise (default %(default)s)",
+    )
+    parser.add_argument(
+        "--min-seconds", type=float, default=DEFAULT_MIN_SECONDS,
+        help="stages faster than this are never gated (default %(default)s)",
+    )
+    parser.add_argument(
+        "--quality-slack", type=float, default=DEFAULT_QUALITY_SLACK,
+        help="absolute score drop (micro-F1, MRR, ...) that fails the "
+             "quality gate; quality rows gate even on a fingerprint "
+             "mismatch (default %(default)s)",
+    )
+    parser.set_defaults(func=_run)

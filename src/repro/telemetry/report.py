@@ -4,13 +4,13 @@ Three render targets, all fed by :mod:`repro.telemetry.ledger` records:
 
 * **terminal** — per-run Table-5 stage breakdowns, unicode sparkline
   trajectories per ``method × dataset`` group, and metrics diffs between
-  any two runs (``python -m repro.telemetry.report``);
+  any two runs (``lightne report``, mounted by :func:`init_subparser`);
 * **HTML** — a single self-contained file (inline CSS + inline SVG, no
   external/network assets) with the same sections plus, when a Chrome
   trace-event JSON is supplied, a flamegraph-style icicle view of the
   span tree;
-* **rows** — the plain list-of-dict tables other tooling (the regress CLI)
-  prints through :func:`format_rows`.
+* **rows** — the plain list-of-dict tables behind both, printed through
+  :func:`repro.utils.format_table`.
 
 Nothing here imports the embedding stack; the report runs on any machine
 that has the ledger file.
@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import html as html_mod
 import json
-import sys
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunLedger, RunRecord
+from repro.telemetry.ledger import RunLedger, RunRecord, find_run
+from repro.telemetry.regression import median
 from repro.utils.fileio import atomic_write_text
+from repro.utils.table import format_cell, format_table, key_union
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -34,30 +35,6 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 # ---------------------------------------------------------------------------
 # Plain-text building blocks
 # ---------------------------------------------------------------------------
-
-
-def format_rows(rows: Sequence[Mapping[str, object]]) -> str:
-    """Render list-of-dict rows as an aligned text table (column order = row 0)."""
-    if not rows:
-        return "(no rows)"
-    columns = list(rows[0].keys())
-
-    def fmt(value: object) -> str:
-        if value is None:
-            return "NA"
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    widths = {
-        c: max(len(str(c)), *(len(fmt(r.get(c))) for r in rows)) for c in columns
-    }
-    header = "  ".join(str(c).ljust(widths[c]) for c in columns)
-    rule = "-" * len(header)
-    body = "\n".join(
-        "  ".join(fmt(r.get(c)).ljust(widths[c]) for c in columns) for r in rows
-    )
-    return f"{header}\n{rule}\n{body}"
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -82,6 +59,16 @@ def _stamp(record: RunRecord) -> str:
     return time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(record.timestamp))
 
 
+def _stage_rows(record: RunRecord) -> List[Dict[str, object]]:
+    """The Table-5 rows of one run: a row per stage, then the total."""
+    rows: List[Dict[str, object]] = [
+        {"stage": name, "seconds": round(float(secs), 4)}
+        for name, secs in record.stages.items()
+    ]
+    rows.append({"stage": "total", "seconds": round(record.total_s, 4)})
+    return rows
+
+
 def format_run(record: RunRecord) -> str:
     """One run's Table-5 stage breakdown plus identity, as text."""
     lines = [
@@ -98,12 +85,7 @@ def format_run(record: RunRecord) -> str:
         meta.append(f"peak RSS {record.peak_rss_bytes / (1 << 20):,.1f} MiB")
     if meta:
         lines.append("  " + "  ".join(meta))
-    rows = [
-        {"stage": name, "seconds": round(float(secs), 4)}
-        for name, secs in record.stages.items()
-    ]
-    rows.append({"stage": "total", "seconds": round(record.total_s, 4)})
-    lines.append(format_rows(rows))
+    lines.append(format_table(_stage_rows(record)))
     if record.quality:
         lines.append(
             "  quality: "
@@ -124,10 +106,7 @@ def group_records(
 
 def _group_quality_metric(group: Sequence[RunRecord]) -> Optional[str]:
     """The group's headline quality metric: first one any run recorded."""
-    for record in group:
-        for name in record.quality:
-            return name
-    return None
+    return next(iter(key_union(r.quality for r in group)), None)
 
 
 def _quality_series(
@@ -145,8 +124,9 @@ def trajectory_rows(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
     """One trajectory row per group: run count, latest total, time and
     quality sparklines (quality from the runs' ``quality`` ledger fields)."""
     rows: List[Dict[str, object]] = []
-    for key in sorted(group_records(records)):
-        group = group_records(records)[key]
+    groups = group_records(records)
+    for key in sorted(groups):
+        group = groups[key]
         totals = [r.total_s for r in group]
         row: Dict[str, object] = {
             "method": key[0],
@@ -154,64 +134,41 @@ def trajectory_rows(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
             "params": key[2][:8],
             "runs": len(group),
             "latest_s": round(totals[-1], 4),
-            "median_s": round(sorted(totals)[len(totals) // 2], 4),
+            "median_s": round(median(totals), 4),
             "trend": sparkline(totals),
         }
         metric = _group_quality_metric(group)
-        if metric is not None:
-            values = _quality_series(group, metric)
-            row["quality"] = f"{metric}={values[-1]:.4g}" if values else None
-            row["quality_trend"] = sparkline(values)
-        else:
-            row["quality"] = None
-            row["quality_trend"] = ""
+        values = _quality_series(group, metric) if metric is not None else []
+        row["quality"] = f"{metric}={values[-1]:.4g}" if values else None
+        row["quality_trend"] = sparkline(values)
         rows.append(row)
     return rows
 
 
 def metrics_diff(a: RunRecord, b: RunRecord) -> List[Dict[str, object]]:
-    """Counter/gauge deltas between two runs (``b`` relative to ``a``)."""
+    """Counter/gauge/stage deltas between two runs (``b`` relative to ``a``)."""
+
+    def gauge_values(record: RunRecord) -> Dict[str, object]:
+        return {
+            name: (reading or {}).get("value")
+            for name, reading in dict(record.metrics.get("gauges", {})).items()
+        }
+
     rows: List[Dict[str, object]] = []
-    counters_a = dict(a.metrics.get("counters", {}))
-    counters_b = dict(b.metrics.get("counters", {}))
-    for name in sorted(set(counters_a) | set(counters_b)):
-        va, vb = counters_a.get(name), counters_b.get(name)
-        rows.append(
-            {
-                "metric": name,
-                "kind": "counter",
-                "a": va,
-                "b": vb,
-                "delta": None if va is None or vb is None else vb - va,
-            }
-        )
-    gauges_a = dict(a.metrics.get("gauges", {}))
-    gauges_b = dict(b.metrics.get("gauges", {}))
-    for name in sorted(set(gauges_a) | set(gauges_b)):
-        va = (gauges_a.get(name) or {}).get("value")
-        vb = (gauges_b.get(name) or {}).get("value")
-        rows.append(
-            {
-                "metric": name,
-                "kind": "gauge",
-                "a": va,
-                "b": vb,
-                "delta": None if va is None or vb is None else vb - va,
-            }
-        )
-    for name in sorted(set(a.stages) | set(b.stages)):
-        va, vb = a.stages.get(name), b.stages.get(name)
-        rows.append(
-            {
-                "metric": name,
-                "kind": "stage_s",
-                "a": None if va is None else round(float(va), 4),
-                "b": None if vb is None else round(float(vb), 4),
-                "delta": None
-                if va is None or vb is None
-                else round(float(vb) - float(va), 4),
-            }
-        )
+    for kind, side_a, side_b in (
+        ("counter", a.metrics.get("counters", {}), b.metrics.get("counters", {})),
+        ("gauge", gauge_values(a), gauge_values(b)),
+        ("stage_s", a.stages, b.stages),
+    ):
+        for name in sorted(set(side_a) | set(side_b)):
+            va, vb = side_a.get(name), side_b.get(name)
+            cells = [va, vb, None if va is None or vb is None else vb - va]
+            if kind == "stage_s":
+                cells = [None if v is None else round(float(v), 4) for v in cells]
+            rows.append(
+                {"metric": name, "kind": kind, "a": cells[0], "b": cells[1],
+                 "delta": cells[2]}
+            )
     return rows
 
 
@@ -304,22 +261,16 @@ def _esc(text: object) -> str:
 
 
 def _html_table(rows: Sequence[Mapping[str, object]]) -> str:
+    """:func:`format_table`'s columns and cells as an HTML table."""
     if not rows:
         return "<p class=meta>(no rows)</p>"
-    columns = list(rows[0].keys())
-
-    def fmt(value: object) -> str:
-        if value is None:
-            return "NA"
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return _esc(value)
-
+    columns = key_union(rows)
     head = "".join(f"<th class=l>{_esc(c)}</th>" for c in columns)
     body = "".join(
         "<tr>"
         + "".join(
-            f"<td{' class=l' if isinstance(r.get(c), str) else ''}>{fmt(r.get(c))}</td>"
+            f"<td{' class=l' if isinstance(r.get(c), str) else ''}>"
+            f"{_esc(format_cell(r.get(c)))}</td>"
             for c in columns
         )
         + "</tr>"
@@ -384,10 +335,10 @@ def render_html(
     *,
     trace: Optional[Mapping[str, object]] = None,
     diff: Optional[Tuple[RunRecord, RunRecord]] = None,
-    title: str = "repro run ledger",
     last: int = 5,
 ) -> str:
     """The full self-contained HTML report."""
+    title = "repro run ledger"
     parts: List[str] = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>{_esc(title)}</title><style>{_CSS}</style></head><body>",
@@ -461,16 +412,11 @@ def render_html(
 
         parts.append("<h2>Latest run — stage breakdown (Table 5)</h2>")
         latest = records[-1]
-        stage_rows = [
-            {"stage": name, "seconds": round(float(secs), 4)}
-            for name, secs in latest.stages.items()
-        ]
-        stage_rows.append({"stage": "total", "seconds": round(latest.total_s, 4)})
         parts.append(
             f"<p class=meta>run {_esc(latest.run_id)} — {_esc(latest.method)} × "
             f"{_esc(latest.dataset)}, {_stamp(latest)}</p>"
         )
-        parts.append(_html_table(stage_rows))
+        parts.append(_html_table(_stage_rows(latest)))
 
     if diff is not None:
         a, b = diff
@@ -488,27 +434,52 @@ def render_html(
     return "".join(parts)
 
 
-def write_html(path: str, html: str) -> None:
-    """Persist the report crash-safely (temp file + rename)."""
-    atomic_write_text(path, html)
-
-
 # ---------------------------------------------------------------------------
-# CLI: python -m repro.telemetry.report
+# CLI: lightne report
 # ---------------------------------------------------------------------------
 
 
-def _find_run(records: Sequence[RunRecord], run_id: str) -> RunRecord:
-    matches = [r for r in records if r.run_id.startswith(run_id)]
-    if not matches:
-        raise SystemExit(f"no run with id {run_id!r} in the ledger")
-    return matches[-1]
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _run(args: argparse.Namespace) -> int:
     """Render the ledger to the terminal and optionally to static HTML."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report",
+    records = RunLedger(args.ledger).records(args.method, args.dataset)
+
+    if not records:
+        print(f"ledger {args.ledger}: no matching runs")
+    else:
+        print(f"ledger {args.ledger}: {len(records)} runs")
+        print()
+        print("=== trajectories ===")
+        print(format_table(trajectory_rows(records)))
+        print()
+        print("=== latest run ===")
+        print(format_run(records[-1]))
+
+    diff_pair: Optional[Tuple[RunRecord, RunRecord]] = None
+    if args.diff:
+        diff_pair = tuple(find_run(records, spec) for spec in args.diff)
+        print()
+        print(f"=== metrics diff {args.diff[0]} -> {args.diff[1]} ===")
+        print(format_table(metrics_diff(*diff_pair)))
+
+    trace_data: Optional[Mapping[str, object]] = None
+    if args.trace:
+        with open(args.trace, "r", encoding="utf-8") as fh:
+            trace_data = json.load(fh)
+
+    if args.html:
+        html = render_html(
+            records, trace=trace_data, diff=diff_pair, last=args.last
+        )
+        atomic_write_text(args.html, html)
+        print(f"\nhtml report -> {args.html}")
+    return 0
+
+
+def init_subparser(subparsers) -> None:
+    """Mount ``lightne report`` on the CLI's subparsers action."""
+    parser = subparsers.add_parser(
+        "report",
+        help="perf-trajectory report over the run ledger (terminal + HTML)",
         description="Perf-trajectory report over the run ledger",
     )
     parser.add_argument(
@@ -521,7 +492,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--diff", nargs=2, metavar=("RUN_A", "RUN_B"),
-        help="metrics diff between two run ids (prefixes accepted)",
+        help="metrics diff between two runs: run-id prefixes or 1-based "
+             "ledger indices (negative = from the end), as `lightne audit`",
     )
     parser.add_argument(
         "--trace", metavar="PATH",
@@ -530,48 +502,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--html", metavar="PATH", help="also write a self-contained HTML report"
     )
-    args = parser.parse_args(argv)
-
-    records = RunLedger(args.ledger).records()
-    if args.method:
-        records = [r for r in records if r.method == args.method]
-    if args.dataset:
-        records = [r for r in records if r.dataset == args.dataset]
-
-    if not records:
-        print(f"ledger {args.ledger}: no matching runs")
-    else:
-        print(f"ledger {args.ledger}: {len(records)} runs")
-        print()
-        print("=== trajectories ===")
-        print(format_rows(trajectory_rows(records)))
-        print()
-        print("=== latest run ===")
-        print(format_run(records[-1]))
-
-    diff_pair: Optional[Tuple[RunRecord, RunRecord]] = None
-    if args.diff:
-        diff_pair = (
-            _find_run(records, args.diff[0]),
-            _find_run(records, args.diff[1]),
-        )
-        print()
-        print(f"=== metrics diff {args.diff[0]} -> {args.diff[1]} ===")
-        print(format_rows(metrics_diff(*diff_pair)))
-
-    trace_data: Optional[Mapping[str, object]] = None
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace_data = json.load(fh)
-
-    if args.html:
-        html = render_html(
-            records, trace=trace_data, diff=diff_pair, last=args.last
-        )
-        write_html(args.html, html)
-        print(f"\nhtml report -> {args.html}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    parser.set_defaults(func=_run)

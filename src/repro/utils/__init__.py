@@ -1,4 +1,4 @@
-"""Shared utilities: RNG handling, validation and chunked parallelism."""
+"""Shared utilities: RNG handling, validation, chunked parallelism, tables."""
 
 from repro.utils.rng import ensure_rng, spawn_batch_rngs, spawn_rngs
 from repro.utils.validation import (
@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_square_sparse,
 )
 from repro.utils.parallel import chunk_ranges, default_workers, parallel_map
+from repro.utils.table import format_table
 
 __all__ = [
     "ensure_rng",
@@ -18,4 +19,5 @@ __all__ = [
     "chunk_ranges",
     "default_workers",
     "parallel_map",
+    "format_table",
 ]

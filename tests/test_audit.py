@@ -15,7 +15,8 @@ import pytest
 
 import repro.embedding.lightne as lightne_mod
 from repro.embedding.lightne import LightNEParams, lightne_embedding
-from repro.telemetry import audit, health, ledger
+from repro.cli import main as cli_main
+from repro.telemetry import health, ledger
 from repro.telemetry.audit import AuditDelta, compare_runs, select_runs
 from repro.telemetry.ledger import RunLedger, RunRecord
 
@@ -240,9 +241,9 @@ class TestAuditCLI:
         self, two_run_ledger, tmp_path, capsys
     ):
         table = tmp_path / "audit.txt"
-        code = audit.main(
+        code = cli_main(
             [
-                "--ledger", str(two_run_ledger), "1", "2",
+                "audit", "--ledger", str(two_run_ledger), "1", "2",
                 "--strict", "--table-out", str(table),
             ]
         )
@@ -267,28 +268,26 @@ class TestAuditCLI:
         monkeypatch.setattr(lightne_mod, "spectral_propagation", perturbed)
         run_into_ledger(path, er_graph)
 
-        assert audit.main(["--ledger", str(path), "1", "2"]) == 0  # report-only
-        code = audit.main(["--ledger", str(path), "1", "2", "--strict"])
+        assert cli_main(["audit", "--ledger", str(path), "1", "2"]) == 0  # report-only
+        code = cli_main(["audit", "--ledger", str(path), "1", "2", "--strict"])
         assert code == 1
         assert "first diverging stage: propagation" in capsys.readouterr().out
 
     def test_method_filter_and_empty_ledger(self, two_run_ledger, capsys):
-        code = audit.main(
-            ["--ledger", str(two_run_ledger), "--method", "netsmf"]
+        code = cli_main(
+            ["audit", "--ledger", str(two_run_ledger), "--method", "netsmf"]
         )
         assert code == 0  # nothing to compare: warn, don't block
         assert "no matching runs" in capsys.readouterr().out
         assert (
-            audit.main(
-                ["--ledger", str(two_run_ledger), "--method", "netsmf",
-                 "--strict"]
+            cli_main(
+                ["audit", "--ledger", str(two_run_ledger),
+                 "--method", "netsmf", "--strict"]
             )
             == 1
         )
 
     def test_lightne_cli_audit_subcommand(self, two_run_ledger, capsys):
-        from repro.cli import main as cli_main
-
         code = cli_main(
             ["audit", "--ledger", str(two_run_ledger), "1", "2", "--strict"]
         )

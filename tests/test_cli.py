@@ -166,9 +166,11 @@ class TestObservabilityFlags:
         telemetry.reset_metrics()
 
     def test_flags_registered_on_every_subcommand(self):
+        # "every subcommand" that runs a pipeline; TestFrontDoor pins the
+        # rest of the split.
         for argv in (
             ["embed", "--dataset", "blogcatalog_like"],
-            ["info", "--dataset", "blogcatalog_like"],
+            ["stream", "--dataset", "blogcatalog_like"],
         ):
             args = build_parser().parse_args(argv)
             assert args.trace_out is None
@@ -365,3 +367,89 @@ class TestCompare:
     def test_compare_requires_dataset(self):
         with pytest.raises(SystemExit):
             main(["compare", "--methods", "lightne"])
+
+
+RUN_ARGUMENTS = {
+    "workers", "backend", "progress", "trace_out", "metrics_out",
+    "profile_memory", "ledger", "ledger_out", "health",
+}
+PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "stream", "compare"}
+READER_SUBCOMMANDS = {"regress", "report", "audit"}
+
+
+class TestFrontDoor:
+    """One ``lightne``: run arguments only where a pipeline runs, and every
+    one a subcommand accepts is consumed; the readers mount themselves."""
+
+    @staticmethod
+    def _subparsers():
+        import argparse
+
+        (action,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action.choices
+
+    def test_run_arguments_exactly_on_pipeline_subcommands(self):
+        subparsers = self._subparsers()
+        assert set(subparsers) == (
+            PIPELINE_SUBCOMMANDS | READER_SUBCOMMANDS
+            | {"info", "eval-nc", "convert"}
+        )
+        for name, parser in subparsers.items():
+            dests = {a.dest for a in parser._actions}
+            if name in PIPELINE_SUBCOMMANDS:
+                assert RUN_ARGUMENTS <= dests, name
+            elif name in READER_SUBCOMMANDS:
+                assert dests & RUN_ARGUMENTS == {"ledger"}, name
+            else:
+                assert not dests & RUN_ARGUMENTS, name
+
+    def test_ledger_is_a_path_on_readers_and_a_switch_on_pipelines(self, tmp_path):
+        parser = build_parser()
+        for name in READER_SUBCOMMANDS:
+            args = parser.parse_args([name, "--ledger", str(tmp_path / "r.jsonl")])
+            assert args.ledger == str(tmp_path / "r.jsonl")
+        for name in PIPELINE_SUBCOMMANDS:
+            args = parser.parse_args([name, "--ledger"])
+            assert args.ledger is True
+
+    @pytest.mark.parametrize(
+        "argv", [["info"], ["eval-nc", "--embeddings", "v.npy"], ["convert"]]
+    )
+    def test_inert_run_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dataset", "blogcatalog_like", "--backend", "process"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_compare_forwards_workers_and_backend(self, tmp_path, capsys):
+        from repro.telemetry.ledger import RunLedger
+
+        path = tmp_path / "runs.jsonl"
+        code = main(
+            ["compare", "--dataset", "blogcatalog_like", "--methods", "lightne",
+             "--ratios", "0.3", "--dim", "8", "--window", "2", "--repeats", "1",
+             "--workers", "1", "--backend", "process",
+             "--ledger-out", str(path)]
+        )
+        assert code == 0
+        (record,) = RunLedger(path).records()
+        assert record.params["workers"] == 1
+        assert record.extra["resolved_workers"] == 1
+        assert record.extra["backend"] == "process"
+
+    def test_stream_backend_reaches_the_params(self, edge_file, tmp_path):
+        from repro.telemetry.ledger import RunLedger
+
+        path = tmp_path / "runs.jsonl"
+        code = main(
+            ["stream", "--input", edge_file, "--dim", "8", "--window", "2",
+             "--batches", "1", "--workers", "2", "--backend", "process",
+             "--output", str(tmp_path / "s.npy"), "--ledger-out", str(path)]
+        )
+        assert code == 0
+        records = RunLedger(path).records()
+        assert records
+        assert {r.params["backend"] for r in records} == {"process"}

@@ -121,3 +121,28 @@ class TestFormatTable:
         text = format_table([{"z": 1, "a": 2}])
         header = text.splitlines()[0]
         assert header.index("z") < header.index("a")
+
+    def test_columns_are_the_union_of_keys(self):
+        # A column only later rows carry used to be dropped (columns came
+        # from row 0 alone); it now prints, NA where a row lacks it.
+        text = format_table([{"a": 1.0}, {"a": 2.0, "b": 3.0}])
+        header, _, first, second = text.splitlines()
+        assert header.split() == ["a", "b"]
+        assert first.split() == ["1", "NA"]
+        assert second.split() == ["2", "3"]
+
+    @pytest.mark.parametrize(
+        "value,cell",
+        [
+            (np.float32(1.23456789), "1.235"),
+            (np.float64(1.23456789), "1.235"),
+            (1.23456789, "1.235"),
+            (123456789, "123456789"),
+            (np.int64(123456789), "123456789"),
+            (True, "True"),
+            (np.bool_(False), "False"),
+            (None, "NA"),
+        ],
+    )
+    def test_cell_formatting(self, value, cell):
+        assert format_table([{"v": value}]).splitlines()[2].strip() == cell

@@ -6,6 +6,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embedding.registry import get_method, run_method
 from repro.graph.generators import dcsbm_graph
@@ -14,6 +16,7 @@ from repro.telemetry.ledger import (
     RunLedger,
     RunRecord,
     compact_metrics,
+    find_run,
     params_hash,
     validate_record,
 )
@@ -156,6 +159,50 @@ class TestRunLedger:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert RunLedger(tmp_path / "absent.jsonl").records() == []
+
+    def test_records_filter(self, tmp_path):
+        book = RunLedger(tmp_path / "runs.jsonl")
+        for method, dataset in (("m", "d"), ("m2", "d"), ("m", "d2")):
+            book.append(RunRecord(method=method, dataset=dataset))
+        assert len(book.records()) == 3
+        assert [r.dataset for r in book.records(method="m")] == ["d", "d2"]
+        assert [r.method for r in book.records(dataset="d")] == ["m", "m2"]
+        assert book.records(method="m2", dataset="d2") == []
+
+
+# Short ids over a tiny alphabet: all-digit ids that are also valid indices
+# and prefixes shared by several runs are the common case, not the rare one.
+_run_ids = st.lists(st.text(alphabet="12a", min_size=1, max_size=3), max_size=6)
+
+
+class TestFindRun:
+    """One selector behind ``lightne audit RUN RUN`` and ``report --diff``."""
+
+    @given(ids=_run_ids, spec=st.text(alphabet="-012a", max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_stated_rule(self, ids, spec):
+        records = [RunRecord(method="m", dataset="d", run_id=i) for i in ids]
+        n = len(records)
+        try:
+            index = int(spec)
+        except ValueError:
+            index = None
+        prefixed = [r for r in records if spec and r.run_id.startswith(spec)]
+        if index is not None and 1 <= index <= n:
+            expected = records[index - 1]    # a position beats an equal id
+        elif index is not None and -n <= index <= -1:
+            expected = records[index]
+        elif prefixed:
+            expected = prefixed[-1]          # ambiguous prefix: newest match
+        else:
+            with pytest.raises(SystemExit) as exc:
+                find_run(records, spec)
+            if index is None:
+                assert repr(spec) in str(exc.value)
+            elif index != 0:
+                assert f"ledger has {n} runs" in str(exc.value)
+            return
+        assert find_run(records, spec) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the statistical regression detector and the regress CLI gate."""
+"""Tests for the statistical regression detector and the ``lightne regress`` gate."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import pytest
 
 from repro.embedding.registry import run_method
 from repro.graph.generators import dcsbm_graph
-from repro.telemetry import ledger, regress
+from repro.cli import main as cli_main
+from repro.telemetry import ledger
 from repro.telemetry.ledger import RunLedger, RunRecord
 from repro.telemetry.regression import (
     compare,
@@ -273,16 +274,46 @@ class TestQualityGate:
         for _ in range(3):
             led.append(make_record(quality={"micro_f1": 0.40}))
         led.append(make_record(quality={"micro_f1": 0.35}))
-        assert regress.main(["--ledger", str(path)]) == 1
+        assert cli_main(["regress", "--ledger", str(path)]) == 1
         out = capsys.readouterr().out
         assert "quality drops: quality.micro_f1" in out
         # A looser slack absorbs the same drop.
-        assert regress.main(["--ledger", str(path), "--quality-slack", "0.1"]) == 0
+        assert cli_main(
+            ["regress", "--ledger", str(path), "--quality-slack", "0.1"]
+        ) == 0
 
     def test_filters(self):
         records = [make_record(), make_record(method="netsmf")]
         assert len(detect(records, method="netsmf")) == 1
         assert detect(records, dataset="other") == []
+
+
+class TestCandidateRuns:
+    """``candidate_runs=0`` used to make every run a candidate (``group[-0:]``
+    is the whole group): no baseline anywhere, every group warn-only, gate
+    passed.  A count below one is now rejected at both doors."""
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_detect_rejects_non_positive_counts(self, count):
+        records = [make_record() for _ in range(3)]
+        with pytest.raises(ValueError, match="candidate_runs"):
+            detect(records, candidate_runs=count)
+        with pytest.raises(ValueError, match="candidate_runs"):
+            detect(records[:1], candidate_runs=count)  # was a bare IndexError
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_flag_is_an_argparse_error(self, tmp_path, capsys, count):
+        path = tmp_path / "runs.jsonl"
+        led = RunLedger(str(path))
+        for _ in range(3):
+            led.append(make_record())
+        led.append(make_record(stages={"sparsifier": 1.0, "svd": 5.0}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["regress", "--ledger", str(path), "--candidate-runs", count])
+        assert exc.value.code == 2
+        assert "--candidate-runs" in capsys.readouterr().err
+        # The regression it used to wave through still fails the gate.
+        assert cli_main(["regress", "--ledger", str(path)]) == 1
 
 
 class TestRegressCLI:
@@ -292,14 +323,14 @@ class TestRegressCLI:
             book.append(record)
 
     def test_missing_ledger_exits_zero(self, tmp_path, capsys):
-        code = regress.main(["--ledger", str(tmp_path / "absent.jsonl")])
+        code = cli_main(["regress", "--ledger", str(tmp_path / "absent.jsonl")])
         assert code == 0
         assert "nothing to gate" in capsys.readouterr().out
 
     def test_identical_runs_pass(self, tmp_path, capsys):
         path = tmp_path / "runs.jsonl"
         self._write(path, [make_record() for _ in range(3)])
-        code = regress.main(["--ledger", str(path)])
+        code = cli_main(["regress", "--ledger", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "regression gate: passed" in out
@@ -311,7 +342,7 @@ class TestRegressCLI:
             [make_record() for _ in range(3)]
             + [make_record(stages={"sparsifier": 1.0, "svd": 5.0})],
         )
-        code = regress.main(["--ledger", str(path)])
+        code = cli_main(["regress", "--ledger", str(path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "REGRESSED" in out
@@ -325,18 +356,21 @@ class TestRegressCLI:
             [make_record(stages={"svd": 1.0}) for _ in range(3)]
             + [make_record(stages={"svd": 1.6})],
         )
-        assert regress.main(["--ledger", str(path)]) == 1
+        assert cli_main(["regress", "--ledger", str(path)]) == 1
         capsys.readouterr()
         assert (
-            regress.main(
-                ["--ledger", str(path), "--stage-tolerance", "svd=2.0,total=2.0"]
+            cli_main(
+                ["regress", "--ledger", str(path),
+                 "--stage-tolerance", "svd=2.0,total=2.0"]
             )
             == 0
         )
 
     def test_bad_stage_tolerance_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            regress.main(["--ledger", str(tmp_path), "--stage-tolerance", "svd"])
+            cli_main(
+                ["regress", "--ledger", str(tmp_path), "--stage-tolerance", "svd"]
+            )
 
 
 class TestEndToEndInjectedSleep:
@@ -354,8 +388,8 @@ class TestEndToEndInjectedSleep:
         with ledger.enabled_scope(path=path, dataset="gate_ds"):
             for _ in range(2):
                 run_method("lightne", graph, seed=0, dimension=8, window=3)
-        assert regress.main(
-            ["--ledger", str(path), "--abs-slack", "0.05"]
+        assert cli_main(
+            ["regress", "--ledger", str(path), "--abs-slack", "0.05"]
         ) == 0
         capsys.readouterr()
 
@@ -372,7 +406,7 @@ class TestEndToEndInjectedSleep:
         with ledger.enabled_scope(path=path, dataset="gate_ds"):
             run_method("lightne", graph, seed=0, dimension=8, window=3)
 
-        code = regress.main(["--ledger", str(path), "--abs-slack", "0.05"])
+        code = cli_main(["regress", "--ledger", str(path), "--abs-slack", "0.05"])
         out = capsys.readouterr().out
         assert code == 1
         assert "svd" in out and "REGRESSED" in out

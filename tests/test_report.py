@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import json
 
+from repro.cli import main as cli_main
 from repro.telemetry.ledger import RunLedger, RunRecord
+from repro.telemetry.regression import median
 from repro.telemetry.report import (
     flame_boxes,
-    format_rows,
     format_run,
-    main,
     metrics_diff,
     render_html,
     sparkline,
     trajectory_rows,
 )
+from repro.utils import format_table
 
 
 def make_record(total=1.0, stages=None, metrics=None, quality=None, **kw):
@@ -44,7 +45,7 @@ class TestTextBuildingBlocks:
         assert sparkline([]) == ""
 
     def test_format_rows_alignment(self):
-        text = format_rows([{"a": 1, "b": None}, {"a": 22, "b": 0.5}])
+        text = format_table([{"a": 1, "b": None}, {"a": 22, "b": 0.5}])
         lines = text.splitlines()
         assert len(lines) == 4
         assert "NA" in lines[2]
@@ -64,6 +65,11 @@ class TestTextBuildingBlocks:
         lightne = [r for r in rows if r["method"] == "lightne"][0]
         assert lightne["runs"] == 3
         assert len(lightne["trend"]) == 3
+
+    def test_trajectory_median_is_the_gates_median(self):
+        # Even run counts used to show the upper middle value.
+        (row,) = trajectory_rows([make_record(total=t) for t in (1.0, 3.0)])
+        assert row["median_s"] == median([1.0, 3.0]) == 2.0
 
     def test_trajectory_rows_quality_columns(self):
         records = [
@@ -200,7 +206,7 @@ class TestReportCLI:
             tmp_path, [make_record(total=t) for t in (1.0, 1.3, 1.1)]
         )
         out_html = tmp_path / "report.html"
-        code = main(["--ledger", str(path), "--html", str(out_html)])
+        code = cli_main(["report", "--ledger", str(path), "--html", str(out_html)])
         out = capsys.readouterr().out
         assert code == 0
         assert "trajectories" in out
@@ -212,8 +218,9 @@ class TestReportCLI:
         a = make_record(metrics={"counters": {"c": 1}, "gauges": {}})
         b = make_record(metrics={"counters": {"c": 3}, "gauges": {}})
         path = self._ledger(tmp_path, [a, b])
-        code = main(
-            ["--ledger", str(path), "--diff", a.run_id[:6], b.run_id[:6]]
+        code = cli_main(
+            ["report", "--ledger", str(path),
+             "--diff", a.run_id[:6], b.run_id[:6]]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -232,9 +239,9 @@ class TestReportCLI:
             )
         )
         out_html = tmp_path / "r.html"
-        code = main(
+        code = cli_main(
             [
-                "--ledger", str(path),
+                "report", "--ledger", str(path),
                 "--trace", str(trace_path),
                 "--html", str(out_html),
             ]
@@ -243,6 +250,31 @@ class TestReportCLI:
         assert "Flamegraph" in out_html.read_text()
 
     def test_empty_ledger_message(self, tmp_path, capsys):
-        code = main(["--ledger", str(tmp_path / "none.jsonl")])
+        code = cli_main(["report", "--ledger", str(tmp_path / "none.jsonl")])
         assert code == 0
         assert "no matching runs" in capsys.readouterr().out
+
+    def test_diff_and_audit_address_the_same_runs(self, tmp_path, capsys):
+        """``report --diff A B`` and ``audit A B`` share one run selector."""
+        records = [
+            make_record(digests={"svd": f"d{i}"}, run_id=run_id)
+            for i, run_id in enumerate(
+                ("aaaa00000000", "3bbb00000000", "cccc00000000", "aaaa11111111")
+            )
+        ]
+        path = self._ledger(tmp_path, records)
+        for spec_a, spec_b, id_a, id_b in (
+            ("1", "-1", "aaaa00000000", "aaaa11111111"),
+            ("3", "cccc", "cccc00000000", "cccc00000000"),   # index, not "3bbb"
+            ("aaaa", "3b", "aaaa11111111", "3bbb00000000"),  # newest match
+        ):
+            assert cli_main(
+                ["report", "--ledger", str(path), "--diff", spec_a, spec_b,
+                 "--html", str(tmp_path / "d.html")]
+            ) == 0
+            capsys.readouterr()
+            assert f"{id_a} → {id_b}" in (tmp_path / "d.html").read_text()
+            assert cli_main(
+                ["audit", "--ledger", str(path), spec_a, spec_b]
+            ) == 0
+            assert f"audit: {id_a} (a) vs {id_b} (b)" in capsys.readouterr().out
