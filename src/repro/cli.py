@@ -32,7 +32,7 @@ also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
 ``--metrics-out m.json`` writes the metrics-registry snapshot,
 ``--profile-memory`` samples RSS in the background and reports the peak,
 ``--progress`` renders a single-line live progress indicator on stderr
-(stage completion counts, plus worker liveness on ``--backend process``),
+(stage completion counts),
 ``--ledger`` / ``--ledger-out runs.jsonl`` append one
 :class:`~repro.telemetry.ledger.RunRecord` per pipeline run to the run
 ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress", action="store_true",
             help="render a single-line live progress indicator on stderr "
-                 "(parallel-stage completion counts; with --backend process "
-                 "also live worker/stall counts from heartbeats)",
+                 "(parallel-stage completion counts)",
         )
         p.add_argument(
             "--trace-out", metavar="PATH",
@@ -510,8 +509,8 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
         health.set_policy(args.health)
 
     # --progress is independent of span tracing: it only needs the stage
-    # labels parallel_map already carries (plus worker heartbeats on the
-    # process backend), so it works with telemetry fully disabled.
+    # labels parallel_map already carries, so it works with telemetry fully
+    # disabled.
     if args.progress:
         progress.enable()
 

@@ -314,30 +314,3 @@ def sketchne_embedding(
     appear under the ``svd`` stage."""
     return run_pipeline(graph, SKETCHNE_PIPELINE, params, seed)
 
-
-def refresh_embedding(
-    graph: GraphLike,
-    previous: EmbeddingResult,
-    params: LightNEParams = LightNEParams(),
-    seed: SeedLike = None,
-) -> EmbeddingResult:
-    """Warm-restart re-embedding sketch (paper §6 future work: dynamic graphs).
-
-    Re-runs the sparsifier + SVD on the updated ``graph`` and aligns the new
-    embedding to ``previous`` by an orthogonal Procrustes rotation over the
-    common vertex prefix, so downstream consumers see a stable coordinate
-    frame across refreshes.
-    """
-    import numpy as np
-
-    result = lightne_embedding(graph, params, seed)
-    shared = min(previous.num_vertices, result.num_vertices)
-    if shared == 0 or previous.dimension != result.dimension:
-        return result
-    # Procrustes: rotate new -> old over the shared prefix.
-    m = result.vectors[:shared].T @ previous.vectors[:shared]
-    u, _, vt = np.linalg.svd(m)
-    rotation = u @ vt
-    result.vectors = result.vectors @ rotation
-    result.info["aligned_to_previous"] = True
-    return result

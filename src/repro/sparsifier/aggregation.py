@@ -184,9 +184,9 @@ def _build_shard_shm(start: int, stop: int, batch_size: int):
     """
     shard_keys = _SHARD_SHM_CTX["keys"][start:stop]
     shard_values = _SHARD_SHM_CTX["values"][start:stop]
-    # Mirrors the thread path's instrumentation; with the worker telemetry
-    # shim installed the span/metrics land in this worker's spool and merge
-    # into the parent trace on the worker's pid lane.
+    # Mirrors the thread path's instrumentation; in a traced pool the
+    # span/metrics come home with the task's result and merge into the
+    # parent trace on the worker's pid lane.
     with telemetry.span(
         "aggregate.shard", start=int(start), stop=int(stop),
         size=int(shard_keys.size),

@@ -5,7 +5,7 @@ The observability substrate for the whole pipeline (see
 
 * **Spans** (:mod:`repro.telemetry.tracer`) — nested, thread-aware timed
   intervals forming a trace tree, exportable as Chrome trace-event JSON
-  (Perfetto / ``chrome://tracing``) or a JSONL event stream;
+  (Perfetto / ``chrome://tracing``);
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
   fixed-bucket histograms in a snapshot-able registry;
 * **Runs** (:mod:`repro.telemetry.run`) — one pipeline run is one root span:
@@ -14,13 +14,12 @@ The observability substrate for the whole pipeline (see
 * **Memory** (:mod:`repro.telemetry.memory`) — a background RSS /
   ``tracemalloc`` peak sampler attachable to any span;
 * **Workers** (:mod:`repro.telemetry.worker`) — the cross-process layer:
-  pool workers spool their spans/metrics/memory to per-worker JSONL files
-  and emit heartbeats; the parent merges the spools into the main tracer
-  and registry (clock-corrected, per-pid Perfetto lanes) and flags stalled
-  workers;
+  each process-pool task returns a report of the spans, metrics and memory
+  its worker recorded along with its result, and the parent merges it into
+  the main tracer and registry (clock-corrected, per-pid Perfetto lanes) as
+  the result is yielded;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
-  progress driven by task completions and worker heartbeats (the CLI's
-  ``--progress`` flag).
+  progress counted from task completions (the CLI's ``--progress`` flag).
 
 On top of the substrate sits the *persistence* layer:
 
@@ -106,8 +105,7 @@ from repro.telemetry.health import (
 )
 
 # Submodules imported for attribute access (telemetry.progress.enable()
-# etc.); ``worker`` must come after ``progress``, which it imports;
-# ``health`` is also re-imported as a submodule so ``telemetry.health.
+# etc.); ``health`` is also re-imported as a submodule so ``telemetry.health.
 # set_policy(...)`` works without a separate import.
 from repro.telemetry import health
 from repro.telemetry import progress

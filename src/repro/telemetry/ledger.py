@@ -398,8 +398,8 @@ WORKER_SECONDS_PREFIX = "worker.seconds."
 def _worker_stage_seconds(metrics: Mapping[str, object]) -> Dict[str, float]:
     """Merged worker span-seconds, keyed ``worker.<span name>``.
 
-    These come from the cross-process spool merge
-    (:func:`repro.telemetry.worker.merge_spools` publishes per-span-name
+    These come from the cross-process merge
+    (:meth:`repro.telemetry.worker.Collector.finish` publishes per-span-name
     ``worker.seconds.*`` counters) and are recorded as *extra* stage rows —
     never folded into ``total_s``, which stays the parent's wall-clock sum
     (worker seconds overlap it).

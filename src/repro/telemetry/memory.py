@@ -85,8 +85,8 @@ def peak_rss_bytes() -> Optional[int]:
 def process_memory_snapshot() -> dict:
     """Current RSS, lifetime peak RSS and anonymous bytes of *this* process.
 
-    The figure a pool worker writes into its telemetry spool after each
-    task (see :mod:`repro.telemetry.worker`); ``None`` values mean the
+    The figure a traced pool worker reports with each task's result (see
+    :mod:`repro.telemetry.worker`); ``None`` values mean the
     platform exposes no reading for that field.
     """
     return {

@@ -180,7 +180,7 @@ class Histogram:
         """Fold another histogram's :meth:`snapshot` into this one.
 
         The cross-process aggregation primitive: worker registries snapshot
-        their histograms into the spool and the parent merges them
+        their histograms into each task's report and the parent merges them
         bucket-wise.  Bucket bounds must match exactly (same instrument name
         implies same bounds under the fixed-bucket scheme); a mismatch
         raises rather than silently misbinning.

@@ -1,12 +1,9 @@
 """Single-line terminal progress rendering (the CLI's ``--progress`` flag).
 
-Progress is fed from two directions and both land here:
-
-* :func:`repro.utils.parallel.parallel_map` increments the completed-task
-  count of its ``label`` as futures resolve (both backends);
-* the process backend's stall monitor (:mod:`repro.telemetry.worker`)
-  pushes worker heartbeat aggregates — live worker count, items completed
-  as the *workers* see them, and how many workers look stalled.
+Progress has one source: :func:`repro.utils.parallel.parallel_imap` counts
+each completed task of its ``label`` in the process that runs the stage
+(pool futures on both backends, the serial loop too), and the propagation
+stage counts its Chebyshev terms the same way.
 
 Rendering is deliberately dumb: one ``\\r``-rewritten stderr line per
 active stage, throttled to ~10 Hz, with a newline once a stage with a
@@ -73,54 +70,16 @@ def begin(label: str, total: Optional[int] = None) -> None:
     if not _enabled:
         return
     with _lock:
-        _stages[label] = {
-            "done": 0,
-            "total": None if total is None else int(total),
-            "workers": None,
-            "stalled": 0,
-        }
+        _stages[label] = {"done": 0, "total": None if total is None else int(total)}
         _render_locked(label, force=True)
 
 
-def update(
-    label: str,
-    *,
-    done: Optional[int] = None,
-    total: Optional[int] = None,
-    workers: Optional[int] = None,
-    stalled: Optional[int] = None,
-) -> None:
-    """Merge new readings for ``label`` and re-render.
-
-    ``done`` is monotonic (``max`` with the current value) because two
-    sources race to report it: parent-side future callbacks and worker
-    heartbeats, each counting the same completed tasks.
-    """
-    if not _enabled:
-        return
-    with _lock:
-        stage = _stages.setdefault(
-            label, {"done": 0, "total": None, "workers": None, "stalled": 0}
-        )
-        if done is not None:
-            stage["done"] = max(int(stage["done"]), int(done))
-        if total is not None:
-            stage["total"] = int(total)
-        if workers is not None:
-            stage["workers"] = int(workers)
-        if stalled is not None:
-            stage["stalled"] = int(stalled)
-        _render_locked(label)
-
-
 def task_completed(label: str) -> None:
-    """Count one finished task for ``label`` (future done-callbacks)."""
+    """Count one finished task for ``label``."""
     if not _enabled:
         return
     with _lock:
-        stage = _stages.setdefault(
-            label, {"done": 0, "total": None, "workers": None, "stalled": 0}
-        )
+        stage = _stages.setdefault(label, {"done": 0, "total": None})
         stage["done"] = int(stage["done"]) + 1
         total = stage["total"]
         _render_locked(
@@ -137,12 +96,7 @@ def _render_locked(label: str, force: bool = False) -> None:
     stage = _stages[label]
     total = stage["total"]
     done = int(stage["done"])
-    parts = [f"{label}: {done}/{total if total is not None else '?'}"]
-    if stage["workers"]:
-        parts.append(f"workers={stage['workers']}")
-    if stage["stalled"]:
-        parts.append(f"STALLED={stage['stalled']}")
-    line = "  ".join(parts)
+    line = f"{label}: {done}/{total if total is not None else '?'}"
     out = _stream or sys.stderr
     try:
         out.write("\r" + line + " " * max(0, _last_len - len(line)))

@@ -30,7 +30,7 @@ def run_scope(name: str, **attributes: object) -> Iterator[Span]:
     """Root a pipeline run in a span named ``name``; yields that span.
 
     With telemetry enabled the span's ``metrics`` is a registry of the run's
-    own — what it counts, pool threads and merged worker spools included
+    own — what it counts, pool threads and merged worker reports included
     (they inherit it through span parenting), is readable per run — rolled
     up into the enclosing registry when the run ends.
     """

@@ -3,15 +3,11 @@
 A :class:`Span` is a named, timed interval with attributes; spans nest into a
 tree (``lightne`` → ``sparsifier`` → ``sparsifier.batch`` …) that mirrors the
 call structure of the pipeline, across threads.  A :class:`Tracer` collects
-the tree and exports it two ways:
-
-* :meth:`Tracer.to_chrome_trace` / :meth:`Tracer.write_chrome_trace` — the
-  Chrome trace-event JSON format, loadable in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing``; one ``"X"`` (complete)
-  event per span, ``tid`` = OS thread id, attributes under ``args``;
-* :meth:`Tracer.iter_events` / :meth:`Tracer.write_jsonl` — a flat JSONL
-  stream (one JSON object per finished span, with ``id``/``parent_id``
-  links) for programmatic consumption.
+the tree and exports it as Chrome trace-event JSON
+(:meth:`Tracer.to_chrome_trace` / :meth:`Tracer.write_chrome_trace`),
+loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``: one
+``"X"`` (complete) event per span, ``tid`` = OS thread id, attributes under
+``args``.
 
 Tracing is **off by default** and designed to be left compiled-in: every
 instrumentation point calls :func:`span`, which returns a shared no-op
@@ -31,12 +27,11 @@ A span also names the metrics registry its subtree writes to
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 
 def _json_safe(value: object) -> object:
@@ -57,7 +52,7 @@ class Span:
     Spans are context managers: entering records the start timestamp and
     pushes the span onto the owning tracer's per-thread stack; exiting pops
     it and records the end.  Attributes set at construction or via
-    :meth:`set_attribute` travel into both exporters.
+    :meth:`set_attribute` travel into the export.
     """
 
     __slots__ = (
@@ -106,7 +101,6 @@ class Span:
         self.tracer._pop(self)
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        self.tracer._finish(self)
         return False
 
     # ------------------------------------------------------------ attributes
@@ -165,7 +159,7 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects a span tree; exports Chrome trace JSON and JSONL events.
+    """Collects a span tree; exports it as Chrome trace JSON.
 
     Thread-safe: spans may start/finish on any thread.  Each thread sees its
     own current-span stack (:meth:`current_span`); registration into the
@@ -177,10 +171,9 @@ class Tracer:
         self._local = threading.local()
         self.roots: List[Span] = []
         self._next_id = 0
-        self._listeners: List[Callable[[Span], None]] = []
         # Epochs pair a wall-clock anchor with the perf_counter origin so
-        # exported timestamps are stable within the trace — and so spool
-        # merging can map a worker's monotonic clock onto this tracer's
+        # exported timestamps are stable within the trace — and so a pool
+        # worker's monotonic clock can be mapped onto this tracer's
         # (see repro.telemetry.worker.clock_offset).
         self.epoch_wall = time.time()
         self.epoch_perf = time.perf_counter()
@@ -199,11 +192,6 @@ class Tracer:
         if not stack:
             return None
         return stack[-1]
-
-    def add_listener(self, callback: Callable[[Span], None]) -> None:
-        """Invoke ``callback(span)`` whenever a span finishes (JSONL sinks)."""
-        with self._lock:
-            self._listeners.append(callback)
 
     def set_process_label(self, pid: int, label: str) -> None:
         """Name the Perfetto lane of ``pid`` (``process_name`` metadata)."""
@@ -224,12 +212,11 @@ class Tracer:
     ) -> Span:
         """Register an already-finished span recorded in another process.
 
-        The spool merger uses this to graft worker span trees into the
-        parent's trace: timestamps must already be expressed on *this*
-        tracer's ``perf_counter`` timeline (see
+        :func:`repro.telemetry.worker.graft_spans` uses this to graft worker
+        span trees into the parent's trace: timestamps must already be
+        expressed on *this* tracer's ``perf_counter`` timeline (see
         :func:`repro.telemetry.worker.clock_offset`).  The span is appended
-        to the tree but never touches any thread's current-span stack and
-        notifies no listeners (it was already streamed once, in the worker).
+        to the tree but never touches any thread's current-span stack.
         """
         span = Span(self, name, attributes)
         span.parent = parent
@@ -263,12 +250,6 @@ class Tracer:
                 self.roots.append(span)
             else:
                 span.parent.children.append(span)
-
-    def _finish(self, span: Span) -> None:
-        with self._lock:
-            listeners = list(self._listeners)
-        for callback in listeners:
-            callback(span)
 
     # --------------------------------------------------------------- reading
     @property
@@ -390,51 +371,6 @@ class Tracer:
         from repro.utils.fileio import atomic_write_json
 
         atomic_write_json(path, self.to_chrome_trace())
-
-    def iter_events(self) -> Iterator[dict]:
-        """Flat per-span event records (the JSONL stream), finished spans only."""
-        for span in self.iter_spans():
-            if span.end is None:
-                continue
-            yield {
-                "type": "span",
-                "name": span.name,
-                "id": span.span_id,
-                "parent_id": None if span.parent is None else span.parent.span_id,
-                "start_s": span.start - self.epoch_perf,
-                "duration_s": span.duration,
-                "pid": span.pid or os.getpid(),
-                "thread": span.thread_name or str(span.thread_id),
-                "attributes": {
-                    k: _json_safe(v) for k, v in span.attributes.items()
-                },
-            }
-
-    def write_jsonl(self, path_or_file: Union[str, "os.PathLike", TextIO]) -> int:
-        """Write the JSONL event stream; returns the number of lines.
-
-        When given a path the stream is staged in a temp file and renamed
-        into place (crash-safe, parents created); file objects are written
-        through directly.
-        """
-
-        def emit(out: TextIO) -> int:
-            count = 0
-            for event in self.iter_events():
-                out.write(json.dumps(event))
-                out.write("\n")
-                count += 1
-            return count
-
-        if hasattr(path_or_file, "write"):
-            return emit(path_or_file)  # type: ignore[arg-type]
-
-        from repro.utils.fileio import atomic_write_with
-
-        counts: List[int] = []
-        atomic_write_with(path_or_file, lambda out: counts.append(emit(out)))
-        return counts[0]
-
 
 # --------------------------------------------------------------------------
 # Process-global tracer.  ``None`` means disabled; the module-level helpers

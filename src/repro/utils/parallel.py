@@ -29,12 +29,13 @@ naming ``label``.
 Observability: ``parallel_map`` owns span parenting.  Whatever a task records
 — spans, and through them the metrics of the enclosing pipeline run — lands
 under the submitting thread's current span: pool threads run each task under
-:func:`repro.telemetry.adopt`, and a process pool (when tracing or progress
-rendering is on) gets the cross-process shim (:mod:`repro.telemetry.worker`)
-in every worker — spans/metrics/memory spool to per-worker files merged under
-that same span when the pool finishes, heartbeats feed a stall detector.
-``label`` names the stage for progress lines, stall warnings and worker
-Perfetto lanes; with telemetry and progress off all of it is one gated call.
+:func:`repro.telemetry.adopt`, and with tracing on a process pool runs each
+task as :func:`repro.telemetry.worker.run_task`, whose report of the worker's
+spans, metrics and memory comes back with the result and is merged under that
+same span as the result is yielded.  ``label`` names the stage for progress
+lines (counted from completions in this process, serial path included) and
+worker Perfetto lanes; with tracing and progress off all of it is one gated
+call.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
@@ -105,16 +107,13 @@ def chunk_ranges(total: int, chunks: int) -> List[Tuple[int, int]]:
 
 
 def _track_progress(label: Optional[str], total: int) -> Optional[Callable]:
-    """Start ``label``'s progress line; the future done-callback that feeds
-    it, or ``None`` when progress rendering is off."""
-    if label is None:
+    """Start ``label``'s progress line; the callback that counts one task
+    into it (also a future done-callback), or ``None`` when progress
+    rendering is off."""
+    if label is None or not telemetry.progress.is_enabled():
         return None
-    from repro.telemetry import progress
-
-    if not progress.is_enabled():
-        return None
-    progress.begin(label, total=total)
-    return lambda _future: progress.task_completed(label)
+    telemetry.progress.begin(label, total=total)
+    return lambda *_future: telemetry.progress.task_completed(label)
 
 
 def _ordered_results(
@@ -200,38 +199,47 @@ def parallel_imap(
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(argument_tuples) <= 1:
+        on_done = _track_progress(label, len(argument_tuples))
         if initializer is not None:
             initializer(*initargs)
         for args in argument_tuples:
-            yield func(*args)
+            result = func(*args)
+            if on_done is not None:
+                on_done()
+            yield result
         return
     if backend == "process":
-        # Cross-process telemetry: with tracing or progress on, chain the
-        # worker shim in front of the caller's initializer, wrap each task
-        # so workers account completions, and merge the spools afterwards.
-        from repro.telemetry import worker as worker_telemetry
-
-        collector = worker_telemetry.maybe_collector(label, len(argument_tuples))
+        # With tracing on, every task returns (result, report): the worker's
+        # spans and metrics come home on the result pipe and are merged here
+        # as each result is yielded.
+        collector = (
+            telemetry.worker.Collector(label or "parallel")
+            if telemetry.is_enabled() else None
+        )
         if collector is not None:
-            initializer, initargs = collector.initializer(initializer, initargs)
+            initializer, initargs = (
+                telemetry.worker.init_worker, (initializer, tuple(initargs))
+            )
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(argument_tuples)),
             initializer=initializer,
             initargs=initargs,
         )
-        if collector is not None:
-            def submit(args):
-                return pool.submit(worker_telemetry.run_task, func, tuple(args))
-        else:
+        if collector is None:
             def submit(args):
                 return pool.submit(func, *args)
+        else:
+            def submit(args):
+                return pool.submit(telemetry.worker.run_task, func, tuple(args))
         try:
-            with pool:
-                if collector is not None:
-                    collector.start()
-                yield from _ordered_results(
-                    pool, submit, argument_tuples, window, label
-                )
+            with pool, closing(_ordered_results(
+                pool, submit, argument_tuples, window, label
+            )) as results:
+                for result in results:
+                    if collector is not None:
+                        result, report = result
+                        collector.add(report)
+                    yield result
         except BrokenProcessPool as exc:
             raise WorkerError(
                 f"{label or 'parallel'}: a pool worker process died before "
@@ -284,11 +292,10 @@ def parallel_map(
         per-worker context — e.g. a memmap path reopened in each child —
         once per worker instead of once per task.
     label:
-        Stage name for observability: progress lines (``--progress``),
-        stall-detector warnings and worker trace lanes.  ``None`` opts the
-        call out of progress rendering (telemetry spooling still engages
-        for process pools when tracing is on, under the generic
-        ``"parallel"`` label).
+        Stage name for observability: progress lines (``--progress``) and
+        worker trace lanes.  ``None`` opts the call out of progress
+        rendering (a traced process pool still reports its workers' spans,
+        under the generic ``"parallel"`` label).
     """
     return list(parallel_imap(
         func, argument_tuples, workers=workers, backend=backend,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,18 @@ class TestObservabilityFlags:
         )
         assert code == 0
         assert "peak RSS" in capsys.readouterr().out
+
+    def test_progress_on_the_serial_path(self, edge_file, tmp_path, capsys):
+        code = main(
+            [
+                "embed", "--input", edge_file, "--method", "lightne",
+                "--dim", "8", "--window", "2", "--workers", "1", "--progress",
+                "--output", str(tmp_path / "v.npy"),
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert re.search(r"sparsifier\.sampling: (\d+)/\1\b", err), err
 
     def test_telemetry_disabled_after_run(self, edge_file, tmp_path):
         from repro import telemetry

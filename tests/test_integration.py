@@ -19,7 +19,6 @@ from repro.embedding import (
     netsmf_embedding,
     prone_embedding,
 )
-from repro.embedding.lightne import refresh_embedding
 from repro.eval import (
     evaluate_link_prediction,
     evaluate_node_classification,
@@ -28,6 +27,7 @@ from repro.eval import (
 from repro.graph.builders import from_edges
 from repro.graph.compression import CompressedGraph, compress_graph
 from repro.graph.generators import dcsbm_graph
+from repro.streaming import DynamicEmbedder, EdgeBatch
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +179,9 @@ class TestRefresh:
     def test_refresh_aligns_frames(self, bundle):
         graph, _ = bundle
         params = LightNEParams(dimension=16, window=3, sample_multiplier=5)
-        first = lightne_embedding(graph, params, seed=0)
-        refreshed = refresh_embedding(graph, first, params, seed=1)
+        embedder = DynamicEmbedder(graph, params, seed=0)
+        first = embedder.result
+        refreshed = embedder.refresh()
         # After Procrustes alignment the two frames should correlate strongly
         # row-wise even though the runs used different random samples.
         cosines = np.einsum("ij,ij->i", first.normalized(), refreshed.normalized())
@@ -190,14 +191,10 @@ class TestRefresh:
     def test_refresh_with_grown_graph(self, bundle):
         graph, _ = bundle
         params = LightNEParams(dimension=16, window=3, sample_multiplier=3)
-        first = lightne_embedding(graph, params, seed=0)
+        embedder = DynamicEmbedder(graph, params, seed=0)
         # Add a vertex attached to vertex 0.
-        src, dst = graph.edge_endpoints()
-        mask = src < dst
-        bigger = from_edges(
-            np.concatenate([src[mask], [0]]),
-            np.concatenate([dst[mask], [graph.num_vertices]]),
-            num_vertices=graph.num_vertices + 1,
+        assert embedder.apply(
+            EdgeBatch(np.array([0]), np.array([graph.num_vertices]))
         )
-        refreshed = refresh_embedding(bigger, first, params, seed=1)
+        refreshed = embedder.result
         assert refreshed.num_vertices == graph.num_vertices + 1

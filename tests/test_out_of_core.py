@@ -13,7 +13,6 @@ import mmap
 import multiprocessing
 import os
 import signal
-import tempfile
 import time
 
 import numpy as np
@@ -87,12 +86,8 @@ class TestSparsifierParity:
 
 
 def _leftovers():
-    """What a pool must not leave behind: shm segments, spool dirs, children."""
-    return (
-        set(glob.glob("/dev/shm/psm_*")),
-        set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spool-*"))),
-        multiprocessing.active_children(),
-    )
+    """What a pool must not leave behind: shm segments, children."""
+    return set(glob.glob("/dev/shm/psm_*")), multiprocessing.active_children()
 
 
 def _die_once(flag, inner):
@@ -136,7 +131,7 @@ class TestDeadWorker:
         assert time.monotonic() - start < 10.0
         assert isinstance(caught.value, ReproError)
         assert type(caught.value.__cause__).__name__ == "BrokenProcessPool"
-        assert _leftovers() == (before[0], before[1], [])
+        assert _leftovers() == (before[0], [])
         again = parallel_map(
             _double, [(i,) for i in range(4)], workers=2, backend="process"
         )

@@ -179,7 +179,6 @@ class TestConsistency:
         import repro.embedding as pkg
 
         builders = {spec.builder for spec in list_methods()}
-        allowlist = {"refresh_embedding"}  # incremental updater, not a method
         unregistered = []
         for info in pkgutil.iter_modules(pkg.__path__):
             mod = importlib.import_module(f"repro.embedding.{info.name}")
@@ -189,7 +188,7 @@ class TestConsistency:
                 fn = getattr(mod, attr)
                 if not callable(fn) or getattr(fn, "__module__", None) != mod.__name__:
                     continue
-                if fn not in builders and attr not in allowlist:
+                if fn not in builders:
                     unregistered.append(f"{mod.__name__}.{attr}")
         assert not unregistered, f"unregistered entry points: {unregistered}"
 

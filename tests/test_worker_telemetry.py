@@ -1,29 +1,31 @@
-"""Cross-process telemetry: spools, clock correction, merging, stalls.
+"""Cross-process telemetry: task reports, clock correction, merging.
 
-Covers the worker-side shim / parent-side merge protocol of
+Covers the worker-side report / parent-side merge of
 ``repro.telemetry.worker`` plus its integration points: the multi-pid
-Chrome trace, metric aggregation semantics, heartbeat-based stall
-detection, and the run-ledger plumbing for merged worker stage-seconds.
+Chrome trace, metric aggregation semantics, dead workers, progress, and the
+run-ledger plumbing for merged worker stage-seconds.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
-import time
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.errors import WorkerError
 from repro.telemetry import progress as progress_mod
 from repro.telemetry import worker as worker_mod
 from repro.telemetry.ledger import build_record
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.report import flame_boxes
-from repro.telemetry.tracer import Tracer
-from repro.utils.parallel import parallel_map
+from repro.utils.parallel import parallel_imap, parallel_map
+from tests.test_out_of_core import _die_once, _leftovers
 
 
 @pytest.fixture
@@ -109,62 +111,7 @@ class TestRegistryMergeSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Spool parsing
-# ---------------------------------------------------------------------------
-
-
-def _write_spool(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line if isinstance(line, str) else json.dumps(line))
-            fh.write("\n")
-
-
-class TestReadSpool:
-    def test_tolerates_truncated_tail(self, tmp_path):
-        path = tmp_path / "spool-7.jsonl"
-        _write_spool(
-            path,
-            [
-                {"type": "clock", "pid": 7, "epoch_wall": 10.0, "epoch_perf": 1.0},
-                {"type": "span", "id": 1, "parent_id": None, "name": "a",
-                 "start": 1.0, "end": 2.0, "tid": 3},
-                {"type": "metrics", "pid": 7, "snapshot": {"counters": {"c": 1}}},
-                '{"type": "span", "id": 2, "na',  # killed mid-write
-            ],
-        )
-        data = worker_mod.read_spool(str(path))
-        assert data["clock"]["pid"] == 7
-        assert [s["name"] for s in data["spans"]] == ["a"]
-        assert data["metrics"]["snapshot"]["counters"]["c"] == 1
-        assert data["corrupt_lines"] == 1
-
-    def test_last_cumulative_snapshot_wins(self, tmp_path):
-        path = tmp_path / "spool-7.jsonl"
-        _write_spool(
-            path,
-            [
-                {"type": "metrics", "pid": 7, "snapshot": {"counters": {"c": 1}}},
-                {"type": "metrics", "pid": 7, "snapshot": {"counters": {"c": 5}}},
-                {"type": "memory", "pid": 7, "rss_peak_bytes": 10},
-                {"type": "memory", "pid": 7, "rss_peak_bytes": 20},
-            ],
-        )
-        data = worker_mod.read_spool(str(path))
-        assert data["metrics"]["snapshot"]["counters"]["c"] == 5
-        assert data["memory"]["rss_peak_bytes"] == 20
-
-    def test_empty_and_missing_files(self, tmp_path):
-        empty = tmp_path / "spool-1.jsonl"
-        empty.touch()
-        data = worker_mod.read_spool(str(empty))
-        assert data["spans"] == [] and data["corrupt_lines"] == 0
-        missing = worker_mod.read_spool(str(tmp_path / "nope.jsonl"))
-        assert missing["clock"] is None and missing["corrupt_lines"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Clock correction and span grafting
+# Clock correction and the report round trip
 # ---------------------------------------------------------------------------
 
 
@@ -179,109 +126,103 @@ class TestClockAndMerge:
         }
         assert worker_mod.clock_offset(clock, enabled) == pytest.approx(100.0)
 
-    def test_out_of_order_and_skewed_events_graft_sorted(self, enabled):
-        events = [
-            {"id": 3, "parent_id": 1, "name": "late-child", "start": 5.0,
-             "end": 6.0, "tid": 2},
-            {"id": 1, "parent_id": None, "name": "root", "start": 1.0,
-             "end": 9.0, "tid": 2},
-            {"id": 2, "parent_id": 1, "name": "early-child", "start": 2.0,
-             "end": 3.0, "tid": 2},
-        ]
-        count = worker_mod.merge_worker_spans(
-            enabled, events, pid=4242, offset=50.0
-        )
-        assert count == 3
-        roots = [s for s in enabled.roots if s.pid == 4242]
-        assert [s.name for s in roots] == ["root"]
-        assert [c.name for c in roots[0].children] == [
-            "early-child", "late-child",
-        ]
-        # The offset lands worker timestamps on the parent timeline.
-        assert roots[0].start == pytest.approx(51.0)
-        assert roots[0].end == pytest.approx(59.0)
 
-    def test_orphaned_parent_becomes_root(self, enabled):
-        events = [
-            {"id": 9, "parent_id": 404, "name": "orphan", "start": 1.0,
-             "end": 2.0, "tid": 1},
-        ]
-        assert worker_mod.merge_worker_spans(
-            enabled, events, pid=7, offset=0.0
-        ) == 1
-        assert "orphan" in {s.name for s in enabled.roots}
-
-    def test_half_written_events_skipped(self, enabled):
-        events = [
-            {"id": 1, "name": "no-end", "start": 1.0, "end": None, "tid": 1},
-            {"id": 2, "name": "ok", "start": 1.0, "end": 2.0, "tid": 1},
-        ]
-        assert worker_mod.merge_worker_spans(
-            enabled, events, pid=7, offset=0.0
-        ) == 1
+def _record(name, start, end, children=(), tid=2, **attrs):
+    return {
+        "name": name, "start": start, "end": end, "tid": tid,
+        "thread_name": f"t{tid}", "attrs": attrs, "children": list(children),
+    }
 
 
-# ---------------------------------------------------------------------------
-# merge_spools: directory-level aggregation
-# ---------------------------------------------------------------------------
+def _report(tracer, pid, spans=(), metrics=None, memory=None):
+    """A report from worker ``pid``, whose clock runs 100 s behind
+    ``tracer``'s."""
+    return {
+        "pid": pid,
+        "clock": {
+            "epoch_wall": tracer.epoch_wall,
+            "epoch_perf": tracer.epoch_perf - 100.0,
+        },
+        "spans": list(spans),
+        "metrics": metrics or MetricsRegistry().snapshot(),
+        "memory": memory or {},
+    }
 
 
-class TestMergeSpools:
-    def test_empty_directory(self, tmp_path, enabled):
-        summary = worker_mod.merge_spools(str(tmp_path), tracer=enabled)
-        assert summary["workers"] == [] and summary["spans"] == 0
-
-    def test_partial_spool_from_dead_worker(self, tmp_path, enabled):
-        registry = telemetry.get_metrics()
-        _write_spool(
-            tmp_path / "spool-99.jsonl",
-            [
-                {"type": "clock", "pid": 99,
-                 "epoch_wall": enabled.epoch_wall,
-                 "epoch_perf": enabled.epoch_perf},
-                {"type": "span", "id": 1, "parent_id": None, "name": "work",
-                 "start": 0.0, "end": 1.5, "tid": 1},
-                '{"type": "span", "id": 2',  # died mid-write
-            ],
-        )
-        summary = worker_mod.merge_spools(
-            str(tmp_path), tracer=enabled, registry=registry
-        )
-        assert summary["workers"] == [99]
-        assert summary["spans"] == 1
-        assert summary["corrupt_lines"] == 1
-        snap = registry.snapshot()
-        assert snap["counters"]["worker.seconds.work"] == pytest.approx(1.5)
-        assert snap["counters"]["parallel.worker_spools"] == pytest.approx(1.0)
-
-    def test_spans_without_clock_skipped_but_accounted(self, tmp_path, enabled):
-        registry = telemetry.get_metrics()
-        _write_spool(
-            tmp_path / "spool-31.jsonl",
-            [{"type": "span", "id": 1, "parent_id": None, "name": "w",
-              "start": 0.0, "end": 2.0, "tid": 1}],
-        )
-        summary = worker_mod.merge_spools(
-            str(tmp_path), tracer=enabled, registry=registry
-        )
-        # No clock line -> no trustworthy timeline, so no grafted spans —
-        # but the stage-seconds totals (duration-only) still merge.
-        assert summary["spans"] == 0
-        assert registry.snapshot()["counters"]["worker.seconds.w"] == (
-            pytest.approx(2.0)
+class TestReportRoundTrip:
+    def test_worker_task_report_round_trips(self, enabled):
+        # Worker side, in this process: a fresh tracer and registry, one task.
+        worker_mod.init_worker()
+        result, report = worker_mod.run_task(_square_with_span, (3,))
+        assert result == 9
+        assert telemetry.get_tracer().roots == []  # reported, then dropped
+        assert telemetry.get_metrics().snapshot()["counters"] == {}
+        report = pickle.loads(pickle.dumps(report))
+        # Parent side, on a tracer of its own.
+        parent = telemetry.enable()
+        telemetry.reset_metrics()
+        with telemetry.span("launch") as launch:
+            collector = worker_mod.Collector("pool.test")
+        collector.add(report)
+        collector.finish()
+        (task,) = parent.find_spans("task.square")
+        assert task.parent is launch and task.attributes == {"x": 3}
+        counters = telemetry.get_metrics().snapshot()["counters"]
+        assert counters["task.calls"] == 1.0
+        assert counters["parallel.workers"] == 1.0
+        assert counters["worker.seconds.task.square"] == pytest.approx(
+            task.duration
         )
 
-    def test_worker_memory_published_as_gauges(self, tmp_path, enabled):
-        registry = telemetry.get_metrics()
-        for pid, rss in ((12, 100.0), (11, 300.0)):
-            _write_spool(
-                tmp_path / f"spool-{pid}.jsonl",
-                [{"type": "memory", "pid": pid, "rss_peak_bytes": rss,
-                  "anon_bytes": rss / 2}],
-            )
-        worker_mod.merge_spools(str(tmp_path), registry=registry)
-        gauges = registry.snapshot()["gauges"]
-        # Indexed by sorted pid: 11 -> worker.0, 12 -> worker.1.
+    def test_nested_spans_graft_with_the_clock_offset(self, enabled):
+        with enabled.span("launch") as launch:
+            collector = worker_mod.Collector("pool.test")
+        report = _report(enabled, 4242, spans=[
+            _record("root", 1.0, 9.0, children=[
+                _record("early-child", 2.0, 3.0, batch=1),
+                _record("late-child", 5.0, 6.0, children=[
+                    _record("leaf", 5.5, 5.75),
+                ]),
+            ]),
+        ])
+        collector.add(report)
+        (root,) = launch.children
+        assert (root.name, root.pid) == ("root", 4242)
+        assert (root.start, root.end) == (pytest.approx(101.0), pytest.approx(109.0))
+        assert [c.name for c in root.children] == ["early-child", "late-child"]
+        assert root.children[0].attributes == {"batch": 1}
+        (leaf,) = root.children[1].children
+        assert leaf.start == pytest.approx(105.5)
+        assert enabled.process_labels[4242] == "pool.test worker (pid 4242)"
+        collector.finish()
+        counters = telemetry.get_metrics().snapshot()["counters"]
+        assert counters["worker.seconds.root"] == pytest.approx(8.0)
+        assert counters["worker.seconds.leaf"] == pytest.approx(0.25)
+
+    def test_snapshots_merge_sum_max_bucketwise(self, enabled):
+        collector = worker_mod.Collector("pool.test")
+        for pid, (calls, peak, seconds) in enumerate(
+            [(2.0, 10.0, 0.5), (3.0, 25.0, 9.0), (1.0, 4.0, 0.5)]
+        ):
+            registry = MetricsRegistry()
+            registry.counter("task.calls").inc(calls)
+            registry.gauge("table.peak").set(peak)
+            registry.histogram("task.seconds", buckets=(1.0,)).observe(seconds)
+            collector.add(_report(enabled, pid, metrics=registry.snapshot()))
+        snap = telemetry.get_metrics().snapshot()
+        assert snap["counters"]["task.calls"] == pytest.approx(6.0)
+        assert snap["gauges"]["table.peak"]["value"] == pytest.approx(25.0)
+        assert snap["histograms"]["task.seconds"]["counts"] == [2, 1]
+
+    def test_worker_memory_published_as_gauges(self, enabled):
+        collector = worker_mod.Collector("pool.test")
+        for pid, rss in ((12, 50.0), (11, 300.0), (12, 100.0)):
+            collector.add(_report(enabled, pid, memory={
+                "rss_peak_bytes": rss, "anon_bytes": rss / 2,
+            }))
+        collector.finish()
+        gauges = telemetry.get_metrics().snapshot()["gauges"]
+        # Each worker's last reading, indexed by sorted pid: 11 -> worker.0.
         assert gauges["parallel.worker.0.rss_peak_bytes"]["value"] == 300.0
         assert gauges["parallel.worker.1.rss_peak_bytes"]["value"] == 100.0
         assert gauges["parallel.worker_rss_peak_bytes"]["value"] == 300.0
@@ -297,12 +238,9 @@ class TestMultiPidTrace:
     def _merged_trace(self, tracer):
         with tracer.span("parent-work"):
             pass
-        worker_mod.merge_worker_spans(
-            tracer,
-            [{"id": 1, "parent_id": None, "name": "worker-work",
-              "start": 0.0, "end": 1.0, "tid": 5}],
-            pid=555,
-            offset=0.0,
+        worker_mod.graft_spans(
+            tracer, [_record("worker-work", 0.0, 1.0, tid=5)],
+            pid=555, offset=0.0,
         )
         tracer.set_process_label(555, "pool worker (pid 555)")
         return tracer.to_chrome_trace()
@@ -349,55 +287,6 @@ class TestMultiPidTrace:
 
 
 # ---------------------------------------------------------------------------
-# Heartbeats and stall detection
-# ---------------------------------------------------------------------------
-
-
-class TestStallMonitor:
-    def _beat(self, tmp_path, pid, wall, items=0):
-        with open(tmp_path / f"beat-{pid}.json", "w", encoding="utf-8") as fh:
-            json.dump({"pid": pid, "wall": wall, "items": items}, fh)
-
-    def test_poll_once_flags_and_recovers(self, tmp_path, enabled):
-        now = time.time()
-        self._beat(tmp_path, 10, wall=now - 5.0)
-        self._beat(tmp_path, 11, wall=now - 0.01)
-        monitor = worker_mod.StallMonitor(
-            str(tmp_path), label="t", timeout_s=1.0
-        )
-        assert monitor.poll_once(now=now) == {10}
-        assert monitor.stall_events == 1
-        snap = telemetry.get_metrics().snapshot()
-        assert snap["counters"]["parallel.stalled_workers"] == 1.0
-        assert snap["gauges"]["parallel.stalled_workers_current"]["value"] == 1.0
-        # Continuous silence is ONE incident, not one per poll.
-        assert monitor.poll_once(now=now + 0.1) == {10}
-        assert monitor.stall_events == 1
-        # Fresh beat -> recovery.
-        self._beat(tmp_path, 10, wall=now + 0.2)
-        assert monitor.poll_once(now=now + 0.3) == set()
-        snap = telemetry.get_metrics().snapshot()
-        assert snap["gauges"]["parallel.stalled_workers_current"]["value"] == 0.0
-
-    def test_env_knobs(self, monkeypatch):
-        """The two periods are module constants; the environment variables
-        that used to override them are not consulted, explicit values are."""
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.5")
-        monkeypatch.setenv("REPRO_STALL_TIMEOUT_S", "2.5")
-        default = worker_mod.SpoolCollector("x", 1, tracing=False, progress=False)
-        explicit = worker_mod.SpoolCollector(
-            "x", 1, tracing=False, progress=False, heartbeat_s=0.5, timeout_s=2.5
-        )
-        try:
-            assert default.heartbeat_s == worker_mod.HEARTBEAT_S == 0.25
-            assert default.monitor.timeout_s == worker_mod.STALL_TIMEOUT_S == 30.0
-            assert (explicit.heartbeat_s, explicit.monitor.timeout_s) == (0.5, 2.5)
-        finally:
-            default.finish()
-            explicit.finish()
-
-
-# ---------------------------------------------------------------------------
 # End-to-end through parallel_map(backend="process")
 # ---------------------------------------------------------------------------
 
@@ -408,9 +297,25 @@ def _square_with_span(x):
         return x * x
 
 
-def _sleepy(seconds):
-    time.sleep(seconds)
-    return seconds
+def _square(x):
+    return x * x
+
+
+def _call_square(x):
+    # Looks ``_square`` up at call time, so a patched one reaches fork children.
+    return _square(x)
+
+
+def _threads_during_pool():
+    """Thread count of this process while a 2-worker process pool runs."""
+    results = parallel_imap(
+        _square_with_span, [(i,) for i in range(4)], workers=2,
+        backend="process", label="pool.test",
+    )
+    next(results)
+    count = threading.active_count()
+    results.close()
+    return count
 
 
 class TestProcessPoolEndToEnd:
@@ -430,7 +335,7 @@ class TestProcessPoolEndToEnd:
         assert worker_pids, "expected spans recorded in worker processes"
         snap = telemetry.get_metrics().snapshot()
         assert snap["counters"]["task.calls"] == pytest.approx(8.0)
-        assert snap["counters"]["parallel.worker_spools"] >= 1.0
+        assert snap["counters"]["parallel.workers"] >= 1.0
         assert snap["counters"]["worker.seconds.task.square"] >= 0.0
         assert "parallel.worker_rss_peak_bytes" in snap["gauges"]
         doc = enabled.to_chrome_trace()
@@ -441,32 +346,49 @@ class TestProcessPoolEndToEnd:
         }
         assert worker_pids <= meta_pids
 
-    def test_disabled_telemetry_adds_no_collector_state(self):
+    def test_disabled_telemetry_adds_no_collector_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("telemetry shim used with tracing off")
+
+        monkeypatch.setattr(worker_mod, "Collector", forbidden)
+        monkeypatch.setattr(worker_mod, "init_worker", forbidden)
+        monkeypatch.setattr(worker_mod, "run_task", forbidden)
         assert not telemetry.is_enabled()
-        assert worker_mod.maybe_collector("x", 4) is None
         results = parallel_map(
             _square_with_span, [(i,) for i in range(4)],
             workers=2, backend="process", label="pool.test",
         )
         assert results == [0, 1, 4, 9]
 
-    def test_stall_detector_trips_on_sleeping_worker(
-        self, enabled, monkeypatch
-    ):
-        # Beats only at init/task-completion (huge interval), and a stall
-        # threshold far below the sleep: the monitor must flag the silent
-        # worker while the task is still running.
-        monkeypatch.setattr(worker_mod, "HEARTBEAT_S", 3600.0)
-        monkeypatch.setattr(worker_mod, "STALL_TIMEOUT_S", 0.2)
-        with telemetry.run_scope("run") as root:
+    def test_killed_worker_is_a_clean_worker_error(self, enabled, tmp_path,
+                                                   monkeypatch):
+        flag = tmp_path / "died"
+        monkeypatch.setattr(
+            sys.modules[__name__], "_square",
+            _die_once(str(flag), _square),
+        )
+        before = _leftovers()
+        with pytest.raises(WorkerError, match="pool.test"):
             parallel_map(
-                _sleepy, [(1.2,), (1.2,)], workers=2,
-                backend="process", label="pool.sleepy",
+                _call_square, [(i,) for i in range(6)], workers=2,
+                backend="process", label="pool.test",
             )
-        snap = telemetry.get_metrics().snapshot()
-        assert snap["counters"].get("parallel.stalled_workers", 0) >= 1.0
-        # The monitor thread counts into the run that launched the pool.
-        assert root.metrics.snapshot()["counters"] == snap["counters"]
+        assert flag.exists()
+        assert _leftovers() == (before[0], [])
+
+    @pytest.mark.parametrize("mode", ["traced", "progress"])
+    def test_no_parent_thread_beyond_the_executors(self, mode):
+        plain = _threads_during_pool()
+        if mode == "traced":
+            telemetry.enable()
+        else:
+            progress_mod.enable(stream=io.StringIO())
+        try:
+            assert _threads_during_pool() == plain
+        finally:
+            telemetry.disable()
+            telemetry.reset_metrics()
+            progress_mod.disable()
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +410,6 @@ class TestProgress:
         finally:
             progress_mod.disable()
         assert not progress_mod.is_enabled()
-
-    def test_update_is_monotonic(self, monkeypatch):
-        monkeypatch.setattr(progress_mod, "RENDER_INTERVAL_S", 0.0)
-        stream = io.StringIO()
-        progress_mod.enable(stream=stream)
-        try:
-            progress_mod.begin("s", total=10)
-            progress_mod.update("s", done=5, total=10, workers=2, stalled=0)
-            progress_mod.update("s", done=3, total=10, workers=2, stalled=0)
-            # A stale heartbeat sum must not roll the display backwards.
-            assert "5/10" in stream.getvalue().replace(" ", "")
-        finally:
-            progress_mod.disable()
 
     def test_begin_resets_between_repeated_stages(self, monkeypatch):
         monkeypatch.setattr(progress_mod, "RENDER_INTERVAL_S", 0.0)
