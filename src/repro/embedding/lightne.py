@@ -193,29 +193,34 @@ def _lightne_body(ctx: PipelineContext):
         aggregator=params.aggregator, workers=params.workers,
         backend=params.backend, batch_size=params.batch_size,
     )
+    # Each stage holds only its live set: keep the bookkeeping `ctx.info`
+    # reports, and drop every array as soon as the next stage's input exists.
+    nnz, num_draws, stats = sparsifier.nnz, sparsifier.num_draws, sparsifier.stats
     logger.debug(
         "lightne: sparsifier nnz=%d from %d draws (%.1f%% of draws kept "
-        "distinct)", sparsifier.nnz, sparsifier.num_draws,
-        100.0 * sparsifier.nnz / max(1, sparsifier.num_draws),
+        "distinct)", nnz, num_draws, 100.0 * nnz / max(1, num_draws),
     )
     with telemetry.stage("svd", rank=params.dimension):
         matrix = sparsifier_to_netmf_matrix(
             graph, sparsifier, negative_samples=params.negative_samples
         )
+        del sparsifier  # the count matrix
         health.checkpoint("svd.netmf_matrix", matrix)
         # The trunc-log NetMF matrix is symmetric by construction: the
         # rSVD runs its Aᵀ· passes on the row-blocked CSR kernel and the
         # single-pass backend gets both sketched products from one pass.
-        u, sigma, _ = factorize(
+        # Vᵀ is never bound.
+        u, sigma = factorize(
             matrix, params.dimension, factorizer=params.factorizer,
             seed=ctx.rng, precision=params.precision,
             workers=params.workers, symmetric=True,
-        )
+        )[:2]
         vectors = embedding_from_svd(u, sigma)
+        del matrix, u  # propagation needs only `vectors` and the graph
         health.checkpoint("svd", vectors)
     if params.propagate:
         with telemetry.stage("propagation", order=params.propagation_order):
-            # Out-of-core mode spills the filter's ping-pong buffers to
+            # Out-of-core mode spills the filter's four n×d buffers to
             # unlinked temp-file memmaps (bit-transparent; see
             # chebyshev_gaussian_filter).
             offload_dir = (
@@ -232,23 +237,23 @@ def _lightne_body(ctx: PipelineContext):
                 offload_dir=offload_dir,
             )
         health.checkpoint("propagation", vectors)
-    ctx.span.set_attribute("sparsifier_nnz", sparsifier.nnz)
+    ctx.span.set_attribute("sparsifier_nnz", nnz)
     ctx.info.update(
         {
             "window": params.window,
             "sample_multiplier": params.sample_multiplier,
-            "num_draws": sparsifier.num_draws,
+            "num_draws": num_draws,
             "sparsifier": params.sparsifier,
-            "sparsifier_nnz": sparsifier.nnz,
+            "sparsifier_nnz": nnz,
             "downsample": params.downsample,
             "propagated": params.propagate,
             "precision": params.precision,
             "factorizer": params.factorizer,
             "backend": params.backend,
-            "workers": int(sparsifier.stats.get("workers", 1)),
-            "sparsifier_batches": int(sparsifier.stats.get("batches", 0)),
-            "samples_per_sec": float(sparsifier.stats.get("samples_per_sec", 0.0)),
-            "peak_table_bytes": int(sparsifier.stats.get("peak_table_bytes", 0)),
+            "workers": int(stats.get("workers", 1)),
+            "sparsifier_batches": int(stats.get("batches", 0)),
+            "samples_per_sec": float(stats.get("samples_per_sec", 0.0)),
+            "peak_table_bytes": int(stats.get("peak_table_bytes", 0)),
         }
     )
     return vectors

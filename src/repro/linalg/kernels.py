@@ -7,9 +7,11 @@ tall-skinny layer of the library: float64 and float32 pipelines call the same
 functions and differ in dtype only.
 
 * :func:`spmm` — the one threaded row-blocked sparse @ dense product, in RAM
-  and out of core alike.  Contiguous row blocks of the CSR operator are
-  dispatched onto the shared thread pool
-  (:func:`repro.utils.parallel.parallel_map`); each block calls scipy's
+  and out of core alike.  Contiguous row blocks of the CSR operator — one
+  per worker at equal shares of its stored entries
+  (:func:`balanced_row_ranges`), or more, of equal row counts, when ``out``
+  is too large for that many blocks — are dispatched onto the shared thread
+  pool (:func:`repro.utils.parallel.parallel_map`); each block calls scipy's
   compiled ``csr_matvecs`` kernel, which releases the GIL, writing into a
   disjoint slice of one preallocated output — an ndarray or an
   ``np.memmap``, whose finished blocks leave the resident set at once.
@@ -19,6 +21,11 @@ functions and differ in dtype only.
   ``Aᵀ`` side of Algorithm 3 on a non-symmetric matrix) are parallelized
   over column chunks of the dense block instead, which preserves the same
   per-column accumulation order and hence the same bit-identity.
+* :func:`spmm_fused` — the same CSR product handed to the caller's
+  epilogue one cache-sized row sub-block at a time from per-worker scratch,
+  so it never exists whole; the Chebyshev filter applies each term's update
+  there.  It calls the compiled kernel through the same helper as
+  :func:`spmm`, with the same bits and the same counters.
 * :func:`resolve_precision` — the dtype policy mirroring MKL's ``s``/``d``
   routine split: ``"single"`` casts the operator and sketch once and keeps
   the whole pipeline in float32; ``"double"`` is numpy's default.
@@ -55,10 +62,11 @@ Gram matrix's extreme eigenvalues:
 * the input is untouched unless the caller passes ``overwrite=True``, in
   which case the result lives in the input's memory.
 
-Telemetry: each :func:`spmm` call bumps the ``spmm.calls`` / ``spmm.flops``
-/ ``spmm.bytes`` counters, sets the ``spmm.gflops`` gauge to the call's
-achieved rate and feeds the per-block ``spmm.block_seconds`` histogram
-(all no-ops until :func:`repro.telemetry.enable`).
+Telemetry: each :func:`spmm` or :func:`spmm_fused` call bumps the
+``spmm.calls`` / ``spmm.flops`` / ``spmm.bytes`` counters, sets the
+``spmm.gflops`` gauge to the call's achieved rate and feeds the per-block
+(per worker range, for a fused call) ``spmm.block_seconds`` histogram (all
+no-ops until :func:`repro.telemetry.enable`).
 """
 
 from __future__ import annotations
@@ -128,22 +136,39 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def _csr_rows_kernel(
+def balanced_row_ranges(indptr: np.ndarray, parts: int) -> list:
+    """Cut a CSR operator's rows into at most ``parts`` contiguous ranges
+    carrying equal shares of its stored entries.
+
+    The cuts are ``searchsorted(indptr, k·nnz/parts)``, so a range ends at
+    the first row boundary past its share; ranges that come out empty (one
+    row heavier than a share) are dropped.  An operator without entries is
+    cut into equal row counts instead.  Each row keeps its own accumulation
+    order whatever the cut, so no product result depends on it.
+    """
+    rows = indptr.size - 1
+    nnz = int(indptr[-1]) - int(indptr[0]) if rows > 0 else 0
+    if parts <= 1 or nnz == 0:
+        return chunk_ranges(rows, parts)
+    shares = int(indptr[0]) + nnz * np.arange(1, parts, dtype=np.int64) // parts
+    cuts = np.searchsorted(indptr, shares)
+    bounds = np.unique(np.concatenate(([0], np.clip(cuts, 0, rows), [rows])))
+    return [(int(r0), int(r1)) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+
+def _csr_product(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     dense: np.ndarray,
-    out: np.ndarray,
+    segment: np.ndarray,
     r0: int,
     r1: int,
-    timed: bool,
 ) -> None:
-    """``out[r0:r1] = A[r0:r1] @ dense`` without copying the block's entries,
-    written straight into ``out`` (whose pages are released if file-backed)."""
-    start = time.perf_counter() if timed else 0.0
+    """``segment = A[r0:r1] @ dense`` without copying the rows' entries —
+    the one call site of the compiled ``csr_matvecs`` kernel."""
     ptr = indptr[r0 : r1 + 1]
     lo, hi = int(ptr[0]), int(ptr[-1])
-    segment = out[r0:r1]
     segment[...] = 0
     if _CSR_MATVECS is not None and data.dtype in _BLAS_DTYPES:
         _CSR_MATVECS(
@@ -163,6 +188,22 @@ def _csr_rows_kernel(
             copy=False,
         )
         segment[...] = block @ dense
+
+
+def _csr_rows_kernel(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    dense: np.ndarray,
+    out: np.ndarray,
+    r0: int,
+    r1: int,
+    timed: bool,
+) -> None:
+    """``out[r0:r1] = A[r0:r1] @ dense``, written straight into ``out``
+    (whose pages are released if file-backed)."""
+    start = time.perf_counter() if timed else 0.0
+    _csr_product(indptr, indices, data, dense, out[r0:r1], r0, r1)
     release_pages(out, r0, r1)  # rows [r0, r1) are final
     if timed:
         telemetry.histogram("spmm.block_seconds").observe(
@@ -192,6 +233,37 @@ def _csc_cols_kernel(
 # enough to coexist with memmapped operands, large enough that block dispatch
 # overhead is negligible).
 SPMM_WORKSPACE_BYTES = 64 * 1024 * 1024
+
+# Bytes of one scratch sub-block of :func:`spmm_fused` (two per worker): small
+# enough that the product and its epilogue's operands stay in a core's L2.
+FUSED_BLOCK_BYTES = 256 * 1024
+
+
+def _csr_row_ranges(matrix, out_nbytes: int, workers: int) -> list:
+    """Row blocks of a CSR product: equal row counts when the byte bound on
+    ``out`` asks for more blocks than there are workers (a bound on rows),
+    otherwise one block per worker at equal nnz shares (a bound on work)."""
+    blocks = -(-out_nbytes // SPMM_WORKSPACE_BYTES)
+    if blocks > workers:
+        return chunk_ranges(matrix.shape[0], blocks)
+    return balanced_row_ranges(matrix.indptr, workers)
+
+
+def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int, elapsed: float) -> None:
+    """One product's ``spmm.*`` counters and ``spmm.gflops`` gauge."""
+    elapsed = max(elapsed, 1e-12)
+    flops = 2.0 * int(matrix.nnz) * dense.shape[1]
+    moved = (
+        matrix.data.nbytes
+        + matrix.indices.nbytes
+        + matrix.indptr.nbytes
+        + dense.nbytes
+        + out_nbytes
+    )
+    telemetry.counter("spmm.calls").inc()
+    telemetry.counter("spmm.flops").inc(flops)
+    telemetry.counter("spmm.bytes").inc(moved)
+    telemetry.gauge("spmm.gflops").set(flops / elapsed / 1e9)
 
 
 def spmm(
@@ -223,10 +295,11 @@ def spmm(
         Thread count; ``None`` resolves to
         :func:`repro.utils.parallel.default_workers`.  The result is
         **bit-identical for every value** — CSR operators are split into
-        ``max(workers, ⌈out.nbytes / SPMM_WORKSPACE_BYTES⌉)`` contiguous row
-        blocks (each output row's accumulation order is unchanged), CSC
-        operators into dense column blocks (each output column is computed
-        by the same compiled loop as the serial product).
+        one contiguous row block per worker at equal nnz shares, or into
+        ``⌈out.nbytes / SPMM_WORKSPACE_BYTES⌉`` blocks of equal row counts
+        when that is more (each output row's accumulation order is
+        unchanged), CSC operators into dense column blocks (each output
+        column is computed by the same compiled loop as the serial product).
     """
     workers = _resolve_workers(workers)
     dense = np.asarray(dense)
@@ -287,10 +360,9 @@ def spmm(
         ]
     else:
         kernel = _csr_rows_kernel
-        blocks = max(workers, -(-out.nbytes // SPMM_WORKSPACE_BYTES))
         tasks = [
             (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1, timed)
-            for r0, r1 in chunk_ranges(rows, blocks)
+            for r0, r1 in _csr_row_ranges(matrix, out.nbytes, workers)
         ]
     if len(tasks) == 1:
         kernel(*tasks[0])
@@ -298,21 +370,79 @@ def spmm(
         parallel_map(kernel, tasks, workers=workers)
 
     if timed:
-        elapsed = max(time.perf_counter() - start, 1e-12)
-        nnz = int(matrix.nnz)
-        flops = 2.0 * nnz * cols
-        moved = (
-            matrix.data.nbytes
-            + matrix.indices.nbytes
-            + matrix.indptr.nbytes
-            + dense.nbytes
-            + out.nbytes
-        )
-        telemetry.counter("spmm.calls").inc()
-        telemetry.counter("spmm.flops").inc(flops)
-        telemetry.counter("spmm.bytes").inc(moved)
-        telemetry.gauge("spmm.gflops").set(flops / elapsed / 1e9)
+        _count_spmm(matrix, dense, out.nbytes, time.perf_counter() - start)
     return out[:, 0] if squeeze else out
+
+
+def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int, timed: bool) -> None:
+    """One worker's rows of :func:`spmm_fused`, one scratch sub-block at a time."""
+    start = time.perf_counter() if timed else 0.0
+    cols = dense.shape[1]
+    row_bytes = max(1, cols * dense.itemsize)
+    budget = min(FUSED_BLOCK_BYTES, SPMM_WORKSPACE_BYTES)
+    height = min(r1 - r0, max(1, budget // row_bytes))
+    product = np.empty((height, cols), dtype=dense.dtype)
+    scratch = np.empty_like(product)
+    for s0 in range(r0, r1, height):
+        s1 = min(r1, s0 + height)
+        rows = s1 - s0
+        _csr_product(
+            matrix.indptr, matrix.indices, matrix.data, dense, product[:rows], s0, s1
+        )
+        epilogue(s0, s1, product[:rows], scratch[:rows])
+    if timed:
+        telemetry.histogram("spmm.block_seconds").observe(
+            time.perf_counter() - start
+        )
+
+
+def spmm_fused(
+    matrix: sp.csr_matrix,
+    dense: np.ndarray,
+    epilogue,
+    *,
+    workers: Optional[int] = 1,
+) -> None:
+    """``matrix @ dense`` handed to ``epilogue`` one row sub-block at a time,
+    never materialized whole.
+
+    ``matrix`` is CSR of ``dense``'s dtype and ``dense`` a C-contiguous
+    ``(k, c)`` block.  The rows are cut into one range per worker at equal
+    nnz shares (:func:`balanced_row_ranges`); each worker owns two
+    ``FUSED_BLOCK_BYTES`` scratch blocks and, for every sub-block
+    ``[r0, r1)`` of its range, writes ``matrix[r0:r1] @ dense`` into the
+    first and calls ``epilogue(r0, r1, product, scratch)`` — ``scratch`` is
+    the second block, of the same shape, for the epilogue's temporaries.
+    Sub-blocks of different workers run concurrently, so the epilogue may
+    write only rows ``[r0, r1)`` of its outputs and must not write
+    ``dense``.  Every product row is accumulated by the same compiled loop
+    as in :func:`spmm`, so it has the same bits at every worker count, and
+    the call is counted as one :func:`spmm` with the same flops and bytes.
+    """
+    workers = _resolve_workers(workers)
+    if (
+        getattr(matrix, "format", None) != "csr"
+        or dense.ndim != 2
+        or matrix.shape[1] != dense.shape[0]
+        or matrix.dtype != dense.dtype
+    ):
+        raise FactorizationError(
+            f"spmm_fused operands mismatch: {matrix.shape} {matrix.dtype} @ "
+            f"{dense.shape} {dense.dtype}"
+        )
+    timed = telemetry.is_enabled()
+    start = time.perf_counter() if timed else 0.0
+    tasks = [
+        (matrix, dense, epilogue, r0, r1, timed)
+        for r0, r1 in balanced_row_ranges(matrix.indptr, workers)
+    ]
+    if len(tasks) == 1:
+        _fused_rows_kernel(*tasks[0])
+    elif tasks:
+        parallel_map(_fused_rows_kernel, tasks, workers=workers)
+    if timed:
+        out_nbytes = matrix.shape[0] * dense.shape[1] * dense.itemsize
+        _count_spmm(matrix, dense, out_nbytes, time.perf_counter() - start)
 
 
 def release_pages(

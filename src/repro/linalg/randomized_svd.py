@@ -28,9 +28,13 @@ orthonormalizations (lines 3/6) are in-place CholeskyQR2
 fallback); the ``sketch×sketch`` reduction (line 7) accumulates in float64.
 The call owns two sketch-wide buffers — ``rows × l`` and ``cols × l`` — and
 ping-pongs them through ``spmm(out=)`` and the in-place orthonormalization,
-so the passes allocate nothing.  ``symmetric=True`` (every NetMF-style
-matrix) runs the three ``Aᵀ·`` passes as ``A·`` on the row-blocked CSR
-kernel instead of the column-chunked CSC path over ``A.T``.
+so the passes allocate nothing; the ``rows × l`` one is released as soon as
+``Zᵀ B`` exists, before the two map-back GEMMs.  Beside the operator the call
+therefore peaks at the larger of the ``B·P`` step, ``(2·rows + cols)·l``
+elements, and the map-back, ``(rows + cols)·(l + d)``, for rank ``d``.
+``symmetric=True`` (every NetMF-style matrix) runs the three ``Aᵀ·`` passes
+as ``A·`` on the row-blocked CSR kernel instead of the column-chunked CSC
+path over ``A.T``.
 ``precision="single"`` mirrors MKL's ``s``-routines — the operator and every
 sketch block are cast to float32 once — and changes nothing else.
 """
@@ -201,6 +205,7 @@ def randomized_svd(
         # Lines 7-8: small SVD of C = Zᵀ B; the big-n reduction accumulates
         # in float64 and the small SVD runs in float64 on both precisions.
         u_small, sigma, vt_small = np.linalg.svd(gram(z, b), full_matrices=False)
+        del b, tall  # the sketch block is dead before the two map-back GEMMs
         # Line 9: map back. Columns of (Z U) approximate left singular
         # vectors of A restricted to range(Y); right vectors are Y V.
         u = z @ u_small[:, :rank].astype(z.dtype, copy=False)

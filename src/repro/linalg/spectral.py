@@ -15,13 +15,16 @@ The filtered signal is re-orthogonalized to ``U_d Σ_d^{1/2}`` as in ProNE's
 
 Every matrix product here is an SPMM between a sparse ``n × n`` operator and
 the dense ``n × d`` embedding — the operation the paper offloads to MKL
-Sparse BLAS.  They all run through :func:`repro.linalg.kernels.spmm`:
-``workers`` threads them over row blocks (bit-identical at every width), the
-Bessel coefficients are precomputed as one vector, the recurrence ping-pongs
-a fixed set of ``lx0``/``lx1``/``lx2`` buffers with in-place axpy updates
-(no per-term temporaries), and the row-normalized propagation operator
-``D⁻¹(A + I)`` is cached on the flat graph object (``graph.flat()``) keyed by
-dtype so repeated propagation calls do not rebuild it.
+Sparse BLAS.  They all run through :mod:`repro.linalg.kernels`: ``workers``
+threads them over nnz-balanced row ranges (bit-identical at every width),
+the Bessel coefficients are precomputed as one vector, and the recurrence
+holds four ``n×d`` buffers whatever the order — each term's second product
+is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as its
+epilogue, so it never exists whole and ``lx2`` overwrites the retiring
+``lx0``.  The modulated operator is built one row block at a time, and the
+row-normalized propagation operator ``D⁻¹(A + I)`` is cached on the flat
+graph object (``graph.flat()``) keyed by dtype so repeated propagation calls
+do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
@@ -106,42 +109,58 @@ def propagation_operator(graph: GraphLike, dtype=np.float64) -> sp.csr_matrix:
     return cache[key]
 
 
+# Stored entries per row block of :func:`_modulated_operator`'s build: its
+# transient is a few arrays of this length, whatever the operator's nnz.
+OPERATOR_BLOCK_NNZ = 1 << 16
+
+
 def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:
-    """``(I - da) - μI`` built in one pass over ``da``'s entries.
+    """``(I - da) - μI`` built one row block at a time from ``da``'s entries.
 
     ``A + I`` guarantees an explicit diagonal entry in every row of ``da``,
-    so the modulated operator has exactly ``da``'s sparsity pattern:
-    off-diagonal entries are ``-da_uv`` and diagonal entries are
-    ``(1 - da_uu) - μ``, with that association.  Within each row the
-    diagonal entry is moved to the front and the rest keep ``da``'s stored
-    order — the first-occurrence merge order scipy's sparse subtraction
-    produces for ``eye - da`` — so SPMM accumulation order, and hence every
-    downstream bit, matches the historical two-``sp.eye`` construction
-    without allocating any identity matrices.
+    so the modulated operator has exactly ``da``'s sparsity pattern (and
+    shares its ``indptr``): off-diagonal entries are ``-da_uv`` and diagonal
+    entries are ``(1 - da_uu) - μ``, with that association.  Within each row
+    the diagonal entry is moved to the front and the rest keep ``da``'s
+    stored order — the first-occurrence merge order scipy's sparse
+    subtraction produces for ``eye - da`` — so SPMM accumulation order, and
+    hence every downstream bit, matches the historical two-``sp.eye``
+    construction without allocating any identity matrices.  The output's
+    ``data``/``indices`` are allocated once and filled block by block
+    (about :data:`OPERATOR_BLOCK_NNZ` entries each), so the build's
+    transient does not grow with nnz.
     """
     n = da.shape[0]
-    nnz = da.nnz
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(da.indptr))
-    diagonal = da.indices == rows
-    if int(diagonal.sum()) != n:
-        # A row without an explicit diagonal entry (degenerate operator):
-        # fall back to the structure-changing sparse arithmetic.
-        eye = sp.eye(n, format="csr", dtype=da.dtype)
-        return ((eye - da) - mu * eye).tocsr()
-    data = np.negative(da.data)
+    indptr = da.indptr
+    data = np.empty_like(da.data)
+    indices = np.empty_like(da.indices)
     one = np.asarray(1.0, dtype=da.dtype)
-    data[diagonal] = (one - da.data[diagonal]) - np.asarray(mu, dtype=da.dtype)
-    # Permutation: each row's diagonal entry first, the others in order.
-    positions = np.arange(nnz, dtype=np.int64)
-    starts = da.indptr[:-1].astype(np.int64)
-    perm = np.empty(nnz, dtype=np.int64)
-    perm[starts] = positions[diagonal]
-    slot_mask = np.ones(nnz, dtype=bool)
-    slot_mask[starts] = False
-    perm[positions[slot_mask]] = positions[~diagonal]
-    return sp.csr_matrix(
-        (data[perm], da.indices[perm], da.indptr), shape=da.shape, copy=False
-    )
+    shift = np.asarray(mu, dtype=da.dtype)
+    parts = max(1, -(-da.nnz // OPERATOR_BLOCK_NNZ))
+    for r0, r1 in kernels.balanced_row_ranges(indptr, parts):
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        rows = np.repeat(
+            np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0 : r1 + 1])
+        )
+        columns = da.indices[lo:hi]
+        values = da.data[lo:hi]
+        diagonal = columns == rows
+        if not np.array_equal(rows[diagonal], np.arange(r0, r1)):
+            # A row without exactly one explicit diagonal entry (degenerate
+            # operator): fall back to the structure-changing arithmetic.
+            eye = sp.eye(n, format="csr", dtype=da.dtype)
+            return ((eye - da) - mu * eye).tocsr()
+        # Each row's diagonal entry first, the others in stored order.
+        starts = indptr[r0:r1] - lo
+        rest = np.ones(hi - lo, dtype=bool)
+        rest[starts] = False
+        block_data, block_indices = data[lo:hi], indices[lo:hi]
+        block_data[starts] = (one - values[diagonal]) - shift
+        block_indices[starts] = np.arange(r0, r1, dtype=indices.dtype)
+        off = ~diagonal
+        block_data[rest] = np.negative(values[off])
+        block_indices[rest] = columns[off]
+    return sp.csr_matrix((data, indices, indptr), shape=da.shape, copy=False)
 
 
 def chebyshev_gaussian_filter(
@@ -173,13 +192,12 @@ def chebyshev_gaussian_filter(
     workers:
         Thread count for the SPMMs (bit-identical at every width).
     offload_dir:
-        When set (the out-of-core mode), the recurrence's ``n×d``
-        ping-pong buffers are unlinked temp-file memmaps under this
-        directory instead of anonymous arrays.  Nothing else changes: the
-        same :func:`repro.linalg.kernels.spmm` calls and the same
-        element-wise sweeps run on them, releasing each finished row block,
-        so the filter's resident set stays roughly one block per buffer
-        plus the input — with bit-identical output.
+        When set (the out-of-core mode), the recurrence's four ``n×d``
+        buffers are unlinked temp-file memmaps under this directory instead
+        of anonymous arrays.  Nothing else changes: the same products and
+        updates run on them, releasing each finished row block, so the
+        filter's resident set stays roughly one block per buffer plus the
+        input — with bit-identical output.
 
     Returns
     -------
@@ -216,24 +234,27 @@ def chebyshev_gaussian_filter(
             return np.empty_like(x)
         return _offload_buffer(x.shape, x.dtype, offload_dir)
 
-    # The element-wise updates sweep row blocks of the SPMM's own byte bound
-    # (one block in RAM at any size run so far) and release each finished
-    # block: they fault every page of their operands in, so unblocked they
-    # would be the residency hot spot.  Element-wise ops have no cross-row
-    # interaction, so the block height never changes a bit.
+    # The first term's and the final hop's element-wise updates sweep row
+    # blocks of the SPMM's own byte bound (one block in RAM at any size run
+    # so far) and release each finished block: they fault every page of
+    # their operands in, so unblocked they would be the residency hot spot.
+    # Element-wise ops have no cross-row interaction, so the block height
+    # never changes a bit.
     n, row_bytes = x.shape[0], max(1, x.shape[1] * x.itemsize)
     height = max(1, kernels.SPMM_WORKSPACE_BYTES // row_bytes)
     blocks = [(r0, min(n, r0 + height)) for r0 in range(0, n, height)]
 
-    # Chebyshev recurrence (ProNE's exact update rule) on ping-pong buffers:
-    # lx0/lx1 hold the last two Chebyshev terms, `spare` receives the next
-    # one, `work` holds SPMM/axpy intermediates.  Apart from the first two
-    # terms, no n×d arrays are allocated inside the loop.
+    # Chebyshev recurrence (ProNE's exact update rule) on four n×d buffers:
+    # lx0/lx1 hold the last two Chebyshev terms, `conv` the running sum and
+    # `work` the first product of each term.  The second product of a term
+    # never exists whole: `spmm_fused` hands it over one sub-block at a time
+    # and the update writes lx2 over the retiring lx0 (only the first such
+    # term, where lx0 is the caller's `x`, needs a buffer of its own).
     from repro.telemetry import progress as progress_mod
 
     progress_mod.begin("propagation", total=order - 1)
     with telemetry.span("propagation.chebyshev_term", term=0):
-        lx0 = x  # read-only alias; replaced by a real buffer at the first swap
+        lx0 = x  # read-only alias, never written
         work = spmm(modulated, x, out=allocate(), workers=workers)
         lx1 = spmm(modulated, work, out=allocate(), workers=workers)
         conv = allocate()
@@ -247,28 +268,20 @@ def chebyshev_gaussian_filter(
             _release_rows(r0, r1, lx1, work, conv)
     progress_mod.task_completed("propagation")
     sign = 1.0
-    spare: Optional[np.ndarray] = None
     for i in range(2, order):
         with telemetry.span("propagation.chebyshev_term", term=i) as span:
-            if spare is None:
-                spare = allocate()
-            spmm(modulated, lx1, out=work, workers=workers)    # work = M lx1
-            spmm(modulated, work, out=spare, workers=workers)  # spare = M²lx1
+            lx2 = allocate() if lx0 is x else lx0
             scale = sign * 2.0 * float(coefficients[i])
-            for r0, r1 in blocks:
-                np.multiply(lx1[r0:r1], 2.0, out=work[r0:r1])
-                np.subtract(spare[r0:r1], work[r0:r1], out=spare[r0:r1])
-                np.subtract(spare[r0:r1], lx0[r0:r1], out=spare[r0:r1])  # = lx2
-                np.multiply(spare[r0:r1], scale, out=work[r0:r1])
-                np.add(conv[r0:r1], work[r0:r1], out=conv[r0:r1])
-                _release_rows(r0, r1, lx0, lx1, spare, work, conv)
+            spmm(modulated, lx1, out=work, workers=workers)  # work = M lx1
+            kernels.spmm_fused(
+                modulated, work,
+                _term_update(lx0, lx1, lx2, conv, scale), workers=workers,
+            )
+            # The second product gathered arbitrary rows of `work`, which the
+            # next term overwrites whole.
+            release_pages(work)
             sign = -sign
-            released = lx0
-            lx0, lx1, spare = lx1, spare, (None if released is x else released)
-            # The rotated-out buffer is fully overwritten next iteration;
-            # its pages can leave the resident set right now.
-            if spare is not None:
-                release_pages(spare)
+            lx0, lx1 = lx1, lx2
         elapsed = getattr(span, "duration", None)
         if elapsed is not None:
             telemetry.histogram("propagation.term_seconds").observe(elapsed)
@@ -277,11 +290,27 @@ def chebyshev_gaussian_filter(
     for r0, r1 in blocks:
         np.subtract(x[r0:r1], conv[r0:r1], out=conv[r0:r1])
         release_pages(conv, r0, r1)
-    if lx1 is not x:
-        release_pages(lx1)
-    if spare is not None:
-        release_pages(spare)
+    for buffer in (lx0, lx1):
+        if buffer is not x:
+            release_pages(buffer)
     return spmm(da, conv, out=work, workers=workers)
+
+
+def _term_update(lx0, lx1, lx2, conv, scale: float):
+    """The epilogue of a term's second product ``M·work``, per sub-block:
+    ``lx2 = (M·work − 2·lx1) − lx0`` and ``conv += scale·lx2`` — the same
+    ufuncs in the same order as the whole-array update, so the same bits.
+    ``lx2`` may be ``lx0``'s own buffer: each row is read before written."""
+
+    def update(r0, r1, product, scratch):
+        np.multiply(lx1[r0:r1], 2.0, out=scratch)
+        np.subtract(product, scratch, out=product)
+        np.subtract(product, lx0[r0:r1], out=lx2[r0:r1])
+        np.multiply(lx2[r0:r1], scale, out=scratch)
+        np.add(conv[r0:r1], scratch, out=conv[r0:r1])
+        _release_rows(r0, r1, lx0, lx1, lx2, conv)
+
+    return update
 
 
 def rescale_embedding(

@@ -10,7 +10,10 @@ blocks a loop cuts it into never change a bit:
   non-contiguous mapping is never ``madvise``-d;
 * the offloaded Chebyshev filter equals the in-RAM one at many blocks as it
   does at one, hands no memmap to its caller and leaves its directory empty;
-* the single-pass factors do not depend on the row-block count either.
+* the single-pass factors do not depend on the row-block count either;
+* CSR work is cut at equal nnz shares (``balanced_row_ranges``), and
+  ``spmm_fused`` hands its epilogue exactly ``matrix @ dense``, sub-block by
+  sub-block, at every worker count, counted as one ``spmm``.
 
 The block count is driven by monkeypatching
 ``repro.linalg.kernels.SPMM_WORKSPACE_BYTES`` — there is no argument for it.
@@ -28,10 +31,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import FactorizationError
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.linalg import kernels, spectral
-from repro.linalg.kernels import release_pages, spmm
+from repro.linalg.kernels import balanced_row_ranges, release_pages, spmm, spmm_fused
 from repro.linalg.single_pass import single_pass_svd
 from repro.linalg.spectral import spectral_propagation
 from tests.test_out_of_core import _MadviseRecorder
@@ -111,6 +115,97 @@ class TestSpmmEqualsTheSerialProduct:
                     np.testing.assert_array_equal(np.asarray(got), reference)
                     if out is not None:  # the product landed in the caller's buffer
                         np.testing.assert_array_equal(np.asarray(out), reference)
+
+
+class TestBalancedRowRanges:
+    @settings(max_examples=50, deadline=None)
+    @given(operands=_operands(), parts=st.integers(1, 6))
+    def test_contiguous_cover_at_equal_nnz_shares(self, operands, parts):
+        matrix, _ = operands
+        indptr, rows = matrix.indptr, matrix.shape[0]
+        ranges = balanced_row_ranges(indptr, parts)
+        assert len(ranges) <= parts
+        if rows == 0:
+            assert ranges == []
+            return
+        bounds = [r0 for r0, _ in ranges] + [ranges[-1][1]]
+        assert bounds[0] == 0 and bounds[-1] == rows
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        if matrix.nnz:
+            share = -(-matrix.nnz // parts)
+            heaviest = int(np.diff(indptr).max())
+            for r0, r1 in ranges:
+                assert indptr[r1] - indptr[r0] <= share + heaviest
+
+    def test_skewed_rows_split_by_entries(self):
+        """R-MAT puts most edges on low ids: equal row counts are unequal
+        work, equal nnz shares are not."""
+        indptr = np.asarray(rmat_graph(12, 6, seed=1).offsets)
+        nnz, rows = int(indptr[-1]), indptr.size - 1
+        assert indptr[rows // 2] > 0.6 * nnz
+        (a0, a1), (b0, b1) = balanced_row_ranges(indptr, 2)
+        heaviest = int(np.diff(indptr).max())
+        assert abs((indptr[a1] - indptr[a0]) - (indptr[b1] - indptr[b0])) <= 2 * heaviest
+
+
+class TestFusedProduct:
+    @settings(max_examples=30, deadline=None)
+    @given(operands=_operands())
+    def test_hands_out_the_serial_product_block_by_block(self, operands):
+        matrix, dense = operands
+        if dense.ndim == 1:
+            dense = dense[:, None]
+        reference = matrix @ dense
+        row_bytes = max(1, reference[:1].nbytes)
+        for block_rows in BLOCK_ROWS:
+            nbytes = None if block_rows is None else block_rows * row_bytes
+            for workers in WORKERS:
+                got = np.full(reference.shape, np.nan, dtype=reference.dtype)
+                blocks = []
+
+                def epilogue(r0, r1, product, scratch):
+                    assert product.shape == scratch.shape == (r1 - r0, got.shape[1])
+                    got[r0:r1] = product
+                    blocks.append((r0, r1))
+
+                with _workspace(nbytes):
+                    spmm_fused(matrix, dense, epilogue, workers=workers)
+                np.testing.assert_array_equal(got, reference)
+                blocks.sort()
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                if block_rows is not None:
+                    assert all(r1 - r0 <= block_rows for r0, r1 in blocks)
+
+    def test_counted_as_one_spmm(self):
+        matrix = sp.random(60, 40, density=0.2, random_state=1, format="csr")
+        dense = np.random.default_rng(0).standard_normal((40, 6))
+
+        def spmm_counters(run):
+            telemetry.enable()
+            telemetry.reset_metrics()
+            try:
+                run()
+                counters = telemetry.get_metrics().snapshot()["counters"]
+            finally:
+                telemetry.disable()
+                telemetry.reset_metrics()
+            return {k: v for k, v in counters.items() if k.startswith("spmm.")}
+
+        fused = spmm_counters(
+            lambda: spmm_fused(matrix, dense, lambda *block: None, workers=2)
+        )
+        plain = spmm_counters(lambda: spmm(matrix, dense, workers=2))
+        assert fused == plain and fused["spmm.calls"] == 1
+
+    def test_rejects_a_non_csr_or_mismatched_operand(self):
+        matrix = sp.random(5, 4, density=0.5, random_state=0, format="csr")
+        for operator, dense in (
+            (matrix.tocsc(), np.ones((4, 2))),
+            (matrix, np.ones((4, 2), dtype=np.float32)),
+            (matrix, np.ones(4)),
+        ):
+            with pytest.raises(FactorizationError):
+                spmm_fused(operator, dense, lambda *block: None)
 
 
 @pytest.mark.skipif(

@@ -1,0 +1,126 @@
+"""Live-set contract of the dense stages.
+
+A dense stage holds what it still needs and nothing else, and the
+temporaries it builds are bounded by a block, not by the operator:
+
+* with the propagation operator cached, the Chebyshev filter's
+  ``tracemalloc`` peak above its input is at most the modulated operator,
+  four ``n×d`` buffers and the fused product's scratch sub-blocks — at one
+  worker and at two;
+* building the modulated operator costs about one row block above its
+  output, whatever the operator's nnz;
+* when ``lightne_embedding`` enters propagation, the count matrix, the NetMF
+  matrix and the factors ``U`` / ``Vᵀ`` are gone, with health digests
+  recorded or not.
+
+``tracemalloc`` counts the arrays the code holds, not the heap the allocator
+keeps (``VmData``, which ``benchmarks/perf`` reports).
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import repro.embedding.lightne as lightne_mod
+from repro.embedding.lightne import LightNEParams, lightne_embedding
+from repro.graph.generators import dcsbm_graph
+from repro.linalg import kernels, spectral
+from repro.linalg.spectral import chebyshev_gaussian_filter, propagation_operator
+from repro.telemetry import health
+
+# Python bookkeeping a call may hold at its peak (task tuples, futures, range
+# lists): far below one n×d buffer at these sizes.
+SLACK_BYTES = 256 * 1024
+
+
+def _traced(call):
+    """``call()`` and the peak bytes it allocated above what was live before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _owned_bytes(operator) -> int:
+    """Bytes the modulated operator adds: it shares ``D⁻¹(A+I)``'s indptr."""
+    return operator.data.nbytes + operator.indices.nbytes
+
+
+class TestFilterPeak:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph, _ = dcsbm_graph(8000, 8, avg_degree=10, seed=4)
+        propagation_operator(graph)  # cached, as on every call after the first
+        return graph
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_operator_four_buffers_and_the_scratch(self, graph, workers):
+        x = np.random.default_rng(0).standard_normal((graph.num_vertices, 32))
+        modulated = spectral._modulated_operator(propagation_operator(graph), 0.2)
+        _, peak = _traced(
+            lambda: chebyshev_gaussian_filter(graph, x, order=10, workers=workers)
+        )
+        scratch = 2 * workers * min(kernels.FUSED_BLOCK_BYTES, x.nbytes)
+        bound = _owned_bytes(modulated) + 4 * x.nbytes + scratch + SLACK_BYTES
+        assert peak <= bound, f"peak {peak} B above the live-set bound {bound} B"
+
+
+class TestOperatorBuild:
+    def test_transient_does_not_grow_with_nnz(self, monkeypatch):
+        monkeypatch.setattr(spectral, "OPERATOR_BLOCK_NNZ", 4096)
+        nnz, owned, transient = [], [], []
+        for n in (1_000, 10_000):
+            graph, _ = dcsbm_graph(n, 4, avg_degree=12, seed=1)
+            da = propagation_operator(graph)
+            modulated, peak = _traced(lambda: spectral._modulated_operator(da, 0.2))
+            nnz.append(da.nnz)
+            owned.append(_owned_bytes(modulated))
+            transient.append(peak - owned[-1])
+        assert nnz[1] >= 9 * nnz[0]
+        small, large = transient
+        assert large <= 1.5 * small + 32 * 1024, transient
+        assert large < owned[1] / 8, (transient, owned)
+
+
+class TestDeadInputs:
+    @pytest.mark.parametrize("policy", ["off", "record"])
+    def test_gone_when_propagation_starts(self, monkeypatch, policy):
+        refs = {}
+
+        def spy(name, pick):
+            real = getattr(lightne_mod, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                for key, value in pick(result).items():
+                    refs[key] = weakref.ref(value)
+                return result
+
+            monkeypatch.setattr(lightne_mod, name, wrapper)
+
+        spy("build_sparsifier", lambda result: {"counts": result.counts})
+        spy("sparsifier_to_netmf_matrix", lambda matrix: {"netmf": matrix})
+        spy("factorize", lambda factors: {"U": factors[0], "Vt": factors[2]})
+        alive = {}
+        propagate = lightne_mod.spectral_propagation
+
+        def probe(graph, vectors, **kwargs):
+            alive.update((key, ref() is not None) for key, ref in refs.items())
+            return propagate(graph, vectors, **kwargs)
+
+        monkeypatch.setattr(lightne_mod, "spectral_propagation", probe)
+        graph, _ = dcsbm_graph(300, 4, avg_degree=10, seed=2)
+        with health.policy_scope(policy):
+            lightne_embedding(
+                graph, LightNEParams(dimension=8, window=3, workers=1), seed=0
+            )
+        assert alive == {"counts": False, "netmf": False, "U": False, "Vt": False}

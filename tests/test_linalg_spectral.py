@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FactorizationError
+from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph
+from repro.linalg import spectral
 from repro.linalg.spectral import (
+    _modulated_operator,
     chebyshev_gaussian_filter,
+    propagation_operator,
     rescale_embedding,
     spectral_propagation,
 )
@@ -17,6 +24,91 @@ from repro.linalg.spectral import (
 @pytest.fixture(scope="module")
 def bundle():
     return dcsbm_graph(150, 3, avg_degree=10, mixing=0.1, seed=0)
+
+
+def _historical_modulated(da, mu):
+    """The two-``sp.eye`` construction ``_modulated_operator`` replaced,
+    restated verbatim at ``da``'s dtype."""
+    n = da.shape[0]
+    eye = sp.eye(n, format="csr", dtype=da.dtype)
+    return ((eye - da) - mu * eye).tocsr()
+
+
+@st.composite
+def _graphs(draw):
+    """Small graphs with self-loops, optional weights and trailing isolated
+    vertices (weights bounded away from 0 so no entry rounds away)."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(0, 3 * n))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    sources, targets = draw(ends), draw(ends)
+    weights = draw(st.one_of(
+        st.none(), st.lists(st.floats(0.5, 8.0), min_size=m, max_size=m)
+    ))
+    isolated = draw(st.integers(0, 3))
+    return from_edges(
+        sources, targets, weights, num_vertices=n + isolated,
+        drop_self_loops=False,
+    )
+
+
+def _assert_same_csr(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestModulatedOperator:
+    """The block-by-block build equals the historical sparse arithmetic array
+    for array — entry order included, which fixes every SPMM's accumulation
+    order and so every downstream bit.
+
+    ``μ`` is drawn where ``(1 − da_uu) − μ`` cannot cancel to exactly zero
+    (``1 − da_uu`` is exact for ``da_uu ≥ ½`` and ``1 − μ`` is not a float):
+    the sparse arithmetic drops a cancelled diagonal, the one-pass build has
+    always stored it as ``0.0``.  A float32 operator is a cast, which scipy
+    stores sorted; its sparse arithmetic then merges each row in sorted order,
+    while the build keeps every row's diagonal first — so there the two are
+    compared row-sorted, after checking that order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=_graphs(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        mu=st.sampled_from([0.2, -0.3]),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_equals_the_historical_construction(self, graph, dtype, mu, block):
+        da = propagation_operator(graph, dtype)
+        saved = spectral.OPERATOR_BLOCK_NNZ
+        spectral.OPERATOR_BLOCK_NNZ = saved if block is None else block
+        try:
+            got = _modulated_operator(da, mu)
+        finally:
+            spectral.OPERATOR_BLOCK_NNZ = saved
+        want = _historical_modulated(da, mu)
+        if da.has_canonical_format:
+            np.testing.assert_array_equal(
+                got.indices[got.indptr[:-1]], np.arange(da.shape[0])
+            )
+            got, want = got.copy(), want.copy()
+            got.sort_indices()
+            want.sort_indices()
+        _assert_same_csr(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_without_a_diagonal_takes_the_fallback(self, dtype):
+        # Rows 0 and 2 store their diagonal after an off-diagonal entry, as
+        # the real operator does; row 1 stores none.
+        da = sp.csr_matrix(
+            (
+                np.array([0.5, 0.5, 0.4, 0.6, 0.3, 0.7], dtype=dtype),
+                np.array([1, 0, 0, 2, 2, 1]),
+                np.array([0, 2, 4, 6]),
+            ),
+            shape=(3, 3),
+        )
+        _assert_same_csr(_modulated_operator(da, 0.2), _historical_modulated(da, 0.2))
 
 
 class TestFilter:
