@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import SEED, load
-from repro.graph.compression import compress_graph
+from benchmarks.ligra import compress_graph
 from repro.utils.rng import ensure_rng
 
 BLOCK_SIZES = (4, 16, 64, 256)

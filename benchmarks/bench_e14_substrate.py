@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import SEED, load
+from benchmarks.ligra import compress_graph
 from repro.graph.algorithms import bfs, connected_components, pagerank
-from repro.graph.compression import compress_graph
 from repro.graph.walks import step_random_walk
 from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
 from repro.utils.rng import ensure_rng

@@ -1,4 +1,5 @@
-"""Ligra+ parallel-byte compressed adjacency lists (paper Section 4.1).
+"""Ligra+ parallel-byte compressed adjacency lists (paper Section 4.1) — the
+fixture benchmarks E11 and E14 measure.
 
 The paper compresses CSR neighbor lists with the *parallel-byte* format from
 Ligra+ [28]: a high-degree vertex's neighbors are split into blocks of a
@@ -14,32 +15,37 @@ decoded independently (in parallel in the C++ original), and fetching the
 This module implements:
 
 * :func:`encode_neighbors` / :func:`decode_neighbors` — single-vertex codec;
-* :class:`CompressedGraph` — whole-graph container exposing the same accessor
-  surface as :class:`~repro.graph.csr.CSRGraph` (``degrees``, ``neighbors``,
-  ``ith_neighbor``, ``ith_neighbors``) so random walks run on either;
-* :func:`compress_graph` / :meth:`CompressedGraph.decompress` round trip;
-* :meth:`CompressedGraph.flat` — the one place the rest of the library reads
-  an encoded graph as flat arrays: the decode, kept on the object.  Nothing
-  outside :mod:`repro.graph` imports this module; code that accepts either
-  container (:data:`GraphLike`) calls ``graph.flat()`` and works on CSR.
+* :class:`CompressedGraph` — the whole graph encoded, with the walk surface of
+  :class:`~repro.graph.csr.CSRGraph` (``degrees``, ``weights``,
+  ``neighbors``, ``ith_neighbor``, ``ith_neighbors``), so
+  :func:`repro.graph.walks.step_random_walk` runs on it directly and E14 can
+  time the per-step decode tax;
+* :func:`compress_graph` / :meth:`CompressedGraph.decompress` round trip and
+  :func:`compression_ratio` (E11's bytes-vs-block-size table).
 
-Weighted graphs store weights uncompressed alongside (the paper's inputs are
-unweighted; weights only appear in the sparsifier, which is a hash table).
+The library itself takes only :class:`~repro.graph.csr.CSRGraph`: its memory
+lever is the memmapped CSR v2 container (:mod:`repro.graph.io`), and a decode
+kept beside the encoded form would cost memory rather than save it.  Weighted
+graphs store weights uncompressed alongside.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CompressionError
-from repro.graph.csr import CSRGraph, row_weight_sums
+from repro.errors import ReproError
+from repro.graph.csr import CSRGraph
 
 DEFAULT_BLOCK_SIZE = 64
 
 _CONTINUE_BIT = 0x80
 _PAYLOAD_MASK = 0x7F
+
+
+class CompressionError(ReproError):
+    """Failure while encoding or decoding a compressed adjacency list."""
 
 
 def _zigzag_encode(value: int) -> int:
@@ -165,8 +171,6 @@ class CompressedGraph:
         "degrees_array",
         "block_size",
         "weights",
-        "_volume",
-        "_flat",
     )
 
     def __init__(
@@ -186,8 +190,6 @@ class CompressedGraph:
         self.degrees_array = degrees_array
         self.block_size = block_size
         self.weights = weights
-        self._volume: Optional[float] = None
-        self._flat: Optional[CSRGraph] = None
 
     # ------------------------------------------------------------ size facts
     @property
@@ -196,29 +198,9 @@ class CompressedGraph:
         return self.degrees_array.size
 
     @property
-    def num_directed_edges(self) -> int:
-        """Stored directed edge count (``2m``)."""
-        return int(self.degrees_array.sum())
-
-    @property
     def num_edges(self) -> int:
         """Undirected edge count ``m``."""
-        return self.num_directed_edges // 2
-
-    @property
-    def is_weighted(self) -> bool:
-        """True when per-edge weights are stored (uncompressed)."""
-        return self.weights is not None
-
-    @property
-    def volume(self) -> float:
-        """``vol(G)`` — matches :attr:`CSRGraph.volume`."""
-        if self._volume is None:
-            if self.weights is None:
-                self._volume = float(self.num_directed_edges)
-            else:
-                self._volume = float(self.weights.sum())
-        return self._volume
+        return int(self.degrees_array.sum()) // 2
 
     def size_in_bytes(self) -> int:
         """Total bytes of the compressed structure (payload + offsets)."""
@@ -233,24 +215,6 @@ class CompressedGraph:
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees (stored uncompressed for O(1) access)."""
         return self.degrees_array
-
-    def degree(self, u: int) -> int:
-        """Degree of one vertex."""
-        return int(self.degrees_array[u])
-
-    def weighted_degrees(self) -> np.ndarray:
-        """Weighted degrees; equals :meth:`degrees` when unweighted."""
-        if self.weights is None:
-            return self.degrees_array.astype(np.float64)
-        starts = np.cumsum(self.degrees_array) - self.degrees_array
-        return row_weight_sums(self.weights, starts, self.degrees_array)
-
-    def neighbor_weights(self, u: int) -> Optional[np.ndarray]:
-        """View of ``u``'s edge weights (stored uncompressed), or ``None``."""
-        if self.weights is None:
-            return None
-        start = int(self.degrees_array[:u].sum())
-        return self.weights[start : start + int(self.degrees_array[u])]
 
     def neighbors(self, u: int) -> np.ndarray:
         """Decode and return ``u``'s full neighbor list."""
@@ -292,24 +256,9 @@ class CompressedGraph:
         return out
 
     # ------------------------------------------------------------- conversion
-    def flat(self) -> CSRGraph:
-        """The graph as flat CSR arrays: decoded on first use, then kept.
-
-        Everything that reads ``offsets`` / ``targets`` — the embedding
-        pipelines, the sparsifier, the operators — goes through this, so an
-        encoded input is decoded once per object however many runs it feeds,
-        and derived memos (the propagation operator) live on the returned
-        :class:`CSRGraph`.  The price is holding both forms while the object
-        lives; call :meth:`decompress` for a throwaway copy.
-        """
-        if self._flat is None:
-            self._flat = self.decompress()
-        return self._flat
-
     def decompress(self, *, vectorized: bool = True) -> CSRGraph:
-        """Rebuild the uncompressed :class:`CSRGraph` — a fresh decode on
-        every call (the block decoder E11/E14 time); :meth:`flat` is the
-        cached view.
+        """Rebuild the uncompressed :class:`CSRGraph` (the block decoder
+        E14 times); every call decodes afresh.
 
         ``vectorized=True`` (default) decodes every varint in the payload in
         bulk numpy passes; ``vectorized=False`` decodes vertex by vertex (the
@@ -331,10 +280,6 @@ class CompressedGraph:
             f"CompressedGraph(n={self.num_vertices}, m={self.num_edges}, "
             f"block_size={self.block_size}, bytes={self.size_in_bytes()})"
         )
-
-
-# Either container; ``graph.flat()`` turns it into CSR arrays.
-GraphLike = Union[CSRGraph, CompressedGraph]
 
 
 def _bulk_decode(graph: "CompressedGraph") -> np.ndarray:

@@ -3,7 +3,7 @@
 LightNE is a lightweight, CPU-only network-embedding system combining
 NetSMF's sampled sparsification of the DeepWalk matrix (with a new
 degree-based edge-downsampling step) and ProNE's Chebyshev spectral
-propagation, on top of a compressed parallel graph-processing substrate.
+propagation, on top of a CSR graph-processing substrate.
 
 Quickstart
 ----------
@@ -15,7 +15,6 @@ Quickstart
 """
 
 from repro.errors import (
-    CompressionError,
     DatasetError,
     EvaluationError,
     FactorizationError,
@@ -29,9 +28,7 @@ from repro.errors import (
 )
 from repro.graph import (
     CSRGraph,
-    CompressedGraph,
     barabasi_albert_graph,
-    compress_graph,
     dcsbm_graph,
     erdos_renyi_graph,
     from_edges,
@@ -88,7 +85,6 @@ __all__ = [
     "ReproError",
     "GraphFormatError",
     "GraphConstructionError",
-    "CompressionError",
     "SamplingError",
     "HashTableFullError",
     "FactorizationError",
@@ -98,8 +94,6 @@ __all__ = [
     "MethodParameterError",
     # graphs
     "CSRGraph",
-    "CompressedGraph",
-    "compress_graph",
     "from_edges",
     "from_scipy",
     "to_scipy",

@@ -21,6 +21,7 @@ import numpy as np
 from repro import telemetry
 from repro.telemetry import environment, health, ledger
 from repro.errors import FactorizationError, NumericalHealthError
+from repro.graph.csr import CSRGraph
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -100,8 +101,7 @@ class PipelineContext:
     Attributes
     ----------
     graph:
-        The input graph as flat CSR arrays (``graph.flat()`` of whatever
-        container the caller passed).
+        The input graph.
     params:
         The method's frozen params dataclass.
     rng:
@@ -115,7 +115,7 @@ class PipelineContext:
         ``EmbeddingResult.info`` after the body returns.
     """
 
-    graph: Any
+    graph: CSRGraph
     params: Any
     rng: np.random.Generator
     span: Any
@@ -136,21 +136,19 @@ class PipelineSpec:
 
 
 def run_pipeline(
-    graph: Any,
+    graph: CSRGraph,
     spec: PipelineSpec,
     params: Any,
     seed: SeedLike = None,
 ) -> EmbeddingResult:
     """Run ``spec.body`` under the shared method scaffolding.
 
-    Owns, for every method: the flat view of the input (``graph.flat()``,
-    taken once here so no body knows the Ligra+ encoding exists),
-    ``validate_dimension``, ``ensure_rng(seed)``, the run's root span (named
-    ``spec.name``, carrying ``n`` / ``m`` / ``dimension``; the result's
-    ``timer`` is the view of its stage children), and the standardized
-    ``info`` keys (``method``, ``params``, ``n``, ``m``,
-    ``telemetry_enabled`` and — when telemetry is on — a ``telemetry``
-    snapshot of this run's metrics and span count).
+    Owns, for every method: ``validate_dimension``, ``ensure_rng(seed)``,
+    the run's root span (named ``spec.name``, carrying ``n`` / ``m`` /
+    ``dimension``; the result's ``timer`` is the view of its stage
+    children), and the standardized ``info`` keys (``method``, ``params``,
+    ``n``, ``m``, ``telemetry_enabled`` and — when telemetry is on — a
+    ``telemetry`` snapshot of this run's metrics and span count).
 
     Numerical health: a fresh :class:`~repro.telemetry.health.HealthRecorder`
     is installed for the body (stage checkpoints, contract probes), the
@@ -162,7 +160,6 @@ def run_pipeline(
     the policy on, ``info["health"]`` / ``info["digests"]`` carry the
     recorder summary into the ledger record.
     """
-    graph = graph.flat()
     validate_dimension(graph.num_vertices, params.dimension)
     rng = ensure_rng(seed)
     recorder = health.HealthRecorder()

@@ -25,7 +25,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import SamplingError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.graph.walks import random_walk_matrix_sample
 from repro.utils.rng import SeedLike
 
@@ -112,7 +112,7 @@ DEEPWALK_PIPELINE = PipelineSpec(name="deepwalk", body=_deepwalk_body)
 
 
 def deepwalk_sgd_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: DeepWalkSGDParams = DeepWalkSGDParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

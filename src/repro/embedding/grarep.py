@@ -23,7 +23,7 @@ from repro.embedding.base import (
 )
 from repro.embedding.netmf import DENSE_LIMIT
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
 
@@ -89,7 +89,7 @@ GRAREP_PIPELINE = PipelineSpec(name="grarep", body=_grarep_body)
 
 
 def grarep_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: GraRepParams = GraRepParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -27,7 +27,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.operators import polynomial_operator
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.utils.rng import SeedLike
@@ -47,9 +47,8 @@ class HOPEParams:
     order: int = 10
 
 
-def katz_decay_rate(graph: GraphLike) -> float:
+def katz_decay_rate(graph: CSRGraph) -> float:
     """Largest adjacency eigenvalue ``λ_max`` (power iteration)."""
-    graph = graph.flat()
     adjacency = graph.adjacency()
     n = graph.num_vertices
     if n == 0 or adjacency.nnz == 0:
@@ -102,7 +101,7 @@ HOPE_PIPELINE = PipelineSpec(name="hope", body=_hope_body)
 
 
 def hope_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: HOPEParams = HOPEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -35,7 +35,7 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.linalg.spectral import spectral_propagation
@@ -271,7 +271,7 @@ SKETCHNE_DEFAULTS = {"factorizer": "single_pass"}
 
 
 def lightne_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: LightNEParams = LightNEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:
@@ -290,7 +290,7 @@ def lightne_embedding(
 
 
 def netsmf_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: LightNEParams = LightNEParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:
@@ -303,7 +303,7 @@ def netsmf_embedding(
 
 
 def sketchne_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: LightNEParams = LightNEParams(**SKETCHNE_DEFAULTS),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -25,7 +25,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd
 from repro.linalg.single_pass import factorize
 from repro.utils.rng import SeedLike
@@ -59,7 +59,7 @@ class NetMFParams:
 
 
 def netmf_matrix_dense(
-    graph: GraphLike, window: int = 10, negative_samples: float = 1.0
+    graph: CSRGraph, window: int = 10, negative_samples: float = 1.0
 ) -> np.ndarray:
     """Materialize Eq. (1) densely (small graphs only).
 
@@ -80,7 +80,6 @@ def netmf_matrix_dense(
         raise FactorizationError(
             f"dense NetMF limited to {DENSE_LIMIT} vertices; use NetSMF/LightNE"
         )
-    graph = graph.flat()
     adjacency = graph.adjacency().toarray()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
@@ -95,7 +94,7 @@ def netmf_matrix_dense(
 
 
 def netmf_matrix_eigen(
-    graph: GraphLike,
+    graph: CSRGraph,
     window: int = 10,
     negative_samples: float = 1.0,
     *,
@@ -122,7 +121,6 @@ def netmf_matrix_eigen(
         raise FactorizationError(
             f"NetMF-large still materializes n x n; limited to {DENSE_LIMIT}"
         )
-    graph = graph.flat()
     rank = min(rank, n - 1)
     if rank < 1:
         raise FactorizationError("graph too small for eigen approximation")
@@ -185,7 +183,7 @@ NETMF_EIGEN_PIPELINE = PipelineSpec(name="netmf-eigen", body=_netmf_body)
 
 
 def netmf_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: Optional[Union[NetMFParams, int]] = None,
     *,
     window: Optional[int] = None,

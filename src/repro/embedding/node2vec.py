@@ -27,7 +27,7 @@ from repro.embedding.base import (
 )
 from repro.embedding.deepwalk import DeepWalkSGDParams, _sgd_step, _walks_to_pairs
 from repro.errors import SamplingError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -48,7 +48,7 @@ class Node2VecParams:
 
 
 def biased_walks(
-    graph: GraphLike,
+    graph: CSRGraph,
     walk_length: int,
     walks_per_vertex: int,
     *,
@@ -74,7 +74,6 @@ def biased_walks(
         )
     if return_p <= 0 or in_out_q <= 0:
         raise SamplingError("p and q must be positive")
-    graph = graph.flat()
     rng = ensure_rng(seed)
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -175,7 +174,7 @@ NODE2VEC_PIPELINE = PipelineSpec(name="node2vec", body=_node2vec_body)
 
 
 def node2vec_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: Node2VecParams = Node2VecParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

@@ -32,7 +32,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.kernels import resolve_precision
 from repro.linalg.operators import polynomial_operator
 from repro.linalg.randomized_svd import embedding_from_svd
@@ -101,7 +101,7 @@ NRP_PIPELINE = PipelineSpec(name="nrp", body=_nrp_body)
 
 
 def nrp_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: NRPParams = NRPParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

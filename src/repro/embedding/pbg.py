@@ -21,7 +21,7 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.utils.rng import SeedLike
 
 
@@ -73,7 +73,7 @@ PBG_PIPELINE = PipelineSpec(name="pbg", body=_pbg_body)
 
 
 def pbg_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: PBGParams = PBGParams(),
     seed: SeedLike = None,
 ) -> EmbeddingResult:

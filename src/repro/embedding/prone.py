@@ -31,7 +31,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.linalg.randomized_svd import embedding_from_svd, randomized_svd
 from repro.linalg.spectral import spectral_propagation
 from repro.utils.rng import SeedLike
@@ -63,7 +63,7 @@ class ProNEParams:
 
 
 def prone_factorization_matrix(
-    graph: GraphLike, *, alpha: float = 0.75, negative_samples: float = 1.0
+    graph: CSRGraph, *, alpha: float = 0.75, negative_samples: float = 1.0
 ) -> sp.csr_matrix:
     """The sparse modulated matrix ProNE factorizes (``m`` non-zeros).
 
@@ -76,7 +76,6 @@ def prone_factorization_matrix(
         raise FactorizationError(
             f"negative_samples must be > 0, got {negative_samples}"
         )
-    graph = graph.flat()
     adjacency = graph.adjacency()
     degrees = graph.weighted_degrees()
     safe = np.where(degrees > 0, degrees, 1.0)
@@ -139,7 +138,7 @@ PRONE_PIPELINE = PipelineSpec(name="prone", body=_prone_body)
 
 
 def prone_embedding(
-    graph: GraphLike,
+    graph: CSRGraph,
     params: ProNEParams = ProNEParams(),
     seed: SeedLike = None,
     *,

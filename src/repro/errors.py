@@ -20,10 +20,6 @@ class GraphConstructionError(ReproError):
     """Invalid arguments while building a graph (e.g. negative vertex ids)."""
 
 
-class CompressionError(ReproError):
-    """Failure while encoding or decoding a compressed adjacency list."""
-
-
 class SamplingError(ReproError):
     """Invalid parameters for the PathSampling / downsampling stage."""
 

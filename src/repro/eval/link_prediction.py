@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.eval.metrics import auc_score, ranking_positions, ranking_report
-from repro.graph import GraphLike
 from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
@@ -43,7 +42,7 @@ class LinkPredictionResult:
 
 
 def train_test_split_edges(
-    graph: GraphLike,
+    graph: CSRGraph,
     test_fraction: float,
     seed: SeedLike = None,
     *,
@@ -59,7 +58,6 @@ def train_test_split_edges(
         raise EvaluationError(
             f"test_fraction must be in (0, 1), got {test_fraction}"
         )
-    graph = graph.flat()
     rng = ensure_rng(seed)
     src, dst = graph.edge_endpoints()
     mask = src < dst
@@ -127,12 +125,11 @@ def evaluate_link_prediction(
 
 
 def sample_non_edges(
-    graph: GraphLike, count: int, seed: SeedLike = None, *, max_tries: int = 50
+    graph: CSRGraph, count: int, seed: SeedLike = None, *, max_tries: int = 50
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rejection-sample ``count`` vertex pairs that are not edges (u != v)."""
     if count < 1:
         raise EvaluationError(f"count must be >= 1, got {count}")
-    graph = graph.flat()
     rng = ensure_rng(seed)
     n = graph.num_vertices
     out_u = np.empty(count, dtype=np.int64)
@@ -163,7 +160,7 @@ def sample_non_edges(
 
 def link_prediction_auc(
     embeddings: np.ndarray,
-    graph: GraphLike,
+    graph: CSRGraph,
     test_sources: np.ndarray,
     test_targets: np.ndarray,
     seed: SeedLike = None,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -41,7 +41,7 @@ class RetrievalResult:
 
 def neighbor_retrieval(
     embeddings: np.ndarray,
-    graph: GraphLike,
+    graph: CSRGraph,
     k: int = 10,
     *,
     num_queries: int = 200,
@@ -56,7 +56,6 @@ def neighbor_retrieval(
     ``|top-k ∩ neighbors| / k``.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    graph = graph.flat()
     n = graph.num_vertices
     if embeddings.shape[0] != n:
         raise EvaluationError(
@@ -97,7 +96,7 @@ def neighbor_retrieval(
 
 def retrieval_sweep(
     embeddings: np.ndarray,
-    graph: GraphLike,
+    graph: CSRGraph,
     ks: Sequence[int] = (1, 5, 10, 50),
     *,
     num_queries: int = 200,

@@ -1,13 +1,12 @@
-"""Graph substrate: CSR storage, Ligra+-style compression, builders and walks.
+"""Graph substrate: CSR storage, builders, walks and graph algorithms.
 
-This subpackage is the Python reproduction of the paper's GBBS/Ligra+ layer
-(Section 4.1): a compressed sparse-row graph with bulk functional primitives
-(`map_edges`, `map_vertices`), parallel-byte difference-encoded adjacency
-lists, and a vectorized random-walk engine.
+This subpackage is the Python reproduction of the paper's GBBS layer
+(Section 4.1): one container, the compressed-sparse-row :class:`CSRGraph`
+(memmapped from disk by :mod:`repro.graph.io`'s CSR v2 format when the graph
+should stay out of anonymous memory), and a vectorized random-walk engine.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.compression import CompressedGraph, GraphLike, compress_graph
 from repro.graph.builders import (
     from_bipartite_edges,
     from_edges,
@@ -57,9 +56,6 @@ __all__ = [
     "embed_partitioned",
     "partition_edge_cut",
     "CSRGraph",
-    "CompressedGraph",
-    "GraphLike",
-    "compress_graph",
     "from_bipartite_edges",
     "from_edges",
     "from_scipy",

@@ -1,4 +1,4 @@
-"""Fundamental graph algorithms on the CSR/compressed substrate.
+"""Fundamental graph algorithms on the CSR substrate.
 
 GBBS [5] — the stack LightNE builds on — is "a graph based benchmark suite"
 of exactly these algorithms, demonstrated to scale to the same
@@ -11,9 +11,6 @@ BFS that defines the Ligra processing model):
 * :func:`pagerank` — power iteration with teleport;
 * :func:`triangle_count` — exact triangle counting by neighborhood merge;
 * :func:`kcore_decomposition` — peeling, the standard GBBS benchmark.
-
-All of them accept both :class:`CSRGraph` and :class:`CompressedGraph`
-and run on the flat arrays ``graph.flat()`` returns.
 """
 
 from __future__ import annotations
@@ -23,12 +20,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graph.compression import GraphLike
+from repro.graph.csr import CSRGraph
 
 UNREACHED = -1
 
 
-def bfs(graph: GraphLike, source: int) -> np.ndarray:
+def bfs(graph: CSRGraph, source: int) -> np.ndarray:
     """Breadth-first search distances from ``source``.
 
     Implements the Ligra model: a frontier of vertices expands by mapping
@@ -38,7 +35,6 @@ def bfs(graph: GraphLike, source: int) -> np.ndarray:
     n = graph.num_vertices
     if not 0 <= source < n:
         raise GraphConstructionError(f"source {source} out of range [0, {n})")
-    flat = graph.flat()
     distances = np.full(n, UNREACHED, dtype=np.int64)
     distances[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -46,13 +42,13 @@ def bfs(graph: GraphLike, source: int) -> np.ndarray:
     while frontier.size:
         level += 1
         # Gather all neighbors of the frontier (the edgeMap).
-        degrees = flat.degrees()[frontier]
+        degrees = graph.degrees()[frontier]
         total = int(degrees.sum())
         if total == 0:
             break
-        starts = flat.offsets[frontier]
+        starts = graph.offsets[frontier]
         index = _expand_ranges(starts, degrees)
-        neighbors = flat.targets[index]
+        neighbors = graph.targets[index]
         fresh = np.unique(neighbors[distances[neighbors] == UNREACHED])
         distances[fresh] = level
         frontier = fresh
@@ -76,19 +72,18 @@ def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(result)
 
 
-def connected_components(graph: GraphLike) -> np.ndarray:
+def connected_components(graph: CSRGraph) -> np.ndarray:
     """Connected-component labels via synchronous label propagation.
 
     Each vertex repeatedly adopts the minimum label in its closed
     neighborhood; converges in O(diameter) vectorized rounds.  Labels are
     the minimum vertex id of each component.
     """
-    flat = graph.flat()
-    n = flat.num_vertices
+    n = graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
-    if flat.num_directed_edges == 0:
+    if graph.num_directed_edges == 0:
         return labels
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     while True:
         gathered = labels.copy()
         np.minimum.at(gathered, dst, labels[src])
@@ -99,7 +94,7 @@ def connected_components(graph: GraphLike) -> np.ndarray:
 
 
 def pagerank(
-    graph: GraphLike,
+    graph: CSRGraph,
     *,
     damping: float = 0.85,
     tol: float = 1e-10,
@@ -108,12 +103,11 @@ def pagerank(
     """PageRank by power iteration (dangling mass redistributed uniformly)."""
     if not 0.0 < damping < 1.0:
         raise GraphConstructionError(f"damping must be in (0, 1), got {damping}")
-    flat = graph.flat()
-    n = flat.num_vertices
+    n = graph.num_vertices
     if n == 0:
         return np.empty(0)
-    adjacency = flat.adjacency()
-    degrees = flat.weighted_degrees()
+    adjacency = graph.adjacency()
+    degrees = graph.weighted_degrees()
     with np.errstate(divide="ignore"):
         inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
     rank = np.full(n, 1.0 / n)
@@ -128,22 +122,21 @@ def pagerank(
     return rank
 
 
-def triangle_count(graph: GraphLike) -> int:
+def triangle_count(graph: CSRGraph) -> int:
     """Exact global triangle count via sorted-neighborhood intersection.
 
     Uses the standard degree-ordered orientation so each triangle is
     counted exactly once.
     """
-    flat = graph.flat()
-    n = flat.num_vertices
-    degrees = flat.degrees()
+    n = graph.num_vertices
+    degrees = graph.degrees()
     # Rank vertices by (degree, id); orient edges low -> high rank.
     rank = np.lexsort((np.arange(n), degrees))
     position = np.empty(n, dtype=np.int64)
     position[rank] = np.arange(n)
 
     forward = [
-        flat.neighbors(u)[position[flat.neighbors(u)] > position[u]]
+        graph.neighbors(u)[position[graph.neighbors(u)] > position[u]]
         for u in range(n)
     ]
     count = 0
@@ -154,11 +147,10 @@ def triangle_count(graph: GraphLike) -> int:
     return int(count)
 
 
-def kcore_decomposition(graph: GraphLike) -> np.ndarray:
+def kcore_decomposition(graph: CSRGraph) -> np.ndarray:
     """Core numbers by iterative peeling (the GBBS k-core benchmark)."""
-    flat = graph.flat()
-    n = flat.num_vertices
-    degrees = flat.degrees().copy()
+    n = graph.num_vertices
+    degrees = graph.degrees().copy()
     core = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     k = 0
@@ -172,24 +164,23 @@ def kcore_decomposition(graph: GraphLike) -> np.ndarray:
             remaining -= peel.size
             # Decrement neighbors' degrees.
             for u in peel:
-                nbrs = flat.neighbors(int(u))
+                nbrs = graph.neighbors(int(u))
                 live = nbrs[alive[nbrs]]
                 degrees[live] -= 1
             peel = np.flatnonzero(alive & (degrees <= k))
     return core
 
 
-def diameter_lower_bound(graph: GraphLike, probes: int = 4, seed: int = 0) -> int:
+def diameter_lower_bound(graph: CSRGraph, probes: int = 4, seed: int = 0) -> int:
     """Double-sweep lower bound on the diameter (cheap, standard trick)."""
-    flat = graph.flat()
-    n = flat.num_vertices
+    n = graph.num_vertices
     if n == 0:
         return 0
     rng = np.random.default_rng(seed)
     best = 0
     start = int(rng.integers(n))
     for _ in range(max(1, probes)):
-        dist = bfs(flat, start)
+        dist = bfs(graph, start)
         reached = dist >= 0
         if not reached.any():
             break

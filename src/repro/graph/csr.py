@@ -56,8 +56,9 @@ class CSRGraph:
         Optional ``float32``/``float64`` array parallel to ``targets``; absent
         means the graph is unweighted (all weights 1).
     check:
-        Validate structural invariants (sortedness, symmetry is *not* checked
-        here for cost reasons — builders enforce it).
+        Validate structural invariants (offsets, id range, sorted rows,
+        weights); symmetry is *not* checked here for cost reasons — builders
+        enforce it.
     """
 
     __slots__ = (
@@ -114,6 +115,12 @@ class CSRGraph:
         n = offsets.size - 1
         if targets.size and (targets.min() < 0 or targets.max() >= n):
             raise GraphConstructionError("targets contain out-of-range vertex ids")
+        # A descent in ``targets`` is legal only where a new row starts.
+        descents = np.flatnonzero(targets[1:] < targets[:-1]) + 1
+        unsorted = descents[offsets[np.searchsorted(offsets, descents)] != descents]
+        if unsorted.size:
+            u = int(np.searchsorted(offsets, unsorted[0], side="right")) - 1
+            raise GraphConstructionError(f"neighbors of vertex {u} are not sorted")
         if weights is not None:
             if weights.shape != targets.shape:
                 raise GraphConstructionError("weights must be parallel to targets")
@@ -220,13 +227,6 @@ class CSRGraph:
                 yield u, int(self.targets[k]), w
 
     # ------------------------------------------------------------- conversion
-    def flat(self) -> "CSRGraph":
-        """The graph as flat CSR arrays — ``self``; the encoded container's
-        :meth:`~repro.graph.compression.CompressedGraph.flat` decodes instead.
-        Code that reads ``offsets`` / ``targets`` calls this once and never
-        asks which container it was handed."""
-        return self
-
     def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
         """The (symmetric) adjacency matrix as ``scipy.sparse.csr_matrix``."""
         n = self.num_vertices

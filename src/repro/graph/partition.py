@@ -24,14 +24,13 @@ import numpy as np
 from repro import telemetry
 from repro.embedding.base import EmbeddingResult
 from repro.errors import GraphConstructionError
-from repro.graph.compression import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.transforms import induced_subgraph
 from repro.utils.rng import SeedLike, ensure_rng
 
 
 def bfs_partition(
-    graph: GraphLike, num_parts: int, seed: SeedLike = None
+    graph: CSRGraph, num_parts: int, seed: SeedLike = None
 ) -> np.ndarray:
     """Assign every vertex to one of ``num_parts`` BFS-grown parts.
 
@@ -40,8 +39,7 @@ def bfs_partition(
     vertices are scattered round-robin.  Parts end up within ±1 of the
     target size — the balance constraint real partitioners enforce.
     """
-    flat = graph.flat()
-    n = flat.num_vertices
+    n = graph.num_vertices
     if num_parts < 1:
         raise GraphConstructionError(f"num_parts must be >= 1, got {num_parts}")
     if num_parts > n:
@@ -76,7 +74,7 @@ def bfs_partition(
             grew = False
             while frontiers[part] and not grew:
                 vertex = frontiers[part][0]
-                for neighbor in flat.neighbors(vertex):
+                for neighbor in graph.neighbors(vertex):
                     neighbor = int(neighbor)
                     if assignment[neighbor] == -1:
                         assignment[neighbor] = part
@@ -97,13 +95,12 @@ def bfs_partition(
     return assignment
 
 
-def partition_edge_cut(graph: GraphLike, assignment: np.ndarray) -> float:
+def partition_edge_cut(graph: CSRGraph, assignment: np.ndarray) -> float:
     """Fraction of undirected edges whose endpoints land in different parts."""
-    flat = graph.flat()
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (flat.num_vertices,):
+    if assignment.shape != (graph.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
-    src, dst = flat.edge_endpoints()
+    src, dst = graph.edge_endpoints()
     mask = src < dst
     if not mask.any():
         return 0.0
@@ -111,7 +108,7 @@ def partition_edge_cut(graph: GraphLike, assignment: np.ndarray) -> float:
 
 
 def embed_partitioned(
-    graph: GraphLike,
+    graph: CSRGraph,
     assignment: np.ndarray,
     embedder: Callable[[CSRGraph, SeedLike], EmbeddingResult],
     *,
@@ -135,20 +132,19 @@ def embed_partitioned(
     vertex ids.  Cross-partition edges never reach any embedder — that
     information loss is the point being measured.
     """
-    flat = graph.flat()
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (flat.num_vertices,):
+    if assignment.shape != (graph.num_vertices,):
         raise GraphConstructionError("assignment must have one entry per vertex")
     rng = ensure_rng(seed)
-    vectors = np.zeros((flat.num_vertices, dimension))
+    vectors = np.zeros((graph.num_vertices, dimension))
     parts = np.unique(assignment)
-    cut = partition_edge_cut(flat, assignment)
+    cut = partition_edge_cut(graph, assignment)
     # The whole stage table is this one span; each part's embedder call is
     # a run of its own nested under it.
     with telemetry.run_scope("partitioned-embedding") as stage:
         for part in parts:
             members = np.flatnonzero(assignment == part)
-            subgraph, kept = induced_subgraph(flat, members)
+            subgraph, kept = induced_subgraph(graph, members)
             if subgraph.num_edges == 0:
                 continue  # all-isolated part: vectors stay zero
             result = embedder(subgraph, rng)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.graph.compression import GraphLike
+from repro.graph.csr import CSRGraph
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class GraphSummary:
         }
 
 
-def summarize(graph: GraphLike) -> GraphSummary:
+def summarize(graph: CSRGraph) -> GraphSummary:
     """Compute the dataset-statistics row for ``graph``."""
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -57,12 +57,11 @@ def summarize(graph: GraphLike) -> GraphSummary:
     )
 
 
-def normalized_laplacian(graph: GraphLike) -> sp.csr_matrix:
+def normalized_laplacian(graph: CSRGraph) -> sp.csr_matrix:
     """Random-walk normalized Laplacian ``L = I - D⁻¹A`` (paper Table 1).
 
     Zero-degree vertices get an identity row (their Laplacian row is just 1).
     """
-    graph = graph.flat()
     adjacency = graph.adjacency()
     n = graph.num_vertices
     degrees = graph.weighted_degrees()
@@ -73,14 +72,13 @@ def normalized_laplacian(graph: GraphLike) -> sp.csr_matrix:
     return (sp.eye(n, format="csr") - d_inv @ adjacency).tocsr()
 
 
-def spectral_gap(graph: GraphLike, *, tol: float = 1e-6) -> float:
+def spectral_gap(graph: CSRGraph, *, tol: float = 1e-6) -> float:
     """``1 - λ₂`` where λ₂ is the second-largest eigenvalue of ``D⁻¹A``.
 
     Computed on the symmetric normalization ``D^{-1/2} A D^{-1/2}`` (same
     spectrum as ``D⁻¹A``).  Requires a connected graph for the textbook
     interpretation; disconnected graphs return ~0.
     """
-    graph = graph.flat()
     n = graph.num_vertices
     if n < 3:
         return 1.0
@@ -96,7 +94,7 @@ def spectral_gap(graph: GraphLike, *, tol: float = 1e-6) -> float:
     return 1.0 - lambda2
 
 
-def degree_histogram(graph: GraphLike) -> np.ndarray:
+def degree_histogram(graph: CSRGraph) -> np.ndarray:
     """``hist[d]`` = number of vertices of degree ``d``."""
     degrees = graph.degrees()
     if degrees.size == 0:

@@ -22,9 +22,9 @@ holds four ``n×d`` buffers whatever the order — each term's second product
 is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as its
 epilogue, so it never exists whole and ``lx2`` overwrites the retiring
 ``lx0``.  The modulated operator is built one row block at a time, and the
-row-normalized propagation operator ``D⁻¹(A + I)`` is cached on the flat
-graph object (``graph.flat()``) keyed by dtype so repeated propagation calls
-do not rebuild it.
+row-normalized propagation operator ``D⁻¹(A + I)`` is cached on the
+:class:`~repro.graph.csr.CSRGraph` keyed by dtype so repeated propagation
+calls do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
@@ -41,7 +41,6 @@ from scipy.special import iv
 
 from repro import telemetry
 from repro.errors import FactorizationError
-from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.linalg import kernels
 from repro.linalg.kernels import gram_rescale, release_pages, resolve_precision, spmm
@@ -86,16 +85,14 @@ def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     return (sp.diags(inv) @ adjacency).tocsr()
 
 
-def propagation_operator(graph: GraphLike, dtype=np.float64) -> sp.csr_matrix:
+def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     """The cached row-normalized propagation operator ``D⁻¹(A + I)``.
 
-    The float64 operator is built once per graph and memoized on the flat
-    :class:`~repro.graph.csr.CSRGraph` (``graph.flat()``, itself kept on an
-    encoded input); other dtypes are cast from the cached float64 build and
-    memoized under their own key.  Callers must not mutate the returned
+    The float64 operator is built once per graph and memoized on the
+    :class:`~repro.graph.csr.CSRGraph`; other dtypes are cast from the
+    cached float64 build and memoized under their own key.  Callers must not mutate the returned
     matrix.
     """
-    graph = graph.flat()
     dtype = np.dtype(dtype)
     if graph._op_cache is None:
         graph._op_cache = {}

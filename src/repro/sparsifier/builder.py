@@ -92,7 +92,7 @@ import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError, UnsupportedGraphError
-from repro.graph import GraphLike
+from repro.graph import CSRGraph
 from repro.sparsifier.aggregation import (
     aggregate_hash,
     aggregate_hash_sharded,
@@ -162,7 +162,7 @@ def _trunc_log_inplace(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return matrix
 
 
-def validate_sparsifier_graph(graph: GraphLike) -> bool:
+def validate_sparsifier_graph(graph: CSRGraph) -> bool:
     """Check ``graph`` is servable by a sparsifier sampler.
 
     Returns ``True`` when the graph is weighted (samplers then use
@@ -171,7 +171,7 @@ def validate_sparsifier_graph(graph: GraphLike) -> bool:
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
     the estimator's seeding and downsampling laws degenerate there.
     """
-    weights = graph.flat().weights
+    weights = graph.weights
     if weights is None:
         return False
     if weights.size and float(weights.min()) <= 0.0:
@@ -271,12 +271,12 @@ def aggregate_to_counts(
     return counts
 
 
-def _sample_path(graph: GraphLike, config: PathSamplingConfig, rng, **kwargs):
+def _sample_path(graph: CSRGraph, config: PathSamplingConfig, rng, **kwargs):
     with telemetry.span("sparsifier.sampling"):
         return sample_sparsifier_edges(graph, config, rng, **kwargs)
 
 
-def _sample_ppr(graph: GraphLike, config: PathSamplingConfig, rng, **kwargs):
+def _sample_ppr(graph: CSRGraph, config: PathSamplingConfig, rng, **kwargs):
     with telemetry.span(
         "sparsifier.ppr", window=config.window, num_samples=config.num_samples
     ):
@@ -294,7 +294,7 @@ def sparsifier_backend_names() -> list:
 
 
 def build_sparsifier(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -398,7 +398,7 @@ build_netmf_sparsifier = build_sparsifier
 
 
 def sparsifier_to_netmf_matrix(
-    graph: GraphLike,
+    graph: CSRGraph,
     result: SparsifierResult,
     *,
     negative_samples: float = 1.0,

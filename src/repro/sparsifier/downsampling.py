@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 
 
@@ -75,10 +74,9 @@ def downsampling_probabilities(
 
 
 def graph_downsampling_probabilities(
-    graph: GraphLike, *, constant: Optional[float] = None
+    graph: CSRGraph, *, constant: Optional[float] = None
 ) -> np.ndarray:
     """``p_e`` for every undirected edge of ``graph`` (``u < v`` order)."""
-    graph = graph.flat()
     src, dst = graph.edge_endpoints()
     mask = src < dst
     wts = graph.weights[mask] if graph.weights is not None else None
@@ -91,7 +89,7 @@ def graph_downsampling_probabilities(
     )
 
 
-def expected_kept_edges(graph: GraphLike, *, constant: Optional[float] = None) -> float:
+def expected_kept_edges(graph: CSRGraph, *, constant: Optional[float] = None) -> float:
     """Expected number of surviving input edges, ``Σ_e p_e`` — the
     ``O(n log n)`` bound the paper advertises."""
     return float(graph_downsampling_probabilities(graph, constant=constant).sum())

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import step_random_walk
 from repro.sparsifier.aggregation import merge_runs, reduce_pairs
@@ -78,13 +77,13 @@ class PathSamplingConfig:
             )
 
     @staticmethod
-    def samples_for_multiplier(graph: GraphLike, window: int, multiplier: float) -> int:
+    def samples_for_multiplier(graph: CSRGraph, window: int, multiplier: float) -> int:
         """``M = multiplier · T · m`` — the paper's M=0.1Tm … 20Tm notation."""
         return int(round(multiplier * window * graph.num_edges))
 
 
 def path_sample_pairs(
-    graph: GraphLike,
+    graph: CSRGraph,
     seed_u: np.ndarray,
     seed_v: np.ndarray,
     lengths: np.ndarray,
@@ -184,8 +183,10 @@ def walk_slabs(
     gives the same bits wherever it runs.
     """
     if backend == "process" and workers > 1 and len(slabs) > 1:
-        mmap_source = getattr(graph, "mmap_source", None)
-        spec = ("mmap", mmap_source) if mmap_source else ("pickle", graph)
+        spec = (
+            ("mmap", graph.mmap_source) if graph.mmap_source
+            else ("pickle", graph)
+        )
         return parallel_imap(
             _worker_walk, slabs, workers=workers, backend="process",
             initializer=_worker_init, initargs=(build, spec, build_args),
@@ -292,7 +293,7 @@ def _seed_edge_draws(
 
 
 def per_draw_samples(
-    graph: GraphLike, config: PathSamplingConfig, seed: SeedLike = None
+    graph: CSRGraph, config: PathSamplingConfig, seed: SeedLike = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Algorithm 2 as one unreduced slab: ``(u', v', weights, draws)`` with
     one triple per *surviving draw* (``weights[i] = 1/p_e`` of its seed
@@ -307,14 +308,14 @@ def per_draw_samples(
     walk-matrix law.  Memory is ``O(M)``.
     """
     rng = ensure_rng(seed)
-    context = _walk_context(graph.flat(), config)
+    context = _walk_context(graph, config)
     draws = _seed_edge_draws(context, config.num_samples, rng)
     (slab_rng,) = spawn_batch_rngs(rng, 1)
     return (*context.draw(0, draws, slab_rng), int(draws.sum()))
 
 
 def sample_sparsifier_edges(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -373,7 +374,6 @@ def sample_sparsifier_edges(
         workers = default_workers()
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
-    graph = graph.flat()
     tally = {"draws": 0, "walk_samples": 0, "batches": 0}
 
     def runs():

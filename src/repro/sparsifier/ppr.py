@@ -45,7 +45,6 @@ import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import SamplingError
-from repro.graph import GraphLike
 from repro.graph.csr import CSRGraph
 from repro.sparsifier.aggregation import merge_runs, reduce_pairs
 from repro.sparsifier.path_sampling import (
@@ -61,14 +60,13 @@ from repro.utils.rng import SeedLike, ensure_rng, spawn_batch_rngs
 _MAX_SOURCE_BATCH = 16_384
 
 
-def walk_operator(graph: GraphLike) -> Tuple[sp.csr_matrix, np.ndarray, float]:
+def walk_operator(graph: CSRGraph) -> Tuple[sp.csr_matrix, np.ndarray, float]:
     """``(P, degrees, vol)`` — the row-stochastic transition matrix ``D⁻¹A``.
 
     Rows of isolated vertices are zero (their walk mass dies, matching the
     PathSampling process which can never seed there).  Pure deterministic
     function of the graph, so parent and pool workers agree bit for bit.
     """
-    graph = graph.flat()
     degrees = graph.weighted_degrees().astype(np.float64)
     adjacency = graph.adjacency(dtype=np.float64)
     inv = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-300), 0.0)
@@ -177,7 +175,7 @@ def _push_context(
 
 
 def sample_ppr_counts(
-    graph: GraphLike,
+    graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
@@ -222,7 +220,6 @@ def sample_ppr_counts(
     if config.num_samples <= 0:
         raise SamplingError("config.num_samples must be set (> 0)")
 
-    graph = graph.flat()
     n = graph.num_vertices
     source_batch = max(1, min(int(batch_size), _MAX_SOURCE_BATCH))
     starts = list(range(0, n, source_batch))

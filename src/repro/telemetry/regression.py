@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunLedger, RunRecord
+from repro.telemetry.ledger import RunLedger, RunRecord, active_path
 from repro.utils.table import format_table, key_union
 
 # A stage must be at least this slow (baseline or candidate) to be gated at
@@ -416,25 +416,25 @@ def _candidate_runs(text: str) -> int:
     return value
 
 
-def _parse_stage_tolerances(pairs: Sequence[str]) -> Dict[str, float]:
-    """``["sparsifier=0.5", "svd=0.3"]`` -> ``{"sparsifier": 0.5, ...}``."""
+def _stage_tolerances(text: str) -> Dict[str, float]:
+    """``--stage-tolerance`` value: ``"sparsifier=0.5,svd=0.3"`` ->
+    ``{"sparsifier": 0.5, "svd": 0.3}``."""
     out: Dict[str, float] = {}
-    for pair in pairs:
-        for item in pair.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise SystemExit(
-                    f"--stage-tolerance expects STAGE=FRACTION, got {item!r}"
-                )
-            stage, _, value = item.partition("=")
-            try:
-                out[stage.strip()] = float(value)
-            except ValueError:
-                raise SystemExit(
-                    f"--stage-tolerance {item!r}: {value!r} is not a number"
-                )
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
+            raise argparse.ArgumentTypeError(
+                f"expects STAGE=FRACTION, got {item!r}"
+            )
+        stage, _, value = item.partition("=")
+        try:
+            out[stage.strip()] = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{item!r}: {value!r} is not a number"
+            )
     return out
 
 
@@ -474,7 +474,11 @@ def _print_report(report: RegressionReport) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     """The gate command body; returns the process exit code."""
-    stage_tolerances = _parse_stage_tolerances(args.stage_tolerance)
+    stage_tolerances = {
+        stage: value
+        for given in args.stage_tolerance
+        for stage, value in given.items()
+    }
 
     records = RunLedger(args.ledger).records()
     if not records:
@@ -531,8 +535,9 @@ def init_subparser(subparsers) -> None:
         description="Statistical perf-regression gate over the run ledger",
     )
     parser.add_argument(
-        "--ledger", default=RunLedger().path,
-        help="candidate ledger (runs.jsonl); its newest runs are gated",
+        "--ledger", default=active_path(),
+        help="candidate ledger (runs.jsonl); its newest runs are gated "
+             "(default: REPRO_LEDGER_PATH or benchmarks/results/runs.jsonl)",
     )
     parser.add_argument(
         "--baseline", metavar="PATH",
@@ -549,7 +554,8 @@ def init_subparser(subparsers) -> None:
         help="relative slowdown that trips the gate (default %(default)s)",
     )
     parser.add_argument(
-        "--stage-tolerance", action="append", default=[],
+        "--stage-tolerance", type=_stage_tolerances, action="append",
+        default=[],
         metavar="STAGE=FRACTION",
         help="per-stage tolerance override (repeatable, comma-separable)",
     )

@@ -24,7 +24,7 @@ import json
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.telemetry.ledger import RunLedger, RunRecord, find_run
+from repro.telemetry.ledger import RunLedger, RunRecord, active_path, find_run
 from repro.telemetry.regression import median
 from repro.utils.fileio import atomic_write_text
 from repro.utils.table import format_cell, format_table, key_union
@@ -483,7 +483,9 @@ def init_subparser(subparsers) -> None:
         description="Perf-trajectory report over the run ledger",
     )
     parser.add_argument(
-        "--ledger", default=RunLedger().path, help="runs.jsonl path"
+        "--ledger", default=active_path(),
+        help="runs.jsonl path (default: REPRO_LEDGER_PATH or "
+             "benchmarks/results/runs.jsonl)",
     )
     parser.add_argument("--method", help="filter: method name")
     parser.add_argument("--dataset", help="filter: dataset name")

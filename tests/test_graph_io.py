@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphConstructionError, GraphFormatError
 from repro.graph.builders import from_edges
+from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     CSR_V2_SUFFIX,
     is_csr_v2,
@@ -107,6 +108,17 @@ class TestBinaryCSR:
         path = tmp_path / "iso.csr.npz"
         save_csr(g, path)
         assert load_csr(path).num_vertices == 7
+
+    def test_unsorted_row_rejected(self, tmp_path):
+        """A v1 archive is validated on load: an unsorted row would let
+        ``sample_non_edges`` draw true edges as negatives."""
+        unsorted = CSRGraph(
+            np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]), check=False
+        )
+        path = tmp_path / "unsorted.csr.npz"
+        save_csr(unsorted, path)
+        with pytest.raises(GraphConstructionError, match="not sorted"):
+            load_csr(path)
 
 
 class TestCSRv2:

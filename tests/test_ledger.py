@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.embedding.registry import get_method, run_method
 from repro.graph.generators import dcsbm_graph
 from repro.telemetry import environment, ledger
@@ -159,6 +160,23 @@ class TestRunLedger:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert RunLedger(tmp_path / "absent.jsonl").records() == []
+
+    def test_readers_default_to_the_active_path(self, tmp_path, monkeypatch, capsys):
+        """``regress`` and ``report`` read where ``embed --ledger`` writes
+        (``REPRO_LEDGER_PATH``), as ``audit`` does, when no ``--ledger``
+        is given."""
+        path = tmp_path / "env_runs.jsonl"
+        book = RunLedger(path)
+        for score in (0.40, 0.40, 0.40, 0.30):
+            book.append(RunRecord(
+                method="m", dataset="env_only", total_s=1.0,
+                quality={"micro_f1": score},
+            ))
+        monkeypatch.setenv(ledger.ENV_PATH, str(path))
+        assert cli_main(["regress"]) == 1
+        assert "quality drops: quality.micro_f1" in capsys.readouterr().out
+        assert cli_main(["report"]) == 0
+        assert "env_only" in capsys.readouterr().out
 
     def test_records_filter(self, tmp_path):
         book = RunLedger(tmp_path / "runs.jsonl")

@@ -1,18 +1,16 @@
-"""Tests for the Ligra+ parallel-byte compression codec and CompressedGraph."""
+"""Tests for the Ligra+ parallel-byte codec — the fixture benchmarks E11 and
+E14 measure (``benchmarks/ligra.py``)."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CompressionError
-from repro.graph.builders import from_edges
-from repro.graph.compression import (
+from benchmarks.ligra import (
     CompressedGraph,
+    CompressionError,
     compress_graph,
     compression_ratio,
     decode_neighbors,
@@ -22,7 +20,9 @@ from repro.graph.compression import (
     _zigzag_decode,
     _zigzag_encode,
 )
+from repro.graph.builders import from_edges
 from repro.graph.generators import rmat_graph
+from repro.graph.transforms import permute_vertices, reorder_by_degree
 
 
 class TestVarint:
@@ -122,12 +122,10 @@ class TestCompressedGraph:
         g, cg = graphs
         assert cg.num_vertices == g.num_vertices
         assert cg.num_edges == g.num_edges
-        assert cg.volume == g.volume
 
     def test_degrees_match(self, graphs):
         g, cg = graphs
         np.testing.assert_array_equal(cg.degrees(), g.degrees())
-        assert cg.degree(5) == g.degree(5)
 
     def test_neighbors_match(self, graphs):
         g, cg = graphs
@@ -146,7 +144,7 @@ class TestCompressedGraph:
     def test_ith_neighbor_out_of_range(self, graphs):
         _, cg = graphs
         with pytest.raises(IndexError):
-            cg.ith_neighbor(0, int(cg.degree(0)))
+            cg.ith_neighbor(0, int(cg.degrees()[0]))
 
     def test_ith_neighbors_vectorized(self, graphs, rng):
         g, cg = graphs
@@ -165,24 +163,8 @@ class TestCompressedGraph:
     def test_weighted_graph_keeps_weights(self):
         g = from_edges([0, 1], [1, 2], [2.0, 3.0])
         cg = compress_graph(g)
-        assert cg.is_weighted
+        np.testing.assert_array_equal(cg.weights, g.weights)
         assert cg.decompress() == g
-        np.testing.assert_allclose(cg.weighted_degrees(), g.weighted_degrees())
-
-    def test_flat_is_the_cached_decode(self, graphs):
-        """``flat()`` decodes once per object; ``decompress()`` stays the raw
-        decoder (a fresh graph per call — what E11/E14 time)."""
-        g, _ = graphs
-        cg = compress_graph(g)
-        assert g.flat() is g
-        flat = cg.flat()
-        assert flat == g
-        assert cg.flat() is flat
-        fresh = cg.decompress()
-        assert fresh == g and fresh is not flat
-        assert cg.decompress() is not fresh
-        clone = pickle.loads(pickle.dumps(cg))
-        assert clone.flat() == g
 
     def test_empty_graph(self):
         g = from_edges([], [], num_vertices=3)
@@ -218,6 +200,17 @@ class TestCompressedGraph:
         g = rmat_graph(9, 8, seed=4)
         sizes = [compress_graph(g, b).size_in_bytes() for b in (2, 16, 128)]
         assert sizes[0] > sizes[1] > sizes[2]
+
+    def test_improves_compression_on_skewed_graph(self):
+        """The Ligra+ rationale: hub-first ordering shrinks gap codes."""
+        g = rmat_graph(10, 8, seed=3)
+        # Scramble first so the baseline isn't already favorable.
+        rng = np.random.default_rng(0)
+        scrambled = permute_vertices(g, rng.permutation(g.num_vertices))
+        before = compress_graph(scrambled, 64).size_in_bytes()
+        reordered, _ = reorder_by_degree(scrambled)
+        after = compress_graph(reordered, 64).size_in_bytes()
+        assert after < before
 
 
 class TestBulkDecode:

@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -15,11 +16,9 @@ import repro
 SUBPACKAGES = [
     "repro.graph",
     "repro.graph.csr",
-    "repro.graph.compression",
     "repro.graph.builders",
     "repro.graph.generators",
     "repro.graph.io",
-    "repro.graph.primitives",
     "repro.graph.walks",
     "repro.graph.algorithms",
     "repro.graph.transforms",
@@ -144,45 +143,43 @@ def test_errors_inherit_base():
                 assert issubclass(obj, errors.ReproError), name
 
 
-def test_encoding_stays_inside_graph_package():
-    """Layering: how an encoded graph is read is ``repro.graph``'s business.
+def test_encoding_stays_out_of_the_library():
+    """Layering: the library has one graph container, :class:`CSRGraph`.
 
-    Outside that package (the top-level re-export aside) no module imports
-    ``repro.graph.compression`` or the container class, nothing calls
-    ``decompress()`` — readers take ``graph.flat()`` — and the
-    either-container alias ``GraphLike`` has exactly one definition.
+    The Ligra+ codec is a benchmark fixture (``benchmarks/ligra.py``): no
+    module under ``repro`` names it, its container or the either-container
+    alias, calls a ``flat()`` view, or imports anything from ``benchmarks``.
     """
     root = pathlib.Path(repro.__file__).parent
-    graphlike_definitions = []
+    banned = re.compile(
+        r"flat\(\)|GraphLike|CompressedGraph|compress_graph|CompressionError"
+        r"|graph\.compression|graph\.primitives"
+    )
     offenders = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
-        exempt = relative.startswith("graph/") or relative == "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = []
-            if isinstance(node, ast.Assign):
-                if any(
-                    isinstance(target, ast.Name) and target.id == "GraphLike"
-                    for target in node.targets
-                ):
-                    graphlike_definitions.append(relative)
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+        text = path.read_text()
+        offenders += [
+            f"{relative}:{number}: {match.group()}"
+            for number, line in enumerate(text.splitlines(), 1)
+            for match in banned.finditer(line)
+        ]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                names = [f"{node.func.attr}()"]
-            if not exempt:
-                offenders += [
-                    f"{relative}:{node.lineno}: {name}" for name in names
-                    if name.endswith(
-                        ("compression", "CompressedGraph", "decompress()")
-                    )
-                ]
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{relative}:{node.lineno}: import {module}"
+                for module in modules
+                if module.split(".")[0] == "benchmarks" or "compression" in module
+            ]
     assert offenders == []
-    assert graphlike_definitions == ["graph/compression.py"]
+    for gone in ("repro.graph.compression", "repro.graph.primitives"):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
 
 
 def test_the_span_tree_is_the_only_stage_clock():

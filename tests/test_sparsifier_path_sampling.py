@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graph.builders import from_edges
-from repro.graph.compression import compress_graph
 from repro.graph.generators import erdos_renyi_graph
 from repro.sparsifier.path_sampling import (
     PathSamplingConfig,
@@ -157,16 +156,6 @@ class TestSampleSparsifierEdges:
         _, _, w, draws = sample_sparsifier_edges(g, down, seed=6)
         # E[sum of kept weights] = number of draws.
         assert w.sum() == pytest.approx(draws, rel=0.1)
-
-    def test_compressed_graph_input(self, er_graph):
-        cg = compress_graph(er_graph)
-        config = PathSamplingConfig(window=3, num_samples=500, downsample=False)
-        u, v, w, draws = sample_sparsifier_edges(cg, config, seed=7)
-        assert w.sum() == draws
-        for a, b in zip(
-            sample_sparsifier_edges(er_graph, config, seed=7), (u, v, w, draws)
-        ):
-            np.testing.assert_array_equal(a, b)
 
     def test_empty_graph_rejected(self):
         g = from_edges([], [], num_vertices=3)
