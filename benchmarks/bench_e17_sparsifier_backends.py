@@ -6,7 +6,7 @@ BlogCatalog analog, along the axes the paper uses for its own sparsifier
 (§5.3): nnz of the count matrix, wall-clock, peak anonymous/RSS memory
 (fresh process per configuration), and downstream micro-F1.  Every embed
 lands in the run ledger with ``params.sparsifier`` set, so both backends
-feed the regression gate and trajectory reports.
+show up in the trajectory reports.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def test_e17_peak_memory(table):
 
 def test_e17_ledger_records_backend(bundle):
     """Both backends' runs land in the ledger with params.sparsifier set —
-    the hook the regression gate keys baselines on."""
+    the key ``lightne report`` groups trajectories by."""
     from benchmarks.harness import RUNS_PATH
     from repro.telemetry import ledger
 

@@ -8,8 +8,8 @@ telemetry counters — one streamed pass for the symmetric NetMF matrix vs
 ``2 + 2q`` for rSVD), wall-clock, peak anonymous/RSS memory (fresh
 process per configuration), and downstream micro-F1 (acceptance
 criterion: within 2 points of the rSVD baseline).  Every embed lands in
-the run ledger with ``params.factorizer`` set, so both factorizers feed
-the regression gate and trajectory reports.
+the run ledger with ``params.factorizer`` set, so both factorizers show
+up in the trajectory reports.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def test_e18_peak_memory(table):
 
 def test_e18_ledger_records_factorizer(bundle):
     """Both factorizers' runs land in the ledger with params.factorizer
-    set — the hook the regression gate keys baselines on."""
+    set — the key ``lightne report`` groups trajectories by."""
     from benchmarks.harness import RUNS_PATH
     from repro.telemetry import ledger
 

@@ -47,7 +47,7 @@ def pytest_configure(config):
         telemetry.enable()
     # Benchmark sessions always feed the run ledger: every run_pipeline
     # call (harness.embed and the experiments-runner paths alike) appends
-    # a RunRecord, building the perf trajectory the regression gate reads.
+    # a RunRecord, building the trajectory `lightne report` renders.
     from benchmarks.harness import RUNS_PATH
     from repro.telemetry import ledger
 

@@ -37,8 +37,8 @@ def embed(method: str, graph, *, seed=SEED, **knobs) -> EmbeddingResult:
     :func:`repro.experiments.runner.dispatch_method` (its defaults and every
     knob it forwards) at the harness-wide seed.  Every call appends one
     :class:`~repro.telemetry.ledger.RunRecord` to
-    ``benchmarks/results/runs.jsonl`` — the run ledger the regression gate
-    and trajectory reports consume.
+    ``benchmarks/results/runs.jsonl`` — the run ledger ``lightne report``
+    and ``lightne audit`` read.
     """
     with ledger.enabled_scope(path=RUNS_PATH):
         return runner.dispatch_method(method, graph, seed=seed, **knobs)

@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.graph import (
     CSRGraph,
-    barabasi_albert_graph,
     dcsbm_graph,
     erdos_renyi_graph,
     from_edges,
@@ -100,7 +99,6 @@ __all__ = [
     "dcsbm_graph",
     "rmat_graph",
     "erdos_renyi_graph",
-    "barabasi_albert_graph",
     # embeddings
     "EmbeddingResult",
     "LightNEParams",

@@ -15,14 +15,14 @@ Subcommands
     Convert any readable graph into the memmappable CSR v2 container
     (``*.csrv2``) that the out-of-core ``--backend process`` path loads
     without materializing the arrays in RAM.
-``regress`` / ``report`` / ``audit``
+``report`` / ``audit``
     The readers of finished runs, mounted by their modules'
-    ``init_subparser``: the regression gate
-    (:mod:`repro.telemetry.regression`), the trajectory report
+    ``init_subparser``: the trajectory report
     (:mod:`repro.telemetry.report`) and the stage-digest diff that localizes
     the first diverging stage (:mod:`repro.telemetry.audit`; pair with
     ``--health record`` on the runs being compared).  Here ``--ledger PATH``
-    names the file to read.
+    names the file to read.  Timing verdicts come from the committed
+    benchmark (``benchmarks/perf``), not from the ledger.
 
 ``--verbose`` (every subcommand that loads a graph) turns on the library's
 DEBUG log lines (:func:`repro.utils.log.configure_logging`; ``REPRO_LOG``
@@ -68,7 +68,7 @@ from repro.graph import graph_io
 from repro.graph.stats import summarize
 from repro.linalg.single_pass import FACTORIZERS
 from repro.sparsifier.builder import sparsifier_backend_names
-from repro.telemetry import audit, health, ledger, progress, regression, report
+from repro.telemetry import audit, health, ledger, progress, report
 from repro.utils.log import configure_logging
 
 _READERS = {
@@ -401,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--factorizer", choices=FACTORIZERS, default=None,
             help="factorization backend: 'rsvd' (the paper's Algorithm "
                  "3, 2+2q operator passes) or 'single_pass' (SketchNE-"
-                 "style sparse-sign sketch, one streamed pass; lower "
-                 "peak memory); both deterministic per seed at every "
-                 "worker count (default: the method's own)",
+                 "style sparse-sign sketch, one streamed pass; slower "
+                 "and with a higher peak than rsvd at its default "
+                 "width, see docs/performance.md); both deterministic "
+                 "per seed at every worker count (default: the method's "
+                 "own)",
         )
         p.add_argument(
             "--batch-size", dest="batch_size", type=int, default=None,
@@ -492,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--repeats", type=int, default=2)
 
     # The readers of finished runs mount themselves (--ledger is a path here).
-    regression.init_subparser(sub)
     report.init_subparser(sub)
     audit.init_subparser(sub)
 

@@ -87,13 +87,6 @@ def validate_dimension(num_vertices: int, dimension: int) -> None:
         )
 
 
-def score_edges(
-    vectors: np.ndarray, sources: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Dot-product edge scores — the ranking function used by the evaluators."""
-    return np.einsum("ij,ij->i", vectors[sources], vectors[targets])
-
-
 @dataclass
 class PipelineContext:
     """Everything a stage body receives from :func:`run_pipeline`.

@@ -26,11 +26,6 @@ from repro.eval.link_prediction import (
     link_prediction_auc,
     train_test_split_edges,
 )
-from repro.eval.retrieval import (
-    RetrievalResult,
-    neighbor_retrieval,
-    retrieval_sweep,
-)
 
 __all__ = [
     "auc_score",
@@ -45,7 +40,4 @@ __all__ = [
     "evaluate_link_prediction",
     "link_prediction_auc",
     "train_test_split_edges",
-    "RetrievalResult",
-    "neighbor_retrieval",
-    "retrieval_sweep",
 ]

@@ -10,8 +10,6 @@ repeats.  The paper reports label ratios from 0.001% (OAG) to 90%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import EvaluationError
@@ -126,20 +124,3 @@ def evaluate_node_classification(
         macro_std=float(np.std(macros)),
     )
 
-
-def sweep_training_ratios(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    ratios: Sequence[float],
-    *,
-    repeats: int = 3,
-    seed: SeedLike = None,
-) -> list:
-    """Evaluate at several training ratios (Figure 4 / Table 4 sweeps)."""
-    rng = ensure_rng(seed)
-    return [
-        evaluate_node_classification(
-            embeddings, labels, ratio, repeats=repeats, seed=rng
-        )
-        for ratio in ratios
-    ]

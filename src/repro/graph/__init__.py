@@ -14,7 +14,6 @@ from repro.graph.builders import (
     to_scipy,
 )
 from repro.graph.generators import (
-    barabasi_albert_graph,
     dcsbm_graph,
     erdos_renyi_graph,
     rmat_graph,
@@ -23,7 +22,6 @@ from repro.graph.walks import random_walk_matrix_sample, step_random_walk
 from repro.graph.algorithms import (
     bfs,
     connected_components,
-    kcore_decomposition,
     pagerank,
     triangle_count,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "connected_components",
     "pagerank",
     "triangle_count",
-    "kcore_decomposition",
     "add_edges",
     "remove_edges",
     "induced_subgraph",
@@ -60,7 +57,6 @@ __all__ = [
     "from_edges",
     "from_scipy",
     "to_scipy",
-    "barabasi_albert_graph",
     "dcsbm_graph",
     "erdos_renyi_graph",
     "rmat_graph",

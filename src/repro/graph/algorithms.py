@@ -9,13 +9,10 @@ BFS that defines the Ligra processing model):
 * :func:`bfs` — frontier-based breadth-first search (Ligra's edgeMap model);
 * :func:`connected_components` — label-propagation components;
 * :func:`pagerank` — power iteration with teleport;
-* :func:`triangle_count` — exact triangle counting by neighborhood merge;
-* :func:`kcore_decomposition` — peeling, the standard GBBS benchmark.
+* :func:`triangle_count` — exact triangle counting by neighborhood merge.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -146,45 +143,3 @@ def triangle_count(graph: CSRGraph) -> int:
             count += np.intersect1d(fu, forward[v], assume_unique=True).size
     return int(count)
 
-
-def kcore_decomposition(graph: CSRGraph) -> np.ndarray:
-    """Core numbers by iterative peeling (the GBBS k-core benchmark)."""
-    n = graph.num_vertices
-    degrees = graph.degrees().copy()
-    core = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    k = 0
-    remaining = n
-    while remaining:
-        k = max(k, int(degrees[alive].min()))
-        peel = np.flatnonzero(alive & (degrees <= k))
-        while peel.size:
-            core[peel] = k
-            alive[peel] = False
-            remaining -= peel.size
-            # Decrement neighbors' degrees.
-            for u in peel:
-                nbrs = graph.neighbors(int(u))
-                live = nbrs[alive[nbrs]]
-                degrees[live] -= 1
-            peel = np.flatnonzero(alive & (degrees <= k))
-    return core
-
-
-def diameter_lower_bound(graph: CSRGraph, probes: int = 4, seed: int = 0) -> int:
-    """Double-sweep lower bound on the diameter (cheap, standard trick)."""
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    best = 0
-    start = int(rng.integers(n))
-    for _ in range(max(1, probes)):
-        dist = bfs(graph, start)
-        reached = dist >= 0
-        if not reached.any():
-            break
-        far = int(np.argmax(np.where(reached, dist, -1)))
-        best = max(best, int(dist[far]))
-        start = far
-    return best

@@ -8,11 +8,10 @@ edges (summing weights) and produces sorted CSR adjacency lists.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from repro.errors import GraphConstructionError
 from repro.graph.csr import CSRGraph
@@ -203,32 +202,3 @@ def to_scipy(graph: CSRGraph) -> sp.csr_matrix:
     """Adjacency matrix of ``graph`` (alias of :meth:`CSRGraph.adjacency`)."""
     return graph.adjacency()
 
-
-def relabel_largest_component(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:
-    """Restrict ``graph`` to its largest connected component.
-
-    Returns the induced subgraph and the array of original vertex ids kept
-    (position ``i`` holds the old id of new vertex ``i``).  Uses scipy's
-    connected-components on the adjacency matrix.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return graph, np.empty(0, dtype=np.int64)
-    n_comp, labels = csgraph.connected_components(graph.adjacency(), directed=False)
-    if n_comp <= 1:
-        return graph, np.arange(n, dtype=np.int64)
-    largest = np.argmax(np.bincount(labels))
-    keep = np.flatnonzero(labels == largest).astype(np.int64)
-    remap = -np.ones(n, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    src, dst = graph.edge_endpoints()
-    mask = (remap[src] >= 0) & (remap[dst] >= 0)
-    wts = graph.weights[mask] if graph.weights is not None else None
-    sub = from_edges(
-        remap[src[mask]],
-        remap[dst[mask]],
-        wts,
-        num_vertices=keep.size,
-        symmetrize=False,
-    )
-    return sub, keep

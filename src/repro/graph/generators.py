@@ -11,8 +11,7 @@ so we generate:
   ``*_like`` dataset (labels come from the planted communities).
 * :func:`rmat_graph` — Kronecker/R-MAT graphs for scalability-shaped runs
   (skewed, scale-free, no labels) standing in for web crawls.
-* :func:`barabasi_albert_graph` and :func:`erdos_renyi_graph` — classic
-  baselines for tests and ablations.
+* :func:`erdos_renyi_graph` — the classic baseline for tests and ablations.
 
 All generators return simple undirected :class:`CSRGraph` objects (self loops
 and duplicates removed).
@@ -40,34 +39,6 @@ def erdos_renyi_graph(n: int, p: float, seed: SeedLike = None) -> CSRGraph:
     upper = np.triu(rng.random((n, n)) < p, k=1)
     src, dst = np.nonzero(upper)
     return from_edges(src, dst, num_vertices=n)
-
-
-def barabasi_albert_graph(n: int, attach: int, seed: SeedLike = None) -> CSRGraph:
-    """Preferential-attachment graph: each new vertex links to ``attach``
-    existing vertices chosen proportional to degree."""
-    if attach < 1 or n <= attach:
-        raise GraphConstructionError(
-            f"need n > attach >= 1, got n={n}, attach={attach}"
-        )
-    rng = ensure_rng(seed)
-    sources = []
-    targets = []
-    # Repeated-endpoint list implements preferential attachment in O(1)/draw.
-    endpoint_pool = list(range(attach + 1)) * 1
-    for u in range(attach + 1):
-        for v in range(u + 1, attach + 1):
-            sources.append(u)
-            targets.append(v)
-            endpoint_pool.extend((u, v))
-    for u in range(attach + 1, n):
-        chosen = set()
-        while len(chosen) < attach:
-            chosen.add(endpoint_pool[rng.integers(len(endpoint_pool))])
-        for v in chosen:
-            sources.append(u)
-            targets.append(v)
-            endpoint_pool.extend((u, v))
-    return from_edges(sources, targets, num_vertices=n)
 
 
 def rmat_graph(
@@ -213,28 +184,3 @@ def dcsbm_graph(
             labels[node, others] = True
     return graph, labels
 
-
-def planted_partition_graph(
-    n: int,
-    num_communities: int,
-    p_in: float,
-    p_out: float,
-    seed: SeedLike = None,
-) -> Tuple[CSRGraph, np.ndarray]:
-    """Classic planted-partition SBM (dense Bernoulli sampling; small ``n``).
-
-    Returns the graph and single-label community assignments (length ``n``).
-    """
-    if n <= 0 or num_communities <= 0 or num_communities > n:
-        raise GraphConstructionError("invalid n / num_communities")
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise GraphConstructionError(f"{name} must be in [0, 1], got {p}")
-    rng = ensure_rng(seed)
-    communities = np.sort(rng.integers(num_communities, size=n))
-    communities[:num_communities] = np.arange(num_communities)
-    same = communities[:, None] == communities[None, :]
-    prob = np.where(same, p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    src, dst = np.nonzero(upper)
-    return from_edges(src, dst, num_vertices=n), communities

@@ -57,21 +57,6 @@ def summarize(graph: CSRGraph) -> GraphSummary:
     )
 
 
-def normalized_laplacian(graph: CSRGraph) -> sp.csr_matrix:
-    """Random-walk normalized Laplacian ``L = I - D⁻¹A`` (paper Table 1).
-
-    Zero-degree vertices get an identity row (their Laplacian row is just 1).
-    """
-    adjacency = graph.adjacency()
-    n = graph.num_vertices
-    degrees = graph.weighted_degrees()
-    inv = np.zeros(n)
-    nonzero = degrees > 0
-    inv[nonzero] = 1.0 / degrees[nonzero]
-    d_inv = sp.diags(inv)
-    return (sp.eye(n, format="csr") - d_inv @ adjacency).tocsr()
-
-
 def spectral_gap(graph: CSRGraph, *, tol: float = 1e-6) -> float:
     """``1 - λ₂`` where λ₂ is the second-largest eigenvalue of ``D⁻¹A``.
 
@@ -93,10 +78,3 @@ def spectral_gap(graph: CSRGraph, *, tol: float = 1e-6) -> float:
     lambda2 = float(np.min(vals))
     return 1.0 - lambda2
 
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """``hist[d]`` = number of vertices of degree ``d``."""
-    degrees = graph.degrees()
-    if degrees.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(degrees)

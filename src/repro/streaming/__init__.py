@@ -7,24 +7,15 @@ deletions (:class:`EdgeBatch`, :func:`edge_stream_from_graph`), and a
 :class:`DynamicEmbedder` that maintains a current embedding, re-runs the
 configured registry method (full params forwarded — sparsifier backend
 included) when a staleness policy triggers, and keeps the coordinate frame
-stable across refreshes with a Procrustes alignment.  The temporal workload
-(:func:`temporal_edge_stream`, :func:`replay_temporal_link_prediction`)
-replays timestamped edge batches and scores each refresh epoch with the
-link-prediction protocol, recording per-epoch quality in the run ledger.
+stable across refreshes with a Procrustes alignment.
 """
 
 from repro.streaming.stream import EdgeBatch, edge_stream_from_graph
 from repro.streaming.dynamic import DynamicEmbedder, RefreshPolicy
-from repro.streaming.temporal import (
-    replay_temporal_link_prediction,
-    temporal_edge_stream,
-)
 
 __all__ = [
     "EdgeBatch",
     "edge_stream_from_graph",
     "DynamicEmbedder",
     "RefreshPolicy",
-    "temporal_edge_stream",
-    "replay_temporal_link_prediction",
 ]

@@ -63,8 +63,8 @@ class DynamicEmbedder:
     method:
         Any registered embedding method name or alias (default
         ``"lightne"``); resolved through
-        :mod:`repro.embedding.registry`, so temporal replays can exercise
-        e.g. ``netsmf`` or a ``sparsifier="ppr"`` configuration end to end.
+        :mod:`repro.embedding.registry`, so a stream can exercise e.g.
+        ``netsmf`` or a ``sparsifier="ppr"`` configuration end to end.
     policy:
         Staleness policy; ``None`` means refresh on every batch.
     seed:

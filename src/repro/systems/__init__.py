@@ -12,7 +12,6 @@ from repro.systems.memory import (
     csr_bytes,
     hash_table_bytes,
     max_affordable_samples,
-    sparsifier_bytes,
 )
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "MemoryBudget",
     "csr_bytes",
     "hash_table_bytes",
-    "sparsifier_bytes",
     "max_affordable_samples",
 ]

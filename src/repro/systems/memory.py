@@ -49,12 +49,6 @@ def per_thread_list_bytes(total_samples: int) -> int:
     return total_samples * BYTES_PER_LIST_ENTRY
 
 
-def sparsifier_bytes(nnz: int) -> int:
-    """Final CSR sparsifier footprint (indptr omitted: dominated by entries)."""
-    _check_nonneg(nnz=nnz)
-    return nnz * (8 + 8)  # int64 col + float64 value
-
-
 @dataclass(frozen=True)
 class MemoryBudget:
     """A RAM budget in bytes (construct from GiB for readability)."""

@@ -26,9 +26,6 @@ On top of the substrate sits the *persistence* layer:
 * **Ledger** (:mod:`repro.telemetry.ledger`) — every pipeline run appends
   one :class:`RunRecord` (params hash, environment fingerprint, Table-5
   stage times, metrics, peak RSS) to ``benchmarks/results/runs.jsonl``;
-* **Regression gate** (:mod:`repro.telemetry.regression`, CLI
-  ``lightne regress``) — noise-aware median/MAD comparison of new runs
-  against ledger baselines;
 * **Reports** (:mod:`repro.telemetry.report`, CLI ``lightne report``) —
   terminal and self-contained HTML trajectory/stage-breakdown/flamegraph
   rendering;

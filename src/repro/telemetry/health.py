@@ -126,11 +126,6 @@ def get_policy() -> str:
     return env if env in POLICIES else "off"
 
 
-def is_active() -> bool:
-    """Whether digests/probes are being computed at all."""
-    return get_policy() != "off"
-
-
 @contextmanager
 def policy_scope(policy: str) -> Iterator[None]:
     """Temporarily force a policy (test/benchmark discipline)."""

@@ -8,8 +8,10 @@ read off the run's stage spans (``result.timer``), a compacted snapshot of
 the run's own metrics, peak RSS and optional quality metrics — to
 ``benchmarks/results/runs.jsonl`` via a crash-safe atomic append
 (:func:`repro.utils.fileio.append_line`).  Downstream,
-:mod:`repro.telemetry.regression` selects baselines from the ledger and
-:mod:`repro.telemetry.report` renders trajectories from it.
+:mod:`repro.telemetry.report` renders trajectories from it and
+:mod:`repro.telemetry.audit` diffs two runs' digests.  Timing verdicts are
+not taken here: they come from the committed benchmark
+(``benchmarks/perf``).
 
 Recording is **opt-in** and piggybacks on :func:`repro.embedding.base.run_pipeline`:
 
@@ -137,19 +139,6 @@ class RunRecord:
         sha = self.env.get("git_sha")
         return str(sha) if sha else None
 
-    def stage_seconds(self, stage: str) -> Optional[float]:
-        """Seconds for ``stage`` (``"total"`` works too), ``None`` if absent."""
-        if stage == "total":
-            return self.total_s
-        value = self.stages.get(stage)
-        if value is None:
-            return None
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            return None
-        return value
-
     # ----------------------------------------------------------- (de)ser
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable dict, field order fixed for readable lines."""
@@ -240,7 +229,8 @@ class RunLedger:
     ) -> List[RunRecord]:
         """The parseable records in append (chronological) order, optionally
         only one method's and/or one dataset's (the readers' ``--method`` /
-        ``--dataset`` filter); malformed lines are skipped and logged."""
+        ``--dataset`` filter); malformed lines — unparseable JSON or a
+        wrong-typed field — are skipped and logged."""
         records: List[RunRecord] = []
         if not os.path.exists(self.path):
             return records
@@ -251,17 +241,18 @@ class RunLedger:
                     continue
                 try:
                     data = json.loads(line)
-                except json.JSONDecodeError:
+                    is_record = isinstance(data, dict) and "method" in data
+                    record = RunRecord.from_dict(data) if is_record else None
+                except (TypeError, ValueError):  # JSONDecodeError is a ValueError
                     logger.warning(
                         "ledger %s: skipping malformed line %d", self.path, lineno
                     )
                     continue
-                if not isinstance(data, dict) or "method" not in data:
+                if record is None:
                     logger.warning(
                         "ledger %s: skipping non-record line %d", self.path, lineno
                     )
                     continue
-                record = RunRecord.from_dict(data)
                 if (method is None or record.method == method) and (
                     dataset is None or record.dataset == dataset
                 ):

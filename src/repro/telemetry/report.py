@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import html as html_mod
 import json
+import statistics
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry.ledger import RunLedger, RunRecord, active_path, find_run
-from repro.telemetry.regression import median
 from repro.utils.fileio import atomic_write_text
 from repro.utils.table import format_cell, format_table, key_union
 
@@ -134,7 +134,7 @@ def trajectory_rows(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
             "params": key[2][:8],
             "runs": len(group),
             "latest_s": round(totals[-1], 4),
-            "median_s": round(median(totals), 4),
+            "median_s": round(statistics.median(totals), 4),
             "trend": sparkline(totals),
         }
         metric = _group_quality_metric(group)
@@ -475,6 +475,14 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """``--last`` value: at least 1 (``group[-0:]`` would be every run)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def init_subparser(subparsers) -> None:
     """Mount ``lightne report`` on the CLI's subparsers action."""
     parser = subparsers.add_parser(
@@ -490,7 +498,8 @@ def init_subparser(subparsers) -> None:
     parser.add_argument("--method", help="filter: method name")
     parser.add_argument("--dataset", help="filter: dataset name")
     parser.add_argument(
-        "--last", type=int, default=5, help="recent runs per group in tables"
+        "--last", type=_positive_int, default=5,
+        help="recent runs per group in tables",
     )
     parser.add_argument(
         "--diff", nargs=2, metavar=("RUN_A", "RUN_B"),

@@ -3,8 +3,9 @@
 All stochastic code in the library accepts a ``seed`` argument that may be an
 ``int``, ``None`` or an already-constructed :class:`numpy.random.Generator`.
 :func:`ensure_rng` normalises the three forms so call sites stay short, and
-:func:`spawn_rngs` derives independent child generators for worker chunks (the
-Python analog of per-thread RNG streams in the paper's C++ implementation).
+:func:`spawn_batch_rngs` derives independent child generators for sampling
+batches (the Python analog of per-thread RNG streams in the paper's C++
+implementation).
 """
 
 from __future__ import annotations
@@ -32,33 +33,12 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> Sequence[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Reproducibility caveat: when ``seed`` is a :class:`numpy.random.Generator`
-    the children are seeded from the parent's *current bit stream*, so the
-    derived streams depend on the parent's state **and on** ``count`` — two
-    calls that split the same work into different chunk counts produce
-    unrelated streams.  Callers that need results to be invariant to how work
-    is split (e.g. across worker counts) should use :func:`spawn_batch_rngs`,
-    which derives one stream per fixed batch index instead.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own bit stream.
-        seeds = seed.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
 def spawn_batch_rngs(seed: SeedLike, count: int) -> Sequence[np.random.Generator]:
     """Derive ``count`` generators, one per *batch index*, stably.
 
-    Unlike :func:`spawn_rngs`, a Generator input consumes exactly one draw
-    from the parent stream (a root entropy value) regardless of ``count``;
-    child ``i`` is then ``SeedSequence(root).spawn(...)[i]``.  Because
+    A Generator input consumes exactly one draw from the parent stream (a
+    root entropy value) regardless of ``count``; child ``i`` is then
+    ``SeedSequence(root).spawn(...)[i]``.  Because
     ``SeedSequence.spawn`` children are indexed, stream ``i`` is the same no
     matter how the batches are later distributed over workers — this is what
     makes chunked sampling bit-identical across worker counts.

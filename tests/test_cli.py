@@ -388,7 +388,7 @@ RUN_ARGUMENTS = {
     "profile_memory", "ledger", "ledger_out", "health",
 }
 PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "stream", "compare"}
-READER_SUBCOMMANDS = {"regress", "report", "audit"}
+READER_SUBCOMMANDS = {"report", "audit"}
 
 
 class TestFrontDoor:

@@ -24,7 +24,7 @@ from repro.embedding import (
     pbg_embedding,
     prone_embedding,
 )
-from repro.embedding.base import EmbeddingResult, score_edges, validate_dimension
+from repro.embedding.base import EmbeddingResult, validate_dimension
 from repro.embedding.netmf import netmf_matrix_dense
 from repro.errors import FactorizationError
 from repro.eval.node_classification import evaluate_node_classification
@@ -57,12 +57,6 @@ class TestEmbeddingResult:
             validate_dimension(10, 11)
         with pytest.raises(FactorizationError):
             validate_dimension(10, 0)
-
-    def test_score_edges(self):
-        vectors = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        scores = score_edges(vectors, np.array([0, 1]), np.array([2, 2]))
-        np.testing.assert_allclose(scores, [1.0, 2.0])
-
 
 class TestNetMF:
     def test_matrix_nonnegative(self, er_graph):

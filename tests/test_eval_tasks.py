@@ -14,7 +14,6 @@ from repro.eval.link_prediction import (
 )
 from repro.eval.node_classification import (
     evaluate_node_classification,
-    sweep_training_ratios,
 )
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph
@@ -78,11 +77,6 @@ class TestNodeClassification:
         labels[0, 0] = True
         with pytest.raises(EvaluationError):
             evaluate_node_classification(vectors, labels, 0.5)
-
-    def test_sweep(self, embedded_sbm):
-        _, labels, vectors = embedded_sbm
-        results = sweep_training_ratios(vectors, labels, [0.2, 0.5], repeats=1, seed=0)
-        assert [r.train_ratio for r in results] == [0.2, 0.5]
 
     def test_deterministic_given_seed(self, embedded_sbm):
         _, labels, vectors = embedded_sbm

@@ -9,8 +9,6 @@ from repro.errors import GraphConstructionError
 from repro.graph.algorithms import (
     bfs,
     connected_components,
-    diameter_lower_bound,
-    kcore_decomposition,
     pagerank,
     triangle_count,
     _expand_ranges,
@@ -136,43 +134,3 @@ class TestTriangles:
         a = er_graph.adjacency()
         expected = int(round((a @ a @ a).diagonal().sum() / 6))
         assert triangle_count(er_graph) == expected
-
-
-class TestKCore:
-    def test_triangle_all_core2(self, triangle):
-        np.testing.assert_array_equal(kcore_decomposition(triangle), [2, 2, 2])
-
-    def test_star_core1(self, star):
-        core = kcore_decomposition(star)
-        assert np.all(core == 1)
-
-    def test_path_core1(self, path4):
-        np.testing.assert_array_equal(kcore_decomposition(path4), [1, 1, 1, 1])
-
-    def test_k4_plus_tail(self):
-        # K4 (core 3) with a pendant vertex (core 1).
-        g = from_edges([0, 0, 0, 1, 1, 2, 3], [1, 2, 3, 2, 3, 3, 4])
-        core = kcore_decomposition(g)
-        np.testing.assert_array_equal(core, [3, 3, 3, 3, 1])
-
-    def test_core_upper_bounded_by_degree(self, er_graph):
-        core = kcore_decomposition(er_graph)
-        assert np.all(core <= er_graph.degrees())
-
-
-class TestDiameterBound:
-    def test_path_exact(self):
-        n = 12
-        g = from_edges(np.arange(n - 1), np.arange(1, n))
-        assert diameter_lower_bound(g, probes=4, seed=0) == n - 1
-
-    def test_triangle(self, triangle):
-        assert diameter_lower_bound(triangle) == 1
-
-    def test_bound_is_lower_bound(self, er_graph):
-        from scipy.sparse.csgraph import shortest_path
-
-        d = shortest_path(er_graph.adjacency(), unweighted=True)
-        finite = d[np.isfinite(d)]
-        true_diameter = int(finite.max())
-        assert diameter_lower_bound(er_graph, probes=4, seed=1) <= true_diameter

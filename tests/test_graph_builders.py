@@ -10,7 +10,6 @@ from repro.errors import GraphConstructionError
 from repro.graph.builders import (
     from_edges,
     from_scipy,
-    relabel_largest_component,
     to_scipy,
 )
 
@@ -98,29 +97,3 @@ class TestScipyRoundTrip:
         a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
         g = from_scipy(a, symmetrize=False)
         assert not g.has_edge(0, 0)
-
-
-class TestLargestComponent:
-    def test_connected_graph_unchanged(self, triangle):
-        sub, kept = relabel_largest_component(triangle)
-        assert sub == triangle
-        np.testing.assert_array_equal(kept, [0, 1, 2])
-
-    def test_extracts_largest(self):
-        # Component {0,1,2} (triangle) and component {3,4} (edge).
-        g = from_edges([0, 1, 2, 3], [1, 2, 0, 4])
-        sub, kept = relabel_largest_component(g)
-        assert sub.num_vertices == 3
-        assert sub.num_edges == 3
-        np.testing.assert_array_equal(kept, [0, 1, 2])
-
-    def test_weights_preserved(self):
-        g = from_edges([0, 1, 3], [1, 2, 4], [5.0, 6.0, 7.0])
-        sub, _ = relabel_largest_component(g)
-        assert sub.num_vertices == 3
-        assert sub.adjacency()[0, 1] == pytest.approx(5.0)
-
-    def test_empty_graph(self):
-        g = from_edges([], [], num_vertices=0)
-        sub, kept = relabel_largest_component(g)
-        assert kept.size == 0

@@ -7,10 +7,8 @@ import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graph.generators import (
-    barabasi_albert_graph,
     dcsbm_graph,
     erdos_renyi_graph,
-    planted_partition_graph,
     rmat_graph,
 )
 
@@ -44,34 +42,6 @@ class TestErdosRenyi:
             erdos_renyi_graph(0, 0.5)
         with pytest.raises(GraphConstructionError):
             erdos_renyi_graph(10, 1.5)
-
-
-class TestBarabasiAlbert:
-    def test_sizes(self):
-        g = barabasi_albert_graph(100, 3, seed=0)
-        assert g.num_vertices == 100
-        # Each of the n - (attach+1) new vertices adds `attach` edges.
-        assert g.num_edges >= 3 * (100 - 4)
-
-    def test_min_degree(self):
-        g = barabasi_albert_graph(60, 2, seed=1)
-        assert g.degrees().min() >= 2
-
-    def test_skewed_degrees(self):
-        g = barabasi_albert_graph(300, 2, seed=2)
-        degrees = g.degrees()
-        assert degrees.max() > 4 * degrees.min()
-
-    def test_invalid_args(self):
-        with pytest.raises(GraphConstructionError):
-            barabasi_albert_graph(3, 3)
-        with pytest.raises(GraphConstructionError):
-            barabasi_albert_graph(10, 0)
-
-    def test_deterministic(self):
-        a = barabasi_albert_graph(50, 2, seed=9)
-        b = barabasi_albert_graph(50, 2, seed=9)
-        assert a == b
 
 
 class TestRMAT:
@@ -162,19 +132,3 @@ class TestDCSBM:
             dcsbm_graph(10, 2, mixing=2.0)
         with pytest.raises(GraphConstructionError):
             dcsbm_graph(10, 2, labels_per_node=0)
-
-
-class TestPlantedPartition:
-    def test_shapes(self):
-        g, comm = planted_partition_graph(60, 3, 0.5, 0.05, seed=0)
-        assert g.num_vertices == 60
-        assert comm.shape == (60,)
-
-    def test_assortative(self):
-        g, comm = planted_partition_graph(90, 3, 0.5, 0.02, seed=1)
-        src, dst = g.edge_endpoints()
-        assert (comm[src] == comm[dst]).mean() > 0.7
-
-    def test_invalid(self):
-        with pytest.raises(GraphConstructionError):
-            planted_partition_graph(10, 3, 1.5, 0.1)

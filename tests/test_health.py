@@ -119,12 +119,10 @@ class TestPolicy:
 
     def test_default_off(self):
         assert health.get_policy() == "off"
-        assert not health.is_active()
 
     def test_set_and_clear(self):
         health.set_policy("warn")
         assert health.get_policy() == "warn"
-        assert health.is_active()
         health.clear_policy()
         assert health.get_policy() == "off"
 

@@ -109,14 +109,6 @@ class TestRunRecord:
         assert any("run_id" in p for p in problems)
         assert any("stages" in p for p in problems)
 
-    def test_stage_seconds_total_and_missing(self):
-        record = RunRecord(
-            method="m", dataset="d", stages={"svd": 2.0}, total_s=3.0
-        )
-        assert record.stage_seconds("svd") == 2.0
-        assert record.stage_seconds("total") == 3.0
-        assert record.stage_seconds("nope") is None
-
     def test_compact_metrics_drops_buckets(self):
         snapshot = {
             "counters": {"c": 3.0},
@@ -158,23 +150,51 @@ class TestRunLedger:
         records = RunLedger(path).records()
         assert [r.method for r in records] == ["m", "m2"]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"method": "lightne", "stages": "oops"},
+            {"method": "lightne", "total_s": "abc"},
+            {"method": "lightne", "stages": [1]},
+        ],
+        ids=["stages-str", "total-str", "stages-list"],
+    )
+    def test_wrong_typed_field_skipped_by_both_readers(
+        self, tmp_path, line, capsys, caplog
+    ):
+        """A line that parses as JSON but holds a wrong-typed field is
+        skipped and logged like unparseable JSON; ``report`` and ``audit``
+        still load the valid run after it."""
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        RunLedger(path).append(RunRecord(
+            method="good", dataset="d", digests={"svd": "abc"}
+        ))
+        with caplog.at_level("WARNING", logger=ledger.logger.name):
+            records = RunLedger(path).records()
+        assert [r.method for r in records] == ["good"]
+        assert "skipping malformed line 1" in caplog.text
+        assert cli_main(["report", "--ledger", str(path)]) == 0
+        assert f"ledger {path}: 1 runs" in capsys.readouterr().out
+        audit_args = ["audit", "--ledger", str(path), "1", "1", "--strict"]
+        assert cli_main(audit_args) == 0
+        assert "IDENTICAL" in capsys.readouterr().out
+
     def test_missing_file_is_empty(self, tmp_path):
         assert RunLedger(tmp_path / "absent.jsonl").records() == []
 
     def test_readers_default_to_the_active_path(self, tmp_path, monkeypatch, capsys):
-        """``regress`` and ``report`` read where ``embed --ledger`` writes
+        """``report`` reads where ``embed --ledger`` writes
         (``REPRO_LEDGER_PATH``), as ``audit`` does, when no ``--ledger``
         is given."""
         path = tmp_path / "env_runs.jsonl"
         book = RunLedger(path)
-        for score in (0.40, 0.40, 0.40, 0.30):
+        for score in (0.40, 0.30):
             book.append(RunRecord(
                 method="m", dataset="env_only", total_s=1.0,
                 quality={"micro_f1": score},
             ))
         monkeypatch.setenv(ledger.ENV_PATH, str(path))
-        assert cli_main(["regress"]) == 1
-        assert "quality drops: quality.micro_f1" in capsys.readouterr().out
         assert cli_main(["report"]) == 0
         assert "env_only" in capsys.readouterr().out
 

@@ -61,7 +61,6 @@ SUBPACKAGES = [
     "repro.analysis.spectral",
     "repro.experiments",
     "repro.experiments.runner",
-    "repro.eval.retrieval",
     "repro.utils",
     "repro.telemetry",
     "repro.telemetry.tracer",
@@ -225,3 +224,19 @@ def test_the_span_tree_is_the_only_stage_clock():
             ]
     assert offenders == []
     assert not (root / "utils" / "timer.py").exists()
+
+
+def test_deleted_api_stays_deleted(capsys):
+    """Layering: performance verdicts come from ``benchmarks/perf`` alone
+    (no ``lightne regress``), and modules nothing outside their own tests
+    called are gone."""
+    from repro.cli import main
+
+    for name in ("repro.telemetry.regression", "repro.eval.retrieval",
+                 "repro.streaming.temporal", "repro.utils.validation"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["regress"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'regress'" in capsys.readouterr().err

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import statistics
+
+import pytest
 
 from repro.cli import main as cli_main
 from repro.telemetry.ledger import RunLedger, RunRecord
-from repro.telemetry.regression import median
 from repro.telemetry.report import (
     flame_boxes,
     format_run,
@@ -66,10 +68,11 @@ class TestTextBuildingBlocks:
         assert lightne["runs"] == 3
         assert len(lightne["trend"]) == 3
 
-    def test_trajectory_median_is_the_gates_median(self):
+    def test_trajectory_median_is_the_statistics_median(self):
         # Even run counts used to show the upper middle value.
-        (row,) = trajectory_rows([make_record(total=t) for t in (1.0, 3.0)])
-        assert row["median_s"] == median([1.0, 3.0]) == 2.0
+        totals = [1.0, 3.0, 0.7, 2.2]
+        (row,) = trajectory_rows([make_record(total=t) for t in totals])
+        assert row["median_s"] == round(statistics.median(totals), 4) == 1.6
 
     def test_trajectory_rows_quality_columns(self):
         records = [
@@ -213,6 +216,20 @@ class TestReportCLI:
         assert "latest run" in out
         assert out_html.exists()
         assert "<svg" in out_html.read_text()
+
+    @pytest.mark.parametrize("last", ["0", "-2"])
+    def test_last_below_one_is_a_usage_error(self, tmp_path, capsys, last):
+        # group[-0:] would render every run and group[-2:] a wrong count.
+        path = self._ledger(
+            tmp_path, [make_record(total=t) for t in (1.0, 1.1, 1.2, 1.3, 1.4)]
+        )
+        out_html = tmp_path / "report.html"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["report", "--ledger", str(path), "--last", last,
+                      "--html", str(out_html)])
+        assert excinfo.value.code == 2
+        assert "--last: must be at least 1" in capsys.readouterr().err
+        assert not out_html.exists()
 
     def test_diff_by_run_id_prefix(self, tmp_path, capsys):
         a = make_record(metrics={"counters": {"c": 1}, "gauges": {}})

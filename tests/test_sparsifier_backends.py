@@ -5,8 +5,8 @@ sampler through ``build_sparsifier`` must be bit-identical to
 ``build_netmf_sparsifier`` at every worker count on both execution
 substrates; the ``"ppr"`` sampler must be deterministic under the same
 sweep and estimate the NetMF matrix at least as well as PathSampling at
-equal sample budgets; and the widened workloads (weighted / bipartite /
-temporal) must run the full builders → sparsifier → eval path.
+equal sample budgets; and the widened workloads (weighted / bipartite)
+must run the full builders → sparsifier → eval path.
 """
 
 from __future__ import annotations
@@ -376,117 +376,6 @@ class TestBipartite:
         users, items = result.vectors[:40], result.vectors[40:]
         assert users.shape == (40, 8) and items.shape == (25, 8)
         assert np.all(np.isfinite(result.vectors))
-
-
-class TestTemporalReplay:
-    @staticmethod
-    def _timestamped_edges(seed=0, size=900, n=80):
-        rng = np.random.default_rng(seed)
-        g, _ = dcsbm_graph(n, 3, avg_degree=12, mixing=0.1, seed=seed)
-        src, dst = g.edge_endpoints()
-        keep = src < dst  # one direction per undirected edge
-        src, dst = src[keep], dst[keep]
-        ts = rng.uniform(0.0, 1.0, src.size)
-        return src, dst, ts, n
-
-    def test_stream_split_covers_all_edges(self):
-        from repro.streaming import temporal_edge_stream
-
-        src, dst, ts, n = self._timestamped_edges()
-        initial, batches = temporal_edge_stream(src, dst, ts, epochs=3)
-        assert len(batches) == 3
-        replayed = sum(b.num_additions for b in batches)
-        # num_edges counts undirected edges; every input pair is unique.
-        assert initial.num_edges + replayed == src.size
-        assert initial.num_vertices == n
-
-    def test_stream_is_chronological(self):
-        from repro.streaming import temporal_edge_stream
-
-        src = np.array([0, 1, 2, 3, 4, 5])
-        dst = np.array([1, 2, 3, 4, 5, 0])
-        ts = np.array([5.0, 1.0, 4.0, 2.0, 0.0, 3.0])
-        initial, batches = temporal_edge_stream(
-            src, dst, ts, epochs=2, initial_fraction=0.5, num_vertices=6
-        )
-        # Earliest half: edges with ts {0,1,2}: (4,5), (1,2), (3,4).
-        assert initial.num_edges == 3
-        assert initial.degree(0) == 0  # ts-5.0 edge arrives last
-        late = np.concatenate([b.add_sources for b in batches])
-        assert set(late.tolist()) == {5, 2, 0}
-
-    def test_stream_validation(self):
-        from repro.streaming import temporal_edge_stream
-
-        with pytest.raises(GraphConstructionError):
-            temporal_edge_stream([0, 1], [1, 2], [0.0])
-        with pytest.raises(GraphConstructionError):
-            temporal_edge_stream([0, 1], [1, 2], [0.0, 1.0], initial_fraction=1.0)
-        with pytest.raises(GraphConstructionError):
-            temporal_edge_stream([0, 1], [1, 2], [0.0, 1.0], epochs=0)
-
-    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
-    def test_replay_scores_every_epoch(self, sparsifier):
-        from repro.streaming import replay_temporal_link_prediction
-
-        src, dst, ts, n = self._timestamped_edges(seed=1)
-        rows = replay_temporal_link_prediction(
-            src, dst, ts,
-            params=LightNEParams(
-                dimension=8, window=2, sample_multiplier=2,
-                propagate=False, sparsifier=sparsifier,
-            ),
-            epochs=3, num_negatives=20, num_vertices=n, seed=0,
-        )
-        assert [row["epoch"] for row in rows] == [0, 1, 2]
-        for row in rows:
-            assert row["edges"] > 0
-            assert 0.0 <= row["MRR"] <= 1.0
-            assert 0.0 <= row["HITS@10"] <= 1.0
-        # The default policy refreshes every batch.
-        assert all(row["refreshed"] for row in rows)
-
-    def test_replay_records_per_epoch_ledger_rows(self, tmp_path):
-        from repro.streaming import replay_temporal_link_prediction
-        from repro.telemetry import ledger
-
-        src, dst, ts, n = self._timestamped_edges(seed=2)
-        path = tmp_path / "temporal.jsonl"
-        with ledger.enabled_scope(path=path):
-            replay_temporal_link_prediction(
-                src, dst, ts,
-                params=LightNEParams(
-                    dimension=8, window=2, sample_multiplier=2,
-                    propagate=False, sparsifier="ppr",
-                ),
-                epochs=3, num_negatives=20, num_vertices=n, seed=0,
-            )
-        records = ledger.RunLedger(path).records()
-        epoch_records = [
-            r for r in records if str(r.context).startswith("temporal.epoch")
-        ]
-        assert [r.context for r in epoch_records] == [
-            "temporal.epoch0", "temporal.epoch1", "temporal.epoch2"
-        ]
-        for record in epoch_records:
-            assert record.params["sparsifier"] == "ppr"
-            assert "mrr" in record.quality
-            assert "hits@10" in record.quality
-
-    def test_replay_deterministic(self):
-        from repro.streaming import replay_temporal_link_prediction
-
-        src, dst, ts, n = self._timestamped_edges(seed=3)
-        kwargs = dict(
-            params=LightNEParams(
-                dimension=8, window=2, sample_multiplier=2, propagate=False
-            ),
-            epochs=2, num_negatives=20, num_vertices=n, seed=4,
-        )
-        assert (
-            replay_temporal_link_prediction(src, dst, ts, **kwargs)
-            == replay_temporal_link_prediction(src, dst, ts, **kwargs)
-        )
 
 
 class TestDynamicEmbedderMethods:

@@ -17,7 +17,6 @@ from repro.systems.memory import (
     hash_table_bytes,
     max_affordable_samples,
     per_thread_list_bytes,
-    sparsifier_bytes,
 )
 
 
@@ -79,9 +78,6 @@ class TestMemoryModel:
 
     def test_thread_lists_linear(self):
         assert per_thread_list_bytes(2000) == 2 * per_thread_list_bytes(1000)
-
-    def test_sparsifier_bytes(self):
-        assert sparsifier_bytes(10) == 160
 
     def test_negative_rejected(self):
         with pytest.raises(EvaluationError):

@@ -1,4 +1,4 @@
-"""Tests for repro.utils: rng plumbing, timers, validation, chunking."""
+"""Tests for repro.utils: rng plumbing, timers, chunking."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.utils.parallel import (
     BACKENDS,
@@ -42,15 +41,9 @@ def _remember(tag):
 
 def _read_tag(_):
     return _INIT_STATE.get("tag")
-from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs, spawn_rngs
+from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs
 from repro import telemetry
 from repro.telemetry import StageTable, Tracer
-from repro.utils.validation import (
-    as_int_array,
-    check_fraction,
-    check_positive,
-    check_square_sparse,
-)
 
 
 class TestEnsureRng:
@@ -75,32 +68,6 @@ class TestEnsureRng:
         assert isinstance(gen, np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_independent(self):
-        a, b = spawn_rngs(7, 2)
-        assert not np.array_equal(a.random(8), b.random(8))
-
-    def test_reproducible_from_int(self):
-        first = [g.random(3) for g in spawn_rngs(5, 3)]
-        second = [g.random(3) for g in spawn_rngs(5, 3)]
-        for x, y in zip(first, second):
-            np.testing.assert_array_equal(x, y)
-
-    def test_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(1), 2)
-        assert len(children) == 2
-
-
 class TestSpawnBatchRngs:
     def test_count_and_reproducibility(self):
         first = [g.random(3) for g in spawn_batch_rngs(5, 3)]
@@ -109,8 +76,8 @@ class TestSpawnBatchRngs:
             np.testing.assert_array_equal(x, y)
 
     def test_prefix_stable_across_counts(self):
-        # Unlike spawn_rngs with a Generator parent, the stream for batch i
-        # must not depend on how many batches exist in total.
+        # The stream for batch i must not depend on how many batches exist
+        # in total.
         few = [g.random(4) for g in spawn_batch_rngs(9, 2)]
         many = [g.random(4) for g in spawn_batch_rngs(9, 6)]
         for x, y in zip(few, many):
@@ -293,47 +260,6 @@ class TestStageTimer:
         assert timer.get_counter("sparsifier", "workers") == 2.0
         # Non-numeric attributes are not counters.
         assert timer.get_counter("svd", "label", default=-1.0) == -1.0
-
-
-class TestValidation:
-    def test_check_positive_ok(self):
-        check_positive("x", 1)
-
-    def test_check_positive_zero_strict(self):
-        with pytest.raises(ValueError):
-            check_positive("x", 0)
-
-    def test_check_positive_zero_nonstrict(self):
-        check_positive("x", 0, strict=False)
-
-    def test_check_fraction_bounds(self):
-        check_fraction("p", 0.0)
-        check_fraction("p", 1.0)
-        with pytest.raises(ValueError):
-            check_fraction("p", 1.5)
-
-    def test_check_fraction_exclusive(self):
-        with pytest.raises(ValueError):
-            check_fraction("p", 0.0, inclusive=False)
-
-    def test_check_square_sparse(self):
-        check_square_sparse("m", sp.eye(3))
-        with pytest.raises(ValueError):
-            check_square_sparse("m", np.eye(3))
-        with pytest.raises(ValueError):
-            check_square_sparse("m", sp.csr_matrix((2, 3)))
-
-    def test_as_int_array(self):
-        out = as_int_array("x", [1.0, 2.0])
-        assert out.dtype == np.int64
-
-    def test_as_int_array_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            as_int_array("x", [1.5])
-
-    def test_as_int_array_rejects_2d(self):
-        with pytest.raises(ValueError):
-            as_int_array("x", [[1, 2]])
 
 
 class TestChunkRanges:
