@@ -38,28 +38,20 @@ from repro.graph import (
 from repro.embedding import (
     DeepWalkSGDParams,
     EmbeddingResult,
-    GraRepParams,
-    HOPEParams,
-    LINEParams,
     LightNEParams,
     MethodSpec,
     NRPParams,
     NetMFParams,
-    Node2VecParams,
     PBGParams,
     ProNEParams,
     deepwalk_sgd_embedding,
     get_method,
-    grarep_embedding,
-    hope_embedding,
     lightne_embedding,
-    line_embedding,
     list_methods,
     make_params,
     method_names,
     netmf_embedding,
     netsmf_embedding,
-    node2vec_embedding,
     nrp_embedding,
     pbg_embedding,
     prone_embedding,
@@ -108,20 +100,12 @@ __all__ = [
     "prone_embedding",
     "NetMFParams",
     "netmf_embedding",
-    "LINEParams",
-    "line_embedding",
     "DeepWalkSGDParams",
     "deepwalk_sgd_embedding",
     "PBGParams",
     "pbg_embedding",
     "NRPParams",
     "nrp_embedding",
-    "Node2VecParams",
-    "node2vec_embedding",
-    "GraRepParams",
-    "grarep_embedding",
-    "HOPEParams",
-    "hope_embedding",
     # method registry
     "MethodSpec",
     "get_method",

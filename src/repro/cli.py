@@ -113,8 +113,9 @@ _KNOB_ARGS = (*GENERIC_KNOBS, "backend", "batch_size")
 def _embed(graph, args: argparse.Namespace):
     """Resolve ``--method`` through the registry and run it.
 
-    Registry errors (unknown method, knob the method does not support)
-    surface as clean ``SystemExit`` messages instead of tracebacks.
+    Library errors (unknown method, knob the method does not support, a
+    parameter value the builder rejects) surface as clean ``SystemExit``
+    messages instead of tracebacks.
     """
     overrides = {"dimension": args.dim}
     for knob in _KNOB_ARGS:
@@ -124,9 +125,9 @@ def _embed(graph, args: argparse.Namespace):
     try:
         spec = get_method(args.method)
         params = make_params(args.method, **overrides)
+        return spec.builder(graph, params, seed=args.seed)
     except ReproError as exc:
         raise SystemExit(str(exc))
-    return spec.builder(graph, params, seed=args.seed)
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:

@@ -1,6 +1,7 @@
 """Embedding algorithms: LightNE (with NetSMF and SketchNE as presets of its
-pipeline), ProNE, the exact NetMF reference, and the baseline systems the
-paper compares to.
+pipeline), ProNE, the exact NetMF reference, and the other systems the paper
+measures against — DeepWalk-by-SGD (the GraphVite stand-in), PBG and NRP.
+Every builder has the one signature ``builder(graph, params, seed=None)``.
 
 All methods run on the shared pipeline skeleton in
 :mod:`repro.embedding.base` and are dispatched by name through the
@@ -20,13 +21,9 @@ from repro.embedding.lightne import (
     netsmf_embedding,
     sketchne_embedding,
 )
-from repro.embedding.line import LINEParams, line_embedding
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
 from repro.embedding.pbg import PBGParams, pbg_embedding
 from repro.embedding.nrp import NRPParams, nrp_embedding
-from repro.embedding.node2vec import Node2VecParams, node2vec_embedding
-from repro.embedding.grarep import GraRepParams, grarep_embedding
-from repro.embedding.hope import HOPEParams, hope_embedding
 from repro.embedding.registry import (
     MethodSpec,
     canonical_name,
@@ -39,12 +36,6 @@ from repro.embedding.registry import (
 )
 
 __all__ = [
-    "Node2VecParams",
-    "node2vec_embedding",
-    "GraRepParams",
-    "grarep_embedding",
-    "HOPEParams",
-    "hope_embedding",
     "EmbeddingResult",
     "PipelineContext",
     "PipelineSpec",
@@ -58,8 +49,6 @@ __all__ = [
     "LightNEParams",
     "lightne_embedding",
     "sketchne_embedding",
-    "LINEParams",
-    "line_embedding",
     "DeepWalkSGDParams",
     "deepwalk_sgd_embedding",
     "PBGParams",

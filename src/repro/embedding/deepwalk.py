@@ -24,7 +24,7 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
-from repro.errors import SamplingError
+from repro.errors import FactorizationError, SamplingError
 from repro.graph import CSRGraph
 from repro.graph.walks import random_walk_matrix_sample
 from repro.utils.rng import SeedLike
@@ -71,6 +71,14 @@ def _deepwalk_body(ctx: PipelineContext):
     n = graph.num_vertices
     if params.window < 1:
         raise SamplingError(f"window must be >= 1, got {params.window}")
+    if params.walk_length < 1:
+        raise SamplingError(f"walk_length must be >= 1, got {params.walk_length}")
+    if params.batch_size < 1:
+        raise SamplingError(f"batch_size must be >= 1, got {params.batch_size}")
+    if params.learning_rate <= 0:
+        raise FactorizationError(
+            f"learning_rate must be > 0, got {params.learning_rate}"
+        )
 
     with telemetry.stage("walks"):
         walks = random_walk_matrix_sample(
@@ -121,8 +129,8 @@ def deepwalk_sgd_embedding(
     Uses the standard two-matrix parameterization (input/output vectors) with
     a degree^0.75 negative-sampling distribution and a linearly decaying
     learning rate; the input matrix is returned as the embedding.  Result
-    method name is the canonical ``"deepwalk"``; ``"deepwalk-sgd"`` and
-    ``"graphvite"`` remain registered aliases.
+    method name is the canonical ``"deepwalk"``; ``"graphvite"`` remains a
+    registered alias.
     """
     return run_pipeline(graph, DEEPWALK_PIPELINE, params, seed)
 

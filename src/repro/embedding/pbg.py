@@ -21,6 +21,7 @@ from repro.embedding.base import (
     PipelineSpec,
     run_pipeline,
 )
+from repro.errors import FactorizationError, SamplingError
 from repro.graph import CSRGraph
 from repro.utils.rng import SeedLike
 
@@ -35,7 +36,7 @@ class PBGParams:
     """
 
     dimension: int = 128
-    epochs: int = 10
+    epochs: int = 20
     negatives: int = 10
     learning_rate: float = 0.1
     batch_size: int = 8192
@@ -48,6 +49,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _pbg_body(ctx: PipelineContext):
     graph, params, rng = ctx.graph, ctx.params, ctx.rng
     n = graph.num_vertices
+    if params.batch_size < 1:
+        raise SamplingError(f"batch_size must be >= 1, got {params.batch_size}")
+    if params.learning_rate <= 0:
+        raise FactorizationError(
+            f"learning_rate must be > 0, got {params.learning_rate}"
+        )
 
     src, dst = graph.edge_endpoints()
     mask = src < dst

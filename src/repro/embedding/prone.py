@@ -17,7 +17,7 @@ so the class doubles as ProNE+ with stage timing for Table 5.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,15 +141,10 @@ def prone_embedding(
     graph: CSRGraph,
     params: ProNEParams = ProNEParams(),
     seed: SeedLike = None,
-    *,
-    propagate: Optional[bool] = None,
 ) -> EmbeddingResult:
     """ProNE(+) embedding: sparse factorization, then spectral propagation.
 
-    The ``propagate`` keyword is a legacy override of ``params.propagate``
-    (``None`` defers to the dataclass).  Result method name is the canonical
-    ``"prone"``; ``"prone+"`` remains a registered alias.
+    Result method name is the canonical ``"prone"``; ``"prone+"`` remains a
+    registered alias.
     """
-    if propagate is not None and propagate != params.propagate:
-        params = replace(params, propagate=propagate)
     return run_pipeline(graph, PRONE_PIPELINE, params, seed)

@@ -28,8 +28,6 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.embedding.base import EmbeddingResult
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
-from repro.embedding.grarep import GraRepParams, grarep_embedding
-from repro.embedding.hope import HOPEParams, hope_embedding
 from repro.embedding.lightne import (
     NETSMF_PINS,
     SKETCHNE_DEFAULTS,
@@ -38,9 +36,7 @@ from repro.embedding.lightne import (
     netsmf_embedding,
     sketchne_embedding,
 )
-from repro.embedding.line import LINEParams, line_embedding
 from repro.embedding.netmf import NetMFParams, netmf_embedding
-from repro.embedding.node2vec import Node2VecParams, node2vec_embedding
 from repro.embedding.nrp import NRPParams, nrp_embedding
 from repro.embedding.pbg import PBGParams, pbg_embedding
 from repro.embedding.prone import ProNEParams, prone_embedding
@@ -90,8 +86,8 @@ class MethodSpec:
         ``prone+`` / ``graphvite``).
     defaults:
         Field overrides applied on top of the dataclass defaults by
-        :func:`make_params` (e.g. ``netmf-eigen`` sets ``strategy``,
-        ``sketchne`` sets ``factorizer``); callers may override them.
+        :func:`make_params` (``sketchne`` sets ``factorizer``); callers
+        may override them.
     pins:
         Field values the method fixes (``netsmf``: no downsampling, no
         propagation).  A pinned field is not a knob of the method:
@@ -292,39 +288,11 @@ register(
 )
 register(
     MethodSpec(
-        name="netmf-eigen",
-        builder=netmf_embedding,
-        params_type=NetMFParams,
-        description="NetMF-large: truncated-eigenpair approximation of Eq. (1)",
-        defaults={"strategy": "eigen"},
-        stages=("matrix", "svd"),
-    )
-)
-register(
-    MethodSpec(
-        name="line",
-        builder=line_embedding,
-        params_type=LINEParams,
-        description="LINE: the T=1 NetMF matrix, factorized sparsely",
-        stages=("matrix", "svd"),
-    )
-)
-register(
-    MethodSpec(
         name="deepwalk",
         builder=deepwalk_sgd_embedding,
         params_type=DeepWalkSGDParams,
         description="DeepWalk trained by skip-gram SGD (the GraphVite stand-in)",
-        aliases=("graphvite", "deepwalk-sgd"),
-        stages=("walks", "sgd"),
-    )
-)
-register(
-    MethodSpec(
-        name="node2vec",
-        builder=node2vec_embedding,
-        params_type=Node2VecParams,
-        description="node2vec: p/q-biased second-order walks + skip-gram SGD",
+        aliases=("graphvite",),
         stages=("walks", "sgd"),
     )
 )
@@ -334,7 +302,6 @@ register(
         builder=pbg_embedding,
         params_type=PBGParams,
         description="PyTorch-BigGraph stand-in: Adagrad edge-ranking loss (E1 comparator)",
-        defaults={"epochs": 20},
         stages=("sgd",),
     )
 )
@@ -344,24 +311,6 @@ register(
         builder=nrp_embedding,
         params_type=NRPParams,
         description="NRP/NPR: implicit PPR-polynomial factorization (no entry-wise log)",
-        stages=("svd",),
-    )
-)
-register(
-    MethodSpec(
-        name="grarep",
-        builder=grarep_embedding,
-        params_type=GraRepParams,
-        description="GraRep: concatenated per-step log-transition factorizations",
-        stages=("matrix+svd",),
-    )
-)
-register(
-    MethodSpec(
-        name="hope",
-        builder=hope_embedding,
-        params_type=HOPEParams,
-        description="HOPE: implicit truncated-Katz operator factorization",
         stages=("svd",),
     )
 )

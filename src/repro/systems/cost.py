@@ -46,8 +46,6 @@ AZURE_INSTANCES: Dict[str, AzureInstance] = {
 SYSTEM_INSTANCE: Dict[str, str] = {
     "graphvite": "NC24s_v2",
     "deepwalk": "NC24s_v2",  # our GraphVite stand-in
-    "deepwalk-sgd": "NC24s_v2",
-    "node2vec": "NC24s_v2",
     "pbg": "E48_v3",
     "netsmf": "M128s",
     "prone": "M128s",
@@ -57,11 +55,7 @@ SYSTEM_INSTANCE: Dict[str, str] = {
     "netmf+": "M128s",
     "netmfplus": "M128s",
     "netmf": "M128s",
-    "netmf-eigen": "M128s",
-    "line": "M128s",
     "nrp": "M128s",
-    "grarep": "M128s",
-    "hope": "M128s",
 }
 
 

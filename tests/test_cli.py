@@ -116,7 +116,7 @@ class TestCommands:
         with pytest.raises(SystemExit, match="backend"):
             main(
                 [
-                    "embed", "--input", edge_file, "--method", "line",
+                    "embed", "--input", edge_file, "--method", "netmf",
                     "--backend", "process",
                     "--output", str(tmp_path / "x.npy"),
                 ]
@@ -149,7 +149,7 @@ class TestCommands:
     def test_eval_lp(self, edge_file, capsys):
         code = main(
             [
-                "eval-lp", "--input", edge_file, "--method", "line",
+                "eval-lp", "--input", edge_file, "--method", "netmf",
                 "--dim", "16", "--test-fraction", "0.05", "--negatives", "20",
             ]
         )
@@ -295,22 +295,11 @@ class TestFormats:
 
 
 class TestNewMethods:
-    @pytest.mark.parametrize("method", ["node2vec", "grarep", "hope", "netmf-eigen"])
-    def test_embed_new_methods(self, method, edge_file, tmp_path):
-        out_path = str(tmp_path / "v.npy")
-        argv = ["embed", "--input", edge_file, "--method", method,
-                "--dim", "8", "--output", out_path]
-        if method in ("node2vec", "netmf-eigen"):  # methods with the window knob
-            argv += ["--window", "2"]
-        code = main(argv)
-        assert code == 0
-        assert np.load(out_path).shape == (120, 8)
-
     def test_unsupported_knob_is_a_clean_error(self, edge_file, tmp_path):
-        """grarep has no window knob: strict CLI dispatch must reject it."""
+        """pbg has no window knob: strict CLI dispatch must reject it."""
         with pytest.raises(SystemExit, match="does not support 'window'"):
             main(
-                ["embed", "--input", edge_file, "--method", "grarep",
+                ["embed", "--input", edge_file, "--method", "pbg",
                  "--dim", "8", "--window", "2",
                  "--output", str(tmp_path / "v.npy")]
             )
@@ -330,6 +319,29 @@ class TestNewMethods:
         with pytest.raises(SystemExit, match="does not support 'propagate'"):
             main(shared + ["--method", "netsmf", "--no-propagate",
                            "--output", smf])
+
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("pbg", "--batch-size", "0"),
+            ("deepwalk", "--batch-size", "0"),
+            ("lightne", "--batch-size", "0"),
+            ("netmf", "--window", "0"),
+        ],
+    )
+    def test_rejected_value_is_a_one_line_error(
+        self, method, flag, value, edge_file, tmp_path
+    ):
+        """A value the builder rejects exits with its one-line message, the
+        way an unsupported knob does, not with a traceback."""
+        with pytest.raises(SystemExit) as caught:
+            main(
+                ["embed", "--input", edge_file, "--method", method,
+                 "--dim", "8", flag, value, "--output", str(tmp_path / "v.npy")]
+            )
+        message = caught.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert flag.lstrip("-").replace("-", "_") in message
 
     @pytest.mark.parametrize("alias,canonical", [("prone+", "prone"),
                                                  ("graphvite", "deepwalk")])

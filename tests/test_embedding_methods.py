@@ -12,21 +12,22 @@ import pytest
 from repro.embedding import (
     DeepWalkSGDParams,
     LightNEParams,
+    NetMFParams,
     NRPParams,
     PBGParams,
     ProNEParams,
     deepwalk_sgd_embedding,
     lightne_embedding,
-    line_embedding,
     netmf_embedding,
     netsmf_embedding,
     nrp_embedding,
     pbg_embedding,
     prone_embedding,
+    run_method,
 )
 from repro.embedding.base import EmbeddingResult, validate_dimension
 from repro.embedding.netmf import netmf_matrix_dense
-from repro.errors import FactorizationError
+from repro.errors import FactorizationError, SamplingError
 from repro.eval.node_classification import evaluate_node_classification
 
 
@@ -73,18 +74,18 @@ class TestNetMF:
 
     def test_embedding_shape(self, sbm_bundle):
         graph, _ = sbm_bundle
-        r = netmf_embedding(graph, 16, window=3, seed=0)
+        r = netmf_embedding(graph, NetMFParams(dimension=16, window=3), seed=0)
         assert r.vectors.shape == (graph.num_vertices, 16)
         assert r.method == "netmf"
 
     def test_quality(self, sbm_bundle):
         graph, labels = sbm_bundle
-        r = netmf_embedding(graph, 16, window=3, seed=0)
+        r = netmf_embedding(graph, NetMFParams(dimension=16, window=3), seed=0)
         assert micro_f1(r, labels) > 0.7
 
     def test_stage_timer(self, sbm_bundle):
         graph, _ = sbm_bundle
-        r = netmf_embedding(graph, 8, window=2, seed=0)
+        r = netmf_embedding(graph, NetMFParams(dimension=8, window=2), seed=0)
         assert "matrix" in r.timer.stages and "svd" in r.timer.stages
 
 
@@ -151,7 +152,9 @@ class TestProNE:
 
     def test_no_propagation_flag(self, sbm_bundle):
         graph, _ = sbm_bundle
-        r = prone_embedding(graph, ProNEParams(dimension=8), seed=0, propagate=False)
+        r = prone_embedding(
+            graph, ProNEParams(dimension=8, propagate=False), seed=0
+        )
         assert r.info["propagated"] is False
         assert "propagation" not in r.timer.stages
 
@@ -287,18 +290,6 @@ class TestLightNE:
         assert on.info["sparsifier_nnz"] < off.info["sparsifier_nnz"]
 
 
-class TestLINE:
-    def test_shape_and_quality(self, sbm_bundle):
-        graph, labels = sbm_bundle
-        r = line_embedding(graph, 16, seed=0)
-        assert r.vectors.shape == (graph.num_vertices, 16)
-        assert micro_f1(r, labels) > 0.6
-
-    def test_info_window_one(self, sbm_bundle):
-        graph, _ = sbm_bundle
-        assert line_embedding(graph, 8, seed=0).info["window"] == 1
-
-
 class TestNRP:
     def test_shape_and_quality(self, sbm_bundle):
         graph, labels = sbm_bundle
@@ -338,8 +329,6 @@ class TestDeepWalkSGD:
 
     def test_invalid_window(self, sbm_bundle):
         graph, _ = sbm_bundle
-        from repro.errors import SamplingError
-
         with pytest.raises(SamplingError):
             deepwalk_sgd_embedding(
                 graph, DeepWalkSGDParams(dimension=8, window=0), seed=0
@@ -364,48 +353,26 @@ class TestPBG:
         assert micro_f1(r, labels) > 0.5
 
 
-class TestNetMFEigen:
-    """NetMF-large: the truncated-eigenpair approximation of Eq. (1)."""
+class TestSGDParameterChecks:
+    """A bad SGD setting is a typed error before any training, not a numpy
+    traceback mid-run (``range()`` step 0, an empty walk corpus) nor a
+    silent run that climbs the loss (negative learning rate)."""
 
-    def test_close_to_exact_at_full_rank(self, sbm_bundle):
-        from repro.embedding.netmf import netmf_matrix_dense, netmf_matrix_eigen
-
-        graph, _ = sbm_bundle
-        exact = netmf_matrix_dense(graph, window=3)
-        approx = netmf_matrix_eigen(graph, window=3, rank=graph.num_vertices - 1)
-        mask = (exact > 0) | (approx > 0)
-        correlation = np.corrcoef(exact[mask], approx[mask])[0, 1]
-        # Not exact even at full rank: NetMF-large clips negative filtered
-        # eigenvalues by design, so ~0.94 correlation is the expected match.
-        assert correlation > 0.9
-
-    def test_embedding_quality(self, sbm_bundle):
-        graph, labels = sbm_bundle
-        r = netmf_embedding(graph, 16, window=3, strategy="eigen",
-                            eigen_rank=64, seed=0)
-        assert r.info["strategy"] == "eigen"
-        assert micro_f1(r, labels) > 0.7
-
-    def test_rank_truncation_degrades_gracefully(self, sbm_bundle):
-        from repro.embedding.netmf import netmf_matrix_dense, netmf_matrix_eigen
-
-        graph, _ = sbm_bundle
-        exact = netmf_matrix_dense(graph, window=3)
-
-        def err(rank):
-            approx = netmf_matrix_eigen(graph, window=3, rank=rank)
-            return np.linalg.norm(exact - approx)
-
-        assert err(128) <= err(8) + 1e-9
-
-    def test_unknown_strategy_rejected(self, sbm_bundle):
-        graph, _ = sbm_bundle
-        with pytest.raises(FactorizationError):
-            netmf_embedding(graph, 8, strategy="wat", seed=0)
-
-    def test_invalid_window(self, sbm_bundle):
-        from repro.embedding.netmf import netmf_matrix_eigen
-
-        graph, _ = sbm_bundle
-        with pytest.raises(FactorizationError):
-            netmf_matrix_eigen(graph, window=0)
+    @pytest.mark.parametrize(
+        "method, override, error",
+        [
+            ("deepwalk", {"walk_length": 0}, SamplingError),
+            ("deepwalk", {"batch_size": 0}, SamplingError),
+            ("deepwalk", {"learning_rate": 0.0}, FactorizationError),
+            ("pbg", {"batch_size": 0}, SamplingError),
+            ("pbg", {"learning_rate": -1.0}, FactorizationError),
+        ],
+        ids=[
+            "deepwalk-walk_length", "deepwalk-batch_size",
+            "deepwalk-learning_rate", "pbg-batch_size", "pbg-learning_rate",
+        ],
+    )
+    def test_rejected(self, er_graph, method, override, error):
+        (name,) = override
+        with pytest.raises(error, match=name):
+            run_method(method, er_graph, seed=0, dimension=8, **override)

@@ -31,7 +31,7 @@ def unlabeled(bundle):
 
 class TestDispatch:
     @pytest.mark.parametrize(
-        "method", ["lightne", "netsmf", "prone+", "line", "nrp"]
+        "method", ["lightne", "netsmf", "prone+", "netmf", "nrp"]
     )
     def test_matrix_methods(self, bundle, method):
         result = dispatch_method(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.embedding import (
     LightNEParams,
+    NetMFParams,
     ProNEParams,
     lightne_embedding,
     netmf_embedding,
@@ -41,7 +42,7 @@ def classify(vectors, labels, seed=0):
 class TestQualityOrdering:
     def test_lightne_close_to_exact_netmf(self, bundle):
         graph, labels = bundle
-        exact = netmf_embedding(graph, 16, window=3, seed=0)
+        exact = netmf_embedding(graph, NetMFParams(dimension=16, window=3), seed=0)
         light = lightne_embedding(
             graph, LightNEParams(dimension=16, window=3, sample_multiplier=10), seed=0
         )

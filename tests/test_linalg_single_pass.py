@@ -226,7 +226,7 @@ class TestRegistryKnob:
             assert params.factorizer == "single_pass"
 
     def test_rejected_on_methods_without_capability(self):
-        for method in ("prone", "line", "deepwalk", "hope"):
+        for method in ("prone", "deepwalk", "pbg"):
             with pytest.raises(MethodParameterError, match="factorizer"):
                 make_params(method, factorizer="single_pass")
 

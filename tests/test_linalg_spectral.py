@@ -192,7 +192,7 @@ class TestSpectralPropagation:
 
         graph, labels = bundle
         raw = prone_embedding(
-            graph, ProNEParams(dimension=16), seed=0, propagate=False
+            graph, ProNEParams(dimension=16, propagate=False), seed=0
         )
         enhanced = spectral_propagation(graph, raw.vectors)
         before = evaluate_node_classification(

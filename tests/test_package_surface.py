@@ -38,13 +38,9 @@ SUBPACKAGES = [
     "repro.embedding.lightne",
     "repro.embedding.prone",
     "repro.embedding.netmf",
-    "repro.embedding.line",
     "repro.embedding.deepwalk",
-    "repro.embedding.node2vec",
     "repro.embedding.pbg",
     "repro.embedding.nrp",
-    "repro.embedding.grarep",
-    "repro.embedding.hope",
     "repro.embedding.base",
     "repro.embedding.registry",
     "repro.eval",
@@ -112,20 +108,15 @@ def test_embedding_params_are_frozen_dataclasses():
 
     from repro import (
         DeepWalkSGDParams,
-        GraRepParams,
-        HOPEParams,
         LightNEParams,
-        LINEParams,
         NRPParams,
         NetMFParams,
-        Node2VecParams,
         PBGParams,
         ProNEParams,
     )
 
     for cls in (LightNEParams, ProNEParams, NetMFParams,
-                LINEParams, DeepWalkSGDParams, PBGParams, NRPParams,
-                Node2VecParams, GraRepParams, HOPEParams):
+                DeepWalkSGDParams, PBGParams, NRPParams):
         assert dataclasses.is_dataclass(cls)
         instance = cls()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import inspect
 import pkgutil
+import typing
 
 import numpy as np
 import pytest
@@ -42,7 +44,6 @@ class TestLookup:
     def test_aliases_resolve_to_canonical(self):
         assert canonical_name("prone+") == "prone"
         assert canonical_name("graphvite") == "deepwalk"
-        assert canonical_name("deepwalk-sgd") == "deepwalk"
         assert get_method("prone+") is get_method("prone")
 
     def test_unknown_method_raises(self):
@@ -82,18 +83,17 @@ class TestMakeParams:
         assert params.window == type(params)().window
 
     def test_registry_defaults_applied(self):
-        assert make_params("netmf-eigen", dimension=8).strategy == "eigen"
-        assert make_params("netmf", dimension=8).strategy == "exact"
+        assert make_params("sketchne", dimension=8).factorizer == "single_pass"
         assert make_params("pbg", dimension=8).epochs == 20
 
     def test_strict_rejects_unsupported_knob(self):
         with pytest.raises(MethodParameterError, match="does not support 'window'"):
-            make_params("grarep", dimension=8, window=5)
+            make_params("pbg", dimension=8, window=5)
 
     def test_non_strict_drops_unsupported_knob(self):
-        params = make_params("grarep", strict=False, dimension=8, window=5,
+        params = make_params("pbg", strict=False, dimension=8, window=5,
                              multiplier=2.0, propagate=False, workers=4)
-        assert params == make_params("grarep", dimension=8)
+        assert params == make_params("pbg", dimension=8)
 
     def test_pinned_field_is_not_a_knob(self):
         # netsmf is lightne with downsample/propagate pinned off: it samples
@@ -146,7 +146,7 @@ class TestRoundTrip:
 
     def test_run_method_strict_surfaces_knob_errors(self, graph):
         with pytest.raises(MethodParameterError):
-            run_method("hope", graph, dimension=8, window=5)
+            run_method("pbg", graph, dimension=8, window=5)
 
 
 class TestConsistency:
@@ -191,6 +191,15 @@ class TestConsistency:
                 if fn not in builders:
                     unregistered.append(f"{mod.__name__}.{attr}")
         assert not unregistered, f"unregistered entry points: {unregistered}"
+
+    def test_every_builder_has_one_calling_convention(self):
+        """``builder(graph, params, seed)``, with annotations that resolve:
+        no legacy bare-int params, no keyword overrides of params fields."""
+        for spec in list_methods():
+            hints = typing.get_type_hints(spec.builder)
+            assert hints["params"] is spec.params_type, spec.name
+            signature = inspect.signature(spec.builder)
+            assert list(signature.parameters) == ["graph", "params", "seed"], spec.name
 
     def test_methods_table_lists_every_method(self):
         table = format_methods_table()

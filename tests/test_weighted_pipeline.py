@@ -8,9 +8,9 @@ import pytest
 
 from repro.embedding import (
     LightNEParams,
+    NetMFParams,
     ProNEParams,
     lightne_embedding,
-    line_embedding,
     netmf_embedding,
     prone_embedding,
 )
@@ -65,10 +65,9 @@ class TestWeightedEmbeddings:
                 g, LightNEParams(dimension=16, window=2, sample_multiplier=3), 0
             ),
             lambda g: prone_embedding(g, ProNEParams(dimension=16), 0),
-            lambda g: netmf_embedding(g, 16, window=2, seed=0),
-            lambda g: line_embedding(g, 16, seed=0),
+            lambda g: netmf_embedding(g, NetMFParams(dimension=16, window=2), 0),
         ],
-        ids=["lightne", "prone", "netmf", "line"],
+        ids=["lightne", "prone", "netmf"],
     )
     def test_runs_and_classifies(self, weighted_sbm, runner):
         from repro.eval.node_classification import evaluate_node_classification
