@@ -2,7 +2,7 @@
 """A tour of every embedding method in the library on one labeled graph.
 
 Runs every method the paper measures — the matrix-factorization family
-(exact NetMF, NetSMF, ProNE+, LightNE, SketchNE, NRP) plus the SGD systems
+(exact NetMF, NetSMF, ProNE+, LightNE, NRP) plus the SGD systems
 (DeepWalk as the GraphVite stand-in, PBG) — and prints a Figure-4-style
 comparison: wall-clock, Azure-model cost, and Micro/Macro F1 at a 10%
 training ratio.

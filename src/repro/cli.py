@@ -66,7 +66,6 @@ from repro.eval import (
 )
 from repro.graph import graph_io
 from repro.graph.stats import summarize
-from repro.linalg.single_pass import FACTORIZERS
 from repro.sparsifier.builder import sparsifier_backend_names
 from repro.telemetry import audit, health, ledger, progress, report
 from repro.utils.log import configure_logging
@@ -269,16 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_arguments(p: argparse.ArgumentParser) -> None:
         """Which graph, and how loudly: every subcommand that loads one."""
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument(
             "--input",
             help="graph file (edge list / METIS / .adj / .npz / .csrv2 dir)",
+        )
+        source.add_argument(
+            "--dataset", choices=dataset_names(), help="registered synthetic dataset"
         )
         p.add_argument(
             "--format", choices=sorted(_READERS),
             help="input format (default: by file extension)",
-        )
-        p.add_argument(
-            "--dataset", choices=dataset_names(), help="registered synthetic dataset"
         )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
@@ -399,16 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "count and on both --backend substrates",
         )
         p.add_argument(
-            "--factorizer", choices=FACTORIZERS, default=None,
-            help="factorization backend: 'rsvd' (the paper's Algorithm "
-                 "3, 2+2q operator passes) or 'single_pass' (SketchNE-"
-                 "style sparse-sign sketch, one streamed pass; slower "
-                 "and with a higher peak than rsvd at its default "
-                 "width, see docs/performance.md); both deterministic "
-                 "per seed at every worker count (default: the method's "
-                 "own)",
-        )
-        p.add_argument(
             "--batch-size", dest="batch_size", type=int, default=None,
             help="PathSampling draws (before the downsampling coin) per "
                  "sampling slab (methods with a batch_size parameter): a "
@@ -503,6 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_with_telemetry(args: argparse.Namespace) -> int:
     """Run ``args.pipeline`` under the run arguments' instrumentation."""
+    if not args.health:
+        try:
+            health.get_policy()  # a bad REPRO_HEALTH fails before any work
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     wants_ledger = bool(args.ledger or args.ledger_out)
     if wants_ledger:
         ledger.enable(path=args.ledger_out)
@@ -563,7 +558,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "verbose", False):
         configure_logging("DEBUG")
     elif os.environ.get("REPRO_LOG"):
-        configure_logging()
+        try:
+            configure_logging()
+        except ValueError as exc:
+            raise SystemExit(f"REPRO_LOG: {exc}")
     return args.func(args)
 
 

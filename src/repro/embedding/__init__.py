@@ -1,5 +1,5 @@
-"""Embedding algorithms: LightNE (with NetSMF and SketchNE as presets of its
-pipeline), ProNE, the exact NetMF reference, and the other systems the paper
+"""Embedding algorithms: LightNE (with NetSMF as a preset of its pipeline),
+ProNE, the exact NetMF reference, and the other systems the paper
 measures against — DeepWalk-by-SGD (the GraphVite stand-in), PBG and NRP.
 Every builder has the one signature ``builder(graph, params, seed=None)``.
 
@@ -19,7 +19,6 @@ from repro.embedding.lightne import (
     LightNEParams,
     lightne_embedding,
     netsmf_embedding,
-    sketchne_embedding,
 )
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
 from repro.embedding.pbg import PBGParams, pbg_embedding
@@ -48,7 +47,6 @@ __all__ = [
     "prone_embedding",
     "LightNEParams",
     "lightne_embedding",
-    "sketchne_embedding",
     "DeepWalkSGDParams",
     "deepwalk_sgd_embedding",
     "PBGParams",

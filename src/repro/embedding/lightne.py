@@ -16,11 +16,9 @@ configurations are exposed as constructors:
 (M = 20·T·m).  For very large graphs the paper sets ``T=2, d=32`` and skips
 propagation — pass ``propagate=False``.
 
-The paper presents LightNE as NetSMF plus two switches, and SketchNE swaps
-one box of the same skeleton, so both are *presets* of this one body rather
-than modules of their own: :func:`netsmf_embedding` pins ``downsample`` and
-``propagate`` off, :func:`sketchne_embedding` defaults
-``factorizer="single_pass"``.
+The paper presents LightNE as NetSMF plus two switches, so NetSMF is a
+*preset* of this one body rather than a module of its own:
+:func:`netsmf_embedding` pins ``downsample`` and ``propagate`` off.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.graph import CSRGraph
-from repro.linalg.randomized_svd import embedding_from_svd
-from repro.linalg.single_pass import factorize
+from repro.linalg.randomized_svd import embedding_from_svd, factorize
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
 from repro.sparsifier.path_sampling import DEFAULT_BATCH_SIZE, PathSamplingConfig
@@ -109,10 +106,10 @@ class LightNEParams:
         Both run the same kernels (Cholesky-QR orthonormalization, Gram
         rescale — :mod:`repro.linalg.kernels`); only the dtype differs.
     factorizer:
-        Factorization backend for the NetMF matrix: ``"rsvd"`` (default,
-        the paper's Algorithm 3) or ``"single_pass"`` (the SketchNE-style
-        sparse-sign sketched factorization, one streamed pass over the
-        matrix; see :mod:`repro.linalg.single_pass`).
+        The constant ``"rsvd"`` (the paper's Algorithm 3, the one
+        factorizer).  It stays a field because the benchmark replay in
+        ``benchmarks/perf`` reads it; any other value fails with
+        :class:`~repro.errors.FactorizationError`.
     batch_size:
         PathSampling draws — counted *before* the downsampling coin — per
         sampling slab.  A slab is expanded, walked and sort-reduced on its
@@ -207,9 +204,8 @@ def _lightne_body(ctx: PipelineContext):
         del sparsifier  # the count matrix
         health.checkpoint("svd.netmf_matrix", matrix)
         # The trunc-log NetMF matrix is symmetric by construction: the
-        # rSVD runs its Aᵀ· passes on the row-blocked CSR kernel and the
-        # single-pass backend gets both sketched products from one pass.
-        # Vᵀ is never bound.
+        # rSVD runs its Aᵀ· passes on the row-blocked CSR kernel.  Vᵀ is
+        # never bound.
         u, sigma = factorize(
             matrix, params.dimension, factorizer=params.factorizer,
             seed=ctx.rng, precision=params.precision,
@@ -261,13 +257,11 @@ def _lightne_body(ctx: PipelineContext):
 
 LIGHTNE_PIPELINE = PipelineSpec(name="lightne", body=_lightne_body)
 
-# The two named presets of the same body.  Each keeps its own method name
-# (``EmbeddingResult.method``, root span, ledger identity); the values are
-# written here once and read by the registry and by the entry points below.
+# The named preset of the same body.  It keeps its own method name
+# (``EmbeddingResult.method``, root span, ledger identity); the pins are
+# written here once and read by the registry and by the entry point below.
 NETSMF_PIPELINE = PipelineSpec(name="netsmf", body=_lightne_body)
 NETSMF_PINS = {"downsample": False, "propagate": False}
-SKETCHNE_PIPELINE = PipelineSpec(name="sketchne", body=_lightne_body)
-SKETCHNE_DEFAULTS = {"factorizer": "single_pass"}
 
 
 def lightne_embedding(
@@ -300,22 +294,4 @@ def netsmf_embedding(
     return run_pipeline(
         graph, NETSMF_PIPELINE, replace(params, **NETSMF_PINS), seed
     )
-
-
-def sketchne_embedding(
-    graph: CSRGraph,
-    params: LightNEParams = LightNEParams(**SKETCHNE_DEFAULTS),
-    seed: SeedLike = None,
-) -> EmbeddingResult:
-    """SketchNE / NetMF+ (arXiv 2110.12782; LIGHTNE 2.0, arXiv 2302.07084):
-    the LightNE pipeline with the factorization defaulting to the one-pass
-    sparse-sign sketch (:mod:`repro.linalg.single_pass`) instead of
-    Algorithm 3.  Registered as ``sketchne`` (aliases ``netmf+`` /
-    ``netmfplus``).  A default, not a pin: ``params`` is used as given, so
-    build it with ``make_params("sketchne", ...)`` or set ``factorizer``
-    yourself — ``factorizer="rsvd"`` is the in-place ablation with every
-    other stage held fixed.  With telemetry on, the ``sketch.*``
-    spans/counters (operator passes, flops, bytes, sketch width/density)
-    appear under the ``svd`` stage."""
-    return run_pipeline(graph, SKETCHNE_PIPELINE, params, seed)
 

@@ -26,8 +26,7 @@ from repro.embedding.base import (
 )
 from repro.errors import FactorizationError
 from repro.graph import CSRGraph
-from repro.linalg.randomized_svd import embedding_from_svd
-from repro.linalg.single_pass import factorize
+from repro.linalg.randomized_svd import embedding_from_svd, factorize
 from repro.utils.rng import SeedLike
 
 DENSE_LIMIT = 20_000
@@ -40,9 +39,7 @@ class NetMFParams:
     Eq. (1) is materialized exactly (NetMF-small).  ``workers`` /
     ``precision`` control the SVD's kernel layer
     (:mod:`repro.linalg.kernels`); ``precision="single"`` halves the dense
-    matrix's footprint during factorization.  ``factorizer`` picks the
-    factorization backend (``"rsvd"`` default / ``"single_pass"``; see
-    :mod:`repro.linalg.single_pass`).
+    matrix's footprint during factorization.
     """
 
     dimension: int = 128
@@ -50,7 +47,6 @@ class NetMFParams:
     negative_samples: float = 1.0
     workers: Optional[int] = None
     precision: str = "double"
-    factorizer: str = "rsvd"
 
 
 def netmf_matrix_dense(
@@ -97,16 +93,15 @@ def _netmf_body(ctx: PipelineContext):
     with telemetry.stage("svd"):
         # Eq. (1)'s trunc-log matrix is symmetric.
         u, sigma, _ = factorize(
-            matrix, params.dimension, factorizer=params.factorizer,
-            seed=ctx.rng, precision=params.precision,
-            workers=params.workers, symmetric=True,
+            matrix, params.dimension, seed=ctx.rng,
+            precision=params.precision, workers=params.workers,
+            symmetric=True,
         )
         vectors = embedding_from_svd(u, sigma)
     ctx.info.update(
         {
             "window": params.window,
             "negative_samples": params.negative_samples,
-            "factorizer": params.factorizer,
         }
     )
     return vectors

@@ -35,8 +35,7 @@ from repro.errors import FactorizationError
 from repro.graph import CSRGraph
 from repro.linalg.kernels import resolve_precision
 from repro.linalg.operators import polynomial_operator
-from repro.linalg.randomized_svd import embedding_from_svd
-from repro.linalg.single_pass import factorize
+from repro.linalg.randomized_svd import embedding_from_svd, factorize
 from repro.utils.rng import SeedLike
 
 
@@ -47,10 +46,6 @@ class NRPParams:
     ``workers`` / ``precision`` thread the Horner SPMVs and the SVD through
     :mod:`repro.linalg.kernels` (``"single"`` keeps the implicit operator's
     walk matrix and work buffers in float32).
-    ``factorizer="single_pass"`` swaps the rSVD for the two-sided sketched
-    factorization (the PPR polynomial is *not* symmetric, so this path uses
-    one forward plus one adjoint operator application instead of rSVD's
-    ``2 + 2q``); see :mod:`repro.linalg.single_pass`.
     """
 
     dimension: int = 128
@@ -58,7 +53,6 @@ class NRPParams:
     order: int = 10
     workers: Optional[int] = None
     precision: str = "double"
-    factorizer: str = "rsvd"
 
 
 def _nrp_body(ctx: PipelineContext):
@@ -82,18 +76,12 @@ def _nrp_body(ctx: PipelineContext):
             dtype=resolve_precision(params.precision),
         )
         u, sigma, _ = factorize(
-            operator, params.dimension, factorizer=params.factorizer,
-            seed=ctx.rng, precision=params.precision,
-            workers=params.workers, symmetric=False,
+            operator, params.dimension, seed=ctx.rng,
+            precision=params.precision, workers=params.workers,
+            symmetric=False,
         )
         vectors = embedding_from_svd(u, sigma)
-    ctx.info.update(
-        {
-            "alpha": params.alpha,
-            "order": params.order,
-            "factorizer": params.factorizer,
-        }
-    )
+    ctx.info.update({"alpha": params.alpha, "order": params.order})
     return vectors
 
 

@@ -4,7 +4,7 @@ Before this module existed, ``cli.py``, ``experiments/runner.py`` and the
 benchmark harness each kept an if/elif chain with diverging method names
 (``prone`` vs ``prone+``, ``deepwalk`` vs ``graphvite``) and diverging knob
 support.  Now each method is described once by a :class:`MethodSpec` —
-canonical name, aliases, params dataclass, builder function, preset values —
+canonical name, aliases, params dataclass, builder function, pinned values —
 and every layer resolves names and builds params through
 :func:`get_method` / :func:`make_params` / :func:`run_method`.  Which
 generic knobs a method takes is not declared: it is read off the fields of
@@ -30,11 +30,9 @@ from repro.embedding.base import EmbeddingResult
 from repro.embedding.deepwalk import DeepWalkSGDParams, deepwalk_sgd_embedding
 from repro.embedding.lightne import (
     NETSMF_PINS,
-    SKETCHNE_DEFAULTS,
     LightNEParams,
     lightne_embedding,
     netsmf_embedding,
-    sketchne_embedding,
 )
 from repro.embedding.netmf import NetMFParams, netmf_embedding
 from repro.embedding.nrp import NRPParams, nrp_embedding
@@ -55,7 +53,6 @@ GENERIC_KNOBS: Dict[str, str] = {
     "downsample": "downsample",
     "precision": "precision",
     "sparsifier": "sparsifier",
-    "factorizer": "factorizer",
 }
 # Gated the same way without being listed as knobs of their own: the
 # execution substrate accompanies every pool width, and
@@ -84,10 +81,6 @@ class MethodSpec:
     aliases:
         Alternate names accepted everywhere (paper-facing spellings like
         ``prone+`` / ``graphvite``).
-    defaults:
-        Field overrides applied on top of the dataclass defaults by
-        :func:`make_params` (``sketchne`` sets ``factorizer``); callers
-        may override them.
     pins:
         Field values the method fixes (``netsmf``: no downsampling, no
         propagation).  A pinned field is not a knob of the method:
@@ -102,7 +95,6 @@ class MethodSpec:
     params_type: type
     description: str = ""
     aliases: Tuple[str, ...] = ()
-    defaults: Mapping[str, object] = dataclass_field(default_factory=dict)
     pins: Mapping[str, object] = dataclass_field(default_factory=dict)
     stages: Tuple[str, ...] = ()
 
@@ -183,7 +175,7 @@ def make_params(name: str, *, strict: bool = True, **overrides: object):
     """
     spec = get_method(name)
     fields = set(spec.param_fields)
-    merged: Dict[str, object] = dict(spec.defaults)
+    merged: Dict[str, object] = {}
     for key, value in overrides.items():
         if value is None:
             continue
@@ -243,17 +235,6 @@ register(
         builder=lightne_embedding,
         params_type=LightNEParams,
         description="the paper's system: downsampled sparsifier + rSVD + spectral propagation",
-        stages=("sparsifier", "svd", "propagation"),
-    )
-)
-register(
-    MethodSpec(
-        name="sketchne",
-        builder=sketchne_embedding,
-        params_type=LightNEParams,
-        description="SketchNE/NetMF+: sparse-sign sketch, single-pass factorization, propagation",
-        aliases=("netmf+", "netmfplus"),
-        defaults=SKETCHNE_DEFAULTS,
         stages=("sparsifier", "svd", "propagation"),
     )
 )

@@ -49,7 +49,7 @@ def dispatch_method(
     aliases); unknown names raise :class:`repro.errors.UnknownMethodError`.
     The five named arguments carry the harness's own defaults; ``knobs``
     passes any further generic knob (``workers``, ``precision``,
-    ``sparsifier``, ``factorizer``, ... — the registry's
+    ``sparsifier``, ... — the registry's
     :data:`~repro.embedding.registry.GENERIC_KNOBS`) or params field
     through, ``None`` meaning "the method's default".  One knob set is
     shared across methods, so a knob a method lacks or pins is dropped

@@ -10,9 +10,7 @@ from repro.linalg.kernels import (
     resolve_precision,
     spmm,
 )
-from repro.linalg.randomized_svd import randomized_svd, embedding_from_svd
-from repro.linalg.single_pass import FACTORIZERS, factorize, single_pass_svd
-from repro.linalg.sketch import densify_sketch, sketch_density, sparse_sign_sketch
+from repro.linalg.randomized_svd import embedding_from_svd, factorize, randomized_svd
 from repro.linalg.spectral import (
     spectral_propagation,
     chebyshev_gaussian_filter,
@@ -24,12 +22,7 @@ from repro.linalg.operators import polynomial_operator
 __all__ = [
     "randomized_svd",
     "embedding_from_svd",
-    "FACTORIZERS",
     "factorize",
-    "single_pass_svd",
-    "sparse_sign_sketch",
-    "sketch_density",
-    "densify_sketch",
     "spectral_propagation",
     "chebyshev_gaussian_filter",
     "propagation_operator",

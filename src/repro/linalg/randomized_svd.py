@@ -37,6 +37,9 @@ as ``A·`` on the row-blocked CSR kernel instead of the column-chunked CSC
 path over ``A.T``.
 ``precision="single"`` mirrors MKL's ``s``-routines — the operator and every
 sketch block are cast to float32 once — and changes nothing else.
+
+The pipelines call it through :func:`factorize`, which adds the
+numerical-health layer's posterior residual probe.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import scipy.sparse.linalg as spla
 from repro import telemetry
 from repro.errors import FactorizationError
 from repro.linalg.kernels import cholesky_qr, gram, resolve_precision, spmm
+from repro.telemetry import health
 from repro.utils.rng import SeedLike, ensure_rng
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator]
@@ -211,6 +215,47 @@ def randomized_svd(
         u = z @ u_small[:, :rank].astype(z.dtype, copy=False)
         vt = (wide @ vt_small[:rank].T.astype(wide.dtype, copy=False)).T
     return u, sigma[:rank], vt
+
+
+def factorize(
+    matrix: MatrixLike,
+    rank: int,
+    *,
+    factorizer: str = "rsvd",
+    oversampling: int = 10,
+    power_iterations: int = 2,
+    seed: SeedLike = None,
+    precision: str = "double",
+    workers: Optional[int] = 1,
+    symmetric: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pipelines' factorization: :func:`randomized_svd` with these
+    arguments, bit for bit, followed by the numerical-health layer's
+    posterior residual probe.
+
+    ``factorizer`` names the algorithm and accepts only ``"rsvd"`` (the
+    paper's Algorithm 3); any other value is a :class:`FactorizationError`.
+    """
+    if factorizer != "rsvd":
+        raise FactorizationError(
+            f"factorizer must be 'rsvd' (the paper's Algorithm 3), "
+            f"got {factorizer!r}"
+        )
+    factors = randomized_svd(
+        matrix,
+        rank,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
+        seed=seed,
+        precision=precision,
+        workers=workers,
+        symmetric=symmetric,
+    )
+    # No-op without an active HealthRecorder: fixed-seed probe vectors,
+    # serial products, float64 accumulation — the check never consumes
+    # pipeline RNG and never perturbs the factors.
+    health.check_factorization_residual(matrix, *factors)
+    return factors
 
 
 def embedding_from_svd(

@@ -51,9 +51,6 @@ SYSTEM_INSTANCE: Dict[str, str] = {
     "prone": "M128s",
     "prone+": "M128s",
     "lightne": "M128s",
-    "sketchne": "M128s",
-    "netmf+": "M128s",
-    "netmfplus": "M128s",
     "netmf": "M128s",
     "nrp": "M128s",
 }

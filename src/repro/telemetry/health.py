@@ -13,9 +13,9 @@ the pipeline rests on get explicit probes:
   draw budget), so ``counts.sum()`` drifting far from ``num_draws`` flags a
   broken seeding/reweighting law;
 * **factorization residual** — a posterior probe-vector estimate of
-  ``‖A·g − U·Σ·Vᵀ·g‖ / ‖A·g‖`` after :func:`repro.linalg.single_pass.
-  factorize` (both backends), computed with a *fixed internal seed* so the
-  probe never perturbs the pipeline's RNG stream;
+  ``‖A·g − U·Σ·Vᵀ·g‖ / ‖A·g‖`` after :func:`repro.linalg.randomized_svd.
+  factorize`, computed with a *fixed internal seed* so the probe never
+  perturbs the pipeline's RNG stream;
 * **finiteness** — every checkpointed stage output, plus a fail-fast guard
   on the final embedding in ``run_pipeline``.
 
@@ -94,12 +94,10 @@ _policy_lock = threading.Lock()
 _policy: Optional[str] = None
 
 
-def _validate_policy(policy: str) -> str:
+def _validate_policy(policy: str, source: str = "health policy") -> str:
     policy = str(policy).strip().lower()
     if policy not in POLICIES:
-        raise ValueError(
-            f"health policy must be one of {POLICIES}, got {policy!r}"
-        )
+        raise ValueError(f"{source} must be one of {POLICIES}, got {policy!r}")
     return policy
 
 
@@ -119,11 +117,14 @@ def clear_policy() -> None:
 
 
 def get_policy() -> str:
-    """The effective policy: :func:`set_policy` > ``REPRO_HEALTH`` > off."""
+    """The effective policy: :func:`set_policy` > ``REPRO_HEALTH`` > off.
+
+    An unset or empty ``REPRO_HEALTH`` means off; any other value must be a
+    policy name (a ``ValueError`` naming the variable otherwise)."""
     if _policy is not None:
         return _policy
-    env = os.environ.get(ENV_POLICY, "").strip().lower()
-    return env if env in POLICIES else "off"
+    env = os.environ.get(ENV_POLICY, "").strip()
+    return _validate_policy(env, ENV_POLICY) if env else "off"
 
 
 @contextmanager

@@ -10,7 +10,7 @@ blocks a loop cuts it into never change a bit:
   non-contiguous mapping is never ``madvise``-d;
 * the offloaded Chebyshev filter equals the in-RAM one at many blocks as it
   does at one, hands no memmap to its caller and leaves its directory empty;
-* the single-pass factors do not depend on the row-block count either;
+* the randomized-SVD factors do not depend on the row-block count either;
 * CSR work is cut at equal nnz shares (``balanced_row_ranges``), and
   ``spmm_fused`` hands its epilogue exactly ``matrix @ dense``, sub-block by
   sub-block, at every worker count, counted as one ``spmm``.
@@ -36,7 +36,7 @@ from repro.errors import FactorizationError
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.linalg import kernels, spectral
 from repro.linalg.kernels import balanced_row_ranges, release_pages, spmm, spmm_fused
-from repro.linalg.single_pass import single_pass_svd
+from repro.linalg.randomized_svd import randomized_svd
 from repro.linalg.spectral import spectral_propagation
 from tests.test_out_of_core import _MadviseRecorder
 
@@ -331,7 +331,7 @@ class TestOffloadedFilter:
         assert os.listdir(offload_dir) == []
 
 
-class TestSinglePassIsBlockCountInvariant:
+class TestRandomizedSvdIsBlockCountInvariant:
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("precision", ["double", "single"])
     def test_factors_bit_identical_across_workspace_sizes(self, symmetric, precision):
@@ -339,13 +339,13 @@ class TestSinglePassIsBlockCountInvariant:
         basis = np.linalg.qr(rng.standard_normal((150, 12)))[0]
         values = np.concatenate([np.linspace(10.0, 1.0, 6), np.full(6, 0.01)])
         matrix = sp.csr_matrix(basis @ (values[:, None] * basis.T))
-        # The narrowest streamed product is the 24-column range sketch.
-        row_bytes = 24 * (8 if precision == "double" else 4)
+        # Every product of the rank-6 rSVD is 16 (= 6 + 10) columns wide.
+        row_bytes = 16 * (8 if precision == "double" else 4)
 
         def factors(block_rows, workers):
             nbytes = None if block_rows is None else block_rows * row_bytes
             with _workspace(nbytes):
-                return single_pass_svd(
+                return randomized_svd(
                     matrix, 6, seed=0, symmetric=symmetric,
                     precision=precision, workers=workers,
                 )

@@ -400,6 +400,9 @@ RUN_ARGUMENTS = {
     "profile_memory", "ledger", "ledger_out", "health",
 }
 PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "stream", "compare"}
+GRAPH_SUBCOMMANDS = (
+    "embed", "info", "eval-nc", "eval-lp", "stream", "convert", "compare",
+)
 READER_SUBCOMMANDS = {"report", "audit"}
 
 
@@ -479,3 +482,43 @@ class TestFrontDoor:
         records = RunLedger(path).records()
         assert records
         assert {r.params["backend"] for r in records} == {"process"}
+
+    @pytest.mark.parametrize("command", GRAPH_SUBCOMMANDS)
+    def test_input_and_dataset_are_exclusive(self, command, edge_file, capsys):
+        argv = [command, "--input", edge_file, "--dataset", "blogcatalog_like"]
+        if command == "eval-nc":
+            argv += ["--embeddings", "v.npy"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_graph_subcommands_are_the_ones_taking_input(self):
+        assert {
+            name for name, parser in self._subparsers().items()
+            if "input" in {a.dest for a in parser._actions}
+        } == set(GRAPH_SUBCOMMANDS)
+
+
+class TestEnvironmentKnobs:
+    """A bad environment value is checked like the flag it stands for: one
+    line on stderr, not a traceback or a silent fallback."""
+
+    def test_bad_repro_log_is_a_one_line_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG", "loud")
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--dataset", "blogcatalog_like"])
+        assert str(exc.value.code).startswith("REPRO_LOG: ")
+        assert "'loud'" in str(exc.value.code)
+
+    def test_bad_repro_health_stops_the_run_before_any_work(
+        self, monkeypatch, edge_file, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_HEALTH", "warm")
+        output = tmp_path / "v.npy"
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--input", edge_file, "--dim", "8",
+                  "--output", str(output)])
+        assert "REPRO_HEALTH" in str(exc.value.code)
+        assert "'warm'" in str(exc.value.code)
+        assert not output.exists()

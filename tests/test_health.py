@@ -129,8 +129,16 @@ class TestPolicy:
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv(health.ENV_POLICY, "record")
         assert health.get_policy() == "record"
-        monkeypatch.setenv(health.ENV_POLICY, "bogus")
+        monkeypatch.setenv(health.ENV_POLICY, "")
         assert health.get_policy() == "off"
+
+    def test_unknown_env_value_rejected_like_the_flag(self, monkeypatch):
+        # A typo must not silently turn the health layer off.
+        monkeypatch.setenv(health.ENV_POLICY, "warm")
+        with pytest.raises(ValueError, match="REPRO_HEALTH .*'warm'"):
+            health.get_policy()
+        with pytest.raises(ValueError, match="REPRO_HEALTH"):
+            health.HealthRecorder()
 
     def test_set_policy_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(health.ENV_POLICY, "record")
@@ -330,10 +338,7 @@ class TestPipelineIntegration:
 
 
 class TestDigestDeterminism:
-    @pytest.mark.parametrize("factorizer", ["rsvd", "single_pass"])
-    def test_digests_identical_across_workers_and_backends(
-        self, er_graph, factorizer
-    ):
+    def test_digests_identical_across_workers_and_backends(self, er_graph):
         maps = []
         for backend in ("thread", "process"):
             for workers in (1, 2):
@@ -343,7 +348,6 @@ class TestDigestDeterminism:
                         LightNEParams(
                             workers=workers,
                             backend=backend,
-                            factorizer=factorizer,
                             **SMALL,
                         ),
                         seed=3,

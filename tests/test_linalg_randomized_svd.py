@@ -7,10 +7,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.errors import FactorizationError
+from repro.graph.generators import erdos_renyi_graph
 from repro.linalg.randomized_svd import (
     embedding_from_svd,
     exact_reference_svd,
+    factorize,
     randomized_svd,
 )
 
@@ -100,6 +103,57 @@ class TestValidation:
         with pytest.raises(FactorizationError):
             randomized_svd(np.eye(4), 2, oversampling=-1)
 
+    def test_symmetric_requires_square(self, rng):
+        with pytest.raises(FactorizationError, match="square"):
+            randomized_svd(rng.standard_normal((6, 4)), 2, symmetric=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rank": 5}, {"rank": 0}, {"rank": 2, "oversampling": -1}],
+        ids=["rank_too_large", "rank_zero", "negative_oversampling"],
+    )
+    def test_factorize_checks(self, kwargs):
+        with pytest.raises(FactorizationError):
+            factorize(np.eye(4), **kwargs)
+
+
+class TestFactorize:
+    """``factorize`` is the pipelines' one entry point: the rSVD verbatim
+    plus the health probe, and ``"rsvd"`` is the only factorizer."""
+
+    def test_rsvd_is_verbatim(self, rng):
+        m = sp.csr_matrix(low_rank_matrix(100, 100, 5, rng))
+        via_factorize = factorize(m, 5, seed=11)
+        direct = randomized_svd(m, 5, seed=11)
+        assert all(np.array_equal(a, b) for a, b in zip(via_factorize, direct))
+
+    @pytest.mark.parametrize("name", ["single_pass", "qr", None])
+    def test_other_factorizers_rejected(self, name):
+        with pytest.raises(FactorizationError, match="factorizer"):
+            factorize(np.eye(8), 2, factorizer=name)
+
+    def test_lightne_default_unchanged_by_knob(self):
+        graph = erdos_renyi_graph(60, 0.1, seed=0)
+        default = lightne_embedding(graph, LightNEParams(dimension=4, window=2), 1)
+        explicit = lightne_embedding(
+            graph, LightNEParams(dimension=4, window=2, factorizer="rsvd"), 1
+        )
+        np.testing.assert_array_equal(default.vectors, explicit.vectors)
+        assert default.info["factorizer"] == "rsvd"
+
+    def test_lightne_rejects_another_factorizer(self):
+        graph = erdos_renyi_graph(60, 0.1, seed=0)
+        params = LightNEParams(dimension=4, window=2, factorizer="single_pass")
+        with pytest.raises(FactorizationError, match="single_pass"):
+            lightne_embedding(graph, params, seed=0)
+
+    def test_single_pass_module_is_only_the_reexport(self):
+        import repro.linalg.single_pass as single_pass
+
+        assert single_pass.factorize is factorize
+        public = {name for name in vars(single_pass) if not name.startswith("_")}
+        assert public == {"factorize"}
+
 
 class TestBlockedSketchGeneration:
     def test_double_path_is_plain_standard_normal(self):
@@ -149,6 +203,24 @@ class TestOperatorPassCounter:
         finally:
             telemetry.disable()
             telemetry.reset_metrics()
+
+
+class TestExactReferenceOperator:
+    def test_linear_operator_materialization(self, rng):
+        dense = low_rank_matrix(40, 30, 4, rng)
+        op = spla.aslinearoperator(dense)
+        u_op, s_op, vt_op = exact_reference_svd(op, 4)
+        u_d, s_d, vt_d = exact_reference_svd(dense, 4)
+        np.testing.assert_allclose(s_op, s_d, rtol=1e-10)
+        np.testing.assert_allclose(np.abs(u_op), np.abs(u_d), atol=1e-8)
+
+    def test_wide_operator_blocks(self, rng):
+        # More columns than the identity block width exercises the loop.
+        dense = rng.standard_normal((10, 300))
+        op = spla.aslinearoperator(dense)
+        _, s_op, _ = exact_reference_svd(op, 3)
+        _, s_d, _ = exact_reference_svd(dense, 3)
+        np.testing.assert_allclose(s_op, s_d, rtol=1e-10)
 
 
 class TestEmbeddingFromSvd:

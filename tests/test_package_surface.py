@@ -219,15 +219,28 @@ def test_the_span_tree_is_the_only_stage_clock():
 
 def test_deleted_api_stays_deleted(capsys):
     """Layering: performance verdicts come from ``benchmarks/perf`` alone
-    (no ``lightne regress``), and modules nothing outside their own tests
-    called are gone."""
+    (no ``lightne regress``), modules nothing outside their own tests
+    called are gone, and the rSVD is the one factorizer (no single-pass
+    sketch, no ``sketchne``, no ``--factorizer``)."""
+    import repro
+    import repro.embedding
+    import repro.linalg
     from repro.cli import main
+    from repro.embedding.registry import method_names
 
     for name in ("repro.telemetry.regression", "repro.eval.retrieval",
-                 "repro.streaming.temporal", "repro.utils.validation"):
+                 "repro.streaming.temporal", "repro.utils.validation",
+                 "repro.linalg.sketch"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["regress"])
-    assert excinfo.value.code == 2
-    assert "invalid choice: 'regress'" in capsys.readouterr().err
+    for module in (repro, repro.embedding, repro.linalg):
+        for name in ("single_pass_svd", "sketchne_embedding", "FACTORIZERS"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not {"sketchne", "netmf+", "netmfplus"} & set(method_names())
+    for argv, flag in ((["regress"], "invalid choice: 'regress'"),
+                       (["embed", "--method", "sketchne"], "invalid choice: 'sketchne'"),
+                       (["embed", "--factorizer", "rsvd"], "--factorizer")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err

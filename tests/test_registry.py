@@ -83,8 +83,8 @@ class TestMakeParams:
         assert params.window == type(params)().window
 
     def test_registry_defaults_applied(self):
-        assert make_params("sketchne", dimension=8).factorizer == "single_pass"
         assert make_params("pbg", dimension=8).epochs == 20
+        assert make_params("lightne").factorizer == "rsvd"
 
     def test_strict_rejects_unsupported_knob(self):
         with pytest.raises(MethodParameterError, match="does not support 'window'"):
@@ -109,10 +109,6 @@ class TestMakeParams:
         assert make_params(
             "netsmf", strict=False, propagate=True, downsample=True
         ) == make_params("netsmf")
-
-    def test_preset_default_stays_overridable(self):
-        assert make_params("sketchne").factorizer == "single_pass"
-        assert make_params("netmf+", factorizer="rsvd") == make_params("lightne")
 
     def test_unknown_field_always_raises(self):
         with pytest.raises(MethodParameterError, match="no parameter"):
@@ -212,7 +208,7 @@ class TestConsistency:
             assert isinstance(spec, MethodSpec)
             fields = {f.name for f in dataclasses.fields(spec.params_type)}
             assert set(spec.param_fields) == fields
-            assert set(spec.pins) <= fields and set(spec.defaults) <= fields
+            assert set(spec.pins) <= fields
             assert spec.capabilities == {
                 knob: field in fields and field not in spec.pins
                 for knob, field in GENERIC_KNOBS.items()

@@ -408,10 +408,10 @@ class TestDynamicEmbedderMethods:
         from repro.streaming import DynamicEmbedder
 
         graph = erdos_renyi_graph(140, 0.08, seed=2)  # default dimension is 128
-        embedder = DynamicEmbedder(graph, method="netmf+", seed=0)
-        assert embedder.method == "sketchne"
-        assert embedder.params == make_params("sketchne")
-        assert embedder.result.info["factorizer"] == "single_pass"
+        embedder = DynamicEmbedder(graph, method="netsmf", seed=0)
+        assert embedder.method == "netsmf"
+        assert embedder.params == make_params("netsmf")
+        assert embedder.result.info["propagated"] is False
 
     def test_default_params_from_method(self, sbm_bundle):
         from repro.streaming import DynamicEmbedder

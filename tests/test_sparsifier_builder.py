@@ -15,7 +15,6 @@ from repro.embedding.lightne import (
     LightNEParams,
     lightne_embedding,
     netsmf_embedding,
-    sketchne_embedding,
 )
 from repro.embedding.netmf import netmf_matrix_dense
 from repro.embedding.registry import make_params, run_method
@@ -218,10 +217,10 @@ class TestSortDefault:
         assert "probe_rounds" not in default.stats  # no hash table was built
 
     def test_params_defaults_and_peak_bytes(self, er_graph):
-        for method in ("lightne", "sketchne", "netsmf"):
+        for method in ("lightne", "netsmf"):
             assert make_params(method).aggregator == "sort"
         params = LightNEParams(dimension=8, window=2)
-        for embed in (lightne_embedding, sketchne_embedding, netsmf_embedding):
+        for embed in (lightne_embedding, netsmf_embedding):
             result = embed(er_graph, params, 0)
             assert result.info["peak_table_bytes"] > 0
             assert result.timer.counters["sparsifier"]["peak_table_bytes"] > 0
@@ -266,15 +265,14 @@ class TestSortDefault:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize(
         "method,digest",
-        [("netsmf", "2d689d1a385fcb0f"), ("sketchne", "61070e60d5185ad7")],
+        [("netsmf", "2d689d1a385fcb0f")],
     )
     def test_preset_counts_unchanged_from_their_own_modules(
         self, method, digest, backend
     ):
-        # Count-matrix content digests: as presets of the lightne body
-        # netsmf / sketchne build the matrix their own modules did
-        # (d63037f42f61db2a / 4139cb3136911f18 until ISSUE 22's declared
-        # re-baseline, see the test above).
+        # Count-matrix content digest: as a preset of the lightne body
+        # netsmf builds the matrix its own module did (d63037f42f61db2a
+        # until the stage became a stream, see the test above).
         graph = erdos_renyi_graph(120, 0.1, seed=5)
         with health.policy_scope("record"):
             result = run_method(
