@@ -99,12 +99,14 @@ class LightNEParams:
         the chunked SPMM.  Embeddings are bit-identical to the thread
         backend at every worker count.
     precision:
-        Dense-kernel dtype policy (``"double"``/``"single"``), mirroring the
-        paper's single-precision MKL routines: ``"single"`` keeps the whole
-        factorize + propagate path in float32 (float64 accumulation only in
-        the small reductions), roughly halving dense-stage peak memory.
+        Dense-kernel dtype policy, ``"single"`` (default) or ``"double"``.
+        ``"single"`` is the paper's: its numbers come from MKL's
+        single-precision routines, and it keeps the whole factorize +
+        propagate path in float32 (float64 accumulation only in the small
+        reductions), so every SPMM moves half the bytes of ``"double"``.
         Both run the same kernels (Cholesky-QR orthonormalization, Gram
-        rescale — :mod:`repro.linalg.kernels`); only the dtype differs.
+        rescale — :mod:`repro.linalg.kernels`); only the dtype differs, and
+        the embedding comes back in that dtype.
     factorizer:
         The constant ``"rsvd"`` (the paper's Algorithm 3, the one
         factorizer).  It stays a field because the benchmark replay in
@@ -136,7 +138,7 @@ class LightNEParams:
     sparsifier: str = "path"
     workers: Optional[int] = None
     backend: str = "thread"
-    precision: str = "double"
+    precision: str = "single"
     factorizer: str = "rsvd"
     batch_size: int = DEFAULT_BATCH_SIZE
 

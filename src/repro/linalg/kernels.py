@@ -52,8 +52,12 @@ Gram matrix's extreme eigenvalues:
 * every block :func:`cholesky_qr` accepts comes back with
   ``‖QᵀQ − I‖_max ≤ 1e3·eps`` and ``range(Q) = range(block)``;
 * ``cond² ≤ 100`` (:data:`ONE_PASS_COND_SQ`) takes one pass (its loss is
-  ``~eps·cond²``); up to ``cond ≤ 1/√eps`` a second pass repairs the first;
-* beyond ``1/√eps`` — rank-deficient blocks included — and whenever the Gram
+  ``~eps·cond²``); up to ``cond² ≤ min(1/eps², 1/eps₆₄)``
+  (:func:`cond_sq_limit` — ``cond ≤ 1/√eps₆₄`` for float64, ``cond ≤
+  1/eps₃₂`` for float32) a second pass repairs the first.  One formula for
+  both dtypes because the Gram matrix is float64 on both (its error is
+  ``~eps₆₄·cond²``) while the solve runs in the block's dtype (``~eps·cond``);
+* beyond that limit — rank-deficient blocks included — and whenever the Gram
   matrix does not factor or the repair pass finds the block still poorly
   conditioned, Householder QR takes over and
   ``linalg.cholesky_qr_fallbacks`` counts it;
@@ -91,17 +95,29 @@ except (ImportError, AttributeError):  # pragma: no cover - very old scipy
 
 PRECISIONS = ("single", "double")
 
-# Row count per accumulation block in :func:`gram` (bounds the float64
-# upcast of a block to ~64k × d temporaries).
-GRAM_BLOCK_ROWS = 65_536
-
-# Row-block height of :func:`cholesky_qr`'s in-place solve (its scratch is
-# this many rows × k).
-SOLVE_BLOCK_ROWS = 4_096
+# Row-block height of the tall-skinny passes: :func:`gram`'s float64 upcast
+# of a float32 operand and :func:`cholesky_qr`'s in-place solve each hold
+# one scratch of this many rows × k, whatever ``n`` is.
+BLOCK_ROWS = 4_096
 
 # ``cond(B)²`` up to which one Cholesky-QR pass meets the orthogonality
 # contract: the pass loses ~c·eps·cond², measured c ≤ 6 in max-norm.
 ONE_PASS_COND_SQ = 100.0
+
+
+def cond_sq_limit(dtype) -> float:
+    """The largest ``cond(B)²`` :func:`cholesky_qr` accepts for a block of
+    ``dtype``: ``min(1/eps², 1/eps₆₄)``, ``eps`` the block's unit roundoff.
+
+    Mixed-precision CholeskyQR2: the Gram matrix is always accumulated in
+    float64 (error ``~eps₆₄·cond²``) and the solve runs in the block's dtype
+    (error ``~eps·cond``), so each bounds the limit once.  For float64 that
+    is ``1/eps₆₄`` (``cond ≤ 1/√eps₆₄``); for float32 ``1/eps₃₂²``
+    (``cond ≤ 1/eps₃₂``).
+    """
+    eps = float(np.finfo(dtype).eps)
+    return min(1.0 / eps**2, 1.0 / float(np.finfo(np.float64).eps))
+
 
 # dtypes the compiled csr_matvecs kernel accepts; anything else goes through
 # the generic scipy fallback path.
@@ -491,7 +507,7 @@ def gram(
     a: np.ndarray,
     b: Optional[np.ndarray] = None,
     *,
-    block_rows: int = GRAM_BLOCK_ROWS,
+    block_rows: int = BLOCK_ROWS,
 ) -> np.ndarray:
     """``aᵀ b`` (``aᵀ a`` when ``b`` is omitted) with float64 accumulation.
 
@@ -499,7 +515,8 @@ def gram(
     float32 pipeline keeps double-precision sums exactly where MKL's
     ``s``-routines are weakest — the small ``d×d`` / ``sketch×sketch``
     reductions — without ever materializing a float64 copy of the ``n×d``
-    operand.
+    operand: the float64 transient is one ``block_rows × k`` scratch per
+    distinct operand (one for ``aᵀa``), whatever ``n`` is.
     """
     b = a if b is None else b
     if a.shape[0] != b.shape[0]:
@@ -507,10 +524,16 @@ def gram(
     if a.dtype == np.float64 and b.dtype == np.float64:
         return a.T @ b
     out = np.zeros((a.shape[1], b.shape[1]), dtype=np.float64)
-    total = a.shape[0]
-    chunks = max(1, -(-total // block_rows))
-    for r0, r1 in chunk_ranges(total, chunks):
-        out += a[r0:r1].astype(np.float64).T @ b[r0:r1].astype(np.float64)
+    # One float64 scratch per distinct operand, refilled block by block.
+    height = min(block_rows, a.shape[0])
+    upcast_a = np.empty((height, a.shape[1]), dtype=np.float64)
+    upcast_b = upcast_a if b is a else np.empty((height, b.shape[1]), np.float64)
+    for r0 in range(0, a.shape[0], block_rows):
+        rows = min(block_rows, a.shape[0] - r0)
+        np.copyto(upcast_a[:rows], a[r0 : r0 + rows])
+        if b is not a:
+            np.copyto(upcast_b[:rows], b[r0 : r0 + rows])
+        out += upcast_a[:rows].T @ upcast_b[:rows]
     return out
 
 
@@ -535,7 +558,7 @@ def _solve_in_place(work: np.ndarray, lower: np.ndarray) -> None:
     """``work ← work · L⁻ᵀ`` in ``work``'s own memory, one row block at a time.
 
     Each block is multiplied by the ``k×k`` factor ``L⁻ᵀ`` into one reused
-    ``SOLVE_BLOCK_ROWS × k`` scratch and copied back, so no second ``n×k``
+    ``BLOCK_ROWS × k`` scratch and copied back, so no second ``n×k``
     array exists.  A ``trsm`` on the transposed view would avoid forming
     ``L⁻ᵀ``, but numpy exposes none and scipy's BLAS is a second OpenBLAS
     with its own spinning thread pool: alternating between the two pools
@@ -545,10 +568,10 @@ def _solve_in_place(work: np.ndarray, lower: np.ndarray) -> None:
     """
     factor = np.ascontiguousarray(np.linalg.inv(lower).T, dtype=work.dtype)
     scratch = np.empty(
-        (min(SOLVE_BLOCK_ROWS, work.shape[0]), work.shape[1]), dtype=work.dtype
+        (min(BLOCK_ROWS, work.shape[0]), work.shape[1]), dtype=work.dtype
     )
-    for r0 in range(0, work.shape[0], SOLVE_BLOCK_ROWS):
-        rows = work[r0 : r0 + SOLVE_BLOCK_ROWS]
+    for r0 in range(0, work.shape[0], BLOCK_ROWS):
+        rows = work[r0 : r0 + BLOCK_ROWS]
         rows[...] = np.matmul(rows, factor, out=scratch[: rows.shape[0]])
 
 
@@ -560,10 +583,11 @@ def cholesky_qr(block: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     ``G = L Lᵀ`` and applies ``L⁻ᵀ`` in place.  The pass squares the
     condition number, so ``cond² = λ_max(G)/λ_min(G)`` decides what happens:
     up to :data:`ONE_PASS_COND_SQ` the one-pass result is returned; up to
-    ``1/eps`` a second pass over the now nearly orthonormal block repairs
-    the loss; beyond that — or when the Gram matrix does not factor, or the
-    second pass still sees a poorly conditioned block — Householder QR takes
-    over and ``linalg.cholesky_qr_fallbacks`` counts it.
+    :func:`cond_sq_limit` a second pass over the now nearly orthonormal
+    block repairs the loss; beyond that — or when the Gram matrix does not
+    factor, or the second pass still sees a poorly conditioned block —
+    Householder QR takes over and ``linalg.cholesky_qr_fallbacks`` counts
+    it.
 
     ``overwrite=True`` lets the result reuse ``block``'s memory (a
     C-contiguous writable float32/float64 array is orthonormalized in place
@@ -582,7 +606,7 @@ def cholesky_qr(block: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
         work = np.array(block, dtype=dtype, order="C")
     if work.size == 0:
         return work
-    limit = 1.0 / float(np.finfo(dtype).eps)
+    limit = cond_sq_limit(dtype)
     for _ in range(2):
         with np.errstate(over="ignore", invalid="ignore"):
             g = gram(work)

@@ -23,8 +23,8 @@ is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as its
 epilogue, so it never exists whole and ``lx2`` overwrites the retiring
 ``lx0``.  The modulated operator is built one row block at a time, and the
 row-normalized propagation operator ``D⁻¹(A + I)`` is cached on the
-:class:`~repro.graph.csr.CSRGraph` keyed by dtype so repeated propagation
-calls do not rebuild it.
+:class:`~repro.graph.csr.CSRGraph` in the dtype asked for, so repeated
+propagation calls do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
@@ -88,10 +88,11 @@ def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
 def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     """The cached row-normalized propagation operator ``D⁻¹(A + I)``.
 
-    The float64 operator is built once per graph and memoized on the
-    :class:`~repro.graph.csr.CSRGraph`; other dtypes are cast from the
-    cached float64 build and memoized under their own key.  Callers must not mutate the returned
-    matrix.
+    Built once per graph and dtype and memoized on the
+    :class:`~repro.graph.csr.CSRGraph` under that dtype only: the operator
+    is always built in float64 and other dtypes are cast from that build,
+    which is dropped again, so a float32 run never pins a float64 copy.
+    Callers must not mutate the returned matrix.
     """
     dtype = np.dtype(dtype)
     if graph._op_cache is None:
@@ -99,10 +100,7 @@ def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     cache = graph._op_cache
     key = ("row_normalized", dtype.str)
     if key not in cache:
-        base_key = ("row_normalized", np.dtype(np.float64).str)
-        if base_key not in cache:
-            cache[base_key] = _row_normalized_adjacency(graph)
-        cache[key] = cache[base_key].astype(dtype, copy=False)
+        cache[key] = _row_normalized_adjacency(graph).astype(dtype, copy=False)
     return cache[key]
 
 

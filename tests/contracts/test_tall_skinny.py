@@ -37,8 +37,9 @@ def _eps(dtype) -> float:
 
 
 def _fallback_threshold(dtype) -> float:
-    """The documented acceptance limit: ``cond ≤ 1/√eps``."""
-    return 1.0 / math.sqrt(_eps(dtype))
+    """The documented acceptance limit ``cond² ≤ min(1/eps², 1/eps₆₄)`` as a
+    bound on ``cond``: ``1/√eps₆₄`` for float64, ``1/eps₃₂`` for float32."""
+    return math.sqrt(min(1.0 / _eps(dtype) ** 2, 1.0 / _eps(np.float64)))
 
 
 def _block(n: int, k: int, cond: float, dtype, seed: int, rotate: bool) -> np.ndarray:
@@ -109,7 +110,7 @@ def gram_calls(monkeypatch):
 block_shapes = st.integers(1, 24).flatmap(
     lambda k: st.tuples(st.integers(k, 8 * k + 40), st.just(k))
 )
-log_cond = st.floats(0.0, 7.0)
+log_cond = st.floats(0.0, 8.5)
 
 
 class TestOrthogonalityContract:
@@ -128,7 +129,7 @@ class TestOrthogonalityContract:
             fell_back = read()
         assert q.dtype == dtype and q.shape == block.shape
         assert _orthogonality_loss(q) <= 1e3 * _eps(dtype)
-        # The counted Householder fallback fires exactly beyond 1/√eps.
+        # The counted Householder fallback fires exactly beyond the limit.
         assert fell_back == (1 if cond > threshold else 0)
         if not fell_back:
             assert _range_distance(q, block) <= 1e2 * _eps(dtype) * cond
@@ -144,6 +145,21 @@ class TestOrthogonalityContract:
         q = cholesky_qr(_block(400, 6, cond, dtype, seed=11, rotate=rotate))
         assert counters() == (0 if side == "below" else 1)
         assert _orthogonality_loss(q) <= 1e3 * _eps(dtype)
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("cond", (1e4, 1e5, 1e6, 3e6))
+    def test_float32_between_root_and_inverse_eps_takes_two_passes(
+        self, gram_calls, counters, cond, rotate
+    ):
+        """``1/√eps₃₂ < cond < 1/eps₃₂``: the float64 Gram matrix keeps the
+        block inside CholeskyQR2's reach, so no Householder fallback."""
+        assert 1.0 / math.sqrt(_eps(np.float32)) < cond < 1.0 / _eps(np.float32)
+        block = _block(2000, 24, cond, np.float32, seed=7, rotate=rotate)
+        q = cholesky_qr(block)
+        assert len(gram_calls) == 2 and counters() == 0
+        assert q.dtype == np.float32
+        assert _orthogonality_loss(q) <= 1e3 * _eps(np.float32)
+        assert _range_distance(q, block) <= 1e2 * _eps(np.float32) * cond
 
     def test_rank_deficient_block_is_a_counted_fallback(self, counters):
         base = np.random.default_rng(3).standard_normal((80, 3))

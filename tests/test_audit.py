@@ -199,7 +199,8 @@ class TestPerturbationLocalization:
 
         def perturbed(*args, **kwargs):
             out = clean(*args, **kwargs).copy()
-            out.flat[0] += 1e-9
+            # One ULP: the smallest change either precision can carry.
+            out.flat[0] = np.nextafter(out.flat[0], out.dtype.type(np.inf))
             return out
 
         monkeypatch.setattr(lightne_mod, target, perturbed)
@@ -262,7 +263,7 @@ class TestAuditCLI:
 
         def perturbed(*args, **kwargs):
             out = clean(*args, **kwargs).copy()
-            out[0, 0] += 1e-9
+            out[0, 0] = np.nextafter(out[0, 0], out.dtype.type(np.inf))
             return out
 
         monkeypatch.setattr(lightne_mod, "spectral_propagation", perturbed)

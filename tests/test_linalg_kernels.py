@@ -16,6 +16,7 @@ from scipy.special import iv
 
 from repro.errors import FactorizationError
 from repro.graph.generators import dcsbm_graph
+from repro.linalg import kernels
 from repro.linalg.kernels import (
     cholesky_qr,
     gram,
@@ -253,6 +254,24 @@ class TestGram:
     def test_shape_mismatch(self, rng):
         with pytest.raises(FactorizationError):
             gram(rng.standard_normal((10, 3)), rng.standard_normal((11, 3)))
+
+    @pytest.mark.parametrize("rows", (1_000, 30_000, 100_000))
+    def test_float32_upcast_is_one_block(self, rows):
+        """``gram(a)`` of a float32 block holds at most one
+        ``block_rows × k`` float64 block beside its ``k×k`` sums."""
+        import tracemalloc
+
+        k = 24
+        a = np.ones((rows, k), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            gram(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = min(rows, kernels.BLOCK_ROWS) * k * 8
+        sums = 2 * k * k * 8  # the result and one block's product
+        assert peak <= block + sums + 4096
 
 
 def _subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -538,7 +557,9 @@ class TestSinglePrecisionPipeline:
 
         graph, labels = dcsbm_graph(200, 4, avg_degree=12, mixing=0.1, seed=3)
         double = lightne_embedding(
-            graph, LightNEParams(dimension=16, sample_multiplier=2.0), seed=0
+            graph,
+            LightNEParams(dimension=16, sample_multiplier=2.0, precision="double"),
+            seed=0,
         )
         single = lightne_embedding(
             graph,
@@ -568,12 +589,36 @@ class TestDefaultPathStability:
             again = run_method(method, graph, seed=7, dimension=8, workers=workers)
             np.testing.assert_array_equal(again.vectors, baseline.vectors)
 
-    def test_explicit_double_is_default(self, bundle):
+    def test_explicit_single_is_default(self, bundle):
         from repro.embedding.registry import run_method
 
         graph, _ = bundle
         default = run_method("lightne", graph, seed=7, dimension=8)
         explicit = run_method(
-            "lightne", graph, seed=7, dimension=8, precision="double"
+            "lightne", graph, seed=7, dimension=8, precision="single"
         )
+        assert default.vectors.dtype == np.float32
         np.testing.assert_array_equal(default.vectors, explicit.vectors)
+
+    # sha256 of the float64 embeddings, recorded before LightNE's default
+    # became "single": the double path must keep its bits.
+    DOUBLE_DIGESTS = {
+        "lightne": "a031b89cfa473f58455a67472f125da783ab11db107948b051d38ebf12ecf196",
+        "prone": "64db36731e764d2edc53431f93606804ccb829fae4be8b609c1009f09bc056e1",
+        "netmf": "2ab09ae0939c00ab3b12145e4857aa7ef360507bbdcb2e7d0dbd87d1cc061576",
+        "nrp": "b1be701bdac3cdf887f2dad474e8e6f998c1eb66a1d857dcb53f7ad03b7ab578",
+    }
+
+    @pytest.mark.parametrize("method", sorted(DOUBLE_DIGESTS))
+    def test_double_path_keeps_its_bits(self, method, bundle):
+        import hashlib
+
+        from repro.embedding.registry import run_method
+
+        graph, _ = bundle
+        vectors = run_method(
+            method, graph, seed=7, dimension=8, precision="double"
+        ).vectors
+        assert vectors.dtype == np.float64
+        digest = hashlib.sha256(np.ascontiguousarray(vectors).tobytes()).hexdigest()
+        assert digest == self.DOUBLE_DIGESTS[method]

@@ -205,6 +205,49 @@ class TestOperatorPassCounter:
             telemetry.reset_metrics()
 
 
+class TestSinglePrecisionNetMF:
+    def test_no_householder_fallback(self):
+        """The float32 rSVD of a NetMF matrix stays on CholeskyQR2.
+
+        The graph and sparsifier are the ``factorize_heavy`` benchmark
+        workload's ``--quick`` input at seed 2021; its final ``orth(B·P)``
+        block has ``cond² > 1/eps₃₂``, which a float32-only limit rejected.
+        """
+        from repro import telemetry
+        from repro.graph.generators import dcsbm_graph
+        from repro.sparsifier.builder import (
+            build_sparsifier,
+            sparsifier_to_netmf_matrix,
+        )
+        from repro.sparsifier.path_sampling import PathSamplingConfig
+
+        graph, _ = dcsbm_graph(
+            2000, 10, avg_degree=16.0, mixing=0.2, labels_per_node=2, seed=2021
+        )
+        config = PathSamplingConfig(
+            window=5,
+            num_samples=PathSamplingConfig.samples_for_multiplier(graph, 5, 1.0),
+        )
+        sparsifier = build_sparsifier(
+            graph, config, np.random.default_rng(2022), workers=1
+        )
+        matrix = sparsifier_to_netmf_matrix(graph, sparsifier)
+        telemetry.enable()
+        telemetry.reset_metrics()
+        try:
+            u, _, _ = randomized_svd(
+                matrix, 128, seed=np.random.default_rng(2022),
+                precision="single", symmetric=True,
+            )
+            counters = telemetry.get_metrics().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset_metrics()
+        assert u.dtype == np.float32
+        assert counters["svd.operator_passes"] == 6
+        assert counters.get("linalg.cholesky_qr_fallbacks", 0) == 0
+
+
 class TestExactReferenceOperator:
     def test_linear_operator_materialization(self, rng):
         dense = low_rank_matrix(40, 30, 4, rng)
