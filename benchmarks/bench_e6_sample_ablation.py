@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import SEED, load
-from repro.sparsifier.builder import build_netmf_sparsifier
+from repro.sparsifier.builder import build_sparsifier
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.systems.memory import (
     MemoryBudget,
@@ -44,7 +44,7 @@ def test_e6_downsampling_entry_reduction(benchmark, table, oag_graph):
             config = PathSamplingConfig(
                 window=WINDOW, num_samples=num_samples, downsample=downsample
             )
-            result = build_netmf_sparsifier(oag_graph, config, SEED)
+            result = build_sparsifier(oag_graph, config, SEED)
             rows.append(
                 {
                     "downsampling": "on" if downsample else "off",

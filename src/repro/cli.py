@@ -66,7 +66,6 @@ from repro.eval import (
 )
 from repro.graph import graph_io
 from repro.graph.stats import summarize
-from repro.sparsifier.builder import sparsifier_backend_names
 from repro.telemetry import audit, health, ledger, progress, report
 from repro.utils.log import configure_logging
 
@@ -198,7 +197,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         params = make_params(
             args.method, strict=False, dimension=args.dim, window=args.window,
             multiplier=args.multiplier, workers=args.workers,
-            backend=args.backend, sparsifier=args.sparsifier,
+            backend=args.backend,
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -390,15 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: the method's own)",
         )
         p.add_argument(
-            "--sparsifier", choices=sparsifier_backend_names(),
-            default=None,
-            help="sparsifier backend building the count matrix: 'path' "
-                 "(the paper's downsampled PathSampling, default) or "
-                 "'ppr' (PSNE-style push-based PPR proximity); both are "
-                 "deterministic per (seed, batch-size) at every worker "
-                 "count and on both --backend substrates",
-        )
-        p.add_argument(
             "--batch-size", dest="batch_size", type=int, default=None,
             help="PathSampling draws (before the downsampling coin) per "
                  "sampling slab (methods with a batch_size parameter): a "
@@ -441,16 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--method", choices=method_names(), default="lightne",
         help="embedding method re-run at every refresh (full params "
-             "forwarded, sparsifier backend included)",
+             "forwarded, substrate and worker knobs included)",
     )
     p_stream.add_argument("--dim", type=int, default=32)
     p_stream.add_argument("--window", type=int, default=5)
     p_stream.add_argument("--multiplier", type=float, default=2.0)
-    p_stream.add_argument(
-        "--sparsifier", choices=sparsifier_backend_names(), default=None,
-        help="sparsifier backend used at every refresh (methods with the "
-             "sparsifier knob)",
-    )
     p_stream.add_argument("--batches", type=int, default=5)
     p_stream.add_argument("--initial-fraction", type=float, default=0.5)
     p_stream.add_argument("--churn", type=float, default=0.0)

@@ -77,12 +77,6 @@ class LightNEParams:
         ``"hash-sharded"`` (per-processor tables).  All three build the same
         count matrix bit for bit; measurements and the determinism contract
         are in :mod:`repro.sparsifier.aggregation`.
-    sparsifier:
-        Sampler that emits the count matrix's triples: ``"path"`` (default,
-        the paper's downsampled PathSampling) or ``"ppr"`` (PSNE-style
-        push-based PPR proximity; same estimator contract, deterministic
-        walk mass instead of Monte-Carlo draws).  See
-        :func:`repro.sparsifier.builder.build_sparsifier`.
     workers:
         Thread-pool width for sparsifier construction *and* the dense-stage
         SPMMs (randomized SVD, spectral propagation); ``None`` (default)
@@ -135,7 +129,6 @@ class LightNEParams:
     mu: float = 0.2
     theta: float = 0.5
     aggregator: str = "sort"
-    sparsifier: str = "path"
     workers: Optional[int] = None
     backend: str = "thread"
     precision: str = "single"
@@ -186,11 +179,10 @@ def _lightne_body(ctx: PipelineContext):
     ctx.span.set_attribute("window", params.window)
     ctx.span.set_attribute("sample_multiplier", params.sample_multiplier)
     ctx.span.set_attribute("aggregator", params.aggregator)
-    ctx.span.set_attribute("sparsifier", params.sparsifier)
     sparsifier = build_sparsifier(
-        graph, config, ctx.rng, sparsifier=params.sparsifier,
-        aggregator=params.aggregator, workers=params.workers,
-        backend=params.backend, batch_size=params.batch_size,
+        graph, config, ctx.rng, aggregator=params.aggregator,
+        workers=params.workers, backend=params.backend,
+        batch_size=params.batch_size,
     )
     # Each stage holds only its live set: keep the bookkeeping `ctx.info`
     # reports, and drop every array as soon as the next stage's input exists.
@@ -241,7 +233,6 @@ def _lightne_body(ctx: PipelineContext):
             "window": params.window,
             "sample_multiplier": params.sample_multiplier,
             "num_draws": num_draws,
-            "sparsifier": params.sparsifier,
             "sparsifier_nnz": nnz,
             "downsample": params.downsample,
             "propagated": params.propagate,

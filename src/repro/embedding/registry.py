@@ -52,7 +52,6 @@ GENERIC_KNOBS: Dict[str, str] = {
     "propagate": "propagate",
     "downsample": "downsample",
     "precision": "precision",
-    "sparsifier": "sparsifier",
 }
 # Gated the same way without being listed as knobs of their own: the
 # execution substrate accompanies every pool width, and

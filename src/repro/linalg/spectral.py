@@ -208,6 +208,10 @@ def chebyshev_gaussian_filter(
         )
     if order < 1:
         raise FactorizationError(f"order must be >= 1, got {order}")
+    if not (np.isfinite(mu) and np.isfinite(theta)):
+        raise FactorizationError(
+            f"mu and theta must be finite, got mu={mu}, theta={theta}"
+        )
     if order == 1:
         # Identity filter: a copy in the dtype ``precision`` resolves to,
         # like every higher order.

@@ -1,10 +1,9 @@
 """Parallel sparsifier construction (paper Sections 3.2 and 4.2).
 
 Pipeline: one stage body (:func:`repro.sparsifier.builder.build_sparsifier`)
-runs a named **sampler** — either degree-based edge **downsampling**
-probabilities → per-edge **PathSampling** (Algorithms 1 and 2), or the
-PSNE-style push-based **PPR** estimator — as a stream: each slab is
-sort-reduced where it is produced and the runs are merged in slab order
+runs degree-based edge **downsampling** probabilities → per-edge
+**PathSampling** (Algorithms 1 and 2) as a stream: each slab is sort-reduced
+where it is produced and the runs are merged in slab order
 (**aggregation**) into the count matrix behind the trunc-log **NetMF matrix
 estimator** factorized downstream.
 """
@@ -25,16 +24,12 @@ from repro.sparsifier.aggregation import (
     aggregate_sort,
 )
 from repro.sparsifier.builder import (
-    SPARSIFIER_SAMPLERS,
     SparsifierResult,
     aggregate_sample_counts,
-    build_netmf_sparsifier,
     build_sparsifier,
-    sparsifier_backend_names,
     sparsifier_to_netmf_matrix,
     validate_sparsifier_graph,
 )
-from repro.sparsifier.ppr import sample_ppr_counts, walk_operator
 
 __all__ = [
     "downsampling_probabilities",
@@ -51,12 +46,7 @@ __all__ = [
     "aggregate_sort",
     "SparsifierResult",
     "aggregate_sample_counts",
-    "build_netmf_sparsifier",
     "sparsifier_to_netmf_matrix",
     "validate_sparsifier_graph",
-    "SPARSIFIER_SAMPLERS",
     "build_sparsifier",
-    "sparsifier_backend_names",
-    "sample_ppr_counts",
-    "walk_operator",
 ]

@@ -24,7 +24,7 @@ so the sparsified Eq. (1) entry is
 where ``W̄`` is the symmetrized aggregate ``(W + Wᵀ)/2`` (the sampling law is
 symmetric, so averaging the two orientations halves the variance for free).
 
-Because only ``W̄`` is ever used, the samplers never tell the two
+Because only ``W̄`` is ever used, the sampler never tells the two
 orientations apart: a draw is filed under its *unordered* endpoint pair, so
 the count matrix holds one triangle — ``counts(x, y) = W(x, y) + W(y, x)``
 for ``x < y``, ``counts(x, x) = W(x, x)`` — and ``(counts + countsᵀ)/2`` is
@@ -53,32 +53,31 @@ reweight if it ever survived) — :func:`validate_sparsifier_graph` rejects
 those graphs with a typed :class:`~repro.errors.UnsupportedGraphError`
 instead of silently producing a biased sparsifier.
 
-Samplers
---------
-The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`; what
-varies is the function that emits the samples, looked up by name in
-:data:`SPARSIFIER_SAMPLERS` (``LightNEParams.sparsifier``, CLI
-``--sparsifier``).  ``"path"`` is the Monte-Carlo estimator derived above
-(:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`);
-``"ppr"`` computes the same walk mass with a PSNE-style thresholded push and
-randomized-rounds it into counts
-(:func:`~repro.sparsifier.ppr.sample_ppr_counts`).  Every sampler honours
+The sampler
+-----------
+The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`, and one
+sampler, the Monte-Carlo estimator derived above
+(:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`,
+Algorithm 2).  It honours
 
-* ``sampler(graph, config, rng, *, batch_size, workers, backend, stats)
-  -> (rows, cols, sums, draws)`` — *pre-reduced canonical* triples: the
-  distinct pairs of the upper triangle (``rows <= cols``) in increasing
-  ``row·n + col`` order with their summed weights, never one triple per
-  draw — whose symmetrisation satisfies
+* ``sample_sparsifier_edges(graph, config, rng, *, batch_size, workers,
+  backend, stats) -> (rows, cols, sums, draws)`` — *pre-reduced canonical*
+  triples: the distinct pairs of the upper triangle (``rows <= cols``) in
+  increasing ``row·n + col`` order with their summed weights, never one
+  triple per draw — whose symmetrisation satisfies
   ``E[W̄(x, y)] = (M / vol(G)) · d_x · S(x, y)``,
-  ``S = (1/T)·Σ_{r=1..T}(D⁻¹A)^r``, and ``draws = M``, so the estimator
-  above is sampler-independent;
+  ``S = (1/T)·Σ_{r=1..T}(D⁻¹A)^r``, and ``draws = M`` realized;
 * ``stats`` filled with the per-draw counters (``draws``, ``walk_samples``,
   ``batches``, ``batch_size``, ``workers``, ``backend``) and the reducer's
   ``distinct`` / ``peak_table_bytes``;
 * bit-identical triples for a fixed ``(seed, batch_size)`` at every worker
   count on both execution substrates, via the per-slab RNG streams and the
-  in-order fold (:func:`~repro.sparsifier.aggregation.merge_runs`), drawing
-  nothing from ``rng`` that the stage does not draw through the sampler.
+  in-order fold (:func:`~repro.sparsifier.aggregation.merge_runs`).
+
+Unbiasedness is checked entry by entry in
+``tests/contracts/test_estimator_unbiased.py``; the spectral guarantee —
+the sparsified walk polynomial is a ``(1 ± ε)``-approximation with ``ε``
+falling like ``M^−½`` — in ``tests/contracts/test_spectral_sparsifier.py``.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ from repro.sparsifier.path_sampling import (
     PathSamplingConfig,
     sample_sparsifier_edges,
 )
-from repro.sparsifier.ppr import sample_ppr_counts
 from repro.telemetry import health
 from repro.utils.parallel import default_workers, resolve_backend
 from repro.utils.rng import SeedLike, ensure_rng
@@ -163,9 +161,9 @@ def _trunc_log_inplace(matrix: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def validate_sparsifier_graph(graph: CSRGraph) -> bool:
-    """Check ``graph`` is servable by a sparsifier sampler.
+    """Check ``graph`` is servable by the sparsifier's sampler.
 
-    Returns ``True`` when the graph is weighted (samplers then use
+    Returns ``True`` when the graph is weighted (the sampler then uses
     weight-aware seeding / weighted degrees) and ``False`` for the plain
     unweighted case.  Weighted graphs with zero-weight edges raise
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
@@ -176,7 +174,7 @@ def validate_sparsifier_graph(graph: CSRGraph) -> bool:
         return False
     if weights.size and float(weights.min()) <= 0.0:
         raise UnsupportedGraphError(
-            "sparsifier backends require strictly positive edge weights on "
+            "the sparsifier requires strictly positive edge weights on "
             "weighted graphs (zero-weight edges cannot be seeded and break "
             "the downsampling law); drop or reweight them first"
         )
@@ -198,7 +196,7 @@ def aggregate_sample_counts(
 
     The general entry point — any triples, duplicates or not (the E12/E15
     ablations feed it per-draw samples).  Inside the stage it only ever sees
-    a sampler's already-distinct stream, on which every aggregator returns
+    the sampler's already-distinct stream, on which every aggregator returns
     the values unchanged (:func:`aggregate_to_counts`).
 
     ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
@@ -239,7 +237,7 @@ def aggregate_to_counts(
     backend: str,
     stats: Dict[str, float],
 ) -> sp.csr_matrix:
-    """Assemble the ``n × n`` count matrix ``W`` from a sampler's stream.
+    """Assemble the ``n × n`` count matrix ``W`` from the sampler's stream.
 
     The back half of the ``"sparsifier"`` stage, under the
     ``sparsifier.aggregation`` span; records ``aggregation_seconds`` and
@@ -271,41 +269,18 @@ def aggregate_to_counts(
     return counts
 
 
-def _sample_path(graph: CSRGraph, config: PathSamplingConfig, rng, **kwargs):
-    with telemetry.span("sparsifier.sampling"):
-        return sample_sparsifier_edges(graph, config, rng, **kwargs)
-
-
-def _sample_ppr(graph: CSRGraph, config: PathSamplingConfig, rng, **kwargs):
-    with telemetry.span(
-        "sparsifier.ppr", window=config.window, num_samples=config.num_samples
-    ):
-        return sample_ppr_counts(graph, config, rng, **kwargs)
-
-
-# Sampler per ``sparsifier=`` name (contract in the module docstring), each
-# under the trace span it has always reported; the default comes first.
-SPARSIFIER_SAMPLERS = {"path": _sample_path, "ppr": _sample_ppr}
-
-
-def sparsifier_backend_names() -> list:
-    """Names ``sparsifier=`` accepts, default first."""
-    return list(SPARSIFIER_SAMPLERS)
-
-
 def build_sparsifier(
     graph: CSRGraph,
     config: PathSamplingConfig,
     seed: SeedLike = None,
     *,
-    sparsifier: str = "path",
     aggregator: str = "sort",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SparsifierResult:
     """Sample and aggregate the count matrix ``W`` — the ``"sparsifier"``
-    stage of every pipeline, whichever sampler emits the triples.
+    stage of every pipeline.
 
     Runs under :func:`repro.telemetry.stage` (Table 5's first column when a
     pipeline run is active); ``SparsifierResult.stats`` is written onto that
@@ -318,10 +293,6 @@ def build_sparsifier(
         Input graph.
     config:
         Sampling parameters (window ``T``, sample budget ``M``, downsampling).
-    sparsifier:
-        Sampler name from :data:`SPARSIFIER_SAMPLERS`: ``"path"`` (default,
-        Algorithm 2) or ``"ppr"`` (thresholded push); unknown names raise
-        :class:`~repro.errors.SamplingError`.
     aggregator:
         ``"sort"`` (default: sort-reduce kernel), ``"hash"`` (paper's shared
         sparse parallel hashing, numpy emulation) or ``"hash-sharded"``
@@ -351,13 +322,6 @@ def build_sparsifier(
     ``E[Σ W] = M``; both are no-ops unless a pipeline installed an active
     :class:`~repro.telemetry.health.HealthRecorder`.
     """
-    try:
-        sampler = SPARSIFIER_SAMPLERS[sparsifier]
-    except KeyError:
-        raise SamplingError(
-            f"unknown sparsifier backend {sparsifier!r}; known backends: "
-            f"{', '.join(SPARSIFIER_SAMPLERS)}"
-        ) from None
     rng = ensure_rng(seed)
     backend = resolve_backend(backend)
     if workers is None:
@@ -365,17 +329,15 @@ def build_sparsifier(
     n = graph.num_vertices
     stats: Dict[str, float] = {}
     stats["weighted_seeding"] = float(validate_sparsifier_graph(graph))
-    # Only a non-default sampler names itself on the stage span.
-    named = {} if sparsifier == "path" else {"sparsifier": sparsifier}
     with telemetry.stage(
-        "sparsifier", **named, aggregator=aggregator, workers=workers,
-        backend=backend,
+        "sparsifier", aggregator=aggregator, workers=workers, backend=backend,
     ) as stage:
         tic = time.perf_counter()
-        rows, cols, vals, draws = sampler(
-            graph, config, rng, batch_size=batch_size, workers=workers,
-            backend=backend, stats=stats,
-        )
+        with telemetry.span("sparsifier.sampling"):
+            rows, cols, vals, draws = sample_sparsifier_edges(
+                graph, config, rng, batch_size=batch_size, workers=workers,
+                backend=backend, stats=stats,
+            )
         stats["sampling_seconds"] = time.perf_counter() - tic
         stats["samples_per_sec"] = stats["walk_samples"] / max(
             stats["sampling_seconds"], 1e-12
@@ -390,11 +352,6 @@ def build_sparsifier(
     return SparsifierResult(
         counts=counts, num_draws=draws, window=config.window, stats=stats
     )
-
-
-# The paper's sampler (Algorithm 2) is the default ``sparsifier="path"``, so
-# the NetMF-specific name is the same call.
-build_netmf_sparsifier = build_sparsifier
 
 
 def sparsifier_to_netmf_matrix(

@@ -136,12 +136,12 @@ def _weighted_sample_counts(
     return base + (rng.random(edge_weights.size) < frac)
 
 
-# The sampler context a pool worker's initializer built (``None`` in every
-# other process): tasks then pickle only their slab and its RNG stream.
+# The walk context a pool worker's initializer built (``None`` in every other
+# process): tasks then pickle only their slab and its RNG stream.
 _WORKER_CONTEXT = None
 
 
-def _worker_init(build, graph_spec: tuple, build_args: tuple) -> None:
+def _worker_init(graph_spec: tuple, config: PathSamplingConfig) -> None:
     """Pool initializer: open the graph and build this worker's context.
 
     ``("mmap", path)`` reopens the CSR v2 container memmapped, so every
@@ -154,7 +154,7 @@ def _worker_init(build, graph_spec: tuple, build_args: tuple) -> None:
         from repro.graph.io import load_csr
 
         graph = load_csr(graph)
-    _WORKER_CONTEXT = build(graph, *build_args)
+    _WORKER_CONTEXT = _walk_context(graph, config)
 
 
 def _worker_walk(*slab):
@@ -162,26 +162,23 @@ def _worker_walk(*slab):
 
 
 def walk_slabs(
-    build,
-    graph: CSRGraph,
-    build_args: tuple,
+    context: _WalkContext,
+    config: PathSamplingConfig,
     slabs: Sequence[tuple],
     *,
     workers: int,
     backend: str,
-    label: str,
-    context=None,
 ) -> Iterator:
     """``walk(*slab)`` for every slab, yielded in slab order with at most
     ``2·workers`` slabs walked and not yet consumed.
 
     One task function serves both substrates.  Threads (and the serial
-    loop) call it on ``context`` — ``build(graph, *build_args)`` when the
-    caller has none yet.  ``backend="process"`` calls it on the context each
-    pool worker built for itself with the same module-level ``build``;
-    contexts are pure functions of the graph and the arguments, so a slab
-    gives the same bits wherever it runs.
+    loop) call it on ``context``; ``backend="process"`` calls it on the
+    context each pool worker built for itself from the graph and ``config``
+    (:func:`_worker_init`).  A context is a pure function of the two, so a
+    slab gives the same bits wherever it runs.
     """
+    graph = context.graph
     if backend == "process" and workers > 1 and len(slabs) > 1:
         spec = (
             ("mmap", graph.mmap_source) if graph.mmap_source
@@ -189,13 +186,12 @@ def walk_slabs(
         )
         return parallel_imap(
             _worker_walk, slabs, workers=workers, backend="process",
-            initializer=_worker_init, initargs=(build, spec, build_args),
-            label=label, window=2 * workers,
+            initializer=_worker_init, initargs=(spec, config),
+            label="sparsifier.sampling", window=2 * workers,
         )
-    if context is None:
-        context = build(graph, *build_args)
     return parallel_imap(
-        context.walk, slabs, workers=workers, label=label, window=2 * workers
+        context.walk, slabs, workers=workers, label="sparsifier.sampling",
+        window=2 * workers,
     )
 
 
@@ -374,6 +370,8 @@ def sample_sparsifier_edges(
         workers = default_workers()
     if batch_size < 1:
         raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
+    if workers < 1:
+        raise SamplingError(f"workers must be >= 1, got {workers}")
     tally = {"draws": 0, "walk_samples": 0, "batches": 0}
 
     def runs():
@@ -402,8 +400,7 @@ def sample_sparsifier_edges(
         ]
         tally["batches"] = len(slabs)
         for run, survivors in walk_slabs(
-            _walk_context, graph, (config,), slabs, workers=workers,
-            backend=backend, label="sparsifier.sampling", context=context,
+            context, config, slabs, workers=workers, backend=backend
         ):
             tally["walk_samples"] += survivors
             yield run

@@ -5,9 +5,9 @@ embedding in a streaming or dynamic setting."  This subpackage prototypes
 that direction on top of the existing pipeline: batched edge arrivals and
 deletions (:class:`EdgeBatch`, :func:`edge_stream_from_graph`), and a
 :class:`DynamicEmbedder` that maintains a current embedding, re-runs the
-configured registry method (full params forwarded — sparsifier backend
-included) when a staleness policy triggers, and keeps the coordinate frame
-stable across refreshes with a Procrustes alignment.
+configured registry method (full params forwarded — aggregator, substrate
+and worker knobs included) when a staleness policy triggers, and keeps the
+coordinate frame stable across refreshes with a Procrustes alignment.
 """
 
 from repro.streaming.stream import EdgeBatch, edge_stream_from_graph

@@ -4,7 +4,7 @@ Models the industrial loop the paper's introduction motivates (Alibaba /
 LinkedIn re-embedding their graphs "every few hours"): updates accumulate,
 and when the staleness policy fires the graph is re-embedded with the
 configured registry method (LightNE by default), reusing the *full* params —
-sparsifier backend, substrate and worker knobs included.
+aggregator, substrate and worker knobs included.
 Consecutive embeddings are aligned with an orthogonal Procrustes rotation so
 downstream consumers (ANN indexes, rankers) see a stable coordinate frame.
 """
@@ -57,14 +57,14 @@ class DynamicEmbedder:
         Initial graph.
     params:
         Full method configuration, *forwarded verbatim at every refresh* —
-        including the sparsifier backend, execution substrate and worker
+        including the aggregator, execution substrate and worker
         knobs (historically refreshes silently fell back to default
         params).  ``None`` uses the method's registry defaults.
     method:
         Any registered embedding method name or alias (default
         ``"lightne"``); resolved through
         :mod:`repro.embedding.registry`, so a stream can exercise e.g.
-        ``netsmf`` or a ``sparsifier="ppr"`` configuration end to end.
+        ``netsmf`` or an ``aggregator="hash"`` configuration end to end.
     policy:
         Staleness policy; ``None`` means refresh on every batch.
     seed:

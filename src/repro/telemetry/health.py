@@ -71,8 +71,7 @@ DIGEST_HEX_CHARS = 16
 
 # Sparsifier total-mass probe: |counts.sum() - M| / M beyond this trips the
 # probe.  The Monte-Carlo estimator's relative deviation is O(1/sqrt(M)) so
-# real drifts are orders of magnitude past this; the slack also absorbs the
-# PPR backend's resolution-threshold pruning.
+# real drifts are orders of magnitude past this.
 MASS_RTOL = 0.25
 
 # Factorization residual probe: number of Gaussian probe vectors and the

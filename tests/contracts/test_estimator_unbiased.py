@@ -1,7 +1,7 @@
 """The sparsifier is an unbiased estimator of the walk matrix (Thm 3.1/3.2).
 
 Stated once: with ``P = D⁻¹A``, ``S = (1/T)·Σ_{r=1..T} Pʳ`` and ``M`` draws,
-the symmetrised count matrix ``W̄ = (W + Wᵀ)/2`` of every sampler satisfies
+the symmetrised count matrix ``W̄ = (W + Wᵀ)/2`` of the sampler satisfies
 
     E[W̄(x, y)] = (M / vol(G)) · d_x · S(x, y)
 
@@ -29,7 +29,6 @@ from repro.sparsifier.path_sampling import (
     per_draw_samples,
     sample_sparsifier_edges,
 )
-from repro.sparsifier.ppr import sample_ppr_counts
 
 WINDOW = 3
 # |z| of the worst of ~100 entries; 5σ leaves the fixed seeds a wide margin
@@ -117,30 +116,6 @@ class TestUnbiased:
         assert_unbiased(graph, sample, repeats)
         assert slabs - 1 <= stats["batches"] <= slabs + 1
         assert (stats["walk_samples"] < stats["draws"]) == downsample
-
-    @pytest.mark.parametrize("kind", sorted(GRAPHS))
-    def test_ppr_sampler_rounding(self, kind):
-        """A budget small enough that most expected counts are sub-unit, so
-        the randomised rounding carries the estimate; the residual threshold
-        (a declared downward bias) is set out of the way."""
-        graph = GRAPHS[kind]
-        config = PathSamplingConfig(window=WINDOW, num_samples=40)
-
-        def sample(seed):
-            return sample_ppr_counts(graph, config, seed, resolution=1e-9)
-
-        assert_unbiased(graph, sample, repeats=150)
-
-    @pytest.mark.parametrize("kind", sorted(GRAPHS))
-    def test_ppr_sampler_is_exact_once_counts_exceed_one(self, kind):
-        graph = GRAPHS[kind]
-        config = PathSamplingConfig(window=WINDOW, num_samples=10**7)
-        result = build_sparsifier(graph, config, seed=0, sparsifier="ppr")
-        counts = result.counts.toarray()
-        np.testing.assert_allclose(
-            (counts + counts.T) / 2 / result.num_draws, expected_share(graph),
-            atol=1e-12,
-        )
 
 
 def random_connected_graph(edge_pairs):

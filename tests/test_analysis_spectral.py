@@ -1,23 +1,24 @@
-"""Tests for the spectral-sparsification analysis tools — these directly
-verify the theorems the paper's downsampling rests on."""
+"""Tests for the spectral-sparsification analysis helpers
+(``tests/contracts/spectral_analysis.py``) — these directly verify the
+theorems the paper's downsampling rests on."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.spectral import (
+from repro.errors import EvaluationError
+from repro.graph.builders import from_edges
+from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
+from repro.sparsifier.downsampling import downsample_graph_laplacian_sample
+from tests.contracts.spectral_analysis import (
     effective_resistances,
+    exact_resistance_probabilities,
     laplacian_matrix,
     lovasz_resistance_bounds,
     quadratic_form_ratio,
     spectral_approximation_factor,
 )
-from repro.errors import EvaluationError
-from repro.graph.builders import from_edges
-from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
-from repro.sparsifier.builder import build_netmf_sparsifier  # noqa: F401
-from repro.sparsifier.downsampling import downsample_graph_laplacian_sample
 
 
 class TestLaplacian:
@@ -151,7 +152,6 @@ class TestExactVsDegreeSampling:
     """§3.2: degree-based p_e upper-bounds the ideal resistance-based p_e."""
 
     def test_degree_probs_dominate_exact(self):
-        from repro.analysis.spectral import exact_resistance_probabilities
         from repro.sparsifier.downsampling import graph_downsampling_probabilities
 
         g = erdos_renyi_graph(70, 0.3, seed=4)
@@ -162,7 +162,6 @@ class TestExactVsDegreeSampling:
         assert np.all(degree_p >= 0.5 * exact_p - 1e-12)
 
     def test_expected_sizes_same_order(self):
-        from repro.analysis.spectral import exact_resistance_probabilities
         from repro.sparsifier.downsampling import graph_downsampling_probabilities
 
         g = erdos_renyi_graph(70, 0.3, seed=5)
@@ -173,7 +172,6 @@ class TestExactVsDegreeSampling:
         assert exact_total <= degree_total <= 6 * exact_total
 
     def test_same_edge_order_as_downsampling(self):
-        from repro.analysis.spectral import exact_resistance_probabilities
 
         g = erdos_renyi_graph(30, 0.3, seed=6)
         p = exact_resistance_probabilities(g)

@@ -142,6 +142,20 @@ class TestFilter:
         with pytest.raises(FactorizationError):
             chebyshev_gaussian_filter(graph, x, order=0)
 
+    @pytest.mark.parametrize(
+        "knob", [{"mu": np.nan}, {"theta": np.inf}, {"mu": -np.inf}],
+        ids=["mu_nan", "theta_inf", "mu_minus_inf"],
+    )
+    def test_non_finite_mu_theta_rejected(self, bundle, rng, knob):
+        """They used to run the whole filter and die in numpy's eigensolver
+        with a ``LinAlgError``; ProNE reaches the same check."""
+        graph, _ = bundle
+        x = rng.standard_normal((graph.num_vertices, 4))
+        with pytest.raises(FactorizationError, match="finite"):
+            chebyshev_gaussian_filter(graph, x, **knob)
+        with pytest.raises(FactorizationError, match="finite"):
+            spectral_propagation(graph, x, **knob)
+
     def test_smooths_towards_neighbors(self, bundle, rng):
         """Propagation should increase within-community coherence of a noisy
         community-indicator signal (the whole point of step 2)."""

@@ -28,7 +28,7 @@ from repro.linalg import kernels
 from repro.linalg.kernels import release_pages, spmm
 from repro.linalg.spectral import spectral_propagation
 from repro.sparsifier import aggregation, path_sampling
-from repro.sparsifier.builder import build_netmf_sparsifier
+from repro.sparsifier.builder import build_sparsifier
 from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.utils.parallel import parallel_map
 
@@ -47,7 +47,7 @@ def mmap_graph(graph, tmp_path_factory):
 
 
 def _counts(graph, config, *, backend, workers, aggregator):
-    result = build_netmf_sparsifier(
+    result = build_sparsifier(
         graph,
         config,
         np.random.default_rng(5),
@@ -79,7 +79,7 @@ class TestSparsifierParity:
 
     def test_backend_recorded_in_stats(self, graph):
         config = PathSamplingConfig(window=3, num_samples=500)
-        result = build_netmf_sparsifier(
+        result = build_sparsifier(
             graph, config, np.random.default_rng(0), backend="process", workers=2
         )
         assert result.stats["backend"] == "process"

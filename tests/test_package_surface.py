@@ -4,6 +4,7 @@ consistent with ``__all__``."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -53,8 +54,6 @@ SUBPACKAGES = [
     "repro.systems.cost",
     "repro.systems.memory",
     "repro.streaming",
-    "repro.analysis",
-    "repro.analysis.spectral",
     "repro.experiments",
     "repro.experiments.runner",
     "repro.utils",
@@ -86,7 +85,7 @@ def test_version_string():
 @pytest.mark.parametrize(
     "module_name",
     ["repro.graph", "repro.sparsifier", "repro.linalg", "repro.embedding",
-     "repro.eval", "repro.streaming", "repro.analysis"],
+     "repro.eval", "repro.streaming"],
 )
 def test_subpackage_all_resolves(module_name):
     module = importlib.import_module(module_name)
@@ -104,8 +103,6 @@ def test_public_functions_have_docstrings():
 
 def test_embedding_params_are_frozen_dataclasses():
     """Hyper-parameter containers are immutable (safe to share/reuse)."""
-    import dataclasses
-
     from repro import (
         DeepWalkSGDParams,
         LightNEParams,
@@ -220,26 +217,40 @@ def test_the_span_tree_is_the_only_stage_clock():
 def test_deleted_api_stays_deleted(capsys):
     """Layering: performance verdicts come from ``benchmarks/perf`` alone
     (no ``lightne regress``), modules nothing outside their own tests
-    called are gone, and the rSVD is the one factorizer (no single-pass
-    sketch, no ``sketchne``, no ``--factorizer``)."""
+    called are gone, the rSVD is the one factorizer (no single-pass
+    sketch, no ``sketchne``, no ``--factorizer``) and downsampled
+    PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch)."""
     import repro
     import repro.embedding
     import repro.linalg
+    import repro.sparsifier
+    import repro.sparsifier.builder
     from repro.cli import main
-    from repro.embedding.registry import method_names
+    from repro.embedding.lightne import LightNEParams
+    from repro.embedding.registry import GENERIC_KNOBS, make_params, method_names
+    from repro.errors import MethodParameterError
 
     for name in ("repro.telemetry.regression", "repro.eval.retrieval",
                  "repro.streaming.temporal", "repro.utils.validation",
-                 "repro.linalg.sketch"):
+                 "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
     for module in (repro, repro.embedding, repro.linalg):
         for name in ("single_pass_svd", "sketchne_embedding", "FACTORIZERS"):
             assert not hasattr(module, name), (module.__name__, name)
+    for module in (repro, repro.sparsifier, repro.sparsifier.builder):
+        for name in ("SPARSIFIER_SAMPLERS", "build_netmf_sparsifier",
+                     "sparsifier_backend_names", "sample_ppr_counts"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert "sparsifier" not in {f.name for f in dataclasses.fields(LightNEParams)}
+    assert "sparsifier" not in GENERIC_KNOBS
+    with pytest.raises(MethodParameterError):
+        make_params("lightne", sparsifier="path")
     assert not {"sketchne", "netmf+", "netmfplus"} & set(method_names())
     for argv, flag in ((["regress"], "invalid choice: 'regress'"),
                        (["embed", "--method", "sketchne"], "invalid choice: 'sketchne'"),
-                       (["embed", "--factorizer", "rsvd"], "--factorizer")):
+                       (["embed", "--factorizer", "rsvd"], "--factorizer"),
+                       (["embed", "--sparsifier", "path"], "--sparsifier")):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

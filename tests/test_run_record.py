@@ -59,15 +59,14 @@ def _run_to_run(counters):
 
 
 class TestRunScopedMetrics:
-    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
     @pytest.mark.parametrize("backend", SUBSTRATES)
     def test_consecutive_runs_report_themselves_only(
-        self, graph, tracer, tmp_path, backend, sparsifier
+        self, graph, tracer, tmp_path, backend
     ):
         path = tmp_path / "runs.jsonl"
         with ledger.enabled_scope(path=path, dataset="ds"):
             results = [
-                lightne_embedding(graph, _params(backend, sparsifier=sparsifier), 7)
+                lightne_embedding(graph, _params(backend), 7)
                 for _ in range(3)
             ]
         blocks = [r.info["telemetry"] for r in results]
@@ -110,8 +109,7 @@ class TestTraceTreeParity:
 
     @pytest.mark.parametrize(
         "variant,knobs",
-        [("path", {}), ("ppr", {"sparsifier": "ppr"}),
-         ("hash-sharded", {"aggregator": "hash-sharded"})],
+        [("path", {}), ("hash-sharded", {"aggregator": "hash-sharded"})],
     )
     @pytest.mark.parametrize("backend", SUBSTRATES)
     def test_tree_equals_parent_commit_fixture(

@@ -26,7 +26,6 @@ from repro.sparsifier.builder import (
     SparsifierResult,
     aggregate_sample_counts,
     aggregate_to_counts,
-    build_netmf_sparsifier,
     build_sparsifier,
     sparsifier_to_netmf_matrix,
     trunc_log,
@@ -65,7 +64,7 @@ class TestTruncLog:
 class TestBuilder:
     def test_counts_shape_and_mass(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=4000, downsample=False)
-        result = build_netmf_sparsifier(er_graph, config, seed=0)
+        result = build_sparsifier(er_graph, config, seed=0)
         n = er_graph.num_vertices
         assert result.counts.shape == (n, n)
         assert result.counts.sum() == pytest.approx(result.num_draws)
@@ -74,21 +73,21 @@ class TestBuilder:
         config = PathSamplingConfig(
             window=3, num_samples=30_000, downsample=True, downsample_constant=1.0
         )
-        result = build_netmf_sparsifier(er_graph, config, seed=1)
+        result = build_sparsifier(er_graph, config, seed=1)
         assert result.counts.sum() == pytest.approx(result.num_draws, rel=0.1)
 
     def test_timer_records_stage(self, er_graph):
         """Inside a run the builder's stage is a real span, tracing off."""
         config = PathSamplingConfig(window=2, num_samples=500, downsample=False)
         with telemetry.run_scope("run") as root:
-            build_netmf_sparsifier(er_graph, config, seed=2)
+            build_sparsifier(er_graph, config, seed=2)
         assert "sparsifier" in telemetry.StageTable(root.children).stages
 
     def test_aggregators_agree(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=2000, downsample=False)
-        a = build_netmf_sparsifier(er_graph, config, seed=3, aggregator="hash")
-        b = build_netmf_sparsifier(er_graph, config, seed=3, aggregator="sort")
-        c = build_netmf_sparsifier(
+        a = build_sparsifier(er_graph, config, seed=3, aggregator="hash")
+        b = build_sparsifier(er_graph, config, seed=3, aggregator="sort")
+        c = build_sparsifier(
             er_graph, config, seed=3, aggregator="hash-sharded"
         )
         assert (a.counts != b.counts).nnz == 0
@@ -97,21 +96,21 @@ class TestBuilder:
     def test_unknown_aggregator(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=100)
         with pytest.raises(SamplingError):
-            build_netmf_sparsifier(er_graph, config, aggregator="wat")
+            build_sparsifier(er_graph, config, aggregator="wat")
 
     def test_nnz_property(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=1000, downsample=False)
-        result = build_netmf_sparsifier(er_graph, config, seed=4)
+        result = build_sparsifier(er_graph, config, seed=4)
         assert result.nnz == result.counts.nnz
 
     def test_worker_count_invariance(self, er_graph):
         """The same seed must yield a bit-identical sparsifier matrix for
         every worker count (the PR's determinism guarantee)."""
         config = PathSamplingConfig(window=3, num_samples=4000, downsample=True)
-        serial = build_netmf_sparsifier(
+        serial = build_sparsifier(
             er_graph, config, seed=6, workers=1, batch_size=500
         )
-        threaded = build_netmf_sparsifier(
+        threaded = build_sparsifier(
             er_graph, config, seed=6, workers=4, batch_size=500
         )
         assert serial.num_draws == threaded.num_draws
@@ -120,7 +119,7 @@ class TestBuilder:
     def test_counters_recorded(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=1500, downsample=False)
         with telemetry.run_scope("run") as root:
-            result = build_netmf_sparsifier(er_graph, config, seed=7, workers=2)
+            result = build_sparsifier(er_graph, config, seed=7, workers=2)
         (stage,) = root.children
         # SparsifierResult.stats is written onto the stage span as is ...
         assert stage.attributes.items() >= result.stats.items()
@@ -138,7 +137,7 @@ class TestBuilder:
         """The sampler hands over distinct pairs, the counters still count
         draws: survivors per second, not output length per second."""
         config = PathSamplingConfig(window=3, num_samples=6000)
-        result = build_netmf_sparsifier(
+        result = build_sparsifier(
             er_graph, config, seed=7, workers=2, backend=backend, batch_size=500
         )
         stats = result.stats
@@ -163,7 +162,7 @@ class TestBuilder:
         telemetry.enable()
         telemetry.reset_metrics()
         try:
-            result = build_netmf_sparsifier(
+            result = build_sparsifier(
                 er_graph, config, seed=1, workers=workers, batch_size=500
             )
             counters = telemetry.get_metrics().snapshot()["counters"]
@@ -180,7 +179,7 @@ class TestBuilder:
 
     def test_sharded_stats(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=1500, downsample=False)
-        result = build_netmf_sparsifier(
+        result = build_sparsifier(
             er_graph, config, seed=8, aggregator="hash-sharded", workers=3
         )
         # The builder pins the shard count so the decomposition (and fp
@@ -194,10 +193,10 @@ class TestBuilder:
 
     def test_sharded_worker_count_invariance(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=3000, downsample=True)
-        serial = build_netmf_sparsifier(
+        serial = build_sparsifier(
             er_graph, config, seed=9, aggregator="hash-sharded", workers=1
         )
-        threaded = build_netmf_sparsifier(
+        threaded = build_sparsifier(
             er_graph, config, seed=9, aggregator="hash-sharded", workers=4
         )
         assert (serial.counts != threaded.counts).nnz == 0
@@ -208,8 +207,8 @@ class TestSortDefault:
 
     def test_builder_default_is_sort(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=2000, downsample=False)
-        default = build_netmf_sparsifier(er_graph, config, seed=3)
-        explicit = build_netmf_sparsifier(
+        default = build_sparsifier(er_graph, config, seed=3)
+        explicit = build_sparsifier(
             er_graph, config, seed=3, aggregator="sort"
         )
         _assert_same_csr(default.counts, explicit.counts)
@@ -256,7 +255,7 @@ class TestSortDefault:
         config = PathSamplingConfig(
             window=3, num_samples=6000, downsample=True, downsample_constant=1.0
         )
-        result = build_netmf_sparsifier(
+        result = build_sparsifier(
             graph, config, seed=11, aggregator=aggregator, workers=2,
             backend=backend, batch_size=1500,
         )
@@ -377,7 +376,7 @@ class TestInPlaceTransform:
             window=3,
             num_samples=PathSamplingConfig.samples_for_multiplier(graph, 3, 5),
         )
-        result = build_netmf_sparsifier(graph, config, seed=2)
+        result = build_sparsifier(graph, config, seed=2)
         before = result.counts.copy()
         got = sparsifier_to_netmf_matrix(graph, result, negative_samples=2.0)
         _assert_same_csr(got, _netmf_transform_oracle(graph, result, 2.0))
@@ -397,7 +396,7 @@ class TestEstimator:
             num_samples=PathSamplingConfig.samples_for_multiplier(g, window, 50),
             downsample=False,
         )
-        result = build_netmf_sparsifier(g, config, seed=0)
+        result = build_sparsifier(g, config, seed=0)
         approx = sparsifier_to_netmf_matrix(g, result).toarray()
 
         mask = (exact > 0) | (approx > 0)
@@ -419,7 +418,7 @@ class TestEstimator:
                 ),
                 downsample=False,
             )
-            result = build_netmf_sparsifier(g, config, seed=seed)
+            result = build_sparsifier(g, config, seed=seed)
             approx = sparsifier_to_netmf_matrix(g, result).toarray()
             return np.linalg.norm(exact - approx)
 
@@ -436,17 +435,16 @@ class TestEstimator:
             num_samples=PathSamplingConfig.samples_for_multiplier(g, window, 80),
             downsample=True,
         )
-        result = build_netmf_sparsifier(g, config, seed=3)
+        result = build_sparsifier(g, config, seed=3)
         approx = sparsifier_to_netmf_matrix(g, result).toarray()
         mask = (exact > 0) | (approx > 0)
         correlation = np.corrcoef(exact[mask], approx[mask])[0, 1]
         assert correlation > 0.8
 
-    @pytest.mark.parametrize("sparsifier", ["path", "ppr"])
-    def test_padding_with_isolated_vertices_changes_nothing(self, sparsifier):
+    def test_padding_with_isolated_vertices_changes_nothing(self):
         """Trailing isolated vertices used to cost the last connected vertex
-        its final edge weight in ``weighted_degrees``, skewing its coin, its
-        walk-operator row and its ``D⁻¹`` scaling.  With the degrees right
+        its final edge weight in ``weighted_degrees``, skewing its coin and
+        its ``D⁻¹`` scaling.  With the degrees right
         the padded graph draws the same samples, and its NetMF matrix is the
         original one bordered by empty rows."""
         graph = _transform_graph("weighted")
@@ -466,7 +464,7 @@ class TestEstimator:
         )
         matrices = [
             sparsifier_to_netmf_matrix(
-                g, build_sparsifier(g, config, seed=6, sparsifier=sparsifier)
+                g, build_sparsifier(g, config, seed=6)
             )
             for g in (graph, padded)
         ]
@@ -475,7 +473,7 @@ class TestEstimator:
 
     def test_symmetry(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=5000, downsample=False)
-        result = build_netmf_sparsifier(er_graph, config, seed=4)
+        result = build_sparsifier(er_graph, config, seed=4)
         matrix = sparsifier_to_netmf_matrix(er_graph, result)
         assert np.abs((matrix - matrix.T)).max() < 1e-9
 
@@ -490,6 +488,6 @@ class TestEstimator:
 
     def test_bad_negative_samples(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=100, downsample=False)
-        result = build_netmf_sparsifier(er_graph, config, seed=5)
+        result = build_sparsifier(er_graph, config, seed=5)
         with pytest.raises(SamplingError):
             sparsifier_to_netmf_matrix(er_graph, result, negative_samples=0)

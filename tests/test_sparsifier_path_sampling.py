@@ -180,6 +180,22 @@ class TestSampleSparsifierEdges:
         with pytest.raises(SamplingError):
             sample_sparsifier_edges(er_graph, config, seed=0, batch_size=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_invalid_workers(self, er_graph, workers):
+        """A pool width below one used to run the stage serially and record
+        the bad width in its stats, so the pipeline failed only later, in
+        the factorize stage."""
+        from repro.embedding.lightne import LightNEParams, lightne_embedding
+        from repro.sparsifier.builder import build_sparsifier
+
+        config = PathSamplingConfig(window=2, num_samples=100)
+        with pytest.raises(SamplingError, match="workers"):
+            sample_sparsifier_edges(er_graph, config, seed=0, workers=workers)
+        with pytest.raises(SamplingError, match="workers"):
+            build_sparsifier(er_graph, config, seed=0, workers=workers)
+        with pytest.raises(SamplingError, match="workers"):
+            lightne_embedding(er_graph, LightNEParams(dimension=8, workers=workers))
+
 
 class TestSelfLoopAlignment:
     """Regression: per-edge arrays must be sized by the seed-edge count

@@ -103,7 +103,7 @@ class TestWeightedEstimator:
     def test_converges_to_weighted_dense_netmf(self, weighted_sbm):
         from repro.embedding.netmf import netmf_matrix_dense
         from repro.sparsifier.builder import (
-            build_netmf_sparsifier,
+            build_sparsifier,
             sparsifier_to_netmf_matrix,
         )
         from repro.sparsifier.path_sampling import PathSamplingConfig
@@ -118,7 +118,7 @@ class TestWeightedEstimator:
             ),
             downsample=False,
         )
-        result = build_netmf_sparsifier(graph, config, seed=0)
+        result = build_sparsifier(graph, config, seed=0)
         approx = sparsifier_to_netmf_matrix(graph, result).toarray()
         mask = (exact > 0) | (approx > 0)
         correlation = np.corrcoef(exact[mask], approx[mask])[0, 1]
