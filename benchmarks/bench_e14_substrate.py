@@ -38,17 +38,6 @@ class TestWalkEngine:
         out = benchmark(lambda: step_random_walk(crawl, starts, steps, SEED))
         assert out.shape == starts.shape
 
-    def test_sorted_gather_walks(self, benchmark, crawl):
-        """The §4.2 future-work batching idea: group walkers by vertex."""
-        benchmark.group = "walks"
-        rng = ensure_rng(SEED)
-        starts = rng.integers(0, crawl.num_vertices, size=20_000)
-        steps = np.full(starts.size, 5)
-        out = benchmark(
-            lambda: step_random_walk(crawl, starts, steps, SEED, strategy="sorted")
-        )
-        assert out.shape == starts.shape
-
     def test_compressed_walks(self, benchmark, compressed, crawl):
         """The compression tax on random walks (paper §4.2's block-decode
         cost) — expected slower than raw CSR, which is why block size is

@@ -57,7 +57,6 @@ from repro.embedding import (
     prone_embedding,
     run_method,
 )
-from repro.streaming import DynamicEmbedder, RefreshPolicy, edge_stream_from_graph
 from repro.eval import (
     evaluate_link_prediction,
     evaluate_node_classification,
@@ -113,10 +112,6 @@ __all__ = [
     "make_params",
     "method_names",
     "run_method",
-    # streaming (paper §6 future work)
-    "DynamicEmbedder",
-    "RefreshPolicy",
-    "edge_stream_from_graph",
     # evaluation
     "evaluate_node_classification",
     "evaluate_link_prediction",

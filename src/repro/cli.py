@@ -15,6 +15,9 @@ Subcommands
     Convert any readable graph into the memmappable CSR v2 container
     (``*.csrv2``) that the out-of-core ``--backend process`` path loads
     without materializing the arrays in RAM.
+``compare``
+    Side-by-side method comparison on a labeled dataset (the experiments
+    runner, :func:`repro.experiments.run_method_comparison`).
 ``report`` / ``audit``
     The readers of finished runs, mounted by their modules'
     ``init_subparser``: the trajectory report
@@ -27,7 +30,7 @@ Subcommands
 ``--verbose`` (every subcommand that loads a graph) turns on the library's
 DEBUG log lines (:func:`repro.utils.log.configure_logging`; ``REPRO_LOG``
 also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
-``eval-lp``, ``stream``, ``compare``; see ``docs/observability.md``):
+``eval-lp``, ``compare``; see ``docs/observability.md``):
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
 ``--metrics-out m.json`` writes the metrics-registry snapshot,
 ``--profile-memory`` samples RSS in the background and reports the peak,
@@ -176,52 +179,6 @@ def _cmd_eval_lp(args: argparse.Namespace) -> int:
     )
     for key, value in metrics.as_row().items():
         print(f"{key:>8}: {value}")
-    return 0
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    """Replay a graph as an edge stream with a dynamic embedder (§6 demo)."""
-    from repro.streaming import DynamicEmbedder, RefreshPolicy, edge_stream_from_graph
-
-    graph, _ = _load_graph(args)
-    initial, batches = edge_stream_from_graph(
-        graph,
-        initial_fraction=args.initial_fraction,
-        batches=args.batches,
-        churn=args.churn,
-        seed=args.seed,
-    )
-    try:
-        # strict=False: the stream knobs carry concrete defaults, so knobs a
-        # method does not support are dropped instead of erroring.
-        params = make_params(
-            args.method, strict=False, dimension=args.dim, window=args.window,
-            multiplier=args.multiplier, workers=args.workers,
-            backend=args.backend,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-    embedder = DynamicEmbedder(
-        initial,
-        params,
-        method=args.method,
-        policy=RefreshPolicy(max_pending_fraction=args.refresh_fraction),
-        seed=args.seed,
-    )
-    print(f"initial: {initial.num_edges} edges; streaming {args.batches} batches")
-    for i, batch in enumerate(batches):
-        refreshed = embedder.apply(batch)
-        status = "refreshed" if refreshed else "buffered"
-        print(
-            f"batch {i}: +{batch.num_additions}/-{batch.num_removals} "
-            f"-> {embedder.graph.num_edges} edges, {status} "
-            f"(pending={embedder.pending_updates})"
-        )
-    np.save(args.output, embedder.vectors)
-    print(
-        f"{embedder.refresh_count} refreshes; final embedding "
-        f"{embedder.vectors.shape} -> {args.output}"
-    )
     return 0
 
 
@@ -422,25 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_method_arguments(p_lp, dim_default=64)
     p_lp.add_argument("--test-fraction", type=float, default=0.05)
     p_lp.add_argument("--negatives", type=int, default=100)
-
-    p_stream = sub.add_parser(
-        "stream", help="dynamic embedding demo over a replayed edge stream"
-    )
-    add_graph_arguments(p_stream)
-    add_run_arguments(p_stream, _cmd_stream)
-    p_stream.add_argument(
-        "--method", choices=method_names(), default="lightne",
-        help="embedding method re-run at every refresh (full params "
-             "forwarded, substrate and worker knobs included)",
-    )
-    p_stream.add_argument("--dim", type=int, default=32)
-    p_stream.add_argument("--window", type=int, default=5)
-    p_stream.add_argument("--multiplier", type=float, default=2.0)
-    p_stream.add_argument("--batches", type=int, default=5)
-    p_stream.add_argument("--initial-fraction", type=float, default=0.5)
-    p_stream.add_argument("--churn", type=float, default=0.0)
-    p_stream.add_argument("--refresh-fraction", type=float, default=0.05)
-    p_stream.add_argument("--output", default="stream_embedding.npy")
 
     p_conv = sub.add_parser(
         "convert",

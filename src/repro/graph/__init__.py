@@ -25,18 +25,6 @@ from repro.graph.algorithms import (
     pagerank,
     triangle_count,
 )
-from repro.graph.transforms import (
-    add_edges,
-    induced_subgraph,
-    permute_vertices,
-    remove_edges,
-    reorder_by_degree,
-)
-from repro.graph.partition import (
-    bfs_partition,
-    embed_partitioned,
-    partition_edge_cut,
-)
 from repro.graph import io as graph_io
 
 __all__ = [
@@ -44,14 +32,6 @@ __all__ = [
     "connected_components",
     "pagerank",
     "triangle_count",
-    "add_edges",
-    "remove_edges",
-    "induced_subgraph",
-    "permute_vertices",
-    "reorder_by_degree",
-    "bfs_partition",
-    "embed_partitioned",
-    "partition_edge_cut",
     "CSRGraph",
     "from_bipartite_edges",
     "from_edges",

@@ -260,16 +260,6 @@ def read_metis(path: PathLike) -> CSRGraph:
     return graph
 
 
-def write_metis(graph: CSRGraph, path: PathLike) -> None:
-    """Write the METIS format (unweighted; weights are dropped)."""
-    n = graph.num_vertices
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{n} {graph.num_edges}\n")
-        for u in range(n):
-            line = " ".join(str(int(v) + 1) for v in graph.neighbors(u))
-            handle.write(line + "\n")
-
-
 def read_adjacency_list(path: PathLike) -> CSRGraph:
     """Parse a SNAP-style adjacency list: ``u v1 v2 v3 ...`` per line.
 

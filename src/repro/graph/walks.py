@@ -25,38 +25,30 @@ def step_random_walk(
     positions: np.ndarray,
     steps: np.ndarray,
     seed: SeedLike = None,
-    *,
-    strategy: str = "direct",
 ) -> np.ndarray:
     """Advance each walker ``positions[i]`` by ``steps[i]`` uniform steps.
 
-    Walkers stranded on isolated (degree-0) vertices stay put — the generators
-    never produce them on the sampled edges, but defensive behaviour beats a
-    modulo-by-zero crash.
+    Walkers stranded on isolated vertices — degree 0, or weighted degree 0
+    when every incident edge weighs 0 — stay put: the generators never
+    produce them on the sampled edges, but defensive behaviour beats a
+    modulo-by-zero (or NaN-probability) crash.
 
     Parameters
     ----------
     graph:
         The graph.
     positions:
-        Start vertices, modified copies returned (input untouched).
+        Start vertices in ``[0, n)``, modified copies returned (input
+        untouched).
     steps:
         Per-walker step counts (non-negative).
     seed:
         RNG seed or generator.
-    strategy:
-        ``"direct"`` gathers neighbors in walker order (random reads);
-        ``"sorted"`` groups walkers by current vertex before gathering — the
-        semisort-batching locality optimization §4.2 flags as future work.
-        Both strategies sample from the same law (property-tested); they
-        differ only in memory-access pattern.
 
     Returns
     -------
     Final vertex per walker.
     """
-    if strategy not in ("direct", "sorted"):
-        raise SamplingError(f"unknown walk strategy {strategy!r}")
     rng = ensure_rng(seed)
     positions = np.asarray(positions, dtype=np.int64).copy()
     steps = np.asarray(steps, dtype=np.int64)
@@ -64,6 +56,12 @@ def step_random_walk(
         raise SamplingError("positions and steps must be parallel arrays")
     if steps.size and steps.min() < 0:
         raise SamplingError("steps must be non-negative")
+    n = graph.num_vertices
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise SamplingError(
+            f"walk starts must be vertex ids in [0, {n}), got "
+            f"[{positions.min()}, {positions.max()}]"
+        )
     degrees = graph.degrees()
     weighted = graph.weights is not None
     max_steps = int(steps.max()) if steps.size else 0
@@ -81,36 +79,12 @@ def step_random_walk(
         if move_idx.size:
             if weighted:
                 positions[move_idx] = _weighted_step(graph, cur, rng)
-            elif strategy == "sorted":
-                positions[move_idx] = _sorted_gather_step(graph, cur, degrees, rng)
             else:
                 draws = rng.integers(0, 2**32, size=move_idx.size, dtype=np.uint64)
                 np.remainder(draws, deg.astype(np.uint64), out=draws)
                 positions[move_idx] = graph.ith_neighbors(cur, draws.view(np.int64))
         remaining[active] -= 1
     return positions
-
-
-def _sorted_gather_step(
-    graph: CSRGraph,
-    current: np.ndarray,
-    degrees: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One step with walkers grouped by current vertex (semisort batching).
-
-    Sorting clusters accesses to each vertex's adjacency list, which in the
-    C++ setting trades a sort for cache-friendly sequential reads.  The
-    sampled distribution is identical to the direct strategy.
-    """
-    order = np.argsort(current, kind="stable")
-    sorted_cur = current[order]
-    draws = rng.integers(0, 2**32, size=sorted_cur.size, dtype=np.uint64)
-    idx = (draws % degrees[sorted_cur].astype(np.uint64)).astype(np.int64)
-    gathered = graph.ith_neighbors(sorted_cur, idx)
-    out = np.empty_like(gathered)
-    out[order] = gathered
-    return out
 
 
 def _weighted_step(
@@ -124,8 +98,10 @@ def _weighted_step(
         if wts is None:
             out[k] = nbrs[rng.integers(nbrs.size)]
         else:
-            probs = wts / wts.sum()
-            out[k] = rng.choice(nbrs, p=probs)
+            total = wts.sum()
+            # All-zero weights leave nothing to step along: stay put, as on
+            # an isolated vertex.
+            out[k] = rng.choice(nbrs, p=wts / total) if total > 0 else u
     return out
 
 

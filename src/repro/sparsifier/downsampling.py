@@ -10,7 +10,8 @@ and surviving samples are re-weighted by ``1/p_e``.  The quantity
 ``1/d_u + 1/d_v`` is Lovász's upper bound on the effective resistance
 ``R_uv`` (Theorem 3.2), so this is importance sampling with leverage-score
 upper bounds: the expected Laplacian of the downsampled graph equals the
-original (Theorem 3.1 — property-tested in ``tests/sparsifier``), and the
+original (Theorem 3.1 — property-tested in
+``tests/test_sparsifier_downsampling.py``), and the
 expected number of kept edges is ``O(n·C)`` because
 ``Σ_v A_uv/d_u = 1`` per vertex.
 """
@@ -87,31 +88,3 @@ def graph_downsampling_probabilities(
         constant=constant,
         edge_weights=wts,
     )
-
-
-def expected_kept_edges(graph: CSRGraph, *, constant: Optional[float] = None) -> float:
-    """Expected number of surviving input edges, ``Σ_e p_e`` — the
-    ``O(n log n)`` bound the paper advertises."""
-    return float(graph_downsampling_probabilities(graph, constant=constant).sum())
-
-
-def downsample_graph_laplacian_sample(
-    graph: CSRGraph,
-    rng: np.random.Generator,
-    *,
-    constant: Optional[float] = None,
-):
-    """Draw one downsampled graph ``H`` and return ``(src, dst, weights)``.
-
-    Kept edges carry weight ``A_uv / p_e`` so that ``E[L_H] = L_G``
-    (Theorem 3.1).  Used by the unbiasedness property tests and E6.
-    """
-    src, dst = graph.edge_endpoints()
-    mask = src < dst
-    src, dst = src[mask], dst[mask]
-    base_w = graph.weights[mask] if graph.weights is not None else np.ones(src.size)
-    probs = downsampling_probabilities(
-        src, dst, graph.weighted_degrees(), constant=constant, edge_weights=base_w
-    )
-    keep = rng.random(src.size) < probs
-    return src[keep], dst[keep], base_w[keep] / probs[keep]

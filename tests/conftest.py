@@ -10,6 +10,18 @@ from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
 from repro.telemetry import StageTable, Tracer
 
 
+def write_metis(graph, path) -> None:
+    """Write ``graph`` in the METIS format :func:`repro.graph.io.read_metis`
+    reads (unweighted; weights are dropped; an isolated vertex is a blank
+    line)."""
+    n = graph.num_vertices
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{n} {graph.num_edges}\n")
+        for u in range(n):
+            line = " ".join(str(int(v) + 1) for v in graph.neighbors(u))
+            handle.write(line + "\n")
+
+
 @pytest.fixture
 def rng():
     """A fixed-seed generator for deterministic tests."""

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import EvaluationError
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
-from repro.sparsifier.downsampling import downsample_graph_laplacian_sample
+from tests.contracts.downsampled_graphs import downsample_graph_laplacian_sample
 from tests.contracts.spectral_analysis import (
     effective_resistances,
     exact_resistance_probabilities,

@@ -172,7 +172,7 @@ class TestObservabilityFlags:
         # rest of the split.
         for argv in (
             ["embed", "--dataset", "blogcatalog_like"],
-            ["stream", "--dataset", "blogcatalog_like"],
+            ["eval-lp", "--dataset", "blogcatalog_like"],
         ):
             args = build_parser().parse_args(argv)
             assert args.trace_out is None
@@ -266,7 +266,7 @@ class TestObservabilityFlags:
 class TestFormats:
     def test_metis_input(self, tmp_path, capsys):
         from repro.graph.generators import dcsbm_graph
-        from repro.graph.io import write_metis
+        from tests.conftest import write_metis
 
         graph, _ = dcsbm_graph(60, 3, avg_degree=6, seed=0)
         path = tmp_path / "g.metis"
@@ -357,27 +357,6 @@ class TestNewMethods:
         assert np.load(out_path).shape == (120, 8)
 
 
-class TestStream:
-    def test_stream_subcommand(self, edge_file, tmp_path, capsys):
-        out_path = str(tmp_path / "s.npy")
-        code = main(
-            ["stream", "--input", edge_file, "--dim", "8", "--window", "2",
-             "--batches", "3", "--output", out_path]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "refreshes" in out
-        assert np.load(out_path).shape == (120, 8)
-
-    def test_stream_with_churn(self, edge_file, tmp_path):
-        out_path = str(tmp_path / "s2.npy")
-        code = main(
-            ["stream", "--input", edge_file, "--dim", "8", "--batches", "2",
-             "--churn", "0.1", "--output", out_path]
-        )
-        assert code == 0
-
-
 class TestCompare:
     def test_compare_prints_table(self, capsys):
         code = main(
@@ -399,9 +378,9 @@ RUN_ARGUMENTS = {
     "workers", "backend", "progress", "trace_out", "metrics_out",
     "profile_memory", "ledger", "ledger_out", "health",
 }
-PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "stream", "compare"}
+PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "compare"}
 GRAPH_SUBCOMMANDS = (
-    "embed", "info", "eval-nc", "eval-lp", "stream", "convert", "compare",
+    "embed", "info", "eval-nc", "eval-lp", "convert", "compare",
 )
 READER_SUBCOMMANDS = {"report", "audit"}
 
@@ -468,20 +447,6 @@ class TestFrontDoor:
         assert record.params["workers"] == 1
         assert record.extra["resolved_workers"] == 1
         assert record.extra["backend"] == "process"
-
-    def test_stream_backend_reaches_the_params(self, edge_file, tmp_path):
-        from repro.telemetry.ledger import RunLedger
-
-        path = tmp_path / "runs.jsonl"
-        code = main(
-            ["stream", "--input", edge_file, "--dim", "8", "--window", "2",
-             "--batches", "1", "--workers", "2", "--backend", "process",
-             "--output", str(tmp_path / "s.npy"), "--ledger-out", str(path)]
-        )
-        assert code == 0
-        records = RunLedger(path).records()
-        assert records
-        assert {r.params["backend"] for r in records} == {"process"}
 
     @pytest.mark.parametrize("command", GRAPH_SUBCOMMANDS)
     def test_input_and_dataset_are_exclusive(self, command, edge_file, capsys):

@@ -229,7 +229,8 @@ class TestMetis:
         return path
 
     def test_round_trip(self, tmp_path, er_graph):
-        from repro.graph.io import read_metis, write_metis
+        from repro.graph.io import read_metis
+        from tests.conftest import write_metis
 
         path = tmp_path / "g.metis"
         write_metis(er_graph, path)

@@ -53,6 +53,12 @@ class TestStepRandomWalk:
         with pytest.raises(SamplingError):
             step_random_walk(triangle, np.array([0]), np.array([-1]))
 
+    @pytest.mark.parametrize("start", [3, -1])
+    def test_out_of_range_start_rejected(self, triangle, start):
+        # -1 must not wrap around to the last vertex; 3 == n is past the end.
+        with pytest.raises(SamplingError, match=r"\[0, 3\)"):
+            step_random_walk(triangle, np.array([0, start]), np.array([2, 2]))
+
     def test_deterministic_with_seed(self, er_graph):
         starts = np.arange(30)
         steps = np.full(30, 5)
@@ -96,6 +102,15 @@ class TestStepRandomWalk:
         out = step_random_walk(g, starts, np.ones(500, dtype=np.int64), seed=2)
         assert (out == 1).mean() > 0.9
 
+    def test_zero_weight_row_stays_put(self):
+        # Vertices 2 and 3 share one edge of weight 0: weighted degree 0, so
+        # their walkers stay put like walkers on an isolated vertex.
+        g = from_edges([0, 2], [1, 3], [1.0, 0.0])
+        out = step_random_walk(
+            g, np.array([2, 3, 0, 1]), np.full(4, 3, dtype=np.int64), seed=0
+        )
+        np.testing.assert_array_equal(out, [2, 3, 1, 0])
+
 
 class TestWalkCorpus:
     def test_shape(self, er_graph):
@@ -119,51 +134,3 @@ class TestWalkCorpus:
             random_walk_matrix_sample(triangle, -1, 1)
         with pytest.raises(SamplingError):
             random_walk_matrix_sample(triangle, 3, 0)
-
-
-class TestSortedStrategy:
-    """The §4.2 future-work semisort-batching walk step."""
-
-    def test_unknown_strategy_rejected(self, triangle):
-        with pytest.raises(SamplingError):
-            step_random_walk(triangle, np.array([0]), np.array([1]),
-                             strategy="magic")
-
-    def test_lands_on_neighbors(self, er_graph):
-        starts = np.flatnonzero(er_graph.degrees() > 0)[:30]
-        out = step_random_walk(
-            er_graph, starts, np.ones(starts.size, dtype=int), seed=1,
-            strategy="sorted",
-        )
-        for s, e in zip(starts, out):
-            assert er_graph.has_edge(int(s), int(e))
-
-    def test_same_distribution_as_direct(self):
-        """Both strategies must sample the uniform-neighbor law."""
-        g = from_edges([0, 0, 0], [1, 2, 3])  # star: center 0, 3 leaves
-        starts = np.zeros(6000, dtype=np.int64)
-        steps = np.ones(6000, dtype=np.int64)
-        direct = step_random_walk(g, starts, steps, seed=0, strategy="direct")
-        sorted_ = step_random_walk(g, starts, steps, seed=1, strategy="sorted")
-        f_direct = np.bincount(direct, minlength=4)[1:] / 6000
-        f_sorted = np.bincount(sorted_, minlength=4)[1:] / 6000
-        np.testing.assert_allclose(f_direct, 1 / 3, atol=0.03)
-        np.testing.assert_allclose(f_sorted, 1 / 3, atol=0.03)
-
-    def test_multi_step(self, er_graph):
-        starts = np.arange(er_graph.num_vertices)
-        out = step_random_walk(
-            er_graph, starts, np.full(starts.size, 5), seed=2, strategy="sorted"
-        )
-        assert out.shape == starts.shape
-
-    def test_compressed_graph(self, er_graph):
-        cg = compress_graph(er_graph)
-        starts = np.arange(er_graph.num_vertices)
-        steps = np.full(starts.size, 3)
-        out = step_random_walk(cg, starts, steps, seed=3, strategy="sorted")
-        assert out.min() >= 0
-        np.testing.assert_array_equal(
-            out,
-            step_random_walk(er_graph, starts, steps, seed=3, strategy="sorted"),
-        )

@@ -7,7 +7,6 @@ the sparsifier, and the Pareto story of Figure 2 (more samples → better qualit
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.embedding import (
@@ -25,7 +24,6 @@ from repro.eval import (
     train_test_split_edges,
 )
 from repro.graph.generators import dcsbm_graph
-from repro.streaming import DynamicEmbedder, EdgeBatch
 
 
 @pytest.fixture(scope="module")
@@ -117,28 +115,3 @@ class TestLinkPredictionPipeline:
         # corrupted tails are genuinely plausible, so HITS@10 stays moderate.
         assert metrics.mean_rank < 35
         assert metrics.hits[50] > 0.6
-
-
-class TestRefresh:
-    def test_refresh_aligns_frames(self, bundle):
-        graph, _ = bundle
-        params = LightNEParams(dimension=16, window=3, sample_multiplier=5)
-        embedder = DynamicEmbedder(graph, params, seed=0)
-        first = embedder.result
-        refreshed = embedder.refresh()
-        # After Procrustes alignment the two frames should correlate strongly
-        # row-wise even though the runs used different random samples.
-        cosines = np.einsum("ij,ij->i", first.normalized(), refreshed.normalized())
-        assert np.median(cosines) > 0.5
-        assert refreshed.info.get("aligned_to_previous") is True
-
-    def test_refresh_with_grown_graph(self, bundle):
-        graph, _ = bundle
-        params = LightNEParams(dimension=16, window=3, sample_multiplier=3)
-        embedder = DynamicEmbedder(graph, params, seed=0)
-        # Add a vertex attached to vertex 0.
-        assert embedder.apply(
-            EdgeBatch(np.array([0]), np.array([graph.num_vertices]))
-        )
-        refreshed = embedder.result
-        assert refreshed.num_vertices == graph.num_vertices + 1

@@ -1,5 +1,5 @@
 """Tests for the Ligra+ parallel-byte codec — the fixture benchmarks E11 and
-E14 measure (``benchmarks/ligra.py``)."""
+E14 measure (``benchmarks/ligra.py``) — and the degree relabel beside it."""
 
 from __future__ import annotations
 
@@ -19,10 +19,13 @@ from benchmarks.ligra import (
     _varint_read,
     _zigzag_decode,
     _zigzag_encode,
+    permute_vertices,
+    reorder_by_degree,
 )
+from repro.errors import GraphConstructionError
+from repro.graph.algorithms import triangle_count
 from repro.graph.builders import from_edges
 from repro.graph.generators import rmat_graph
-from repro.graph.transforms import permute_vertices, reorder_by_degree
 
 
 class TestVarint:
@@ -262,3 +265,53 @@ class TestBulkDecode:
         g = from_edges(src[keep], dst[keep], num_vertices=41)
         cg = compress_graph(g, block_size=block_size)
         assert cg.decompress(vectorized=True) == g
+
+
+class TestPermute:
+    def test_identity(self, er_graph):
+        out = permute_vertices(er_graph, np.arange(er_graph.num_vertices))
+        assert out == er_graph
+
+    def test_swap_preserves_structure(self, path4):
+        # Reverse the path: still a path with the same degree sequence.
+        out = permute_vertices(path4, np.array([3, 2, 1, 0]))
+        np.testing.assert_array_equal(
+            np.sort(out.degrees()), np.sort(path4.degrees())
+        )
+        assert out.has_edge(3, 2) and out.has_edge(1, 0)
+
+    def test_invariants_preserved(self, er_graph, rng):
+        perm = rng.permutation(er_graph.num_vertices)
+        out = permute_vertices(er_graph, perm)
+        assert out.num_edges == er_graph.num_edges
+        assert triangle_count(out) == triangle_count(er_graph)
+
+    def test_weights_follow(self, weighted_triangle):
+        out = permute_vertices(weighted_triangle, np.array([2, 0, 1]))
+        # Old edge (1,2,w=2) is now (0,1,w=2).
+        assert out.adjacency()[0, 1] == pytest.approx(2.0)
+
+    def test_non_bijection_rejected(self, triangle):
+        with pytest.raises(GraphConstructionError):
+            permute_vertices(triangle, np.array([0, 0, 1]))
+
+    def test_wrong_length_rejected(self, triangle):
+        with pytest.raises(GraphConstructionError):
+            permute_vertices(triangle, np.array([0, 1]))
+
+
+class TestReorderByDegree:
+    def test_degrees_descending(self):
+        g = rmat_graph(8, 6, seed=1)
+        out, _ = reorder_by_degree(g)
+        degrees = out.degrees()
+        assert np.all(degrees[:-1] >= degrees[1:])
+
+    def test_permutation_maps_hub_to_zero(self, star):
+        out, perm = reorder_by_degree(star)
+        assert perm[0] == 0  # the star center had max degree
+        assert out.degree(0) == 5
+
+    def test_ascending_option(self, star):
+        out, _ = reorder_by_degree(star, descending=False)
+        assert out.degree(out.num_vertices - 1) == 5

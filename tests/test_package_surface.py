@@ -22,7 +22,6 @@ SUBPACKAGES = [
     "repro.graph.io",
     "repro.graph.walks",
     "repro.graph.algorithms",
-    "repro.graph.transforms",
     "repro.graph.stats",
     "repro.sparsifier",
     "repro.sparsifier.path_sampling",
@@ -53,7 +52,6 @@ SUBPACKAGES = [
     "repro.systems",
     "repro.systems.cost",
     "repro.systems.memory",
-    "repro.streaming",
     "repro.experiments",
     "repro.experiments.runner",
     "repro.utils",
@@ -85,7 +83,7 @@ def test_version_string():
 @pytest.mark.parametrize(
     "module_name",
     ["repro.graph", "repro.sparsifier", "repro.linalg", "repro.embedding",
-     "repro.eval", "repro.streaming"],
+     "repro.eval"],
 )
 def test_subpackage_all_resolves(module_name):
     module = importlib.import_module(module_name)
@@ -218,23 +216,47 @@ def test_deleted_api_stays_deleted(capsys):
     """Layering: performance verdicts come from ``benchmarks/perf`` alone
     (no ``lightne regress``), modules nothing outside their own tests
     called are gone, the rSVD is the one factorizer (no single-pass
-    sketch, no ``sketchne``, no ``--factorizer``) and downsampled
-    PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch)."""
+    sketch, no ``sketchne``, no ``--factorizer``), downsampled
+    PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch) and
+    the whole-graph embedding the one workflow (no streaming refresh, no
+    partition-then-embed, no ``lightne stream``, one walk step)."""
+    import numpy as np
+
     import repro
     import repro.embedding
+    import repro.graph
+    import repro.graph.io
     import repro.linalg
     import repro.sparsifier
     import repro.sparsifier.builder
+    import repro.sparsifier.downsampling
     from repro.cli import main
     from repro.embedding.lightne import LightNEParams
     from repro.embedding.registry import GENERIC_KNOBS, make_params, method_names
     from repro.errors import MethodParameterError
+    from repro.graph.builders import from_edges
+    from repro.graph.walks import step_random_walk
 
     for name in ("repro.telemetry.regression", "repro.eval.retrieval",
-                 "repro.streaming.temporal", "repro.utils.validation",
-                 "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis"):
+                 "repro.utils.validation",
+                 "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis",
+                 "repro.streaming", "repro.graph.partition",
+                 "repro.graph.transforms"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
+    for module in (repro, repro.graph):
+        for name in ("DynamicEmbedder", "RefreshPolicy", "EdgeBatch",
+                     "edge_stream_from_graph", "bfs_partition",
+                     "embed_partitioned", "partition_edge_cut", "add_edges",
+                     "remove_edges", "induced_subgraph", "permute_vertices",
+                     "reorder_by_degree"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(repro.graph.io, "write_metis")
+    for name in ("expected_kept_edges", "downsample_graph_laplacian_sample"):
+        assert not hasattr(repro.sparsifier.downsampling, name), name
+    with pytest.raises(TypeError):
+        step_random_walk(from_edges([0], [1]), np.array([0]), np.array([1]),
+                         strategy="direct")
     for module in (repro, repro.embedding, repro.linalg):
         for name in ("single_pass_svd", "sketchne_embedding", "FACTORIZERS"):
             assert not hasattr(module, name), (module.__name__, name)
@@ -250,7 +272,8 @@ def test_deleted_api_stays_deleted(capsys):
     for argv, flag in ((["regress"], "invalid choice: 'regress'"),
                        (["embed", "--method", "sketchne"], "invalid choice: 'sketchne'"),
                        (["embed", "--factorizer", "rsvd"], "--factorizer"),
-                       (["embed", "--sparsifier", "path"], "--sparsifier")):
+                       (["embed", "--sparsifier", "path"], "--sparsifier"),
+                       (["stream"], "invalid choice: 'stream'")):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -15,8 +15,6 @@ from repro import telemetry
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.embedding.registry import get_method, list_methods, make_params
 from repro.graph.generators import dcsbm_graph
-from repro.graph.partition import bfs_partition, embed_partitioned
-from repro.streaming import DynamicEmbedder
 from repro.telemetry import ledger
 from repro.telemetry import run as run_mod
 from repro.utils.parallel import parallel_map
@@ -185,49 +183,16 @@ class TestStageClock:
 
 
 class TestNestedRuns:
-    def test_partitioned_parts_keep_their_own_tables(self, graph, tracer):
-        inner = []
-
-        def embedder(subgraph, seed):
-            inner.append(
-                lightne_embedding(subgraph, _params("thread"), seed)
-            )
-            return inner[-1]
-
-        assignment = bfs_partition(graph, 2, seed=0)
-        outer = embed_partitioned(graph, assignment, embedder, dimension=8, seed=0)
-        assert list(outer.timer.stages) == ["partitioned-embedding"]
-        assert len(inner) == 2
+    def test_pipeline_runs_inside_a_run_keep_their_own_tables(self, graph, tracer):
+        with telemetry.run_scope("outer") as outer:
+            inner = [lightne_embedding(graph, _params("thread"), seed) for seed in (0, 1)]
         for part in inner:
             assert list(part.timer.stages) == ["sparsifier", "svd", "propagation"]
             assert part.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
         assert inner[0].timer.stages != inner[1].timer.stages
-        assert outer.timer.total >= sum(part.timer.total for part in inner)
-        totals = telemetry.get_metrics().snapshot()["counters"]
-        assert totals["svd.operator_passes"] == 12
-        # Tracing on: both part runs sit under the one stage span, as before.
-        (stage,) = tracer.roots
-        assert [child.name for child in stage.children] == ["lightne", "lightne"]
-
-    def test_partitioned_untraced(self, graph):
-        assignment = bfs_partition(graph, 2, seed=0)
-        outer = embed_partitioned(
-            graph, assignment,
-            lambda sub, seed: lightne_embedding(sub, _params("thread"), seed),
-            dimension=8, seed=0,
-        )
-        assert list(outer.timer.stages) == ["partitioned-embedding"]
-        assert outer.timer.total > 0
-
-    def test_dynamic_embedder_refreshes_are_runs_of_their_own(self, graph, tracer):
-        embedder = DynamicEmbedder(graph, _params("thread"), seed=0)
-        first = embedder.result
-        second = embedder.refresh()
-        for result in (first, second):
-            assert list(result.timer.stages) == ["sparsifier", "svd", "propagation"]
-            assert result.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
-        assert first.timer.stages != second.timer.stages
+        assert outer.metrics.snapshot()["counters"]["svd.operator_passes"] == 12
         assert telemetry.get_metrics().snapshot()["counters"]["svd.operator_passes"] == 12
+        assert [child.name for child in outer.children] == ["lightne", "lightne"]
 
     def test_run_inside_a_run_rolls_up_through_it(self, tracer):
         with telemetry.run_scope("outer") as outer:

@@ -13,8 +13,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.embedding.lightne import LightNEParams, lightne_embedding
-from repro.embedding.prone import ProNEParams
-from repro.embedding.registry import make_params
 from repro.errors import GraphConstructionError, UnsupportedGraphError
 from repro.graph.builders import from_bipartite_edges, from_edges
 from repro.graph.generators import erdos_renyi_graph
@@ -143,56 +141,3 @@ class TestBipartite:
         users, items = result.vectors[:40], result.vectors[40:]
         assert users.shape == (40, 8) and items.shape == (25, 8)
         assert np.all(np.isfinite(result.vectors))
-
-
-class TestDynamicEmbedderMethods:
-    def test_refresh_forwards_the_full_params(self, er_graph):
-        from repro.streaming import DynamicEmbedder, EdgeBatch
-
-        params = LightNEParams(
-            dimension=8, window=2, sample_multiplier=2,
-            propagate=False, precision="double",
-        )
-        embedder = DynamicEmbedder(er_graph, params, seed=0)
-        assert embedder.result.info["precision"] == "double"
-        embedder.apply(EdgeBatch(np.array([0]), np.array([30])))
-        assert embedder.result.info["precision"] == "double"
-        assert embedder.vectors.dtype == np.float64
-
-    def test_netsmf_method(self, er_graph):
-        from repro.streaming import DynamicEmbedder
-
-        embedder = DynamicEmbedder(
-            er_graph,
-            LightNEParams(dimension=8, window=2, sample_multiplier=2),
-            method="netsmf",
-            seed=0,
-        )
-        assert embedder.method == "netsmf"
-        assert embedder.vectors.shape == (er_graph.num_vertices, 8)
-        assert embedder.result.info["propagated"] is False
-
-    def test_default_params_are_the_registry_preset(self):
-        from repro.streaming import DynamicEmbedder
-
-        graph = erdos_renyi_graph(140, 0.08, seed=2)  # default dimension is 128
-        embedder = DynamicEmbedder(graph, method="netsmf", seed=0)
-        assert embedder.method == "netsmf"
-        assert embedder.params == make_params("netsmf")
-        assert embedder.result.info["propagated"] is False
-
-    def test_default_params_from_method(self, sbm_bundle):
-        from repro.streaming import DynamicEmbedder
-
-        graph, _ = sbm_bundle
-        embedder = DynamicEmbedder(graph, seed=0)
-        assert embedder.method == "lightne"
-        assert isinstance(embedder.params, LightNEParams)
-
-    def test_params_type_mismatch_raises(self, er_graph):
-        from repro.streaming import DynamicEmbedder
-
-        with pytest.raises(GraphConstructionError):
-            DynamicEmbedder(
-                er_graph, ProNEParams(dimension=8), method="lightne", seed=0
-            )

@@ -10,10 +10,12 @@ from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph, erdos_renyi_graph
 from repro.sparsifier.downsampling import (
     default_constant,
-    downsample_graph_laplacian_sample,
     downsampling_probabilities,
-    expected_kept_edges,
     graph_downsampling_probabilities,
+)
+from tests.contracts.downsampled_graphs import (
+    downsample_graph_laplacian_sample,
+    expected_kept_edges,
 )
 
 
