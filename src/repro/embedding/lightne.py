@@ -3,8 +3,8 @@
 Pipeline (Figure 1):
 
 1. **Parallel sparsifier construction** — downsampled per-edge PathSampling
-   (Algorithm 2) aggregated by the sort-reduce kernel (the paper's sparse
-   parallel hash table is the ``aggregator="hash"`` ablation);
+   (Algorithm 2), each slab sort-reduced where it is sampled and the runs
+   folded once into the count matrix;
 2. **Parallel randomized SVD** (Algorithm 3) of the trunc-log NetMF matrix
    estimator, ``X = U Σ^{1/2}``;
 3. **Spectral propagation** — ProNE's Chebyshev filter on ``X``.
@@ -34,9 +34,11 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.graph import CSRGraph
-from repro.linalg.randomized_svd import embedding_from_svd, factorize
-from repro.linalg.spectral import spectral_propagation
-from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
+from repro.linalg.kernels import resolve_precision
+from repro.linalg.randomized_svd import check_factorizer, embedding_from_svd, factorize
+from repro.linalg.spectral import check_filter, spectral_propagation
+from repro.sparsifier.builder import build_sparsifier, check_aggregator
+from repro.sparsifier.builder import check_negative_samples, sparsifier_to_netmf_matrix
 from repro.sparsifier.path_sampling import DEFAULT_BATCH_SIZE, PathSamplingConfig
 from repro import telemetry
 from repro.telemetry import health
@@ -71,12 +73,10 @@ class LightNEParams:
     propagate / propagation_order / mu / theta:
         Spectral-propagation controls (step 2).
     aggregator:
-        ``"sort"`` (default: the sort-reduce kernel), ``"hash"`` (shared
-        sparse parallel hashing, the paper's choice on a lock-free native
-        table; here a numpy emulation kept as the §4.2 ablation) or
-        ``"hash-sharded"`` (per-processor tables).  All three build the same
-        count matrix bit for bit; measurements and the determinism contract
-        are in :mod:`repro.sparsifier.aggregation`.
+        ``"sort"`` (default), ``"hash"`` or ``"hash-sharded"``: validated
+        and recorded on the spans and in the ledger, it selects no code —
+        the sampler already folds each draw into its pair once.  Kept only
+        because ``benchmarks/perf`` sets it.
     workers:
         Thread-pool width for sparsifier construction *and* the dense-stage
         SPMMs (randomized SVD, spectral propagation); ``None`` (default)
@@ -85,13 +85,10 @@ class LightNEParams:
         count given the same ``seed`` and ``batch_size``.
     backend:
         Execution substrate: ``"thread"`` (default, all in-RAM) or
-        ``"process"`` — the out-of-core mode.  With ``"process"``, sampling
-        slabs run in worker processes (reopening a memmapped CSR v2 graph
-        when the input was loaded that way), sharded aggregation goes
-        through ``multiprocessing.shared_memory``, and the propagation
-        stage's ``n×d`` buffers spill to temp-file memmaps streamed through
-        the chunked SPMM.  Embeddings are bit-identical to the thread
-        backend at every worker count.
+        ``"process"`` — the out-of-core mode: sampling slabs run in worker
+        processes (reopening a memmapped CSR v2 graph when the input was
+        loaded that way) and the filter's ``n×d`` buffers are temp-file
+        memmaps.  Embeddings are bit-identical to the thread backend.
     precision:
         Dense-kernel dtype policy, ``"single"`` (default) or ``"double"``.
         ``"single"`` is the paper's: its numbers come from MKL's
@@ -163,6 +160,13 @@ class LightNEParams:
 
 def _lightne_body(ctx: PipelineContext):
     graph, params = ctx.graph, ctx.params
+    # Fail before sampling, with the error the stage reading a value raises.
+    check_aggregator(params.aggregator)
+    resolve_precision(params.precision)
+    check_factorizer(params.factorizer)
+    if params.propagate:
+        check_filter(params.propagation_order, params.mu, params.theta)
+    check_negative_samples(params.negative_samples)
     config = PathSamplingConfig(
         window=params.window,
         num_samples=PathSamplingConfig.samples_for_multiplier(

@@ -55,6 +55,10 @@ class WorkerError(ReproError):
     """
 
 
+class BackendError(ReproError, ValueError):
+    """An unknown execution-backend name (also a ``ValueError``)."""
+
+
 class EvaluationError(ReproError):
     """Invalid evaluation setup (e.g. empty test split, label mismatch)."""
 

@@ -217,6 +217,15 @@ def randomized_svd(
     return u, sigma[:rank], vt
 
 
+def check_factorizer(factorizer: str) -> None:
+    """Reject a ``factorizer`` other than ``"rsvd"``."""
+    if factorizer != "rsvd":
+        raise FactorizationError(
+            f"factorizer must be 'rsvd' (the paper's Algorithm 3), "
+            f"got {factorizer!r}"
+        )
+
+
 def factorize(
     matrix: MatrixLike,
     rank: int,
@@ -236,11 +245,7 @@ def factorize(
     ``factorizer`` names the algorithm and accepts only ``"rsvd"`` (the
     paper's Algorithm 3); any other value is a :class:`FactorizationError`.
     """
-    if factorizer != "rsvd":
-        raise FactorizationError(
-            f"factorizer must be 'rsvd' (the paper's Algorithm 3), "
-            f"got {factorizer!r}"
-        )
+    check_factorizer(factorizer)
     factors = randomized_svd(
         matrix,
         rank,

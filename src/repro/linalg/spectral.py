@@ -158,6 +158,16 @@ def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=da.shape, copy=False)
 
 
+def check_filter(order: int, mu: float, theta: float) -> None:
+    """Reject an ``order`` below 1 and a non-finite ``mu`` or ``theta``."""
+    if order < 1:
+        raise FactorizationError(f"order must be >= 1, got {order}")
+    if not (np.isfinite(mu) and np.isfinite(theta)):
+        raise FactorizationError(
+            f"mu and theta must be finite, got mu={mu}, theta={theta}"
+        )
+
+
 def chebyshev_gaussian_filter(
     graph,
     embedding: np.ndarray,
@@ -206,12 +216,7 @@ def chebyshev_gaussian_filter(
         raise FactorizationError(
             f"embedding shape {x.shape} incompatible with n={graph.num_vertices}"
         )
-    if order < 1:
-        raise FactorizationError(f"order must be >= 1, got {order}")
-    if not (np.isfinite(mu) and np.isfinite(theta)):
-        raise FactorizationError(
-            f"mu and theta must be finite, got mu={mu}, theta={theta}"
-        )
+    check_filter(order, mu, theta)
     if order == 1:
         # Identity filter: a copy in the dtype ``precision`` resolves to,
         # like every higher order.

@@ -52,10 +52,10 @@ substrate or the order in which slabs finish.  :func:`aggregate_hash` and
 :func:`aggregate_hash_sharded` sum in stream order *within* each of their
 ``batch_size`` (1 000 000) slices and then add the per-batch partial sums:
 on per-draw streams they equal the sort kernel bit for bit up to one batch
-and re-associate above that (last-digit differences).  On the stage's own
-stream every key occurs once, so each of them returns ``0.0 + x == x``: the
-three ``aggregator`` names build the same count matrix bit for bit at any
-size (``tests/test_sparsifier_builder.py::test_replay_contract``).
+and re-associate above that (last-digit differences).  On the sampler's
+reduced stream, which the ``"sparsifier"`` stage assembles without any of
+them, every key occurs once and each returns ``0.0 + x == x``
+(``tests/test_sparsifier_builder.py::test_replay_contract``).
 """
 
 from __future__ import annotations

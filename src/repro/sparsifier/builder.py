@@ -58,21 +58,13 @@ The sampler
 The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`, and one
 sampler, the Monte-Carlo estimator derived above
 (:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`,
-Algorithm 2).  It honours
-
-* ``sample_sparsifier_edges(graph, config, rng, *, batch_size, workers,
-  backend, stats) -> (rows, cols, sums, draws)`` — *pre-reduced canonical*
-  triples: the distinct pairs of the upper triangle (``rows <= cols``) in
-  increasing ``row·n + col`` order with their summed weights, never one
-  triple per draw — whose symmetrisation satisfies
-  ``E[W̄(x, y)] = (M / vol(G)) · d_x · S(x, y)``,
-  ``S = (1/T)·Σ_{r=1..T}(D⁻¹A)^r``, and ``draws = M`` realized;
-* ``stats`` filled with the per-draw counters (``draws``, ``walk_samples``,
-  ``batches``, ``batch_size``, ``workers``, ``backend``) and the reducer's
-  ``distinct`` / ``peak_table_bytes``;
-* bit-identical triples for a fixed ``(seed, batch_size)`` at every worker
-  count on both execution substrates, via the per-slab RNG streams and the
-  in-order fold (:func:`~repro.sparsifier.aggregation.merge_runs`).
+Algorithm 2, which states its stats and its bit-identity across worker
+counts and substrates).  The sampler folds each draw into its unordered
+pair exactly once and hands over the *reduced* upper triangle — distinct
+pairs ``rows <= cols`` in increasing ``row·n + col`` order with their summed
+weights, ``M = draws`` realized — so the stage runs no aggregation pass of
+its own: it builds the count matrix's ``indptr`` from that stream
+(:func:`aggregate_to_counts`), whatever ``aggregator`` names.
 
 Unbiasedness is checked entry by entry in
 ``tests/contracts/test_estimator_unbiased.py``; the spectral guarantee —
@@ -126,7 +118,7 @@ class SparsifierResult:
         Construction counters: draws, walk samples (draws that survived the
         coin), batch count, resolved worker count, sampling/aggregation
         seconds, walk samples/sec, distinct pairs and the reducer's peak
-        workspace (for the hash ablations, table) bytes.
+        workspace bytes.
     """
 
     counts: sp.csr_matrix
@@ -181,6 +173,12 @@ def validate_sparsifier_graph(graph: CSRGraph) -> bool:
     return True
 
 
+def check_aggregator(aggregator: str) -> None:
+    """Reject an ``aggregator`` outside ``"sort"``/``"hash"``/``"hash-sharded"``."""
+    if aggregator not in ("sort", "hash", "hash-sharded"):
+        raise SamplingError(f"unknown aggregator {aggregator!r}")
+
+
 def aggregate_sample_counts(
     u: np.ndarray,
     v: np.ndarray,
@@ -195,9 +193,9 @@ def aggregate_sample_counts(
     """Merge sample triples into unique ``(rows, cols, vals)`` by name.
 
     The general entry point — any triples, duplicates or not (the E12/E15
-    ablations feed it per-draw samples).  Inside the stage it only ever sees
-    the sampler's already-distinct stream, on which every aggregator returns
-    the values unchanged (:func:`aggregate_to_counts`).
+    ablations feed it per-draw samples, the ``benchmarks/perf`` replay the
+    sampler's stream).  The ``"sparsifier"`` stage never calls it: its
+    stream arrives reduced (:func:`aggregate_to_counts`).
 
     ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
     serial pass in the parent, ``workers``/``backend`` not consulted, output
@@ -207,10 +205,8 @@ def aggregate_sample_counts(
     8-shard key partition mapped onto the worker pool — threads or
     shared-memory processes).
     """
+    check_aggregator(aggregator)
     if aggregator == "hash":
-        # The shared-table aggregation is already serial in the parent;
-        # running it there keeps "hash" bit-identical across backends (the
-        # backend only changes who executes the sampling).
         return aggregate_hash(u, v, w, n, stats=stats)
     if aggregator == "hash-sharded":
         # Fixed shard count: the decomposition (and hence the fp summation
@@ -221,9 +217,7 @@ def aggregate_sample_counts(
             u, v, w, n, workers=workers, num_shards=8,
             backend=backend, stats=stats,
         )
-    if aggregator == "sort":
-        return aggregate_sort(u, v, w, n, stats=stats)
-    raise SamplingError(f"unknown aggregator {aggregator!r}")
+    return aggregate_sort(u, v, w, n, stats=stats)
 
 
 def aggregate_to_counts(
@@ -233,34 +227,21 @@ def aggregate_to_counts(
     n: int,
     *,
     aggregator: str,
-    workers: int,
-    backend: str,
     stats: Dict[str, float],
 ) -> sp.csr_matrix:
     """Assemble the ``n × n`` count matrix ``W`` from the sampler's stream.
 
     The back half of the ``"sparsifier"`` stage, under the
-    ``sparsifier.aggregation`` span; records ``aggregation_seconds`` and
-    ``total_mass`` in ``stats``.  The stream arrives reduced — distinct
-    pairs in row-major key order — so for ``"sort"`` it already is the
-    sort-reduce's output, a CSR matrix up to its ``indptr``.  The §4.2
-    ablation names run it through their table first
-    (:func:`aggregate_sample_counts`): every key occurs once, so the values
-    come back unchanged (``0.0 + x``) in table order and the matrix is the
-    same one, bit for bit.
+    ``sparsifier.aggregation`` span (which records the ``aggregator`` name);
+    records ``aggregation_seconds`` and ``total_mass`` in ``stats``.  The
+    stream arrives reduced by the sampler — distinct pairs in row-major key
+    order — so it is a CSR matrix up to its ``indptr``: nothing re-aggregates it.
     """
     tic = time.perf_counter()
     with telemetry.span("sparsifier.aggregation", aggregator=aggregator):
-        if aggregator == "sort":
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
-        else:
-            rows, cols, vals = aggregate_sample_counts(
-                rows, cols, vals, n, aggregator=aggregator, workers=workers,
-                backend=backend, stats=stats,
-            )
-            counts = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
     stats["aggregation_seconds"] = time.perf_counter() - tic
     telemetry.gauge("sparsifier.nnz").set(counts.nnz)
     # Total retained mass: the health layer's contract check compares this
@@ -294,23 +275,20 @@ def build_sparsifier(
     config:
         Sampling parameters (window ``T``, sample budget ``M``, downsampling).
     aggregator:
-        ``"sort"`` (default: sort-reduce kernel), ``"hash"`` (paper's shared
-        sparse parallel hashing, numpy emulation) or ``"hash-sharded"``
-        (per-processor tables over a key partition, built on the worker
-        pool) — see :mod:`repro.sparsifier.aggregation`.
+        ``"sort"`` (default), ``"hash"`` or ``"hash-sharded"``, checked
+        before anything is sampled and recorded on the stage's spans; it
+        selects no code (:func:`aggregate_to_counts`).
     workers:
-        Thread-pool width for sampling (and sharded aggregation); ``None``
-        resolves to :func:`repro.utils.parallel.default_workers`.  For a
-        fixed ``seed`` and ``batch_size`` the result is bit-identical for
-        every worker count.
+        Thread-pool width for sampling; ``None`` resolves to
+        :func:`repro.utils.parallel.default_workers`.  For a fixed ``seed``
+        and ``batch_size`` the result is bit-identical for every worker
+        count.
     backend:
         Execution substrate, ``"thread"`` (default) or ``"process"``
         (out-of-core mode: sampling slabs run in worker processes that
-        reopen a memmapped graph, sharded aggregation goes through shared
-        memory).  Both backends keep the same batch/shard decomposition and
-        therefore the same bits — see
-        :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges` and
-        :func:`repro.sparsifier.aggregation.aggregate_hash_sharded`.
+        reopen a memmapped graph).  Both backends keep the same slab
+        decomposition and therefore the same bits — see
+        :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`.
     batch_size:
         Draws (before the coin) per sampling slab.  The stage holds about
         ``13·workers·batch_size·8 B`` of slab workspace plus ``~6·nnz·16 B``
@@ -322,6 +300,7 @@ def build_sparsifier(
     ``E[Σ W] = M``; both are no-ops unless a pipeline installed an active
     :class:`~repro.telemetry.health.HealthRecorder`.
     """
+    check_aggregator(aggregator)
     rng = ensure_rng(seed)
     backend = resolve_backend(backend)
     if workers is None:
@@ -343,8 +322,7 @@ def build_sparsifier(
             stats["sampling_seconds"], 1e-12
         )
         counts = aggregate_to_counts(
-            rows, cols, vals, n, aggregator=aggregator, workers=workers,
-            backend=backend, stats=stats,
+            rows, cols, vals, n, aggregator=aggregator, stats=stats
         )
         stage.set_attributes(**stats)
     health.checkpoint("sparsifier", counts)
@@ -352,6 +330,12 @@ def build_sparsifier(
     return SparsifierResult(
         counts=counts, num_draws=draws, window=config.window, stats=stats
     )
+
+
+def check_negative_samples(negative_samples: float) -> None:
+    """Reject a non-positive ``b`` (Eq. 1's negative-sample count)."""
+    if negative_samples <= 0:
+        raise SamplingError(f"negative_samples must be > 0, got {negative_samples}")
 
 
 def sparsifier_to_netmf_matrix(
@@ -373,8 +357,7 @@ def sparsifier_to_netmf_matrix(
     """
     if result.num_draws <= 0:
         raise SamplingError("sparsifier has no samples")
-    if negative_samples <= 0:
-        raise SamplingError(f"negative_samples must be > 0, got {negative_samples}")
+    check_negative_samples(negative_samples)
     degrees = graph.weighted_degrees()
     if np.any(degrees <= 0):
         # Isolated vertices never appear in samples; give them degree 1 to

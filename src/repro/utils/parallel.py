@@ -53,7 +53,7 @@ from contextlib import closing
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
-from repro.errors import WorkerError
+from repro.errors import BackendError, WorkerError
 
 T = TypeVar("T")
 
@@ -74,9 +74,7 @@ def resolve_backend(backend: Optional[str]) -> str:
     if backend is None:
         return "thread"
     if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
+        raise BackendError(f"backend must be one of {BACKENDS}, got {backend!r}")
     return backend
 
 

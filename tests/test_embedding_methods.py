@@ -269,9 +269,9 @@ class TestLightNE:
         assert snapshot["counters"]["sparsifier.batches"] >= 1
         assert "sparsifier.nnz" in snapshot["gauges"]
         assert snapshot["histograms"]["sparsifier.batch_seconds"]["count"] >= 1
-        if aggregator in ("hash", "hash-sharded"):
-            assert "hashtable.probe_rounds" in snapshot["histograms"]
-            assert snapshot["counters"]["hashtable.distinct_keys"] > 0
+        # The name selects no aggregation pass: no hash table is ever built.
+        for kind in ("counters", "gauges", "histograms"):
+            assert not [k for k in snapshot[kind] if k.startswith("hashtable.")]
 
     def test_downsampling_shrinks_sparsifier(self, sbm_bundle):
         graph, _ = sbm_bundle
@@ -288,6 +288,49 @@ class TestLightNE:
             seed=0,
         )
         assert on.info["sparsifier_nnz"] < off.info["sparsifier_nnz"]
+
+    @pytest.mark.parametrize(
+        "knobs,error,message",
+        [
+            ({"aggregator": "wat"}, SamplingError, "unknown aggregator 'wat'"),
+            ({"precision": "half"}, FactorizationError,
+             "precision must be 'single' or 'double', got 'half'"),
+            ({"factorizer": "x"}, FactorizationError,
+             "factorizer must be 'rsvd' (the paper's Algorithm 3), got 'x'"),
+            ({"propagation_order": 0}, FactorizationError,
+             "order must be >= 1, got 0"),
+            ({"mu": float("nan")}, FactorizationError,
+             "mu and theta must be finite, got mu=nan, theta=0.5"),
+            ({"theta": float("inf")}, FactorizationError,
+             "mu and theta must be finite, got mu=0.2, theta=inf"),
+            ({"negative_samples": 0}, SamplingError,
+             "negative_samples must be > 0, got 0"),
+        ],
+        ids=["aggregator", "precision", "factorizer", "propagation_order",
+             "mu", "theta", "negative_samples"],
+    )
+    def test_bad_values_fail_before_sampling(
+        self, sbm_bundle, monkeypatch, knobs, error, message
+    ):
+        # The class and message the consuming stage raised after the
+        # sparsifier had run — now raised before anything is sampled.
+        def sampled(*args, **kwargs):
+            raise AssertionError("the sparsifier stage ran")
+
+        monkeypatch.setattr(
+            "repro.sparsifier.builder.sample_sparsifier_edges", sampled
+        )
+        graph, _ = sbm_bundle
+        with pytest.raises(error) as info:
+            lightne_embedding(graph, LightNEParams(dimension=8, **knobs), seed=0)
+        assert str(info.value) == message
+
+    def test_propagation_knobs_unchecked_without_propagation(self, sbm_bundle):
+        # The filter never runs, so its knobs are not read (as before).
+        graph, _ = sbm_bundle
+        for knobs in ({"propagation_order": 0}, {"mu": float("nan")}):
+            params = LightNEParams(dimension=8, window=2, **knobs)
+            assert netsmf_embedding(graph, params, seed=0).vectors.shape[1] == 8
 
 
 class TestNRP:

@@ -124,7 +124,8 @@ class TestTraceTreeParity:
             )
             for span in tracer.iter_spans()
         )
-        recorded = json.loads(TRACE_FIXTURE.read_text())[f"{backend}/{variant}"]
+        fixture = json.loads(TRACE_FIXTURE.read_text())
+        recorded = fixture[f"{backend}/{variant}"]
         expected = Counter(
             {(name, parent, lane, tuple(keys)): count
              for name, parent, lane, keys, count in recorded}
@@ -132,6 +133,10 @@ class TestTraceTreeParity:
         # Recorded from the parent commit; the one declared difference is the
         # process runs' five ``spmm.chunk`` spans, deleted from the recording.
         assert rows == expected
+        # The aggregator is a name on the spans, not a pass: the hash-sharded
+        # run's tree (its ``aggregate.shard`` spans and shard stats deleted
+        # from the recording) is the default run's, row for row.
+        assert recorded == fixture[f"{backend}/path"]
 
 
     def test_thread_pool_tasks_land_under_the_submitting_span(self, tracer):

@@ -6,6 +6,8 @@ dense NetMF matrix (Eq. 1) as the sample budget grows.
 
 from __future__ import annotations
 
+import glob
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -179,17 +181,17 @@ class TestBuilder:
 
     def test_sharded_stats(self, er_graph):
         config = PathSamplingConfig(window=2, num_samples=1500, downsample=False)
-        result = build_sparsifier(
-            er_graph, config, seed=8, aggregator="hash-sharded", workers=3
+        u, v, w, _ = sample_sparsifier_edges(er_graph, config, 8, workers=3)
+        stats = {}
+        aggregate_sample_counts(
+            u, v, w, er_graph.num_vertices, aggregator="hash-sharded",
+            workers=3, stats=stats,
         )
-        # The builder pins the shard count so the decomposition (and fp
+        # The entry point pins the shard count so the decomposition (and fp
         # summation order) is independent of the worker count.
-        assert result.stats["num_shards"] == 8
+        assert stats["num_shards"] == 8
         # No merge table: the eight shard tables are the whole footprint.
-        assert (
-            result.stats["peak_table_bytes"]
-            == result.stats["shard_table_bytes"] > 0
-        )
+        assert stats["peak_table_bytes"] == stats["shard_table_bytes"] > 0
 
     def test_sharded_worker_count_invariance(self, er_graph):
         config = PathSamplingConfig(window=3, num_samples=3000, downsample=True)
@@ -235,8 +237,7 @@ class TestSortDefault:
         # What a sampler hands over: distinct pairs in row-major key order.
         rows, cols, vals = aggregate_sort(u, v, w, n)
         counts = aggregate_to_counts(
-            rows, cols, vals, n, aggregator=aggregator, workers=2,
-            backend="thread", stats={},
+            rows, cols, vals, n, aggregator=aggregator, stats={},
         )
         _assert_same_csr(counts, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
         assert counts.has_sorted_indices and counts.has_canonical_format
@@ -334,6 +335,44 @@ class TestSortDefault:
         ]
         np.testing.assert_array_equal(vectors[0], vectors[1])
         np.testing.assert_array_equal(vectors[0], vectors[2])
+
+    def test_stage_aggregates_once_for_every_name(self, er_graph, monkeypatch):
+        """The sampler folds each draw into its pair once; no name sends the
+        stream through a second (hash) aggregation pass."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the stage reached the hash aggregators")
+
+        for target in (
+            "repro.sparsifier.builder.aggregate_sample_counts",
+            "repro.sparsifier.builder.aggregate_hash",
+            "repro.sparsifier.builder.aggregate_hash_sharded",
+            "repro.sparsifier.aggregation.aggregate_hash",
+            "repro.sparsifier.aggregation.aggregate_hash_sharded",
+            "repro.sparsifier.aggregation.SparseParallelHashTable",
+            "repro.sparsifier.aggregation.hash_partition",
+        ):
+            monkeypatch.setattr(target, unreachable)
+        config = PathSamplingConfig(window=3, num_samples=3000)
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        for backend in ("thread", "process"):
+            runs = {
+                aggregator: build_sparsifier(
+                    er_graph, config, seed=6, aggregator=aggregator,
+                    workers=2, backend=backend, batch_size=500,
+                )
+                for aggregator in ("sort", "hash", "hash-sharded")
+            }
+            for aggregator, result in runs.items():
+                assert result.stats["batches"] >= 5
+                assert not {"num_shards", "shard_table_bytes", "probe_rounds"} & set(
+                    result.stats
+                ), aggregator
+                assert (
+                    result.stats["peak_table_bytes"]
+                    == runs["sort"].stats["peak_table_bytes"] > 0
+                )
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
 
 
 def _netmf_transform_oracle(graph, result, negative_samples=1.0):

@@ -421,6 +421,14 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("fiber")
 
+    def test_invalid_is_a_library_error(self):
+        from repro.errors import BackendError, ReproError
+
+        with pytest.raises(ReproError, match="backend") as info:
+            resolve_backend("gpu")
+        assert isinstance(info.value, BackendError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestLogging:
     def test_logger_namespaced(self):
