@@ -80,9 +80,11 @@ class LightNEParams:
     workers:
         Thread-pool width for sparsifier construction *and* the dense-stage
         SPMMs (randomized SVD, spectral propagation); ``None`` (default)
-        resolves to :func:`repro.utils.parallel.default_workers`.  Both the
-        sparsifier and the dense kernels are bit-identical for every worker
-        count given the same ``seed`` and ``batch_size``.
+        resolves to :func:`repro.utils.parallel.default_workers`.  It is the
+        dense stages' whole thread budget: numpy's BLAS runs their
+        tall-skinny steps on one thread, so ``workers=1`` means one core
+        there.  Both the sparsifier and the dense kernels are bit-identical
+        for every worker count given the same ``seed`` and ``batch_size``.
     backend:
         Execution substrate: ``"thread"`` (default, all in-RAM) or
         ``"process"`` — the out-of-core mode: sampling slabs run in worker

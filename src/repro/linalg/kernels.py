@@ -66,6 +66,18 @@ Gram matrix's extreme eigenvalues:
 * the input is untouched unless the caller passes ``overwrite=True``, in
   which case the result lives in the input's memory.
 
+**Threading model.**  ``workers`` is the whole thread budget of the dense
+stages.  The sparse products run on the library's own pool
+(:func:`repro.utils.parallel.parallel_map`), ``workers`` threads wide; the
+tall-skinny steps between them (:func:`gram`, :func:`cholesky_qr`, the map
+back, :func:`gram_rescale`) are numpy BLAS calls, and the rSVD on a sparse
+or implicit operator and the spectral propagation run them under
+:func:`repro.utils.parallel.single_blas_thread` — numpy's BLAS at one
+thread.  Its own pool would otherwise keep spinning on the cores the next
+sparse product needs, and the products' bits would follow the BLAS thread
+count.  A dense operand (NetMF's ``np.matmul`` branch of :func:`spmm`)
+keeps threaded BLAS: there BLAS *is* the product's parallelism.
+
 Telemetry: each :func:`spmm` or :func:`spmm_fused` call bumps the
 ``spmm.calls`` / ``spmm.flops`` / ``spmm.bytes`` counters, sets the
 ``spmm.gflops`` gauge to the call's achieved rate and feeds the per-block

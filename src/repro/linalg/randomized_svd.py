@@ -37,6 +37,11 @@ as ``A·`` on the row-blocked CSR kernel instead of the column-chunked CSC
 path over ``A.T``.
 ``precision="single"`` mirrors MKL's ``s``-routines — the operator and every
 sketch block are cast to float32 once — and changes nothing else.
+On a sparse or implicit operator the call runs under
+:func:`~repro.utils.parallel.single_blas_thread`: the SPMMs take the
+``workers`` threads and the GEMMs between them run on one BLAS thread, so
+the factors do not depend on numpy's BLAS thread count.  A dense operand
+keeps threaded BLAS, whose products are then that operand's parallelism.
 
 The pipelines call it through :func:`factorize`, which adds the
 numerical-health layer's posterior residual probe.
@@ -44,6 +49,7 @@ numerical-health layer's posterior residual probe.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -54,6 +60,7 @@ from repro import telemetry
 from repro.errors import FactorizationError
 from repro.linalg.kernels import cholesky_qr, gram, resolve_precision, spmm
 from repro.telemetry import health
+from repro.utils.parallel import single_blas_thread
 from repro.utils.rng import SeedLike, ensure_rng
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator]
@@ -142,7 +149,9 @@ def randomized_svd(
         algorithm is the same on both; only the dtype differs.
     workers:
         Thread count for the sparse products (``None`` = one per core,
-        capped at 8).  The result is bit-identical for every value.
+        capped at 8).  The result is bit-identical for every value.  For a
+        sparse or implicit operator it is the call's whole budget: numpy's
+        BLAS is held at one thread until the call returns.
     symmetric:
         ``True`` — the caller built ``matrix`` symmetric (every NetMF-style
         matrix): the ``Aᵀ·`` passes run as ``A·``, which for a CSR operator
@@ -174,47 +183,61 @@ def randomized_svd(
     sketch = min(rank + oversampling, min(rows, cols))
     adjoint = not symmetric  # whether an ``Aᵀ·`` pass really transposes
 
-    if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
-        matrix = matrix.astype(dtype)  # cast the operator once, like MKL's s-path
+    # The library's pool runs a sparse or implicit operator's products, so
+    # numpy's BLAS is held at one thread for the call (``workers`` is the
+    # whole budget); a dense operand's product *is* one threaded BLAS call.
+    blas_scope = (
+        single_blas_thread()
+        if sp.issparse(matrix) or isinstance(matrix, spla.LinearOperator)
+        else nullcontext()
+    )
+    with blas_scope:
+        if dtype == np.float32 and hasattr(matrix, "astype") and matrix.dtype != dtype:
+            matrix = matrix.astype(dtype)  # cast once, like MKL's s-path
 
-    # Two owned buffers serve the whole call: ``tall`` (rows × sketch) holds
-    # Ω and then every A·Y, ``wide`` (cols × sketch) every Y; each product
-    # lands in the buffer whose contents it replaces and is orthonormalized
-    # there.  The sketch consumes the same float64 draws on both precisions
-    # (single/double runs share their random sketch).
-    # Lines 1-3: Y = Aᵀ O, orthonormalized.
-    with telemetry.span("svd.range_finder", rank=rank, sketch=sketch):
-        tall = _gaussian_sketch(rng, (rows, sketch), dtype)
-        wide = _apply(matrix, tall, transpose=adjoint, workers=workers)
-        wide = cholesky_qr(wide, overwrite=True)
-        telemetry.counter("svd.operator_passes").inc()
-    # Optional subspace iteration (orthonormalization-stabilized).
-    for iteration in range(power_iterations):
-        with telemetry.span("svd.power_iteration", iteration=iteration) as span:
-            tall = _apply(matrix, wide, out=tall, workers=workers)
-            tall = cholesky_qr(tall, overwrite=True)
-            wide = _apply(matrix, tall, transpose=adjoint, out=wide, workers=workers)
+        # Two owned buffers serve the whole call: ``tall`` (rows × sketch)
+        # holds Ω and then every A·Y, ``wide`` (cols × sketch) every Y; each
+        # product lands in the buffer whose contents it replaces and is
+        # orthonormalized there.  The sketch consumes the same float64 draws
+        # on both precisions (single/double runs share their random sketch).
+        # Lines 1-3: Y = Aᵀ O, orthonormalized.
+        with telemetry.span("svd.range_finder", rank=rank, sketch=sketch):
+            tall = _gaussian_sketch(rng, (rows, sketch), dtype)
+            wide = _apply(matrix, tall, transpose=adjoint, workers=workers)
             wide = cholesky_qr(wide, overwrite=True)
-            telemetry.counter("svd.operator_passes").inc(2)
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("svd.iteration_seconds").observe(elapsed)
-    with telemetry.span("svd.factorize", sketch=sketch):
-        # Line 4: B = A Y  (n × sketch).
-        b = _apply(matrix, wide, out=tall, workers=workers)
-        telemetry.counter("svd.operator_passes").inc()
-        # Lines 5-6: Z = orth(B P) with P Gaussian (sketch × sketch).
-        p = _gaussian_sketch(rng, (sketch, sketch), b.dtype)
-        z = cholesky_qr(b @ p, overwrite=True)
-        # Lines 7-8: small SVD of C = Zᵀ B; the big-n reduction accumulates
-        # in float64 and the small SVD runs in float64 on both precisions.
-        u_small, sigma, vt_small = np.linalg.svd(gram(z, b), full_matrices=False)
-        del b, tall  # the sketch block is dead before the two map-back GEMMs
-        # Line 9: map back. Columns of (Z U) approximate left singular
-        # vectors of A restricted to range(Y); right vectors are Y V.
-        u = z @ u_small[:, :rank].astype(z.dtype, copy=False)
-        vt = (wide @ vt_small[:rank].T.astype(wide.dtype, copy=False)).T
-    return u, sigma[:rank], vt
+            telemetry.counter("svd.operator_passes").inc()
+        # Optional subspace iteration (orthonormalization-stabilized).
+        for iteration in range(power_iterations):
+            with telemetry.span("svd.power_iteration", iteration=iteration) as span:
+                tall = _apply(matrix, wide, out=tall, workers=workers)
+                tall = cholesky_qr(tall, overwrite=True)
+                wide = _apply(
+                    matrix, tall, transpose=adjoint, out=wide, workers=workers
+                )
+                wide = cholesky_qr(wide, overwrite=True)
+                telemetry.counter("svd.operator_passes").inc(2)
+            elapsed = getattr(span, "duration", None)
+            if elapsed is not None:
+                telemetry.histogram("svd.iteration_seconds").observe(elapsed)
+        with telemetry.span("svd.factorize", sketch=sketch):
+            # Line 4: B = A Y  (n × sketch).
+            b = _apply(matrix, wide, out=tall, workers=workers)
+            telemetry.counter("svd.operator_passes").inc()
+            # Lines 5-6: Z = orth(B P) with P Gaussian (sketch × sketch).
+            p = _gaussian_sketch(rng, (sketch, sketch), b.dtype)
+            z = cholesky_qr(b @ p, overwrite=True)
+            # Lines 7-8: small SVD of C = Zᵀ B; the big-n reduction
+            # accumulates in float64 and the small SVD runs in float64 on
+            # both precisions.
+            u_small, sigma, vt_small = np.linalg.svd(
+                gram(z, b), full_matrices=False
+            )
+            del b, tall  # the sketch block is dead before the map-back GEMMs
+            # Line 9: map back. Columns of (Z U) approximate left singular
+            # vectors of A restricted to range(Y); right vectors are Y V.
+            u = z @ u_small[:, :rank].astype(z.dtype, copy=False)
+            vt = (wide @ vt_small[:rank].T.astype(wide.dtype, copy=False)).T
+        return u, sigma[:rank], vt
 
 
 def check_factorizer(factorizer: str) -> None:

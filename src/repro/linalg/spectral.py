@@ -44,6 +44,7 @@ from repro.errors import FactorizationError
 from repro.graph.csr import CSRGraph
 from repro.linalg import kernels
 from repro.linalg.kernels import gram_rescale, release_pages, resolve_precision, spmm
+from repro.utils.parallel import single_blas_thread
 
 
 def _offload_buffer(shape, dtype, offload_dir: str) -> np.ndarray:
@@ -367,15 +368,20 @@ def spectral_propagation(
 ) -> np.ndarray:
     """Full ProNE enhancement: Chebyshev filter then re-orthogonalization.
 
-    The step is deterministic.  ``precision`` picks the dtype of the filter and of the
-    result and nothing else.  ``offload_dir`` enables the filter's
+    Both run under :func:`~repro.utils.parallel.single_blas_thread`:
+    ``workers`` threads the filter's SPMMs and numpy's BLAS (the rescale's
+    Gram and map-back) stays at one thread, so ``workers`` is the step's
+    whole thread budget and the result does not depend on the BLAS thread
+    count.  The step is deterministic.  ``precision`` picks the dtype of the
+    filter and of the result and nothing else.  ``offload_dir`` enables the filter's
     out-of-core buffer mode (see :func:`chebyshev_gaussian_filter`); the
     rescale always returns a fresh in-RAM array, so no memmap escapes this
     function.
     """
-    filtered = chebyshev_gaussian_filter(
-        graph, embedding, order=order, mu=mu, theta=theta,
-        precision=precision, workers=workers, offload_dir=offload_dir,
-    )
-    with telemetry.span("propagation.rescale", dimension=embedding.shape[1]):
-        return rescale_embedding(filtered, embedding.shape[1])
+    with single_blas_thread():
+        filtered = chebyshev_gaussian_filter(
+            graph, embedding, order=order, mu=mu, theta=theta,
+            precision=precision, workers=workers, offload_dir=offload_dir,
+        )
+        with telemetry.span("propagation.rescale", dimension=embedding.shape[1]):
+            return rescale_embedding(filtered, embedding.shape[1])

@@ -4,14 +4,16 @@ Wall-clock numbers are only comparable between runs that executed on the
 same machine with the same numerical stack, so every persisted run record
 (:mod:`repro.telemetry.ledger`) and every ``EmbeddingResult.info`` carries
 the same fingerprint dict: CPU model and count, platform triple, Python /
-NumPy / SciPy versions, the BLAS backend NumPy was built against, and the
-git SHA of the working tree when one is available.
+NumPy / SciPy versions, the BLAS backend NumPy was built against and its
+thread count, and the git SHA of the working tree when one is available.
 
 :func:`collect_fingerprint` is cached per process — the git subprocess and
 ``/proc/cpuinfo`` parse run once.  :func:`fingerprint_key` hashes the
 *comparability-relevant* subset (everything except the git SHA, which
-changes per commit but not per machine) into a short stable key stored in
-every ledger record.
+changes per commit but not per machine, and the BLAS thread count, which is
+provenance: the dense stages hold it at one thread wherever it would
+compete with their own pool) into a short stable key stored in every ledger
+record.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def collect_fingerprint() -> Dict[str, object]:
         scipy_version: Optional[str] = scipy.__version__
     except ImportError:
         scipy_version = None
+    from repro.utils.parallel import blas_threads
+
     return {
         "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
@@ -121,6 +125,7 @@ def collect_fingerprint() -> Dict[str, object]:
         "numpy": numpy_version,
         "scipy": scipy_version,
         "blas": _blas_backend(),
+        "blas_threads": blas_threads(),
         "git_sha": _git_sha(),
     }
 

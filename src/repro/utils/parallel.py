@@ -36,11 +36,22 @@ same span as the result is yielded.  ``label`` names the stage for progress
 lines (counted from completions in this process, serial path included) and
 worker Perfetto lanes; with tracing and progress off all of it is one gated
 call.
+
+Thread budget: numpy's BLAS keeps a thread pool of its own.  Where this
+module's pool runs the big products — the dense stages' sparse products —
+:func:`single_blas_thread` holds numpy's BLAS at one thread for the scope,
+so ``workers`` is the stages' whole budget: an idle OpenBLAS thread spins
+before it sleeps, and on a small machine it steals a core from the next
+threaded product.  It also makes a product's bits independent of the BLAS
+thread count.  The control is numpy's own OpenBLAS, found through
+``ctypes``; with any other BLAS (MKL, Accelerate) the scope does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -49,7 +60,8 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
+from contextlib import closing, contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
@@ -61,8 +73,114 @@ BACKENDS = ("thread", "process")
 
 
 def default_workers() -> int:
-    """Worker count used when callers pass ``workers=None``."""
-    return min(8, os.cpu_count() or 1)
+    """Worker count used when callers pass ``workers=None``: the CPUs this
+    process may run on (its affinity mask, where the platform has one),
+    capped at 8."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
+
+
+# (setter, getter) names of OpenBLAS's thread-count control: the
+# symbol-suffixed build numpy wheels bundle, then a plain OpenBLAS.
+_OPENBLAS_CONTROLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _numpy_blas() -> Optional[Tuple[Callable[[int], None], Callable[[], int]]]:
+    """``(set, get)`` for numpy's BLAS thread count, or ``None`` when numpy
+    links a BLAS without an OpenBLAS control (MKL, Accelerate, reference).
+
+    The symbols are looked up through numpy's linalg extension, so the
+    search covers exactly the libraries it was linked against — numpy's
+    OpenBLAS, not scipy's.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for set_name, get_name in _OPENBLAS_CONTROLS:
+        setter = getattr(library, set_name, None)
+        getter = getattr(library, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+# The BLAS thread count is process-wide, so the hold on it is too.
+_BLAS_LOCK = threading.Lock()
+_blas_depth = 0  # open single_blas_thread scopes, all threads together
+_blas_saved: Optional[int] = None  # the count they restore
+
+
+def blas_threads() -> Optional[int]:
+    """numpy's BLAS thread count as seen outside any
+    :func:`single_blas_thread` scope, or ``None`` when it cannot be
+    controlled."""
+    control = _numpy_blas()
+    if control is None:
+        return None
+    with _BLAS_LOCK:
+        return _blas_saved if _blas_depth else control[1]()
+
+
+def set_blas_threads(count: int) -> None:
+    """Set numpy's BLAS thread count (a no-op when it cannot be controlled).
+
+    While a :func:`single_blas_thread` scope is open the scope keeps its one
+    thread and ``count`` becomes the value it restores.
+    """
+    global _blas_saved
+    if count < 1:
+        raise ValueError(f"BLAS thread count must be >= 1, got {count}")
+    control = _numpy_blas()
+    if control is None:
+        return
+    with _BLAS_LOCK:
+        if _blas_depth:
+            _blas_saved = count
+        else:
+            control[0](count)
+
+
+@contextmanager
+def single_blas_thread() -> Iterator[None]:
+    """Hold numpy's BLAS at one thread for the scope, then restore the
+    caller's count — also when the body raises.
+
+    Scopes are counted process-wide under a lock: nested scopes and scopes
+    open in several threads at once share one hold, and the caller's count
+    comes back when the last of them exits.  Without a BLAS control
+    (:func:`blas_threads` is ``None``) the scope does nothing.
+    """
+    global _blas_depth, _blas_saved
+    control = _numpy_blas()
+    if control is None:
+        yield
+        return
+    set_count, get_count = control
+    with _BLAS_LOCK:
+        if _blas_depth == 0:
+            _blas_saved = get_count()
+            set_count(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_count(_blas_saved)
+                _blas_saved = None
 
 
 def resolve_backend(backend: Optional[str]) -> str:

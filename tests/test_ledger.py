@@ -64,6 +64,18 @@ class TestFingerprint:
         env["git_sha"] = "0" * 40
         assert environment.fingerprint_key(env) == key_a
 
+    def test_records_blas_threads_outside_the_key(self):
+        from repro.utils.parallel import blas_threads
+
+        env = dict(environment.collect_fingerprint())
+        if blas_threads() is None:
+            assert env["blas_threads"] is None
+        else:  # the count when the fingerprint was first taken
+            assert env["blas_threads"] >= 1
+        key_a = environment.fingerprint_key(env)
+        env["blas_threads"] = 1 if env["blas_threads"] != 1 else 2
+        assert environment.fingerprint_key(env) == key_a
+
     def test_key_changes_with_hardware(self):
         env = dict(environment.collect_fingerprint())
         key_a = environment.fingerprint_key(env)

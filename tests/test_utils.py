@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.utils.parallel import (
     BACKENDS,
     chunk_ranges,
+    default_workers,
     parallel_imap,
     parallel_map,
     resolve_backend,
@@ -286,6 +288,26 @@ class TestChunkRanges:
             chunk_ranges(-1, 2)
         with pytest.raises(ValueError):
             chunk_ranges(5, 0)
+
+
+class TestDefaultWorkers:
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_workers() == 1
+
+    def test_capped_at_eight(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(16)), raising=False
+        )
+        assert default_workers() == 8
+
+    def test_cpu_count_without_affinity_masks(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 class TestParallelMap:
