@@ -126,9 +126,10 @@ def test_e15_parallel_scaling(benchmark, graph, config, samples, table):
 
 
 # --------------------------------------------------------------------------
-# Out-of-core mode (PR 6): the process backend + memmapped CSR v2 + chunked
-# SPMM must (a) stay bit-identical to the in-RAM thread path and (b) actually
-# shrink the working set.  Each configuration runs in a fresh interpreter via
+# Out-of-core mode: a memmapped CSR v2 graph + file-backed propagation
+# buffers (backend="process"; every stage still runs on the thread pool) must
+# (a) stay bit-identical to the in-RAM thread path and (b) actually shrink
+# the working set.  Each configuration runs in a fresh interpreter via
 # harness.run_probe — RSS / VmData high-water marks never shrink inside one
 # process, so in-process comparison would be meaningless.
 #

@@ -13,8 +13,9 @@ Subcommands
     embeddings.
 ``convert``
     Convert any readable graph into the memmappable CSR v2 container
-    (``*.csrv2``) that the out-of-core ``--backend process`` path loads
-    without materializing the arrays in RAM.
+    (``*.csrv2``), which ``--input`` loads without materializing the arrays
+    in RAM — the graph half of out-of-core runs (``--backend process`` is
+    the propagation-buffer half).
 ``compare``
     Side-by-side method comparison on a labeled dataset (the experiments
     runner, :func:`repro.experiments.run_method_comparison`).
@@ -256,11 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend", choices=("thread", "process"), default=None,
-            help="execution substrate for the parallel stages: 'thread' "
-                 "(default, in-memory) or 'process' (out-of-core: process "
-                 "pools for sampling/aggregation, temp-file memmaps for the "
-                 "propagation buffers); output is bit-identical either way "
-                 "(see docs/performance.md)",
+            help="where the propagation buffers live: 'thread' (default, "
+                 "in RAM) or 'process' (out-of-core: temp-file memmaps); "
+                 "every stage runs on the thread pool and output is "
+                 "bit-identical either way (see docs/performance.md)",
         )
         p.add_argument(
             "--progress", action="store_true",
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser(
         "convert",
         help="convert a graph to the memmappable CSR v2 container "
-             "(required for out-of-core --backend process loads)",
+             "(out-of-core input: --input loads it memmapped)",
     )
     add_graph_arguments(p_conv)
     p_conv.add_argument(

@@ -86,11 +86,11 @@ class LightNEParams:
         there.  Both the sparsifier and the dense kernels are bit-identical
         for every worker count given the same ``seed`` and ``batch_size``.
     backend:
-        Execution substrate: ``"thread"`` (default, all in-RAM) or
-        ``"process"`` — the out-of-core mode: sampling slabs run in worker
-        processes (reopening a memmapped CSR v2 graph when the input was
-        loaded that way) and the filter's ``n×d`` buffers are temp-file
-        memmaps.  Embeddings are bit-identical to the thread backend.
+        Where the propagation buffers live: ``"thread"`` (default, in RAM)
+        or ``"process"`` — the out-of-core residency, in which the
+        Chebyshev filter's ``n×d`` buffers are temp-file memmaps.  Every
+        stage runs on the one thread pool either way, and embeddings are
+        bit-identical across the two.
     precision:
         Dense-kernel dtype policy, ``"single"`` (default) or ``"double"``.
         ``"single"`` is the paper's: its numbers come from MKL's

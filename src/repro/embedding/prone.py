@@ -46,8 +46,8 @@ class ProNEParams:
     (bit-identical at every width) and ``precision`` selects the
     ``"double"``/``"single"`` dtype policy of
     :mod:`repro.linalg.kernels` for factorization and propagation.
-    ``backend="process"`` spills the propagation buffers to temp-file
-    memmaps streamed through the chunked SPMM (bit-identical output).
+    ``backend="process"`` puts the propagation buffers in temp-file
+    memmaps (bit-identical output).
     """
 
     dimension: int = 128

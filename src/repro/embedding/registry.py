@@ -54,7 +54,7 @@ GENERIC_KNOBS: Dict[str, str] = {
     "precision": "precision",
 }
 # Gated the same way without being listed as knobs of their own: the
-# execution substrate accompanies every pool width, and
+# buffer residency (``backend``) accompanies every pool width, and
 # ``sample_multiplier`` is the field-name spelling of ``multiplier``.
 _KNOB_FIELD: Dict[str, str] = {
     **GENERIC_KNOBS,

@@ -25,7 +25,7 @@ class SamplingError(ReproError):
 
 
 class UnsupportedGraphError(ReproError):
-    """The graph shape/weighting is outside what a sparsifier backend serves."""
+    """The graph shape/weighting is outside what the sparsifier serves."""
 
 
 class HashTableFullError(ReproError):
@@ -45,18 +45,8 @@ class NumericalHealthError(ReproError):
     """
 
 
-class WorkerError(ReproError):
-    """A pool worker process died before finishing its task.
-
-    Raised by :func:`repro.utils.parallel.parallel_map` in place of
-    ``concurrent.futures.process.BrokenProcessPool`` (a worker was killed,
-    ran out of memory, or its initializer failed); names the stage label and
-    chains the original exception.
-    """
-
-
 class BackendError(ReproError, ValueError):
-    """An unknown execution-backend name (also a ``ValueError``)."""
+    """An unknown ``backend`` name (also a ``ValueError``)."""
 
 
 class EvaluationError(ReproError):

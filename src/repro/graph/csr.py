@@ -61,10 +61,7 @@ class CSRGraph:
         enforce it.
     """
 
-    __slots__ = (
-        "offsets", "targets", "weights", "_degrees", "_volume", "_op_cache",
-        "mmap_source",
-    )
+    __slots__ = ("offsets", "targets", "weights", "_degrees", "_volume", "_op_cache")
 
     def __init__(
         self,
@@ -90,11 +87,6 @@ class CSRGraph:
         # Derived-operator memo (e.g. the propagation operator keyed by
         # dtype); lazily populated by repro.linalg, never part of equality.
         self._op_cache: Optional[dict] = None
-        # Path of the on-disk CSR v2 container the arrays are memmapped
-        # from, when loaded via repro.graph.io.load_csr(mmap=True).  Lets
-        # process-pool workers reopen the graph from disk instead of
-        # receiving a pickled copy; never part of equality.
-        self.mmap_source: Optional[str] = None
 
     @staticmethod
     def _validate(
@@ -124,6 +116,8 @@ class CSRGraph:
         if weights is not None:
             if weights.shape != targets.shape:
                 raise GraphConstructionError("weights must be parallel to targets")
+            if not np.isfinite(weights).all():
+                raise GraphConstructionError("weights must be finite (no NaN or inf)")
             if np.any(weights < 0):
                 raise GraphConstructionError("weights must be non-negative")
 

@@ -16,9 +16,7 @@ Three formats:
   :func:`load_csr` can open them with ``numpy.load(..., mmap_mode="r")`` and
   hand back a :class:`~repro.graph.csr.CSRGraph` whose offsets/targets/
   weights are disk-backed views — nothing is materialized until a kernel
-  touches the pages.  The path is recorded as ``graph.mmap_source`` so
-  process-pool workers can reopen the same container instead of receiving a
-  pickled copy of the arrays.
+  touches the pages.
 
 v2 layout (``<path>/``)::
 
@@ -383,7 +381,7 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     kernel touches them.  Structural validation against the header (magic,
     dtypes, array lengths) replaces the element-wise :class:`CSRGraph`
     checks, which would otherwise stream every page through memory at load
-    time.  The source directory is recorded as ``graph.mmap_source``.
+    time.
     """
     path = os.fspath(path)
     header_path = os.path.join(path, _HEADER_NAME)
@@ -423,10 +421,7 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
             f"{path}: offsets endpoints {int(offsets[0])}..{int(offsets[-1])} "
             f"inconsistent with header ({directed} directed edges)"
         )
-    graph = CSRGraph(offsets, targets, weights, check=not mmap)
-    if mmap:
-        graph.mmap_source = path
-    return graph
+    return CSRGraph(offsets, targets, weights, check=not mmap)
 
 
 def load_csr(path: PathLike, *, mmap: Optional[bool] = None) -> CSRGraph:

@@ -47,8 +47,8 @@ order — what :func:`aggregate_dict` computes.  :func:`merge_runs` consumes
 runs in slab order and folds when the runs set aside outgrow the running
 reduction — a function of the run lengths alone — adding a key's entries in
 run order within a fold; so for a fixed ``(seed, batch_size)`` a key's value
-is one fixed expression over its samples, whatever the worker count, the
-substrate or the order in which slabs finish.  :func:`aggregate_hash` and
+is one fixed expression over its samples, whatever the worker count or the
+order in which slabs finish.  :func:`aggregate_hash` and
 :func:`aggregate_hash_sharded` sum in stream order *within* each of their
 ``batch_size`` (1 000 000) slices and then add the per-batch partial sums:
 on per-draw streams they equal the sort kernel bit for bit up to one batch
@@ -60,7 +60,6 @@ them, every key occurs once and each returns ``0.0 + x == x``
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -69,7 +68,7 @@ from repro import telemetry
 from repro.errors import SamplingError
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
 from repro.telemetry.metrics import PROBE_BUCKETS
-from repro.utils.parallel import default_workers, parallel_map, resolve_backend
+from repro.utils.parallel import default_workers, parallel_map
 
 Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # Packed keys, strictly increasing, and the sum of each key's samples.
@@ -142,118 +141,6 @@ def aggregate_hash(
     return table.to_pairs(n)
 
 
-# Per-process context for the shared-memory sharded aggregation: the pool
-# initializer attaches the parent's segment once per worker and exposes the
-# packed key/value arrays as zero-copy views; tasks then read only their
-# shard's contiguous slice.
-_SHARD_SHM_CTX: Dict[str, object] = {}
-
-
-def _shard_shm_attach(shm_name: str, total: int) -> None:
-    """Pool initializer: map the parent's (keys, values) segment read-only."""
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _SHARD_SHM_CTX["shm"] = shm
-    _SHARD_SHM_CTX["keys"] = np.ndarray(total, dtype=np.int64, buffer=shm.buf)
-    _SHARD_SHM_CTX["values"] = np.ndarray(
-        total, dtype=np.float64, buffer=shm.buf, offset=8 * total
-    )
-
-
-def _shard_shm_detach() -> None:
-    """Drop the context's views and close the mapping (parent-side cleanup;
-    worker processes just exit)."""
-    shm = _SHARD_SHM_CTX.pop("shm", None)
-    _SHARD_SHM_CTX.clear()
-    if shm is not None:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still alive elsewhere
-            pass
-
-
-def _build_shard_shm(start: int, stop: int, batch_size: int):
-    """Build one shard table from the shared segment's ``[start, stop)`` slice.
-
-    The slice holds that shard's keys in original stream order (the parent
-    stable-sorts by shard id), and batching mirrors the thread path, so the
-    resulting table — and therefore its ``items()`` order — is bit-identical
-    to the closure the thread backend runs.  Returns the compacted
-    ``(keys, values)`` plus (table_bytes, distinct, probe_rounds) telemetry;
-    shipping the compacted items instead of the table keeps the pickled
-    result proportional to the distinct-edge count, not the sample count.
-    """
-    shard_keys = _SHARD_SHM_CTX["keys"][start:stop]
-    shard_values = _SHARD_SHM_CTX["values"][start:stop]
-    # Mirrors the thread path's instrumentation; in a traced pool the
-    # span/metrics come home with the task's result and merge into the
-    # parent trace on the worker's pid lane.
-    with telemetry.span(
-        "aggregate.shard", start=int(start), stop=int(stop),
-        size=int(shard_keys.size),
-    ):
-        table = SparseParallelHashTable(capacity_hint=max(64, shard_keys.size // 4))
-        for batch_start in range(0, shard_keys.size, batch_size):
-            batch_stop = batch_start + batch_size
-            table.add_batch(
-                shard_keys[batch_start:batch_stop],
-                shard_values[batch_start:batch_stop],
-            )
-    _record_table_metrics(table, "shard")
-    out_keys, out_values = table.items()
-    return out_keys, out_values, (
-        table.size_in_bytes(), len(table), table.total_probe_rounds
-    )
-
-
-def _sharded_process_items(
-    keys: np.ndarray,
-    values: np.ndarray,
-    shard_of: np.ndarray,
-    num_shards: int,
-    workers: int,
-    batch_size: int,
-):
-    """Run the shard builds on a process pool via one shared-memory segment.
-
-    Returns per-shard ``(keys, values, stats)`` tuples in shard order.  The
-    parent groups the stream by shard id with a *stable* sort, so each worker
-    sees exactly the sequence the thread path's boolean-mask selection would
-    produce — the determinism contract does not depend on the backend.
-    """
-    order = np.argsort(shard_of, kind="stable")
-    counts = np.bincount(shard_of, minlength=num_shards)
-    bounds = np.zeros(num_shards + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    total = int(keys.size)
-    shm = shared_memory.SharedMemory(create=True, size=16 * total)
-    try:
-        np.ndarray(total, dtype=np.int64, buffer=shm.buf)[:] = keys[order]
-        np.ndarray(total, dtype=np.float64, buffer=shm.buf, offset=8 * total)[:] = (
-            values[order]
-        )
-        args = [
-            (int(bounds[shard]), int(bounds[shard + 1]), batch_size)
-            for shard in range(num_shards)
-        ]
-        try:
-            return parallel_map(
-                _build_shard_shm,
-                args,
-                workers=workers,
-                backend="process",
-                initializer=_shard_shm_attach,
-                initargs=(shm.name, total),
-                label="sparsifier.aggregation",
-            )
-        finally:
-            # The serial fallback runs the initializer in this process; the
-            # pooled path leaves the parent context empty and this is a no-op.
-            _shard_shm_detach()
-    finally:
-        shm.close()
-        shm.unlink()
-
-
 def aggregate_hash_sharded(
     rows,
     cols,
@@ -262,7 +149,6 @@ def aggregate_hash_sharded(
     *,
     num_shards: Optional[int] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     batch_size: int = 1_000_000,
     stats: Optional[Dict[str, float]] = None,
 ) -> Triple:
@@ -282,18 +168,8 @@ def aggregate_hash_sharded(
 
     ``num_shards`` defaults to the resolved worker count; ``workers=None``
     resolves to :func:`repro.utils.parallel.default_workers`.
-
-    ``backend="process"`` builds the shard tables in worker *processes*: the
-    packed keys/values are published once through a
-    ``multiprocessing.shared_memory`` segment (grouped by shard with a stable
-    sort, so each worker reads one contiguous slice), and the compacted
-    per-shard items come back for the same concatenation.  Because each
-    shard table sees the identical key sequence and batch boundaries as the
-    thread path, the output is bit-identical to ``backend="thread"`` at every
-    worker count (for a fixed ``num_shards``).
     """
     rows, cols, values = _as_arrays(rows, cols, values, n)
-    backend = resolve_backend(backend)
     if workers is None:
         workers = default_workers()
     if num_shards is None:
@@ -304,39 +180,26 @@ def aggregate_hash_sharded(
         return rows, cols, values
     keys = rows * np.int64(n) + cols
     shard_of = hash_partition(keys, num_shards)
-    if backend == "process" and workers > 1:
-        shard_items = _sharded_process_items(
-            keys, values, shard_of, num_shards, workers, batch_size
-        )
-    else:
-        def build_shard(
-            shard: int, shard_keys: np.ndarray, shard_values: np.ndarray
-        ):
-            with telemetry.span(
-                "aggregate.shard", shard=shard, keys=int(shard_keys.size)
-            ):
-                table = SparseParallelHashTable(
-                    capacity_hint=max(64, shard_keys.size // 4)
-                )
-                for start in range(0, shard_keys.size, batch_size):
-                    stop = start + batch_size
-                    table.add_batch(
-                        shard_keys[start:stop], shard_values[start:stop]
-                    )
-            _record_table_metrics(table, "shard")
-            out_keys, out_values = table.items()
-            return out_keys, out_values, (
-                table.size_in_bytes(), len(table), table.total_probe_rounds
-            )
 
-        args = []
-        for shard in range(num_shards):
-            members = shard_of == shard
-            args.append((shard, keys[members], values[members]))
-        shard_items = parallel_map(
-            build_shard, args, workers=workers, label="sparsifier.aggregation"
+    def build_shard(shard: int, shard_keys: np.ndarray, shard_values: np.ndarray):
+        with telemetry.span("aggregate.shard", shard=shard, keys=int(shard_keys.size)):
+            table = SparseParallelHashTable(capacity_hint=max(64, shard_keys.size // 4))
+            for start in range(0, shard_keys.size, batch_size):
+                stop = start + batch_size
+                table.add_batch(shard_keys[start:stop], shard_values[start:stop])
+        _record_table_metrics(table, "shard")
+        out_keys, out_values = table.items()
+        return out_keys, out_values, (
+            table.size_in_bytes(), len(table), table.total_probe_rounds
         )
 
+    args = []
+    for shard in range(num_shards):
+        members = shard_of == shard
+        args.append((shard, keys[members], values[members]))
+    shard_items = parallel_map(
+        build_shard, args, workers=workers, label="sparsifier.aggregation"
+    )
     keys = np.concatenate([item[0] for item in shard_items])
     values = np.concatenate([item[1] for item in shard_items])
     if stats is not None:

@@ -59,7 +59,7 @@ The ``"sparsifier"`` stage has one body, :func:`build_sparsifier`, and one
 sampler, the Monte-Carlo estimator derived above
 (:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`,
 Algorithm 2, which states its stats and its bit-identity across worker
-counts and substrates).  The sampler folds each draw into its unordered
+counts).  The sampler folds each draw into its unordered
 pair exactly once and hands over the *reduced* upper triangle — distinct
 pairs ``rows <= cols`` in increasing ``row·n + col`` order with their summed
 weights, ``M = draws`` realized — so the stage runs no aggregation pass of
@@ -159,12 +159,21 @@ def validate_sparsifier_graph(graph: CSRGraph) -> bool:
     weight-aware seeding / weighted degrees) and ``False`` for the plain
     unweighted case.  Weighted graphs with zero-weight edges raise
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
-    the estimator's seeding and downsampling laws degenerate there.
+    the estimator's seeding and downsampling laws degenerate there — and so
+    do NaN or infinite weights, which memmapped loads do not check.
     """
     weights = graph.weights
     if weights is None:
         return False
-    if weights.size and float(weights.min()) <= 0.0:
+    if not weights.size:
+        return True
+    # NaN propagates through min/max, so two reductions see every bad value.
+    low, high = float(weights.min()), float(weights.max())
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise UnsupportedGraphError(
+            "the sparsifier requires finite edge weights (got NaN or inf)"
+        )
+    if low <= 0.0:
         raise UnsupportedGraphError(
             "the sparsifier requires strictly positive edge weights on "
             "weighted graphs (zero-weight edges cannot be seeded and break "
@@ -198,24 +207,22 @@ def aggregate_sample_counts(
     stream arrives reduced (:func:`aggregate_to_counts`).
 
     ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
-    serial pass in the parent, ``workers``/``backend`` not consulted, output
-    in row-major key order), or one of the §4.2 ablation variants:
-    ``"hash"`` (shared-table, serial in the parent so the result is
-    identical across execution backends) and ``"hash-sharded"`` (fixed
-    8-shard key partition mapped onto the worker pool — threads or
-    shared-memory processes).
+    serial pass, ``workers`` not consulted, output in row-major key order),
+    or one of the §4.2 ablation variants: ``"hash"`` (shared table, serial)
+    and ``"hash-sharded"`` (fixed 8-shard key partition mapped onto the
+    thread pool).
     """
     check_aggregator(aggregator)
+    # Checked only: the frozen benchmark replay still passes it.
+    resolve_backend(backend)
     if aggregator == "hash":
         return aggregate_hash(u, v, w, n, stats=stats)
     if aggregator == "hash-sharded":
         # Fixed shard count: the decomposition (and hence the fp summation
         # order) must not depend on ``workers``, mirroring the batch_size
-        # design in sampling.  Workers only map shards to threads (or
-        # processes).
+        # design in sampling.  Workers only map shards to threads.
         return aggregate_hash_sharded(
-            u, v, w, n, workers=workers, num_shards=8,
-            backend=backend, stats=stats,
+            u, v, w, n, workers=workers, num_shards=8, stats=stats
         )
     return aggregate_sort(u, v, w, n, stats=stats)
 
@@ -284,11 +291,9 @@ def build_sparsifier(
         and ``batch_size`` the result is bit-identical for every worker
         count.
     backend:
-        Execution substrate, ``"thread"`` (default) or ``"process"``
-        (out-of-core mode: sampling slabs run in worker processes that
-        reopen a memmapped graph).  Both backends keep the same slab
-        decomposition and therefore the same bits — see
-        :func:`repro.sparsifier.path_sampling.sample_sparsifier_edges`.
+        ``"thread"`` (default) or ``"process"``; validated and recorded on
+        the stage span.  Sampling runs on the thread pool either way (the
+        name decides where the pipeline's propagation buffers live).
     batch_size:
         Draws (before the coin) per sampling slab.  The stage holds about
         ``13·workers·batch_size·8 B`` of slab workspace plus ``~6·nnz·16 B``

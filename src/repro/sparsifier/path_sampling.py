@@ -23,7 +23,7 @@ follows the slab and the sparsifier's distinct pairs, not the draw budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -134,65 +134,6 @@ def _weighted_sample_counts(
     base = np.floor(expectation).astype(np.int64)
     frac = expectation - base
     return base + (rng.random(edge_weights.size) < frac)
-
-
-# The walk context a pool worker's initializer built (``None`` in every other
-# process): tasks then pickle only their slab and its RNG stream.
-_WORKER_CONTEXT = None
-
-
-def _worker_init(graph_spec: tuple, config: PathSamplingConfig) -> None:
-    """Pool initializer: open the graph and build this worker's context.
-
-    ``("mmap", path)`` reopens the CSR v2 container memmapped, so every
-    worker shares the page cache instead of holding a private copy of the
-    graph; ``("pickle", graph)`` is one pickled copy per worker.
-    """
-    global _WORKER_CONTEXT
-    kind, graph = graph_spec
-    if kind == "mmap":
-        from repro.graph.io import load_csr
-
-        graph = load_csr(graph)
-    _WORKER_CONTEXT = _walk_context(graph, config)
-
-
-def _worker_walk(*slab):
-    return _WORKER_CONTEXT.walk(*slab)
-
-
-def walk_slabs(
-    context: _WalkContext,
-    config: PathSamplingConfig,
-    slabs: Sequence[tuple],
-    *,
-    workers: int,
-    backend: str,
-) -> Iterator:
-    """``walk(*slab)`` for every slab, yielded in slab order with at most
-    ``2·workers`` slabs walked and not yet consumed.
-
-    One task function serves both substrates.  Threads (and the serial
-    loop) call it on ``context``; ``backend="process"`` calls it on the
-    context each pool worker built for itself from the graph and ``config``
-    (:func:`_worker_init`).  A context is a pure function of the two, so a
-    slab gives the same bits wherever it runs.
-    """
-    graph = context.graph
-    if backend == "process" and workers > 1 and len(slabs) > 1:
-        spec = (
-            ("mmap", graph.mmap_source) if graph.mmap_source
-            else ("pickle", graph)
-        )
-        return parallel_imap(
-            _worker_walk, slabs, workers=workers, backend="process",
-            initializer=_worker_init, initargs=(spec, config),
-            label="sparsifier.sampling", window=2 * workers,
-        )
-    return parallel_imap(
-        context.walk, slabs, workers=workers, label="sparsifier.sampling",
-        window=2 * workers,
-    )
 
 
 @dataclass(frozen=True)
@@ -342,18 +283,14 @@ def sample_sparsifier_edges(
     resident is therefore about ``13·workers·batch_size·8 B`` of slab
     workspace plus ``~6·nnz·16 B`` of runs — it follows the sparsifier's
     distinct pairs, not ``M`` — and for a fixed ``seed`` and ``batch_size``
-    the output is bit-identical for every worker count, substrate and
-    completion order.  ``workers=None`` resolves to
+    the output is bit-identical for every worker count and completion
+    order.  ``workers=None`` resolves to
     :func:`repro.utils.parallel.default_workers`.
 
     Slabs run on a thread pool when ``workers > 1`` (numpy walk kernels
     release the GIL — the Python analog of the paper's parallel
-    ``MapEdges``).  ``backend="process"`` walks them in worker *processes*
-    instead: each worker rebuilds the sampling context once via a pool
-    initializer — reopening the graph's CSR v2 container memmapped when the
-    graph was loaded with ``mmap`` (``graph.mmap_source``), falling back to
-    one pickled copy otherwise — and a task ships its range's ``n_e`` and
-    RNG stream out and its run (16 B per distinct pair) back.
+    ``MapEdges``).  ``backend`` is validated and recorded in ``stats``; it
+    selects nothing here (it decides where the propagation buffers live).
 
     ``stats``, when given, receives the per-draw counters — realized
     ``draws``, ``walk_samples`` (draws that survived the coin), ``batches``,
@@ -365,6 +302,7 @@ def sample_sparsifier_edges(
     registry.
     """
     rng = ensure_rng(seed)
+    # Checked and recorded only: the frozen benchmark replay still passes it.
     backend = resolve_backend(backend)
     if workers is None:
         workers = default_workers()
@@ -399,8 +337,9 @@ def sample_sparsifier_edges(
             in enumerate(zip(bounds, bounds[1:], slab_rngs))
         ]
         tally["batches"] = len(slabs)
-        for run, survivors in walk_slabs(
-            context, config, slabs, workers=workers, backend=backend
+        for run, survivors in parallel_imap(
+            context.walk, slabs, workers=workers,
+            label="sparsifier.sampling", window=2 * workers,
         ):
             tally["walk_samples"] += survivors
             yield run

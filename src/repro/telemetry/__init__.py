@@ -13,11 +13,6 @@ The observability substrate for the whole pipeline (see
   view of them, tracing on or off) and its metrics are its own;
 * **Memory** (:mod:`repro.telemetry.memory`) — a background RSS /
   ``tracemalloc`` peak sampler attachable to any span;
-* **Workers** (:mod:`repro.telemetry.worker`) — the cross-process layer:
-  each process-pool task returns a report of the spans, metrics and memory
-  its worker recorded along with its result, and the parent merges it into
-  the main tracer and registry (clock-corrected, per-pid Perfetto lanes) as
-  the result is yielded;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
   progress counted from task completions (the CLI's ``--progress`` flag).
 
@@ -106,7 +101,6 @@ from repro.telemetry.health import (
 # set_policy(...)`` works without a separate import.
 from repro.telemetry import health
 from repro.telemetry import progress
-from repro.telemetry import worker
 
 __all__ = [
     # tracer
@@ -155,7 +149,5 @@ __all__ = [
     "digest_dense",
     "fingerprint",
     "health",
-    # cross-process layer
     "progress",
-    "worker",
 ]

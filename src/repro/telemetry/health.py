@@ -21,9 +21,9 @@ the pipeline rests on get explicit probes:
 
 Digest machinery respects the library's determinism contract: canonical
 byte encodings (C-contiguous, native-endian, CSR with sorted indices and
-summed duplicates) mean bit-identical stage outputs — which PRs 1–9
-guarantee at every ``workers`` count on both execution substrates — hash to
-identical digests.
+summed duplicates) mean bit-identical stage outputs — which the library
+guarantees at every ``workers`` count and both ``backend`` residencies —
+hash to identical digests.
 
 Policy
 ------

@@ -383,61 +383,6 @@ def _registry_stage_order(method: str) -> Tuple[str, ...]:
         return ()
 
 
-WORKER_SECONDS_PREFIX = "worker.seconds."
-
-
-def _worker_stage_seconds(metrics: Mapping[str, object]) -> Dict[str, float]:
-    """Merged worker span-seconds, keyed ``worker.<span name>``.
-
-    These come from the cross-process merge
-    (:meth:`repro.telemetry.worker.Collector.finish` publishes per-span-name
-    ``worker.seconds.*`` counters) and are recorded as *extra* stage rows —
-    never folded into ``total_s``, which stays the parent's wall-clock sum
-    (worker seconds overlap it).
-    """
-    counters = metrics.get("counters", {})
-    stages: Dict[str, float] = {}
-    if isinstance(counters, Mapping):
-        for name, value in counters.items():
-            if not str(name).startswith(WORKER_SECONDS_PREFIX):
-                continue
-            try:
-                seconds = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                continue
-            stages[f"worker.{str(name)[len(WORKER_SECONDS_PREFIX):]}"] = seconds
-    return stages
-
-
-def _worker_memory_extra(metrics: Mapping[str, object]) -> Dict[str, object]:
-    """Per-worker peak memory gauges, compacted for the ``extra`` field."""
-    gauges = metrics.get("gauges", {})
-    out: Dict[str, object] = {}
-    if not isinstance(gauges, Mapping):
-        return out
-    peaks: List[Tuple[int, int]] = []
-    for name, reading in gauges.items():
-        name = str(name)
-        if not (
-            name.startswith("parallel.worker.")
-            and name.endswith(".rss_peak_bytes")
-        ):
-            continue
-        if not isinstance(reading, Mapping) or reading.get("max") is None:
-            continue
-        try:
-            index = int(name.split(".")[2])
-            peaks.append((index, int(reading["max"])))  # type: ignore[arg-type]
-        except (TypeError, ValueError, IndexError):
-            continue
-    if peaks:
-        out["worker_rss_peak_bytes"] = [v for _, v in sorted(peaks)]
-    fleet = gauges.get("parallel.worker_rss_peak_bytes")
-    if isinstance(fleet, Mapping) and fleet.get("max") is not None:
-        out["worker_rss_peak_max_bytes"] = int(fleet["max"])  # type: ignore[arg-type]
-    return out
-
-
 def build_record(
     result,
     *,
@@ -453,10 +398,8 @@ def build_record(
     declared stage order** (Table 5 columns), so cross-run diffs line up
     column-for-column regardless of the order stages happened to execute.
     ``peak_rss_bytes`` is the process's OS lifetime peak at record time.
-    Process-backend runs with telemetry on additionally carry merged worker
-    stage-seconds as ``worker.<name>`` stage rows and per-worker peak RSS
-    under ``extra``; the resolved worker count and backend are recorded in
-    ``extra`` for *every* run, telemetry or not.
+    The resolved worker count and backend are recorded in ``extra`` for
+    *every* run, telemetry or not.
     """
     info = dict(getattr(result, "info", {}) or {})
     env = info.get("env") or collect_fingerprint()
@@ -472,9 +415,7 @@ def build_record(
         name: float(secs)
         for name, secs in result.timer.ordered_stages(order).items()
     }
-    stages.update(_worker_stage_seconds(raw_metrics))
     record_extra = dict(extra or {})
-    record_extra.update(_worker_memory_extra(raw_metrics))
     if "backend" not in record_extra:
         record_extra["backend"] = str(
             info.get("resolved_backend") or params.get("backend") or "thread"

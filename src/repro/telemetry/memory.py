@@ -82,20 +82,6 @@ def peak_rss_bytes() -> Optional[int]:
     return int(peak) * 1024
 
 
-def process_memory_snapshot() -> dict:
-    """Current RSS, lifetime peak RSS and anonymous bytes of *this* process.
-
-    The figure a traced pool worker reports with each task's result (see
-    :mod:`repro.telemetry.worker`); ``None`` values mean the
-    platform exposes no reading for that field.
-    """
-    return {
-        "rss_bytes": current_rss_bytes(),
-        "rss_peak_bytes": peak_rss_bytes(),
-        "anon_bytes": current_anon_bytes(),
-    }
-
-
 @dataclass
 class MemoryProfile:
     """What a sampling window observed.

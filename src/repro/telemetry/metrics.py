@@ -179,8 +179,8 @@ class Histogram:
     def merge(self, snapshot: Mapping[str, object]) -> None:
         """Fold another histogram's :meth:`snapshot` into this one.
 
-        The cross-process aggregation primitive: worker registries snapshot
-        their histograms into each task's report and the parent merges them
+        The aggregation primitive of :meth:`MetricsRegistry.roll_up`: a
+        finished run's histograms merge into the enclosing registry
         bucket-wise.  Bucket bounds must match exactly (same instrument name
         implies same bounds under the fixed-bucket scheme); a mismatch
         raises rather than silently misbinning.
@@ -308,11 +308,9 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Mapping[str, object]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        The parent-side half of cross-process metric aggregation, with the
-        semantics each instrument kind calls for: counters **sum** (totals
-        across processes), gauges take the **max** (peak semantics — the
-        interesting gauges are peaks; a worker's last load factor is not
-        meaningfully "later" than the parent's), histograms merge
+        With the semantics each instrument kind calls for: counters **sum**
+        (totals across registries), gauges take the **max** (peak semantics
+        — the interesting gauges are peaks), histograms merge
         **bucket-wise**.  A malformed instrument is skipped with a warning
         instead of poisoning the rest of the merge.
         """

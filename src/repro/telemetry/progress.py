@@ -1,9 +1,8 @@
 """Single-line terminal progress rendering (the CLI's ``--progress`` flag).
 
 Progress has one source: :func:`repro.utils.parallel.parallel_imap` counts
-each completed task of its ``label`` in the process that runs the stage
-(pool futures on both backends, the serial loop too), and the propagation
-stage counts its Chebyshev terms the same way.
+each completed task of its ``label`` (pool futures and the serial loop
+alike), and the propagation stage counts its Chebyshev terms the same way.
 
 Rendering is deliberately dumb: one ``\\r``-rewritten stderr line per
 active stage, throttled to ~10 Hz, with a newline once a stage with a

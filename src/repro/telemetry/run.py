@@ -30,8 +30,8 @@ def run_scope(name: str, **attributes: object) -> Iterator[Span]:
     """Root a pipeline run in a span named ``name``; yields that span.
 
     With telemetry enabled the span's ``metrics`` is a registry of the run's
-    own — what it counts, pool threads and merged worker reports included
-    (they inherit it through span parenting), is readable per run — rolled
+    own — what it counts, pool threads included (they inherit it through
+    span parenting), is readable per run — rolled
     up into the enclosing registry when the run ends.
     """
     installed = _tracer.get_tracer()

@@ -172,13 +172,9 @@ class Tracer:
         self.roots: List[Span] = []
         self._next_id = 0
         # Epochs pair a wall-clock anchor with the perf_counter origin so
-        # exported timestamps are stable within the trace — and so a pool
-        # worker's monotonic clock can be mapped onto this tracer's
-        # (see repro.telemetry.worker.clock_offset).
+        # exported timestamps are stable within the trace.
         self.epoch_wall = time.time()
         self.epoch_perf = time.perf_counter()
-        # Human-readable Perfetto lane names, keyed by OS pid.
-        self.process_labels: Dict[int, str] = {os.getpid(): "main"}
 
     # ---------------------------------------------------------- span control
     def span(self, name: str, **attributes: object) -> Span:
@@ -192,41 +188,6 @@ class Tracer:
         if not stack:
             return None
         return stack[-1]
-
-    def set_process_label(self, pid: int, label: str) -> None:
-        """Name the Perfetto lane of ``pid`` (``process_name`` metadata)."""
-        with self._lock:
-            self.process_labels[int(pid)] = label
-
-    def add_merged_span(
-        self,
-        name: str,
-        *,
-        start: float,
-        end: float,
-        pid: int,
-        tid: int = 0,
-        thread_name: str = "",
-        attributes: Optional[Dict[str, object]] = None,
-        parent: Optional[Span] = None,
-    ) -> Span:
-        """Register an already-finished span recorded in another process.
-
-        :func:`repro.telemetry.worker.graft_spans` uses this to graft worker
-        span trees into the parent's trace: timestamps must already be
-        expressed on *this* tracer's ``perf_counter`` timeline (see
-        :func:`repro.telemetry.worker.clock_offset`).  The span is appended
-        to the tree but never touches any thread's current-span stack.
-        """
-        span = Span(self, name, attributes)
-        span.parent = parent
-        span.start = float(start)
-        span.end = float(end)
-        span.pid = int(pid)
-        span.thread_id = int(tid)
-        span.thread_name = thread_name
-        self._register(span)
-        return span
 
     def _push(self, span: Span) -> None:
         stack = getattr(self._local, "stack", None)
@@ -289,19 +250,15 @@ class Tracer:
     def to_chrome_trace(self) -> dict:
         """The trace in Chrome trace-event format (Perfetto-loadable).
 
-        Spans carry the pid of the process that recorded them (merged
-        worker spans keep their worker pid), so a cross-process trace
-        renders as one lane group per process.  ``process_name`` /
-        ``thread_name`` metadata events label every (pid, tid) lane —
-        Perfetto shows "main" / "worker (pid N)" instead of raw numbers.
+        ``process_name`` / ``thread_name`` metadata events label the lanes:
+        Perfetto shows "main" and the thread names instead of raw numbers.
         """
-        own_pid = os.getpid()
+        pid = os.getpid()
         now = time.perf_counter()
         events: List[dict] = []
-        threads: Dict[tuple, str] = {}
+        threads: Dict[int, str] = {}
         for span in self.iter_spans():
             end = span.end if span.end is not None else now
-            pid = span.pid or own_pid
             events.append(
                 {
                     "name": span.name,
@@ -309,39 +266,17 @@ class Tracer:
                     "ph": "X",
                     "ts": (span.start - self.epoch_perf) * 1e6,
                     "dur": max(0.0, (end - span.start) * 1e6),
-                    "pid": pid,
+                    "pid": span.pid,
                     "tid": span.thread_id,
                     "args": {
                         k: _json_safe(v) for k, v in span.attributes.items()
                     },
                 }
             )
-            threads.setdefault((pid, span.thread_id), span.thread_name)
-        with self._lock:
-            labels = dict(self.process_labels)
-        pids = sorted({pid for pid, _ in threads} | {own_pid})
-        metadata: List[dict] = []
-        for index, pid in enumerate(pids):
-            label = labels.get(pid) or (
-                "main" if pid == own_pid else f"worker (pid {pid})"
-            )
-            metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": label},
-                }
-            )
-            # Keep the parent process on top in Perfetto's lane ordering.
-            metadata.append(
-                {
-                    "name": "process_sort_index",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"sort_index": 0 if pid == own_pid else index + 1},
-                }
-            )
+            threads.setdefault(span.thread_id, span.thread_name)
+        metadata: List[dict] = [
+            {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": "main"}}
+        ]
         metadata.extend(
             {
                 "name": "thread_name",
@@ -350,7 +285,7 @@ class Tracer:
                 "tid": tid,
                 "args": {"name": tname or f"thread-{tid}"},
             }
-            for (pid, tid), tname in sorted(threads.items())
+            for tid, tname in sorted(threads.items())
         )
         return {
             "traceEvents": metadata + events,

@@ -7,35 +7,21 @@ space into contiguous chunks, run a vectorized kernel per chunk, optionally
 on a thread pool.  ``parallel_map`` degrades gracefully to a serial loop when
 ``workers <= 1``, which keeps unit tests deterministic and cheap.
 
-Two execution backends are offered:
+Threads are the one substrate, as in the paper's shared-memory system, so a
+task may close over in-process state.  Out-of-core execution is a residency
+decision (memmapped graphs, file-backed propagation buffers), not a second
+substrate.
 
-* ``backend="thread"`` (default) — a ``ThreadPoolExecutor``.  Right for
-  numpy-kernel-dominated tasks (the kernels release the GIL) and for tasks
-  that close over in-process state.
-* ``backend="process"`` — a ``ProcessPoolExecutor``.  Escapes the GIL for
-  Python-side batching entirely and keeps large per-task temporaries in the
-  worker processes' address spaces (the out-of-core execution mode's
-  substrate).  Tasks and their arguments must be picklable; module-level
-  functions only, no closures.  ``initializer``/``initargs`` ship per-worker
-  context (a memmap path, big read-only arrays) once per worker instead of
-  once per task.
-
-Failure semantics (both backends): the first task that raises wins — every
-not-yet-started task is cancelled, the pool is torn down, and the original
-exception is re-raised.  A worker *process* that dies (killed, out of memory,
-failed initializer) surfaces as a typed :class:`~repro.errors.WorkerError`
-naming ``label``.
+Failure semantics: the first task that raises wins — every not-yet-started
+task is cancelled, the pool is torn down, and the original exception is
+re-raised.
 
 Observability: ``parallel_map`` owns span parenting.  Whatever a task records
 — spans, and through them the metrics of the enclosing pipeline run — lands
 under the submitting thread's current span: pool threads run each task under
-:func:`repro.telemetry.adopt`, and with tracing on a process pool runs each
-task as :func:`repro.telemetry.worker.run_task`, whose report of the worker's
-spans, metrics and memory comes back with the result and is merged under that
-same span as the result is yielded.  ``label`` names the stage for progress
-lines (counted from completions in this process, serial path included) and
-worker Perfetto lanes; with tracing and progress off all of it is one gated
-call.
+:func:`repro.telemetry.adopt`.  ``label`` names the stage for progress lines
+(counted from completions, serial path included); with tracing and progress
+off all of it is one gated call.
 
 Thread budget: numpy's BLAS keeps a thread pool of its own.  Where this
 module's pool runs the big products — the dense stages' sparse products —
@@ -53,19 +39,13 @@ import ctypes
 import os
 import threading
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing, contextmanager
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry
-from repro.errors import BackendError, WorkerError
+from repro.errors import BackendError
 
 T = TypeVar("T")
 
@@ -184,10 +164,12 @@ def single_blas_thread() -> Iterator[None]:
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Validate and normalize an execution-backend name.
+    """Validate and normalize a ``backend`` name.
 
     ``None`` means "the default" (``"thread"``); anything else must be one of
-    :data:`BACKENDS`.
+    :data:`BACKENDS`.  The name picks where the Chebyshev filter's buffers
+    live (``"process"``: temp-file memmaps), never the pool: every pool in
+    the library is a thread pool.
     """
     if backend is None:
         return "thread"
@@ -295,14 +277,11 @@ def parallel_imap(
     argument_tuples: Sequence[tuple],
     *,
     workers: int = 1,
-    backend: str = "thread",
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
     label: Optional[str] = None,
     window: Optional[int] = None,
 ) -> Iterator[T]:
     """Yield ``func(*args)`` for every tuple in input order, serially or from
-    a worker pool — the body of :func:`parallel_map`, as a generator.
+    a thread pool — the body of :func:`parallel_map`, as a generator.
 
     ``window`` bounds how many tasks are submitted and not yet yielded
     (``None``: all of them up front), so a consumer that reduces results as
@@ -311,67 +290,20 @@ def parallel_imap(
     pool lives until the generator is exhausted or closed.  Every other
     parameter is :func:`parallel_map`'s.
     """
-    backend = resolve_backend(backend)
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(argument_tuples) <= 1:
         on_done = _track_progress(label, len(argument_tuples))
-        if initializer is not None:
-            initializer(*initargs)
         for args in argument_tuples:
             result = func(*args)
             if on_done is not None:
                 on_done()
             yield result
         return
-    if backend == "process":
-        # With tracing on, every task returns (result, report): the worker's
-        # spans and metrics come home on the result pipe and are merged here
-        # as each result is yielded.
-        collector = (
-            telemetry.worker.Collector(label or "parallel")
-            if telemetry.is_enabled() else None
-        )
-        if collector is not None:
-            initializer, initargs = (
-                telemetry.worker.init_worker, (initializer, tuple(initargs))
-            )
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(argument_tuples)),
-            initializer=initializer,
-            initargs=initargs,
-        )
-        if collector is None:
-            def submit(args):
-                return pool.submit(func, *args)
-        else:
-            def submit(args):
-                return pool.submit(telemetry.worker.run_task, func, tuple(args))
-        try:
-            with pool, closing(_ordered_results(
-                pool, submit, argument_tuples, window, label
-            )) as results:
-                for result in results:
-                    if collector is not None:
-                        result, report = result
-                        collector.add(report)
-                    yield result
-        except BrokenProcessPool as exc:
-            raise WorkerError(
-                f"{label or 'parallel'}: a pool worker process died before "
-                f"finishing its task ({exc})"
-            ) from exc
-        finally:
-            if collector is not None:
-                collector.finish()
-        return
     # Pool threads start with no current span: run each task under the
     # submitter's, so its spans and metrics land where a serial loop's would.
     parent = telemetry.current_span()
-    pool = ThreadPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    )
-    with pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from _ordered_results(
             pool,
             lambda args: pool.submit(_run_adopted, parent, func, *args),
@@ -384,12 +316,9 @@ def parallel_map(
     argument_tuples: Sequence[tuple],
     *,
     workers: int = 1,
-    backend: str = "thread",
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
     label: Optional[str] = None,
 ) -> List[T]:
-    """Apply ``func(*args)`` for every tuple, serially or on a worker pool.
+    """Apply ``func(*args)`` for every tuple, serially or on a thread pool.
 
     Results are returned in input order regardless of completion order.
 
@@ -397,23 +326,11 @@ def parallel_map(
     ----------
     workers:
         Pool width; ``None`` resolves to :func:`default_workers`, ``<= 1``
-        runs a plain serial loop (after running ``initializer`` once, so the
-        serial path sees the same per-worker context).
-    backend:
-        ``"thread"`` (default) or ``"process"`` — see the module docstring.
-        Process tasks must be picklable module-level callables.
-    initializer / initargs:
-        Run once in every worker before any task (both backends; the serial
-        path calls it inline).  The process backend uses this to ship
-        per-worker context — e.g. a memmap path reopened in each child —
-        once per worker instead of once per task.
+        runs a plain serial loop.
     label:
-        Stage name for observability: progress lines (``--progress``) and
-        worker trace lanes.  ``None`` opts the call out of progress
-        rendering (a traced process pool still reports its workers' spans,
-        under the generic ``"parallel"`` label).
+        Stage name for progress lines (``--progress``).  ``None`` opts the
+        call out of progress rendering.
     """
     return list(parallel_imap(
-        func, argument_tuples, workers=workers, backend=backend,
-        initializer=initializer, initargs=initargs, label=label,
+        func, argument_tuples, workers=workers, label=label,
     ))

@@ -37,10 +37,9 @@ def stage_table():
         tracer = Tracer()
         clock = 0.0
         for name, seconds, *attributes in rows:
-            tracer.add_merged_span(
-                name, start=clock, end=clock + seconds, pid=0,
-                attributes=attributes[0] if attributes else None,
-            )
+            with tracer.span(name, **(attributes[0] if attributes else {})) as span:
+                pass
+            span.start, span.end = clock, clock + seconds
             clock += seconds
         return StageTable(tracer.roots)
 

@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             CSRGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(GraphConstructionError, match="finite"):
+            CSRGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([bad, 1.0]))
+
     def test_empty_offsets_rejected(self):
         with pytest.raises(GraphConstructionError):
             CSRGraph(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

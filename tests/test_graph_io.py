@@ -67,6 +67,13 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "nonfinite.edges"
+        path.write_text(f"0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(GraphConstructionError, match="finite"):
+            read_edge_list(path)
+
     def test_mixed_weighted_rejected(self, tmp_path):
         path = tmp_path / "mixed.edges"
         path.write_text("0 1\n1 2 3.0\n")
@@ -157,13 +164,11 @@ class TestCSRv2:
         path = self._save(tmp_path, er_graph)
         g = load_csr_v2(path, mmap=True)
         assert _disk_backed(g.offsets) and _disk_backed(g.targets)
-        assert g.mmap_source == str(path)
 
     def test_materialized_load(self, tmp_path, er_graph):
         path = self._save(tmp_path, er_graph)
         g = load_csr_v2(path, mmap=False)
         assert not _disk_backed(g.offsets)
-        assert g.mmap_source is None
 
     def test_load_csr_dispatches_to_v2(self, tmp_path, er_graph):
         path = self._save(tmp_path, er_graph)

@@ -219,7 +219,8 @@ def test_deleted_api_stays_deleted(capsys):
     sketch, no ``sketchne``, no ``--factorizer``), downsampled
     PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch) and
     the whole-graph embedding the one workflow (no streaming refresh, no
-    partition-then-embed, no ``lightne stream``, one walk step)."""
+    partition-then-embed, no ``lightne stream``, one walk step) and threads
+    the one substrate (no process pool, no worker telemetry)."""
     import numpy as np
 
     import repro
@@ -241,7 +242,7 @@ def test_deleted_api_stays_deleted(capsys):
                  "repro.utils.validation",
                  "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis",
                  "repro.streaming", "repro.graph.partition",
-                 "repro.graph.transforms"):
+                 "repro.graph.transforms", "repro.telemetry.worker"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
     for module in (repro, repro.graph):
@@ -264,6 +265,16 @@ def test_deleted_api_stays_deleted(capsys):
         for name in ("SPARSIFIER_SAMPLERS", "build_netmf_sparsifier",
                      "sparsifier_backend_names", "sample_ppr_counts"):
             assert not hasattr(module, name), (module.__name__, name)
+    import repro.errors
+    from repro.graph.csr import CSRGraph
+    from repro.utils.parallel import parallel_map
+
+    assert not hasattr(repro.errors, "WorkerError")
+    assert not hasattr(CSRGraph, "mmap_source")
+    assert not hasattr(from_edges([0], [1]), "mmap_source")
+    for knob in ({"initializer": print}, {"backend": "thread"}):
+        with pytest.raises(TypeError):
+            parallel_map(abs, [(-1,)], **knob)
     assert "sparsifier" not in {f.name for f in dataclasses.fields(LightNEParams)}
     assert "sparsifier" not in GENERIC_KNOBS
     with pytest.raises(MethodParameterError):

@@ -362,37 +362,6 @@ class TestShardedAggregation:
                 np.array([0]), np.array([0]), np.array([1.0]), 2, num_shards=0
             )
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_backend_bit_identical(self, rng, workers):
-        # The shared-memory process path must reproduce the thread path's
-        # output bit for bit at every worker count.
-        n = 50
-        rows = rng.integers(0, n, size=3000)
-        cols = rng.integers(0, n, size=3000)
-        values = rng.random(3000)
-        reference = aggregate_hash_sharded(
-            rows, cols, values, n, num_shards=4, workers=2, backend="thread"
-        )
-        got = aggregate_hash_sharded(
-            rows, cols, values, n, num_shards=4, workers=workers,
-            backend="process",
-        )
-        for a, b in zip(got, reference):
-            np.testing.assert_array_equal(a, b)
-
-    def test_process_backend_stats(self, rng):
-        n = 30
-        rows = rng.integers(0, n, size=1000)
-        cols = rng.integers(0, n, size=1000)
-        stats = {}
-        r, _, _ = aggregate_hash_sharded(
-            rows, cols, np.ones(1000), n, num_shards=4, workers=2,
-            backend="process", stats=stats,
-        )
-        assert stats["num_shards"] == 4
-        assert stats["distinct"] == r.size
-        assert stats["peak_table_bytes"] > 0
-
     def test_hash_stats_recorded(self, rng):
         stats = {}
         r, _, _ = aggregate_hash(

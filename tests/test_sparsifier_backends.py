@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.errors import GraphConstructionError, UnsupportedGraphError
 from repro.graph.builders import from_bipartite_edges, from_edges
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.sparsifier.builder import build_sparsifier, validate_sparsifier_graph
 from repro.sparsifier.path_sampling import PathSamplingConfig, sample_sparsifier_edges
@@ -100,6 +101,17 @@ class TestWeightedGraphs:
         config = PathSamplingConfig(window=2, num_samples=500)
         with pytest.raises(UnsupportedGraphError):
             build_sparsifier(g, config, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected_before_sampling(self, bad):
+        # An unchecked graph (as a memmapped CSR v2 load builds) must fail
+        # with the library's error, not deep inside numpy's sampler.
+        g = erdos_renyi_graph(200, 0.05, seed=0)
+        weights = np.ones(g.targets.size)
+        weights[[0, 1, 7, 9]] = bad
+        unchecked = CSRGraph(g.offsets, g.targets, weights, check=False)
+        with pytest.raises(UnsupportedGraphError, match="finite"):
+            lightne_embedding(unchecked, LightNEParams(dimension=8), seed=0)
 
     def test_weighted_end_to_end(self):
         rng = np.random.default_rng(3)

@@ -8,23 +8,20 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.telemetry import StageTable, Tracer
 from repro.utils.parallel import (
-    BACKENDS,
     chunk_ranges,
     default_workers,
     parallel_imap,
     parallel_map,
     resolve_backend,
 )
+from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs
 
 
-# Module-level so the process backend can pickle them.
 def _double(x):
     return x * 2
-
-
-def _add(a, b):
-    return a + b
 
 
 def _boom(x):
@@ -32,20 +29,6 @@ def _boom(x):
         raise RuntimeError("worker failure")
     time.sleep(0.01)
     return x
-
-
-_INIT_STATE = {}
-
-
-def _remember(tag):
-    _INIT_STATE["tag"] = tag
-
-
-def _read_tag(_):
-    return _INIT_STATE.get("tag")
-from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs
-from repro import telemetry
-from repro.telemetry import StageTable, Tracer
 
 
 class TestEnsureRng:
@@ -327,49 +310,20 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(lambda x: x, []) == []
 
-    def test_process_backend(self):
-        got = parallel_map(_double, [(i,) for i in range(6)],
-                           workers=3, backend="process")
-        assert got == [0, 2, 4, 6, 8, 10]
-
-    def test_process_backend_multiple_args(self):
-        assert parallel_map(_add, [(1, 2), (3, 4)],
-                            workers=2, backend="process") == [3, 7]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            parallel_map(_double, [(1,), (2,)], workers=2, backend="fiber")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fail_fast_first_error_wins(self, backend):
+    def test_fail_fast_first_error_wins(self):
         # The exception raised must be the earliest failure in submission
         # order, and the pool must shut down without waiting for the rest.
         with pytest.raises(RuntimeError, match="worker failure"):
-            parallel_map(_boom, [(i,) for i in range(8)],
-                         workers=4, backend=backend)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_initializer_runs(self, backend):
-        got = parallel_map(_read_tag, [(0,), (1,)], workers=2, backend=backend,
-                           initializer=_remember, initargs=("hello",))
-        assert got == ["hello", "hello"]
-
-    def test_initializer_runs_on_serial_path(self):
-        _INIT_STATE.clear()
-        got = parallel_map(_read_tag, [(0,)], workers=4, backend="thread",
-                           initializer=_remember, initargs=("inline",))
-        assert got == ["inline"]
+            parallel_map(_boom, [(i,) for i in range(8)], workers=4)
 
 
 class TestParallelImap:
     """The generator body of ``parallel_map``: ordered, bounded in flight."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_ordered_results_through_a_window(self, backend, workers):
+    def test_ordered_results_through_a_window(self, workers):
         stream = parallel_imap(
-            _double, [(i,) for i in range(9)], workers=workers,
-            backend=backend, window=2,
+            _double, [(i,) for i in range(9)], workers=workers, window=2,
         )
         assert next(stream) == 0  # a generator, not a list
         assert list(stream) == [2, 4, 6, 8, 10, 12, 14, 16]
@@ -399,11 +353,8 @@ class TestParallelImap:
         next(stream)
         assert calls == [0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fail_fast_through_a_window(self, backend):
-        stream = parallel_imap(
-            _boom, [(i,) for i in range(8)], workers=2, backend=backend, window=2
-        )
+    def test_fail_fast_through_a_window(self):
+        stream = parallel_imap(_boom, [(i,) for i in range(8)], workers=2, window=2)
         got = []
         # Task 2 may fail while task 1 still runs: the error does not wait.
         with pytest.raises(RuntimeError, match="worker failure"):
@@ -411,24 +362,16 @@ class TestParallelImap:
                 got.append(value)
         assert got in ([0], [0, 1])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_closing_early_stops_the_pool(self, backend):
-        import multiprocessing
+    def test_closing_early_stops_the_pool(self):
         import threading
 
         before = threading.active_count()
-        stream = parallel_imap(
-            _double, [(i,) for i in range(50)], workers=2, backend=backend,
-            window=2,
-        )
+        stream = parallel_imap(_double, [(i,) for i in range(50)], workers=2, window=2)
         assert next(stream) == 0
         stream.close()
-        assert multiprocessing.active_children() == []
         assert threading.active_count() <= before
         # ... and the next pool works.
-        assert parallel_map(
-            _double, [(1,), (2,)], workers=2, backend=backend
-        ) == [2, 4]
+        assert parallel_map(_double, [(1,), (2,)], workers=2) == [2, 4]
 
 
 class TestResolveBackend:
