@@ -33,7 +33,7 @@ DEBUG log lines (:func:`repro.utils.log.configure_logging`; ``REPRO_LOG``
 also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
 ``eval-lp``, ``compare``; see ``docs/observability.md``):
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
-``--metrics-out m.json`` writes the metrics-registry snapshot,
+``--metrics-out m.json`` writes the metrics-registry (counter) snapshot,
 ``--profile-memory`` samples RSS in the background and reports the peak,
 ``--progress`` renders a single-line live progress indicator on stderr
 (stage completion counts),
@@ -275,12 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--metrics-out", metavar="PATH",
             help="enable telemetry and write the metrics-registry snapshot "
-                 "(counters/gauges/histograms) as JSON",
+                 "(counters) as JSON",
         )
         p.add_argument(
             "--profile-memory", action="store_true",
-            help="sample RSS on a background thread and report the peak "
-                 "(adds memory gauges to --metrics-out)",
+            help="sample RSS on a background thread and report the peak",
         )
         p.add_argument(
             "--ledger", action="store_true",

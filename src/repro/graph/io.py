@@ -35,6 +35,7 @@ of a downstream index error.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import List, Optional, Tuple, Union
 
@@ -124,8 +125,9 @@ def read_edge_list(
     """Parse a whitespace-separated edge-list file into a graph.
 
     Lines may be ``u v`` or ``u v weight``; blank lines and lines starting
-    with ``#`` or ``%`` are skipped.  Mixing weighted and unweighted lines is
-    an error.  Parsing streams through fixed-size preallocated chunks
+    with ``#`` or ``%`` are skipped.  Mixing weighted and unweighted lines,
+    and a NaN or infinite weight, are :class:`~repro.errors.GraphFormatError`
+    naming the line.  Parsing streams through fixed-size preallocated chunks
     (:class:`_ChunkedPairBuffer`), so peak memory tracks the final arrays,
     not a Python-object edge list.
     """
@@ -162,6 +164,10 @@ def read_edge_list(
                     raise GraphFormatError(
                         f"{path}:{lineno}: bad weight in {stripped!r}"
                     ) from exc
+                if not math.isfinite(weight):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-finite weight in {stripped!r}"
+                    )
                 buffer.append(u, v, weight)
             else:
                 buffer.append(u, v)

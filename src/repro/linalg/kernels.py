@@ -79,16 +79,14 @@ count.  A dense operand (NetMF's ``np.matmul`` branch of :func:`spmm`)
 keeps threaded BLAS: there BLAS *is* the product's parallelism.
 
 Telemetry: each :func:`spmm` or :func:`spmm_fused` call bumps the
-``spmm.calls`` / ``spmm.flops`` / ``spmm.bytes`` counters, sets the
-``spmm.gflops`` gauge to the call's achieved rate and feeds the per-block
-(per worker range, for a fused call) ``spmm.block_seconds`` histogram (all
-no-ops until :func:`repro.telemetry.enable`).
+``spmm.calls`` / ``spmm.flops`` / ``spmm.bytes`` counters (no-ops until
+:func:`repro.telemetry.enable`); the achieved rate is ``spmm.flops`` over
+the enclosing stage's seconds.
 """
 
 from __future__ import annotations
 
 import mmap
-import time
 from typing import Optional, Union
 
 import numpy as np
@@ -226,17 +224,11 @@ def _csr_rows_kernel(
     out: np.ndarray,
     r0: int,
     r1: int,
-    timed: bool,
 ) -> None:
     """``out[r0:r1] = A[r0:r1] @ dense``, written straight into ``out``
     (whose pages are released if file-backed)."""
-    start = time.perf_counter() if timed else 0.0
     _csr_product(indptr, indices, data, dense, out[r0:r1], r0, r1)
     release_pages(out, r0, r1)  # rows [r0, r1) are final
-    if timed:
-        telemetry.histogram("spmm.block_seconds").observe(
-            time.perf_counter() - start
-        )
 
 
 def _csc_cols_kernel(
@@ -245,15 +237,9 @@ def _csc_cols_kernel(
     out: np.ndarray,
     c0: int,
     c1: int,
-    timed: bool,
 ) -> None:
     """``out[:, c0:c1] = A @ dense[:, c0:c1]`` (per-column order preserved)."""
-    start = time.perf_counter() if timed else 0.0
     out[:, c0:c1] = matrix @ np.ascontiguousarray(dense[:, c0:c1])
-    if timed:
-        telemetry.histogram("spmm.block_seconds").observe(
-            time.perf_counter() - start
-        )
 
 
 # Bound on the bytes of ``out`` one row block of :func:`spmm` covers, and on
@@ -277,9 +263,8 @@ def _csr_row_ranges(matrix, out_nbytes: int, workers: int) -> list:
     return balanced_row_ranges(matrix.indptr, workers)
 
 
-def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int, elapsed: float) -> None:
-    """One product's ``spmm.*`` counters and ``spmm.gflops`` gauge."""
-    elapsed = max(elapsed, 1e-12)
+def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int) -> None:
+    """One product's ``spmm.*`` counters."""
     flops = 2.0 * int(matrix.nnz) * dense.shape[1]
     moved = (
         matrix.data.nbytes
@@ -291,7 +276,6 @@ def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int, elapsed: float) -> N
     telemetry.counter("spmm.calls").inc()
     telemetry.counter("spmm.flops").inc(flops)
     telemetry.counter("spmm.bytes").inc(moved)
-    telemetry.gauge("spmm.gflops").set(flops / elapsed / 1e9)
 
 
 def spmm(
@@ -366,9 +350,6 @@ def spmm(
         np.matmul(np.asarray(matrix), dense, out=out)
         return out[:, 0] if squeeze else out
 
-    timed = telemetry.is_enabled()
-    start = time.perf_counter() if timed else 0.0
-
     csc = isinstance(matrix, (sp.csc_matrix, getattr(sp, "csc_array", ()))) or (
         getattr(matrix, "format", None) == "csc"
     )
@@ -383,28 +364,25 @@ def spmm(
         # the same compiled per-column loop as the serial csc product.
         kernel = _csc_cols_kernel
         tasks = [
-            (matrix, dense, out, c0, c1, timed)
+            (matrix, dense, out, c0, c1)
             for c0, c1 in chunk_ranges(cols, workers)
         ]
     else:
         kernel = _csr_rows_kernel
         tasks = [
-            (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1, timed)
+            (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1)
             for r0, r1 in _csr_row_ranges(matrix, out.nbytes, workers)
         ]
     if len(tasks) == 1:
         kernel(*tasks[0])
     elif tasks:  # none for a zero-row or zero-column product
         parallel_map(kernel, tasks, workers=workers)
-
-    if timed:
-        _count_spmm(matrix, dense, out.nbytes, time.perf_counter() - start)
+    _count_spmm(matrix, dense, out.nbytes)
     return out[:, 0] if squeeze else out
 
 
-def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int, timed: bool) -> None:
+def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int) -> None:
     """One worker's rows of :func:`spmm_fused`, one scratch sub-block at a time."""
-    start = time.perf_counter() if timed else 0.0
     cols = dense.shape[1]
     row_bytes = max(1, cols * dense.itemsize)
     budget = min(FUSED_BLOCK_BYTES, SPMM_WORKSPACE_BYTES)
@@ -418,10 +396,6 @@ def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int, timed: bool) -
             matrix.indptr, matrix.indices, matrix.data, dense, product[:rows], s0, s1
         )
         epilogue(s0, s1, product[:rows], scratch[:rows])
-    if timed:
-        telemetry.histogram("spmm.block_seconds").observe(
-            time.perf_counter() - start
-        )
 
 
 def spmm_fused(
@@ -458,19 +432,15 @@ def spmm_fused(
             f"spmm_fused operands mismatch: {matrix.shape} {matrix.dtype} @ "
             f"{dense.shape} {dense.dtype}"
         )
-    timed = telemetry.is_enabled()
-    start = time.perf_counter() if timed else 0.0
     tasks = [
-        (matrix, dense, epilogue, r0, r1, timed)
+        (matrix, dense, epilogue, r0, r1)
         for r0, r1 in balanced_row_ranges(matrix.indptr, workers)
     ]
     if len(tasks) == 1:
         _fused_rows_kernel(*tasks[0])
     elif tasks:
         parallel_map(_fused_rows_kernel, tasks, workers=workers)
-    if timed:
-        out_nbytes = matrix.shape[0] * dense.shape[1] * dense.itemsize
-        _count_spmm(matrix, dense, out_nbytes, time.perf_counter() - start)
+    _count_spmm(matrix, dense, matrix.shape[0] * dense.shape[1] * dense.itemsize)
 
 
 def release_pages(

@@ -208,7 +208,7 @@ def randomized_svd(
             telemetry.counter("svd.operator_passes").inc()
         # Optional subspace iteration (orthonormalization-stabilized).
         for iteration in range(power_iterations):
-            with telemetry.span("svd.power_iteration", iteration=iteration) as span:
+            with telemetry.span("svd.power_iteration", iteration=iteration):
                 tall = _apply(matrix, wide, out=tall, workers=workers)
                 tall = cholesky_qr(tall, overwrite=True)
                 wide = _apply(
@@ -216,9 +216,6 @@ def randomized_svd(
                 )
                 wide = cholesky_qr(wide, overwrite=True)
                 telemetry.counter("svd.operator_passes").inc(2)
-            elapsed = getattr(span, "duration", None)
-            if elapsed is not None:
-                telemetry.histogram("svd.iteration_seconds").observe(elapsed)
         with telemetry.span("svd.factorize", sketch=sketch):
             # Line 4: B = A Y  (n × sketch).
             b = _apply(matrix, wide, out=tall, workers=workers)

@@ -274,7 +274,7 @@ def chebyshev_gaussian_filter(
     progress_mod.task_completed("propagation")
     sign = 1.0
     for i in range(2, order):
-        with telemetry.span("propagation.chebyshev_term", term=i) as span:
+        with telemetry.span("propagation.chebyshev_term", term=i):
             lx2 = allocate() if lx0 is x else lx0
             scale = sign * 2.0 * float(coefficients[i])
             spmm(modulated, lx1, out=work, workers=workers)  # work = M lx1
@@ -287,9 +287,6 @@ def chebyshev_gaussian_filter(
             release_pages(work)
             sign = -sign
             lx0, lx1 = lx1, lx2
-        elapsed = getattr(span, "duration", None)
-        if elapsed is not None:
-            telemetry.histogram("propagation.term_seconds").observe(elapsed)
         progress_mod.task_completed("propagation")
     # One more smoothing hop through D⁻¹(A+I), as in ProNE.
     for r0, r1 in blocks:

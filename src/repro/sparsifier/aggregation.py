@@ -67,32 +67,11 @@ import numpy as np
 from repro import telemetry
 from repro.errors import SamplingError
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
-from repro.telemetry.metrics import PROBE_BUCKETS
 from repro.utils.parallel import default_workers, parallel_map
 
 Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # Packed keys, strictly increasing, and the sum of each key's samples.
 Run = Tuple[np.ndarray, np.ndarray]
-
-
-def _record_table_metrics(table: SparseParallelHashTable, kind: str) -> None:
-    """Publish a table's probe/occupancy figures to the metrics registry.
-
-    No-ops (cheap: one ``is_enabled`` check) when telemetry is disabled.
-    ``kind`` distinguishes the shared table from shard tables.
-    """
-    if not telemetry.is_enabled():
-        return
-    if table.insert_calls:
-        telemetry.histogram("hashtable.probe_rounds", PROBE_BUCKETS).observe(
-            table.total_probe_rounds / table.insert_calls
-        )
-    telemetry.gauge(f"hashtable.{kind}.load_factor").set(table.load_factor)
-    telemetry.gauge(f"hashtable.{kind}.max_probe_rounds").set_max(
-        table.max_probe_rounds
-    )
-    telemetry.counter("hashtable.distinct_keys").inc(len(table))
-    telemetry.gauge("hashtable.table_bytes").set_max(table.size_in_bytes())
 
 
 def _check_packable(n: int) -> None:
@@ -133,7 +112,6 @@ def aggregate_hash(
             table.add_pairs(
                 rows[start:stop], cols[start:stop], values[start:stop], n
             )
-    _record_table_metrics(table, "shared")
     if stats is not None:
         stats["peak_table_bytes"] = table.size_in_bytes()
         stats["distinct"] = len(table)
@@ -187,7 +165,6 @@ def aggregate_hash_sharded(
             for start in range(0, shard_keys.size, batch_size):
                 stop = start + batch_size
                 table.add_batch(shard_keys[start:stop], shard_values[start:stop])
-        _record_table_metrics(table, "shard")
         out_keys, out_values = table.items()
         return out_keys, out_values, (
             table.size_in_bytes(), len(table), table.total_probe_rounds

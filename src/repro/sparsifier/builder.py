@@ -250,7 +250,6 @@ def aggregate_to_counts(
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         counts = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
     stats["aggregation_seconds"] = time.perf_counter() - tic
-    telemetry.gauge("sparsifier.nnz").set(counts.nnz)
     # Total retained mass: the health layer's contract check compares this
     # against the draw budget M (E[Σ W] = M for the estimator).
     stats["total_mass"] = float(counts.sum())

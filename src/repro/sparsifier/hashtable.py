@@ -91,13 +91,12 @@ class SparseParallelHashTable:
         self._keys = np.full(slots, _EMPTY, dtype=self._key_dtype)
         self._values = np.zeros(slots, dtype=self._value_dtype)
         self._count = 0
-        # Probe accounting (telemetry): linear-probing rounds executed per
-        # unique-insert call, accumulated over the table's lifetime.  One
-        # "round" advances every still-unplaced key by one slot, so rounds
-        # bound the worst-case probe length of that batch.
+        # Probe accounting (the aggregators' ``probe_rounds`` stat):
+        # linear-probing rounds executed per unique-insert call, accumulated
+        # over the table's lifetime.  One "round" advances every
+        # still-unplaced key by one slot, so rounds bound the worst-case
+        # probe length of that batch.
         self.total_probe_rounds = 0
-        self.max_probe_rounds = 0
-        self.insert_calls = 0
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -174,12 +173,9 @@ class SparseParallelHashTable:
         slots = _hash_keys(keys, mask)
         pending = np.arange(keys.size)
         rounds = 0
-        self.insert_calls += 1
         for _ in range(self._keys.size):
             if pending.size == 0:
                 self.total_probe_rounds += rounds
-                if rounds > self.max_probe_rounds:
-                    self.max_probe_rounds = rounds
                 return
             rounds += 1
             slot = slots[pending]

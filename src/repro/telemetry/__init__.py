@@ -6,8 +6,8 @@ The observability substrate for the whole pipeline (see
 * **Spans** (:mod:`repro.telemetry.tracer`) — nested, thread-aware timed
   intervals forming a trace tree, exportable as Chrome trace-event JSON
   (Perfetto / ``chrome://tracing``);
-* **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
-  fixed-bucket histograms in a snapshot-able registry;
+* **Metrics** (:mod:`repro.telemetry.metrics`) — named counters in a
+  snapshot-able registry;
 * **Runs** (:mod:`repro.telemetry.run`) — one pipeline run is one root span:
   its child spans are the Table-5 stages (``EmbeddingResult.timer`` is a
   view of them, tracing on or off) and its metrics are its own;
@@ -65,16 +65,10 @@ from repro.telemetry.tracer import (
     span,
 )
 from repro.telemetry.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    PROBE_BUCKETS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
-    gauge,
     get_metrics,
-    histogram,
     reset_metrics,
 )
 from repro.telemetry.run import StageTable, run_scope, stage
@@ -116,16 +110,10 @@ __all__ = [
     "get_tracer",
     # metrics
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "counter",
-    "gauge",
-    "histogram",
     "get_metrics",
     "reset_metrics",
-    "DEFAULT_LATENCY_BUCKETS",
-    "PROBE_BUCKETS",
     # runs
     "run_scope",
     "stage",

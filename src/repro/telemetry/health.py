@@ -465,7 +465,6 @@ def check_sparsifier_mass(
     total = float(counts.sum())
     rel = (total - float(num_draws)) / float(num_draws)
     ok = math.isfinite(rel) and abs(rel) <= tolerance
-    _metrics.gauge("health.sparsifier_mass_rel_error").set(rel)
     return recorder.record_probe(
         ProbeResult(
             name="sparsifier_mass",
@@ -498,7 +497,6 @@ def check_factorization_residual(
         matrix, u, sigma, vt, probes=RESIDUAL_PROBES, seed=RESIDUAL_SEED
     )
     ok = math.isfinite(value) and value <= threshold
-    _metrics.gauge("health.factorization_residual").set(value)
     return recorder.record_probe(
         ProbeResult(
             name="factorization_residual",

@@ -4,8 +4,8 @@ PR 2's spans and metrics evaporate at process exit, so nothing could say
 whether a change made the sparsifier 2× slower.  The ledger fixes that:
 each run appends one structured JSON line — method, canonical params hash,
 dataset, seed, environment fingerprint, the Table-5 per-stage wall times
-read off the run's stage spans (``result.timer``), a compacted snapshot of
-the run's own metrics, peak RSS and optional quality metrics — to
+read off the run's stage spans (``result.timer``), the snapshot of the run's own
+counters, peak RSS and optional quality metrics — to
 ``benchmarks/results/runs.jsonl`` via a crash-safe atomic append
 (:func:`repro.utils.fileio.append_line`).  Downstream,
 :mod:`repro.telemetry.report` renders trajectories from it and
@@ -72,25 +72,6 @@ def params_hash(params: Mapping[str, object]) -> str:
     """Canonical short hash of a params dict (order-independent)."""
     payload = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def compact_metrics(snapshot: Mapping[str, object]) -> Dict[str, object]:
-    """Shrink a registry snapshot for ledger lines.
-
-    Counters and gauges pass through; histograms keep only their summary
-    stats (bucket arrays would dominate the line size without helping
-    cross-run comparison).
-    """
-    histograms = {}
-    for name, hist in dict(snapshot.get("histograms", {})).items():
-        histograms[name] = {
-            key: hist.get(key) for key in ("count", "sum", "mean", "min", "max")
-        }
-    return {
-        "counters": dict(snapshot.get("counters", {})),
-        "gauges": dict(snapshot.get("gauges", {})),
-        "histograms": histograms,
-    }
 
 
 @dataclass
@@ -408,7 +389,7 @@ def build_record(
     if isinstance(telemetry_info, Mapping):
         snapshot = telemetry_info.get("metrics")
         if isinstance(snapshot, Mapping):
-            raw_metrics = compact_metrics(snapshot)
+            raw_metrics = dict(snapshot)
     params = dict(info.get("params") or {})
     order = _registry_stage_order(result.method)
     stages = {

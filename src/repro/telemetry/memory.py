@@ -5,10 +5,10 @@ analytically in :mod:`repro.systems.memory`; this module measures the real
 process instead.  A :class:`MemorySampler` polls resident-set size on a
 daemon thread (``/proc/self/statm`` on Linux, ``resource.getrusage`` as the
 peak-only fallback) and optionally tracks Python-level allocations with
-``tracemalloc``.  :func:`profile_memory` wraps any block, attaches the
-resulting peak figures to a telemetry span, and publishes them as gauges in
-the metrics registry — this is the supported replacement for threading
-hand-rolled ``peak_*_bytes`` counters through call signatures.
+``tracemalloc``.  :func:`profile_memory` wraps any block and attaches the
+resulting peak figures to a telemetry span as attributes — this is the
+supported replacement for threading hand-rolled ``peak_*_bytes`` counters
+through call signatures.
 
 Usage::
 
@@ -223,9 +223,8 @@ def profile_memory(
     *,
     interval: float = 0.01,
     trace_allocations: bool = False,
-    metrics=None,
 ) -> Iterator[MemorySampler]:
-    """Sample memory around a block; publish the peak to ``span`` + gauges.
+    """Sample memory around a block; attach the peaks to ``span``.
 
     Parameters
     ----------
@@ -237,13 +236,7 @@ def profile_memory(
     trace_allocations:
         Also run a ``tracemalloc`` window (Python-level allocation peak;
         slows allocation-heavy code, so off by default).
-    metrics:
-        Registry to publish ``memory.rss_peak_bytes`` gauges into; defaults
-        to the process-global registry when telemetry is enabled.
     """
-    from repro.telemetry import metrics as metrics_mod
-    from repro.telemetry import tracer as tracer_mod
-
     sampler = MemorySampler(interval, trace_allocations=trace_allocations)
     sampler.start()
     try:
@@ -256,15 +249,3 @@ def profile_memory(
             span.set_attribute(
                 "tracemalloc_peak_bytes", profile.tracemalloc_peak_bytes
             )
-        registry = metrics
-        if registry is None and tracer_mod._tracer is not None:
-            registry = metrics_mod.get_metrics()
-        if registry is not None:
-            if profile.rss_peak_bytes is not None:
-                registry.gauge("memory.rss_peak_bytes").set_max(
-                    profile.rss_peak_bytes
-                )
-            if profile.tracemalloc_peak_bytes is not None:
-                registry.gauge("memory.tracemalloc_peak_bytes").set_max(
-                    profile.tracemalloc_peak_bytes
-                )

@@ -146,18 +146,12 @@ def trajectory_rows(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
 
 
 def metrics_diff(a: RunRecord, b: RunRecord) -> List[Dict[str, object]]:
-    """Counter/gauge/stage deltas between two runs (``b`` relative to ``a``)."""
-
-    def gauge_values(record: RunRecord) -> Dict[str, object]:
-        return {
-            name: (reading or {}).get("value")
-            for name, reading in dict(record.metrics.get("gauges", {})).items()
-        }
-
+    """Counter and stage-time deltas between two runs (``b`` relative to
+    ``a``); ledger lines from before the counters-only registry may carry
+    ``gauges`` / ``histograms`` blocks, which are not diffed."""
     rows: List[Dict[str, object]] = []
     for kind, side_a, side_b in (
         ("counter", a.metrics.get("counters", {}), b.metrics.get("counters", {})),
-        ("gauge", gauge_values(a), gauge_values(b)),
         ("stage_s", a.stages, b.stages),
     ):
         for name in sorted(set(side_a) | set(side_b)):

@@ -199,7 +199,18 @@ class TestObservabilityFlags:
         names = {e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"}
         assert {"cli", "lightne", "sparsifier", "svd"} <= names
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["counters"] and metrics["histograms"]
+        assert set(metrics) == {"counters"} and metrics["counters"]
+        # Per-iteration, per-term and per-batch times are span durations.
+        durations = {
+            name: [e["dur"] for e in trace["traceEvents"]
+                   if e.get("ph") == "X" and e["name"] == name]
+            for name in ("svd.power_iteration", "propagation.chebyshev_term",
+                         "sparsifier.batch")
+        }
+        assert len(durations["svd.power_iteration"]) == 2
+        assert durations["propagation.chebyshev_term"]
+        assert durations["sparsifier.batch"]
+        assert all(d > 0 for spans in durations.values() for d in spans)
         out = capsys.readouterr().out
         assert str(trace_path) in out and str(metrics_path) in out
 

@@ -266,12 +266,10 @@ class TestLightNE:
         tele = r.info["telemetry"]
         assert tele["trace_spans"] > 0
         snapshot = tele["metrics"]
+        assert set(snapshot) == {"counters"}
         assert snapshot["counters"]["sparsifier.batches"] >= 1
-        assert "sparsifier.nnz" in snapshot["gauges"]
-        assert snapshot["histograms"]["sparsifier.batch_seconds"]["count"] >= 1
         # The name selects no aggregation pass: no hash table is ever built.
-        for kind in ("counters", "gauges", "histograms"):
-            assert not [k for k in snapshot[kind] if k.startswith("hashtable.")]
+        assert not [k for k in snapshot["counters"] if k.startswith("hashtable.")]
 
     def test_downsampling_shrinks_sparsifier(self, sbm_bundle):
         graph, _ = sbm_bundle

@@ -71,7 +71,7 @@ class TestEdgeList:
     def test_non_finite_weight_rejected(self, tmp_path, weight):
         path = tmp_path / "nonfinite.edges"
         path.write_text(f"0 1 1.0\n1 2 {weight}\n")
-        with pytest.raises(GraphConstructionError, match="finite"):
+        with pytest.raises(GraphFormatError, match=r":2: non-finite"):
             read_edge_list(path)
 
     def test_mixed_weighted_rejected(self, tmp_path):

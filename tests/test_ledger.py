@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from repro.telemetry import environment, ledger
 from repro.telemetry.ledger import (
     RunLedger,
     RunRecord,
-    compact_metrics,
+    build_record,
     find_run,
     params_hash,
     validate_record,
@@ -121,21 +122,21 @@ class TestRunRecord:
         assert any("run_id" in p for p in problems)
         assert any("stages" in p for p in problems)
 
-    def test_compact_metrics_drops_buckets(self):
-        snapshot = {
-            "counters": {"c": 3.0},
-            "gauges": {"g": {"value": 1.0, "max": 2.0}},
-            "histograms": {
-                "h": {
-                    "buckets": [1, 2], "counts": [0, 1, 0],
-                    "count": 1, "sum": 1.5, "mean": 1.5, "min": 1.5, "max": 1.5,
-                }
-            },
-        }
-        compact = compact_metrics(snapshot)
-        assert compact["counters"] == {"c": 3.0}
-        assert "buckets" not in compact["histograms"]["h"]
-        assert compact["histograms"]["h"]["count"] == 1
+    def test_backend_recorded_without_telemetry(self):
+        from repro import telemetry
+        from repro.embedding.base import EmbeddingResult
+
+        with telemetry.run_scope("lightne") as root:
+            with telemetry.stage("sparsifier"):
+                pass
+        result = EmbeddingResult(
+            vectors=np.zeros((2, 2)), method="lightne",
+            timer=telemetry.StageTable(root.children),
+            info={"params": {"backend": None, "workers": 2}},
+        )
+        record = build_record(result, dataset="d", seed=0)
+        assert record.extra["backend"] == "thread"
+        assert record.extra["resolved_workers"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +302,13 @@ class TestPipelineWiring:
         assert recorded == declared
 
     def test_peak_rss_is_the_os_lifetime_peak_at_record_time(self, graph, tmp_path):
-        """Non-decreasing across the runs of one process, and not whatever an
-        earlier ``profile_memory`` block left in a ``memory.rss_peak_bytes``
-        gauge (its publisher runs *around* the command, after the append)."""
+        """Non-decreasing across the runs of one process, and at most the
+        process's own peak."""
         from repro import telemetry
 
         path = tmp_path / "runs.jsonl"
         telemetry.enable()
         try:
-            telemetry.get_metrics().gauge("memory.rss_peak_bytes").set_max(1.0)
             with ledger.enabled_scope(path=path, dataset="ds"):
                 for _ in range(2):
                     run_method("lightne", graph, seed=0, dimension=8, window=3)

@@ -220,7 +220,8 @@ def test_deleted_api_stays_deleted(capsys):
     PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch) and
     the whole-graph embedding the one workflow (no streaming refresh, no
     partition-then-embed, no ``lightne stream``, one walk step) and threads
-    the one substrate (no process pool, no worker telemetry)."""
+    the one substrate (no process pool, no worker telemetry) and counters
+    the one metrics instrument (no gauges, no histograms)."""
     import numpy as np
 
     import repro
@@ -280,6 +281,17 @@ def test_deleted_api_stays_deleted(capsys):
     with pytest.raises(MethodParameterError):
         make_params("lightne", sparsifier="path")
     assert not {"sketchne", "netmf+", "netmfplus"} & set(method_names())
+    # Counters are the metrics registry's one instrument.
+    import repro.telemetry
+    import repro.telemetry.metrics
+
+    for module in (repro.telemetry, repro.telemetry.metrics):
+        for name in ("Gauge", "Histogram", "gauge", "histogram",
+                     "DEFAULT_LATENCY_BUCKETS", "PROBE_BUCKETS"):
+            assert not hasattr(module, name), (module.__name__, name)
+    with pytest.raises(TypeError):
+        with repro.telemetry.profile_memory(metrics=repro.telemetry.get_metrics()):
+            pass
     for argv, flag in ((["regress"], "invalid choice: 'regress'"),
                        (["embed", "--method", "sketchne"], "invalid choice: 'sketchne'"),
                        (["embed", "--factorizer", "rsvd"], "--factorizer"),

@@ -113,8 +113,61 @@ class TestMetricsDiff:
         rows = metrics_diff(a, b)
         by_metric = {(r["metric"], r["kind"]): r for r in rows}
         assert by_metric[("spmm.calls", "counter")]["delta"] == 4
-        assert by_metric[("load", "gauge")]["delta"] == 0.19999999999999996
         assert by_metric[("sparsifier", "stage_s")]["delta"] == 0.1
+        # A gauge block (ledger lines from before the counters-only
+        # registry) is carried, not diffed.
+        assert {r["kind"] for r in rows} == {"counter", "stage_s"}
+        assert ("load", "gauge") not in by_metric
+
+
+# The metrics block of a ledger line written while the registry still had
+# gauges and histograms (benchmarks/results/runs.jsonl, line 18).
+OLD_LINE_METRICS = {
+    "counters": {
+        "hashtable.distinct_keys": 26813.0, "sparsifier.batches": 1.0,
+        "sparsifier.draws": 46150.0, "sparsifier.walk_samples": 34469.0,
+        "spmm.bytes": 13671340.0, "spmm.calls": 25.0,
+        "spmm.flops": 33751280.0, "svd.operator_passes": 6.0,
+    },
+    "gauges": {
+        "hashtable.shared.load_factor": {"value": 0.4091339111328125,
+                                         "max": 0.4091339111328125},
+        "hashtable.table_bytes": {"value": 1048576.0, "max": 1048576.0},
+        "sparsifier.nnz": {"value": 26813.0, "max": 26813.0},
+        "spmm.gflops": {"value": 4.777134817456218, "max": 6.421303245402692},
+    },
+    "histograms": {
+        "spmm.block_seconds": {"count": 25, "sum": 0.006921188001797418,
+                               "mean": 0.0002768475200718967,
+                               "min": 0.00010746299994934816,
+                               "max": 0.0014153770007396815},
+        "svd.iteration_seconds": {"count": 2, "sum": 0.006705943998895236,
+                                  "mean": 0.003352971999447618,
+                                  "min": 0.0026885819988820003,
+                                  "max": 0.004017362000013236},
+    },
+}
+
+
+class TestOldLedgerLines:
+    def test_gauge_and_histogram_blocks_load_diff_and_render(self, tmp_path):
+        old = make_record(metrics=OLD_LINE_METRICS)
+        new = make_record(
+            metrics={"counters": {"spmm.calls": 19.0, "svd.operator_passes": 6.0}}
+        )
+        path = tmp_path / "runs.jsonl"
+        book = RunLedger(path)
+        book.append(old)
+        book.append(new)
+        loaded, current = book.records()
+        assert loaded.metrics == OLD_LINE_METRICS
+        rows = metrics_diff(loaded, current)
+        assert {r["kind"] for r in rows} == {"counter", "stage_s"}
+        by_metric = {r["metric"]: r for r in rows}
+        assert by_metric["spmm.calls"]["delta"] == -6.0
+        assert "sparsifier.nnz" not in by_metric
+        html = render_html([loaded, current], diff=(loaded, current))
+        assert "Metrics diff" in html and "spmm.calls" in html
 
 
 class TestFlameBoxes:
@@ -143,6 +196,21 @@ class TestFlameBoxes:
 
     def test_empty_trace(self):
         assert flame_boxes({"traceEvents": []}) == []
+
+    def test_flame_boxes_do_not_cross_nest_pids(self):
+        # Same tid in two pids, overlapping in time: tid-only grouping
+        # would stack one inside the other.
+        doc = {
+            "traceEvents": [
+                {"ph": "X", "name": "a", "pid": 1, "tid": 1,
+                 "ts": 0.0, "dur": 100.0},
+                {"ph": "X", "name": "b", "pid": 2, "tid": 1,
+                 "ts": 10.0, "dur": 50.0},
+            ]
+        }
+        boxes = flame_boxes(doc)
+        assert {b["depth"] for b in boxes} == {0}
+        assert {(b["pid"], b["tid"]) for b in boxes} == {(1, 1), (2, 1)}
 
 
 class TestHTML:

@@ -17,6 +17,7 @@ from repro.embedding.registry import get_method, list_methods, make_params
 from repro.graph.generators import dcsbm_graph
 from repro.telemetry import ledger
 from repro.telemetry import run as run_mod
+from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.parallel import parallel_map
 
 TRACE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_tree_7a8c75f.json"
@@ -78,22 +79,18 @@ class TestRunScopedMetrics:
         totals = telemetry.get_metrics().snapshot()["counters"]
         assert totals == {k: 3 * v for k, v in first.items()}
 
-    def test_gauges_and_histograms_roll_up_with_their_own_semantics(self, tracer):
-        outer = telemetry.get_metrics()
-        outer.gauge("g").set(5.0)
-        with telemetry.run_scope("run") as root:
-            telemetry.gauge("g").set(3.0)
-            telemetry.gauge("peak").set_max(2.0)
-            telemetry.gauge("peak").set_max(1.0)
-            telemetry.histogram("h").observe(0.01)
-        scoped = root.metrics.snapshot()
-        assert scoped["gauges"]["g"] == {"value": 3.0, "max": 3.0}
-        assert scoped["gauges"]["peak"] == {"value": 2.0, "max": 2.0}
-        assert scoped["histograms"]["h"]["count"] == 1
-        rolled = outer.snapshot()
-        assert rolled["gauges"]["g"] == {"value": 3.0, "max": 5.0}  # last write wins
-        assert rolled["gauges"]["peak"] == {"value": 2.0, "max": 2.0}
-        assert rolled["histograms"]["h"] == scoped["histograms"]["h"]
+
+class TestRegistryRollUp:
+    def test_counters_sum(self):
+        parent = MetricsRegistry()
+        parent.counter("c").inc(2.0)
+        child = MetricsRegistry()
+        child.counter("c").inc(3.0)
+        child.counter("only_child").inc(1.0)
+        parent.roll_up(child)
+        assert parent.snapshot() == {"counters": {"c": 5.0, "only_child": 1.0}}
+        # The finished scope keeps its own totals.
+        assert child.snapshot() == {"counters": {"c": 3.0, "only_child": 1.0}}
 
 
 class TestTraceTreeParity:

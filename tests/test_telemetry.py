@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.telemetry import progress as progress_mod
 from repro.telemetry.metrics import NULL_INSTRUMENT, MetricsRegistry
 from repro.telemetry.tracer import NULL_SPAN, Tracer
 
@@ -120,12 +122,8 @@ class TestDisabledFastPath:
 
     def test_instruments_return_shared_null(self):
         assert telemetry.counter("c") is NULL_INSTRUMENT
-        assert telemetry.gauge("g") is NULL_INSTRUMENT
-        assert telemetry.histogram("h") is NULL_INSTRUMENT
-        # All no-op methods accept calls without recording anything.
+        # The no-op accepts calls without recording anything.
         telemetry.counter("c").inc(5)
-        telemetry.gauge("g").set(1.0)
-        telemetry.histogram("h").observe(0.1)
         assert telemetry.get_metrics().names() == []
 
     def test_enable_disable_roundtrip(self):
@@ -204,46 +202,13 @@ class TestInstruments:
             c.inc(-1)
         assert registry.counter("events") is c  # create-or-get
 
-    def test_gauge_set_and_set_max(self):
-        g = MetricsRegistry().gauge("load")
-        assert g.value is None and g.max is None
-        g.set(0.5)
-        g.set(0.2)
-        assert g.value == 0.2 and g.max == 0.5
-        g.set_max(0.1)
-        assert g.value == 0.2  # set_max never lowers
-        g.set_max(0.9)
-        assert g.value == 0.9 and g.max == 0.9
-
-    def test_histogram_bucketing(self):
-        h = MetricsRegistry().histogram("probes", buckets=(1, 2, 4))
-        for value in (0.5, 1.0, 1.5, 4.0, 100.0):
-            h.observe(value)
-        # counts: <=1, <=2, <=4, overflow
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-        assert h.sum == pytest.approx(107.0)
-        snap = h.snapshot()
-        assert snap["min"] == 0.5 and snap["max"] == 100.0
-        assert snap["mean"] == pytest.approx(107.0 / 5)
-
-    def test_histogram_rejects_bad_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("empty", buckets=())
-        with pytest.raises(ValueError):
-            registry.histogram("unsorted", buckets=(2, 1))
-
     def test_registry_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(7)
-        registry.gauge("g").set(1.25)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
+        registry.counter("b").inc(0.5)
         snap = json.loads(json.dumps(registry.snapshot()))
-        assert snap["counters"]["c"] == 7
-        assert snap["gauges"]["g"] == {"value": 1.25, "max": 1.25}
-        assert snap["histograms"]["h"]["counts"] == [1, 0]
-        assert registry.names() == ["c", "g", "h"]
+        assert snap == {"counters": {"b": 0.5, "c": 7}}
+        assert registry.names() == ["b", "c"]
 
     def test_write_json(self, tmp_path):
         registry = MetricsRegistry()
@@ -308,8 +273,6 @@ class TestMemory:
         assert profile is not None
         if profile.rss_peak_bytes is not None:
             assert span.attributes["rss_peak_bytes"] == profile.rss_peak_bytes
-            gauge = telemetry.get_metrics().gauge("memory.rss_peak_bytes")
-            assert gauge.value == profile.rss_peak_bytes
         assert set(profile.as_dict()) >= {"rss_peak_bytes", "num_samples"}
 
     def test_tracemalloc_window(self, enabled):
@@ -356,12 +319,14 @@ class TestPipelineAcceptance:
         assert tracer.find_spans("propagation.chebyshev_term")
 
     def test_metrics_snapshot_has_all_kinds(self, traced_run):
+        tracer, _ = traced_run
         snap = telemetry.get_metrics().snapshot()
-        assert len(snap["counters"]) >= 1
-        assert len(snap["gauges"]) >= 1
-        assert len(snap["histograms"]) >= 1
+        assert set(snap) == {"counters"}
         assert snap["counters"]["sparsifier.batches"] >= 1
-        assert snap["histograms"]["sparsifier.batch_seconds"]["count"] >= 1
+        # Per-batch latency is the batch span's duration.
+        batches = tracer.find_spans("sparsifier.batch")
+        assert len(batches) == snap["counters"]["sparsifier.batches"]
+        assert all(batch.duration > 0 for batch in batches)
 
     def test_chrome_trace_round_trips(self, traced_run, tmp_path):
         tracer, _ = traced_run
@@ -394,3 +359,38 @@ class TestPipelineAcceptance:
         np.testing.assert_array_equal(plain.vectors, traced.vectors)
         assert plain.info["telemetry_enabled"] is False
         assert "telemetry" not in plain.info
+
+
+# ---------------------------------------------------------------------------
+# Progress rendering
+# ---------------------------------------------------------------------------
+
+
+class TestProgress:
+    def test_lifecycle_and_rendering(self):
+        stream = io.StringIO()
+        progress_mod.enable(stream=stream)
+        try:
+            assert progress_mod.is_enabled()
+            progress_mod.begin("stage", total=3)
+            for _ in range(3):
+                progress_mod.task_completed("stage")
+            out = stream.getvalue()
+            assert "stage" in out and "3/3" in out
+        finally:
+            progress_mod.disable()
+        assert not progress_mod.is_enabled()
+
+    def test_begin_resets_between_repeated_stages(self, monkeypatch):
+        monkeypatch.setattr(progress_mod, "RENDER_INTERVAL_S", 0.0)
+        stream = io.StringIO()
+        progress_mod.enable(stream=stream)
+        try:
+            progress_mod.begin("s", total=2)
+            progress_mod.task_completed("s")
+            progress_mod.task_completed("s")
+            progress_mod.begin("s", total=2)
+            progress_mod.task_completed("s")
+            assert "1/2" in stream.getvalue().replace(" ", "")
+        finally:
+            progress_mod.disable()
