@@ -34,7 +34,7 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.graph import CSRGraph
-from repro.linalg.kernels import resolve_precision
+from repro.linalg.kernels import cast_csr, resolve_precision
 from repro.linalg.randomized_svd import check_factorizer, embedding_from_svd, factorize
 from repro.linalg.spectral import check_filter, spectral_propagation
 from repro.sparsifier.builder import build_sparsifier, check_aggregator
@@ -203,9 +203,13 @@ def _lightne_body(ctx: PipelineContext):
         )
         del sparsifier  # the count matrix
         health.checkpoint("svd.netmf_matrix", matrix)
-        # The trunc-log NetMF matrix is symmetric by construction: the
-        # rSVD runs its Aᵀ· passes on the row-blocked CSR kernel.  Vᵀ is
-        # never bound.
+        # Cast once, after the checkpoint (its digest is the float64
+        # matrix's on both precisions): the float64 matrix dies here and the
+        # rSVD reads the operator it factorizes without copying it again.
+        matrix = cast_csr(matrix, resolve_precision(params.precision))
+        # The trunc-log NetMF matrix is symmetric by construction (its
+        # pattern exactly, its values to rounding): the rSVD runs its Aᵀ·
+        # passes on the row-blocked CSR kernel.  Vᵀ is never bound.
         u, sigma = factorize(
             matrix, params.dimension, factorizer=params.factorizer,
             seed=ctx.rng, precision=params.precision,

@@ -10,8 +10,9 @@ functions and differ in dtype only.
   and out of core alike.  Contiguous row blocks of the CSR operator — one
   per worker at equal shares of its stored entries
   (:func:`balanced_row_ranges`), or more, of equal row counts, when ``out``
-  is too large for that many blocks — are dispatched onto the shared thread
-  pool (:func:`repro.utils.parallel.parallel_map`); each block calls scipy's
+  is too large for that many blocks — are dispatched onto a thread pool
+  that :func:`repro.utils.parallel.parallel_map` starts for the call and
+  shuts down when it returns; each block calls scipy's
   compiled ``csr_matvecs`` kernel, which releases the GIL, writing into a
   disjoint slice of one preallocated output — an ndarray or an
   ``np.memmap``, whose finished blocks leave the resident set at once.
@@ -40,6 +41,11 @@ functions and differ in dtype only.
 * :func:`gram_rescale` — ProNE's re-orthogonalization without the ``n×d``
   dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
   ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
+* :func:`scale_csr_rows` / :func:`scale_csr_columns` / :func:`cast_csr` —
+  the in-place builds of the sparse operators the dense stages read: a
+  diagonal scaling multiplies ``data`` where it lies (the products
+  ``diags(x) @ A`` / ``A @ diags(x)`` compute, entry for entry), and a
+  precision cast copies ``data`` only.
 * :func:`release_pages` — the one ``MADV_DONTNEED`` helper of the
   out-of-core mode: :func:`spmm` and the Chebyshev filter drop the pages of
   memmapped buffers they are done with through it.
@@ -67,8 +73,8 @@ Gram matrix's extreme eigenvalues:
   which case the result lives in the input's memory.
 
 **Threading model.**  ``workers`` is the whole thread budget of the dense
-stages.  The sparse products run on the library's own pool
-(:func:`repro.utils.parallel.parallel_map`), ``workers`` threads wide; the
+stages.  Each sparse product runs on a pool of ``workers`` threads that
+its :func:`repro.utils.parallel.parallel_map` call starts and joins; the
 tall-skinny steps between them (:func:`gram`, :func:`cholesky_qr`, the map
 back, :func:`gram_rescale`) are numpy BLAS calls, and the rSVD on a sparse
 or implicit operator and the spectral propagation run them under
@@ -92,16 +98,17 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+# The compiled kernels scipy itself dispatches to (they release the GIL).
+# This module is the library's one user of scipy's private ``_sparsetools``.
+from scipy.sparse._sparsetools import (
+    csr_matvecs as _CSR_MATVECS,
+    csr_scale_columns as _CSR_SCALE_COLUMNS,
+    csr_scale_rows as _CSR_SCALE_ROWS,
+)
+
 from repro import telemetry
 from repro.errors import FactorizationError
 from repro.utils.parallel import chunk_ranges, default_workers, parallel_map
-
-try:  # compiled kernels scipy itself dispatches to; they release the GIL
-    from scipy.sparse import _sparsetools as _st
-
-    _CSR_MATVECS = _st.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - very old scipy
-    _CSR_MATVECS = None
 
 PRECISIONS = ("single", "double")
 
@@ -182,6 +189,47 @@ def balanced_row_ranges(indptr: np.ndarray, parts: int) -> list:
     return [(int(r0), int(r1)) for r0, r1 in zip(bounds[:-1], bounds[1:])]
 
 
+def _scale_csr(kernel, matrix: sp.csr_matrix, factors, size: int) -> None:
+    """Run a compiled in-place scaling kernel on ``matrix.data``; ``factors``
+    must hold ``size`` values (the kernel does not check its reads)."""
+    factors = np.ascontiguousarray(factors, dtype=matrix.dtype)
+    if factors.shape != (size,):
+        raise FactorizationError(
+            f"expected {size} scale factors, got shape {factors.shape}"
+        )
+    rows, cols = matrix.shape
+    kernel(rows, cols, matrix.indptr, matrix.indices, matrix.data, factors)
+
+
+def scale_csr_rows(matrix: sp.csr_matrix, factors: np.ndarray) -> None:
+    """``data[k] *= factors[row(k)]`` for every stored entry, in place.
+
+    Each entry gets the one product ``diags(factors) @ matrix`` computes for
+    it, without a second matrix or an nnz-sized factor array.
+    """
+    _scale_csr(_CSR_SCALE_ROWS, matrix, factors, matrix.shape[0])
+
+
+def scale_csr_columns(matrix: sp.csr_matrix, factors: np.ndarray) -> None:
+    """``data[k] *= factors[indices[k]]`` for every stored entry, in place."""
+    _scale_csr(_CSR_SCALE_COLUMNS, matrix, factors, matrix.shape[1])
+
+
+def cast_csr(matrix: sp.csr_matrix, dtype) -> sp.csr_matrix:
+    """``matrix`` with its ``data`` cast to ``dtype``, sharing ``indices`` and
+    ``indptr``: once the caller drops ``matrix``, the cast ``data`` is the
+    only new array.  Stored order and explicit entries stay as they are
+    (scipy's ``astype`` copies all three arrays, then sorts each row and
+    drops zeros).  ``matrix`` itself comes back when it has ``dtype``.
+    """
+    if matrix.dtype == dtype:
+        return matrix
+    return sp.csr_matrix(
+        (matrix.data.astype(dtype), matrix.indices, matrix.indptr),
+        shape=matrix.shape, copy=False,
+    )
+
+
 def _csr_product(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -196,7 +244,7 @@ def _csr_product(
     ptr = indptr[r0 : r1 + 1]
     lo, hi = int(ptr[0]), int(ptr[-1])
     segment[...] = 0
-    if _CSR_MATVECS is not None and data.dtype in _BLAS_DTYPES:
+    if data.dtype in _BLAS_DTYPES:
         _CSR_MATVECS(
             r1 - r0,
             dense.shape[0],
@@ -207,7 +255,7 @@ def _csr_product(
             dense.ravel(),
             segment.ravel(),
         )
-    else:  # exotic dtype or ancient scipy: build a zero-copy row block
+    else:  # exotic dtype: build a zero-copy row block
         block = sp.csr_matrix(
             (data[lo:hi], indices[lo:hi], ptr - lo),
             shape=(r1 - r0, dense.shape[0]),

@@ -22,9 +22,9 @@ holds four ``n×d`` buffers whatever the order — each term's second product
 is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as its
 epilogue, so it never exists whole and ``lx2`` overwrites the retiring
 ``lx0``.  The modulated operator is built one row block at a time, and the
-row-normalized propagation operator ``D⁻¹(A + I)`` is cached on the
-:class:`~repro.graph.csr.CSRGraph` in the dtype asked for, so repeated
-propagation calls do not rebuild it.
+row-normalized propagation operator ``D⁻¹(A + I)`` is built in place on
+``A + I`` and cached on the :class:`~repro.graph.csr.CSRGraph` in the dtype
+asked for, so repeated propagation calls do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
@@ -77,23 +77,55 @@ def _release_rows(r0: int, r1: int, *buffers: np.ndarray) -> None:
         release_pages(buffer, r0, r1)
 
 
-def _row_normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
-    """``D⁻¹(A + I)`` — ProNE adds the identity before normalizing."""
+# Stored entries per row block of :func:`_modulated_operator`'s build and
+# of the float64 operator's row reversal: their transient is a few arrays of
+# this length, whatever the operator's nnz.
+OPERATOR_BLOCK_NNZ = 1 << 16
+
+
+def _row_normalized_adjacency(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
+    """``D⁻¹(A + I)`` in ``dtype`` — ProNE adds the identity before normalizing.
+
+    ``A + I`` is the one matrix the build allocates: its rows are scaled in
+    place (the products ``diags(1/d) @ (A + I)`` computes) and a float32
+    operator casts only ``data``.  Entries that come out zero are dropped,
+    as that product and scipy's cast drop them.  Each row keeps the stored
+    order the operator has always had, because it fixes every SPMM's
+    accumulation order: ascending in float32 (the order of ``A + I``, to
+    which scipy's cast re-sorted), descending in float64 (the order scipy's
+    sparse product emits), reversed in place one block of about
+    :data:`OPERATOR_BLOCK_NNZ` entries at a time.
+    """
     n = graph.num_vertices
     adjacency = (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
-    return (sp.diags(inv) @ adjacency).tocsr()
+    kernels.scale_csr_rows(adjacency, inv)
+    operator = kernels.cast_csr(adjacency, dtype)
+    operator.eliminate_zeros()
+    if operator.dtype != np.float64:
+        return operator
+    indptr, data, indices = operator.indptr, operator.data, operator.indices
+    parts = max(1, -(-operator.nnz // OPERATOR_BLOCK_NNZ))
+    for r0, r1 in kernels.balanced_row_ranges(indptr, parts):
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        ptr = indptr[r0 : r1 + 1] - lo
+        # Entry k of a row spanning [start, end) moves to start + end - 1 - k.
+        order = np.repeat(ptr[:-1] + ptr[1:] - 1, np.diff(ptr))
+        order -= np.arange(hi - lo, dtype=order.dtype)
+        data[lo:hi] = data[lo:hi][order]
+        indices[lo:hi] = indices[lo:hi][order]
+    # A fresh matrix object: no sortedness flag cached on ``A + I`` survives.
+    return sp.csr_matrix((data, indices, indptr), shape=operator.shape, copy=False)
 
 
 def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     """The cached row-normalized propagation operator ``D⁻¹(A + I)``.
 
     Built once per graph and dtype and memoized on the
-    :class:`~repro.graph.csr.CSRGraph` under that dtype only: the operator
-    is always built in float64 and other dtypes are cast from that build,
-    which is dropped again, so a float32 run never pins a float64 copy.
-    Callers must not mutate the returned matrix.
+    :class:`~repro.graph.csr.CSRGraph` under that dtype only, so a float32
+    run never pins a float64 copy.  Callers must not mutate the returned
+    matrix.
     """
     dtype = np.dtype(dtype)
     if graph._op_cache is None:
@@ -101,13 +133,8 @@ def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     cache = graph._op_cache
     key = ("row_normalized", dtype.str)
     if key not in cache:
-        cache[key] = _row_normalized_adjacency(graph).astype(dtype, copy=False)
+        cache[key] = _row_normalized_adjacency(graph, dtype)
     return cache[key]
-
-
-# Stored entries per row block of :func:`_modulated_operator`'s build: its
-# transient is a few arrays of this length, whatever the operator's nnz.
-OPERATOR_BLOCK_NNZ = 1 << 16
 
 
 def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:

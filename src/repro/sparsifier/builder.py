@@ -84,6 +84,7 @@ import scipy.sparse as sp
 from repro import telemetry
 from repro.errors import SamplingError, UnsupportedGraphError
 from repro.graph import CSRGraph
+from repro.linalg.kernels import scale_csr_columns, scale_csr_rows
 from repro.sparsifier.aggregation import (
     aggregate_hash,
     aggregate_hash_sharded,
@@ -370,13 +371,12 @@ def sparsifier_to_netmf_matrix(
     volume = graph.volume
     scale = volume * volume / (negative_samples * result.num_draws)
 
-    # ((D⁻¹ · (W + Wᵀ)/2) · D⁻¹) · scale, entry by entry in that order, on
-    # the one matrix the symmetrisation allocates.
+    # ((D⁻¹ · (W + Wᵀ)/2) · D⁻¹) · scale, entry by entry in that order, in
+    # place on the one matrix the symmetrisation allocates.
     matrix = (result.counts + result.counts.T).tocsr()
     inv_d = 1.0 / degrees
-    data = matrix.data
-    data *= 0.5
-    data *= np.repeat(inv_d, np.diff(matrix.indptr))
-    data *= inv_d[matrix.indices]
-    data *= scale
+    matrix.data *= 0.5
+    scale_csr_rows(matrix, inv_d)
+    scale_csr_columns(matrix, inv_d)
+    matrix.data *= scale
     return _trunc_log_inplace(matrix)

@@ -49,7 +49,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np

@@ -11,7 +11,13 @@ temporaries it builds are bounded by a block, not by the operator:
   output, whatever the operator's nnz;
 * when ``lightne_embedding`` enters propagation, the count matrix, the NetMF
   matrix and the factors ``U`` / ``Vᵀ`` are gone, with health digests
-  recorded or not.
+  recorded or not;
+* when a single-precision run enters the rSVD, the float64 NetMF matrix is
+  gone: the rSVD reads the float32 cast, which shares its index arrays;
+* the NetMF transform scales, symmetrises and takes the log in place: its
+  peak is the symmetrised matrix plus the larger of the transposed counts
+  (alive while the sum is formed) and the log's two boolean masks — no
+  further nnz-sized float64 array.
 
 ``tracemalloc`` counts the arrays the code holds, not the heap the allocator
 keeps (``VmData``, which ``benchmarks/perf`` reports).
@@ -20,6 +26,7 @@ keeps (``VmData``, which ``benchmarks/perf`` reports).
 from __future__ import annotations
 
 import gc
+import importlib
 import tracemalloc
 import weakref
 
@@ -31,7 +38,12 @@ from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.graph.generators import dcsbm_graph
 from repro.linalg import kernels, spectral
 from repro.linalg.spectral import chebyshev_gaussian_filter, propagation_operator
+from repro.sparsifier.builder import build_sparsifier, sparsifier_to_netmf_matrix
+from repro.sparsifier.path_sampling import PathSamplingConfig
 from repro.telemetry import health
+
+# The module, not the function ``repro.linalg`` exports under its name.
+rsvd_mod = importlib.import_module("repro.linalg.randomized_svd")
 
 # Python bookkeeping a call may hold at its peak (task tuples, futures, range
 # lists): far below one n×d buffer at these sizes.
@@ -124,3 +136,57 @@ class TestDeadInputs:
                 graph, LightNEParams(dimension=8, window=3, workers=1), seed=0
             )
         assert alive == {"counts": False, "netmf": False, "U": False, "Vt": False}
+
+
+class TestNetMFMatrix:
+    @pytest.mark.parametrize("policy", ["off", "record"])
+    def test_float64_matrix_gone_when_the_rsvd_starts(self, monkeypatch, policy):
+        refs, seen = {}, {}
+        build = lightne_mod.sparsifier_to_netmf_matrix
+
+        def spy(*args, **kwargs):
+            matrix = build(*args, **kwargs)
+            refs["netmf"] = weakref.ref(matrix)
+            return matrix
+
+        real = rsvd_mod.randomized_svd
+
+        def probe(matrix, *args, **kwargs):
+            seen.update(
+                float64_alive=refs["netmf"]() is not None, dtype=matrix.dtype
+            )
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(lightne_mod, "sparsifier_to_netmf_matrix", spy)
+        monkeypatch.setattr(rsvd_mod, "randomized_svd", probe)
+        graph, _ = dcsbm_graph(300, 4, avg_degree=10, seed=2)
+        with health.policy_scope(policy):
+            lightne_embedding(
+                graph,
+                LightNEParams(
+                    dimension=8, window=3, workers=1, precision="single"
+                ),
+                seed=0,
+            )
+        assert seen == {"float64_alive": False, "dtype": np.float32}
+
+    def test_transform_peak(self):
+        graph, _ = dcsbm_graph(4000, 8, avg_degree=10, seed=4)
+        config = PathSamplingConfig(
+            window=3,
+            num_samples=PathSamplingConfig.samples_for_multiplier(graph, 3, 10.0),
+        )
+        sparsifier = build_sparsifier(graph, config, seed=1, workers=1)
+        counts, n = sparsifier.counts, graph.num_vertices
+        pair = counts.data.itemsize + counts.indices.itemsize
+        # scipy's sum allocates both operands' nnz before it prunes.
+        symmetrised = 2 * counts.nnz * pair + (n + 1) * counts.indptr.itemsize
+        transposed = counts.nnz * pair + (n + 1) * counts.indptr.itemsize
+        masks = 2 * 2 * counts.nnz
+        vectors = 4 * n * 8  # degrees, 1/d and their temporaries
+        matrix, peak = _traced(
+            lambda: sparsifier_to_netmf_matrix(graph, sparsifier)
+        )
+        assert matrix.nnz > 300_000  # the nnz-sized terms dominate the slack
+        bound = symmetrised + max(transposed, masks) + vectors + SLACK_BYTES
+        assert peak <= bound, f"peak {peak} B above the live-set bound {bound} B"

@@ -18,11 +18,14 @@ from repro.errors import FactorizationError
 from repro.graph.generators import dcsbm_graph
 from repro.linalg import kernels
 from repro.linalg.kernels import (
+    cast_csr,
     cholesky_qr,
     gram,
     gram_rescale,
     orthonormalize,
     resolve_precision,
+    scale_csr_columns,
+    scale_csr_rows,
     spmm,
 )
 from repro.linalg.operators import polynomial_operator
@@ -482,6 +485,43 @@ class TestPropagationOperatorCache:
         twin = dcsbm_graph(150, 3, avg_degree=10, mixing=0.1, seed=0)[0]
         propagation_operator(graph)  # populate one side's cache only
         assert graph == twin
+
+
+class TestInPlaceOperatorKernels:
+    @staticmethod
+    def _matrix():
+        matrix = sp.random(40, 30, density=0.2, random_state=3, format="csr")
+        matrix.data += 0.5
+        return matrix
+
+    def test_scalings_are_the_diagonal_products(self, rng):
+        matrix, rows, cols = self._matrix(), rng.random(40), rng.random(30)
+        want = sp.diags(rows) @ matrix @ sp.diags(cols)
+        scale_csr_rows(matrix, rows)
+        scale_csr_columns(matrix, cols)
+        np.testing.assert_array_equal(matrix.toarray(), want.toarray())
+
+    @pytest.mark.parametrize("scale", [scale_csr_rows, scale_csr_columns])
+    def test_wrong_factor_count_is_rejected(self, scale):
+        matrix = self._matrix()
+        before = matrix.data.copy()
+        with pytest.raises(FactorizationError, match="scale factors"):
+            scale(matrix, np.ones(41))
+        np.testing.assert_array_equal(matrix.data, before)
+
+    def test_cast_shares_the_index_arrays(self):
+        # Rows stored in descending order stay that way: only data is copied.
+        matrix = self._matrix()
+        matrix.indices = np.ascontiguousarray(matrix.indices[::-1])
+        matrix.data = np.ascontiguousarray(matrix.data[::-1])
+        matrix.indptr = (matrix.nnz - matrix.indptr[::-1]).astype(matrix.indptr.dtype)
+        single = cast_csr(matrix, np.float32)
+        assert single.dtype == np.float32
+        assert np.shares_memory(single.indices, matrix.indices)
+        assert np.shares_memory(single.indptr, matrix.indptr)
+        np.testing.assert_array_equal(single.indices, matrix.indices)
+        np.testing.assert_array_equal(single.data, matrix.data.astype(np.float32))
+        assert cast_csr(matrix, np.float64) is matrix
 
 
 class TestPolynomialOperatorHorner:

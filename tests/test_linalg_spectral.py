@@ -55,7 +55,42 @@ def _graphs(draw):
 def _assert_same_csr(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     for name in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _historical_operator(graph, dtype):
+    """``D⁻¹(A + I)`` as the sparse×diagonal product it was built by,
+    restated verbatim, then scipy's cast to ``dtype``."""
+    n = graph.num_vertices
+    adjacency = (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
+    product = (sp.diags(inv) @ adjacency).tocsr()
+    return product if dtype == np.float64 else product.astype(dtype)
+
+
+class TestPropagationOperator:
+    """The in-place build equals the sparse×diagonal product array for array,
+    each row's stored order included: descending in float64 (the order
+    scipy's sparse product emits), ascending in float32 (scipy's cast sorts
+    its rows).  That order fixes every SPMM's accumulation order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=_graphs(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_equals_the_historical_product(self, graph, dtype, block):
+        saved = spectral.OPERATOR_BLOCK_NNZ
+        spectral.OPERATOR_BLOCK_NNZ = saved if block is None else block
+        try:
+            got = propagation_operator(graph, dtype)
+        finally:
+            spectral.OPERATOR_BLOCK_NNZ = saved
+        _assert_same_csr(got, _historical_operator(graph, dtype))
 
 
 class TestModulatedOperator:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.embedding.lightne import (
@@ -260,6 +262,20 @@ class TestSortDefault:
         )
         assert fingerprint("counts", result.counts).digest == "08c98a7ee9fd9fe1"
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_netmf_matrix_digest_is_the_float64_matrix(self, precision):
+        # The NetMF matrix's content digest, as the commit before the
+        # operators were built in place recorded it.  The checkpoint comes
+        # before the cast to the run's precision, so both precisions
+        # digest the same float64 matrix.
+        graph = erdos_renyi_graph(120, 0.1, seed=5)
+        with health.policy_scope("record"):
+            result = run_method(
+                "lightne", graph, seed=11, dimension=8, window=3,
+                multiplier=4.0, workers=2, precision=precision,
+            )
+        assert result.info["digests"]["svd.netmf_matrix"] == "d4d08ba1621ad650"
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize(
         "method,digest",
@@ -401,7 +417,73 @@ def _transform_graph(kind):
     return from_edges(src, dst, num_vertices=50)
 
 
+def _repeat_gather_oracle(graph, result, negative_samples=1.0):
+    """``sparsifier_to_netmf_matrix`` as written before it called scipy's
+    compiled row/column scaling: the same four products, with the row and
+    column factors spelled out as two nnz-sized float64 arrays."""
+    degrees = graph.weighted_degrees()
+    if np.any(degrees <= 0):
+        degrees = np.where(degrees > 0, degrees, 1.0)
+    volume = graph.volume
+    scale = volume * volume / (negative_samples * result.num_draws)
+    matrix = (result.counts + result.counts.T).tocsr()
+    inv_d = 1.0 / degrees
+    data = matrix.data
+    data *= 0.5
+    data *= np.repeat(inv_d, np.diff(matrix.indptr))
+    data *= inv_d[matrix.indices]
+    data *= scale
+    return trunc_log(matrix)
+
+
+@st.composite
+def _counted_graphs(draw):
+    """A graph (optionally weighted, with trailing isolated vertices) and a
+    count triangle over its first ``n`` vertices, in the sampler's layout;
+    a counted vertex without edges takes the transform's degree-1 guard."""
+    n = draw(st.integers(2, 25))
+    m = draw(st.integers(1, 3 * n))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    sources, targets = draw(ends), draw(ends)
+    weights = draw(st.one_of(
+        st.none(), st.lists(st.floats(0.01, 50.0), min_size=m, max_size=m)
+    ))
+    graph = from_edges(
+        sources, targets, weights,
+        num_vertices=n + draw(st.integers(0, 3)), drop_self_loops=False,
+    )
+    pairs = draw(st.integers(0, 4 * n))
+    ends = st.lists(st.integers(0, n - 1), min_size=pairs, max_size=pairs)
+    x, y = np.array(draw(ends), dtype=np.int64), np.array(draw(ends), dtype=np.int64)
+    sums = np.array(
+        draw(st.lists(st.floats(0.01, 1e4), min_size=pairs, max_size=pairs))
+    )
+    size = graph.num_vertices
+    counts = sp.csr_matrix(
+        (sums, (np.minimum(x, y), np.maximum(x, y))), shape=(size, size)
+    )
+    draws = draw(st.integers(1, 10**6))
+    return graph, SparsifierResult(
+        counts=counts, num_draws=draws, window=3, stats={}
+    )
+
+
 class TestInPlaceTransform:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=_counted_graphs(),
+        negative_samples=st.sampled_from([0.5, 1.0, 5.0]),
+    )
+    def test_equals_the_repeat_gather_expression(self, case, negative_samples):
+        graph, result = case
+        assume(graph.volume > 0)
+        _assert_same_csr(
+            sparsifier_to_netmf_matrix(
+                graph, result, negative_samples=negative_samples
+            ),
+            _repeat_gather_oracle(graph, result, negative_samples),
+        )
+
     @pytest.mark.parametrize(
         "kind", ["unweighted", "weighted", "self_loops", "isolated"]
     )
