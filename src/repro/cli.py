@@ -34,14 +34,15 @@ also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
 ``eval-lp``, ``compare``; see ``docs/observability.md``):
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
 ``--metrics-out m.json`` writes the metrics-registry (counter) snapshot,
-``--profile-memory`` samples RSS in the background and reports the peak,
 ``--progress`` renders a single-line live progress indicator on stderr
 (stage completion counts),
 ``--ledger`` / ``--ledger-out runs.jsonl`` append one
 :class:`~repro.telemetry.ledger.RunRecord` per pipeline run to the run
 ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
 ``--health {off,record,warn,raise}`` sets the numerical-health policy
-(stage digests + contract probes; ``REPRO_HEALTH`` works too).
+(stage digests + contract probes; ``REPRO_HEALTH`` works too).  Each of
+these subcommands ends with one ``peak RSS … MiB`` line: the OS lifetime
+peak (:func:`repro.telemetry.peak_rss_bytes`) that the ledger records.
 """
 
 from __future__ import annotations
@@ -278,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(counters) as JSON",
         )
         p.add_argument(
-            "--profile-memory", action="store_true",
-            help="sample RSS on a background thread and report the peak",
-        )
-        p.add_argument(
             "--ledger", action="store_true",
             help="append a RunRecord for each pipeline run to the run "
                  "ledger (benchmarks/results/runs.jsonl unless "
@@ -433,27 +430,20 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     if args.progress:
         progress.enable()
 
-    wants_telemetry = bool(
-        args.trace_out or args.metrics_out or args.profile_memory
-    )
+    wants_telemetry = bool(args.trace_out or args.metrics_out)
     if wants_telemetry:
         tracer = telemetry.enable()
         telemetry.reset_metrics()
     try:
         if not wants_telemetry:
-            return args.pipeline(args)
-        with telemetry.span("cli", command=args.command) as root:
-            if args.profile_memory:
-                with telemetry.profile_memory(span=root) as sampler:
-                    code = args.pipeline(args)
-                profile = sampler.profile
-                if profile is not None and profile.rss_peak_bytes is not None:
-                    print(
-                        f"peak RSS {profile.rss_peak_bytes / (1 << 20):,.1f} MiB "
-                        f"({profile.num_samples} samples)"
-                    )
-            else:
+            code = args.pipeline(args)
+        else:
+            with telemetry.span("cli", command=args.command):
                 code = args.pipeline(args)
+        # The OS lifetime peak: the same figure the ledger records.
+        peak = telemetry.peak_rss_bytes()
+        if peak is not None:
+            print(f"peak RSS {peak / (1 << 20):,.1f} MiB")
         return code
     finally:
         if args.progress:

@@ -17,29 +17,12 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphConstructionError
-
-
-def row_weight_sums(
-    weights: np.ndarray, starts: np.ndarray, degrees: np.ndarray
-) -> np.ndarray:
-    """Sum ``weights[starts[u] : starts[u] + degrees[u]]`` for every row ``u``.
-
-    ``np.add.reduceat`` misreads an empty segment as its start element, and a
-    start past the end of ``weights`` (trailing empty rows) is an error, so
-    only the non-empty rows are reduced: consecutive non-empty starts delimit
-    exactly one row each, and the last one runs to the end of the array.
-    """
-    sums = np.zeros(degrees.size, dtype=np.float64)
-    nonempty = np.flatnonzero(degrees)
-    if nonempty.size:
-        sums[nonempty] = np.add.reduceat(weights, starts[nonempty])
-    return sums
 
 
 class CSRGraph:
@@ -152,9 +135,18 @@ class CSRGraph:
     def weighted_degrees(self) -> np.ndarray:
         """Weighted degrees ``d_u = sum_v A_uv`` (equals :meth:`degrees` when
         unweighted)."""
+        degrees = self.degrees()
         if self.weights is None:
-            return self.degrees().astype(np.float64)
-        return row_weight_sums(self.weights, self.offsets[:-1], self.degrees())
+            return degrees.astype(np.float64)
+        # np.add.reduceat misreads an empty segment as its start element, and
+        # a start past the end of ``weights`` (trailing empty rows) is an
+        # error, so only the non-empty rows are reduced: consecutive non-empty
+        # starts delimit exactly one row each, the last runs to the end.
+        sums = np.zeros(degrees.size, dtype=np.float64)
+        nonempty = np.flatnonzero(degrees)
+        if nonempty.size:
+            sums[nonempty] = np.add.reduceat(self.weights, self.offsets[nonempty])
+        return sums
 
     def degree(self, u: int) -> int:
         """Degree of a single vertex."""
@@ -211,14 +203,6 @@ class CSRGraph:
         """Return parallel ``(sources, targets)`` arrays of all directed edges."""
         sources = np.repeat(np.arange(self.num_vertices, dtype=self.targets.dtype), self.degrees())
         return sources, self.targets
-
-    def iter_edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over directed edges as ``(u, v, w)`` tuples (test helper)."""
-        for u in range(self.num_vertices):
-            start, stop = self.offsets[u], self.offsets[u + 1]
-            for k in range(start, stop):
-                w = 1.0 if self.weights is None else float(self.weights[k])
-                yield u, int(self.targets[k]), w
 
     # ------------------------------------------------------------- conversion
     def adjacency(self, dtype=np.float64) -> sp.csr_matrix:

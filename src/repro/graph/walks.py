@@ -26,7 +26,8 @@ def step_random_walk(
     steps: np.ndarray,
     seed: SeedLike = None,
 ) -> np.ndarray:
-    """Advance each walker ``positions[i]`` by ``steps[i]`` uniform steps.
+    """Advance each walker ``positions[i]`` by ``steps[i]`` steps (uniform, or
+    in proportion to edge weight on a weighted graph).
 
     Walkers stranded on isolated vertices — degree 0, or weighted degree 0
     when every incident edge weighs 0 — stay put: the generators never
@@ -115,6 +116,8 @@ def random_walk_matrix_sample(
 
     Returns an array of shape ``(n * walks_per_vertex, walk_length + 1)``
     whose rows are vertex trajectories starting from each vertex in turn.
+    Each column is one :func:`step_random_walk` step from the previous one,
+    so weighted graphs are walked in proportion to edge weight.
     """
     if walk_length < 0:
         raise SamplingError(f"walk_length must be non-negative, got {walk_length}")
@@ -124,18 +127,10 @@ def random_walk_matrix_sample(
         )
     rng = ensure_rng(seed)
     n = graph.num_vertices
-    degrees = graph.degrees()
     starts = np.tile(np.arange(n, dtype=np.int64), walks_per_vertex)
     walks = np.empty((starts.size, walk_length + 1), dtype=np.int64)
     walks[:, 0] = starts
-    current = starts.copy()
+    ones = np.ones(starts.size, dtype=np.int64)
     for t in range(1, walk_length + 1):
-        deg = degrees[current]
-        movable = deg > 0
-        if movable.any():
-            cur = current[movable]
-            draws = rng.integers(0, 2**32, size=cur.size, dtype=np.uint64)
-            idx = (draws % degrees[cur].astype(np.uint64)).astype(np.int64)
-            current[movable] = graph.ith_neighbors(cur, idx)
-        walks[:, t] = current
+        walks[:, t] = step_random_walk(graph, walks[:, t - 1], ones, rng)
     return walks

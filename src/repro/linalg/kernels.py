@@ -404,8 +404,10 @@ def spmm(
     if not csc and getattr(matrix, "format", None) != "csr":
         matrix = matrix.tocsr()
     dense = np.ascontiguousarray(dense, dtype=result_dtype)
-    if matrix.dtype != result_dtype:
-        matrix = matrix.astype(result_dtype)
+    if csc:
+        matrix = matrix.astype(result_dtype, copy=False)
+    else:  # casts data only, so rows are read in stored order at any dtype
+        matrix = cast_csr(matrix, result_dtype)
 
     if csc:
         # Parallelize over dense columns: each output column is produced by

@@ -1,7 +1,7 @@
 """repro.telemetry — hierarchical tracing, metrics and memory profiling.
 
 The observability substrate for the whole pipeline (see
-``docs/observability.md``).  Three pieces:
+``docs/observability.md``).  Its pieces:
 
 * **Spans** (:mod:`repro.telemetry.tracer`) — nested, thread-aware timed
   intervals forming a trace tree, exportable as Chrome trace-event JSON
@@ -11,8 +11,8 @@ The observability substrate for the whole pipeline (see
 * **Runs** (:mod:`repro.telemetry.run`) — one pipeline run is one root span:
   its child spans are the Table-5 stages (``EmbeddingResult.timer`` is a
   view of them, tracing on or off) and its metrics are its own;
-* **Memory** (:mod:`repro.telemetry.memory`) — a background RSS /
-  ``tracemalloc`` peak sampler attachable to any span;
+* **Memory** (:mod:`repro.telemetry.memory`) — the OS peak RSS and a
+  background RSS / anonymous-memory sampler;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
   progress counted from task completions (the CLI's ``--progress`` flag).
 
@@ -22,12 +22,12 @@ On top of the substrate sits the *persistence* layer:
   one :class:`RunRecord` (params hash, environment fingerprint, Table-5
   stage times, metrics, peak RSS) to ``benchmarks/results/runs.jsonl``;
 * **Reports** (:mod:`repro.telemetry.report`, CLI ``lightne report``) —
-  terminal and self-contained HTML trajectory/stage-breakdown/flamegraph
-  rendering;
+  terminal trajectories, the latest run's stage breakdown and metrics
+  diffs (the span tree itself is drawn by Perfetto from the Chrome trace);
 * **Numerical health** (:mod:`repro.telemetry.health`, CLI ``--health``)
   — per-stage content digests plus contract probes (sparsifier mass,
-  factorization residual, finiteness), recorded into spans, metrics and
-  the ledger's ``health``/``digests`` blocks under a configurable
+  factorization residual, finiteness), recorded into the ledger's
+  ``health``/``digests`` blocks under a configurable
   ``off|record|warn|raise`` policy;
 * **Determinism audit** (:mod:`repro.telemetry.audit`, CLI
   ``lightne audit``) — diffs two ledger runs digest by digest and
@@ -49,7 +49,7 @@ hot paths costs a single gated function call in that state.  Typical use::
     telemetry.disable()
 
 or from the CLI: ``lightne embed ... --trace-out trace.json
---metrics-out metrics.json --profile-memory``.
+--metrics-out metrics.json``.
 """
 
 from repro.telemetry.tracer import (
@@ -77,7 +77,6 @@ from repro.telemetry.memory import (
     MemorySampler,
     current_rss_bytes,
     peak_rss_bytes,
-    profile_memory,
 )
 from repro.telemetry.environment import collect_fingerprint, fingerprint_key
 from repro.telemetry.ledger import RunLedger, RunRecord
@@ -121,7 +120,6 @@ __all__ = [
     # memory
     "MemoryProfile",
     "MemorySampler",
-    "profile_memory",
     "current_rss_bytes",
     "peak_rss_bytes",
     # environment & ledger

@@ -34,12 +34,11 @@ variable.  ``off`` (default) skips all digest/probe work; ``record`` keeps
 results silently; ``warn`` logs failures; ``raise`` throws a typed
 :class:`~repro.errors.NumericalHealthError`.
 
-Results flow three ways: span attributes on the current telemetry span,
-``health.*`` counters in the metrics registry, and — through
-``EmbeddingResult.info["health"]`` / ``info["digests"]`` — the ``health``
-and ``digests`` blocks of the ledger :class:`~repro.telemetry.ledger.
-RunRecord`, which ``lightne audit`` (:mod:`repro.telemetry.audit`) diffs to
-localize the first diverging stage between two runs.
+Results flow one way: through ``EmbeddingResult.info["health"]`` /
+``info["digests"]`` into the ``health`` and ``digests`` blocks of the ledger
+:class:`~repro.telemetry.ledger.RunRecord`, which ``lightne audit``
+(:mod:`repro.telemetry.audit`) diffs to localize the first diverging stage
+between two runs.
 """
 
 from __future__ import annotations
@@ -50,14 +49,12 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import NumericalHealthError
-from repro.telemetry import metrics as _metrics
-from repro.telemetry import tracer as _tracer
 from repro.utils.log import get_logger
 
 logger = get_logger(__name__)
@@ -174,29 +171,6 @@ class StageDigest:
             "max": self.vmax,
             "nonfinite": self.nonfinite,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "StageDigest":
-        """Rebuild from a parsed ledger entry (tolerant of missing stats)."""
-
-        def _f(key: str) -> float:
-            try:
-                return float(data.get(key))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return float("nan")
-
-        return cls(
-            stage=str(data.get("stage", "")),
-            digest=str(data.get("digest", "")),
-            kind=str(data.get("kind", "")),
-            shape=tuple(int(s) for s in (data.get("shape") or ())),
-            dtype=str(data.get("dtype", "")),
-            nnz=int(data.get("nnz") or 0),
-            norm=_f("norm"),
-            vmin=_f("min"),
-            vmax=_f("max"),
-            nonfinite=int(data.get("nonfinite") or 0),
-        )
 
 
 def _canonical_array(arr: np.ndarray) -> np.ndarray:
@@ -357,22 +331,17 @@ class HealthRecorder:
     def checkpoint(self, stage: str, value) -> Optional[StageDigest]:
         """Fingerprint ``value`` as the output of ``stage``.
 
-        Publishes the digest/norm to the current telemetry span and the
-        ``health.checkpoints`` counter; a non-finite entry count additionally
-        registers a failed ``finite`` probe carrying the count (policy
-        handling applies).  The ``health.nonfinite`` counter is not touched
-        here: ``run_pipeline``'s guard counts the final embedding once,
-        whatever the policy.
+        The digest lands in this recorder's :meth:`summary` /
+        :meth:`digest_map`, the ledger's ``health``/``digests`` blocks; a
+        non-finite entry count additionally registers a failed ``finite``
+        probe carrying the count (policy handling applies).  The
+        ``health.nonfinite`` counter is not touched here: ``run_pipeline``'s
+        guard counts the final embedding once, whatever the policy.
         """
         if not self.enabled:
             return None
         digest = fingerprint(self._unique_stage(stage), value)
         self.digests.append(digest)
-        span = _tracer.current_span()
-        if span is not None:
-            span.set_attribute(f"health.digest.{digest.stage}", digest.digest)
-            span.set_attribute(f"health.norm.{digest.stage}", digest.norm)
-        _metrics.counter("health.checkpoints").inc()
         if digest.nonfinite:
             self.record_probe(
                 ProbeResult(
@@ -392,9 +361,7 @@ class HealthRecorder:
     def record_probe(self, probe: ProbeResult) -> ProbeResult:
         """Register a probe result and apply the policy to failures."""
         self.probes.append(probe)
-        _metrics.counter("health.probes").inc()
         if not probe.ok:
-            _metrics.counter("health.probe_failures").inc()
             message = (
                 f"numerical-health probe {probe.name!r} failed at stage "
                 f"{probe.stage!r}: value={probe.value:g}"

@@ -52,22 +52,6 @@ DEFAULT_PATH = os.path.join("benchmarks", "results", "runs.jsonl")
 
 _TRUTHY = {"1", "true", "yes", "on"}
 
-# Fields every schema-valid record line must carry.
-REQUIRED_FIELDS = (
-    "schema",
-    "run_id",
-    "timestamp",
-    "method",
-    "dataset",
-    "params",
-    "params_hash",
-    "env",
-    "fingerprint",
-    "stages",
-    "total_s",
-)
-
-
 def params_hash(params: Mapping[str, object]) -> str:
     """Canonical short hash of a params dict (order-independent)."""
     payload = json.dumps(params, sort_keys=True, default=str)
@@ -178,20 +162,6 @@ class RunRecord:
             params_hash=str(data.get("params_hash") or ""),
             fingerprint=str(data.get("fingerprint") or ""),
         )
-
-
-def validate_record(data: Mapping[str, object]) -> List[str]:
-    """Schema problems in a parsed ledger line (empty list = valid)."""
-    problems = [f"missing field {name!r}" for name in REQUIRED_FIELDS if name not in data]
-    if "stages" in data and not isinstance(data["stages"], Mapping):
-        problems.append("'stages' must be an object")
-    if "params" in data and not isinstance(data["params"], Mapping):
-        problems.append("'params' must be an object")
-    if "schema" in data and data["schema"] != SCHEMA_VERSION:
-        problems.append(
-            f"schema version {data['schema']!r} != {SCHEMA_VERSION}"
-        )
-    return problems
 
 
 class RunLedger:

@@ -1,20 +1,17 @@
-"""Memory-profiling hooks: a background RSS / ``tracemalloc`` peak sampler.
+"""Memory-profiling hooks: a background RSS peak sampler.
 
 The paper's §5.2.4 memory story (how many samples fit in 1.5 TB) is modeled
 analytically in :mod:`repro.systems.memory`; this module measures the real
-process instead.  A :class:`MemorySampler` polls resident-set size on a
-daemon thread (``/proc/self/statm`` on Linux, ``resource.getrusage`` as the
-peak-only fallback) and optionally tracks Python-level allocations with
-``tracemalloc``.  :func:`profile_memory` wraps any block and attaches the
-resulting peak figures to a telemetry span as attributes — this is the
-supported replacement for threading hand-rolled ``peak_*_bytes`` counters
-through call signatures.
+process instead.  A :class:`MemorySampler` polls resident-set size and
+anonymous memory on a daemon thread (``/proc/self/statm`` and
+``/proc/self/status`` on Linux); :func:`peak_rss_bytes` is the OS lifetime
+peak that the CLI prints and the run ledger records.
 
 Usage::
 
-    with telemetry.span("embed") as sp, profile_memory(span=sp) as sampler:
+    with MemorySampler(0.005) as sampler:
         result = lightne_embedding(graph, params)
-    sampler.profile.rss_peak_bytes
+    sampler.profile.anon_peak_bytes
 
 Sampling is stdlib-only and degrades gracefully: on platforms without a
 readable RSS source the profile's fields are ``None`` and nothing crashes.
@@ -25,9 +22,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 try:
     import resource
@@ -87,8 +83,6 @@ class MemoryProfile:
     """What a sampling window observed.
 
     ``rss_*`` fields are ``None`` when the platform exposes no RSS source.
-    ``tracemalloc_peak_bytes`` is ``None`` unless allocation tracing was
-    requested.
     """
 
     rss_start_bytes: Optional[int] = None
@@ -98,24 +92,10 @@ class MemoryProfile:
     num_samples: int = 0
     interval_s: float = 0.0
     duration_s: float = 0.0
-    tracemalloc_peak_bytes: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        """Plain-dict view (span attributes / JSON reports)."""
-        return {
-            "rss_start_bytes": self.rss_start_bytes,
-            "rss_peak_bytes": self.rss_peak_bytes,
-            "rss_end_bytes": self.rss_end_bytes,
-            "anon_peak_bytes": self.anon_peak_bytes,
-            "num_samples": self.num_samples,
-            "interval_s": self.interval_s,
-            "duration_s": self.duration_s,
-            "tracemalloc_peak_bytes": self.tracemalloc_peak_bytes,
-        }
 
 
 class MemorySampler:
-    """Background RSS poller with an optional ``tracemalloc`` window.
+    """Background RSS / anonymous-memory poller.
 
     ``start()`` launches a daemon thread sampling every ``interval`` seconds;
     ``stop()`` joins it and returns the :class:`MemoryProfile`.  Also usable
@@ -123,13 +103,10 @@ class MemorySampler:
     exit).
     """
 
-    def __init__(
-        self, interval: float = 0.01, *, trace_allocations: bool = False
-    ) -> None:
+    def __init__(self, interval: float = 0.01) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.interval = interval
-        self.trace_allocations = trace_allocations
         self.profile: Optional[MemoryProfile] = None
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -137,7 +114,6 @@ class MemorySampler:
         self._anon_peak: Optional[int] = None
         self._rss_start: Optional[int] = None
         self._samples = 0
-        self._started_tracemalloc = False
         self._t0 = 0.0
 
     # ------------------------------------------------------------- lifecycle
@@ -149,13 +125,6 @@ class MemorySampler:
         self._rss_start = current_rss_bytes()
         self._peak = self._rss_start
         self._anon_peak = current_anon_bytes()
-        if self.trace_allocations:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-            tracemalloc.reset_peak()
         self._thread = threading.Thread(
             target=self._run, name="repro-memory-sampler", daemon=True
         )
@@ -189,14 +158,6 @@ class MemorySampler:
         anon_peak = self._anon_peak
         if anon_end is not None and (anon_peak is None or anon_end > anon_peak):
             anon_peak = anon_end
-        tracemalloc_peak: Optional[int] = None
-        if self.trace_allocations:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                tracemalloc_peak = tracemalloc.get_traced_memory()[1]
-                if self._started_tracemalloc:
-                    tracemalloc.stop()
         self.profile = MemoryProfile(
             rss_start_bytes=self._rss_start,
             rss_peak_bytes=peak,
@@ -205,7 +166,6 @@ class MemorySampler:
             num_samples=self._samples,
             interval_s=self.interval,
             duration_s=time.perf_counter() - self._t0,
-            tracemalloc_peak_bytes=tracemalloc_peak,
         )
         return self.profile
 
@@ -215,37 +175,3 @@ class MemorySampler:
     def __exit__(self, *exc: object) -> bool:
         self.stop()
         return False
-
-
-@contextmanager
-def profile_memory(
-    span=None,
-    *,
-    interval: float = 0.01,
-    trace_allocations: bool = False,
-) -> Iterator[MemorySampler]:
-    """Sample memory around a block; attach the peaks to ``span``.
-
-    Parameters
-    ----------
-    span:
-        Optional telemetry span; receives ``rss_peak_bytes`` (and
-        ``tracemalloc_peak_bytes`` when tracing allocations) as attributes.
-    interval:
-        Polling period in seconds.
-    trace_allocations:
-        Also run a ``tracemalloc`` window (Python-level allocation peak;
-        slows allocation-heavy code, so off by default).
-    """
-    sampler = MemorySampler(interval, trace_allocations=trace_allocations)
-    sampler.start()
-    try:
-        yield sampler
-    finally:
-        profile = sampler.stop()
-        if span is not None and profile.rss_peak_bytes is not None:
-            span.set_attribute("rss_peak_bytes", profile.rss_peak_bytes)
-        if span is not None and profile.tracemalloc_peak_bytes is not None:
-            span.set_attribute(
-                "tracemalloc_peak_bytes", profile.tracemalloc_peak_bytes
-            )

@@ -3,8 +3,8 @@
 The quantitative side of the telemetry subsystem (the span tracer is the
 structural side).  One instrument kind, :class:`Counter` — a monotonically
 increasing total (draws taken, batches walked, operator passes, SPMM flops).
-Durations are span durations, peaks are span attributes and probe values
-live in the health block; the registry holds only what is counted.
+Durations are span durations, the peak RSS is the ledger record's and probe
+values live in the health block; the registry holds only what is counted.
 
 Counters live in a :class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot`
 returns a plain-dict snapshot (``{"counters": {...}}``, JSON-serializable)

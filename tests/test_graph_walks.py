@@ -129,6 +129,32 @@ class TestWalkCorpus:
             np.sort(np.unique(walks[:, 0])), [0, 1, 2]
         )
 
+    def test_weighted_steps_follow_edge_weight(self):
+        # A 100:1 star: from the center, the heavy leaf is taken with
+        # probability w / sum(w) = 100/101, not the uniform 1/2.
+        star = from_edges([0, 0], [1, 2], [100.0, 1.0])
+        walks = random_walk_matrix_sample(star, 4, 500, seed=0)
+        from_center = walks[:, :-1] == 0
+        trials = int(from_center.sum())
+        heavy = int((walks[:, 1:][from_center] == 1).sum())
+        p = 100.0 / 101.0
+        assert trials > 1000
+        assert abs(heavy / trials - p) <= 5 * np.sqrt(p * (1 - p) / trials)
+
+    def test_unweighted_walks_are_the_uniform_modulo_rule(self, er_graph):
+        # Each column is one draw of 32 random bits per walker, reduced
+        # modulo the degree (every er_graph vertex has an edge).
+        walks = random_walk_matrix_sample(er_graph, 3, 2, seed=7)
+        rng = np.random.default_rng(7)
+        degrees = er_graph.degrees().astype(np.uint64)
+        for t in range(1, walks.shape[1]):
+            cur = walks[:, t - 1]
+            draws = rng.integers(0, 2**32, size=cur.size, dtype=np.uint64)
+            idx = (draws % degrees[cur]).astype(np.int64)
+            np.testing.assert_array_equal(
+                walks[:, t], er_graph.ith_neighbors(cur, idx)
+            )
+
     def test_invalid_args(self, triangle):
         with pytest.raises(SamplingError):
             random_walk_matrix_sample(triangle, -1, 1)

@@ -11,6 +11,8 @@ substrates.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,6 @@ from repro.telemetry import health, ledger
 from repro.telemetry.health import (
     HealthRecorder,
     ProbeResult,
-    StageDigest,
     digest_csr,
     digest_dense,
     fingerprint,
@@ -70,8 +71,13 @@ class TestDenseDigest:
         assert (d.vmin, d.vmax) == (-4.0, 3.0)
 
     def test_roundtrip_dict(self, rng):
+        # ``to_dict`` is the ledger's health-block entry: it survives JSON.
         d = digest_dense("s", rng.normal(size=4))
-        assert StageDigest.from_dict(d.to_dict()) == d
+        block = d.to_dict()
+        assert json.loads(json.dumps(block)) == block
+        assert (block["digest"], block["norm"], block["shape"]) == (
+            d.digest, d.norm, list(d.shape)
+        )
 
 
 class TestCSRDigest:

@@ -152,6 +152,70 @@ class TestSpmmParity:
         )
 
 
+class TestSpmmMixedDtype:
+    """A CSR operator of another dtype than the result (the residual probe's
+    float32 NetMF matrix against float64 probe vectors) is cast data-only:
+    the row kernel reads the operator's own ``indices`` and ``indptr``."""
+
+    @staticmethod
+    def _float32_operator():
+        matrix = sp.random(
+            80, 60, density=0.15, random_state=12, format="csr",
+            dtype=np.float32,
+        )
+        assert matrix.has_canonical_format
+        return matrix
+
+    def test_row_kernel_shares_the_operators_indices(self, monkeypatch, rng):
+        matrix = self._float32_operator()
+        seen = []
+        row_kernel = kernels._csr_rows_kernel
+
+        def spy(indptr, indices, data, *rest):
+            seen.append((indptr, indices, data))
+            row_kernel(indptr, indices, data, *rest)
+
+        monkeypatch.setattr(kernels, "_csr_rows_kernel", spy)
+        out = spmm(matrix, rng.standard_normal((60, 4)), workers=2)
+        assert out.dtype == np.float64 and seen
+        for indptr, indices, data in seen:
+            assert np.shares_memory(indices, matrix.indices)
+            assert np.shares_memory(indptr, matrix.indptr)
+            assert data.dtype == np.float64
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_bit_identical_to_astype_on_canonical_inputs(self, workers, rng):
+        matrix = self._float32_operator()
+        dense = rng.standard_normal((60, 5))
+        np.testing.assert_array_equal(
+            spmm(matrix, dense, workers=workers),
+            matrix.astype(np.float64) @ dense,
+        )
+
+    def test_residual_probe_in_the_ledger_is_unchanged(self, tmp_path):
+        # ``factorization_residual`` as the commit before the data-only cast
+        # recorded it; single precision is the run whose probe takes the cast.
+        from repro.embedding import run_method
+        from repro.graph.generators import erdos_renyi_graph
+        from repro.telemetry import health, ledger
+
+        graph = erdos_renyi_graph(120, 0.1, seed=5)
+        path = tmp_path / "runs.jsonl"
+        for precision in ("single", "double"):
+            with ledger.enabled_scope(path=path), health.policy_scope("record"):
+                run_method(
+                    "lightne", graph, seed=11, dimension=8, window=3,
+                    multiplier=4.0, workers=2, precision=precision,
+                )
+        residuals = [
+            probe["value"]
+            for record in ledger.RunLedger(path).records()
+            for probe in record.health["probes"]
+            if probe["name"] == "factorization_residual"
+        ]
+        assert residuals == [0.8308062205941019, 0.8308061588574536]
+
+
 class TestSpmmOut:
     def test_out_is_returned_and_filled(self, rng):
         matrix = sp.random(40, 40, density=0.1, random_state=7, format="csr")

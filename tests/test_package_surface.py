@@ -289,14 +289,39 @@ def test_deleted_api_stays_deleted(capsys):
         for name in ("Gauge", "Histogram", "gauge", "histogram",
                      "DEFAULT_LATENCY_BUCKETS", "PROBE_BUCKETS"):
             assert not hasattr(module, name), (module.__name__, name)
+    # One view per signal: Perfetto draws the trace, the ledger holds the
+    # peak RSS and the health record; test-only helpers live in the tests.
+    import repro.graph.csr
+    import repro.telemetry.health
+    import repro.telemetry.ledger
+    import repro.telemetry.memory
+    import repro.telemetry.report
+    import repro.utils.rng
+
+    for module, name in (
+        (repro.telemetry, "profile_memory"),
+        (repro.telemetry.memory, "profile_memory"),
+        (repro.telemetry.report, "render_html"),
+        (repro.telemetry.report, "flame_boxes"),
+        (repro.telemetry.ledger, "validate_record"),
+        (repro.telemetry.ledger, "REQUIRED_FIELDS"),
+        (repro.telemetry.health.StageDigest, "from_dict"),
+        (repro.utils.rng, "derive_seed"),
+        (repro.graph.csr, "row_weight_sums"),
+        (repro.graph.csr.CSRGraph, "iter_edges"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
     with pytest.raises(TypeError):
-        with repro.telemetry.profile_memory(metrics=repro.telemetry.get_metrics()):
-            pass
+        repro.telemetry.MemorySampler(0.01, trace_allocations=True)
     for argv, flag in ((["regress"], "invalid choice: 'regress'"),
                        (["embed", "--method", "sketchne"], "invalid choice: 'sketchne'"),
                        (["embed", "--factorizer", "rsvd"], "--factorizer"),
                        (["embed", "--sparsifier", "path"], "--sparsifier"),
-                       (["stream"], "invalid choice: 'stream'")):
+                       (["stream"], "invalid choice: 'stream'"),
+                       (["embed", "--profile-memory"], "--profile-memory"),
+                       (["report", "--html", "r.html"], "--html"),
+                       (["report", "--trace", "t.json"], "--trace"),
+                       (["report", "--last", "5"], "--last")):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -1,19 +1,15 @@
-"""Tests for the perf-trajectory report generator (terminal + HTML)."""
+"""Tests for the perf-trajectory report (``lightne report``)."""
 
 from __future__ import annotations
 
-import json
+import re
 import statistics
-
-import pytest
 
 from repro.cli import main as cli_main
 from repro.telemetry.ledger import RunLedger, RunRecord
 from repro.telemetry.report import (
-    flame_boxes,
     format_run,
     metrics_diff,
-    render_html,
     sparkline,
     trajectory_rows,
 )
@@ -150,7 +146,9 @@ OLD_LINE_METRICS = {
 
 
 class TestOldLedgerLines:
-    def test_gauge_and_histogram_blocks_load_diff_and_render(self, tmp_path):
+    def test_gauge_and_histogram_blocks_load_diff_and_render(
+        self, tmp_path, capsys
+    ):
         old = make_record(metrics=OLD_LINE_METRICS)
         new = make_record(
             metrics={"counters": {"spmm.calls": 19.0, "svd.operator_passes": 6.0}}
@@ -166,102 +164,11 @@ class TestOldLedgerLines:
         by_metric = {r["metric"]: r for r in rows}
         assert by_metric["spmm.calls"]["delta"] == -6.0
         assert "sparsifier.nnz" not in by_metric
-        html = render_html([loaded, current], diff=(loaded, current))
-        assert "Metrics diff" in html and "spmm.calls" in html
-
-
-class TestFlameBoxes:
-    def _trace(self):
-        return {
-            "traceEvents": [
-                {"name": "root", "ph": "X", "ts": 0.0, "dur": 100.0, "tid": 1},
-                {"name": "child", "ph": "X", "ts": 10.0, "dur": 40.0, "tid": 1},
-                {"name": "leaf", "ph": "X", "ts": 15.0, "dur": 10.0, "tid": 1},
-                {"name": "sibling", "ph": "X", "ts": 60.0, "dur": 30.0, "tid": 1},
-                {"name": "meta", "ph": "M", "tid": 1},
-            ]
-        }
-
-    def test_nesting_depths(self):
-        boxes = {b["name"]: b for b in flame_boxes(self._trace())}
-        assert boxes["root"]["depth"] == 0
-        assert boxes["child"]["depth"] == 1
-        assert boxes["leaf"]["depth"] == 2
-        assert boxes["sibling"]["depth"] == 1
-
-    def test_widths_are_proportional(self):
-        boxes = {b["name"]: b for b in flame_boxes(self._trace())}
-        assert boxes["root"]["width"] == 100.0
-        assert abs(boxes["child"]["width"] - 40.0) < 1e-6
-
-    def test_empty_trace(self):
-        assert flame_boxes({"traceEvents": []}) == []
-
-    def test_flame_boxes_do_not_cross_nest_pids(self):
-        # Same tid in two pids, overlapping in time: tid-only grouping
-        # would stack one inside the other.
-        doc = {
-            "traceEvents": [
-                {"ph": "X", "name": "a", "pid": 1, "tid": 1,
-                 "ts": 0.0, "dur": 100.0},
-                {"ph": "X", "name": "b", "pid": 2, "tid": 1,
-                 "ts": 10.0, "dur": 50.0},
-            ]
-        }
-        boxes = flame_boxes(doc)
-        assert {b["depth"] for b in boxes} == {0}
-        assert {(b["pid"], b["tid"]) for b in boxes} == {(1, 1), (2, 1)}
-
-
-class TestHTML:
-    def test_self_contained_no_network_assets(self):
-        html = render_html([make_record(total=t) for t in (1.0, 1.1, 0.9)])
-        lowered = html.lower()
-        assert "http://" not in lowered
-        assert "https://" not in lowered
-        assert "<script src" not in lowered
-        assert 'link rel="stylesheet"' not in lowered
-
-    def test_contains_stage_breakdown_and_sparkline(self):
-        html = render_html([make_record(total=t) for t in (1.0, 1.1, 0.9)])
-        assert "sparsifier" in html
-        assert "<svg" in html          # trajectory sparkline
-        assert "Table 5" in html
-
-    def test_quality_sparkline_next_to_stage_trend(self):
-        records = [
-            make_record(total=t, quality={"micro_f1": q})
-            for t, q in ((1.0, 0.38), (1.1, 0.40), (0.9, 0.41))
-        ]
-        html = render_html(records)
-        # Metric label rendered next to its own sparkline, and the per-run
-        # table carries the score column.
-        assert "micro_f1" in html
-        assert html.count("<svg") >= 2  # stage-time + quality trends
-        assert "0.41" in html
-
-    def test_no_quality_no_extra_sparkline(self):
-        with_q = render_html(
-            [make_record(total=t, quality={"mrr": 0.5}) for t in (1.0, 1.1)]
-        )
-        without_q = render_html([make_record(total=t) for t in (1.0, 1.1)])
-        assert with_q.count("<svg") > without_q.count("<svg")
-
-    def test_empty_ledger(self):
-        html = render_html([])
-        assert "empty" in html
-
-    def test_diff_and_flame_sections(self):
-        a, b = make_record(), make_record(total=1.2)
-        trace = {
-            "traceEvents": [
-                {"name": "lightne", "ph": "X", "ts": 0.0, "dur": 50.0, "tid": 1}
-            ]
-        }
-        html = render_html([a, b], diff=(a, b), trace=trace)
-        assert "Metrics diff" in html
-        assert "Flamegraph" in html
-        assert "lightne" in html
+        assert cli_main(
+            ["report", "--ledger", str(path), "--diff", "1", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "metrics diff 1 -> 2" in out and "spmm.calls" in out
 
 
 class TestReportCLI:
@@ -272,32 +179,15 @@ class TestReportCLI:
             book.append(record)
         return path
 
-    def test_terminal_and_html_output(self, tmp_path, capsys):
+    def test_terminal_output(self, tmp_path, capsys):
         path = self._ledger(
             tmp_path, [make_record(total=t) for t in (1.0, 1.3, 1.1)]
         )
-        out_html = tmp_path / "report.html"
-        code = cli_main(["report", "--ledger", str(path), "--html", str(out_html)])
+        code = cli_main(["report", "--ledger", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "trajectories" in out
         assert "latest run" in out
-        assert out_html.exists()
-        assert "<svg" in out_html.read_text()
-
-    @pytest.mark.parametrize("last", ["0", "-2"])
-    def test_last_below_one_is_a_usage_error(self, tmp_path, capsys, last):
-        # group[-0:] would render every run and group[-2:] a wrong count.
-        path = self._ledger(
-            tmp_path, [make_record(total=t) for t in (1.0, 1.1, 1.2, 1.3, 1.4)]
-        )
-        out_html = tmp_path / "report.html"
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["report", "--ledger", str(path), "--last", last,
-                      "--html", str(out_html)])
-        assert excinfo.value.code == 2
-        assert "--last: must be at least 1" in capsys.readouterr().err
-        assert not out_html.exists()
 
     def test_diff_by_run_id_prefix(self, tmp_path, capsys):
         a = make_record(metrics={"counters": {"c": 1}, "gauges": {}})
@@ -311,29 +201,6 @@ class TestReportCLI:
         assert code == 0
         assert "metrics diff" in out
 
-    def test_trace_flag_feeds_flamegraph(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [make_record()])
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text(
-            json.dumps(
-                {
-                    "traceEvents": [
-                        {"name": "svd", "ph": "X", "ts": 0.0, "dur": 5.0, "tid": 1}
-                    ]
-                }
-            )
-        )
-        out_html = tmp_path / "r.html"
-        code = cli_main(
-            [
-                "report", "--ledger", str(path),
-                "--trace", str(trace_path),
-                "--html", str(out_html),
-            ]
-        )
-        assert code == 0
-        assert "Flamegraph" in out_html.read_text()
-
     def test_empty_ledger_message(self, tmp_path, capsys):
         code = cli_main(["report", "--ledger", str(tmp_path / "none.jsonl")])
         assert code == 0
@@ -341,11 +208,14 @@ class TestReportCLI:
 
     def test_diff_and_audit_address_the_same_runs(self, tmp_path, capsys):
         """``report --diff A B`` and ``audit A B`` share one run selector."""
+        ids = ("aaaa00000000", "3bbb00000000", "cccc00000000", "aaaa11111111")
+        # Each run's ``run`` counter is its index: the diff row names the runs.
         records = [
-            make_record(digests={"svd": f"d{i}"}, run_id=run_id)
-            for i, run_id in enumerate(
-                ("aaaa00000000", "3bbb00000000", "cccc00000000", "aaaa11111111")
+            make_record(
+                digests={"svd": f"d{i}"}, run_id=run_id,
+                metrics={"counters": {"run": i}},
             )
+            for i, run_id in enumerate(ids)
         ]
         path = self._ledger(tmp_path, records)
         for spec_a, spec_b, id_a, id_b in (
@@ -354,11 +224,12 @@ class TestReportCLI:
             ("aaaa", "3b", "aaaa11111111", "3bbb00000000"),  # newest match
         ):
             assert cli_main(
-                ["report", "--ledger", str(path), "--diff", spec_a, spec_b,
-                 "--html", str(tmp_path / "d.html")]
+                ["report", "--ledger", str(path), "--diff", spec_a, spec_b]
             ) == 0
-            capsys.readouterr()
-            assert f"{id_a} → {id_b}" in (tmp_path / "d.html").read_text()
+            diff = capsys.readouterr().out.split("=== metrics diff")[1]
+            ia, ib = ids.index(id_a), ids.index(id_b)
+            row = rf"^run\s+counter\s+{ia}\s+{ib}\s+{ib - ia}\s*$"
+            assert re.search(row, diff, re.M), diff
             assert cli_main(
                 ["audit", "--ledger", str(path), spec_a, spec_b]
             ) == 0

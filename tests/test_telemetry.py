@@ -265,24 +265,6 @@ class TestMemory:
         with pytest.raises(ValueError):
             telemetry.MemorySampler(interval=0.0)
 
-    def test_profile_memory_attaches_span_and_gauge(self, enabled):
-        with telemetry.span("block") as span:
-            with telemetry.profile_memory(span=span, interval=0.001) as sampler:
-                _ = bytearray(1 << 20)
-        profile = sampler.profile
-        assert profile is not None
-        if profile.rss_peak_bytes is not None:
-            assert span.attributes["rss_peak_bytes"] == profile.rss_peak_bytes
-        assert set(profile.as_dict()) >= {"rss_peak_bytes", "num_samples"}
-
-    def test_tracemalloc_window(self, enabled):
-        with telemetry.profile_memory(
-            interval=0.001, trace_allocations=True
-        ) as sampler:
-            _ = [0] * 100_000
-        assert sampler.profile.tracemalloc_peak_bytes is not None
-        assert sampler.profile.tracemalloc_peak_bytes > 0
-
 
 # ---------------------------------------------------------------------------
 # Acceptance: a traced LightNE run produces the documented span tree + metrics

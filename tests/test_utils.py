@@ -17,7 +17,7 @@ from repro.utils.parallel import (
     parallel_map,
     resolve_backend,
 )
-from repro.utils.rng import derive_seed, ensure_rng, spawn_batch_rngs
+from repro.utils.rng import ensure_rng, spawn_batch_rngs
 
 
 def _double(x):
@@ -93,17 +93,6 @@ class TestSpawnBatchRngs:
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             spawn_batch_rngs(0, -1)
-
-
-class TestDeriveSeed:
-    def test_none_passthrough(self):
-        assert derive_seed(None, 3) is None
-
-    def test_deterministic(self):
-        assert derive_seed(10, 1) == derive_seed(10, 1)
-
-    def test_salt_changes_seed(self):
-        assert derive_seed(10, 1) != derive_seed(10, 2)
 
 
 class TestTimer:
