@@ -8,7 +8,6 @@ should stay out of anonymous memory), and a vectorized random-walk engine.
 
 from repro.graph.csr import CSRGraph
 from repro.graph.builders import (
-    from_bipartite_edges,
     from_edges,
     from_scipy,
     to_scipy,
@@ -23,7 +22,6 @@ from repro.graph.algorithms import (
     bfs,
     connected_components,
     pagerank,
-    triangle_count,
 )
 from repro.graph import io as graph_io
 
@@ -31,9 +29,7 @@ __all__ = [
     "bfs",
     "connected_components",
     "pagerank",
-    "triangle_count",
     "CSRGraph",
-    "from_bipartite_edges",
     "from_edges",
     "from_scipy",
     "to_scipy",

@@ -8,8 +8,7 @@ BFS that defines the Ligra processing model):
 
 * :func:`bfs` — frontier-based breadth-first search (Ligra's edgeMap model);
 * :func:`connected_components` — label-propagation components;
-* :func:`pagerank` — power iteration with teleport;
-* :func:`triangle_count` — exact triangle counting by neighborhood merge.
+* :func:`pagerank` — power iteration with teleport.
 """
 
 from __future__ import annotations
@@ -117,29 +116,3 @@ def pagerank(
             return new_rank
         rank = new_rank
     return rank
-
-
-def triangle_count(graph: CSRGraph) -> int:
-    """Exact global triangle count via sorted-neighborhood intersection.
-
-    Uses the standard degree-ordered orientation so each triangle is
-    counted exactly once.
-    """
-    n = graph.num_vertices
-    degrees = graph.degrees()
-    # Rank vertices by (degree, id); orient edges low -> high rank.
-    rank = np.lexsort((np.arange(n), degrees))
-    position = np.empty(n, dtype=np.int64)
-    position[rank] = np.arange(n)
-
-    forward = [
-        graph.neighbors(u)[position[graph.neighbors(u)] > position[u]]
-        for u in range(n)
-    ]
-    count = 0
-    for u in range(n):
-        fu = forward[u]
-        for v in fu:
-            count += np.intersect1d(fu, forward[v], assume_unique=True).size
-    return int(count)
-

@@ -4,6 +4,13 @@ The paper's pipeline ingests symmetric, de-duplicated, self-loop-free graphs
 (the "-Sym" datasets in Table 3 are symmetrized crawls).  ``from_edges`` is
 the canonical entry point: it symmetrizes, drops self-loops, merges parallel
 edges (summing weights) and produces sorted CSR adjacency lists.
+
+Every directed edge ``(u, v)`` becomes one int64 key ``u·n + v``, the packing
+the sparsifier's aggregation uses too.  One stable argsort of the keys orders
+the edges by row and then by neighbor, so parallel edges meet in input order
+and their weights are summed in that order; grouping, targets and offsets all
+come from the sorted keys.  A key is exact while ``n² − 1`` fits in int64
+(:func:`pair_keys_fit`); ``from_edges`` refuses a larger ``n`` outright.
 """
 
 from __future__ import annotations
@@ -15,6 +22,11 @@ import scipy.sparse as sp
 
 from repro.errors import GraphConstructionError
 from repro.graph.csr import CSRGraph
+
+
+def pair_keys_fit(n: int) -> bool:
+    """Whether every ``row·n + col`` key over ``[0, n)²`` is exact in int64."""
+    return int(n) ** 2 - 1 <= np.iinfo(np.int64).max
 
 
 def from_edges(
@@ -31,19 +43,23 @@ def from_edges(
     Parameters
     ----------
     sources, targets:
-        Integer endpoint arrays of equal length.
+        Integer endpoint arrays of equal length.  Integer-valued floats are
+        accepted; fractional, NaN or infinite ids are rejected.
     weights:
-        Optional per-edge weights; parallel duplicates are summed.
+        Optional per-edge weights; parallel duplicates are summed in input
+        order (with ``symmetrize``, the reverse copies follow all the
+        forward ones).
     num_vertices:
-        Vertex-count override (``max id + 1`` when omitted).
+        Vertex-count override (``max id + 1`` when omitted).  With edges
+        present, ``num_vertices² − 1`` must fit in int64.
     symmetrize:
         Store each edge in both directions (the library only models
         undirected graphs, mirroring the paper).
     drop_self_loops:
         Remove ``u == v`` edges before building.
     """
-    src = np.asarray(sources, dtype=np.int64).ravel()
-    dst = np.asarray(targets, dtype=np.int64).ravel()
+    src = _vertex_ids(sources)
+    dst = _vertex_ids(targets)
     if src.shape != dst.shape:
         raise GraphConstructionError(
             f"sources and targets differ in length: {src.size} vs {dst.size}"
@@ -63,6 +79,11 @@ def from_edges(
         raise GraphConstructionError(
             "num_vertices is smaller than the largest vertex id + 1"
         )
+    n = int(num_vertices)
+    if src.size and not pair_keys_fit(n):
+        raise GraphConstructionError(
+            f"num_vertices={n}: packed u*n+v edge keys overflow int64"
+        )
 
     if drop_self_loops and src.size:
         keep = src != dst
@@ -70,92 +91,53 @@ def from_edges(
         if wts is not None:
             wts = wts[keep]
 
-    if symmetrize and src.size:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if wts is not None:
-            wts = np.concatenate([wts, wts])
-
-    return _csr_from_directed(src, dst, wts, num_vertices)
-
-
-def _csr_from_directed(
-    src: np.ndarray, dst: np.ndarray, wts: Optional[np.ndarray], n: int
-) -> CSRGraph:
-    """Sort, deduplicate (summing weights) and pack directed edges into CSR."""
     if src.size == 0:
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        return CSRGraph(offsets, np.empty(0, dtype=np.int64), None)
+        return CSRGraph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # One key per directed edge; the reverse copies follow the forward ones.
+    m = src.size
+    key = np.empty(2 * m if symmetrize else m, dtype=np.int64)
+    np.multiply(src, n, out=key[:m])
+    key[:m] += dst
+    if symmetrize:
+        np.multiply(dst, n, out=key[m:])
+        key[m:] += src
+    del src, dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     if wts is not None:
-        wts = wts[order]
+        # Position i >= m holds the reverse copy of edge i - m.
+        wts = np.take(wts, order, mode="wrap")
+    del order
 
-    # Merge duplicates: group identical (src, dst) pairs.
-    new_group = np.empty(src.size, dtype=bool)
+    new_group = np.empty(key.size, dtype=bool)
     new_group[0] = True
-    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=new_group[1:])
-    group_starts = np.flatnonzero(new_group)
-    u_src = src[group_starts]
-    u_dst = dst[group_starts]
+    np.not_equal(key[1:], key[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    rows, neighbors = np.divmod(key[starts], n)
+    del key
     if wts is not None:
-        u_wts = np.add.reduceat(wts, group_starts)
-    else:
-        u_wts = None
+        wts = np.add.reduceat(wts, starts)
 
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, u_src + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    return CSRGraph(offsets, u_dst, u_wts)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return CSRGraph(offsets, neighbors, wts)
 
 
-def from_bipartite_edges(
-    left_sources,
-    right_targets,
-    weights=None,
-    *,
-    num_left: Optional[int] = None,
-    num_right: Optional[int] = None,
-) -> CSRGraph:
-    """Build the union graph of a bipartite edge set.
-
-    Left vertices keep their ids ``[0, num_left)``; right vertex ``j`` is
-    relabeled to ``num_left + j``, giving one undirected graph over
-    ``num_left + num_right`` vertices whose every edge crosses the
-    partition — the standard embedding-friendly encoding of user–item /
-    author–paper graphs (all walk-based proximities then alternate sides).
-    The counts default to ``max id + 1`` per side.  Downstream consumers
-    slice embeddings as ``vectors[:num_left]`` / ``vectors[num_left:]``.
-    """
-    left = np.asarray(left_sources, dtype=np.int64).ravel()
-    right = np.asarray(right_targets, dtype=np.int64).ravel()
-    if left.shape != right.shape:
-        raise GraphConstructionError(
-            f"left and right endpoint arrays differ in length: "
-            f"{left.size} vs {right.size}"
-        )
-    if left.size and (left.min() < 0 or right.min() < 0):
-        raise GraphConstructionError("vertex ids must be non-negative")
-    if num_left is None:
-        num_left = int(left.max(initial=-1) + 1)
-    elif left.size and left.max() >= num_left:
-        raise GraphConstructionError(
-            "num_left is smaller than the largest left vertex id + 1"
-        )
-    if num_right is None:
-        num_right = int(right.max(initial=-1) + 1)
-    elif right.size and right.max() >= num_right:
-        raise GraphConstructionError(
-            "num_right is smaller than the largest right vertex id + 1"
-        )
-    return from_edges(
-        left,
-        right + num_left,
-        weights,
-        num_vertices=num_left + num_right,
-        symmetrize=True,
-        drop_self_loops=False,  # sides are disjoint; no loops possible
-    )
+def _vertex_ids(values) -> np.ndarray:
+    """Endpoint ids as flat int64; a float id must be finite and integral."""
+    ids = np.asarray(values).ravel()
+    if ids.dtype.kind == "f" and ids.size:
+        if not (
+            np.isfinite(ids).all()
+            and (ids == np.trunc(ids)).all()
+            and np.abs(ids).max() < 2.0**63
+        ):
+            raise GraphConstructionError(
+                "vertex ids must be integers within int64: got a fractional, "
+                "NaN, infinite or out-of-range id"
+            )
+    return ids.astype(np.int64, copy=False)
 
 
 def from_scipy(matrix: sp.spmatrix, *, symmetrize: bool = True) -> CSRGraph:

@@ -66,6 +66,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import SamplingError
+from repro.graph.builders import pair_keys_fit
 from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
 from repro.utils.parallel import default_workers, parallel_map
 
@@ -75,7 +76,7 @@ Run = Tuple[np.ndarray, np.ndarray]
 
 
 def _check_packable(n: int) -> None:
-    if int(n) ** 2 - 1 > np.iinfo(np.int64).max:
+    if not pair_keys_fit(n):
         raise SamplingError(f"n={n}: packed row*n+col keys overflow int64")
 
 

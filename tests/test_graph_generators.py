@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphConstructionError
+from repro.eval.link_prediction import train_test_split_edges
 from repro.graph.generators import (
     dcsbm_graph,
     erdos_renyi_graph,
     rmat_graph,
 )
+
+
+def _digest(graph) -> str:
+    blob = graph.offsets.tobytes() + graph.targets.tobytes()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _no_self_loops(graph):
@@ -132,3 +140,21 @@ class TestDCSBM:
             dcsbm_graph(10, 2, mixing=2.0)
         with pytest.raises(GraphConstructionError):
             dcsbm_graph(10, 2, labels_per_node=0)
+
+
+class TestPinnedGraphs:
+    """The generated graphs, bit for bit: a change to the builder or a
+    generator that moves one edge shows here before it shows in any
+    embedding digest."""
+
+    def test_dcsbm(self):
+        g, _ = dcsbm_graph(
+            1500, 10, avg_degree=20.0, mixing=0.2, labels_per_node=2, seed=2021
+        )
+        assert _digest(g) == "1ae7c5fc9f96a684"
+
+    def test_rmat_and_its_link_prediction_split(self):
+        g = rmat_graph(16, 6, seed=2021)
+        assert _digest(g) == "516f133fb56aaf90"
+        train, _, _ = train_test_split_edges(g, 0.02, 2021)
+        assert _digest(train) == "d47ce129bbef9c4a"

@@ -23,9 +23,9 @@ from benchmarks.ligra import (
     reorder_by_degree,
 )
 from repro.errors import GraphConstructionError
-from repro.graph.algorithms import triangle_count
 from repro.graph.builders import from_edges
 from repro.graph.generators import rmat_graph
+from tests.test_graph_algorithms import triangle_count
 
 
 class TestVarint:

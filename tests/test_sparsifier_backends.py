@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.errors import GraphConstructionError, UnsupportedGraphError
-from repro.graph.builders import from_bipartite_edges, from_edges
+from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.sparsifier.builder import build_sparsifier, validate_sparsifier_graph
@@ -124,6 +124,48 @@ class TestWeightedGraphs:
         result = lightne_embedding(weighted, params, seed=0)
         assert result.vectors.shape == (50, 8)
         assert np.all(np.isfinite(result.vectors))
+
+
+def from_bipartite_edges(
+    left_sources, right_targets, weights=None, *, num_left=None, num_right=None
+) -> CSRGraph:
+    """The union graph of a bipartite edge set.
+
+    Left vertices keep their ids ``[0, num_left)``; right vertex ``j`` is
+    relabeled to ``num_left + j``, giving one undirected graph over
+    ``num_left + num_right`` vertices whose every edge crosses the
+    partition (user–item / author–paper graphs).  The counts default to
+    ``max id + 1`` per side.
+    """
+    left = np.asarray(left_sources, dtype=np.int64).ravel()
+    right = np.asarray(right_targets, dtype=np.int64).ravel()
+    if left.shape != right.shape:
+        raise GraphConstructionError(
+            f"left and right endpoint arrays differ in length: "
+            f"{left.size} vs {right.size}"
+        )
+    if left.size and (left.min() < 0 or right.min() < 0):
+        raise GraphConstructionError("vertex ids must be non-negative")
+    if num_left is None:
+        num_left = int(left.max(initial=-1) + 1)
+    elif left.size and left.max() >= num_left:
+        raise GraphConstructionError(
+            "num_left is smaller than the largest left vertex id + 1"
+        )
+    if num_right is None:
+        num_right = int(right.max(initial=-1) + 1)
+    elif right.size and right.max() >= num_right:
+        raise GraphConstructionError(
+            "num_right is smaller than the largest right vertex id + 1"
+        )
+    return from_edges(
+        left,
+        right + num_left,
+        weights,
+        num_vertices=num_left + num_right,
+        symmetrize=True,
+        drop_self_loops=False,  # sides are disjoint; no loops possible
+    )
 
 
 class TestBipartite:
