@@ -7,7 +7,7 @@ which prints them in the terminal summary (so they survive pytest's output
 capture) and appends them to ``benchmarks/results/report.txt``.
 
 Set ``REPRO_TELEMETRY=1`` to run the benchmarks with the telemetry subsystem
-enabled; the metrics-registry snapshot is then written to
+enabled; the tracer's counter totals are then written to
 ``benchmarks/results/metrics.json`` alongside the report.
 """
 

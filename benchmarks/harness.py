@@ -118,19 +118,19 @@ def run_probe(script: str, *, env: Optional[Dict[str, str]] = None) -> Dict:
 
 
 def write_metrics_snapshot(path: str) -> Optional[str]:
-    """Dump the telemetry metrics registry as JSON to ``path``.
+    """Dump the tracer's counter totals as ``{"counters": {...}}`` JSON.
 
     No-op (returns ``None``) when telemetry is disabled or nothing was
-    recorded; otherwise returns ``path``.  The benchmark conftest calls this
-    so metric snapshots land in ``benchmarks/results/`` next to
-    ``report.txt`` when the run was launched with ``REPRO_TELEMETRY=1``.
+    counted; otherwise returns ``path``.  The benchmark conftest calls this
+    so the counters land in ``benchmarks/results/`` next to ``report.txt``
+    when the run was launched with ``REPRO_TELEMETRY=1``.
     """
     from repro import telemetry
+    from repro.utils.fileio import atomic_write_json
 
-    if not telemetry.is_enabled():
+    tracer = telemetry.get_tracer()
+    if tracer is None or not tracer.counters:
         return None
-    registry = telemetry.get_metrics()
-    if not registry.names():
-        return None
-    registry.write_json(path)
+    counters = dict(sorted(tracer.counters.items()))
+    atomic_write_json(path, {"counters": counters}, indent=2)
     return path

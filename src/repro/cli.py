@@ -33,7 +33,7 @@ DEBUG log lines (:func:`repro.utils.log.configure_logging`; ``REPRO_LOG``
 also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
 ``eval-lp``, ``compare``; see ``docs/observability.md``):
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
-``--metrics-out m.json`` writes the metrics-registry (counter) snapshot,
+``--metrics-out m.json`` writes the process's counter totals,
 ``--progress`` renders a single-line live progress indicator on stderr
 (stage completion counts),
 ``--ledger`` / ``--ledger-out runs.jsonl`` append one
@@ -72,6 +72,7 @@ from repro.eval import (
 from repro.graph import graph_io
 from repro.graph.stats import summarize
 from repro.telemetry import audit, health, ledger, progress, report
+from repro.utils.fileio import atomic_write_json
 from repro.utils.log import configure_logging
 
 _READERS = {
@@ -275,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--metrics-out", metavar="PATH",
-            help="enable telemetry and write the metrics-registry snapshot "
-                 "(counters) as JSON",
+            help="enable telemetry and write the counter totals (all runs "
+                 "summed) as JSON",
         )
         p.add_argument(
             "--ledger", action="store_true",
@@ -433,7 +434,6 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     wants_telemetry = bool(args.trace_out or args.metrics_out)
     if wants_telemetry:
         tracer = telemetry.enable()
-        telemetry.reset_metrics()
     try:
         if not wants_telemetry:
             code = args.pipeline(args)
@@ -454,7 +454,8 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
             tracer.write_chrome_trace(args.trace_out)
             print(f"trace ({tracer.span_count} spans) -> {args.trace_out}")
         if args.metrics_out:
-            telemetry.get_metrics().write_json(args.metrics_out)
+            counters = dict(sorted(tracer.counters.items()))
+            atomic_write_json(args.metrics_out, {"counters": counters}, indent=2)
             print(f"metrics -> {args.metrics_out}")
         if wants_ledger:
             print(f"run ledger -> {ledger.active_path()}")

@@ -3,7 +3,7 @@
 :func:`run_pipeline` owns the scaffolding that every embedding module used to
 duplicate by hand: seed normalization (:func:`repro.utils.rng.ensure_rng`),
 dimension validation, the run's root span (whose child spans are the Table-5
-stages and whose metrics are the run's own — :mod:`repro.telemetry.run`),
+stages and whose counters are the run's own — :mod:`repro.telemetry.run`),
 and the standardized ``EmbeddingResult.info`` keys (``method`` / ``params``
 / ``n`` / ``m`` plus the telemetry snapshot).  A method contributes only its
 stage body, wrapped in a :class:`PipelineSpec`; the public name -> builder
@@ -141,10 +141,10 @@ def run_pipeline(
     ``dimension``; the result's ``timer`` is the view of its stage
     children), and the standardized ``info`` keys (``method``, ``params``,
     ``n``, ``m``, ``telemetry_enabled`` and — when telemetry is on — a
-    ``telemetry`` snapshot of this run's metrics and span count).
+    ``telemetry`` snapshot of this run's counters and span count).
 
     Numerical health: a fresh :class:`~repro.telemetry.health.HealthRecorder`
-    is installed for the body (stage checkpoints, contract probes), the
+    is the root span's ``health`` (stage checkpoints, contract probes), the
     final embedding is fingerprinted as stage ``"final"``, and — regardless
     of the health policy — a fail-fast non-finite guard runs on the result
     (raising :class:`~repro.errors.NumericalHealthError` under policy
@@ -163,18 +163,18 @@ def run_pipeline(
         dimension=params.dimension,
     ) as root:
         ctx = PipelineContext(graph=graph, params=params, rng=rng, span=root)
-        # The recorder is thread-local-active for the body so lower layers
-        # (sparsifier dispatcher, factorize) hit their health hooks without
-        # threading the context through every signature.
-        with health.recorder_scope(recorder):
-            vectors = spec.body(ctx)
-            recorder.checkpoint("final", vectors)
+        # Lower layers (sparsifier dispatcher, factorize) reach the recorder
+        # through the active run's root, without threading the context
+        # through every signature.
+        root.health = recorder
+        vectors = spec.body(ctx)
+        recorder.checkpoint("final", vectors)
         # Fail-fast non-finite guard on the final embedding: always runs
         # (one isfinite pass), independent of the digest/probe policy — a
         # NaN embedding must never flow silently into eval or the ledger.
         nonfinite = int(vectors.size - np.count_nonzero(np.isfinite(vectors)))
         if nonfinite:
-            telemetry.counter("health.nonfinite").inc(nonfinite)
+            telemetry.count("health.nonfinite", nonfinite)
             message = (
                 f"{spec.name}: final embedding contains {nonfinite} "
                 f"non-finite entries (shape {vectors.shape})"
@@ -205,10 +205,10 @@ def run_pipeline(
     if recorder.enabled:
         info["health"] = recorder.summary()
         info["digests"] = recorder.digest_map()
-    info["telemetry_enabled"] = root.metrics is not None
-    if root.metrics is not None:
+    info["telemetry_enabled"] = root.counters is not None
+    if root.counters is not None:
         info["telemetry"] = {
-            "metrics": root.metrics.snapshot(),
+            "metrics": {"counters": dict(sorted(root.counters.items()))},
             "trace_spans": sum(1 for _ in root.walk()),
         }
     timer = telemetry.StageTable(root.children)

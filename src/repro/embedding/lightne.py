@@ -281,7 +281,7 @@ def lightne_embedding(
     When telemetry is enabled (:func:`repro.telemetry.enable`) the run is
     traced under a ``lightne`` root span — stages, per-batch sampling and
     per-iteration SVD/propagation children — and ``info["telemetry"]``
-    carries a snapshot of the metrics registry.
+    carries the run's counters.
     """
     return run_pipeline(graph, LIGHTNE_PIPELINE, params, seed)
 

@@ -3,8 +3,10 @@
 Three formats:
 
 * **Edge list** (``.txt``/``.edges``) — one ``u v [w]`` pair per line,
-  ``#``-prefixed comments allowed; the lingua franca of the embedding
-  literature (all of the paper's public datasets ship this way).  Parsed in
+  ``#``-prefixed comments allowed (a first line ``# num_vertices: N``, which
+  :func:`write_edge_list` writes, sets the vertex count); the lingua franca
+  of the embedding literature (all of the paper's public datasets ship this
+  way).  Parsed in
   fixed-size chunks into preallocated int64 arrays, so peak ingest memory is
   ~16 bytes/edge of numpy instead of ~56 bytes/edge of Python ``int`` lists.
 * **Binary CSR v1** (``.csr.npz``) — numpy ``savez`` of the offsets/targets
@@ -55,6 +57,10 @@ CSR_V2_SUFFIX = ".csrv2"
 # Edges parsed per preallocated chunk during text ingest (~16 MiB of int64
 # per chunk across the two endpoint arrays).
 _PARSE_CHUNK = 1 << 20
+
+# First-line comment carrying the vertex count, so ids with no edge (trailing
+# isolated vertices) survive a write/read round trip.
+_NUM_VERTICES_HEADER = "# num_vertices:"
 
 
 class _ChunkedPairBuffer:
@@ -125,17 +131,30 @@ def read_edge_list(
     """Parse a whitespace-separated edge-list file into a graph.
 
     Lines may be ``u v`` or ``u v weight``; blank lines and lines starting
-    with ``#`` or ``%`` are skipped.  Mixing weighted and unweighted lines,
-    and a NaN or infinite weight, are :class:`~repro.errors.GraphFormatError`
-    naming the line.  Parsing streams through fixed-size preallocated chunks
+    with ``#`` or ``%`` are skipped.  A first line ``# num_vertices: N`` (what
+    :func:`write_edge_list` writes) sets the vertex count unless
+    ``num_vertices`` is given; an edge endpoint at or beyond the count is a
+    :class:`~repro.errors.GraphConstructionError`.  Mixing weighted and
+    unweighted lines, and a NaN or infinite weight, are
+    :class:`~repro.errors.GraphFormatError` naming the line.  Parsing
+    streams through fixed-size preallocated chunks
     (:class:`_ChunkedPairBuffer`), so peak memory tracks the final arrays,
     not a Python-object edge list.
     """
     buffer: Optional[_ChunkedPairBuffer] = None
     saw_weight = None
+    declared = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
+            if lineno == 1 and stripped.startswith(_NUM_VERTICES_HEADER):
+                try:
+                    declared = int(stripped[len(_NUM_VERTICES_HEADER):])
+                except ValueError as exc:
+                    raise GraphFormatError(
+                        f"{path}:1: bad vertex count in {stripped!r}"
+                    ) from exc
+                continue
             if not stripped or stripped[0] in "#%":
                 continue
             parts = stripped.split()
@@ -178,18 +197,20 @@ def read_edge_list(
         sources,
         targets,
         weights,
-        num_vertices=num_vertices,
+        num_vertices=declared if num_vertices is None else num_vertices,
         symmetrize=symmetrize,
     )
 
 
 def write_edge_list(graph: CSRGraph, path: PathLike) -> None:
-    """Write each undirected edge once (``u < v``), with weight if present."""
+    """Write each undirected edge once (``u < v``), with weight if present,
+    under a ``# num_vertices: N`` first line."""
     src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
     wts = graph.weights[mask] if graph.weights is not None else None
     with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{_NUM_VERTICES_HEADER} {graph.num_vertices}\n")
         if wts is None:
             for u, v in zip(src, dst):
                 handle.write(f"{u} {v}\n")

@@ -321,9 +321,9 @@ def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int) -> None:
         + dense.nbytes
         + out_nbytes
     )
-    telemetry.counter("spmm.calls").inc()
-    telemetry.counter("spmm.flops").inc(flops)
-    telemetry.counter("spmm.bytes").inc(moved)
+    telemetry.count("spmm.calls")
+    telemetry.count("spmm.flops", flops)
+    telemetry.count("spmm.bytes", moved)
 
 
 def spmm(
@@ -660,7 +660,7 @@ def cholesky_qr(block: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
             return work
         # The repair pass must see what a sound first pass leaves behind.
         limit = ONE_PASS_COND_SQ
-    telemetry.counter("linalg.cholesky_qr_fallbacks").inc()
+    telemetry.count("linalg.cholesky_qr_fallbacks")
     q, _ = np.linalg.qr(work)
     return q
 

@@ -205,7 +205,7 @@ def randomized_svd(
             tall = _gaussian_sketch(rng, (rows, sketch), dtype)
             wide = _apply(matrix, tall, transpose=adjoint, workers=workers)
             wide = cholesky_qr(wide, overwrite=True)
-            telemetry.counter("svd.operator_passes").inc()
+            telemetry.count("svd.operator_passes")
         # Optional subspace iteration (orthonormalization-stabilized).
         for iteration in range(power_iterations):
             with telemetry.span("svd.power_iteration", iteration=iteration):
@@ -215,11 +215,11 @@ def randomized_svd(
                     matrix, tall, transpose=adjoint, out=wide, workers=workers
                 )
                 wide = cholesky_qr(wide, overwrite=True)
-                telemetry.counter("svd.operator_passes").inc(2)
+                telemetry.count("svd.operator_passes", 2)
         with telemetry.span("svd.factorize", sketch=sketch):
             # Line 4: B = A Y  (n × sketch).
             b = _apply(matrix, wide, out=tall, workers=workers)
-            telemetry.counter("svd.operator_passes").inc()
+            telemetry.count("svd.operator_passes")
             # Lines 5-6: Z = orth(B P) with P Gaussian (sketch × sketch).
             p = _gaussian_sketch(rng, (sketch, sketch), b.dtype)
             z = cholesky_qr(b @ p, overwrite=True)

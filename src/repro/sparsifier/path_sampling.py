@@ -179,8 +179,8 @@ class _WalkContext:
         with telemetry.span("sparsifier.batch", batch=index, size=int(draws.sum())):
             u_prime, v_prime, weights = self.draw(first, draws, rng)
             run = reduce_pairs(u_prime, v_prime, weights, self.graph.num_vertices)
-        telemetry.counter("sparsifier.batches").inc()
-        telemetry.counter("sparsifier.walk_samples").inc(u_prime.size)
+        telemetry.count("sparsifier.batches")
+        telemetry.count("sparsifier.walk_samples", u_prime.size)
         return run, u_prime.size
 
 
@@ -345,5 +345,5 @@ def sample_sparsifier_edges(
             tally, batch_size=int(batch_size), workers=int(workers),
             backend=backend,
         )
-    telemetry.counter("sparsifier.draws").inc(tally["draws"])
+    telemetry.count("sparsifier.draws", tally["draws"])
     return rows, cols, sums, tally["draws"]

@@ -1,4 +1,4 @@
-"""repro.telemetry — hierarchical tracing, metrics and memory profiling.
+"""repro.telemetry — hierarchical tracing, counters and memory profiling.
 
 The observability substrate for the whole pipeline (see
 ``docs/observability.md``).  Its pieces:
@@ -6,11 +6,12 @@ The observability substrate for the whole pipeline (see
 * **Spans** (:mod:`repro.telemetry.tracer`) — nested, thread-aware timed
   intervals forming a trace tree, exportable as Chrome trace-event JSON
   (Perfetto / ``chrome://tracing``);
-* **Metrics** (:mod:`repro.telemetry.metrics`) — named counters in a
-  snapshot-able registry;
+* **Counters** (:func:`repro.telemetry.count`) — named totals kept on the
+  tracer (the process's, :attr:`Tracer.counters`) and on each run root;
 * **Runs** (:mod:`repro.telemetry.run`) — one pipeline run is one root span:
   its child spans are the Table-5 stages (``EmbeddingResult.timer`` is a
-  view of them, tracing on or off) and its metrics are its own;
+  view of them, tracing on or off), its ``counters`` are its own and its
+  ``health`` recorder takes the stage digests;
 * **Memory** (:mod:`repro.telemetry.memory`) — the OS peak RSS and a
   background RSS / anonymous-memory sampler;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
@@ -45,7 +46,7 @@ hot paths costs a single gated function call in that state.  Typical use::
     tracer = telemetry.enable()
     result = lightne_embedding(graph, params, seed=0)
     tracer.write_chrome_trace("trace.json")          # open in Perfetto
-    telemetry.get_metrics().write_json("metrics.json")
+    print(tracer.counters)                           # process totals
     telemetry.disable()
 
 or from the CLI: ``lightne embed ... --trace-out trace.json
@@ -57,19 +58,13 @@ from repro.telemetry.tracer import (
     Span,
     Tracer,
     adopt,
+    count,
     current_span,
     disable,
     enable,
     get_tracer,
     is_enabled,
     span,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    MetricsRegistry,
-    counter,
-    get_metrics,
-    reset_metrics,
 )
 from repro.telemetry.run import StageTable, run_scope, stage
 from repro.telemetry.memory import (
@@ -103,16 +98,11 @@ __all__ = [
     "span",
     "current_span",
     "adopt",
+    "count",
     "enable",
     "disable",
     "is_enabled",
     "get_tracer",
-    # metrics
-    "Counter",
-    "MetricsRegistry",
-    "counter",
-    "get_metrics",
-    "reset_metrics",
     # runs
     "run_scope",
     "stage",

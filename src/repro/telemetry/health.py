@@ -1,7 +1,7 @@
 """Numerical-health layer: stage fingerprints and correctness probes.
 
 The rest of the telemetry stack observes *performance* — spans time stages,
-metrics count work, the ledger persists both.  This module observes
+counters count work, the ledger persists both.  This module observes
 *correctness*: every :func:`repro.embedding.base.run_pipeline` stage boundary
 gets a cheap content fingerprint (:class:`StageDigest` — an order/dtype-stable
 SHA-256 digest of the stage's output array or CSR matrix plus summary stats:
@@ -55,6 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import NumericalHealthError
+from repro.telemetry.run import active_run
 from repro.utils.log import get_logger
 
 logger = get_logger(__name__)
@@ -298,9 +299,9 @@ class HealthRecorder:
     """Collects one pipeline run's digests and probe results.
 
     Created by :func:`repro.embedding.base.run_pipeline` (one per run) and
-    installed as the thread's *active recorder* for the duration of the
-    stage body, so lower layers (sparsifier dispatcher, factorizer) reach it
-    through the module-level :func:`checkpoint` / probe helpers without any
+    hung on the run's root span (``root.health``), so lower layers
+    (sparsifier dispatcher, factorizer) reach it through the active run and
+    the module-level :func:`checkpoint` / probe helpers without any
     plumbing.  With policy ``off`` every entry point is a cheap no-op.
     """
 
@@ -389,32 +390,20 @@ class HealthRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Thread-local active recorder + the hooks library code calls.
+# The hooks library code calls: they write to the active run's recorder.
 # ---------------------------------------------------------------------------
 
-_active = threading.local()
 
-
-def active_recorder() -> Optional[HealthRecorder]:
-    """The recorder installed by the innermost ``run_pipeline`` (or None)."""
-    return getattr(_active, "recorder", None)
-
-
-@contextmanager
-def recorder_scope(recorder: Optional[HealthRecorder]) -> Iterator[None]:
-    """Install ``recorder`` as this thread's active recorder for a block."""
-    previous = active_recorder()
-    _active.recorder = recorder
-    try:
-        yield
-    finally:
-        _active.recorder = previous
+def _run_recorder() -> Optional[HealthRecorder]:
+    """The enabled recorder of the calling thread's active run (or None)."""
+    recorder = getattr(active_run(), "health", None)
+    return recorder if recorder is not None and recorder.enabled else None
 
 
 def checkpoint(stage: str, value) -> Optional[StageDigest]:
-    """Fingerprint a stage output on the active recorder (no-op when off)."""
-    recorder = active_recorder()
-    if recorder is None or not recorder.enabled:
+    """Fingerprint a stage output on the active run's recorder (no-op when off)."""
+    recorder = _run_recorder()
+    if recorder is None:
         return None
     return recorder.checkpoint(stage, value)
 
@@ -426,8 +415,8 @@ def check_sparsifier_mass(
     tolerance: float = MASS_RTOL,
 ) -> Optional[ProbeResult]:
     """Probe the ``E[Σ W] = M`` estimator contract (see module docstring)."""
-    recorder = active_recorder()
-    if recorder is None or not recorder.enabled or num_draws <= 0:
+    recorder = _run_recorder()
+    if recorder is None or num_draws <= 0:
         return None
     total = float(counts.sum())
     rel = (total - float(num_draws)) / float(num_draws)
@@ -453,8 +442,8 @@ def check_factorization_residual(
     threshold: float = RESIDUAL_THRESHOLD,
 ) -> Optional[ProbeResult]:
     """Posterior probe-vector residual of ``A ≈ U Σ Vᵀ`` after factorize."""
-    recorder = active_recorder()
-    if recorder is None or not recorder.enabled:
+    recorder = _run_recorder()
+    if recorder is None:
         return None
     # Local import: randomized_svd imports the telemetry package, so a
     # top-level import here would be circular during package init.

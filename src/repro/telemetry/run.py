@@ -1,12 +1,14 @@
-"""What one pipeline run records: a root span, its stages, its own metrics.
+"""What one pipeline run records: a root span, its stages, its own counters.
 
 :func:`run_scope` roots a run in a real :class:`~repro.telemetry.tracer.Span`
 — on the installed tracer when tracing is on, on a tracer private to the run
-otherwise — and :func:`stage` opens a Table-5 stage as a child of the calling
-thread's active run; lower layers reach it the way they reach
-:func:`repro.telemetry.health.checkpoint`, with nothing threaded down their
-signatures.  :class:`StageTable` (``EmbeddingResult.timer``) is the read-only
-stage breakdown over those children.  With tracing off a run allocates its
+otherwise — and makes it the calling thread's active run (:func:`active_run`).
+That root is the only context a run has: :func:`stage` opens a Table-5 stage
+as its child, :func:`repro.telemetry.count` adds to its ``counters`` and the
+:mod:`repro.telemetry.health` hooks write to its ``health`` recorder, so lower
+layers reach the run with nothing threaded down their signatures.
+:class:`StageTable` (``EmbeddingResult.timer``) is the read-only stage
+breakdown over the root's children.  With tracing off a run allocates its
 root and one span per stage and nothing else: batch / term / chunk
 instrumentation stays on the no-op :func:`repro.telemetry.span` path.
 """
@@ -16,9 +18,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from numbers import Real
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracer as _tracer
 from repro.telemetry.tracer import Span, Tracer
 
@@ -29,31 +30,32 @@ _active = threading.local()
 def run_scope(name: str, **attributes: object) -> Iterator[Span]:
     """Root a pipeline run in a span named ``name``; yields that span.
 
-    With telemetry enabled the span's ``metrics`` is a registry of the run's
-    own — what it counts, pool threads included (they inherit it through
-    span parenting), is readable per run — rolled
-    up into the enclosing registry when the run ends.
+    With telemetry enabled the span's ``counters`` is a dict of the run's
+    own: what it counts, pool threads included, adds there as well as to the
+    enclosing runs' and the tracer's totals.
     """
     installed = _tracer.get_tracer()
-    enclosing = _metrics.current() if installed is not None else None
-    previous = getattr(_active, "root", None)
+    previous = active_run()
     with (installed or Tracer()).span(name, **attributes) as root:
-        if enclosing is not None:
-            root.metrics = _metrics.MetricsRegistry()
+        if installed is not None:
+            root.counters = {}
         _active.root = root
         try:
             yield root
         finally:
             _active.root = previous
-            if enclosing is not None:
-                enclosing.roll_up(root.metrics)
+
+
+def active_run() -> Optional[Span]:
+    """The root span of the calling thread's innermost open run (or None)."""
+    return getattr(_active, "root", None)
 
 
 def stage(name: str, **attributes: object):
     """Open stage ``name`` (a context manager yielding the span): a real child
     span of the active run, tracing on or off; outside any run, whatever
     :func:`repro.telemetry.span` gives."""
-    root = getattr(_active, "root", None)
+    root = active_run()
     if root is None:
         return _tracer.span(name, **attributes)
     return root.tracer.span(name, **attributes)

@@ -20,9 +20,11 @@ hands work to one captures :func:`current_span` and runs the work under
 :func:`adopt` — :func:`repro.utils.parallel.parallel_map` does this for every
 pool task, so no caller threads a parent span through its signatures.
 
-A span also names the metrics registry its subtree writes to
-(:attr:`Span.metrics`, inherited from the parent on entry): that is how
-:func:`repro.telemetry.run.run_scope` scopes the metrics of one pipeline run.
+Counting rides on the same tree: :func:`count` adds to the tracer's process
+totals (:attr:`Tracer.counters`) and to the ``counters`` of every run root
+(:func:`repro.telemetry.run.run_scope`) above the calling thread's current
+span, so a pool thread (through :func:`adopt`) counts into its run and a run
+nested in another counts into both.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class Span:
     __slots__ = (
         "tracer", "name", "span_id", "parent", "start", "end",
         "pid", "thread_id", "thread_name", "attributes", "children",
-        "metrics",
+        "counters", "health",
     )
 
     def __init__(
@@ -78,9 +80,10 @@ class Span:
         self.thread_name = ""
         self.attributes: Dict[str, object] = dict(attributes or {})
         self.children: List["Span"] = []
-        # The registry telemetry.counter/gauge/histogram write to under this
-        # span (``None`` = the process-global one); see repro.telemetry.run.
-        self.metrics = None
+        # A run root's own totals (what count() adds to) and health
+        # recorder; ``None`` on every other span.  See repro.telemetry.run.
+        self.counters: Optional[Dict[str, float]] = None
+        self.health = None
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "Span":
@@ -89,8 +92,6 @@ class Span:
         self.thread_id = thread.ident or 0
         self.thread_name = thread.name
         self.parent = self.tracer.current_span()
-        if self.parent is not None:
-            self.metrics = self.parent.metrics
         self.tracer._register(self)
         self.tracer._push(self)
         self.start = time.perf_counter()
@@ -171,6 +172,8 @@ class Tracer:
         self._local = threading.local()
         self.roots: List[Span] = []
         self._next_id = 0
+        # Process totals of every count() since this tracer was enabled.
+        self.counters: Dict[str, float] = {}
         # Epochs pair a wall-clock anchor with the perf_counter origin so
         # exported timestamps are stable within the trace.
         self.epoch_wall = time.time()
@@ -252,6 +255,7 @@ class Tracer:
 
         ``process_name`` / ``thread_name`` metadata events label the lanes:
         Perfetto shows "main" and the thread names instead of raw numbers.
+        A run root's event carries the run's totals under ``args.counters``.
         """
         pid = os.getpid()
         now = time.perf_counter()
@@ -259,6 +263,9 @@ class Tracer:
         threads: Dict[int, str] = {}
         for span in self.iter_spans():
             end = span.end if span.end is not None else now
+            args = {k: _json_safe(v) for k, v in span.attributes.items()}
+            if span.counters is not None:
+                args["counters"] = dict(sorted(span.counters.items()))
             events.append(
                 {
                     "name": span.name,
@@ -268,9 +275,7 @@ class Tracer:
                     "dur": max(0.0, (end - span.start) * 1e6),
                     "pid": span.pid,
                     "tid": span.thread_id,
-                    "args": {
-                        k: _json_safe(v) for k, v in span.attributes.items()
-                    },
+                    "args": args,
                 }
             )
             threads.setdefault(span.thread_id, span.thread_name)
@@ -353,6 +358,25 @@ def span(name: str, **attributes: object) -> Union[Span, _NullSpan]:
     return tracer.span(name, **attributes)
 
 
+def count(name: str, amount: float = 1.0) -> None:
+    """Add ``amount`` (must be non-negative) to counter ``name``: to the
+    tracer's process totals and to every run root above the calling thread's
+    current span.  A no-op when tracing is disabled."""
+    tracer = _tracer
+    if tracer is None:
+        return
+    if amount < 0:
+        raise ValueError(f"counter increments must be >= 0, got {amount}")
+    amount = float(amount)
+    span = tracer.current_span()
+    with tracer._lock:
+        tracer.counters[name] = tracer.counters.get(name, 0.0) + amount
+        while span is not None:
+            if span.counters is not None:
+                span.counters[name] = span.counters.get(name, 0.0) + amount
+            span = span.parent
+
+
 def current_span() -> Optional[Span]:
     """The calling thread's innermost open span (``None`` when disabled)."""
     tracer = _tracer
@@ -365,7 +389,7 @@ def current_span() -> Optional[Span]:
 def adopt(parent: Optional[Span]) -> Iterator[None]:
     """Make ``parent`` the calling thread's current span for a block.
 
-    The cross-thread parenting rule: spans (and metrics) recorded on a pool
+    The cross-thread parenting rule: spans (and counts) recorded on a pool
     or monitor thread land where they would have on the thread that handed
     the work over, whose :func:`current_span` ``parent`` is.  ``None`` (no
     span was open, or tracing is off) is a no-op.

@@ -17,7 +17,7 @@ task is cancelled, the pool is torn down, and the original exception is
 re-raised.
 
 Observability: ``parallel_map`` owns span parenting.  Whatever a task records
-— spans, and through them the metrics of the enclosing pipeline run — lands
+— spans, and through them the counters of the enclosing pipeline run — lands
 under the submitting thread's current span: pool threads run each task under
 :func:`repro.telemetry.adopt`.  ``label`` names the stage for progress lines
 (counted from completions, serial path included); with tracing and progress
@@ -301,7 +301,7 @@ def parallel_imap(
             yield result
         return
     # Pool threads start with no current span: run each task under the
-    # submitter's, so its spans and metrics land where a serial loop's would.
+    # submitter's, so its spans and counts land where a serial loop's would.
     parent = telemetry.current_span()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from _ordered_results(

@@ -182,13 +182,11 @@ class TestFusedProduct:
 
         def spmm_counters(run):
             telemetry.enable()
-            telemetry.reset_metrics()
             try:
                 run()
-                counters = telemetry.get_metrics().snapshot()["counters"]
+                counters = telemetry.get_tracer().counters
             finally:
                 telemetry.disable()
-                telemetry.reset_metrics()
             return {k: v for k, v in counters.items() if k.startswith("spmm.")}
 
         fused = spmm_counters(

@@ -76,9 +76,8 @@ def _range_distance(q: np.ndarray, block: np.ndarray) -> float:
 def _fallback_counter():
     """Telemetry on for the block; yields a reader of the fallback count."""
     telemetry.enable()
-    telemetry.reset_metrics()
     try:
-        yield lambda: telemetry.counter(FALLBACKS).value
+        yield lambda: telemetry.get_tracer().counters.get(FALLBACKS, 0)
     finally:
         telemetry.disable()
 

@@ -89,6 +89,16 @@ class TestCommands:
         np.testing.assert_array_equal(np.load(paths[1]), np.load(paths[4]))
         assert "sparsifier.samples_per_sec" in capsys.readouterr().out
 
+    def test_convert_keeps_trailing_isolated_vertices(self, tmp_path):
+        from repro.graph.builders import from_edges
+        from repro.graph.io import load_csr
+
+        edges = str(tmp_path / "iso.edges")
+        write_edge_list(from_edges([0, 1], [1, 2], num_vertices=6), edges)
+        v2_path = str(tmp_path / "iso.csrv2")
+        assert main(["convert", "--input", edges, "--output", v2_path]) == 0
+        assert load_csr(v2_path).num_vertices == 6
+
     def test_convert_then_embed_process_backend(self, edge_file, tmp_path, capsys):
         # convert → embed --backend process on the memmapped container must
         # reproduce the thread/in-memory embedding bit for bit.
@@ -165,7 +175,6 @@ class TestObservabilityFlags:
 
         yield
         telemetry.disable()
-        telemetry.reset_metrics()
 
     def test_flags_registered_on_every_subcommand(self):
         # "every subcommand" that runs a pipeline; TestFrontDoor pins the

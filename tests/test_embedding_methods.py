@@ -251,7 +251,6 @@ class TestLightNE:
 
         graph, _ = sbm_bundle
         telemetry.enable()
-        telemetry.reset_metrics()
         try:
             r = lightne_embedding(
                 graph,
@@ -261,7 +260,6 @@ class TestLightNE:
             )
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         assert r.info["telemetry_enabled"] is True
         tele = r.info["telemetry"]
         assert tele["trace_spans"] > 0

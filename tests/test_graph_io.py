@@ -86,6 +86,30 @@ class TestEdgeList:
         g = read_edge_list(path, num_vertices=10)
         assert g.num_vertices == 10
 
+    @pytest.mark.parametrize("weights", [None, [2.5]])
+    def test_round_trip_keeps_trailing_isolated_vertices(self, tmp_path, weights):
+        graph = from_edges([0], [1], weights, num_vertices=3)
+        path = tmp_path / "iso.edges"
+        write_edge_list(graph, path)
+        assert path.read_text().splitlines()[0] == "# num_vertices: 3"
+        again = read_edge_list(path)
+        assert again.num_vertices == 3
+        assert again == graph
+        # An explicit count still wins over the file's.
+        assert read_edge_list(path, num_vertices=5).num_vertices == 5
+
+    def test_declared_count_is_checked(self, tmp_path):
+        path = tmp_path / "short.edges"
+        path.write_text("# num_vertices: 2\n0 2\n")
+        with pytest.raises(GraphConstructionError):
+            read_edge_list(path)
+        path.write_text("# num_vertices: many\n0 1\n")
+        with pytest.raises(GraphFormatError, match=":1: bad vertex count"):
+            read_edge_list(path)
+        # Anywhere but the first line it is an ordinary comment.
+        path.write_text("0 1\n# num_vertices: 9\n")
+        assert read_edge_list(path).num_vertices == 2
+
     def test_line_number_in_error(self, tmp_path):
         path = tmp_path / "lineno.edges"
         path.write_text("0 1\nbroken\n")

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.graph.builders import from_edges
-from repro.graph.stats import (
-    spectral_gap,
-    summarize,
-)
+from repro.graph.stats import summarize
+from tests.contracts.spectral_analysis import spectral_gap
 
 
 class TestSummarize:

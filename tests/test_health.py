@@ -20,6 +20,7 @@ import scipy.sparse as sp
 import repro.embedding.lightne as lightne_mod
 from repro.embedding.lightne import LightNEParams, lightne_embedding
 from repro.errors import NumericalHealthError
+from repro import telemetry
 from repro.telemetry import health, ledger
 from repro.telemetry.health import (
     HealthRecorder,
@@ -205,9 +206,12 @@ class TestRecorder:
         with health.policy_scope("record"):
             assert health.checkpoint("s", rng.normal(size=3)) is None
             rec = HealthRecorder()
-            with health.recorder_scope(rec):
+            with telemetry.run_scope("run") as root:
+                # A run without a recorder on its root records nothing.
+                assert health.checkpoint("s", rng.normal(size=3)) is None
+                root.health = rec
                 assert health.checkpoint("s", rng.normal(size=3)) is not None
-            assert health.active_recorder() is None
+            assert health.checkpoint("s", rng.normal(size=3)) is None
         assert len(rec.digests) == 1
 
     def test_summary_shape(self, rng):
@@ -304,7 +308,6 @@ class TestPipelineIntegration:
     def _nan_seeded_run(er_graph):
         """One traced run of a body returning 3 NaN entries, two of which an
         earlier stage checkpoint also saw; returns its ``health.nonfinite``."""
-        from repro import telemetry
         from repro.embedding.base import PipelineSpec, run_pipeline
 
         def body(ctx):
@@ -321,7 +324,6 @@ class TestPipelineIntegration:
             )
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         return result.info["telemetry"]["metrics"]["counters"]["health.nonfinite"]
 
     @pytest.mark.parametrize("policy", ["off", "record", "warn"])

@@ -313,7 +313,6 @@ class TestPipelineWiring:
                     run_method("lightne", graph, seed=0, dimension=8, window=3)
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         first, second = (r.peak_rss_bytes for r in RunLedger(path).records())
         assert (1 << 20) < first <= second <= telemetry.peak_rss_bytes()
 

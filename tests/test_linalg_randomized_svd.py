@@ -192,17 +192,14 @@ class TestOperatorPassCounter:
         from repro import telemetry
 
         m = low_rank_matrix(30, 30, 3, rng)
-        telemetry.enable()
-        telemetry.reset_metrics()
+        tracer = telemetry.enable()
         try:
             randomized_svd(m, 3, seed=0, power_iterations=power_iterations)
-            snap = telemetry.get_metrics().snapshot()
-            assert snap["counters"]["svd.operator_passes"] == (
+            assert tracer.counters["svd.operator_passes"] == (
                 2 + 2 * power_iterations
             )
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
 
 
 class TestSinglePrecisionNetMF:
@@ -233,16 +230,14 @@ class TestSinglePrecisionNetMF:
         )
         matrix = sparsifier_to_netmf_matrix(graph, sparsifier)
         telemetry.enable()
-        telemetry.reset_metrics()
         try:
             u, _, _ = randomized_svd(
                 matrix, 128, seed=np.random.default_rng(2022),
                 precision="single", symmetric=True,
             )
-            counters = telemetry.get_metrics().snapshot()["counters"]
+            counters = telemetry.get_tracer().counters
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         assert u.dtype == np.float32
         assert counters["svd.operator_passes"] == 6
         assert counters.get("linalg.cholesky_qr_fallbacks", 0) == 0

@@ -57,7 +57,6 @@ SUBPACKAGES = [
     "repro.utils",
     "repro.telemetry",
     "repro.telemetry.tracer",
-    "repro.telemetry.metrics",
     "repro.telemetry.run",
     "repro.telemetry.memory",
     "repro.cli",
@@ -243,7 +242,8 @@ def test_deleted_api_stays_deleted(capsys):
                  "repro.utils.validation",
                  "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis",
                  "repro.streaming", "repro.graph.partition",
-                 "repro.graph.transforms", "repro.telemetry.worker"):
+                 "repro.graph.transforms", "repro.telemetry.worker",
+                 "repro.telemetry.metrics"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
     for module in (repro, repro.graph):
@@ -281,13 +281,15 @@ def test_deleted_api_stays_deleted(capsys):
     with pytest.raises(MethodParameterError):
         make_params("lightne", sparsifier="path")
     assert not {"sketchne", "netmf+", "netmfplus"} & set(method_names())
-    # Counters are the metrics registry's one instrument.
+    # Counters are the tracer's one instrument: no registry beside it.
     import repro.telemetry
-    import repro.telemetry.metrics
+    import repro.telemetry.tracer
 
-    for module in (repro.telemetry, repro.telemetry.metrics):
+    for module in (repro.telemetry, repro.telemetry.tracer):
         for name in ("Gauge", "Histogram", "gauge", "histogram",
-                     "DEFAULT_LATENCY_BUCKETS", "PROBE_BUCKETS"):
+                     "DEFAULT_LATENCY_BUCKETS", "PROBE_BUCKETS",
+                     "MetricsRegistry", "counter", "get_metrics",
+                     "reset_metrics"):
             assert not hasattr(module, name), (module.__name__, name)
     # One view per signal: Perfetto draws the trace, the ledger holds the
     # peak RSS and the health record; test-only helpers live in the tests.

@@ -1,11 +1,12 @@
 """One record per run: the run's span tree is the only stage clock, its
-metrics are scoped to the run, and ``parallel_map`` owns span parenting."""
+counters are scoped to the run, and ``parallel_map`` owns span parenting."""
 
 from __future__ import annotations
 
 import json
 import os
 import pathlib
+import sys
 import threading
 from collections import Counter
 
@@ -17,7 +18,6 @@ from repro.embedding.registry import get_method, list_methods, make_params
 from repro.graph.generators import dcsbm_graph
 from repro.telemetry import ledger
 from repro.telemetry import run as run_mod
-from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.parallel import parallel_map
 
 TRACE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_tree_7a8c75f.json"
@@ -39,10 +39,8 @@ def small_graph():
 @pytest.fixture
 def tracer():
     active = telemetry.enable()
-    telemetry.reset_metrics()
     yield active
     telemetry.disable()
-    telemetry.reset_metrics()
 
 
 def _params(backend, **knobs):
@@ -75,22 +73,9 @@ class TestRunScopedMetrics:
         records = ledger.RunLedger(path).records()
         first = records[0].metrics["counters"]
         assert all(r.metrics["counters"] == first for r in records)
-        # ... and everything rolled up: the enclosing registry has the totals.
-        totals = telemetry.get_metrics().snapshot()["counters"]
+        # ... and every count reached the tracer too: it has the totals.
+        totals = tracer.counters
         assert totals == {k: 3 * v for k, v in first.items()}
-
-
-class TestRegistryRollUp:
-    def test_counters_sum(self):
-        parent = MetricsRegistry()
-        parent.counter("c").inc(2.0)
-        child = MetricsRegistry()
-        child.counter("c").inc(3.0)
-        child.counter("only_child").inc(1.0)
-        parent.roll_up(child)
-        assert parent.snapshot() == {"counters": {"c": 5.0, "only_child": 1.0}}
-        # The finished scope keeps its own totals.
-        assert child.snapshot() == {"counters": {"c": 3.0, "only_child": 1.0}}
 
 
 class TestTraceTreeParity:
@@ -139,7 +124,7 @@ class TestTraceTreeParity:
     def test_thread_pool_tasks_land_under_the_submitting_span(self, tracer):
         def task(index):
             with telemetry.span("task", index=index):
-                telemetry.counter("task.calls").inc()
+                telemetry.count("task.calls")
             return threading.get_ident()
 
         with telemetry.run_scope("run") as root:
@@ -148,7 +133,7 @@ class TestTraceTreeParity:
         assert set(idents) != {threading.get_ident()}
         tasks = tracer.find_spans("task")
         assert len(tasks) == 6 and all(span.parent is stage for span in tasks)
-        assert root.metrics.snapshot()["counters"] == {"task.calls": 6.0}
+        assert root.counters == {"task.calls": 6.0}
 
 
 class TestStageClock:
@@ -192,21 +177,47 @@ class TestNestedRuns:
             assert list(part.timer.stages) == ["sparsifier", "svd", "propagation"]
             assert part.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
         assert inner[0].timer.stages != inner[1].timer.stages
-        assert outer.metrics.snapshot()["counters"]["svd.operator_passes"] == 12
-        assert telemetry.get_metrics().snapshot()["counters"]["svd.operator_passes"] == 12
+        assert outer.counters["svd.operator_passes"] == 12
+        assert tracer.counters["svd.operator_passes"] == 12
         assert [child.name for child in outer.children] == ["lightne", "lightne"]
 
     def test_run_inside_a_run_rolls_up_through_it(self, tracer):
         with telemetry.run_scope("outer") as outer:
-            telemetry.counter("c").inc()
+            telemetry.count("c")
             with telemetry.run_scope("inner") as inner:
-                telemetry.counter("c").inc(2)
+                telemetry.count("c", 2)
                 with telemetry.stage("s"):
                     pass
             with telemetry.stage("t"):
                 pass
-        assert inner.metrics.snapshot()["counters"] == {"c": 2.0}
-        assert outer.metrics.snapshot()["counters"] == {"c": 3.0}
-        assert telemetry.get_metrics().snapshot()["counters"] == {"c": 3.0}
+        assert inner.counters == {"c": 2.0}
+        assert outer.counters == {"c": 3.0}
+        assert tracer.counters == {"c": 3.0}
         assert [c.name for c in inner.children] == ["s"]
         assert [c.name for c in outer.children] == ["inner", "t"]
+
+    def test_pool_counts_are_exact_in_every_enclosing_total(self, tracer):
+        # Exact binary fractions sum without rounding in any order, so every
+        # total is exact whatever the interleaving: a lost or doubled update
+        # moves it.
+        calls = 5000
+
+        def task(worker):
+            for call in range(calls):
+                telemetry.count("x", 0.125 if call % 2 else 0.375)
+            return worker
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: provoke races
+        try:
+            with telemetry.run_scope("outer") as outer:
+                telemetry.count("x", 0.5)
+                with telemetry.run_scope("inner") as inner:
+                    workers = [(w,) for w in range(4)]
+                    assert parallel_map(task, workers, workers=4) == [0, 1, 2, 3]
+        finally:
+            sys.setswitchinterval(interval)
+        pooled = 4 * (calls // 2) * (0.125 + 0.375)
+        assert inner.counters == {"x": pooled}
+        assert outer.counters == {"x": pooled + 0.5}
+        assert tracer.counters == {"x": pooled + 0.5}

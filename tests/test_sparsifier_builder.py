@@ -162,15 +162,13 @@ class TestBuilder:
             window=3, num_samples=3000, downsample_constant=1e-12
         )
         telemetry.enable()
-        telemetry.reset_metrics()
         try:
             result = build_sparsifier(
                 er_graph, config, seed=1, workers=workers, batch_size=500
             )
-            counters = telemetry.get_metrics().snapshot()["counters"]
+            counters = telemetry.get_tracer().counters
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         assert result.nnz == 0 and result.num_draws > 0
         assert counters["sparsifier.draws"] == result.num_draws
         assert counters["sparsifier.walk_samples"] == 0

@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry: spans, metrics, memory profiling, exporters."""
+"""Tests for repro.telemetry: spans, counters, memory profiling, exporters."""
 
 from __future__ import annotations
 
@@ -11,18 +11,15 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import progress as progress_mod
-from repro.telemetry.metrics import NULL_INSTRUMENT, MetricsRegistry
 from repro.telemetry.tracer import NULL_SPAN, Tracer
 
 
 @pytest.fixture
 def enabled():
-    """Fresh global tracer + clean registry, torn down afterwards."""
+    """Fresh global tracer (empty counters), torn down afterwards."""
     tracer = telemetry.enable()
-    telemetry.reset_metrics()
     yield tracer
     telemetry.disable()
-    telemetry.reset_metrics()
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +117,15 @@ class TestDisabledFastPath:
         assert telemetry.current_span() is None
         assert telemetry.get_tracer() is None
 
-    def test_instruments_return_shared_null(self):
-        assert telemetry.counter("c") is NULL_INSTRUMENT
-        # The no-op accepts calls without recording anything.
-        telemetry.counter("c").inc(5)
-        assert telemetry.get_metrics().names() == []
+    def test_count_is_a_noop_while_disabled(self):
+        # One global check and out: nothing is recorded, nothing validated.
+        assert telemetry.count("c", 5) is None
+        telemetry.count("c", -1)
+        tracer = telemetry.enable()
+        try:
+            assert tracer.counters == {}
+        finally:
+            telemetry.disable()
 
     def test_enable_disable_roundtrip(self):
         tracer = telemetry.enable()
@@ -155,6 +156,19 @@ class TestExporters:
         assert leaf["args"]["batch"] == 3
         assert leaf["dur"] >= 0.0
         assert doc["otherData"]["exporter"] == "repro.telemetry"
+
+    def test_chrome_trace_carries_run_counters(self, enabled):
+        with telemetry.run_scope("run"):
+            with telemetry.span("leaf"):
+                telemetry.count("b", 2)
+                telemetry.count("a")
+        events = {
+            e["name"]: e for e in enabled.to_chrome_trace()["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert events["run"]["args"]["counters"] == {"a": 1.0, "b": 2.0}
+        assert list(events["run"]["args"]["counters"]) == ["a", "b"]
+        assert "counters" not in events["leaf"]["args"]
 
     def test_write_chrome_trace_file(self, enabled, tmp_path):
         with telemetry.span("only"):
@@ -187,48 +201,51 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Counters
 # ---------------------------------------------------------------------------
 
 
-class TestInstruments:
-    def test_counter_accumulates_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        c = registry.counter("events")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
+class TestCount:
+    def test_count_accumulates_and_rejects_negative(self, enabled):
+        telemetry.count("events")
+        telemetry.count("events", 2.5)
+        assert enabled.counters == {"events": 3.5}
         with pytest.raises(ValueError):
-            c.inc(-1)
-        assert registry.counter("events") is c  # create-or-get
+            telemetry.count("events", -1)
+        assert enabled.counters == {"events": 3.5}
 
-    def test_registry_snapshot_is_json_serializable(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(7)
-        registry.counter("b").inc(0.5)
-        snap = json.loads(json.dumps(registry.snapshot()))
-        assert snap == {"counters": {"b": 0.5, "c": 7}}
-        assert registry.names() == ["b", "c"]
+    def test_totals_are_json_serializable(self, enabled):
+        with telemetry.run_scope("run") as root:
+            telemetry.count("c", 7)
+            telemetry.count("b", 0.5)
+            telemetry.count("n", np.int64(3))
+        for totals in (enabled.counters, root.counters):
+            assert json.loads(json.dumps(totals)) == {"b": 0.5, "c": 7, "n": 3}
+            assert all(type(value) is float for value in totals.values())
 
-    def test_write_json(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("n").inc()
-        path = tmp_path / "metrics.json"
-        registry.write_json(path)
-        assert json.loads(path.read_text())["counters"]["n"] == 1
+    def test_enable_starts_from_empty_totals(self, enabled):
+        telemetry.count("will-vanish")
+        assert enabled.counters == {"will-vanish": 1.0}
+        fresh = telemetry.enable()
+        assert fresh is not enabled and fresh.counters == {}
 
-    def test_write_json_creates_parents(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("n").inc(2)
+    def test_counts_outside_a_run_reach_only_the_tracer(self, enabled):
+        with telemetry.span("plain") as plain:
+            telemetry.count("c")
+        assert plain.counters is None
+        assert enabled.counters == {"c": 1.0}
+
+    def test_write_metrics_snapshot(self, enabled, tmp_path):
+        from benchmarks.harness import write_metrics_snapshot
+
         path = tmp_path / "results" / "run" / "metrics.json"
-        registry.write_json(path)
-        assert json.loads(path.read_text())["counters"]["n"] == 2
-
-    def test_reset_metrics_clears_global(self, enabled):
-        telemetry.counter("will-vanish").inc()
-        assert "will-vanish" in telemetry.get_metrics().names()
-        telemetry.reset_metrics()
-        assert telemetry.get_metrics().names() == []
+        assert write_metrics_snapshot(str(path)) is None  # nothing counted
+        telemetry.count("z", 2)
+        telemetry.count("a")
+        assert write_metrics_snapshot(str(path)) == str(path)
+        assert path.read_text() == json.dumps(
+            {"counters": {"a": 1.0, "z": 2.0}}, indent=2
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +318,10 @@ class TestPipelineAcceptance:
         assert tracer.find_spans("propagation.chebyshev_term")
 
     def test_metrics_snapshot_has_all_kinds(self, traced_run):
-        tracer, _ = traced_run
-        snap = telemetry.get_metrics().snapshot()
+        tracer, result = traced_run
+        snap = result.info["telemetry"]["metrics"]
         assert set(snap) == {"counters"}
+        assert snap["counters"] == tracer.counters
         assert snap["counters"]["sparsifier.batches"] >= 1
         # Per-batch latency is the batch span's duration.
         batches = tracer.find_spans("sparsifier.batch")
@@ -337,7 +355,6 @@ class TestPipelineAcceptance:
             traced = lightne_embedding(graph, params, seed=7)
         finally:
             telemetry.disable()
-            telemetry.reset_metrics()
         np.testing.assert_array_equal(plain.vectors, traced.vectors)
         assert plain.info["telemetry_enabled"] is False
         assert "telemetry" not in plain.info
