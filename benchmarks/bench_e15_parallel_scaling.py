@@ -196,7 +196,7 @@ ledger.record_result(
 )
 print(json.dumps(dict(anon=p.anon_peak_bytes, rss=p.rss_peak_bytes,
                       checksum=float(result.vectors.sum()),
-                      backend=result.info.get("backend"))))
+                      backend=result.info["params"]["backend"])))
 """
 
 

@@ -113,7 +113,7 @@ def test_e6_downsampling_quality_negligible(benchmark, table, oag_graph):
                 multiplier=5.0, downsample=downsample,
             )
             row = {"downsampling": "on" if downsample else "off",
-                   "nnz": result.info["sparsifier_nnz"]}
+                   "nnz": int(result.timer.get_counter("sparsifier", "distinct"))}
             row.update(
                 classification_row(result.vectors, oag.labels, (0.1,), repeats=2)
             )

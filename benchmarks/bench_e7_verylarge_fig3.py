@@ -36,7 +36,7 @@ def _sweep(name):
         rows.append(
             {
                 "M": f"{multiplier:g}Tm",
-                "samples": result.info["num_draws"],
+                "samples": int(result.timer.get_counter("sparsifier", "draws")),
                 "time_s": round(result.total_seconds, 2),
                 "HITS@1": round(100 * metrics.hits[1], 2),
                 "HITS@10": round(100 * metrics.hits[10], 2),

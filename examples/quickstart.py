@@ -38,8 +38,9 @@ def main() -> None:
     # 3. Embed.
     result = lightne_embedding(graph, params, seed=0)
     print(f"\nembedding: {result.vectors.shape}, method={result.method}")
-    print(f"sparsifier: {result.info['sparsifier_nnz']} non-zeros "
-          f"from {result.info['num_draws']} samples")
+    sparsifier = result.timer.counters["sparsifier"]
+    print(f"sparsifier: {int(sparsifier['distinct'])} non-zeros "
+          f"from {int(sparsifier['draws'])} samples")
     print("\nstage breakdown (paper Table 5 style):")
     print(result.timer.format())
 

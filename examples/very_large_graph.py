@@ -54,10 +54,11 @@ def sweep(graph) -> None:
         metrics = evaluate_link_prediction(
             result.vectors, pos_u, pos_v, num_negatives=200, ks=(10, 50), seed=0
         )
-        nnz = result.info["sparsifier_nnz"]
+        nnz = int(result.timer.get_counter("sparsifier", "distinct"))
+        draws = int(result.timer.get_counter("sparsifier", "draws"))
         print(
             f"{format(multiplier, 'g') + 'Tm':>7} "
-            f"{result.info['num_draws']:>10,} {nnz:>15,} "
+            f"{draws:>10,} {nnz:>15,} "
             f"{hash_table_bytes(nnz):>12,} "
             f"{metrics.hits[10]:>8.3f} {metrics.hits[50]:>8.3f}"
         )

@@ -3,23 +3,23 @@
 :func:`run_pipeline` owns the scaffolding that every embedding module used to
 duplicate by hand: seed normalization (:func:`repro.utils.rng.ensure_rng`),
 dimension validation, the run's root span (whose child spans are the Table-5
-stages and whose counters are the run's own — :mod:`repro.telemetry.run`),
-and the standardized ``EmbeddingResult.info`` keys (``method`` / ``params``
-/ ``n`` / ``m`` plus the telemetry snapshot).  A method contributes only its
-stage body, wrapped in a :class:`PipelineSpec`; the public name -> builder
-mapping lives in :mod:`repro.embedding.registry`.
+stages and whose counters and health recorder are the run's own —
+:mod:`repro.telemetry.run`), and the four standardized
+``EmbeddingResult.info`` keys (``method`` / ``params`` / ``n`` / ``m``).  A
+method contributes only its stage body, wrapped in a :class:`PipelineSpec`;
+the public name -> builder mapping lives in :mod:`repro.embedding.registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry import environment, health, ledger
+from repro.telemetry import health, ledger
 from repro.errors import FactorizationError, NumericalHealthError
 from repro.graph.csr import CSRGraph
 from repro.utils.log import get_logger
@@ -40,20 +40,26 @@ class EmbeddingResult:
     method:
         Canonical method name (``"lightne"``, ``"netsmf"``, ...), matching
         the registry entry that produced it.
-    timer:
-        Stage-level wall-clock breakdown (Table 5 rows): a read-only
-        :class:`~repro.telemetry.run.StageTable` over the run span's stage
-        children.
+    run:
+        The run's finished root span (``None`` for a hand-built result): its
+        stage children carry the Table-5 times and the sparsifier's figures,
+        ``run.counters`` the run's counters (``None`` with telemetry off) and
+        ``run.health`` its :class:`~repro.telemetry.health.HealthRecorder`.
     info:
-        Diagnostics.  Always contains ``method``, ``params`` (the params
-        dataclass as a plain dict), ``n``, ``m`` and ``telemetry_enabled``;
-        methods add their own keys (sample counts, sparsifier nnz, ...).
+        Exactly ``method``, ``params`` (the params dataclass as a plain
+        dict), ``n`` and ``m``.
     """
 
     vectors: np.ndarray
     method: str
-    timer: telemetry.StageTable = field(default_factory=telemetry.StageTable)
+    run: Optional[telemetry.Span] = None
     info: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def timer(self) -> telemetry.StageTable:
+        """Stage-level wall-clock breakdown (Table 5 rows): the read-only
+        :class:`~repro.telemetry.run.StageTable` over the run's stages."""
+        return telemetry.StageTable(self.run.children if self.run else ())
 
     @property
     def num_vertices(self) -> int:
@@ -103,16 +109,12 @@ class PipelineContext:
         The run's root span (real whether or not tracing is on); bodies may
         attach attributes, and open their Table-5 stages under it with
         :func:`repro.telemetry.stage`.
-    info:
-        Method-specific diagnostics; merged into the standardized
-        ``EmbeddingResult.info`` after the body returns.
     """
 
     graph: CSRGraph
     params: Any
     rng: np.random.Generator
     span: Any
-    info: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,8 @@ def run_pipeline(
 
     Owns, for every method: ``validate_dimension``, ``ensure_rng(seed)``,
     the run's root span (named ``spec.name``, carrying ``n`` / ``m`` /
-    ``dimension``; the result's ``timer`` is the view of its stage
-    children), and the standardized ``info`` keys (``method``, ``params``,
-    ``n``, ``m``, ``telemetry_enabled`` and — when telemetry is on — a
-    ``telemetry`` snapshot of this run's counters and span count).
+    ``dimension``; it is the result's ``run``), and the standardized
+    ``info`` keys (``method``, ``params``, ``n``, ``m``).
 
     Numerical health: a fresh :class:`~repro.telemetry.health.HealthRecorder`
     is the root span's ``health`` (stage checkpoints, contract probes), the
@@ -149,9 +149,8 @@ def run_pipeline(
     of the health policy — a fail-fast non-finite guard runs on the result
     (raising :class:`~repro.errors.NumericalHealthError` under policy
     ``raise``, warning otherwise; it is the one place the final embedding's
-    non-finite entries are counted into ``health.nonfinite``).  With
-    the policy on, ``info["health"]`` / ``info["digests"]`` carry the
-    recorder summary into the ledger record.
+    non-finite entries are counted into ``health.nonfinite``).  The ledger
+    record reads the recorder off ``result.run.health``.
     """
     validate_dimension(graph.num_vertices, params.dimension)
     rng = ensure_rng(seed)
@@ -183,34 +182,12 @@ def run_pipeline(
                 raise NumericalHealthError(message)
             logger.warning(message)
 
-    params_dict = dataclasses.asdict(params)
     info: Dict[str, object] = {
         "method": spec.name,
-        "params": params_dict,
+        "params": dataclasses.asdict(params),
         "n": graph.num_vertices,
         "m": graph.num_edges,
     }
-    info.update(ctx.info)
-    # Execution provenance, resolved even when telemetry is off: the ledger
-    # needs the actual pool width/backend (not the ``workers=None`` sentinel)
-    # to keep thread and process runs comparable.
-    if "workers" in params_dict:
-        from repro.utils.parallel import default_workers
-
-        info["resolved_workers"] = int(params_dict["workers"] or default_workers())
-    else:
-        info["resolved_workers"] = 1
-    info["resolved_backend"] = str(params_dict.get("backend") or "thread")
-    info["env"] = environment.collect_fingerprint()
-    if recorder.enabled:
-        info["health"] = recorder.summary()
-        info["digests"] = recorder.digest_map()
-    info["telemetry_enabled"] = root.counters is not None
-    if root.counters is not None:
-        info["telemetry"] = {
-            "metrics": {"counters": dict(sorted(root.counters.items()))},
-            "trace_spans": sum(1 for _ in root.walk()),
-        }
     timer = telemetry.StageTable(root.children)
     logger.debug(
         "%s: done in %.3fs (%s)",
@@ -218,7 +195,7 @@ def run_pipeline(
         timer.total,
         ", ".join(f"{name}={secs:.3f}s" for name, secs in timer.as_rows()),
     )
-    result = EmbeddingResult(vectors, spec.name, timer, info)
+    result = EmbeddingResult(vectors, spec.name, root, info)
     # Opt-in run ledger (REPRO_LEDGER=1, CLI --ledger, or the benchmark
     # harness's enabled_scope): one persisted RunRecord per pipeline run.
     ledger.maybe_record(result, seed=seed, context="run_pipeline")

@@ -80,11 +80,12 @@ def _deepwalk_body(ctx: PipelineContext):
             f"learning_rate must be > 0, got {params.learning_rate}"
         )
 
-    with telemetry.stage("walks"):
+    with telemetry.stage("walks") as stage:
         walks = random_walk_matrix_sample(
             graph, params.walk_length, params.walks_per_vertex, rng
         )
         center, context = _walks_to_pairs(walks, params.window, rng)
+        stage.set_attribute("pairs", int(center.size))
 
     with telemetry.stage("sgd"):
         degrees = graph.degrees().astype(np.float64)
@@ -106,13 +107,6 @@ def _deepwalk_body(ctx: PipelineContext):
                 neg = rng.choice(n, size=(c.size, params.negatives), p=noise)
                 _sgd_step(w_in, w_out, ada_in, ada_out, c, o, neg, params.learning_rate)
 
-    ctx.info.update(
-        {
-            "pairs": int(center.size),
-            "walk_length": params.walk_length,
-            "walks_per_vertex": params.walks_per_vertex,
-        }
-    )
     return w_in
 
 

@@ -190,9 +190,9 @@ def _lightne_body(ctx: PipelineContext):
         workers=params.workers, backend=params.backend,
         batch_size=params.batch_size,
     )
-    # Each stage holds only its live set: keep the bookkeeping `ctx.info`
-    # reports, and drop every array as soon as the next stage's input exists.
-    nnz, num_draws, stats = sparsifier.nnz, sparsifier.num_draws, sparsifier.stats
+    # Each stage holds only its live set: keep the two figures used below,
+    # and drop every array as soon as the next stage's input exists.
+    nnz, num_draws = sparsifier.nnz, sparsifier.num_draws
     logger.debug(
         "lightne: sparsifier nnz=%d from %d draws (%.1f%% of draws kept "
         "distinct)", nnz, num_draws, 100.0 * nnz / max(1, num_draws),
@@ -238,23 +238,6 @@ def _lightne_body(ctx: PipelineContext):
             )
         health.checkpoint("propagation", vectors)
     ctx.span.set_attribute("sparsifier_nnz", nnz)
-    ctx.info.update(
-        {
-            "window": params.window,
-            "sample_multiplier": params.sample_multiplier,
-            "num_draws": num_draws,
-            "sparsifier_nnz": nnz,
-            "downsample": params.downsample,
-            "propagated": params.propagate,
-            "precision": params.precision,
-            "factorizer": params.factorizer,
-            "backend": params.backend,
-            "workers": int(stats.get("workers", 1)),
-            "sparsifier_batches": int(stats.get("batches", 0)),
-            "samples_per_sec": float(stats.get("samples_per_sec", 0.0)),
-            "peak_table_bytes": int(stats.get("peak_table_bytes", 0)),
-        }
-    )
     return vectors
 
 
@@ -274,14 +257,15 @@ def lightne_embedding(
 ) -> EmbeddingResult:
     """Run the full LightNE pipeline on ``graph``.
 
-    Returns an :class:`EmbeddingResult` whose ``timer`` holds the Table-5
-    stage breakdown and whose ``info`` records sampling statistics
-    (draw count, sparsifier nnz, downsampling state).
+    Returns an :class:`EmbeddingResult` whose ``run`` is the ``lightne`` root
+    span: ``timer`` is its Table-5 stage breakdown, and the ``sparsifier``
+    stage carries the sampling figures (``draws``, ``distinct``, ``batches``,
+    ...).
 
     When telemetry is enabled (:func:`repro.telemetry.enable`) the run is
-    traced under a ``lightne`` root span — stages, per-batch sampling and
-    per-iteration SVD/propagation children — and ``info["telemetry"]``
-    carries the run's counters.
+    traced in full — per-batch sampling and per-iteration SVD/propagation
+    children under the stages — and ``run.counters`` holds the run's
+    counters.
     """
     return run_pipeline(graph, LIGHTNE_PIPELINE, params, seed)
 

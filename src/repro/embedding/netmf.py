@@ -98,12 +98,6 @@ def _netmf_body(ctx: PipelineContext):
             symmetric=True,
         )
         vectors = embedding_from_svd(u, sigma)
-    ctx.info.update(
-        {
-            "window": params.window,
-            "negative_samples": params.negative_samples,
-        }
-    )
     return vectors
 
 

@@ -81,7 +81,6 @@ def _nrp_body(ctx: PipelineContext):
             symmetric=False,
         )
         vectors = embedding_from_svd(u, sigma)
-    ctx.info.update({"alpha": params.alpha, "order": params.order})
     return vectors
 
 

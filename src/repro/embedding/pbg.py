@@ -72,7 +72,6 @@ def _pbg_body(ctx: PipelineContext):
                 neg = rng.integers(0, n, size=(s.size, params.negatives))
                 _ranking_step(w, adagrad, s, d, neg, params.learning_rate)
 
-    ctx.info.update({"epochs": params.epochs, "negatives": params.negatives})
     return w
 
 

@@ -123,14 +123,6 @@ def _prone_body(ctx: PipelineContext):
                     else None
                 ),
             )
-    ctx.info.update(
-        {
-            "alpha": params.alpha,
-            "propagated": params.propagate,
-            "precision": params.precision,
-            "backend": params.backend,
-        }
-    )
     return vectors
 
 

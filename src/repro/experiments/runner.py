@@ -198,7 +198,7 @@ def run_multiplier_sweep(
             {
                 "M": f"{multiplier:g}Tm",
                 "time_s": round(result.total_seconds, 3),
-                "nnz": result.info["sparsifier_nnz"],
+                "nnz": int(result.timer.get_counter("sparsifier", "distinct")),
                 f"micro@{ratio:g}": round(100 * score.micro_f1, 2),
             }
         )

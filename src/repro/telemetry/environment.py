@@ -2,10 +2,10 @@
 
 Wall-clock numbers are only comparable between runs that executed on the
 same machine with the same numerical stack, so every persisted run record
-(:mod:`repro.telemetry.ledger`) and every ``EmbeddingResult.info`` carries
-the same fingerprint dict: CPU model and count, platform triple, Python /
-NumPy / SciPy versions, the BLAS backend NumPy was built against and its
-thread count, and the git SHA of the working tree when one is available.
+(:mod:`repro.telemetry.ledger`) carries the same fingerprint dict: CPU
+model and count, platform triple, Python / NumPy / SciPy versions, the BLAS
+backend NumPy was built against and its thread count, and the git SHA of
+the working tree when one is available.
 
 :func:`collect_fingerprint` is cached per process — the git subprocess and
 ``/proc/cpuinfo`` parse run once.  :func:`fingerprint_key` hashes the

@@ -34,8 +34,8 @@ variable.  ``off`` (default) skips all digest/probe work; ``record`` keeps
 results silently; ``warn`` logs failures; ``raise`` throws a typed
 :class:`~repro.errors.NumericalHealthError`.
 
-Results flow one way: through ``EmbeddingResult.info["health"]`` /
-``info["digests"]`` into the ``health`` and ``digests`` blocks of the ledger
+Results flow one way: from the run's recorder (``EmbeddingResult.run.health``)
+into the ``health`` and ``digests`` blocks of the ledger
 :class:`~repro.telemetry.ledger.RunRecord`, which ``lightne audit``
 (:mod:`repro.telemetry.audit`) diffs to localize the first diverging stage
 between two runs.

@@ -1,17 +1,14 @@
 """The run ledger: every pipeline run becomes one persisted ``RunRecord``.
 
-PR 2's spans and metrics evaporate at process exit, so nothing could say
-whether a change made the sparsifier 2× slower.  The ledger fixes that:
-each run appends one structured JSON line — method, canonical params hash,
-dataset, seed, environment fingerprint, the Table-5 per-stage wall times
-read off the run's stage spans (``result.timer``), the snapshot of the run's own
-counters, peak RSS and optional quality metrics — to
-``benchmarks/results/runs.jsonl`` via a crash-safe atomic append
-(:func:`repro.utils.fileio.append_line`).  Downstream,
+A run's spans evaporate at process exit; its ledger line does not.  Each
+run appends one JSON line — method, canonical params hash, dataset, seed,
+environment fingerprint, what its root span (``result.run``) holds (the
+Table-5 stage times, the run's counters, its health digests), peak RSS and
+optional quality — to ``benchmarks/results/runs.jsonl`` via a crash-safe
+atomic append (:func:`repro.utils.fileio.append_line`).
 :mod:`repro.telemetry.report` renders trajectories from it and
 :mod:`repro.telemetry.audit` diffs two runs' digests.  Timing verdicts are
-not taken here: they come from the committed benchmark
-(``benchmarks/perf``).
+not taken here: they come from the committed benchmark (``benchmarks/perf``).
 
 Recording is **opt-in** and piggybacks on :func:`repro.embedding.base.run_pipeline`:
 
@@ -35,6 +32,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.environment import collect_fingerprint, fingerprint_key
@@ -135,18 +133,26 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunRecord":
-        """Rebuild a record from a parsed ledger line (tolerant of extras)."""
+        """Rebuild a record from a parsed ledger line (tolerant of extras).
+
+        Stage seconds and counter values become floats here, so a line with
+        a wrong-typed one raises and the reader skips it."""
+        metrics = dict(data.get("metrics") or {})
+        if "counters" in metrics:
+            counters = dict(metrics["counters"])
+            metrics["counters"] = {str(k): float(v) for k, v in counters.items()}
         return cls(
             method=str(data.get("method", "")),
             dataset=str(data.get("dataset", "")),
             params=dict(data.get("params") or {}),
             stages={
-                str(k): v for k, v in dict(data.get("stages") or {}).items()
+                str(k): float(v)
+                for k, v in dict(data.get("stages") or {}).items()
             },
             total_s=float(data.get("total_s") or 0.0),
             seed=data.get("seed"),  # type: ignore[arg-type]
             env=dict(data.get("env") or {}),
-            metrics=dict(data.get("metrics") or {}),
+            metrics=metrics,
             quality=dict(data.get("quality") or {}),
             health=dict(data.get("health") or {}),
             digests={
@@ -345,56 +351,45 @@ def build_record(
 ) -> RunRecord:
     """Turn an :class:`~repro.embedding.base.EmbeddingResult` into a record.
 
-    Stage timings come from the result's ``timer`` in the **registry's
-    declared stage order** (Table 5 columns), so cross-run diffs line up
-    column-for-column regardless of the order stages happened to execute.
-    ``peak_rss_bytes`` is the process's OS lifetime peak at record time.
-    The resolved worker count and backend are recorded in ``extra`` for
-    *every* run, telemetry or not.
+    Everything measured is read off the run's root span (``result.run``):
+    stage timings from its ``timer`` in the **registry's declared stage
+    order** (Table 5 columns, so cross-run diffs line up column for column
+    whatever order the stages ran in), the run's counters, and its health
+    recorder's summary and digests.  A hand-built result (``run=None``)
+    records none of them.  ``peak_rss_bytes`` is the process's OS lifetime
+    peak at record time.  The resolved worker count and backend are worked
+    out from ``info["params"]`` into ``extra`` for *every* run.
     """
-    info = dict(getattr(result, "info", {}) or {})
-    env = info.get("env") or collect_fingerprint()
-    raw_metrics = {}
-    telemetry_info = info.get("telemetry")
-    if isinstance(telemetry_info, Mapping):
-        snapshot = telemetry_info.get("metrics")
-        if isinstance(snapshot, Mapping):
-            raw_metrics = dict(snapshot)
-    params = dict(info.get("params") or {})
-    order = _registry_stage_order(result.method)
-    stages = {
-        name: float(secs)
-        for name, secs in result.timer.ordered_stages(order).items()
-    }
-    record_extra = dict(extra or {})
-    if "backend" not in record_extra:
-        record_extra["backend"] = str(
-            info.get("resolved_backend") or params.get("backend") or "thread"
-        )
-    if "resolved_workers" not in record_extra:
-        resolved = info.get("resolved_workers")
-        if resolved is None:
-            if "workers" in params:
-                from repro.utils.parallel import default_workers
+    from repro.utils.parallel import default_workers
 
-                resolved = params["workers"] or default_workers()
-            else:
-                resolved = 1
-        record_extra["resolved_workers"] = int(resolved)
-    health_block = info.get("health")
-    digest_block = info.get("digests")
+    run = result.run
+    params = dict(result.info.get("params") or {})
+    resolved = dict(
+        backend=str(params.get("backend") or "thread"),
+        resolved_workers=int(params.get("workers", 1) or default_workers()),
+    )
+    record_extra = dict(extra or {})
+    record_extra.update(
+        (key, value) for key, value in resolved.items() if key not in record_extra
+    )
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        seed = None
+    counters = run.counters if run is not None else None
+    metrics = {} if counters is None else {"counters": dict(sorted(counters.items()))}
+    recorder = run.health if run is not None else None
+    recorded = recorder is not None and recorder.enabled
     return RunRecord(
         method=result.method,
         dataset=dataset or current_dataset() or "unknown",
         params=params,
-        stages=stages,
+        stages=result.timer.ordered_stages(_registry_stage_order(result.method)),
         total_s=float(result.timer.total),
-        seed=seed if isinstance(seed, int) else None,
-        env=dict(env),
-        metrics=raw_metrics,
+        seed=None if seed is None else int(seed),
+        env=dict(collect_fingerprint()),
+        metrics=metrics,
         quality=dict(quality or {}),
-        health=dict(health_block) if isinstance(health_block, Mapping) else {},
-        digests=dict(digest_block) if isinstance(digest_block, Mapping) else {},
+        health=recorder.summary() if recorded else {},
+        digests=recorder.digest_map() if recorded else {},
         peak_rss_bytes=peak_rss_bytes(),
         context=context,
         extra=record_extra,

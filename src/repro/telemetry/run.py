@@ -6,11 +6,12 @@ otherwise — and makes it the calling thread's active run (:func:`active_run`).
 That root is the only context a run has: :func:`stage` opens a Table-5 stage
 as its child, :func:`repro.telemetry.count` adds to its ``counters`` and the
 :mod:`repro.telemetry.health` hooks write to its ``health`` recorder, so lower
-layers reach the run with nothing threaded down their signatures.
-:class:`StageTable` (``EmbeddingResult.timer``) is the read-only stage
-breakdown over the root's children.  With tracing off a run allocates its
-root and one span per stage and nothing else: batch / term / chunk
-instrumentation stays on the no-op :func:`repro.telemetry.span` path.
+layers reach the run with nothing threaded down their signatures.  The
+finished root is the run's record (``EmbeddingResult.run``; the ledger line
+is read off it), and :class:`StageTable` (``EmbeddingResult.timer``) is the
+read-only stage breakdown over its children.  With tracing off a run
+allocates its root and one span per stage and nothing else: batch / term /
+chunk instrumentation stays on the no-op :func:`repro.telemetry.span` path.
 """
 
 from __future__ import annotations

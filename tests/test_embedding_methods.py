@@ -96,8 +96,8 @@ class TestNetSMF:
             graph, LightNEParams(dimension=16, window=3, sample_multiplier=3), seed=0
         )
         assert r.vectors.shape == (graph.num_vertices, 16)
-        assert r.info["num_draws"] > 0
-        assert r.info["sparsifier_nnz"] > 0
+        assert r.timer.get_counter("sparsifier", "draws") > 0
+        assert r.timer.get_counter("sparsifier", "distinct") > 0
 
     def test_quality(self, sbm_bundle):
         graph, labels = sbm_bundle
@@ -122,10 +122,10 @@ class TestNetSMF:
         r = netsmf_embedding(graph, asked, seed=5)
         assert r.method == r.info["method"] == "netsmf"
         assert list(r.timer.stages) == ["sparsifier", "svd"]
-        assert r.info["downsample"] is False and r.info["propagated"] is False
         assert r.info["params"]["downsample"] is False
         assert r.info["params"]["propagate"] is False
-        assert r.info["sparsifier_batches"] > 1  # batch_size reaches the sampler
+        # batch_size reaches the sampler
+        assert r.timer.get_counter("sparsifier", "batches") > 1
         off = lightne_embedding(
             graph,
             LightNEParams(
@@ -155,7 +155,7 @@ class TestProNE:
         r = prone_embedding(
             graph, ProNEParams(dimension=8, propagate=False), seed=0
         )
-        assert r.info["propagated"] is False
+        assert r.info["params"]["propagate"] is False
         assert "propagation" not in r.timer.stages
 
     def test_invalid_alpha(self, sbm_bundle):
@@ -224,17 +224,17 @@ class TestLightNE:
             seed=0,
         )
         np.testing.assert_array_equal(serial.vectors, threaded.vectors)
-        assert serial.info["workers"] == 1
-        assert threaded.info["workers"] == 4
+        assert serial.timer.get_counter("sparsifier", "workers") == 1
+        assert threaded.timer.get_counter("sparsifier", "workers") == 4
 
     def test_info_counters(self, sbm_bundle):
         graph, _ = sbm_bundle
         r = lightne_embedding(
             graph, LightNEParams(dimension=8, window=2, workers=2), seed=1
         )
-        assert r.info["sparsifier_batches"] >= 1
-        assert r.info["samples_per_sec"] > 0
-        assert r.info["peak_table_bytes"] > 0
+        assert r.timer.get_counter("sparsifier", "batches") >= 1
+        assert r.timer.get_counter("sparsifier", "samples_per_sec") > 0
+        assert r.timer.get_counter("sparsifier", "peak_table_bytes") > 0
         assert r.timer.get_counter("sparsifier", "workers") == 2
 
     def test_info_reports_telemetry_disabled(self, sbm_bundle):
@@ -242,12 +242,13 @@ class TestLightNE:
         r = lightne_embedding(
             graph, LightNEParams(dimension=8, window=2, propagate=False), seed=1
         )
-        assert r.info["telemetry_enabled"] is False
+        assert r.run.counters is None
         assert "telemetry" not in r.info
 
     @pytest.mark.parametrize("aggregator", ["hash", "hash-sharded", "sort"])
     def test_info_telemetry_keys_across_aggregators(self, sbm_bundle, aggregator):
         from repro import telemetry
+        from repro.telemetry import ledger
 
         graph, _ = sbm_bundle
         telemetry.enable()
@@ -260,14 +261,12 @@ class TestLightNE:
             )
         finally:
             telemetry.disable()
-        assert r.info["telemetry_enabled"] is True
-        tele = r.info["telemetry"]
-        assert tele["trace_spans"] > 0
-        snapshot = tele["metrics"]
-        assert set(snapshot) == {"counters"}
-        assert snapshot["counters"]["sparsifier.batches"] >= 1
+        assert r.run.counters is not None
+        assert sum(1 for _ in r.run.walk()) > 0
+        assert set(ledger.build_record(r).metrics) == {"counters"}
+        assert r.run.counters["sparsifier.batches"] >= 1
         # The name selects no aggregation pass: no hash table is ever built.
-        assert not [k for k in snapshot["counters"] if k.startswith("hashtable.")]
+        assert not [k for k in r.run.counters if k.startswith("hashtable.")]
 
     def test_downsampling_shrinks_sparsifier(self, sbm_bundle):
         graph, _ = sbm_bundle
@@ -283,7 +282,9 @@ class TestLightNE:
                           downsample=False, propagate=False),
             seed=0,
         )
-        assert on.info["sparsifier_nnz"] < off.info["sparsifier_nnz"]
+        assert on.timer.get_counter("sparsifier", "distinct") < off.timer.get_counter(
+            "sparsifier", "distinct"
+        )
 
     @pytest.mark.parametrize(
         "knobs,error,message",
@@ -355,7 +356,7 @@ class TestDeepWalkSGD:
         )
         r = deepwalk_sgd_embedding(graph, params, seed=0)
         assert r.vectors.shape == (graph.num_vertices, 16)
-        assert r.info["pairs"] > 0
+        assert r.timer.get_counter("walks", "pairs") > 0
 
     def test_quality_with_enough_training(self, sbm_bundle):
         graph, labels = sbm_bundle

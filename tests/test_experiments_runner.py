@@ -51,7 +51,7 @@ class TestDispatch:
         threaded = dispatch_method(
             "lightne", bundle.graph, dimension=8, window=2, seed=0, workers=2
         )
-        assert threaded.info["workers"] == 2
+        assert threaded.timer.get_counter("sparsifier", "workers") == 2
         np.testing.assert_array_equal(base.vectors, threaded.vectors)
 
 

@@ -3,7 +3,7 @@
 Covers the digest canonicalization contract (memory order / triplet order
 never change a fingerprint, content always does), the policy state machine
 (set_policy > REPRO_HEALTH > off), recorder/probe policy handling, the
-``run_pipeline`` integration (``info["health"]`` / ``info["digests"]``, the
+``run_pipeline`` integration (the run's recorder, ``result.run.health``, the
 ledger blocks, the fail-fast non-finite guard), and the determinism sweep:
 stage digests are bit-identical across ``workers`` counts on both execution
 substrates.
@@ -231,17 +231,18 @@ class TestPipelineIntegration:
     def test_off_by_default_no_blocks(self, er_graph):
         health.clear_policy()
         res = lightne_embedding(er_graph, LightNEParams(**SMALL), seed=1)
-        assert "health" not in res.info and "digests" not in res.info
+        assert not res.run.health.enabled
+        assert res.run.health.digest_map() == {}
 
     def test_record_policy_collects_stages_and_probes(self, er_graph):
         with health.policy_scope("record"):
             res = lightne_embedding(
                 er_graph, LightNEParams(workers=1, **SMALL), seed=1
             )
-        assert list(res.info["digests"]) == [
+        assert list(res.run.health.digest_map()) == [
             "sparsifier", "svd.netmf_matrix", "svd", "propagation", "final",
         ]
-        block = res.info["health"]
+        block = res.run.health.summary()
         assert block["ok"] is True
         assert {p["name"] for p in block["probes"]} == {
             "sparsifier_mass", "factorization_residual",
@@ -254,7 +255,7 @@ class TestPipelineIntegration:
                 er_graph, LightNEParams(workers=1, **SMALL), seed=1
             )
         expected = digest_dense("final", res.vectors).digest
-        assert res.info["digests"]["final"] == expected
+        assert res.run.health.digest_map()["final"] == expected
 
     def test_ledger_record_carries_health_blocks(self, er_graph, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -287,8 +288,8 @@ class TestPipelineIntegration:
         # Under "record" the run completes but the failure is on record.
         with health.policy_scope("record"):
             res = lightne_embedding(er_graph, params, seed=1)
-        assert res.info["health"]["ok"] is False
-        failed = [p for p in res.info["health"]["probes"] if not p["ok"]]
+        assert res.run.health.summary()["ok"] is False
+        failed = [p for p in res.run.health.summary()["probes"] if not p["ok"]]
         assert failed and failed[0]["name"] == "finite"
 
     def test_guard_active_even_with_policy_off(self, er_graph, monkeypatch):
@@ -324,7 +325,7 @@ class TestPipelineIntegration:
             )
         finally:
             telemetry.disable()
-        return result.info["telemetry"]["metrics"]["counters"]["health.nonfinite"]
+        return result.run.counters["health.nonfinite"]
 
     @pytest.mark.parametrize("policy", ["off", "record", "warn"])
     def test_nonfinite_counted_once_whatever_the_policy(self, er_graph, policy):
@@ -360,7 +361,7 @@ class TestDigestDeterminism:
                         ),
                         seed=3,
                     )
-                maps.append((backend, workers, res.info["digests"]))
+                maps.append((backend, workers, res.run.health.digest_map()))
         reference = maps[0][2]
         assert all(d == reference for _, _, d in maps), (
             "stage digests drifted across workers/substrates: "

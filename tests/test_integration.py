@@ -94,7 +94,9 @@ class TestSubstrateEquivalence:
             LightNEParams(dimension=16, window=3, sample_multiplier=8, downsample=False),
             seed=0,
         )
-        assert with_ds.info["sparsifier_nnz"] <= without_ds.info["sparsifier_nnz"]
+        assert with_ds.timer.get_counter(
+            "sparsifier", "distinct"
+        ) <= without_ds.timer.get_counter("sparsifier", "distinct")
         f1_with = classify(with_ds.vectors, labels)
         f1_without = classify(without_ds.vectors, labels)
         assert f1_with >= f1_without - 0.07

@@ -82,9 +82,10 @@ class TestFingerprint:
         env["cpu_model"] = "Imaginary CPU 9000"
         assert environment.fingerprint_key(env) != key_a
 
-    def test_result_info_carries_env(self, graph):
+    def test_record_env_is_the_fingerprint(self, graph):
         result = run_method("lightne", graph, seed=0, dimension=8, window=3)
-        assert result.info["env"] == environment.collect_fingerprint()
+        record = build_record(result, dataset="d", seed=0)
+        assert record.env == environment.collect_fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,7 @@ class TestRunRecord:
             with telemetry.stage("sparsifier"):
                 pass
         result = EmbeddingResult(
-            vectors=np.zeros((2, 2)), method="lightne",
-            timer=telemetry.StageTable(root.children),
+            vectors=np.zeros((2, 2)), method="lightne", run=root,
             info={"params": {"backend": None, "workers": 2}},
         )
         record = build_record(result, dataset="d", seed=0)
@@ -169,8 +169,13 @@ class TestRunLedger:
             {"method": "lightne", "stages": "oops"},
             {"method": "lightne", "total_s": "abc"},
             {"method": "lightne", "stages": [1]},
+            {"method": "lightne", "stages": {"svd": "abc"}},
+            {"method": "lightne", "metrics": {"counters": {"spmm.calls": "x"}}},
         ],
-        ids=["stages-str", "total-str", "stages-list"],
+        ids=[
+            "stages-str", "total-str", "stages-list", "stage-seconds-str",
+            "counter-str",
+        ],
     )
     def test_wrong_typed_field_skipped_by_both_readers(
         self, tmp_path, line, capsys, caplog
@@ -281,6 +286,25 @@ class TestPipelineWiring:
         assert record.params_hash == params_hash(result.info["params"])
         assert record.fingerprint == environment.fingerprint_key()
         assert record.total_s == pytest.approx(result.timer.total)
+
+    def test_numpy_integer_seed_is_recorded(self, graph, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        with ledger.enabled_scope(path=path, dataset="ds"):
+            run_method("lightne", graph, seed=np.int64(7), dimension=8, window=3)
+        (record,) = RunLedger(path).records()
+        assert record.seed == 7 and type(record.seed) is int
+        assert json.loads(path.read_text())["seed"] == 7
+
+    def test_hand_built_result_records_no_run_and_only_integer_seeds(self):
+        from repro.embedding.base import EmbeddingResult
+
+        result = EmbeddingResult(vectors=np.zeros((2, 2)), method="lightne")
+        record = build_record(result, seed=np.uint32(3))
+        assert record.seed == 3
+        assert record.stages == record.metrics == record.health == {}
+        assert record.digests == {} and record.total_s == 0.0
+        assert build_record(result, seed=True).seed is None
+        assert build_record(result, seed=np.random.default_rng(0)).seed is None
 
     def test_env_variable_enables(self, graph, tmp_path, monkeypatch):
         path = tmp_path / "envruns.jsonl"

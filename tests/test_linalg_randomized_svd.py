@@ -139,7 +139,7 @@ class TestFactorize:
             graph, LightNEParams(dimension=4, window=2, factorizer="rsvd"), 1
         )
         np.testing.assert_array_equal(default.vectors, explicit.vectors)
-        assert default.info["factorizer"] == "rsvd"
+        assert default.info["params"]["factorizer"] == "rsvd"
 
     def test_lightne_rejects_another_factorizer(self):
         graph = erdos_renyi_graph(60, 0.1, seed=0)

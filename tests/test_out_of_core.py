@@ -303,7 +303,7 @@ class TestEndToEndParity:
                 seed=9,
             )
             np.testing.assert_array_equal(got.vectors, reference.vectors)
-            assert got.info["backend"] == "process"
+            assert got.info["params"]["backend"] == "process"
 
     def test_process_backend_starts_no_process(self, graph, mmap_graph, monkeypatch):
         """``backend="process"`` is a residency: the filter's buffers go to
@@ -328,7 +328,7 @@ class TestEndToEndParity:
         got = lightne_embedding(
             mmap_graph, LightNEParams(workers=2, backend="process", **params), seed=9
         )
-        assert got.info["sparsifier_batches"] > 1
+        assert got.timer.get_counter("sparsifier", "batches") > 1
         np.testing.assert_array_equal(got.vectors, reference.vectors)
         assert len(offload_dirs) == 1 and offload_dirs[0] is not None
 

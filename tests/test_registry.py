@@ -128,9 +128,31 @@ class TestRoundTrip:
         assert result.info["n"] == graph.num_vertices
         assert result.info["m"] == graph.num_edges
         assert result.info["params"] == dataclasses.asdict(params)
-        assert "telemetry_enabled" in result.info
+        assert result.run.counters is None  # telemetry is off
         # Table-5 stage names: the default run records exactly the declared set.
         assert set(result.timer.stages) == set(spec.stages)
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_a_run_is_recorded_once(self, graph, name):
+        """``info`` holds the four standard keys and nothing the run's root
+        span already holds; the ledger record is read off that span."""
+        from repro import telemetry
+        from repro.telemetry import health, ledger
+
+        result = run_method(name, graph, seed=0, dimension=8)
+        assert set(result.info) == {"method", "params", "n", "m"}
+        assert result.run.name == result.method == canonical_name(name)
+        assert result.run.counters is None
+        telemetry.enable()
+        try:
+            with health.policy_scope("record"):
+                result = run_method(name, graph, seed=0, dimension=8)
+        finally:
+            telemetry.disable()
+        record = ledger.build_record(result, dataset="d", seed=0)
+        assert record.metrics["counters"] == dict(sorted(result.run.counters.items()))
+        assert record.digests == result.run.health.digest_map()
+        assert record.digests["final"]
 
     @pytest.mark.parametrize("alias,canonical", [("prone+", "prone"),
                                                  ("graphvite", "deepwalk")])

@@ -61,15 +61,15 @@ class TestRunScopedMetrics:
                 lightne_embedding(graph, _params(backend), 7)
                 for _ in range(3)
             ]
-        blocks = [r.info["telemetry"] for r in results]
-        for block in blocks:
-            counters = block["metrics"]["counters"]
+        spans = [sum(1 for _ in r.run.walk()) for r in results]
+        for result, count in zip(results, spans):
+            counters = result.run.counters
             assert counters["svd.operator_passes"] == 6
             for name in ("sparsifier.draws", "spmm.calls"):
-                assert counters[name] == blocks[0]["metrics"]["counters"][name] > 0
-            assert block["trace_spans"] == blocks[0]["trace_spans"]
+                assert counters[name] == results[0].run.counters[name] > 0
+            assert count == spans[0]
         # Every span of the process belongs to exactly one of the three runs.
-        assert 3 * blocks[0]["trace_spans"] == tracer.span_count
+        assert 3 * spans[0] == tracer.span_count
         records = ledger.RunLedger(path).records()
         first = records[0].metrics["counters"]
         assert all(r.metrics["counters"] == first for r in records)
@@ -175,7 +175,7 @@ class TestNestedRuns:
             inner = [lightne_embedding(graph, _params("thread"), seed) for seed in (0, 1)]
         for part in inner:
             assert list(part.timer.stages) == ["sparsifier", "svd", "propagation"]
-            assert part.info["telemetry"]["metrics"]["counters"]["svd.operator_passes"] == 6
+            assert part.run.counters["svd.operator_passes"] == 6
         assert inner[0].timer.stages != inner[1].timer.stages
         assert outer.counters["svd.operator_passes"] == 12
         assert tracer.counters["svd.operator_passes"] == 12

@@ -221,7 +221,6 @@ class TestSortDefault:
         params = LightNEParams(dimension=8, window=2)
         for embed in (lightne_embedding, netsmf_embedding):
             result = embed(er_graph, params, 0)
-            assert result.info["peak_table_bytes"] > 0
             assert result.timer.counters["sparsifier"]["peak_table_bytes"] > 0
 
     @pytest.mark.parametrize("aggregator", ["sort", "hash", "hash-sharded"])
@@ -272,7 +271,8 @@ class TestSortDefault:
                 "lightne", graph, seed=11, dimension=8, window=3,
                 multiplier=4.0, workers=2, precision=precision,
             )
-        assert result.info["digests"]["svd.netmf_matrix"] == "d4d08ba1621ad650"
+        digests = result.run.health.digest_map()
+        assert digests["svd.netmf_matrix"] == "d4d08ba1621ad650"
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize(
@@ -292,7 +292,7 @@ class TestSortDefault:
                 workers=2, backend=backend,
             )
         assert result.method == method
-        assert result.info["digests"]["sparsifier"] == digest
+        assert result.run.health.digest_map()["sparsifier"] == digest
 
     def test_replay_contract(self):
         """What ``benchmarks/perf/layers.py`` replays — the sampler, then

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.telemetry import ledger
 from repro.telemetry import progress as progress_mod
 from repro.telemetry.tracer import NULL_SPAN, Tracer
 
@@ -319,7 +320,7 @@ class TestPipelineAcceptance:
 
     def test_metrics_snapshot_has_all_kinds(self, traced_run):
         tracer, result = traced_run
-        snap = result.info["telemetry"]["metrics"]
+        snap = ledger.build_record(result).metrics
         assert set(snap) == {"counters"}
         assert snap["counters"] == tracer.counters
         assert snap["counters"]["sparsifier.batches"] >= 1
@@ -338,10 +339,9 @@ class TestPipelineAcceptance:
 
     def test_result_info_reports_telemetry(self, traced_run):
         _, result = traced_run
-        assert result.info["telemetry_enabled"] is True
-        tele = result.info["telemetry"]
-        assert tele["trace_spans"] > 0
-        assert tele["metrics"]["counters"]
+        assert result.run.counters is not None
+        assert sum(1 for _ in result.run.walk()) > 0
+        assert result.run.counters
 
     def test_same_vectors_with_and_without_telemetry(self):
         """Instrumentation must not perturb the deterministic pipeline."""
@@ -356,7 +356,7 @@ class TestPipelineAcceptance:
         finally:
             telemetry.disable()
         np.testing.assert_array_equal(plain.vectors, traced.vectors)
-        assert plain.info["telemetry_enabled"] is False
+        assert plain.run.counters is None
         assert "telemetry" not in plain.info
 
 
