@@ -53,7 +53,8 @@ functions and differ in dtype only.
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
 the block's dtype and ``cond`` its 2-norm condition number, read off the
-Gram matrix's extreme eigenvalues:
+Gram matrix's extreme eigenvalues (the smallest measured again on the block
+where it is below the Gram matrix's own rounding):
 
 * every block :func:`cholesky_qr` accepts comes back with
   ``‖QᵀQ − I‖_max ≤ 1e3·eps`` and ``range(Q) = range(block)``;
@@ -569,7 +570,7 @@ def gram(
     return out
 
 
-def _gram_condition(g: np.ndarray) -> float:
+def _gram_condition(g: np.ndarray, block: np.ndarray) -> float:
     """``cond(B)²`` from ``G = BᵀB``: ``λ_max / λ_min`` of the small Gram matrix.
 
     Exact up to ``eigvalsh``'s rounding (one ``k×k`` symmetric eigenvalue
@@ -577,13 +578,49 @@ def _gram_condition(g: np.ndarray) -> float:
     cheaper but only a *lower* bound — measured up to 40× below the true
     condition on blocks whose small singular directions are spread over all
     columns, and a one-pass decision taken on it accepted blocks that had
-    lost ``2e3·eps``.  Numerically indefinite matrices report ``inf``.
+    lost ``2e3·eps``.  A ``λ_min`` below :data:`_GRAM_RESOLUTION` ``·eps₆₄·
+    λ_max`` is the Gram matrix's own rounding error, so it is measured again
+    on ``block`` (:func:`_block_smallest`).  Numerically singular blocks
+    report ``inf``.
     """
     eigenvalues = np.linalg.eigvalsh(g)
     smallest, largest = float(eigenvalues[0]), float(eigenvalues[-1])
+    if not largest > 0.0:
+        return float("inf")
+    if smallest < _GRAM_RESOLUTION * _EPS64 * largest:
+        smallest = _block_smallest(g, block, largest)
     if not smallest > 0.0:
         return float("inf")
     return largest / smallest
+
+
+# Multiple of ``eps₆₄·λ_max(G)`` below which the Gram matrix's eigenvalues are
+# re-measured on the block: ``fl(BᵀB)`` carries an error of a few
+# ``eps₆₄·λ_max``, as large as ``λ_min`` itself at the float64 limit
+# ``cond² = 1/eps₆₄``: read off eigvalsh alone, 0.35 % of float64 blocks with
+# ``cond`` 2–2.3× beyond the limit's ``1/√eps₆₄`` were accepted.
+_GRAM_RESOLUTION = 1e3
+_EPS64 = float(np.finfo(np.float64).eps)
+
+
+def _block_smallest(g: np.ndarray, block: np.ndarray, largest: float) -> float:
+    """``σ_min(block)²`` by Rayleigh–Ritz over ``G``'s near-null eigenvectors.
+
+    ``C = block·V`` (``V`` the eigenvectors of ``G`` with eigenvalues below
+    ``_GRAM_RESOLUTION·eps₆₄·λ_max``) holds the block's small singular
+    directions and none of its large ones, so ``CᵀC`` — accumulated in
+    float64, one ``BLOCK_ROWS`` row block at a time — rounds relative to
+    ``λ_min``'s neighbours instead of to ``λ_max``.  Its smallest eigenvalue
+    is ``σ_min²`` up to ``~eps₆₄·λ_max/_GRAM_RESOLUTION``.
+    """
+    values, vectors = np.linalg.eigh(g)
+    # eigh sorts ascending; keep at least the smallest eigenvector.
+    near = vectors[:, : max(1, int(np.sum(values < _GRAM_RESOLUTION * _EPS64 * largest)))]
+    small = np.zeros((near.shape[1], near.shape[1]), dtype=np.float64)
+    for r0 in range(0, block.shape[0], BLOCK_ROWS):
+        rows = block[r0 : r0 + BLOCK_ROWS] @ near
+        small += rows.T @ rows
+    return float(np.linalg.eigvalsh(small)[0])
 
 
 def _solve_in_place(work: np.ndarray, lower: np.ndarray) -> None:
@@ -649,7 +686,7 @@ def cholesky_qr(block: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
                 )
             break  # finite block whose Gram matrix overflowed
         try:
-            cond_sq = _gram_condition(g)
+            cond_sq = _gram_condition(g, work)
             if cond_sq > limit:
                 break
             lower = np.linalg.cholesky(g)
