@@ -126,43 +126,16 @@ def test_e15_parallel_scaling(benchmark, graph, config, samples, table):
 
 
 # --------------------------------------------------------------------------
-# Out-of-core mode: a memmapped CSR v2 graph + file-backed propagation
-# buffers (backend="process"; every stage still runs on the thread pool) must
-# (a) stay bit-identical to the in-RAM thread path and (b) actually shrink
-# the working set.  Each configuration runs in a fresh interpreter via
-# harness.run_probe — RSS / VmData high-water marks never shrink inside one
-# process, so in-process comparison would be meaningless.
-#
-# The memory assertion targets the propagation stage in isolation: that is
-# the stage the offload rewrites (ping-pong n×d buffers → unlinked temp-file
-# memmaps streamed in row blocks), whereas the end-to-end anonymous peak is
-# set by the randomized SVD's dense intermediates, which out-of-core mode
-# deliberately leaves alone.  Two figures are reported per run:
+# Out-of-core input: a memmapped CSR v2 graph must stay bit-identical to the
+# in-RAM graph at every worker count.  Each configuration runs in a fresh
+# interpreter via harness.run_probe — RSS / VmData high-water marks never
+# shrink inside one process, so in-process comparison would be meaningless.
+# Two figures are reported per run:
 #
 # * ``anon`` — VmData peak: heap + private mappings.  File-backed memmap
-#   pages do not count, so a drop here is genuine working-set reduction.
+#   pages (the graph's) do not count.
 # * ``rss`` — resident peak: also counts the (reclaimable) file-backed
-#   pages still resident; the chunked kernels madvise written/consumed
-#   blocks away, so this drops too, by a smaller margin.
-
-_PROP_PROBE = """
-import json, tempfile
-import numpy as np
-from repro.graph.generators import rmat_graph
-from repro.linalg.spectral import spectral_propagation
-from repro.telemetry.memory import MemorySampler
-g = rmat_graph(17, 8, seed=13)
-emb = np.random.default_rng(99).standard_normal((g.num_vertices, 64))
-with MemorySampler(0.005) as sampler:
-    if __OFFLOAD__:
-        with tempfile.TemporaryDirectory() as d:
-            out = spectral_propagation(g, emb, order=10, offload_dir=d)
-    else:
-        out = spectral_propagation(g, emb, order=10)
-p = sampler.profile
-print(json.dumps(dict(anon=p.anon_peak_bytes, rss=p.rss_peak_bytes,
-                      checksum=float(out.sum()))))
-"""
+#   pages of the graph still resident.
 
 _E2E_PROBE = """
 import json, os, tempfile
@@ -172,10 +145,10 @@ from repro.graph import io as graph_io
 from repro.graph.generators import rmat_graph
 from repro.telemetry import ledger
 from repro.telemetry.memory import MemorySampler
-backend = "__BACKEND__"
+storage = "__STORAGE__"
 g = rmat_graph(15, 8, seed=13)
 with tempfile.TemporaryDirectory() as d:
-    if backend == "process":
+    if storage == "memmapped":
         path = os.path.join(d, "g" + graph_io.CSR_V2_SUFFIX)
         graph_io.save_csr_v2(g, path)
         g = graph_io.load_csr(path, mmap=True)
@@ -183,7 +156,7 @@ with tempfile.TemporaryDirectory() as d:
         result = lightne_embedding(
             g,
             LightNEParams(dimension=64, window=5, sample_multiplier=1.0,
-                          workers=__WORKERS__, backend=backend),
+                          workers=__WORKERS__),
             seed=2021,
         )
 p = sampler.profile
@@ -192,11 +165,10 @@ ledger.record_result(
     context="bench-e15-out-of-core",
     extra=dict(anon_peak_bytes=p.anon_peak_bytes,
                rss_peak_bytes=p.rss_peak_bytes,
-               workers=__WORKERS__),
+               workers=__WORKERS__, storage=storage),
 )
 print(json.dumps(dict(anon=p.anon_peak_bytes, rss=p.rss_peak_bytes,
-                      checksum=float(result.vectors.sum()),
-                      backend=result.info["params"]["backend"])))
+                      checksum=float(result.vectors.sum()))))
 """
 
 
@@ -204,64 +176,31 @@ def _mib(value):
     return None if value is None else round(value / 2**20, 1)
 
 
-def test_e15_out_of_core_propagation_memory(table):
-    inmem = run_probe(_PROP_PROBE.replace("__OFFLOAD__", "False"))
-    offload = run_probe(_PROP_PROBE.replace("__OFFLOAD__", "True"))
-
-    table(
-        "E15 — spectral propagation peak memory, rmat(17,8) n=131k d=64 "
-        "order=10 (fresh process per row)",
-        [
-            {"mode": mode, "anon_peak_MiB": _mib(r["anon"]),
-             "rss_peak_MiB": _mib(r["rss"]), "checksum": r["checksum"]}
-            for mode, r in (("in-RAM", inmem), ("offload", offload))
-        ],
-    )
-
-    # Offload is bit-transparent: same floats, different residency.
-    assert offload["checksum"] == inmem["checksum"]
-    if inmem["anon"] is None or offload["anon"] is None:
-        pytest.skip("no /proc/self/status on this platform")
-    # The real acceptance bar: the offloaded filter's unreclaimable
-    # working set shrinks substantially (measured ~0.76x)...
-    assert offload["anon"] < 0.85 * inmem["anon"], (
-        f"offload anon peak {_mib(offload['anon'])} MiB not < 85% of "
-        f"in-RAM {_mib(inmem['anon'])} MiB"
-    )
-    # ...and even the resident peak — which still counts reclaimable
-    # file-backed pages — lands below the in-RAM run (measured ~0.90x).
-    assert offload["rss"] < inmem["rss"], (
-        f"offload rss peak {_mib(offload['rss'])} MiB not below in-RAM "
-        f"{_mib(inmem['rss'])} MiB"
-    )
-
-
 def test_e15_out_of_core_end_to_end(table):
-    def probe(backend, workers):
+    def probe(storage, workers):
         script = (
             _E2E_PROBE
-            .replace("__BACKEND__", backend)
+            .replace("__STORAGE__", storage)
             .replace("__WORKERS__", str(workers))
             .replace("__LEDGER__", repr(os.path.abspath(RUNS_PATH)))
         )
-        return (backend, workers, run_probe(script))
+        return (storage, workers, run_probe(script))
 
-    runs = [probe("thread", 2), probe("process", 1), probe("process", 3)]
+    runs = [probe("in-RAM", 2), probe("memmapped", 1), probe("memmapped", 3)]
 
     table(
-        "E15 — end-to-end LightNE rmat(15,8) d=64 w=5: thread/in-RAM vs "
-        "process/memmapped CSR v2 (bit-identical; runs recorded in ledger)",
+        "E15 — end-to-end LightNE rmat(15,8) d=64 w=5: in-RAM graph vs "
+        "memmapped CSR v2 (bit-identical; runs recorded in ledger)",
         [
-            {"backend": backend, "workers": workers,
+            {"graph": storage, "workers": workers,
              "anon_peak_MiB": _mib(r["anon"]), "rss_peak_MiB": _mib(r["rss"]),
              "checksum": r["checksum"]}
-            for backend, workers, r in runs
+            for storage, workers, r in runs
         ],
     )
 
     reference = runs[0][2]
-    for backend, workers, r in runs[1:]:
+    for storage, workers, r in runs[1:]:
         assert r["checksum"] == reference["checksum"], (
-            f"{backend}/workers={workers} diverged from thread reference"
+            f"{storage}/workers={workers} diverged from the in-RAM reference"
         )
-        assert r["backend"] == "process"

@@ -14,8 +14,7 @@ Subcommands
 ``convert``
     Convert any readable graph into the memmappable CSR v2 container
     (``*.csrv2``), which ``--input`` loads without materializing the arrays
-    in RAM — the graph half of out-of-core runs (``--backend process`` is
-    the propagation-buffer half).
+    in RAM.
 ``compare``
     Side-by-side method comparison on a labeled dataset (the experiments
     runner, :func:`repro.experiments.run_method_comparison`).
@@ -108,10 +107,10 @@ def _load_graph(args: argparse.Namespace):
     raise SystemExit("one of --input or --dataset is required")
 
 
-# Flags forwarded to make_params: the registry's generic knobs plus two plain
-# fields.  Only values the user explicitly set (default=None sentinels) are
+# Flags forwarded to make_params: the registry's generic knobs plus one plain
+# field.  Only values the user explicitly set (default=None sentinels) are
 # forwarded, so each method keeps its own defaults for everything else.
-_KNOB_ARGS = (*GENERIC_KNOBS, "backend", "batch_size")
+_KNOB_ARGS = (*GENERIC_KNOBS, "batch_size")
 
 
 def _embed(graph, args: argparse.Namespace):
@@ -211,7 +210,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         multiplier=args.multiplier,
         repeats=args.repeats,
         workers=args.workers,
-        backend=args.backend,
         seed=args.seed,
     )
     print(format_table(rows))
@@ -256,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="thread-pool width for sparsifier construction and the "
                  "dense linear-algebra kernels (default: one per core, "
                  "capped at 8); output is bit-identical for every value",
-        )
-        p.add_argument(
-            "--backend", choices=("thread", "process"), default=None,
-            help="where the propagation buffers live: 'thread' (default, "
-                 "in RAM) or 'process' (out-of-core: temp-file memmaps); "
-                 "every stage runs on the thread pool and output is "
-                 "bit-identical either way (see docs/performance.md)",
         )
         p.add_argument(
             "--progress", action="store_true",

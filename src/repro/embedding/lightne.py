@@ -23,7 +23,6 @@ The paper presents LightNE as NetSMF plus two switches, so NetSMF is a
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -86,11 +85,9 @@ class LightNEParams:
         there.  Both the sparsifier and the dense kernels are bit-identical
         for every worker count given the same ``seed`` and ``batch_size``.
     backend:
-        Where the propagation buffers live: ``"thread"`` (default, in RAM)
-        or ``"process"`` — the out-of-core residency, in which the
-        Chebyshev filter's ``n×d`` buffers are temp-file memmaps.  Every
-        stage runs on the one thread pool either way, and embeddings are
-        bit-identical across the two.
+        ``"thread"`` (default) or ``"process"``: accepted, recorded,
+        selects nothing; kept because ``benchmarks/perf`` sets it.  A name
+        outside the two is a :class:`~repro.errors.BackendError`.
     precision:
         Dense-kernel dtype policy, ``"single"`` (default) or ``"double"``.
         ``"single"`` is the paper's: its numbers come from MKL's
@@ -113,7 +110,7 @@ class LightNEParams:
         of reduced runs, whatever the draw budget ``M``
         (:func:`~repro.sparsifier.path_sampling.sample_sparsifier_edges`).
         It fixes the slab decomposition and with it every random stream:
-        results are bit-identical across ``workers`` and ``backend`` for a
+        results are bit-identical across ``workers`` for a
         given ``(seed, batch_size)``, not across batch sizes.
     """
 
@@ -220,12 +217,6 @@ def _lightne_body(ctx: PipelineContext):
         health.checkpoint("svd", vectors)
     if params.propagate:
         with telemetry.stage("propagation", order=params.propagation_order):
-            # Out-of-core mode spills the filter's four n×d buffers to
-            # unlinked temp-file memmaps (bit-transparent; see
-            # chebyshev_gaussian_filter).
-            offload_dir = (
-                tempfile.gettempdir() if params.backend == "process" else None
-            )
             vectors = spectral_propagation(
                 graph,
                 vectors,
@@ -234,7 +225,6 @@ def _lightne_body(ctx: PipelineContext):
                 theta=params.theta,
                 precision=params.precision,
                 workers=params.workers,
-                offload_dir=offload_dir,
             )
         health.checkpoint("propagation", vectors)
     ctx.span.set_attribute("sparsifier_nnz", nnz)

@@ -16,7 +16,6 @@ so the class doubles as ProNE+ with stage timing for Table 5.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,8 +45,6 @@ class ProNEParams:
     (bit-identical at every width) and ``precision`` selects the
     ``"double"``/``"single"`` dtype policy of
     :mod:`repro.linalg.kernels` for factorization and propagation.
-    ``backend="process"`` puts the propagation buffers in temp-file
-    memmaps (bit-identical output).
     """
 
     dimension: int = 128
@@ -58,7 +55,6 @@ class ProNEParams:
     mu: float = 0.2
     theta: float = 0.5
     workers: Optional[int] = None
-    backend: str = "thread"
     precision: str = "double"
 
 
@@ -117,11 +113,6 @@ def _prone_body(ctx: PipelineContext):
                 theta=params.theta,
                 precision=params.precision,
                 workers=params.workers,
-                offload_dir=(
-                    tempfile.gettempdir()
-                    if params.backend == "process"
-                    else None
-                ),
             )
     return vectors
 

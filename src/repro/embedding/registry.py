@@ -53,12 +53,10 @@ GENERIC_KNOBS: Dict[str, str] = {
     "downsample": "downsample",
     "precision": "precision",
 }
-# Gated the same way without being listed as knobs of their own: the
-# buffer residency (``backend``) accompanies every pool width, and
+# Gated the same way without being listed as a knob of its own:
 # ``sample_multiplier`` is the field-name spelling of ``multiplier``.
 _KNOB_FIELD: Dict[str, str] = {
     **GENERIC_KNOBS,
-    "backend": "backend",
     "sample_multiplier": "sample_multiplier",
 }
 
@@ -165,7 +163,7 @@ def make_params(name: str, *, strict: bool = True, **overrides: object):
 
     ``overrides`` values of ``None`` mean "not set" and are skipped (so CLI
     flags with ``default=None`` sentinels pass through verbatim).  A generic
-    knob (:data:`GENERIC_KNOBS`, plus ``backend``) the method does not
+    knob (:data:`GENERIC_KNOBS`) the method does not
     support — no such field, or the method pins it — raises
     :class:`MethodParameterError` when ``strict`` (the CLI) and is silently
     dropped otherwise (comparison sweeps sharing one knob set across

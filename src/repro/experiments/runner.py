@@ -107,7 +107,7 @@ def run_method_comparison(
     """Node-classification comparison (the Table 4 / Figure 4 shape).
 
     One row per method: time, cost, and Micro-/Macro-F1 (percent) per
-    ratio.  ``knobs`` (``workers``, ``backend``, ...) ride
+    ratio.  ``knobs`` (``workers``, ``precision``, ...) ride
     :func:`dispatch_method` to every method that has them.
     """
     bundle = _resolve(dataset, seed, labeled=True)

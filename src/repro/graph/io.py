@@ -399,6 +399,47 @@ def _load_v2_array(
     return array
 
 
+# Entries per block of :func:`_check_v2_arrays`' streaming pass: its
+# transient is a few arrays of this length, whatever the container's size.
+_V2_CHECK_BLOCK = 1 << 20
+
+
+def _check_v2_arrays(path, n, offsets, targets, weights) -> None:
+    """Stream the arrays once, one block at a time: offsets never decrease,
+    every target is a vertex id in ``[0, n)``, every weight is finite and
+    non-negative.  The first bad entry is a :class:`GraphFormatError` naming
+    its array file and index — the compiled sparse kernels downstream
+    index with these values unchecked."""
+
+    def fail(name, index, problem):
+        array_path = os.path.join(path, f"{name}.npy")
+        raise GraphFormatError(f"{array_path}: {name}[{index}] {problem}")
+
+    for start in range(1, offsets.size, _V2_CHECK_BLOCK):
+        block = offsets[start - 1 : start + _V2_CHECK_BLOCK]
+        bad = np.flatnonzero(block[1:] < block[:-1])
+        if bad.size:
+            index = start + int(bad[0])
+            fail("offsets", index, f"= {int(offsets[index])} is below "
+                 f"offsets[{index - 1}] = {int(offsets[index - 1])}")
+    for start in range(0, targets.size, _V2_CHECK_BLOCK):
+        block = targets[start : start + _V2_CHECK_BLOCK]
+        bad = np.flatnonzero((block < 0) | (block >= n))
+        if bad.size:
+            index = start + int(bad[0])
+            fail("targets", index,
+                 f"= {int(targets[index])} is not a vertex id in [0, {n})")
+    if weights is None:
+        return
+    for start in range(0, weights.size, _V2_CHECK_BLOCK):
+        block = weights[start : start + _V2_CHECK_BLOCK]
+        bad = np.flatnonzero(~(np.isfinite(block) & (block >= 0)))
+        if bad.size:
+            index = start + int(bad[0])
+            fail("weights", index,
+                 f"= {float(weights[index])} is not finite and non-negative")
+
+
 def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     """Open a CSR v2 container, memmapped by default.
 
@@ -406,9 +447,11 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     ``offsets``/``targets``/``weights`` are read-only ``numpy.memmap`` views
     — the container can exceed RAM, and pages are faulted in only when a
     kernel touches them.  Structural validation against the header (magic,
-    dtypes, array lengths) replaces the element-wise :class:`CSRGraph`
-    checks, which would otherwise stream every page through memory at load
-    time.
+    dtypes, array lengths) and one streaming pass over the arrays (monotone
+    offsets, in-range targets, finite non-negative weights) replace the
+    element-wise :class:`CSRGraph` checks; rows are not checked for
+    sortedness.  A corrupt container is a :class:`GraphFormatError`, never
+    an out-of-bounds read later on.
     """
     path = os.fspath(path)
     header_path = os.path.join(path, _HEADER_NAME)
@@ -441,13 +484,12 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
         weights = _load_v2_array(
             path, "weights", dtypes.get("weights", "<f8"), directed, mode
         )
-    # Cheap endpoint checks instead of the full element-wise validation
-    # (which would fault in every page of a larger-than-RAM container).
     if offsets[0] != 0 or offsets[-1] != directed:
         raise GraphFormatError(
             f"{path}: offsets endpoints {int(offsets[0])}..{int(offsets[-1])} "
             f"inconsistent with header ({directed} directed edges)"
         )
+    _check_v2_arrays(path, n, offsets, targets, weights)
     return CSRGraph(offsets, targets, weights, check=not mmap)
 
 

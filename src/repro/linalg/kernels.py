@@ -6,22 +6,20 @@ counterpart those stages dispatch through, and the **one** BLAS-3
 tall-skinny layer of the library: float64 and float32 pipelines call the same
 functions and differ in dtype only.
 
-* :func:`spmm` — the one threaded row-blocked sparse @ dense product, in RAM
-  and out of core alike.  Contiguous row blocks of the CSR operator — one
-  per worker at equal shares of its stored entries
-  (:func:`balanced_row_ranges`), or more, of equal row counts, when ``out``
-  is too large for that many blocks — are dispatched onto a thread pool
-  that :func:`repro.utils.parallel.parallel_map` starts for the call and
-  shuts down when it returns; each block calls scipy's
-  compiled ``csr_matvecs`` kernel, which releases the GIL, writing into a
-  disjoint slice of one preallocated output — an ndarray or an
-  ``np.memmap``, whose finished blocks leave the resident set at once.
-  Because every output row depends only on that row's stored entries —
-  accumulated in storage order — the result is **bit-identical** to
-  ``matrix @ dense`` for every worker and block count.  CSC operators (the
-  ``Aᵀ`` side of Algorithm 3 on a non-symmetric matrix) are parallelized
-  over column chunks of the dense block instead, which preserves the same
-  per-column accumulation order and hence the same bit-identity.
+* :func:`spmm` — the one threaded row-blocked sparse @ dense product.
+  Contiguous row blocks of the CSR operator — one per worker at equal
+  shares of its stored entries (:func:`balanced_row_ranges`) — are
+  dispatched onto a thread pool that
+  :func:`repro.utils.parallel.parallel_map` starts for the call and shuts
+  down when it returns; each block calls scipy's compiled ``csr_matvecs``
+  kernel, which releases the GIL, writing into a disjoint slice of one
+  preallocated output.  Because every output row depends only on that
+  row's stored entries — accumulated in storage order — the result is
+  **bit-identical** to ``matrix @ dense`` for every worker and block count.
+  CSC operators (the ``Aᵀ`` side of Algorithm 3 on a non-symmetric matrix)
+  are parallelized over column chunks of the dense block instead, which
+  preserves the same per-column accumulation order and hence the same
+  bit-identity.
 * :func:`spmm_fused` — the same CSR product handed to the caller's
   epilogue one cache-sized row sub-block at a time from per-worker scratch,
   so it never exists whole; the Chebyshev filter applies each term's update
@@ -46,9 +44,6 @@ functions and differ in dtype only.
   diagonal scaling multiplies ``data`` where it lies (the products
   ``diags(x) @ A`` / ``A @ diags(x)`` compute, entry for entry), and a
   precision cast copies ``data`` only.
-* :func:`release_pages` — the one ``MADV_DONTNEED`` helper of the
-  out-of-core mode: :func:`spmm` and the Chebyshev filter drop the pages of
-  memmapped buffers they are done with through it.
 
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
@@ -93,7 +88,6 @@ the enclosing stage's seconds.
 
 from __future__ import annotations
 
-import mmap
 from typing import Optional, Union
 
 import numpy as np
@@ -265,21 +259,6 @@ def _csr_product(
         segment[...] = block @ dense
 
 
-def _csr_rows_kernel(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    dense: np.ndarray,
-    out: np.ndarray,
-    r0: int,
-    r1: int,
-) -> None:
-    """``out[r0:r1] = A[r0:r1] @ dense``, written straight into ``out``
-    (whose pages are released if file-backed)."""
-    _csr_product(indptr, indices, data, dense, out[r0:r1], r0, r1)
-    release_pages(out, r0, r1)  # rows [r0, r1) are final
-
-
 def _csc_cols_kernel(
     matrix: "sp.spmatrix",
     dense: np.ndarray,
@@ -291,25 +270,9 @@ def _csc_cols_kernel(
     out[:, c0:c1] = matrix @ np.ascontiguousarray(dense[:, c0:c1])
 
 
-# Bound on the bytes of ``out`` one row block of :func:`spmm` covers, and on
-# one block of the Chebyshev filter's element-wise sweeps (64 MiB — small
-# enough to coexist with memmapped operands, large enough that block dispatch
-# overhead is negligible).
-SPMM_WORKSPACE_BYTES = 64 * 1024 * 1024
-
 # Bytes of one scratch sub-block of :func:`spmm_fused` (two per worker): small
 # enough that the product and its epilogue's operands stay in a core's L2.
 FUSED_BLOCK_BYTES = 256 * 1024
-
-
-def _csr_row_ranges(matrix, out_nbytes: int, workers: int) -> list:
-    """Row blocks of a CSR product: equal row counts when the byte bound on
-    ``out`` asks for more blocks than there are workers (a bound on rows),
-    otherwise one block per worker at equal nnz shares (a bound on work)."""
-    blocks = -(-out_nbytes // SPMM_WORKSPACE_BYTES)
-    if blocks > workers:
-        return chunk_ranges(matrix.shape[0], blocks)
-    return balanced_row_ranges(matrix.indptr, workers)
 
 
 def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int) -> None:
@@ -348,19 +311,15 @@ def spmm(
         product's shape and dtype that shares no memory with ``dense``
         (a row block is zeroed before ``dense`` is read); allocated when
         omitted.  Reusing ``out`` across calls is what keeps the Chebyshev
-        recurrence allocation-free.  Where ``out`` lives is the caller's
-        residency decision and nothing else: an ``np.memmap`` is written in
-        place, one row block at a time, and each finished block's pages are
-        handed back through :func:`release_pages`.
+        recurrence allocation-free.
     workers:
         Thread count; ``None`` resolves to
         :func:`repro.utils.parallel.default_workers`.  The result is
         **bit-identical for every value** — CSR operators are split into
-        one contiguous row block per worker at equal nnz shares, or into
-        ``⌈out.nbytes / SPMM_WORKSPACE_BYTES⌉`` blocks of equal row counts
-        when that is more (each output row's accumulation order is
-        unchanged), CSC operators into dense column blocks (each output
-        column is computed by the same compiled loop as the serial product).
+        one contiguous row block per worker at equal nnz shares (each output
+        row's accumulation order is unchanged), CSC operators into dense
+        column blocks (each output column is computed by the same compiled
+        loop as the serial product).
     """
     workers = _resolve_workers(workers)
     dense = np.asarray(dense)
@@ -419,10 +378,10 @@ def spmm(
             for c0, c1 in chunk_ranges(cols, workers)
         ]
     else:
-        kernel = _csr_rows_kernel
+        kernel = _csr_product
         tasks = [
-            (matrix.indptr, matrix.indices, matrix.data, dense, out, r0, r1)
-            for r0, r1 in _csr_row_ranges(matrix, out.nbytes, workers)
+            (matrix.indptr, matrix.indices, matrix.data, dense, out[r0:r1], r0, r1)
+            for r0, r1 in balanced_row_ranges(matrix.indptr, workers)
         ]
     if len(tasks) == 1:
         kernel(*tasks[0])
@@ -436,8 +395,7 @@ def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int) -> None:
     """One worker's rows of :func:`spmm_fused`, one scratch sub-block at a time."""
     cols = dense.shape[1]
     row_bytes = max(1, cols * dense.itemsize)
-    budget = min(FUSED_BLOCK_BYTES, SPMM_WORKSPACE_BYTES)
-    height = min(r1 - r0, max(1, budget // row_bytes))
+    height = min(r1 - r0, max(1, FUSED_BLOCK_BYTES // row_bytes))
     product = np.empty((height, cols), dtype=dense.dtype)
     scratch = np.empty_like(product)
     for s0 in range(r0, r1, height):
@@ -492,48 +450,6 @@ def spmm_fused(
     elif tasks:
         parallel_map(_fused_rows_kernel, tasks, workers=workers)
     _count_spmm(matrix, dense, matrix.shape[0] * dense.shape[1] * dense.itemsize)
-
-
-def release_pages(
-    array: np.ndarray, r0: int = 0, r1: Optional[int] = None
-) -> None:
-    """``MADV_DONTNEED`` the pages fully covered by rows ``[r0, r1)`` of a
-    memmapped buffer (the whole array when ``r1`` is omitted).
-
-    For a *shared* file mapping this only drops the pages from the process:
-    dirty pages live on in the page cache and are repopulated on the next
-    access, so the contents are unchanged — released pages leave the RSS at
-    once and their page-cache copies are evictable.  The range is aligned
-    inward, so pages shared with neighbouring rows are left alone, and
-    releasing an already released range is harmless.
-
-    A no-op unless ``array`` is a C-contiguous ``np.memmap`` opened ``"r+"``
-    or ``"w+"`` that spans its whole mapping from file offset 0 (so a row
-    index is a byte offset into the mapping).  Mode ``"c"`` (``MAP_PRIVATE``)
-    must never be released — its dirty pages would be lost — and plain
-    ndarrays, views of part of a mapping and platforms without ``madvise``
-    are skipped.
-    """
-    raw = getattr(array, "_mmap", None)
-    if (
-        not isinstance(array, np.memmap)
-        or array.mode not in ("r+", "w+")
-        or array.offset != 0
-        or not array.flags["C_CONTIGUOUS"]
-        or not hasattr(raw, "madvise")
-        or array.nbytes != len(raw)
-        or array.shape[0] == 0
-    ):
-        return
-    row_bytes = array.nbytes // array.shape[0]
-    page = mmap.PAGESIZE
-    start = -(-r0 * row_bytes // page) * page
-    end = array.nbytes if r1 is None else r1 * row_bytes // page * page
-    if end > start:
-        try:
-            raw.madvise(mmap.MADV_DONTNEED, start, end - start)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
 
 
 def gram(

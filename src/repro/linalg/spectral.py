@@ -18,21 +18,19 @@ the dense ``n × d`` embedding — the operation the paper offloads to MKL
 Sparse BLAS.  They all run through :mod:`repro.linalg.kernels`: ``workers``
 threads them over nnz-balanced row ranges (bit-identical at every width),
 the Bessel coefficients are precomputed as one vector, and the recurrence
-holds four ``n×d`` buffers whatever the order — each term's second product
-is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as its
-epilogue, so it never exists whole and ``lx2`` overwrites the retiring
-``lx0``.  The modulated operator is built one row block at a time, and the
-row-normalized propagation operator ``D⁻¹(A + I)`` is built in place on
-``A + I`` and cached on the :class:`~repro.graph.csr.CSRGraph` in the dtype
-asked for, so repeated propagation calls do not rebuild it.
+holds four ``n×d`` in-RAM arrays whatever the order — each term's second
+product is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as
+its epilogue, so it never exists whole and ``lx2`` overwrites the retiring
+``lx0``.  ``A + I`` and the modulated operator are built one row block at a
+time, and the row-normalized propagation operator ``D⁻¹(A + I)`` is built in
+place on ``A + I`` and cached on the :class:`~repro.graph.csr.CSRGraph` in
+the dtype asked for, so repeated propagation calls do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -43,44 +41,86 @@ from repro import telemetry
 from repro.errors import FactorizationError
 from repro.graph.csr import CSRGraph
 from repro.linalg import kernels
-from repro.linalg.kernels import gram_rescale, release_pages, resolve_precision, spmm
+from repro.linalg.kernels import gram_rescale, resolve_precision, spmm
 from repro.utils.parallel import single_blas_thread
 
 
-def _offload_buffer(shape, dtype, offload_dir: str) -> np.ndarray:
-    """A writable ``n×d`` scratch buffer backed by an *unlinked* temp file.
-
-    The file is removed right after mapping, so no cleanup bookkeeping is
-    needed — the disk space is reclaimed when the mapping is garbage
-    collected — while the pages stay file-backed and therefore evictable:
-    the kernel can write them out under memory pressure instead of holding
-    the whole buffer in RSS (the point of the out-of-core mode).  A
-    directory that cannot be created or written is a
-    :class:`~repro.errors.FactorizationError` naming it.
-    """
-    try:
-        os.makedirs(offload_dir, exist_ok=True)
-        fd, path = tempfile.mkstemp(dir=offload_dir, prefix="cheb-", suffix=".buf")
-        os.close(fd)
-        try:
-            return np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-        finally:
-            os.unlink(path)
-    except OSError as error:
-        raise FactorizationError(
-            f"cannot create an offload buffer under {offload_dir!r}: {error}"
-        ) from error
-
-
-def _release_rows(r0: int, r1: int, *buffers: np.ndarray) -> None:
-    for buffer in buffers:
-        release_pages(buffer, r0, r1)
-
-
-# Stored entries per row block of :func:`_modulated_operator`'s build and
-# of the float64 operator's row reversal: their transient is a few arrays of
-# this length, whatever the operator's nnz.
+# Stored entries per row block of the ``A + I`` and modulated-operator builds
+# and of the float64 operator's row reversal: their transient is a few arrays
+# of this length, whatever the operator's nnz.
 OPERATOR_BLOCK_NNZ = 1 << 16
+
+
+def _adjacency_plus_identity(graph: CSRGraph) -> sp.csr_matrix:
+    """``(graph.adjacency() + sp.eye(n)).tocsr()``, array for array, without
+    building ``A``: the entries are read from the graph's arrays one block of
+    about :data:`OPERATOR_BLOCK_NNZ` entries at a time and written straight
+    into the result.
+
+    scipy's sum merges each (sorted) row with its diagonal entry: a
+    self-loop's weight gains ``1.0``, a row without one gets ``1.0``
+    inserted at its column position, and sums that come out zero (zero
+    weights) are dropped.  A row that is not strictly increasing takes the
+    verbatim expression, whose general merge orders it differently.
+    """
+    n = graph.num_vertices
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    nnz = int(offsets[-1])
+    index_dtype = np.int32 if nnz + n <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    indices = np.empty(nnz + n, dtype=index_dtype)
+    data = np.empty(nnz + n, dtype=np.float64)
+    end = 0  # entries written so far
+    parts = max(1, -(-nnz // OPERATOR_BLOCK_NNZ))
+    for r0, r1 in kernels.balanced_row_ranges(offsets, parts):
+        lo, hi = int(offsets[r0]), int(offsets[r1])
+        counts = np.diff(offsets[r0 : r1 + 1])
+        row_ids = np.arange(r0, r1)
+        # Entry (u, v) as the key u·n + v: strictly increasing over the
+        # block exactly when every row is, and searchable for (u, u).
+        key = np.repeat(row_ids * n, counts)
+        key += targets[lo:hi]
+        if not (key[1:] > key[:-1]).all():
+            return (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
+        ends = offsets[r0 + 1 : r1 + 1] - lo
+        diagonal = row_ids * (n + 1)
+        first = np.searchsorted(key, diagonal)  # each row's first entry >= (u, u)
+        loop = first < ends
+        loop[loop] = key[first[loop]] == diagonal[loop]
+        inserted = ~loop
+        # Output position of each row's diagonal: 1.0s inserted in earlier
+        # rows shift it right.
+        at = first + (np.cumsum(inserted) - inserted)
+        ones = at[inserted]
+        size = hi - lo + ones.size
+        block_indices = indices[end : end + size]
+        block_data = data[end : end + size]
+        from_graph = np.ones(size, dtype=bool)
+        from_graph[ones] = False
+        block_indices[from_graph] = targets[lo:hi]
+        block_indices[ones] = row_ids[inserted]
+        if weights is None:
+            block_data[:] = 1.0
+        else:
+            block_data[from_graph] = weights[lo:hi]
+            block_data[ones] = 1.0
+        block_data[at[loop]] += 1.0
+        lengths = counts + inserted
+        if weights is not None:
+            zeros = np.flatnonzero(block_data == 0)
+            if zeros.size:
+                rows = np.searchsorted(np.cumsum(lengths), zeros, side="right")
+                lengths -= np.bincount(rows, minlength=lengths.size)
+                keep = np.ones(size, dtype=bool)
+                keep[zeros] = False
+                size -= zeros.size
+                block_indices[:size] = block_indices[keep]
+                block_data[:size] = block_data[keep]
+        indptr[r0 + 1 : r1 + 1] = end + np.cumsum(lengths)
+        end += size
+    return sp.csr_matrix(
+        (data[:end], indices[:end], indptr), shape=(n, n), copy=False
+    )
 
 
 def _row_normalized_adjacency(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
@@ -96,8 +136,7 @@ def _row_normalized_adjacency(graph: CSRGraph, dtype=np.float64) -> sp.csr_matri
     sparse product emits), reversed in place one block of about
     :data:`OPERATOR_BLOCK_NNZ` entries at a time.
     """
-    n = graph.num_vertices
-    adjacency = (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
+    adjacency = _adjacency_plus_identity(graph)
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
     kernels.scale_csr_rows(adjacency, inv)
@@ -225,18 +264,13 @@ def chebyshev_gaussian_filter(
     workers:
         Thread count for the SPMMs (bit-identical at every width).
     offload_dir:
-        When set (the out-of-core mode), the recurrence's four ``n×d``
-        buffers are unlinked temp-file memmaps under this directory instead
-        of anonymous arrays.  Nothing else changes: the same products and
-        updates run on them, releasing each finished row block, so the
-        filter's resident set stays roughly one block per buffer plus the
-        input — with bit-identical output.
+        Accepted and ignored; kept because ``benchmarks/perf`` passes it.
+        The filter's buffers are always anonymous in-RAM arrays.
 
     Returns
     -------
-    The propagated (unnormalized) ``(n, d)`` matrix (a memmap when
-    ``offload_dir`` is set); callers usually pass it through
-    :func:`rescale_embedding`, which materializes a fresh in-RAM array.
+    The propagated (unnormalized) ``(n, d)`` matrix; callers usually pass it
+    through :func:`rescale_embedding`.
     """
     dtype = resolve_precision(precision)
     x = np.ascontiguousarray(embedding, dtype=dtype)
@@ -257,25 +291,6 @@ def chebyshev_gaussian_filter(
     # Bessel coefficients i_r(θ), precomputed as one vector.
     coefficients = iv(np.arange(order), theta)
 
-    # Residency is where the buffers live — anonymous memory, or evictable
-    # temp-file memmaps in the out-of-core mode — and nothing below depends
-    # on it: ``spmm`` writes either kind in place and ``release_pages`` is a
-    # no-op for anything but a shared file mapping.
-    def allocate() -> np.ndarray:
-        if offload_dir is None:
-            return np.empty_like(x)
-        return _offload_buffer(x.shape, x.dtype, offload_dir)
-
-    # The first term's and the final hop's element-wise updates sweep row
-    # blocks of the SPMM's own byte bound (one block in RAM at any size run
-    # so far) and release each finished block: they fault every page of
-    # their operands in, so unblocked they would be the residency hot spot.
-    # Element-wise ops have no cross-row interaction, so the block height
-    # never changes a bit.
-    n, row_bytes = x.shape[0], max(1, x.shape[1] * x.itemsize)
-    height = max(1, kernels.SPMM_WORKSPACE_BYTES // row_bytes)
-    blocks = [(r0, min(n, r0 + height)) for r0 in range(0, n, height)]
-
     # Chebyshev recurrence (ProNE's exact update rule) on four n×d buffers:
     # lx0/lx1 hold the last two Chebyshev terms, `conv` the running sum and
     # `work` the first product of each term.  The second product of a term
@@ -287,41 +302,30 @@ def chebyshev_gaussian_filter(
     progress_mod.begin("propagation", total=order - 1)
     with telemetry.span("propagation.chebyshev_term", term=0):
         lx0 = x  # read-only alias, never written
-        work = spmm(modulated, x, out=allocate(), workers=workers)
-        lx1 = spmm(modulated, work, out=allocate(), workers=workers)
-        conv = allocate()
-        first, second = float(coefficients[0]), 2.0 * float(coefficients[1])
-        for r0, r1 in blocks:
-            np.multiply(lx1[r0:r1], 0.5, out=lx1[r0:r1])
-            np.subtract(lx1[r0:r1], x[r0:r1], out=lx1[r0:r1])
-            np.multiply(x[r0:r1], first, out=conv[r0:r1])
-            np.multiply(lx1[r0:r1], second, out=work[r0:r1])
-            np.subtract(conv[r0:r1], work[r0:r1], out=conv[r0:r1])
-            _release_rows(r0, r1, lx1, work, conv)
+        work = spmm(modulated, x, out=np.empty_like(x), workers=workers)
+        lx1 = spmm(modulated, work, out=np.empty_like(x), workers=workers)
+        conv = np.empty_like(x)
+        np.multiply(lx1, 0.5, out=lx1)
+        np.subtract(lx1, x, out=lx1)
+        np.multiply(x, float(coefficients[0]), out=conv)
+        np.multiply(lx1, 2.0 * float(coefficients[1]), out=work)
+        np.subtract(conv, work, out=conv)
     progress_mod.task_completed("propagation")
     sign = 1.0
     for i in range(2, order):
         with telemetry.span("propagation.chebyshev_term", term=i):
-            lx2 = allocate() if lx0 is x else lx0
+            lx2 = np.empty_like(x) if lx0 is x else lx0
             scale = sign * 2.0 * float(coefficients[i])
             spmm(modulated, lx1, out=work, workers=workers)  # work = M lx1
             kernels.spmm_fused(
                 modulated, work,
                 _term_update(lx0, lx1, lx2, conv, scale), workers=workers,
             )
-            # The second product gathered arbitrary rows of `work`, which the
-            # next term overwrites whole.
-            release_pages(work)
             sign = -sign
             lx0, lx1 = lx1, lx2
         progress_mod.task_completed("propagation")
     # One more smoothing hop through D⁻¹(A+I), as in ProNE.
-    for r0, r1 in blocks:
-        np.subtract(x[r0:r1], conv[r0:r1], out=conv[r0:r1])
-        release_pages(conv, r0, r1)
-    for buffer in (lx0, lx1):
-        if buffer is not x:
-            release_pages(buffer)
+    np.subtract(x, conv, out=conv)
     return spmm(da, conv, out=work, workers=workers)
 
 
@@ -337,7 +341,6 @@ def _term_update(lx0, lx1, lx2, conv, scale: float):
         np.subtract(product, lx0[r0:r1], out=lx2[r0:r1])
         np.multiply(lx2[r0:r1], scale, out=scratch)
         np.add(conv[r0:r1], scratch, out=conv[r0:r1])
-        _release_rows(r0, r1, lx0, lx1, lx2, conv)
 
     return update
 
@@ -397,10 +400,8 @@ def spectral_propagation(
     Gram and map-back) stays at one thread, so ``workers`` is the step's
     whole thread budget and the result does not depend on the BLAS thread
     count.  The step is deterministic.  ``precision`` picks the dtype of the
-    filter and of the result and nothing else.  ``offload_dir`` enables the filter's
-    out-of-core buffer mode (see :func:`chebyshev_gaussian_filter`); the
-    rescale always returns a fresh in-RAM array, so no memmap escapes this
-    function.
+    filter and of the result and nothing else.  ``offload_dir`` is accepted
+    and ignored (see :func:`chebyshev_gaussian_filter`).
     """
     with single_blas_thread():
         filtered = chebyshev_gaussian_filter(

@@ -22,7 +22,7 @@ the pipeline rests on get explicit probes:
 Digest machinery respects the library's determinism contract: canonical
 byte encodings (C-contiguous, native-endian, CSR with sorted indices and
 summed duplicates) mean bit-identical stage outputs — which the library
-guarantees at every ``workers`` count and both ``backend`` residencies —
+guarantees at every ``workers`` count and for either ``backend`` name —
 hash to identical digests.
 
 Policy

@@ -8,9 +8,8 @@ on a thread pool.  ``parallel_map`` degrades gracefully to a serial loop when
 ``workers <= 1``, which keeps unit tests deterministic and cheap.
 
 Threads are the one substrate, as in the paper's shared-memory system, so a
-task may close over in-process state.  Out-of-core execution is a residency
-decision (memmapped graphs, file-backed propagation buffers), not a second
-substrate.
+task may close over in-process state.  A memmapped graph is a residency of
+the input, not a second substrate.
 
 Failure semantics: the first task that raises wins — every not-yet-started
 task is cancelled, the pool is torn down, and the original exception is
@@ -167,9 +166,8 @@ def resolve_backend(backend: Optional[str]) -> str:
     """Validate and normalize a ``backend`` name.
 
     ``None`` means "the default" (``"thread"``); anything else must be one of
-    :data:`BACKENDS`.  The name picks where the Chebyshev filter's buffers
-    live (``"process"``: temp-file memmaps), never the pool: every pool in
-    the library is a thread pool.
+    :data:`BACKENDS`.  The name is recorded and selects nothing: every pool
+    in the library is a thread pool and every dense buffer an in-RAM array.
     """
     if backend is None:
         return "thread"

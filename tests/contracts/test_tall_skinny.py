@@ -26,7 +26,11 @@ from repro.graph.generators import dcsbm_graph
 from repro.linalg import kernels
 from repro.linalg.kernels import ONE_PASS_COND_SQ, cholesky_qr, orthonormalize
 from repro.linalg.randomized_svd import exact_reference_svd, randomized_svd
-from repro.linalg.spectral import rescale_embedding, spectral_propagation
+from repro.linalg.spectral import (
+    chebyshev_gaussian_filter,
+    rescale_embedding,
+    spectral_propagation,
+)
 
 DTYPES = (np.float64, np.float32)
 FALLBACKS = "linalg.cholesky_qr_fallbacks"
@@ -406,13 +410,18 @@ class TestDeterminism:
         np.testing.assert_array_equal(matrix, snapshot)
 
     def test_offloaded_propagation_returns_plain_in_ram_array(self, tmp_path):
+        """``offload_dir`` is accepted and ignored: the same bits, a plain
+        in-RAM array, and nothing written under the directory."""
         graph, _ = dcsbm_graph(150, 3, avg_degree=10, mixing=0.1, seed=0)
         x = np.random.default_rng(4).standard_normal((graph.num_vertices, 8))
-        in_ram = spectral_propagation(graph, x, order=6)
-        offloaded = spectral_propagation(
-            graph, x, order=6, offload_dir=str(tmp_path)
-        )
-        assert type(offloaded) is np.ndarray and type(in_ram) is np.ndarray
-        assert not isinstance(offloaded.base, np.memmap)
-        np.testing.assert_array_equal(offloaded, in_ram)
-        assert not list(tmp_path.iterdir())  # spill files are unlinked
+        for precision in ("double", "single"):
+            for function in (spectral_propagation, chebyshev_gaussian_filter):
+                in_ram = function(graph, x, order=6, precision=precision)
+                offloaded = function(
+                    graph, x, order=6, precision=precision,
+                    offload_dir=str(tmp_path),
+                )
+                assert type(offloaded) is np.ndarray and type(in_ram) is np.ndarray
+                assert not isinstance(offloaded.base, np.memmap)
+                np.testing.assert_array_equal(offloaded, in_ram)
+        assert not list(tmp_path.iterdir())

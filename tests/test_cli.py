@@ -99,38 +99,24 @@ class TestCommands:
         assert main(["convert", "--input", edges, "--output", v2_path]) == 0
         assert load_csr(v2_path).num_vertices == 6
 
-    def test_convert_then_embed_process_backend(self, edge_file, tmp_path, capsys):
-        # convert → embed --backend process on the memmapped container must
-        # reproduce the thread/in-memory embedding bit for bit.
+    def test_convert_then_embed_memmapped(self, edge_file, tmp_path, capsys):
+        # convert → embed on the memmapped container must reproduce the
+        # in-memory embedding bit for bit.
         v2_path = str(tmp_path / "graph.csrv2")
         assert main(["convert", "--input", edge_file, "--output", v2_path]) == 0
         assert "csr-v2" in capsys.readouterr().out
-        thread_out = str(tmp_path / "thread.npy")
-        process_out = str(tmp_path / "process.npy")
-        for inp, backend, out_path in (
-            (edge_file, "thread", thread_out),
-            (v2_path, "process", process_out),
-        ):
+        memory_out = str(tmp_path / "memory.npy")
+        mapped_out = str(tmp_path / "mapped.npy")
+        for inp, out_path in ((edge_file, memory_out), (v2_path, mapped_out)):
             code = main(
                 [
                     "embed", "--input", inp, "--method", "lightne",
                     "--dim", "8", "--window", "2", "--seed", "3",
-                    "--workers", "2", "--backend", backend,
-                    "--output", out_path,
+                    "--workers", "2", "--output", out_path,
                 ]
             )
             assert code == 0
-        np.testing.assert_array_equal(np.load(thread_out), np.load(process_out))
-
-    def test_backend_rejected_for_unsupporting_method(self, edge_file, tmp_path):
-        with pytest.raises(SystemExit, match="backend"):
-            main(
-                [
-                    "embed", "--input", edge_file, "--method", "netmf",
-                    "--backend", "process",
-                    "--output", str(tmp_path / "x.npy"),
-                ]
-            )
+        np.testing.assert_array_equal(np.load(memory_out), np.load(mapped_out))
 
     def test_embed_then_eval_nc(self, tmp_path, capsys):
         out_path = str(tmp_path / "vec.npy")
@@ -396,7 +382,7 @@ class TestCompare:
 
 
 RUN_ARGUMENTS = {
-    "workers", "backend", "progress", "trace_out", "metrics_out",
+    "workers", "progress", "trace_out", "metrics_out",
     "ledger", "ledger_out", "health",
 }
 PIPELINE_SUBCOMMANDS = {"embed", "eval-lp", "compare"}
@@ -449,25 +435,25 @@ class TestFrontDoor:
     )
     def test_inert_run_flags_are_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--dataset", "blogcatalog_like", "--backend", "process"])
+            main(argv + ["--dataset", "blogcatalog_like", "--workers", "2"])
         assert exc.value.code == 2
-        assert "--backend" in capsys.readouterr().err
+        assert "--workers" in capsys.readouterr().err
 
-    def test_compare_forwards_workers_and_backend(self, tmp_path, capsys):
+    def test_compare_forwards_workers(self, tmp_path, capsys):
         from repro.telemetry.ledger import RunLedger
 
         path = tmp_path / "runs.jsonl"
         code = main(
             ["compare", "--dataset", "blogcatalog_like", "--methods", "lightne",
              "--ratios", "0.3", "--dim", "8", "--window", "2", "--repeats", "1",
-             "--workers", "1", "--backend", "process",
+             "--workers", "1",
              "--ledger-out", str(path)]
         )
         assert code == 0
         (record,) = RunLedger(path).records()
         assert record.params["workers"] == 1
         assert record.extra["resolved_workers"] == 1
-        assert record.extra["backend"] == "process"
+        assert record.extra["backend"] == "thread"
 
     @pytest.mark.parametrize("command", GRAPH_SUBCOMMANDS)
     def test_input_and_dataset_are_exclusive(self, command, edge_file, capsys):

@@ -153,7 +153,7 @@ class TestBinaryCSR:
 
 
 class TestCSRv2:
-    """The memmappable on-disk container behind ``--backend process``."""
+    """The memmappable on-disk container (``lightne convert``, ``--input``)."""
 
     def _save(self, tmp_path, graph):
         return save_csr_v2(graph, tmp_path / ("g" + CSR_V2_SUFFIX))
@@ -239,6 +239,62 @@ class TestCSRv2:
         path = self._save(tmp_path, er_graph)
         os.remove(os.path.join(path, "offsets.npy"))
         with pytest.raises(GraphFormatError):
+            load_csr_v2(path)
+
+    @staticmethod
+    def _corrupt(path, name, index, value):
+        """Overwrite one entry of an array file in place."""
+        import os
+
+        array = np.load(os.path.join(path, f"{name}.npy"), mmap_mode="r+")
+        array[index] = value
+        array.flush()
+        del array
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize(
+        "name, index, value, match",
+        [
+            ("targets", 5, "n", r"targets\.npy: targets\[5\] = \d+ is not a vertex id"),
+            ("targets", 7, -1, r"targets\.npy: targets\[7\] = -1 is not a vertex id"),
+            ("offsets", 3, 0, r"offsets\.npy: offsets\[3\] = 0 is below"),
+        ],
+        ids=["target_n", "target_negative", "offset_decreasing"],
+    )
+    def test_corrupt_arrays_are_typed_errors(
+        self, tmp_path, er_graph, name, index, value, match, mmap
+    ):
+        """A target id outside ``[0, n)`` or a decreasing offset is caught
+        at load time, before any kernel indexes with it."""
+        path = self._save(tmp_path, er_graph)
+        if value == "n":
+            value = er_graph.num_vertices
+        self._corrupt(path, name, index, value)
+        with pytest.raises(GraphFormatError, match=match):
+            load_csr_v2(path, mmap=mmap)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+    def test_bad_weights_are_typed_errors(self, tmp_path, weighted_triangle, value):
+        path = self._save(tmp_path, weighted_triangle)
+        self._corrupt(path, "weights", 2, value)
+        with pytest.raises(GraphFormatError, match=r"weights\[2\] = .* not finite"):
+            load_csr_v2(path)
+
+    def test_corrupt_entry_found_past_the_first_block(
+        self, tmp_path, er_graph, monkeypatch
+    ):
+        import repro.graph.io as io_module
+
+        monkeypatch.setattr(io_module, "_V2_CHECK_BLOCK", 7)
+        path = self._save(tmp_path, er_graph)
+        assert load_csr_v2(path) == er_graph
+        last = er_graph.num_directed_edges - 1
+        self._corrupt(path, "targets", last, er_graph.num_vertices)
+        with pytest.raises(GraphFormatError, match=rf"targets\[{last}\]"):
+            load_csr_v2(path)
+        self._corrupt(path, "targets", last, er_graph.targets[last])
+        self._corrupt(path, "offsets", 15, er_graph.offsets[13])
+        with pytest.raises(GraphFormatError, match=r"offsets\[14\]|offsets\[15\]"):
             load_csr_v2(path)
 
     def test_mmap_graph_usable(self, tmp_path, er_graph):

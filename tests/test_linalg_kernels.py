@@ -169,13 +169,13 @@ class TestSpmmMixedDtype:
     def test_row_kernel_shares_the_operators_indices(self, monkeypatch, rng):
         matrix = self._float32_operator()
         seen = []
-        row_kernel = kernels._csr_rows_kernel
+        row_kernel = kernels._csr_product
 
         def spy(indptr, indices, data, *rest):
             seen.append((indptr, indices, data))
             row_kernel(indptr, indices, data, *rest)
 
-        monkeypatch.setattr(kernels, "_csr_rows_kernel", spy)
+        monkeypatch.setattr(kernels, "_csr_product", spy)
         out = spmm(matrix, rng.standard_normal((60, 4)), workers=2)
         assert out.dtype == np.float64 and seen
         for indptr, indices, data in seen:

@@ -12,7 +12,9 @@ from repro.errors import FactorizationError
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph
 from repro.linalg import spectral
+from repro.graph.csr import CSRGraph
 from repro.linalg.spectral import (
+    _adjacency_plus_identity,
     _modulated_operator,
     chebyshev_gaussian_filter,
     propagation_operator,
@@ -69,6 +71,67 @@ def _historical_operator(graph, dtype):
     inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
     product = (sp.diags(inv) @ adjacency).tocsr()
     return product if dtype == np.float64 else product.astype(dtype)
+
+
+@st.composite
+def _graphs_with_zero_weights(draw):
+    """Like :func:`_graphs`, with some weights exactly zero (self-loops
+    included) and the targets stored as int32 or int64."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(0, 3 * n))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    sources, targets = draw(ends), draw(ends)
+    weights = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.25]), min_size=m, max_size=m),
+    ))
+    graph = from_edges(
+        sources, targets, weights, num_vertices=n + draw(st.integers(0, 3)),
+        drop_self_loops=False,
+    )
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return CSRGraph(graph.offsets, graph.targets.astype(index_dtype), graph.weights)
+
+
+class TestAdjacencyPlusIdentity:
+    """``A + I`` built from the graph's arrays equals scipy's sum array for
+    array: merge order, dropped zero sums and index dtypes included."""
+
+    @staticmethod
+    def _verbatim(graph):
+        n = graph.num_vertices
+        return (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=_graphs_with_zero_weights(),
+        block=st.sampled_from([1, 7, None]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_equals_scipy_sum(self, graph, block, dtype):
+        saved = spectral.OPERATOR_BLOCK_NNZ
+        spectral.OPERATOR_BLOCK_NNZ = saved if block is None else block
+        try:
+            got = _adjacency_plus_identity(graph)
+            operator = propagation_operator(graph, dtype)
+        finally:
+            spectral.OPERATOR_BLOCK_NNZ = saved
+        _assert_same_csr(got, self._verbatim(graph))
+        _assert_same_csr(operator, _historical_operator(graph, dtype))
+
+    def test_unsorted_row_takes_the_verbatim_sum(self):
+        # Row 0 holds [2, 1] and row 1 a duplicate: neither strictly increasing.
+        graph = CSRGraph(
+            np.array([0, 2, 4, 5, 6]), np.array([2, 1, 0, 0, 0, 1]),
+            np.array([1.0, 2.0, 2.0, 4.0, 1.0, 4.0]), check=False,
+        )
+        for mutate in (False, True):
+            if mutate:  # and one sorted row next to the unsorted one
+                graph = CSRGraph(
+                    graph.offsets, np.array([1, 2, 0, 0, 0, 1]), graph.weights,
+                    check=False,
+                )
+            _assert_same_csr(_adjacency_plus_identity(graph), self._verbatim(graph))
 
 
 class TestPropagationOperator:

@@ -237,7 +237,7 @@ class TestConsistency:
             }, spec.name
             for knob, on in spec.capabilities.items():
                 assert spec.supports(knob) is on
-            assert spec.supports("backend") is ("backend" in fields)
+            assert not spec.supports("backend")  # a recorded field, not a knob
             assert spec.supports("sample_multiplier") is spec.supports("multiplier")
             assert not spec.supports("not-a-knob")
             assert not spec.supports("dimension")  # a field, not a generic knob

@@ -116,8 +116,8 @@ class TestTraceTreeParity:
         # run's tree (its ``aggregate.shard`` spans and shard stats deleted
         # from the recording) is the default run's, row for row.
         assert recorded == fixture[f"{backend}/path"]
-        # ... and the backend is a residency, not a substrate: the process
-        # run's tree is the thread run's, row for row.
+        # ... and the backend selects nothing: the process run's tree is
+        # the thread run's, row for row.
         assert recorded == fixture[f"thread/{variant}"]
 
 
