@@ -34,7 +34,8 @@ also works).  Run flags (only the subcommands that run a pipeline: ``embed``,
 ``--trace-out t.json`` writes a Chrome/Perfetto trace of the run,
 ``--metrics-out m.json`` writes the process's counter totals,
 ``--progress`` renders a single-line live progress indicator on stderr
-(stage completion counts),
+(sampling slabs and Chebyshev terms, counted from span closes; it turns
+tracing on),
 ``--ledger`` / ``--ledger-out runs.jsonl`` append one
 :class:`~repro.telemetry.ledger.RunRecord` per pipeline run to the run
 ledger (``REPRO_LEDGER=1`` enables the same without a flag), and
@@ -95,7 +96,11 @@ def _detect_format(path: str) -> str:
 
 
 def _load_graph(args: argparse.Namespace):
-    """Resolve ``--input`` (file) or ``--dataset`` (registry) to a graph."""
+    """Resolve ``--input`` (file) or ``--dataset`` (registry) to a graph.
+
+    A reader's :class:`~repro.errors.ReproError` (a corrupt or truncated
+    file) is a one-line exit naming the error type, not a traceback.
+    """
     if args.dataset:
         bundle = load_dataset(args.dataset, seed=args.seed)
         ledger.set_dataset(bundle.name)
@@ -103,7 +108,10 @@ def _load_graph(args: argparse.Namespace):
     if args.input:
         fmt = getattr(args, "format", None) or _detect_format(args.input)
         ledger.set_dataset(os.path.splitext(os.path.basename(args.input))[0])
-        return _READERS[fmt](args.input), None
+        try:
+            return _READERS[fmt](args.input), None
+        except ReproError as exc:
+            raise SystemExit(f"{type(exc).__name__}: {exc}")
     raise SystemExit("one of --input or --dataset is required")
 
 
@@ -258,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress", action="store_true",
             help="render a single-line live progress indicator on stderr "
-                 "(parallel-stage completion counts)",
+                 "(sampling slabs and Chebyshev terms, drawn from the span "
+                 "trace)",
         )
         p.add_argument(
             "--trace-out", metavar="PATH",
@@ -416,15 +425,12 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     if args.health:
         health.set_policy(args.health)
 
-    # --progress is independent of span tracing: it only needs the stage
-    # labels parallel_map already carries, so it works with telemetry fully
-    # disabled.
-    if args.progress:
-        progress.enable()
-
-    wants_telemetry = bool(args.trace_out or args.metrics_out)
+    # --progress is drawn from span closes, so it turns tracing on too.
+    wants_telemetry = bool(args.trace_out or args.metrics_out or args.progress)
     if wants_telemetry:
         tracer = telemetry.enable()
+        if args.progress:
+            tracer.on_close = progress.ProgressLines()
     try:
         if not wants_telemetry:
             code = args.pipeline(args)
@@ -438,7 +444,7 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
         return code
     finally:
         if args.progress:
-            progress.disable()
+            tracer.on_close.close()
         if args.health:
             health.clear_policy()
         if args.trace_out:

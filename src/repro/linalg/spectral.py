@@ -53,15 +53,15 @@ OPERATOR_BLOCK_NNZ = 1 << 16
 
 def _adjacency_plus_identity(graph: CSRGraph) -> sp.csr_matrix:
     """``(graph.adjacency() + sp.eye(n)).tocsr()``, array for array, without
-    building ``A``: the entries are read from the graph's arrays one block of
-    about :data:`OPERATOR_BLOCK_NNZ` entries at a time and written straight
-    into the result.
+    building ``A``: each row block of about :data:`OPERATOR_BLOCK_NNZ`
+    entries is scipy's own sum of a CSR view of the graph's arrays (indices
+    in the result's index dtype) and the block's identity rows, copied into
+    the preallocated result.
 
-    scipy's sum merges each (sorted) row with its diagonal entry: a
-    self-loop's weight gains ``1.0``, a row without one gets ``1.0``
-    inserted at its column position, and sums that come out zero (zero
-    weights) are dropped.  A row that is not strictly increasing takes the
-    verbatim expression, whose general merge orders it differently.
+    scipy merges a canonical row (strictly increasing) with its diagonal
+    entry row by row, so the blocks' sums are the whole sum's rows.  A block
+    that is not canonical takes the verbatim expression, whose general merge
+    is chosen for the whole matrix at once and orders every row differently.
     """
     n = graph.num_vertices
     offsets, targets, weights = graph.offsets, graph.targets, graph.weights
@@ -74,50 +74,35 @@ def _adjacency_plus_identity(graph: CSRGraph) -> sp.csr_matrix:
     parts = max(1, -(-nnz // OPERATOR_BLOCK_NNZ))
     for r0, r1 in kernels.balanced_row_ranges(offsets, parts):
         lo, hi = int(offsets[r0]), int(offsets[r1])
-        counts = np.diff(offsets[r0 : r1 + 1])
-        row_ids = np.arange(r0, r1)
-        # Entry (u, v) as the key u·n + v: strictly increasing over the
-        # block exactly when every row is, and searchable for (u, u).
-        key = np.repeat(row_ids * n, counts)
-        key += targets[lo:hi]
-        if not (key[1:] > key[:-1]).all():
+        rows = r1 - r0
+        ones = np.ones(max(hi - lo, rows))
+        values = (
+            ones[: hi - lo] if weights is None
+            else np.asarray(weights[lo:hi], dtype=np.float64)
+        )
+        block = sp.csr_matrix(
+            (
+                values,
+                np.asarray(targets[lo:hi], dtype=index_dtype),
+                np.asarray(offsets[r0 : r1 + 1] - lo, dtype=index_dtype),
+            ),
+            shape=(rows, n), copy=False,
+        )
+        if not block.has_canonical_format:
             return (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
-        ends = offsets[r0 + 1 : r1 + 1] - lo
-        diagonal = row_ids * (n + 1)
-        first = np.searchsorted(key, diagonal)  # each row's first entry >= (u, u)
-        loop = first < ends
-        loop[loop] = key[first[loop]] == diagonal[loop]
-        inserted = ~loop
-        # Output position of each row's diagonal: 1.0s inserted in earlier
-        # rows shift it right.
-        at = first + (np.cumsum(inserted) - inserted)
-        ones = at[inserted]
-        size = hi - lo + ones.size
-        block_indices = indices[end : end + size]
-        block_data = data[end : end + size]
-        from_graph = np.ones(size, dtype=bool)
-        from_graph[ones] = False
-        block_indices[from_graph] = targets[lo:hi]
-        block_indices[ones] = row_ids[inserted]
-        if weights is None:
-            block_data[:] = 1.0
-        else:
-            block_data[from_graph] = weights[lo:hi]
-            block_data[ones] = 1.0
-        block_data[at[loop]] += 1.0
-        lengths = counts + inserted
-        if weights is not None:
-            zeros = np.flatnonzero(block_data == 0)
-            if zeros.size:
-                rows = np.searchsorted(np.cumsum(lengths), zeros, side="right")
-                lengths -= np.bincount(rows, minlength=lengths.size)
-                keep = np.ones(size, dtype=bool)
-                keep[zeros] = False
-                size -= zeros.size
-                block_indices[:size] = block_indices[keep]
-                block_data[:size] = block_data[keep]
-        indptr[r0 + 1 : r1 + 1] = end + np.cumsum(lengths)
-        end += size
+        identity = sp.csr_matrix(
+            (
+                ones[:rows],
+                np.arange(r0, r1, dtype=index_dtype),
+                np.arange(rows + 1, dtype=index_dtype),
+            ),
+            shape=(rows, n), copy=False,
+        )
+        total = block + identity
+        indices[end : end + total.nnz] = total.indices
+        data[end : end + total.nnz] = total.data
+        indptr[r0 + 1 : r1 + 1] = end + total.indptr[1:]
+        end += total.nnz
     return sp.csr_matrix(
         (data[:end], indices[:end], indptr), shape=(n, n), copy=False
     )
@@ -297,9 +282,6 @@ def chebyshev_gaussian_filter(
     # never exists whole: `spmm_fused` hands it over one sub-block at a time
     # and the update writes lx2 over the retiring lx0 (only the first such
     # term, where lx0 is the caller's `x`, needs a buffer of its own).
-    from repro.telemetry import progress as progress_mod
-
-    progress_mod.begin("propagation", total=order - 1)
     with telemetry.span("propagation.chebyshev_term", term=0):
         lx0 = x  # read-only alias, never written
         work = spmm(modulated, x, out=np.empty_like(x), workers=workers)
@@ -310,7 +292,6 @@ def chebyshev_gaussian_filter(
         np.multiply(x, float(coefficients[0]), out=conv)
         np.multiply(lx1, 2.0 * float(coefficients[1]), out=work)
         np.subtract(conv, work, out=conv)
-    progress_mod.task_completed("propagation")
     sign = 1.0
     for i in range(2, order):
         with telemetry.span("propagation.chebyshev_term", term=i):
@@ -323,7 +304,6 @@ def chebyshev_gaussian_filter(
             )
             sign = -sign
             lx0, lx1 = lx1, lx2
-        progress_mod.task_completed("propagation")
     # One more smoothing hop through D⁻¹(A+I), as in ProNE.
     np.subtract(x, conv, out=conv)
     return spmm(da, conv, out=work, workers=workers)

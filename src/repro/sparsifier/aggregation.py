@@ -175,9 +175,7 @@ def aggregate_hash_sharded(
     for shard in range(num_shards):
         members = shard_of == shard
         args.append((shard, keys[members], values[members]))
-    shard_items = parallel_map(
-        build_shard, args, workers=workers, label="sparsifier.aggregation"
-    )
+    shard_items = parallel_map(build_shard, args, workers=workers)
     keys = np.concatenate([item[0] for item in shard_items])
     values = np.concatenate([item[1] for item in shard_items])
     if stats is not None:

@@ -333,8 +333,7 @@ def sample_sparsifier_edges(
         ]
         tally["batches"] = len(slabs)
         for run, survivors in parallel_imap(
-            context.walk, slabs, workers=workers,
-            label="sparsifier.sampling", window=2 * workers,
+            context.walk, slabs, workers=workers, window=2 * workers,
         ):
             tally["walk_samples"] += survivors
             yield run

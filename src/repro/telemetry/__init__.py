@@ -15,7 +15,9 @@ The observability substrate for the whole pipeline (see
 * **Memory** (:mod:`repro.telemetry.memory`) — the OS peak RSS and a
   background RSS / anonymous-memory sampler;
 * **Progress** (:mod:`repro.telemetry.progress`) — single-line terminal
-  progress counted from task completions (the CLI's ``--progress`` flag).
+  progress drawn from the span stream: a :attr:`Tracer.on_close` hook that
+  counts sampling slabs and Chebyshev terms (the CLI's ``--progress`` flag,
+  which turns tracing on).
 
 On top of the substrate sits the *persistence* layer:
 
@@ -84,7 +86,7 @@ from repro.telemetry.health import (
     fingerprint,
 )
 
-# Submodules imported for attribute access (telemetry.progress.enable()
+# Submodules imported for attribute access (telemetry.progress.ProgressLines
 # etc.); ``health`` is also re-imported as a submodule so ``telemetry.health.
 # set_policy(...)`` works without a separate import.
 from repro.telemetry import health

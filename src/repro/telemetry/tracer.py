@@ -25,6 +25,9 @@ totals (:attr:`Tracer.counters`) and to the ``counters`` of every run root
 (:func:`repro.telemetry.run.run_scope`) above the calling thread's current
 span, so a pool thread (through :func:`adopt`) counts into its run and a run
 nested in another counts into both.
+
+A tracer has one listener, :attr:`Tracer.on_close`, called with each span as
+it closes; ``--progress`` is drawn from it (:mod:`repro.telemetry.progress`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 
 def _json_safe(value: object) -> object:
@@ -102,6 +105,9 @@ class Span:
         self.tracer._pop(self)
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
+        on_close = self.tracer.on_close
+        if on_close is not None:
+            on_close(self)
         return False
 
     # ------------------------------------------------------------ attributes
@@ -174,6 +180,8 @@ class Tracer:
         self._next_id = 0
         # Process totals of every count() since this tracer was enabled.
         self.counters: Dict[str, float] = {}
+        # Called with every span as it closes, on the closing thread.
+        self.on_close: Optional[Callable[[Span], None]] = None
         # Epochs pair a wall-clock anchor with the perf_counter origin so
         # exported timestamps are stable within the trace.
         self.epoch_wall = time.time()

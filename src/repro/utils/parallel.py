@@ -18,9 +18,7 @@ re-raised.
 Observability: ``parallel_map`` owns span parenting.  Whatever a task records
 — spans, and through them the counters of the enclosing pipeline run — lands
 under the submitting thread's current span: pool threads run each task under
-:func:`repro.telemetry.adopt`.  ``label`` names the stage for progress lines
-(counted from completions, serial path included); with tracing and progress
-off all of it is one gated call.
+:func:`repro.telemetry.adopt`.  With tracing off that is one gated call.
 
 Thread budget: numpy's BLAS keeps a thread pool of its own.  Where this
 module's pool runs the big products — the dense stages' sparse products —
@@ -202,19 +200,9 @@ def chunk_ranges(total: int, chunks: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _track_progress(label: Optional[str], total: int) -> Optional[Callable]:
-    """Start ``label``'s progress line; the callback that counts one task
-    into it (also a future done-callback), or ``None`` when progress
-    rendering is off."""
-    if label is None or not telemetry.progress.is_enabled():
-        return None
-    telemetry.progress.begin(label, total=total)
-    return lambda *_future: telemetry.progress.task_completed(label)
-
-
 def _ordered_results(
     pool, submit: Callable, argument_tuples: Sequence[tuple],
-    window: Optional[int], label: Optional[str],
+    window: Optional[int],
 ) -> Iterator[T]:
     """Results in submission order with at most ``window`` tasks submitted
     and not yet yielded; on first failure cancel the rest, re-raise.
@@ -224,7 +212,6 @@ def _ordered_results(
     queue burning CPU behind the traceback.  The window is refilled before a
     result is handed out: workers stay busy while the consumer works on it.
     """
-    on_done = _track_progress(label, len(argument_tuples))
     remaining = iter(argument_tuples)
     in_flight: deque = deque()
 
@@ -233,10 +220,7 @@ def _ordered_results(
             args = next(remaining, None)
             if args is None:
                 return
-            future = submit(args)
-            if on_done is not None:
-                future.add_done_callback(on_done)
-            in_flight.append(future)
+            in_flight.append(submit(args))
 
     try:
         refill()
@@ -275,7 +259,6 @@ def parallel_imap(
     argument_tuples: Sequence[tuple],
     *,
     workers: int = 1,
-    label: Optional[str] = None,
     window: Optional[int] = None,
 ) -> Iterator[T]:
     """Yield ``func(*args)`` for every tuple in input order, serially or from
@@ -291,12 +274,8 @@ def parallel_imap(
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(argument_tuples) <= 1:
-        on_done = _track_progress(label, len(argument_tuples))
         for args in argument_tuples:
-            result = func(*args)
-            if on_done is not None:
-                on_done()
-            yield result
+            yield func(*args)
         return
     # Pool threads start with no current span: run each task under the
     # submitter's, so its spans and counts land where a serial loop's would.
@@ -305,7 +284,7 @@ def parallel_imap(
         yield from _ordered_results(
             pool,
             lambda args: pool.submit(_run_adopted, parent, func, *args),
-            argument_tuples, window, label,
+            argument_tuples, window,
         )
 
 
@@ -314,7 +293,6 @@ def parallel_map(
     argument_tuples: Sequence[tuple],
     *,
     workers: int = 1,
-    label: Optional[str] = None,
 ) -> List[T]:
     """Apply ``func(*args)`` for every tuple, serially or on a thread pool.
 
@@ -325,10 +303,5 @@ def parallel_map(
     workers:
         Pool width; ``None`` resolves to :func:`default_workers`, ``<= 1``
         runs a plain serial loop.
-    label:
-        Stage name for progress lines (``--progress``).  ``None`` opts the
-        call out of progress rendering.
     """
-    return list(parallel_imap(
-        func, argument_tuples, workers=workers, label=label,
-    ))
+    return list(parallel_imap(func, argument_tuples, workers=workers))

@@ -118,6 +118,35 @@ class TestCommands:
             assert code == 0
         np.testing.assert_array_equal(np.load(memory_out), np.load(mapped_out))
 
+    def test_corrupt_container_is_a_one_line_error(self, edge_file, tmp_path):
+        # A target id set to n: the load's check raises GraphFormatError,
+        # which the CLI must print as one line and exit 1 on, no traceback.
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        v2_path = tmp_path / "graph.csrv2"
+        assert main(["convert", "--input", edge_file, "--output", str(v2_path)]) == 0
+        n = json.loads((v2_path / "header.json").read_text())["num_vertices"]
+        targets = np.load(v2_path / "targets.npy", mmap_mode="r+")
+        targets[targets.size // 2] = n
+        targets.flush()
+        del targets
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "embed", "--input", str(v2_path),
+             "--dim", "8", "--window", "2", "--output", str(tmp_path / "v.npy")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "GraphFormatError" in lines[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_embed_then_eval_nc(self, tmp_path, capsys):
         out_path = str(tmp_path / "vec.npy")
         main(

@@ -268,14 +268,17 @@ def test_deleted_api_stays_deleted(capsys):
             assert not hasattr(module, name), (module.__name__, name)
     import repro.errors
     from repro.graph.csr import CSRGraph
-    from repro.utils.parallel import parallel_map
+    from repro.utils.parallel import parallel_imap, parallel_map
 
     assert not hasattr(repro.errors, "WorkerError")
     assert not hasattr(CSRGraph, "mmap_source")
     assert not hasattr(from_edges([0], [1]), "mmap_source")
-    for knob in ({"initializer": print}, {"backend": "thread"}):
+    for knob in ({"initializer": print}, {"backend": "thread"},
+                 {"label": "stage"}):
         with pytest.raises(TypeError):
             parallel_map(abs, [(-1,)], **knob)
+        with pytest.raises(TypeError):
+            list(parallel_imap(abs, [(-1,)], **knob))
     assert "sparsifier" not in {f.name for f in dataclasses.fields(LightNEParams)}
     assert "sparsifier" not in GENERIC_KNOBS
     with pytest.raises(MethodParameterError):

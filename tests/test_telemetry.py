@@ -366,30 +366,39 @@ class TestPipelineAcceptance:
 
 
 class TestProgress:
-    def test_lifecycle_and_rendering(self):
-        stream = io.StringIO()
-        progress_mod.enable(stream=stream)
-        try:
-            assert progress_mod.is_enabled()
-            progress_mod.begin("stage", total=3)
-            for _ in range(3):
-                progress_mod.task_completed("stage")
-            out = stream.getvalue()
-            assert "stage" in out and "3/3" in out
-        finally:
-            progress_mod.disable()
-        assert not progress_mod.is_enabled()
+    """``--progress`` is a close hook on the tracer: it counts sampling slabs
+    and Chebyshev terms from the span stream, nothing of its own."""
 
-    def test_begin_resets_between_repeated_stages(self, monkeypatch):
-        monkeypatch.setattr(progress_mod, "RENDER_INTERVAL_S", 0.0)
+    def test_lines_are_drawn_from_span_closes(self, enabled):
+        from repro import LightNEParams, dcsbm_graph, lightne_embedding
+
+        graph, _ = dcsbm_graph(150, 3, avg_degree=8, seed=0)
+        params = LightNEParams(
+            dimension=8, window=3, workers=2, batch_size=500,
+            propagation_order=10,
+        )
         stream = io.StringIO()
-        progress_mod.enable(stream=stream)
-        try:
-            progress_mod.begin("s", total=2)
-            progress_mod.task_completed("s")
-            progress_mod.task_completed("s")
-            progress_mod.begin("s", total=2)
-            progress_mod.task_completed("s")
-            assert "1/2" in stream.getvalue().replace(" ", "")
-        finally:
-            progress_mod.disable()
+        enabled.on_close = progress_mod.ProgressLines(stream)
+        for _ in range(2):
+            result = lightne_embedding(graph, params, seed=0)
+            batches = int(result.run.counters["sparsifier.batches"])
+            assert batches > 1
+            lines = stream.getvalue().split("\n")
+            assert lines[-3].endswith(f"sparsifier.sampling: {batches}/{batches}")
+            assert lines[-2].endswith("propagation: 9/9")
+            # Every run counts from 0 again.
+            assert lines[-3].startswith("\rsparsifier.sampling: 1/?")
+            assert lines[-2].startswith("\rpropagation: 1/?")
+            stream.seek(0)
+            stream.truncate()
+
+    def test_close_ends_an_interrupted_line(self, enabled):
+        stream = io.StringIO()
+        enabled.on_close = lines = progress_mod.ProgressLines(stream)
+        with telemetry.span("sparsifier.sampling"):
+            with telemetry.span("sparsifier.batch"):
+                pass
+            with telemetry.span("other"):
+                pass
+            lines.close()
+        assert stream.getvalue() == "\rsparsifier.sampling: 1/?\rsparsifier.sampling: 1/?\n"
