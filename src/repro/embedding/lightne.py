@@ -33,8 +33,10 @@ from repro.embedding.base import (
     run_pipeline,
 )
 from repro.graph import CSRGraph
-from repro.linalg.kernels import cast_csr, resolve_precision
-from repro.linalg.randomized_svd import check_factorizer, embedding_from_svd, factorize
+from repro.linalg.kernels import resolve_precision, tile_csr
+from repro.linalg.randomized_svd import (
+    OVERSAMPLING, check_factorizer, embedding_from_svd, factorize,
+)
 from repro.linalg.spectral import check_filter, spectral_propagation
 from repro.sparsifier.builder import build_sparsifier, check_aggregator
 from repro.sparsifier.builder import check_negative_samples, sparsifier_to_netmf_matrix
@@ -203,7 +205,11 @@ def _lightne_body(ctx: PipelineContext):
         # Cast once, after the checkpoint (its digest is the float64
         # matrix's on both precisions): the float64 matrix dies here and the
         # rSVD reads the operator it factorizes without copying it again.
-        matrix = cast_csr(matrix, resolve_precision(params.precision))
+        # The cast is written in column tiles for the rSVD's sketch block
+        # where that layout pays (``kernels.tile_csr``).
+        dtype = resolve_precision(params.precision)
+        sketch = min(params.dimension + OVERSAMPLING, matrix.shape[0])
+        matrix = tile_csr(matrix, dtype, sketch * dtype.itemsize)
         # The trunc-log NetMF matrix is symmetric by construction (its
         # pattern exactly, its values to rounding): the rSVD runs its Aᵀ·
         # passes on the row-blocked CSR kernel.  Vᵀ is never bound.

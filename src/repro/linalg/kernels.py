@@ -13,18 +13,19 @@ functions and differ in dtype only.
   :func:`repro.utils.parallel.parallel_map` starts for the call and shuts
   down when it returns; each block calls scipy's compiled ``csr_matvecs``
   kernel, which releases the GIL, writing into a disjoint slice of one
-  preallocated output.  Because every output row depends only on that
-  row's stored entries — accumulated in storage order — the result is
-  **bit-identical** to ``matrix @ dense`` for every worker and block count.
-  CSC operators (the ``Aᵀ`` side of Algorithm 3 on a non-symmetric matrix)
-  are parallelized over column chunks of the dense block instead, which
-  preserves the same per-column accumulation order and hence the same
-  bit-identity.
-* :func:`spmm_fused` — the same CSR product handed to the caller's
-  epilogue one cache-sized row sub-block at a time from per-worker scratch,
-  so it never exists whole; the Chebyshev filter applies each term's update
-  there.  It calls the compiled kernel through the same helper as
-  :func:`spmm`, with the same bits and the same counters.
+  preallocated output.  A :class:`TiledCSR` operator stores its entries
+  column tile by column tile (:class:`ColumnTiles`), and each block calls
+  the kernel once per tile, in order, onto rows zeroed once: a tile's
+  entries gather only from its band of dense rows, ``TILE_BYTES`` that
+  stay in a core's L2, read in place.  A CSR operator is the one-tile
+  case.  CSC operators (the ``Aᵀ`` side of Algorithm 3 on a non-symmetric
+  matrix) are parallelized over column chunks of the dense block instead.
+* :func:`spmm_fused` — the same product handed to the caller's epilogue
+  one row sub-block at a time (``FUSED_BLOCK_BYTES``, tall enough that a
+  tile's band serves many rows) from per-worker scratch the calling thread
+  allocates, so it never exists whole; the Chebyshev filter applies each
+  term's update there.  It calls the compiled kernel through the same
+  helper as :func:`spmm`, with the same bits and the same counters.
 * :func:`resolve_precision` — the dtype policy mirroring MKL's ``s``/``d``
   routine split: ``"single"`` casts the operator and sketch once and keeps
   the whole pipeline in float32; ``"double"`` is numpy's default.
@@ -39,11 +40,13 @@ functions and differ in dtype only.
 * :func:`gram_rescale` — ProNE's re-orthogonalization without the ``n×d``
   dense SVD: ``eigh`` of the ``d×d`` Gram matrix recovers the same
   ``U_d Σ_d^{1/2}`` up to column sign at a fraction of the cost and memory.
-* :func:`scale_csr_rows` / :func:`scale_csr_columns` / :func:`cast_csr` —
-  the in-place builds of the sparse operators the dense stages read: a
-  diagonal scaling multiplies ``data`` where it lies (the products
-  ``diags(x) @ A`` / ``A @ diags(x)`` compute, entry for entry), and a
-  precision cast copies ``data`` only.
+* :func:`scale_csr_rows` / :func:`scale_csr_columns` / :func:`cast_csr` /
+  :func:`tile_csr` / :func:`add_canonical_csr` — the in-place builds of the
+  sparse operators the dense stages read: a diagonal scaling multiplies
+  ``data`` where it lies (the products ``diags(x) @ A`` / ``A @ diags(x)``
+  compute, entry for entry), a precision cast copies ``data`` only (in
+  column tiles where they pay), and a canonical sum is merged by scipy's
+  compiled kernel straight into the caller's arrays.
 
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
@@ -67,6 +70,19 @@ where it is below the Gram matrix's own rounding):
   :class:`~repro.errors.FactorizationError` (never a NaN basis);
 * the input is untouched unless the caller passes ``overwrite=True``, in
   which case the result lives in the input's memory.
+
+**Bit-identity.**  The compiled kernel adds each stored entry's
+contribution onto its output row in stored order, and every output row is
+written by exactly one worker.  A row's sum therefore depends only on the
+order of its entries: the same for every worker count and block cut, and
+for every tile count whenever the tile walk lists each row's entries in
+their stored order.  :class:`ColumnTiles` tiles only such operators — rows
+ascending by column (the float32 operators, walked first tile to last),
+descending (the float64 propagation operator, walked last to first), or
+either after one leading entry (the modulated operator's diagonal, in a
+leading phase) — and keeps the one-tile layout for any other order.  CSC
+products compute each output column with the same compiled per-column
+loop as the serial product.  All of it is ``matrix @ dense`` bit for bit.
 
 **Threading model.**  ``workers`` is the whole thread budget of the dense
 stages.  Each sparse product runs on a pool of ``workers`` threads that
@@ -96,7 +112,10 @@ import scipy.sparse as sp
 # The compiled kernels scipy itself dispatches to (they release the GIL).
 # This module is the library's one user of scipy's private ``_sparsetools``.
 from scipy.sparse._sparsetools import (
+    csr_has_canonical_format as _CSR_HAS_CANONICAL_FORMAT,
     csr_matvecs as _CSR_MATVECS,
+    csr_plus_csr as _CSR_PLUS_CSR,
+    csr_row_index as _CSR_ROW_INDEX,
     csr_scale_columns as _CSR_SCALE_COLUMNS,
     csr_scale_rows as _CSR_SCALE_ROWS,
 )
@@ -210,23 +229,318 @@ def scale_csr_columns(matrix: sp.csr_matrix, factors: np.ndarray) -> None:
     _scale_csr(_CSR_SCALE_COLUMNS, matrix, factors, matrix.shape[1])
 
 
-def cast_csr(matrix: sp.csr_matrix, dtype) -> sp.csr_matrix:
+def cast_csr(matrix, dtype):
     """``matrix`` with its ``data`` cast to ``dtype``, sharing ``indices`` and
-    ``indptr``: once the caller drops ``matrix``, the cast ``data`` is the
-    only new array.  Stored order and explicit entries stay as they are
-    (scipy's ``astype`` copies all three arrays, then sorts each row and
-    drops zeros).  ``matrix`` itself comes back when it has ``dtype``.
+    ``indptr`` (and a :class:`TiledCSR`'s ``offsets``): once the caller
+    drops ``matrix``, the cast ``data`` is the only new array.  Stored order
+    and explicit entries stay as they are (scipy's ``astype`` copies all
+    three arrays, then sorts each row and drops zeros).  ``matrix`` itself
+    comes back when it has ``dtype``.
     """
     if matrix.dtype == dtype:
         return matrix
+    if isinstance(matrix, TiledCSR):
+        return TiledCSR(
+            matrix.data.astype(dtype), matrix.indices, matrix.indptr,
+            matrix.offsets, matrix.shape,
+        )
     return sp.csr_matrix(
         (matrix.data.astype(dtype), matrix.indices, matrix.indptr),
         shape=matrix.shape, copy=False,
     )
 
 
+def add_canonical_csr(shape, left, right, indptr, indices, data) -> bool:
+    """``left + right`` written straight into ``indptr`` (``shape[0] + 1``
+    entries, counted from 0) and the heads of ``indices``/``data`` by
+    scipy's compiled ``csr_plus_csr``: no intermediate matrix.
+
+    ``left`` and ``right`` are ``(indptr, indices, data)`` triples of one
+    index dtype, and ``indices``/``data`` must hold both operands' entries.
+    Only canonical operands (strictly increasing rows) are merged: the
+    kernel merges those row by row — dropping sums that are exactly zero —
+    so a row block's sum is the whole sum's rows.  For any other pair
+    nothing is written and ``False`` comes back.
+    """
+    rows, cols = shape
+    if not all(_CSR_HAS_CANONICAL_FORMAT(rows, ptr, idx) for ptr, idx, _ in (left, right)):
+        return False
+    _CSR_PLUS_CSR(rows, cols, *left, *right, indptr, indices, data)
+    return True
+
+
+# Bytes of dense-block rows one column tile of a product gathers from: a
+# tile's entries read only its band ``dense[c0:c1]``, which stays in a core's
+# L2 (2 MiB on the 2-core benchmark box) while every row of a worker's range
+# adds that tile's entries.
+TILE_BYTES = 512 * 1024
+
+# An operator whose ``TILE_BYTES`` hottest dense rows already receive this
+# share of its entries gathers mostly from cache untiled: it keeps one tile.
+HOT_SHARE = 0.5
+
+# Stored entries per row block of :func:`tile_csr`'s passes: its transient
+# is a few arrays of this length, whatever the operator's nnz.
+TILE_BLOCK_NNZ = 1 << 16
+
+
+class TiledCSR:
+    """A CSR operator stored phase by phase: the layout :func:`spmm` and
+    :func:`spmm_fused` walk one column tile at a time.
+
+    ``data``/``indices`` hold the entries phase after phase and, within a
+    phase, row after row.  Phase ``p``'s row pointer is
+    ``offsets[p·n : (p+1)·n + 1]`` — absolute positions, so a phase's last
+    row ends where the next phase's first row starts — and :attr:`phases`
+    views them as a ``(P, n + 1)`` array.  The phases are an optional leading
+    phase of at most one entry per row, then the column tiles in the order a
+    product walks them.  ``indptr`` is the row-major row pointer (row ``r``
+    holds ``indptr[r+1] − indptr[r]`` entries over all phases): it cuts the
+    work and sizes the counters exactly as for :meth:`tocsr`, the CSR
+    operator whose rows list the same entries in the same order.
+    Built by :class:`ColumnTiles`.
+    """
+
+    def __init__(self, data, indices, indptr, offsets, shape):
+        self.data, self.indices = data, indices
+        self.indptr, self.offsets = indptr, offsets
+        self.shape = tuple(shape)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def phases(self) -> np.ndarray:
+        n = self.shape[0]
+        return np.lib.stride_tricks.sliding_window_view(self.offsets, n + 1)[::n]
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The row-major operator: each row's entries phase by phase."""
+        lengths = np.diff(self.offsets).reshape(-1, self.shape[0])
+        # Row r's entries of phase p follow its entries of the phases before.
+        target = self.indptr[:-1] + (np.cumsum(lengths, axis=0) - lengths)
+        order = np.arange(self.nnz) + np.repeat(
+            target.ravel() - self.offsets[:-1], lengths.ravel()
+        )
+        indices = np.empty_like(self.indices)
+        data = np.empty_like(self.data)
+        indices[order] = self.indices
+        data[order] = self.data
+        return sp.csr_matrix(
+            (data, indices, self.indptr.copy()), shape=self.shape, copy=False
+        )
+
+
+def _hot_share(indptr: np.ndarray, width: int) -> float:
+    """Share of the stored entries in the ``width`` longest rows — for the
+    symmetric patterns tiled here, the share of a product's gathers that
+    land on its ``width`` hottest dense rows."""
+    lengths = np.diff(indptr)
+    total = int(lengths.sum())
+    if total == 0 or width >= lengths.size:
+        return 1.0
+    hottest = np.partition(lengths, lengths.size - width)[lengths.size - width :]
+    return float(hottest.sum()) / total
+
+
+class ColumnTiles:
+    """Lays an operator out for products with a dense block of ``row_bytes``
+    per row — as a :class:`TiledCSR`, or in the one-tile layout, the plain
+    CSR arrays — one row block at a time.
+
+    A tile is a band of ``TILE_BYTES // row_bytes`` operator columns.  With
+    ``lead``, each row may mark one entry that goes first: the leading phase
+    when tiled, the head of its row otherwise (the modulated operator's
+    diagonal).  Tiling keeps every bit when a walk over the tiles
+    reproduces each row's order: no row goes back to an earlier tile — all
+    rows ascending by tile (walked first to last) or all descending (walked
+    last to first), the leading entries included.  The one-tile layout is
+    kept when the dense block fits one tile, when its hottest tile already
+    takes :data:`HOT_SHARE` of the entries, or when no walk reproduces every
+    row.  :meth:`build` runs the passes.
+    """
+
+    def __init__(self, indptr: np.ndarray, shape, row_bytes: int, *, lead: bool = False):
+        rows, cols = shape
+        self.indptr, self.shape, self.lead = indptr, tuple(shape), lead
+        self.width = max(1, TILE_BYTES // row_bytes) if row_bytes > 0 else max(1, cols)
+        # A tile phase costs a row pointer of ``rows + 1`` entries: at most as
+        # many tiles as entries per row, wider than the budget if need be.
+        self.tiles = min(-(-cols // self.width), int(indptr[-1]) // max(1, rows))
+        if self.tiles < 2 or _hot_share(indptr, self.width) >= HOT_SHARE:
+            self.tiles = 1
+        self.width = max(1, -(-cols // self.tiles))
+        self.rising = self.falling = True
+        self.offsets = None
+
+    @property
+    def phases(self) -> int:
+        return 1 if self.tiles == 1 else int(self.lead) + self.tiles
+
+    def _grid(self, shift: int, r0: int, r1: int) -> np.ndarray:
+        """``offsets[p·n + r + shift]`` of the tile phases and rows
+        ``[r0, r1)``, as a ``(r1 - r0, tiles)`` array."""
+        n = self.shape[0]
+        grid = self.offsets[shift : shift + self.phases * n].reshape(self.phases, n)
+        return grid[int(self.lead) :, r0:r1].T
+
+    def _keys(self, r0: int, rows: np.ndarray, columns: np.ndarray, rising: bool):
+        """``row · tiles + walk step`` of each entry, ``row`` counted from
+        the block's first: non-decreasing along the block when every row
+        follows the walk."""
+        height = int(rows[-1]) + 1 - r0 if rows.size else 0
+        wide = height * self.tiles > np.iinfo(rows.dtype).max
+        keys = rows.astype(np.intp) if wide else rows.copy()
+        keys -= r0
+        keys *= self.tiles
+        tiles = columns // self.width
+        if not rising:
+            np.subtract(self.tiles - 1, tiles, out=tiles)
+        keys += tiles
+        return keys
+
+    def _count(self, r0, r1, rows, columns, lead) -> None:
+        """One block's entries per phase and row, and whether its rows
+        follow each walk still open."""
+        keys = None
+        for rising, walk in ((True, "rising"), (False, "falling")):
+            if getattr(self, walk):
+                walked = self._keys(r0, rows, columns, rising)
+                if walked.size > 1 and np.diff(walked).min() < 0:
+                    setattr(self, walk, False)
+                elif keys is None:
+                    keys, ascending = walked, rising
+        if keys is None:  # no walk reproduces this block: one tile
+            return
+        height = r1 - r0
+        counts = np.bincount(keys, minlength=height * self.tiles)
+        if lead is not None:
+            heads = keys[lead]  # at most one per row, so distinct
+            counts[heads] -= 1
+            self.offsets[1 + r0 : 1 + r1] = np.bincount(
+                heads // self.tiles, minlength=height
+            )
+        counts = counts.reshape(height, self.tiles)
+        self._grid(1, r0, r1)[...] = counts if ascending else counts[:, ::-1]
+
+    def _offsets(self) -> None:
+        """Counts to offsets, the tile phases in walk order; one tile when no
+        walk reproduces every row."""
+        if not (self.rising or self.falling):
+            self.tiles, self.offsets = 1, None
+            return
+        if not self.rising:
+            n = self.shape[0]
+            tiles = self.offsets[1 : 1 + self.phases * n].reshape(self.phases, n)
+            tiles = tiles[int(self.lead) :]
+            tiles[...] = tiles[::-1].copy()
+        np.cumsum(self.offsets, out=self.offsets)
+
+    def _place(self, r0, r1, rows, columns, values, lead, indices, data) -> None:
+        """Write one block's entries to their positions in the layout."""
+        lo, hi = int(self.indptr[r0]), int(self.indptr[r1])
+        if lead is not None:
+            # A row's leading entry opens its row, or its row of the leading phase.
+            heads = (self.indptr if self.tiles == 1 else self.offsets)[rows[lead]]
+            indices[heads] = columns[lead]
+            data[heads] = values[lead]
+            columns, values = np.delete(columns, lead), np.delete(values, lead)
+        if self.tiles == 1:  # row-major: the others fill the rest of the row
+            rest = np.ones(hi - lo, dtype=bool)
+            if lead is not None:
+                rest[heads - lo] = False
+            indices[lo:hi][rest] = columns
+            data[lo:hi][rest] = values
+            return
+        start = self._grid(0, r0, r1)
+        counts = self._grid(1, r0, r1) - start
+        # The block's (row, tile) groups are runs of its non-leading entries;
+        # copied tile by tile, the runs of one tile are its rows [r0, r1).
+        runs = np.zeros(counts.size + 1, dtype=indices.dtype)
+        np.cumsum(counts.ravel(), out=runs[1:])
+        order = np.arange(counts.size, dtype=indices.dtype)
+        order = order.reshape(counts.shape).T.ravel()
+        moved = np.empty_like(columns), np.empty_like(values)
+        _CSR_ROW_INDEX(order.size, order, runs, columns, values, *moved)
+        at = 0
+        for begin, size in zip(start[0].tolist(), counts.sum(axis=0).tolist()):
+            indices[begin : begin + size] = moved[0][at : at + size]
+            data[begin : begin + size] = moved[1][at : at + size]
+            at += size
+
+    def build(self, blocks, fill, indices: np.ndarray, data: np.ndarray):
+        """The operator over the contiguous row ``blocks``, written into
+        ``indices``/``data`` (nnz entries each): a :class:`TiledCSR`, or in
+        the one-tile layout a ``csr_matrix`` sharing ``indptr``.
+
+        ``fill(r0, r1, rows)`` gives rows ``[r0, r1)``'s entries in stored
+        order as ``(columns, values, lead)`` — ``rows`` holds each entry's
+        row, ``lead`` the ascending positions of the leading entries, at
+        most one per row (``None`` without) — or ``None`` to give up, which
+        makes the result ``None``.
+        """
+        n = self.shape[0]
+
+        def entries():
+            for r0, r1 in blocks:
+                ptr = self.indptr[r0 : r1 + 1]
+                rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(ptr))
+                yield r0, r1, rows, fill(r0, r1, rows)
+
+        if self.tiles > 1:
+            self.offsets = np.zeros(self.phases * n + 1, dtype=indices.dtype)
+            for r0, r1, rows, block in entries():
+                if block is None:
+                    return None
+                self._count(r0, r1, rows, block[0], block[2])
+            self._offsets()
+        for r0, r1, rows, block in entries():
+            if block is None:
+                return None
+            self._place(r0, r1, rows, *block, indices, data)
+        if self.tiles == 1:
+            return sp.csr_matrix(
+                (data, indices, self.indptr), shape=self.shape, copy=False
+            )
+        return TiledCSR(data, indices, self.indptr, self.offsets, self.shape)
+
+
+def tile_csr(matrix: sp.csr_matrix, dtype, row_bytes: int):
+    """:func:`cast_csr` of ``matrix`` in the column-tiled layout for a dense
+    block of ``row_bytes`` per row: the cast's copy of ``data`` and a copy of
+    ``indices`` are written tile by tile (``indptr`` is shared).  Where the
+    layout does not pay (:class:`ColumnTiles`) — or no copy is made because
+    ``matrix`` has ``dtype`` already — it is ``cast_csr(matrix, dtype)``.
+    """
+    plan = ColumnTiles(matrix.indptr, matrix.shape, row_bytes)
+    if matrix.dtype == dtype or plan.phases == 1:
+        return cast_csr(matrix, dtype)
+    indptr = matrix.indptr
+
+    def fill(r0, r1, rows):
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        return matrix.indices[lo:hi], matrix.data[lo:hi], None
+
+    blocks = balanced_row_ranges(indptr, max(1, -(-matrix.nnz // TILE_BLOCK_NNZ)))
+    return plan.build(
+        blocks, fill, np.empty_like(matrix.indices),
+        np.empty(matrix.nnz, dtype=dtype),
+    )
+
+
+def _phases(matrix) -> np.ndarray:
+    """The row pointers a product walks: a :class:`TiledCSR`'s phases, or
+    a CSR operator's ``indptr`` as its one phase."""
+    return matrix.phases if isinstance(matrix, TiledCSR) else matrix.indptr[None]
+
+
 def _csr_product(
-    indptr: np.ndarray,
+    phases: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     dense: np.ndarray,
@@ -235,28 +549,36 @@ def _csr_product(
     r1: int,
 ) -> None:
     """``segment = A[r0:r1] @ dense`` without copying the rows' entries —
-    the one call site of the compiled ``csr_matvecs`` kernel."""
-    ptr = indptr[r0 : r1 + 1]
-    lo, hi = int(ptr[0]), int(ptr[-1])
+    the one call site of the compiled ``csr_matvecs`` kernel.
+
+    The kernel adds each entry's contribution onto its output row, so the
+    segment is zeroed once and each phase is added on in turn: every output
+    row accumulates its entries in stored order, phase after phase.
+    """
     segment[...] = 0
-    if data.dtype in _BLAS_DTYPES:
-        _CSR_MATVECS(
-            r1 - r0,
-            dense.shape[0],
-            dense.shape[1],
-            ptr - lo,
-            indices[lo:hi],
-            data[lo:hi],
-            dense.ravel(),
-            segment.ravel(),
-        )
-    else:  # exotic dtype: build a zero-copy row block
-        block = sp.csr_matrix(
-            (data[lo:hi], indices[lo:hi], ptr - lo),
-            shape=(r1 - r0, dense.shape[0]),
-            copy=False,
-        )
-        segment[...] = block @ dense
+    for indptr in phases:
+        ptr = indptr[r0 : r1 + 1]
+        lo, hi = int(ptr[0]), int(ptr[-1])
+        if lo == hi:
+            continue
+        if data.dtype in _BLAS_DTYPES:
+            _CSR_MATVECS(
+                r1 - r0,
+                dense.shape[0],
+                dense.shape[1],
+                ptr - lo,
+                indices[lo:hi],
+                data[lo:hi],
+                dense.ravel(),
+                segment.ravel(),
+            )
+        else:  # exotic dtype: add a zero-copy row block's product
+            block = sp.csr_matrix(
+                (data[lo:hi], indices[lo:hi], ptr - lo),
+                shape=(r1 - r0, dense.shape[0]),
+                copy=False,
+            )
+            segment += block @ dense
 
 
 def _csc_cols_kernel(
@@ -270,13 +592,15 @@ def _csc_cols_kernel(
     out[:, c0:c1] = matrix @ np.ascontiguousarray(dense[:, c0:c1])
 
 
-# Bytes of one scratch sub-block of :func:`spmm_fused` (two per worker): small
-# enough that the product and its epilogue's operands stay in a core's L2.
-FUSED_BLOCK_BYTES = 256 * 1024
+# Bytes of one scratch sub-block of :func:`spmm_fused` (two per worker): tall
+# enough that each column tile's band of the dense block, once in L2, serves
+# many rows, and small enough that the epilogue's operands stay in cache.
+FUSED_BLOCK_BYTES = 1024 * 1024
 
 
 def _count_spmm(matrix, dense: np.ndarray, out_nbytes: int) -> None:
-    """One product's ``spmm.*`` counters."""
+    """One product's ``spmm.*`` counters (a :class:`TiledCSR` counts as the
+    CSR operator it stores)."""
     flops = 2.0 * int(matrix.nnz) * dense.shape[1]
     moved = (
         matrix.data.nbytes
@@ -302,8 +626,8 @@ def spmm(
     Parameters
     ----------
     matrix:
-        Sparse CSR/CSC matrix (other sparse formats are converted to CSR;
-        dense operands fall through to one BLAS call).
+        Sparse CSR/CSC matrix or :class:`TiledCSR` (other sparse formats are
+        converted to CSR; dense operands fall through to one BLAS call).
     dense:
         ``(k, c)`` dense block (1-D vectors are treated as one column).
     out:
@@ -354,14 +678,16 @@ def spmm(
         if np.may_share_memory(dense, out):
             raise FactorizationError("out must not share memory with dense")
 
-    if not sp.issparse(matrix):  # dense @ dense: one BLAS call, already threaded
+    tiled = isinstance(matrix, TiledCSR)
+    if not tiled and not sp.issparse(matrix):  # dense @ dense: one threaded BLAS call
         np.matmul(np.asarray(matrix), dense, out=out)
         return out[:, 0] if squeeze else out
 
-    csc = isinstance(matrix, (sp.csc_matrix, getattr(sp, "csc_array", ()))) or (
-        getattr(matrix, "format", None) == "csc"
+    csc = not tiled and (
+        isinstance(matrix, (sp.csc_matrix, getattr(sp, "csc_array", ())))
+        or getattr(matrix, "format", None) == "csc"
     )
-    if not csc and getattr(matrix, "format", None) != "csr":
+    if not (csc or tiled) and getattr(matrix, "format", None) != "csr":
         matrix = matrix.tocsr()
     dense = np.ascontiguousarray(dense, dtype=result_dtype)
     if csc:
@@ -379,8 +705,9 @@ def spmm(
         ]
     else:
         kernel = _csr_product
+        phases = _phases(matrix)
         tasks = [
-            (matrix.indptr, matrix.indices, matrix.data, dense, out[r0:r1], r0, r1)
+            (phases, matrix.indices, matrix.data, dense, out[r0:r1], r0, r1)
             for r0, r1 in balanced_row_ranges(matrix.indptr, workers)
         ]
     if len(tasks) == 1:
@@ -391,24 +718,20 @@ def spmm(
     return out[:, 0] if squeeze else out
 
 
-def _fused_rows_kernel(matrix, dense, epilogue, r0: int, r1: int) -> None:
-    """One worker's rows of :func:`spmm_fused`, one scratch sub-block at a time."""
-    cols = dense.shape[1]
-    row_bytes = max(1, cols * dense.itemsize)
-    height = min(r1 - r0, max(1, FUSED_BLOCK_BYTES // row_bytes))
-    product = np.empty((height, cols), dtype=dense.dtype)
-    scratch = np.empty_like(product)
+def _fused_rows_kernel(
+    phases, indices, data, dense, epilogue, product, scratch, r0: int, r1: int
+) -> None:
+    """One worker's rows of :func:`spmm_fused`, one sub-block at a time."""
+    height = product.shape[0]
     for s0 in range(r0, r1, height):
         s1 = min(r1, s0 + height)
         rows = s1 - s0
-        _csr_product(
-            matrix.indptr, matrix.indices, matrix.data, dense, product[:rows], s0, s1
-        )
+        _csr_product(phases, indices, data, dense, product[:rows], s0, s1)
         epilogue(s0, s1, product[:rows], scratch[:rows])
 
 
 def spmm_fused(
-    matrix: sp.csr_matrix,
+    matrix,
     dense: np.ndarray,
     epilogue,
     *,
@@ -417,22 +740,24 @@ def spmm_fused(
     """``matrix @ dense`` handed to ``epilogue`` one row sub-block at a time,
     never materialized whole.
 
-    ``matrix`` is CSR of ``dense``'s dtype and ``dense`` a C-contiguous
-    ``(k, c)`` block.  The rows are cut into one range per worker at equal
-    nnz shares (:func:`balanced_row_ranges`); each worker owns two
-    ``FUSED_BLOCK_BYTES`` scratch blocks and, for every sub-block
-    ``[r0, r1)`` of its range, writes ``matrix[r0:r1] @ dense`` into the
-    first and calls ``epilogue(r0, r1, product, scratch)`` — ``scratch`` is
-    the second block, of the same shape, for the epilogue's temporaries.
-    Sub-blocks of different workers run concurrently, so the epilogue may
-    write only rows ``[r0, r1)`` of its outputs and must not write
-    ``dense``.  Every product row is accumulated by the same compiled loop
-    as in :func:`spmm`, so it has the same bits at every worker count, and
-    the call is counted as one :func:`spmm` with the same flops and bytes.
+    ``matrix`` is CSR or :class:`TiledCSR` of ``dense``'s dtype and
+    ``dense`` a C-contiguous ``(k, c)`` block.  The rows are cut into one
+    range per worker at equal nnz shares (:func:`balanced_row_ranges`);
+    each worker owns two scratch blocks of up to ``FUSED_BLOCK_BYTES``,
+    allocated here in the calling thread (a pool thread that allocates
+    grows a malloc arena of its own), and, for every sub-block ``[r0, r1)``
+    of its range, writes ``matrix[r0:r1] @ dense`` into the first and calls
+    ``epilogue(r0, r1, product, scratch)`` — ``scratch`` is the second
+    block, of the same shape, for the epilogue's temporaries.  Sub-blocks
+    of different workers run concurrently, so the epilogue may write only
+    rows ``[r0, r1)`` of its outputs and must not write ``dense``.  Every
+    product row is accumulated by the same compiled loop as in
+    :func:`spmm`, so it has the same bits at every worker count, and the
+    call is counted as one :func:`spmm` with the same flops and bytes.
     """
     workers = _resolve_workers(workers)
     if (
-        getattr(matrix, "format", None) != "csr"
+        not (isinstance(matrix, TiledCSR) or getattr(matrix, "format", None) == "csr")
         or dense.ndim != 2
         or matrix.shape[1] != dense.shape[0]
         or matrix.dtype != dense.dtype
@@ -441,9 +766,17 @@ def spmm_fused(
             f"spmm_fused operands mismatch: {matrix.shape} {matrix.dtype} @ "
             f"{dense.shape} {dense.dtype}"
         )
+    ranges = balanced_row_ranges(matrix.indptr, workers)
+    cols = dense.shape[1]
+    height = min(
+        max((r1 - r0 for r0, r1 in ranges), default=0),
+        max(1, FUSED_BLOCK_BYTES // max(1, cols * dense.itemsize)),
+    )
+    blocks = np.empty((len(ranges), 2, height, cols), dtype=dense.dtype)
+    phases = _phases(matrix)
     tasks = [
-        (matrix, dense, epilogue, r0, r1)
-        for r0, r1 in balanced_row_ranges(matrix.indptr, workers)
+        (phases, matrix.indices, matrix.data, dense, epilogue, *blocks[i], r0, r1)
+        for i, (r0, r1) in enumerate(ranges)
     ]
     if len(tasks) == 1:
         _fused_rows_kernel(*tasks[0])

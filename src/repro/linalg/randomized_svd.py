@@ -58,12 +58,16 @@ import scipy.sparse.linalg as spla
 
 from repro import telemetry
 from repro.errors import FactorizationError
-from repro.linalg.kernels import cholesky_qr, gram, resolve_precision, spmm
+from repro.linalg.kernels import TiledCSR, cholesky_qr, gram, resolve_precision, spmm
 from repro.telemetry import health
 from repro.utils.parallel import single_blas_thread
 from repro.utils.rng import SeedLike, ensure_rng
 
-MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator]
+MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator, TiledCSR]
+
+# Extra sketch columns beyond the rank: the sketch block is ``rank +
+# OVERSAMPLING`` wide (capped by the matrix).
+OVERSAMPLING = 10
 
 
 # Row-block height for single-precision Gaussian sketch generation: the
@@ -121,7 +125,7 @@ def randomized_svd(
     matrix: MatrixLike,
     rank: int,
     *,
-    oversampling: int = 10,
+    oversampling: int = OVERSAMPLING,
     power_iterations: int = 2,
     seed: SeedLike = None,
     precision: str = "double",
@@ -188,7 +192,7 @@ def randomized_svd(
     # whole budget); a dense operand's product *is* one threaded BLAS call.
     blas_scope = (
         single_blas_thread()
-        if sp.issparse(matrix) or isinstance(matrix, spla.LinearOperator)
+        if sp.issparse(matrix) or isinstance(matrix, (spla.LinearOperator, TiledCSR))
         else nullcontext()
     )
     with blas_scope:
@@ -251,7 +255,7 @@ def factorize(
     rank: int,
     *,
     factorizer: str = "rsvd",
-    oversampling: int = 10,
+    oversampling: int = OVERSAMPLING,
     power_iterations: int = 2,
     seed: SeedLike = None,
     precision: str = "double",

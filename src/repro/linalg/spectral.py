@@ -21,10 +21,15 @@ the Bessel coefficients are precomputed as one vector, and the recurrence
 holds four ``n×d`` in-RAM arrays whatever the order — each term's second
 product is :func:`~repro.linalg.kernels.spmm_fused` with the term's update as
 its epilogue, so it never exists whole and ``lx2`` overwrites the retiring
-``lx0``.  ``A + I`` and the modulated operator are built one row block at a
-time, and the row-normalized propagation operator ``D⁻¹(A + I)`` is built in
-place on ``A + I`` and cached on the :class:`~repro.graph.csr.CSRGraph` in
-the dtype asked for, so repeated propagation calls do not rebuild it.
+``lx0``.  The modulated operator, which carries 18 of the filter's 19
+products, is built straight into the column-tiled layout
+(:class:`~repro.linalg.kernels.TiledCSR`) for the embedding's width, so each
+product gathers from an L2-sized band of the dense block at a time, bit for
+bit as the row-major operator would.  ``A + I`` and the modulated operator
+are built one row block at a time, and the row-normalized propagation
+operator ``D⁻¹(A + I)`` is built in place on ``A + I`` and cached on the
+:class:`~repro.graph.csr.CSRGraph` in the dtype asked for, as a plain CSR
+matrix, so repeated propagation calls do not rebuild it.
 ``precision="single"`` runs the same filter and the same rescale in float32;
 nothing else depends on the precision.
 """
@@ -53,15 +58,16 @@ OPERATOR_BLOCK_NNZ = 1 << 16
 
 def _adjacency_plus_identity(graph: CSRGraph) -> sp.csr_matrix:
     """``(graph.adjacency() + sp.eye(n)).tocsr()``, array for array, without
-    building ``A``: each row block of about :data:`OPERATOR_BLOCK_NNZ`
-    entries is scipy's own sum of a CSR view of the graph's arrays (indices
-    in the result's index dtype) and the block's identity rows, copied into
-    the preallocated result.
+    building ``A``: scipy's compiled sum (:func:`kernels.add_canonical_csr`)
+    merges each row block of about :data:`OPERATOR_BLOCK_NNZ` entries — a
+    view of the graph's arrays, indices in the result's index dtype — with
+    the block's identity rows straight into the preallocated result.
 
-    scipy merges a canonical row (strictly increasing) with its diagonal
-    entry row by row, so the blocks' sums are the whole sum's rows.  A block
-    that is not canonical takes the verbatim expression, whose general merge
-    is chosen for the whole matrix at once and orders every row differently.
+    The kernel merges a canonical row (strictly increasing) with its
+    diagonal entry row by row, so the blocks' sums are the whole sum's rows.
+    A block that is not canonical takes the verbatim expression, whose
+    general merge is chosen for the whole matrix at once and orders every
+    row differently.
     """
     n = graph.num_vertices
     offsets, targets, weights = graph.offsets, graph.targets, graph.weights
@@ -76,33 +82,24 @@ def _adjacency_plus_identity(graph: CSRGraph) -> sp.csr_matrix:
         lo, hi = int(offsets[r0]), int(offsets[r1])
         rows = r1 - r0
         ones = np.ones(max(hi - lo, rows))
-        values = (
+        block = (
+            np.asarray(offsets[r0 : r1 + 1] - lo, dtype=index_dtype),
+            np.asarray(targets[lo:hi], dtype=index_dtype),
             ones[: hi - lo] if weights is None
-            else np.asarray(weights[lo:hi], dtype=np.float64)
+            else np.asarray(weights[lo:hi], dtype=np.float64),
         )
-        block = sp.csr_matrix(
-            (
-                values,
-                np.asarray(targets[lo:hi], dtype=index_dtype),
-                np.asarray(offsets[r0 : r1 + 1] - lo, dtype=index_dtype),
-            ),
-            shape=(rows, n), copy=False,
+        identity = (
+            np.arange(rows + 1, dtype=index_dtype),
+            np.arange(r0, r1, dtype=index_dtype),
+            ones[:rows],
         )
-        if not block.has_canonical_format:
+        sums = np.empty(rows + 1, dtype=index_dtype)
+        if not kernels.add_canonical_csr(
+            (rows, n), block, identity, sums, indices[end:], data[end:]
+        ):
             return (graph.adjacency() + sp.eye(n, format="csr")).tocsr()
-        identity = sp.csr_matrix(
-            (
-                ones[:rows],
-                np.arange(r0, r1, dtype=index_dtype),
-                np.arange(rows + 1, dtype=index_dtype),
-            ),
-            shape=(rows, n), copy=False,
-        )
-        total = block + identity
-        indices[end : end + total.nnz] = total.indices
-        data[end : end + total.nnz] = total.data
-        indptr[r0 + 1 : r1 + 1] = end + total.indptr[1:]
-        end += total.nnz
+        indptr[r0 + 1 : r1 + 1] = end + sums[1:]
+        end += int(sums[-1])
     return sp.csr_matrix(
         (data[:end], indices[:end], indptr), shape=(n, n), copy=False
     )
@@ -161,8 +158,11 @@ def propagation_operator(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     return cache[key]
 
 
-def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:
-    """``(I - da) - μI`` built one row block at a time from ``da``'s entries.
+def _modulated_operator(da: sp.csr_matrix, mu: float, row_bytes: int = 0):
+    """``(I - da) - μI`` built one row block at a time from ``da``'s entries,
+    laid out in column tiles for products with a dense block of
+    ``row_bytes`` per row (:class:`kernels.ColumnTiles`; the default, 0, is
+    the one-tile layout).
 
     ``A + I`` guarantees an explicit diagonal entry in every row of ``da``,
     so the modulated operator has exactly ``da``'s sparsity pattern (and
@@ -172,42 +172,43 @@ def _modulated_operator(da: sp.csr_matrix, mu: float) -> sp.csr_matrix:
     stored order — the first-occurrence merge order scipy's sparse
     subtraction produces for ``eye - da`` — so SPMM accumulation order, and
     hence every downstream bit, matches the historical two-``sp.eye``
-    construction without allocating any identity matrices.  The output's
+    construction without allocating any identity matrices.  Tiled, the
+    diagonal entries form the leading phase and the rest — ascending in
+    float32, descending in float64 — are walked tile by tile in that
+    order, so each row still adds its entries in that order.  The output's
     ``data``/``indices`` are allocated once and filled block by block
     (about :data:`OPERATOR_BLOCK_NNZ` entries each), so the build's
-    transient does not grow with nnz.
+    transient does not grow with nnz; the row-major operator never exists.
     """
     n = da.shape[0]
     indptr = da.indptr
-    data = np.empty_like(da.data)
-    indices = np.empty_like(da.indices)
     one = np.asarray(1.0, dtype=da.dtype)
     shift = np.asarray(mu, dtype=da.dtype)
-    parts = max(1, -(-da.nnz // OPERATOR_BLOCK_NNZ))
-    for r0, r1 in kernels.balanced_row_ranges(indptr, parts):
+
+    def fill(r0, r1, rows):
+        """Rows ``[r0, r1)`` in stored order, their diagonal entries leading;
+        ``None`` for a row without exactly one explicit diagonal entry."""
         lo, hi = int(indptr[r0]), int(indptr[r1])
-        rows = np.repeat(
-            np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0 : r1 + 1])
-        )
         columns = da.indices[lo:hi]
         values = da.data[lo:hi]
-        diagonal = columns == rows
+        diagonal = np.flatnonzero(columns == rows)
         if not np.array_equal(rows[diagonal], np.arange(r0, r1)):
-            # A row without exactly one explicit diagonal entry (degenerate
-            # operator): fall back to the structure-changing arithmetic.
-            eye = sp.eye(n, format="csr", dtype=da.dtype)
-            return ((eye - da) - mu * eye).tocsr()
-        # Each row's diagonal entry first, the others in stored order.
-        starts = indptr[r0:r1] - lo
-        rest = np.ones(hi - lo, dtype=bool)
-        rest[starts] = False
-        block_data, block_indices = data[lo:hi], indices[lo:hi]
-        block_data[starts] = (one - values[diagonal]) - shift
-        block_indices[starts] = np.arange(r0, r1, dtype=indices.dtype)
-        off = ~diagonal
-        block_data[rest] = np.negative(values[off])
-        block_indices[rest] = columns[off]
-    return sp.csr_matrix((data, indices, indptr), shape=da.shape, copy=False)
+            return None
+        modulated = np.negative(values)
+        modulated[diagonal] = (one - values[diagonal]) - shift
+        return columns, modulated, diagonal
+
+    parts = max(1, -(-da.nnz // OPERATOR_BLOCK_NNZ))
+    operator = kernels.ColumnTiles(indptr, da.shape, row_bytes, lead=True).build(
+        kernels.balanced_row_ranges(indptr, parts), fill,
+        np.empty_like(da.indices), np.empty_like(da.data),
+    )
+    if operator is None:
+        # A row without exactly one explicit diagonal entry (degenerate
+        # operator): fall back to the structure-changing arithmetic.
+        eye = sp.eye(n, format="csr", dtype=da.dtype)
+        return ((eye - da) - mu * eye).tocsr()
+    return operator
 
 
 def check_filter(order: int, mu: float, theta: float) -> None:
@@ -271,7 +272,7 @@ def chebyshev_gaussian_filter(
 
     with telemetry.span("propagation.operator"):
         da = propagation_operator(graph, dtype)
-        modulated = _modulated_operator(da, mu)
+        modulated = _modulated_operator(da, mu, x.shape[1] * x.itemsize)
 
     # Bessel coefficients i_r(θ), precomputed as one vector.
     coefficients = iv(np.arange(order), theta)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import FactorizationError
 from repro.graph.builders import from_edges
 from repro.graph.generators import dcsbm_graph
-from repro.linalg import spectral
+from repro.linalg import kernels, spectral
 from repro.graph.csr import CSRGraph
 from repro.linalg.spectral import (
     _adjacency_plus_identity,
@@ -167,7 +167,9 @@ class TestModulatedOperator:
     always stored it as ``0.0``.  A float32 operator is a cast, which scipy
     stores sorted; its sparse arithmetic then merges each row in sorted order,
     while the build keeps every row's diagonal first — so there the two are
-    compared row-sorted, after checking that order."""
+    compared row-sorted, after checking that order.  A column-tiled build
+    (tiles of one, seven or all columns) is compared through its row-major
+    reconstruction, the operator its products walk."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -175,15 +177,20 @@ class TestModulatedOperator:
         dtype=st.sampled_from([np.float64, np.float32]),
         mu=st.sampled_from([0.2, -0.3]),
         block=st.sampled_from([1, 7, None]),
+        tile=st.sampled_from([1, 7, None]),
     )
-    def test_equals_the_historical_construction(self, graph, dtype, mu, block):
+    def test_equals_the_historical_construction(self, graph, dtype, mu, block, tile):
         da = propagation_operator(graph, dtype)
-        saved = spectral.OPERATOR_BLOCK_NNZ
-        spectral.OPERATOR_BLOCK_NNZ = saved if block is None else block
+        row_bytes = 0 if tile is None else 8
+        saved = spectral.OPERATOR_BLOCK_NNZ, kernels.TILE_BYTES, kernels.HOT_SHARE
+        spectral.OPERATOR_BLOCK_NNZ = saved[0] if block is None else block
+        kernels.TILE_BYTES, kernels.HOT_SHARE = (tile or 1) * row_bytes, 2.0
         try:
-            got = _modulated_operator(da, mu)
+            got = _modulated_operator(da, mu, row_bytes)
         finally:
-            spectral.OPERATOR_BLOCK_NNZ = saved
+            spectral.OPERATOR_BLOCK_NNZ, kernels.TILE_BYTES, kernels.HOT_SHARE = saved
+        if isinstance(got, kernels.TiledCSR):
+            got = got.tocsr()
         want = _historical_modulated(da, mu)
         if da.has_canonical_format:
             np.testing.assert_array_equal(
