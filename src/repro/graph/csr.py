@@ -24,6 +24,72 @@ import scipy.sparse as sp
 
 from repro.errors import GraphConstructionError
 
+# Entries per block of :func:`csr_fault`: a memmapped graph streams through
+# a few arrays of this length instead of being faulted in whole.
+CHECK_BLOCK = 1 << 20
+
+
+def csr_fault(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    weights: Optional[np.ndarray],
+) -> Optional[Tuple[str, str]]:
+    """The first broken CSR rule, as ``(array name, message)``, or ``None``.
+
+    One pass over each array, ``CHECK_BLOCK`` entries at a time: ``offsets``
+    runs from 0 to ``len(targets)`` and never decreases, every target is a
+    vertex id in ``[0, n)``, every row is strictly increasing, every weight
+    is finite and non-negative.  The message names the first bad index.
+    """
+    if offsets.ndim != 1 or offsets.size == 0:
+        return "offsets", "offsets must be a non-empty 1-D array"
+    if targets.ndim != 1:
+        return "targets", "targets must be 1-D"
+    if weights is not None and weights.shape != targets.shape:
+        return "weights", "weights must be parallel to targets"
+    n = offsets.size - 1
+
+    def fault(name, array, i, problem):
+        return name, f"{name}[{i}] = {array[i].item()} {problem}"
+
+    if offsets[0] != 0:
+        return fault("offsets", offsets, 0, "is not 0")
+    for start in range(1, offsets.size, CHECK_BLOCK):
+        chunk = offsets[start - 1 : start + CHECK_BLOCK]
+        bad = np.flatnonzero(chunk[1:] < chunk[:-1])
+        if bad.size:
+            i = start + int(bad[0])
+            below = f"is below offsets[{i - 1}] = {offsets[i - 1]}"
+            return fault("offsets", offsets, i, below)
+    if offsets[n] != targets.size:
+        return fault("offsets", offsets, n, f"is not len(targets) = {targets.size}")
+    for start in range(0, targets.size, CHECK_BLOCK):
+        low = max(start - 1, 0)  # one entry of overlap: a row may cross the cut
+        chunk = targets[low : start + CHECK_BLOCK]
+        outside = chunk[:0]
+        if chunk.min() < 0 or chunk.max() >= n:  # masks only for a bad block
+            outside = np.flatnonzero((chunk < 0) | (chunk >= n))
+        # A step that does not rise is legal only where a new row starts.
+        steps = np.flatnonzero(chunk[1:] <= chunk[:-1]) + (low + 1)
+        steps = steps[offsets[np.searchsorted(offsets, steps)] != steps]
+        i = low + int(outside[0]) if outside.size else targets.size
+        if steps.size and steps[0] < i:
+            i = int(steps[0])
+            u = int(np.searchsorted(offsets, i, side="right")) - 1
+            return fault("targets", targets, i, (
+                f"is not above targets[{i - 1}] = {targets[i - 1]}: "
+                f"neighbors of vertex {u} are not sorted"
+            ))
+        if i < targets.size:
+            return fault("targets", targets, i, f"is not a vertex id in [0, {n})")
+    for start in range(0, 0 if weights is None else weights.size, CHECK_BLOCK):
+        chunk = weights[start : start + CHECK_BLOCK]
+        bad = np.flatnonzero(~(np.isfinite(chunk) & (chunk >= 0)))
+        if bad.size:
+            i = start + int(bad[0])
+            return fault("weights", weights, i, "is not finite and non-negative")
+    return None
+
 
 class CSRGraph:
     """An undirected (symmetric) graph in CSR form.
@@ -34,14 +100,16 @@ class CSRGraph:
         ``int64`` array of length ``n + 1``; neighbors of vertex ``u`` live in
         ``targets[offsets[u]:offsets[u+1]]``.
     targets:
-        ``int32``/``int64`` array of neighbor ids, sorted within each vertex.
+        ``int32``/``int64`` array of neighbor ids, strictly increasing within
+        each vertex (what :func:`~repro.graph.builders.from_edges` emits;
+        :meth:`has_edge` binary-searches a row).
     weights:
         Optional ``float32``/``float64`` array parallel to ``targets``; absent
         means the graph is unweighted (all weights 1).
     check:
-        Validate structural invariants (offsets, id range, sorted rows,
-        weights); symmetry is *not* checked here for cost reasons — builders
-        enforce it.
+        Run :func:`csr_fault` and raise its first fault as a
+        :class:`~repro.errors.GraphConstructionError`; symmetry is *not*
+        checked here for cost reasons — builders enforce it.
     """
 
     __slots__ = ("offsets", "targets", "weights", "_degrees", "_volume", "_op_cache")
@@ -61,7 +129,9 @@ class CSRGraph:
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
         if check:
-            self._validate(offsets, targets, weights)
+            fault = csr_fault(offsets, targets, weights)
+            if fault is not None:
+                raise GraphConstructionError(fault[1])
         self.offsets = offsets
         self.targets = targets
         self.weights = weights
@@ -70,39 +140,6 @@ class CSRGraph:
         # Derived-operator memo (e.g. the propagation operator keyed by
         # dtype); lazily populated by repro.linalg, never part of equality.
         self._op_cache: Optional[dict] = None
-
-    @staticmethod
-    def _validate(
-        offsets: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray]
-    ) -> None:
-        if offsets.ndim != 1 or offsets.size == 0:
-            raise GraphConstructionError("offsets must be a non-empty 1-D array")
-        if offsets[0] != 0:
-            raise GraphConstructionError("offsets must start at 0")
-        if np.any(np.diff(offsets) < 0):
-            raise GraphConstructionError("offsets must be non-decreasing")
-        if targets.ndim != 1:
-            raise GraphConstructionError("targets must be 1-D")
-        if offsets[-1] != targets.size:
-            raise GraphConstructionError(
-                f"offsets[-1]={offsets[-1]} must equal len(targets)={targets.size}"
-            )
-        n = offsets.size - 1
-        if targets.size and (targets.min() < 0 or targets.max() >= n):
-            raise GraphConstructionError("targets contain out-of-range vertex ids")
-        # A descent in ``targets`` is legal only where a new row starts.
-        descents = np.flatnonzero(targets[1:] < targets[:-1]) + 1
-        unsorted = descents[offsets[np.searchsorted(offsets, descents)] != descents]
-        if unsorted.size:
-            u = int(np.searchsorted(offsets, unsorted[0], side="right")) - 1
-            raise GraphConstructionError(f"neighbors of vertex {u} are not sorted")
-        if weights is not None:
-            if weights.shape != targets.shape:
-                raise GraphConstructionError("weights must be parallel to targets")
-            if not np.isfinite(weights).all():
-                raise GraphConstructionError("weights must be finite (no NaN or inf)")
-            if np.any(weights < 0):
-                raise GraphConstructionError("weights must be non-negative")
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -194,7 +231,7 @@ class CSRGraph:
         return self.targets[slots]
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Binary-search membership test (neighbor lists are sorted)."""
+        """Binary-search membership test (rows are strictly increasing)."""
         nbrs = self.neighbors(u)
         pos = np.searchsorted(nbrs, v)
         return bool(pos < nbrs.size and nbrs[pos] == v)

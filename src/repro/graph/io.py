@@ -23,29 +23,40 @@ Three formats:
 v2 layout (``<path>/``)::
 
     header.json     {"magic": "repro-csr-v2", "version": 2, n, directed edges,
-                     weighted flag, per-array dtype strings}
+                     weighted flag, per-array dtype strings and CRC-32s}
     offsets.npy     int64[n + 1]
     targets.npy     int32/int64[2m]
     weights.npy     float64[2m]        (weighted graphs only)
 
-Integrity: :func:`load_csr_v2` validates the magic, the declared dtypes and
-the array lengths against the header before returning, so a truncated or
-foreign directory fails with :class:`~repro.errors.GraphFormatError` instead
-of a downstream index error.
+Integrity: every reader returns the graph that was written or raises
+:class:`~repro.errors.GraphFormatError`.  :func:`load_csr_v2` checks the
+magic, the declared dtypes and the array lengths against the header; both
+binary loaders, memmapped or not, hold the arrays to the one CSR check
+(:func:`~repro.graph.csr.csr_fault`: monotone offsets, ids in ``[0, n)``,
+strictly increasing rows, finite non-negative weights), and a v2 load
+compares each array's CRC-32 with the header's, so a byte changed after
+writing cannot pass as another valid id.  A v1 archive's zip and zlib
+faults (and a member list that disagrees with the archive's end record),
+and a text file's non-UTF-8 bytes, are ``GraphFormatError`` too, naming
+the file (and the line).
 """
 
 from __future__ import annotations
 
 import json
+import lzma
 import math
 import os
-from typing import List, Optional, Tuple, Union
+import tokenize
+import zipfile
+import zlib
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphConstructionError, GraphFormatError
 from repro.graph.builders import from_edges
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CHECK_BLOCK, CSRGraph, csr_fault
 
 PathLike = Union[str, os.PathLike]
 
@@ -61,6 +72,30 @@ _PARSE_CHUNK = 1 << 20
 # First-line comment carrying the vertex count, so ids with no edge (trailing
 # isolated vertices) survive a write/read round trip.
 _NUM_VERTICES_HEADER = "# num_vertices:"
+
+# Entries per block of a v2 container's CRC-32s: what a memmapped load
+# faults in at once.
+_V2_CHECK_BLOCK = CHECK_BLOCK
+
+
+def _lines(path: PathLike) -> Iterator[Tuple[int, str]]:
+    """``(line number, stripped line)`` for each line of a UTF-8 text file;
+    a byte that is not UTF-8 is a :class:`GraphFormatError` naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                yield lineno, line.strip()
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead of the parser: find the line it failed on.
+        with open(path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise GraphFormatError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason})"
+        ) from exc
 
 
 class _ChunkedPairBuffer:
@@ -144,52 +179,50 @@ def read_edge_list(
     buffer: Optional[_ChunkedPairBuffer] = None
     saw_weight = None
     declared = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if lineno == 1 and stripped.startswith(_NUM_VERTICES_HEADER):
-                try:
-                    declared = int(stripped[len(_NUM_VERTICES_HEADER):])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:1: bad vertex count in {stripped!r}"
-                    ) from exc
-                continue
-            if not stripped or stripped[0] in "#%":
-                continue
-            parts = stripped.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u v [w]', got {stripped!r}"
-                )
+    for lineno, stripped in _lines(path):
+        if lineno == 1 and stripped.startswith(_NUM_VERTICES_HEADER):
             try:
-                u, v = int(parts[0]), int(parts[1])
+                declared = int(stripped[len(_NUM_VERTICES_HEADER):])
             except ValueError as exc:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer vertex id in {stripped!r}"
+                    f"{path}:1: bad vertex count in {stripped!r}"
                 ) from exc
-            has_weight = len(parts) == 3
-            if saw_weight is None:
-                saw_weight = has_weight
-                buffer = _ChunkedPairBuffer(weighted=has_weight)
-            elif saw_weight != has_weight:
+            continue
+        if not stripped or stripped[0] in "#%":
+            continue
+        parts = stripped.split()
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected 'u v [w]', got {stripped!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: non-integer vertex id in {stripped!r}"
+            ) from exc
+        has_weight = len(parts) == 3
+        if saw_weight is None:
+            saw_weight = has_weight
+            buffer = _ChunkedPairBuffer(weighted=has_weight)
+        elif saw_weight != has_weight:
+            raise GraphFormatError(
+                f"{path}:{lineno}: mixed weighted/unweighted lines"
+            )
+        if has_weight:
+            try:
+                weight = float(parts[2])
+            except ValueError as exc:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: mixed weighted/unweighted lines"
+                    f"{path}:{lineno}: bad weight in {stripped!r}"
+                ) from exc
+            if not math.isfinite(weight):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: non-finite weight in {stripped!r}"
                 )
-            if has_weight:
-                try:
-                    weight = float(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: bad weight in {stripped!r}"
-                    ) from exc
-                if not math.isfinite(weight):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: non-finite weight in {stripped!r}"
-                    )
-                buffer.append(u, v, weight)
-            else:
-                buffer.append(u, v)
+            buffer.append(u, v, weight)
+        else:
+            buffer.append(u, v)
     if buffer is None:
         buffer = _ChunkedPairBuffer(weighted=False)
     sources, targets, weights = buffer.arrays()
@@ -229,43 +262,46 @@ def read_metis(path: PathLike) -> CSRGraph:
     buffer = _ChunkedPairBuffer()
     header = None
     vertex = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if stripped and stripped[0] == "%":
-                continue
-            if not stripped:
-                # A blank adjacency line is a valid isolated vertex (but
-                # blank lines before the header are just skipped).
-                if header is not None:
-                    vertex += 1
-                continue
-            parts = stripped.split()
-            if header is None:
-                if len(parts) < 2:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: METIS header needs 'n m'"
-                    )
-                if len(parts) >= 3 and parts[2].strip("0"):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: weighted METIS fmt {parts[2]!r} "
-                        "not supported"
-                    )
+    for lineno, stripped in _lines(path):
+        if stripped and stripped[0] == "%":
+            continue
+        if not stripped:
+            # A blank adjacency line is a valid isolated vertex (but
+            # blank lines before the header are just skipped).
+            if header is not None:
+                vertex += 1
+            continue
+        parts = stripped.split()
+        if header is None:
+            if len(parts) < 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: METIS header needs 'n m'"
+                )
+            if len(parts) >= 3 and parts[2].strip("0"):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: weighted METIS fmt {parts[2]!r} "
+                    "not supported"
+                )
+            try:
                 header = (int(parts[0]), int(parts[1]))
-                continue
-            vertex += 1
-            for token in parts:
-                try:
-                    neighbor = int(token)
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: bad neighbor id {token!r}"
-                    ) from exc
-                if neighbor < 1 or (header and neighbor > header[0]):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: neighbor {neighbor} out of range"
-                    )
-                buffer.append(vertex - 1, neighbor - 1)
+            except ValueError as exc:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: non-integer METIS header {stripped!r}"
+                ) from exc
+            continue
+        vertex += 1
+        for token in parts:
+            try:
+                neighbor = int(token)
+            except ValueError as exc:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: bad neighbor id {token!r}"
+                ) from exc
+            if neighbor < 1 or (header and neighbor > header[0]):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: neighbor {neighbor} out of range"
+                )
+            buffer.append(vertex - 1, neighbor - 1)
     if header is None:
         raise GraphFormatError(f"{path}: missing METIS header")
     n, m = header
@@ -293,20 +329,18 @@ def read_adjacency_list(path: PathLike) -> CSRGraph:
     :func:`read_edge_list`.
     """
     buffer = _ChunkedPairBuffer()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped[0] in "#%":
-                continue
-            parts = stripped.split()
-            try:
-                u = int(parts[0])
-                for token in parts[1:]:
-                    buffer.append(u, int(token))
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer id in {stripped!r}"
-                ) from exc
+    for lineno, stripped in _lines(path):
+        if not stripped or stripped[0] in "#%":
+            continue
+        parts = stripped.split()
+        try:
+            u = int(parts[0])
+            for token in parts[1:]:
+                buffer.append(u, int(token))
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: non-integer id in {stripped!r}"
+            ) from exc
     sources, targets, _ = buffer.arrays()
     return from_edges(sources, targets, symmetrize=True)
 
@@ -324,41 +358,44 @@ def save_csr(graph: CSRGraph, path: PathLike) -> None:
 
 
 # --------------------------------------------------------------------- v2
-def _v2_header(graph: CSRGraph) -> dict:
-    header = {
-        "magic": _MAGIC_V2,
-        "version": 2,
-        "num_vertices": int(graph.num_vertices),
-        "num_directed_edges": int(graph.num_directed_edges),
-        "weighted": bool(graph.weights is not None),
-        "dtypes": {
-            "offsets": graph.offsets.dtype.str,
-            "targets": graph.targets.dtype.str,
-        },
-    }
-    if graph.weights is not None:
-        header["dtypes"]["weights"] = graph.weights.dtype.str
-    return header
+def _crc32(array: np.ndarray) -> int:
+    """CRC-32 of a contiguous array's bytes, ``_V2_CHECK_BLOCK`` entries at
+    a time (a memmapped array is streamed, not faulted in whole)."""
+    crc = 0
+    for start in range(0, array.size, _V2_CHECK_BLOCK):
+        crc = zlib.crc32(array[start : start + _V2_CHECK_BLOCK], crc)
+    return crc
 
 
 def save_csr_v2(graph: CSRGraph, path: PathLike) -> str:
     """Save a graph to the memmappable CSR v2 directory container.
 
-    Writes ``header.json`` plus one uncompressed ``.npy`` per array under
-    ``path`` (created if missing; conventionally suffixed ``.csrv2``).
-    Returns the directory path.
+    Writes ``header.json`` (sizes, and each array's dtype and CRC-32) plus
+    one uncompressed ``.npy`` per array under ``path`` (created if missing;
+    conventionally suffixed ``.csrv2``).  Returns the directory path.
     """
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    np.save(os.path.join(path, "offsets.npy"), np.ascontiguousarray(graph.offsets))
-    np.save(os.path.join(path, "targets.npy"), np.ascontiguousarray(graph.targets))
+    arrays = {"offsets": graph.offsets, "targets": graph.targets}
     if graph.weights is not None:
-        np.save(
-            os.path.join(path, "weights.npy"), np.ascontiguousarray(graph.weights)
-        )
+        arrays["weights"] = graph.weights
+    header = {
+        "magic": _MAGIC_V2,
+        "version": 2,
+        "num_vertices": int(graph.num_vertices),
+        "num_directed_edges": int(graph.num_directed_edges),
+        "weighted": graph.weights is not None,
+        "dtypes": {},
+        "crc32": {},
+    }
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        np.save(os.path.join(path, f"{name}.npy"), array)
+        header["dtypes"][name] = array.dtype.str
+        header["crc32"][name] = _crc32(array)
     header_path = os.path.join(path, _HEADER_NAME)
     with open(header_path, "w", encoding="utf-8") as handle:
-        json.dump(_v2_header(graph), handle, indent=1, sort_keys=True)
+        json.dump(header, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return path
 
@@ -367,6 +404,11 @@ def is_csr_v2(path: PathLike) -> bool:
     """Whether ``path`` looks like a CSR v2 container directory."""
     path = os.fspath(path)
     return os.path.isdir(path) and os.path.isfile(os.path.join(path, _HEADER_NAME))
+
+
+# What ``np.load`` raises on a damaged ``.npy`` file: a short read, a header
+# it cannot parse (numpy re-tokenizes a header ``literal_eval`` rejects).
+_NPY_ERRORS = (ValueError, OSError, EOFError, tokenize.TokenError)
 
 
 def _load_v2_array(
@@ -381,9 +423,9 @@ def _load_v2_array(
         raise GraphFormatError(f"{directory}: missing CSR v2 array {name!r}")
     try:
         array = np.load(array_path, mmap_mode=mmap_mode, allow_pickle=False)
-    except (ValueError, OSError) as exc:
+    except _NPY_ERRORS as exc:
         raise GraphFormatError(
-            f"{array_path}: unreadable CSR v2 array ({exc})"
+            f"{array_path}: unreadable CSR v2 array ({exc!r})"
         ) from exc
     if array.ndim != 1:
         raise GraphFormatError(f"{array_path}: expected a 1-D array")
@@ -399,59 +441,23 @@ def _load_v2_array(
     return array
 
 
-# Entries per block of :func:`_check_v2_arrays`' streaming pass: its
-# transient is a few arrays of this length, whatever the container's size.
-_V2_CHECK_BLOCK = 1 << 20
-
-
-def _check_v2_arrays(path, n, offsets, targets, weights) -> None:
-    """Stream the arrays once, one block at a time: offsets never decrease,
-    every target is a vertex id in ``[0, n)``, every weight is finite and
-    non-negative.  The first bad entry is a :class:`GraphFormatError` naming
-    its array file and index — the compiled sparse kernels downstream
-    index with these values unchecked."""
-
-    def fail(name, index, problem):
-        array_path = os.path.join(path, f"{name}.npy")
-        raise GraphFormatError(f"{array_path}: {name}[{index}] {problem}")
-
-    for start in range(1, offsets.size, _V2_CHECK_BLOCK):
-        block = offsets[start - 1 : start + _V2_CHECK_BLOCK]
-        bad = np.flatnonzero(block[1:] < block[:-1])
-        if bad.size:
-            index = start + int(bad[0])
-            fail("offsets", index, f"= {int(offsets[index])} is below "
-                 f"offsets[{index - 1}] = {int(offsets[index - 1])}")
-    for start in range(0, targets.size, _V2_CHECK_BLOCK):
-        block = targets[start : start + _V2_CHECK_BLOCK]
-        bad = np.flatnonzero((block < 0) | (block >= n))
-        if bad.size:
-            index = start + int(bad[0])
-            fail("targets", index,
-                 f"= {int(targets[index])} is not a vertex id in [0, {n})")
-    if weights is None:
-        return
-    for start in range(0, weights.size, _V2_CHECK_BLOCK):
-        block = weights[start : start + _V2_CHECK_BLOCK]
-        bad = np.flatnonzero(~(np.isfinite(block) & (block >= 0)))
-        if bad.size:
-            index = start + int(bad[0])
-            fail("weights", index,
-                 f"= {float(weights[index])} is not finite and non-negative")
-
-
 def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     """Open a CSR v2 container, memmapped by default.
 
     With ``mmap=True`` (the point of the format) the returned graph's
     ``offsets``/``targets``/``weights`` are read-only ``numpy.memmap`` views
     — the container can exceed RAM, and pages are faulted in only when a
-    kernel touches them.  Structural validation against the header (magic,
-    dtypes, array lengths) and one streaming pass over the arrays (monotone
-    offsets, in-range targets, finite non-negative weights) replace the
-    element-wise :class:`CSRGraph` checks; rows are not checked for
-    sortedness.  A corrupt container is a :class:`GraphFormatError`, never
-    an out-of-bounds read later on.
+    kernel touches them.  The header is checked against the arrays (magic,
+    dtypes, lengths), then the arrays go through the same one-pass CSR
+    check in either mode (:func:`~repro.graph.csr.csr_fault`, streamed in
+    blocks): offsets monotone from 0 to
+    ``len(targets)``, targets in ``[0, n)``, rows strictly increasing,
+    weights finite and non-negative.  The first fault is a
+    :class:`GraphFormatError` naming the array file and the index, never an
+    out-of-bounds read or a wrong ``has_edge`` later on.  Last, each array's
+    CRC-32 must equal the header's, so a byte changed after writing is a
+    ``GraphFormatError`` even where it reads as another valid id (a header
+    without checksums, from before they were written, skips this).
     """
     path = os.fspath(path)
     header_path = os.path.join(path, _HEADER_NAME)
@@ -460,7 +466,7 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     try:
         with open(header_path, "r", encoding="utf-8") as handle:
             header = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise GraphFormatError(f"{header_path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("magic") != _MAGIC_V2:
         raise GraphFormatError(
@@ -472,6 +478,7 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
         directed = int(header["num_directed_edges"])
         weighted = bool(header["weighted"])
         dtypes = dict(header["dtypes"])
+        checksums = dict(header.get("crc32", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{header_path}: malformed header ({exc})") from exc
     if n < 0 or directed < 0:
@@ -484,13 +491,42 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
         weights = _load_v2_array(
             path, "weights", dtypes.get("weights", "<f8"), directed, mode
         )
-    if offsets[0] != 0 or offsets[-1] != directed:
-        raise GraphFormatError(
-            f"{path}: offsets endpoints {int(offsets[0])}..{int(offsets[-1])} "
-            f"inconsistent with header ({directed} directed edges)"
-        )
-    _check_v2_arrays(path, n, offsets, targets, weights)
-    return CSRGraph(offsets, targets, weights, check=not mmap)
+    fault = csr_fault(offsets, targets, weights)
+    if fault is not None:
+        name, message = fault
+        raise GraphFormatError(f"{os.path.join(path, name)}.npy: {message}")
+    arrays = {"offsets": offsets, "targets": targets, "weights": weights}
+    for name, array in arrays.items():
+        expected = checksums.get(name)
+        if array is not None and expected is not None and _crc32(array) != expected:
+            raise GraphFormatError(
+                f"{os.path.join(path, name)}.npy: CRC-32 does not match the "
+                "header's (the file changed after it was written)"
+            )
+    return CSRGraph(offsets, targets, weights, check=False)
+
+
+# What ``np.load`` of a damaged ``.npz`` raises, or reading a member of it:
+# a bad zip structure or CRC, a bad deflate stream, a member name that no
+# longer matches, a flag or method byte turned into one ``zipfile`` refuses
+# (``NotImplementedError``; ``RuntimeError`` for "encrypted") or decodes with
+# another codec (``lzma.LZMAError``; bz2 raises ``OSError``), a damaged
+# ``.npy`` member.
+_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile, zlib.error, lzma.LZMAError, KeyError,
+    NotImplementedError, RuntimeError,
+) + _NPY_ERRORS
+
+
+def _zip_entries_declared(path: str) -> Optional[int]:
+    """The entry count in a zip archive's end record (``np.savez`` writes no
+    archive comment, so the record is the last 22 bytes), or ``None``."""
+    with open(path, "rb") as handle:
+        handle.seek(max(os.path.getsize(path) - 22, 0))
+        end = handle.read()
+    if len(end) != 22 or end[:4] != b"PK\x05\x06":
+        return None
+    return int.from_bytes(end[10:12], "little")
 
 
 def load_csr(path: PathLike, *, mmap: Optional[bool] = None) -> CSRGraph:
@@ -509,8 +545,25 @@ def load_csr(path: PathLike, *, mmap: Optional[bool] = None) -> CSRGraph:
             f"{path}: only CSR v2 containers support memmapped loads "
             "(convert with save_csr_v2 / `lightne convert`)"
         )
-    with np.load(path, allow_pickle=False) as data:
-        if "magic" not in data or str(data["magic"]) != _MAGIC:
-            raise GraphFormatError(f"{path} is not a repro CSR container")
-        weights = data["weights"] if "weights" in data else None
-        return CSRGraph(data["offsets"], data["targets"], weights)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if "magic" not in data or str(data["magic"]) != _MAGIC:
+                raise GraphFormatError(f"{path} is not a repro CSR container")
+            # zipfile trusts each directory entry's lengths, so one changed
+            # byte there can hide the next member (the weights, say) or
+            # rename it: the listing must hold the members the archive's end
+            # record counts, under the names save_csr writes.
+            stray = set(data.files) - {"magic", "offsets", "targets", "weights"}
+            if stray or len(data.files) != _zip_entries_declared(path):
+                raise GraphFormatError(
+                    f"{path}: members {sorted(data.files)} do not match the "
+                    "archive's directory"
+                )
+            offsets, targets = data["offsets"], data["targets"]
+            weights = data["weights"] if "weights" in data else None
+    except _ARCHIVE_ERRORS as exc:
+        raise GraphFormatError(f"{path}: unreadable CSR archive ({exc!r})") from exc
+    try:
+        return CSRGraph(offsets, targets, weights)
+    except GraphConstructionError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc

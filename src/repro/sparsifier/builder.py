@@ -161,7 +161,8 @@ def validate_sparsifier_graph(graph: CSRGraph) -> bool:
     unweighted case.  Weighted graphs with zero-weight edges raise
     :class:`~repro.errors.UnsupportedGraphError` — see the module docstring:
     the estimator's seeding and downsampling laws degenerate there — and so
-    do NaN or infinite weights, which memmapped loads do not check.
+    do NaN or infinite weights, which only a ``CSRGraph(check=False)``
+    built by hand can still hold (every loader and builder checks them).
     """
     weights = graph.weights
     if weights is None:

@@ -330,16 +330,6 @@ def enabled_scope(
 # ---------------------------------------------------------------------------
 
 
-def _registry_stage_order(method: str) -> Tuple[str, ...]:
-    """The method's declared Table-5 stage order (empty when unregistered)."""
-    try:
-        from repro.embedding.registry import get_method
-
-        return tuple(get_method(method).stages)
-    except Exception:
-        return ()
-
-
 def build_record(
     result,
     *,
@@ -352,9 +342,9 @@ def build_record(
     """Turn an :class:`~repro.embedding.base.EmbeddingResult` into a record.
 
     Everything measured is read off the run's root span (``result.run``):
-    stage timings from its ``timer`` in the **registry's declared stage
-    order** (Table 5 columns, so cross-run diffs line up column for column
-    whatever order the stages ran in), the run's counters, and its health
+    stage timings from its ``timer`` in the order the stages ran (every
+    method opens its stages in its registry ``stages`` order, the Table-5
+    columns), the run's counters, and its health
     recorder's summary and digests.  A hand-built result (``run=None``)
     records none of them.  ``peak_rss_bytes`` is the process's OS lifetime
     peak at record time.  The resolved worker count and backend are worked
@@ -382,7 +372,7 @@ def build_record(
         method=result.method,
         dataset=dataset or current_dataset() or "unknown",
         params=params,
-        stages=result.timer.ordered_stages(_registry_stage_order(result.method)),
+        stages=result.timer.stages,
         total_s=float(result.timer.total),
         seed=None if seed is None else int(seed),
         env=dict(collect_fingerprint()),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from numbers import Real
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.telemetry import tracer as _tracer
 from repro.telemetry.tracer import Span, Tracer
@@ -97,16 +97,6 @@ class StageTable:
     def get_counter(self, stage: str, name: str, default: float = 0.0) -> float:
         """Read back a counter (``default`` when absent)."""
         return self.counters.get(stage, {}).get(name, default)
-
-    def ordered_stages(self, order: Iterable[str] = ()) -> Dict[str, float]:
-        """:attr:`stages` with the names in ``order`` (a method's registry
-        ``stages`` tuple, the Table-5 columns) first and anything else the run
-        recorded after them — how ledger records line up across runs."""
-        stages = self.stages
-        return {
-            **{name: stages[name] for name in order if name in stages},
-            **stages,
-        }
 
     @property
     def total(self) -> float:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
@@ -207,3 +209,85 @@ class TestConversionEquality:
 
     def test_repr(self, triangle):
         assert "n=3" in repr(triangle)
+
+
+def _first_fault_reference(offsets, targets, weights):
+    """Entry-by-entry loop over the CSR rules: ``(array, index)`` of the
+    first broken one, or ``None``."""
+    n = len(offsets) - 1
+    if offsets[0] != 0:
+        return "offsets", 0
+    for i in range(1, n + 1):
+        if offsets[i] < offsets[i - 1]:
+            return "offsets", i
+    if offsets[n] != len(targets):
+        return "offsets", n
+    row_starts = set(offsets.tolist())
+    for i, v in enumerate(targets.tolist()):
+        if not 0 <= v < n:
+            return "targets", i
+        if i not in row_starts and v <= targets[i - 1]:
+            return "targets", i
+    for i, w in enumerate([] if weights is None else weights.tolist()):
+        if not (np.isfinite(w) and w >= 0):
+            return "weights", i
+    return None
+
+
+class TestOneCheck:
+    """``csr_fault`` finds the same first fault as an entry-by-entry loop,
+    at every block size — a row running across a block cut included."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["offsets", "targets", "weights", "swap"]),
+                st.integers(0, 10**6),
+                st.sampled_from([-1, 0, 3, 10, 11, np.nan, -0.5]),
+            ),
+            max_size=2,
+        ),
+        st.sampled_from([1, 2, 3, 7, None]),
+    )
+    # Row 0 reads [2, 1, 3]: the step down sits on a one-entry block's cut.
+    @example(edges=[(0, 1), (0, 2), (0, 3)], weighted=False,
+             damage=[("swap", 0, 0)], block=1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_entry_loop(self, edges, weighted, damage, block):
+        from repro.graph import csr
+
+        src = np.array([a for a, _ in edges], dtype=np.int64)
+        dst = np.array([b for _, b in edges], dtype=np.int64)
+        weights = np.arange(1.0, src.size + 1) if weighted else None
+        g = from_edges(src, dst, weights, num_vertices=10)
+        arrays = {"offsets": g.offsets.copy(), "targets": g.targets.copy(),
+                  "weights": None if g.weights is None else g.weights.copy()}
+        for name, at, value in damage:
+            if name == "swap":
+                if g.num_directed_edges >= 2:
+                    at %= g.num_directed_edges - 1
+                    t = arrays["targets"]
+                    t[at], t[at + 1] = t[at + 1], t[at]
+            elif arrays[name] is not None and arrays[name].size:
+                if name == "weights" or not np.isnan(value):
+                    arrays[name][at % arrays[name].size] = value
+        expected = _first_fault_reference(
+            arrays["offsets"], arrays["targets"], arrays["weights"]
+        )
+        saved = csr.CHECK_BLOCK
+        csr.CHECK_BLOCK = saved if block is None else block
+        try:
+            fault = csr.csr_fault(arrays["offsets"], arrays["targets"], arrays["weights"])
+        finally:
+            csr.CHECK_BLOCK = saved
+        if expected is None:
+            assert fault is None
+            CSRGraph(arrays["offsets"], arrays["targets"], arrays["weights"])
+        else:
+            name, index = expected
+            assert fault is not None and fault[0] == name
+            assert fault[1].startswith(f"{name}[{index}] = "), fault
+            with pytest.raises(GraphConstructionError, match=re.escape(fault[1])):
+                CSRGraph(arrays["offsets"], arrays["targets"], arrays["weights"])

@@ -131,7 +131,7 @@ class TestBinaryCSR:
     def test_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "foreign.npz"
         np.savez(path, something=np.arange(3))
-        with pytest.raises((GraphFormatError, KeyError)):
+        with pytest.raises(GraphFormatError):
             load_csr(path)
 
     def test_isolated_vertices_preserved(self, tmp_path):
@@ -142,13 +142,16 @@ class TestBinaryCSR:
 
     def test_unsorted_row_rejected(self, tmp_path):
         """A v1 archive is validated on load: an unsorted row would let
-        ``sample_non_edges`` draw true edges as negatives."""
+        ``sample_non_edges`` draw true edges as negatives.  Like a v2
+        container's, the fault is a format error naming the file and index."""
         unsorted = CSRGraph(
             np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]), check=False
         )
         path = tmp_path / "unsorted.csr.npz"
         save_csr(unsorted, path)
-        with pytest.raises(GraphConstructionError, match="not sorted"):
+        with pytest.raises(
+            GraphFormatError, match=r"unsorted\.csr\.npz: targets\[1\] .* not sorted"
+        ):
             load_csr(path)
 
 
@@ -354,6 +357,13 @@ class TestMetis:
 
         path = self._write(tmp_path, "2 1\n5\n1\n")
         with pytest.raises(GraphFormatError):
+            read_metis(path)
+
+    def test_non_integer_header_rejected(self, tmp_path):
+        from repro.graph.io import read_metis
+
+        path = self._write(tmp_path, "3x 3\n2 3\n1 3\n1 2\n")
+        with pytest.raises(GraphFormatError, match=":1: non-integer METIS header"):
             read_metis(path)
 
     def test_weighted_fmt_rejected(self, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.embedding.registry import get_method, run_method
+from repro.embedding.registry import list_methods, run_method
 from repro.graph.generators import dcsbm_graph
 from repro.telemetry import environment, ledger
 from repro.telemetry.ledger import (
@@ -316,13 +316,18 @@ class TestPipelineWiring:
         assert record.dataset == "env_ds"
 
     def test_stage_order_matches_registry(self, graph, tmp_path):
-        """Ledger stage order is the registry's Table-5 order, not execution order."""
-        with ledger.enabled_scope(path=tmp_path / "r.jsonl", dataset="ds"):
-            run_method("lightne", graph, seed=0, dimension=8, window=3)
-        (record,) = RunLedger(tmp_path / "r.jsonl").records()
-        declared = list(get_method("lightne").stages)
-        recorded = [s for s in record.stages if s in declared]
-        assert recorded == declared
+        """Ledger stage order is the registry's Table-5 order: every method
+        opens exactly its declared stages, in that order."""
+        path = tmp_path / "r.jsonl"
+        specs = list_methods()
+        for spec in specs:
+            knobs = {"window": 3} if spec.supports("window") else {}
+            with ledger.enabled_scope(path=path, dataset="ds"):
+                run_method(spec.name, graph, seed=0, dimension=8, **knobs)
+        records = RunLedger(path).records()
+        assert [r.method for r in records] == [spec.name for spec in specs]
+        for spec, record in zip(specs, records):
+            assert list(record.stages) == list(spec.stages), spec.name
 
     def test_peak_rss_is_the_os_lifetime_peak_at_record_time(self, graph, tmp_path):
         """Non-decreasing across the runs of one process, and at most the
@@ -361,25 +366,3 @@ class TestPipelineWiring:
         assert back.quality == {"micro@0.1": 30.5}
         assert back.run_id == record.run_id
         assert back.context == "test"
-
-
-# ---------------------------------------------------------------------------
-# StageTable.ordered_stages (the stable Table-5 ordering)
-# ---------------------------------------------------------------------------
-
-
-class TestOrderedStages:
-    def test_declared_order_wins(self, stage_table):
-        timer = stage_table(("propagation", 1.0), ("sparsifier", 2.0), ("svd", 3.0))
-        ordered = timer.ordered_stages(("sparsifier", "svd", "propagation"))
-        assert list(ordered) == ["sparsifier", "svd", "propagation"]
-        assert ordered["sparsifier"] == 2.0
-
-    def test_extra_stages_appended(self, stage_table):
-        timer = stage_table(("warmup", 0.1), ("svd", 3.0))
-        ordered = timer.ordered_stages(("sparsifier", "svd"))
-        assert list(ordered) == ["svd", "warmup"]
-
-    def test_empty_order_keeps_insertion(self, stage_table):
-        timer = stage_table(("b", 1.0), ("a", 2.0))
-        assert list(timer.ordered_stages()) == ["b", "a"]

@@ -314,6 +314,11 @@ def test_deleted_api_stays_deleted(capsys):
         (repro.utils.rng, "derive_seed"),
         (repro.graph.csr, "row_weight_sums"),
         (repro.graph.csr.CSRGraph, "iter_edges"),
+        # One CSR check (csr.csr_fault), one stage order (the run's).
+        (repro.graph.csr.CSRGraph, "_validate"),
+        (repro.graph.io, "_check_v2_arrays"),
+        (repro.telemetry.StageTable, "ordered_stages"),
+        (repro.telemetry.ledger, "_registry_stage_order"),
     ):
         assert not hasattr(module, name), (module.__name__, name)
     with pytest.raises(TypeError):

@@ -351,13 +351,31 @@ class TestParallelSampling:
         np.testing.assert_array_equal(a[2], b[2])
 
 
+def _window_always_full(func, argument_tuples, *, workers, window):
+    """``parallel_imap`` with its window pinned full: each slab is walked in
+    the calling thread, ``window`` slabs ahead of the consumer.  What is in
+    flight when the peak is read is then the same on every run, whatever
+    the scheduler does with a pool's threads."""
+    ahead = []
+    for args in argument_tuples:
+        ahead.append(func(*args))
+        if len(ahead) == window:
+            yield ahead.pop(0)
+    yield from ahead
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_resident_set_is_batch_plus_nnz(workers):
+def test_resident_set_is_batch_plus_nnz(workers, monkeypatch):
     """The memory law ``batch_size``'s docstring states: what the stage holds
-    follows the slab workspace and the distinct pairs, not the draw budget."""
+    follows the slab workspace and the distinct pairs, not the draw budget.
+    Each configuration is read with the sampler's ``2·workers`` slabs in
+    flight (on a pool the count, and so the peak, depends on scheduling)."""
     import tracemalloc
 
+    from repro.sparsifier import path_sampling
     from repro.sparsifier.builder import build_sparsifier
+
+    monkeypatch.setattr(path_sampling, "parallel_imap", _window_always_full)
 
     # Dense and small: 7 260 possible pairs, saturated from multiplier 4 on.
     graph = erdos_renyi_graph(120, 0.5, seed=2)
