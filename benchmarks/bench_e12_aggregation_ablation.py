@@ -5,13 +5,14 @@ The paper considered (1) per-processor lists merged by a sparse histogram
 hash table "fastest and most memory-efficient ... across all of our inputs".
 
 We compare our implementations (dict reference, the sort-reduce kernel that
-is the pipeline's default, per-processor-lists histogram, shared hash table,
+is the library's one aggregator, per-processor-lists histogram, shared hash table,
 and the hash-partitioned per-processor tables) on a realistic *per-draw*
 sample stream — what one slab of the PathSampling stage holds before it packs
 and reduces (``per_draw_samples``; the stage's own output is already
 distinct, on which every aggregator is the identity) — reporting throughput
-and the memory each needs.  The hash variants are kept for this ablation: in
-numpy they lose to the sort kernel (see EXPERIMENTS.md E12).
+and the memory each needs.  The hash variants live in the fixture
+``benchmarks/hashing.py``, not the library: in numpy they lose to the sort
+kernel (see EXPERIMENTS.md E12).
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import SEED, load
-from repro.sparsifier.aggregation import (
-    aggregate_dict,
+from benchmarks.hashing import (
     aggregate_hash,
     aggregate_hash_sharded,
     aggregate_histogram,
-    aggregate_sort,
 )
-from repro.sparsifier.hashtable import SparseParallelHashTable
+from repro.sparsifier.aggregation import aggregate_dict, aggregate_sort
 from repro.sparsifier.path_sampling import PathSamplingConfig, per_draw_samples
 from repro.systems.memory import hash_table_bytes, per_thread_list_bytes
 

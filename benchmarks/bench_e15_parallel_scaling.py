@@ -3,10 +3,10 @@
 PathSampling slabs and the hash-partitioned aggregation shards both run on a
 thread pool whose width is the ``workers`` knob.  This benchmark sweeps
 workers ∈ {1, 2, 4, 8} over the sampling stream (walk, per-slab sort-reduce,
-ordered merge) plus the §4.2 sharded aggregation of the same budget's
-*per-draw* samples (the stream's own output is already distinct, so handing
-it to an aggregator would time the identity) and reports wall-clock,
-samples/sec and speedup over the serial run.
+ordered merge) plus the §4.2 sharded aggregation (``benchmarks/hashing.py``)
+of the same budget's *per-draw* samples (the stream's own output is already
+distinct, so handing it to an aggregator would time the identity) and
+reports wall-clock, samples/sec and speedup over the serial run.
 
 Two invariants are asserted unconditionally:
 
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import RUNS_PATH, SEED, load, run_probe
-from repro.sparsifier.aggregation import aggregate_hash_sharded
+from benchmarks.hashing import aggregate_hash_sharded
 from repro.sparsifier.path_sampling import (
     PathSamplingConfig,
     per_draw_samples,

@@ -1,9 +1,10 @@
-"""Sparse parallel hash table (paper Section 4.2).
+"""Sparse parallel hash table and the §4.2 aggregators built on it — the
+fixture benchmarks E12 and E15 measure.
 
 The paper aggregates sampled edges in a single shared, lock-free,
 open-addressing hash table with linear probing; counts are accumulated with
-the hardware ``xadd`` atomic.  This module reproduces the data structure's
-semantics in numpy:
+the hardware ``xadd`` atomic.  :class:`SparseParallelHashTable` reproduces
+the data structure's semantics in numpy:
 
 * open addressing with linear probing over a power-of-two slot array;
 * 64-bit keys packing an ``(u, v)`` pair (``u * n + v``);
@@ -14,19 +15,47 @@ semantics in numpy:
 * exact counts: every sample is accounted for, as the paper stresses.
 
 The table grows by rehashing when load factor exceeds ``max_load``.
+
+Around it sit the three alternatives §4.2 weighed, each taking any
+``(rows, cols, values)`` stream as :func:`repro.sparsifier.aggregation.aggregate_sort`
+does (same input guard, same triple out, up to order):
+
+* :func:`aggregate_hash` — the shared table (the paper's choice);
+* :func:`aggregate_hash_sharded` — per-processor tables over a
+  :func:`hash_partition` of the key space, built on the thread pool;
+* :func:`aggregate_histogram` — per-processor lists merged by a sparse
+  histogram (NetSMF's per-thread sample lists).
+
+The library keeps one aggregation path: the sampler sort-reduces each slab
+where it is drawn and merges the runs (:mod:`repro.sparsifier.aggregation`),
+and the ``aggregator`` names are validated and recorded, selecting no code.
+In numpy a table pays for a sort (``np.unique``) per batch *and* the probe
+rounds on top, so the sort-reduce kernel wins (EXPERIMENTS.md E12).
+
+Determinism: :func:`aggregate_hash` and :func:`aggregate_hash_sharded` sum
+in stream order *within* each of their ``batch_size`` (1 000 000) slices and
+then add the per-batch partial sums — on per-draw streams they equal the
+sort kernel bit for bit up to one batch and re-associate above that
+(last-digit differences).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import HashTableFullError
+from repro.errors import ReproError
+from repro.sparsifier.aggregation import Triple, _as_arrays, aggregate_sort
+from repro.utils.parallel import default_workers, parallel_map
 
 _EMPTY = np.int64(-1)
 # Fibonacci hashing multiplier (2^64 / golden ratio, as an odd constant).
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+class HashTableFullError(ReproError):
+    """The open-addressing hash table ran out of free slots."""
 
 
 def _hash_keys(keys: np.ndarray, mask: np.uint64) -> np.ndarray:
@@ -41,8 +70,8 @@ def hash_partition(keys: np.ndarray, num_partitions: int) -> np.ndarray:
 
     Uses the same multiplicative mix as the table's probe hash but folds the
     *high* bits onto the shard space, so shard choice is nearly independent of
-    the slot a key probes inside its shard's table.  Used by the sharded
-    (per-processor tables) aggregation path.
+    the slot a key probes inside its shard's table.  Used by
+    :func:`aggregate_hash_sharded`.
     """
     if num_partitions < 1:
         raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
@@ -251,3 +280,124 @@ class SparseParallelHashTable:
         """Unpack keys back into ``(rows, cols, values)`` given width ``n``."""
         keys, values = self.items()
         return keys // n, keys % n, values
+
+
+def aggregate_hash(
+    rows,
+    cols,
+    values,
+    n: int,
+    *,
+    batch_size: int = 1_000_000,
+    stats: Optional[Dict[str, float]] = None,
+) -> Triple:
+    """Aggregate with the shared sparse parallel hash table (paper's choice).
+
+    ``stats`` receives ``peak_table_bytes`` (the table's backing arrays, what
+    the paper's §5.2.4 memory model tracks), ``distinct`` and
+    ``probe_rounds``.
+    """
+    rows, cols, values = _as_arrays(rows, cols, values, n)
+    table = SparseParallelHashTable(capacity_hint=max(1024, rows.size // 4))
+    for start in range(0, rows.size, batch_size):
+        stop = start + batch_size
+        table.add_pairs(rows[start:stop], cols[start:stop], values[start:stop], n)
+    if stats is not None:
+        stats["peak_table_bytes"] = table.size_in_bytes()
+        stats["distinct"] = len(table)
+        stats["probe_rounds"] = table.total_probe_rounds
+    return table.to_pairs(n)
+
+
+def aggregate_hash_sharded(
+    rows,
+    cols,
+    values,
+    n: int,
+    *,
+    num_shards: Optional[int] = None,
+    workers: Optional[int] = None,
+    batch_size: int = 1_000_000,
+    stats: Optional[Dict[str, float]] = None,
+) -> Triple:
+    """Per-processor hash tables over a hash partition of the key space.
+
+    The §4.2 alternative to the single shared table: the packed ``row*n+col``
+    keys are partitioned by :func:`hash_partition` into ``num_shards``
+    disjoint slices, each slice is accumulated into its own
+    :class:`SparseParallelHashTable` (concurrently, on a thread pool, when
+    ``workers > 1``), and the shards' items are concatenated in shard order
+    (shards are key-disjoint, so there is nothing left to merge).  Because
+    shard membership is a pure function of the key, the aggregated key set
+    always matches :func:`aggregate_hash`, and for a *fixed* ``num_shards``
+    the output is bit-identical for every ``workers`` value.  Varying
+    ``num_shards`` can permute the output order and reassociate
+    floating-point sums (values then agree only up to rounding).
+
+    ``num_shards`` defaults to the resolved worker count; ``workers=None``
+    resolves to :func:`repro.utils.parallel.default_workers`.  ``stats``
+    receives what :func:`aggregate_hash` records (summed over the shards)
+    plus ``num_shards`` and ``shard_table_bytes``.
+    """
+    rows, cols, values = _as_arrays(rows, cols, values, n)
+    if workers is None:
+        workers = default_workers()
+    if num_shards is None:
+        num_shards = max(1, workers)
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if rows.size == 0:
+        return rows, cols, values
+    keys = rows * np.int64(n) + cols
+    shard_of = hash_partition(keys, num_shards)
+
+    def build_shard(shard_keys: np.ndarray, shard_values: np.ndarray):
+        table = SparseParallelHashTable(capacity_hint=max(64, shard_keys.size // 4))
+        for start in range(0, shard_keys.size, batch_size):
+            stop = start + batch_size
+            table.add_batch(shard_keys[start:stop], shard_values[start:stop])
+        out_keys, out_values = table.items()
+        return out_keys, out_values, table.size_in_bytes(), table.total_probe_rounds
+
+    args = []
+    for shard in range(num_shards):
+        members = shard_of == shard
+        args.append((keys[members], values[members]))
+    shard_items = parallel_map(build_shard, args, workers=workers)
+    keys = np.concatenate([item[0] for item in shard_items])
+    values = np.concatenate([item[1] for item in shard_items])
+    if stats is not None:
+        shard_bytes = sum(item[2] for item in shard_items)
+        stats["peak_table_bytes"] = shard_bytes
+        stats["shard_table_bytes"] = shard_bytes
+        stats["num_shards"] = num_shards
+        stats["distinct"] = int(keys.size)
+        stats["probe_rounds"] = sum(item[3] for item in shard_items)
+    return keys // n, keys % n, values
+
+
+def aggregate_histogram(
+    rows, cols, values, n: int, *, num_partitions: int = 8
+) -> Triple:
+    """Per-processor lists merged by a sparse histogram (GBBS alternative #1).
+
+    Simulates the first strategy §4.2 considered: each "processor" buffers
+    its own list of samples; the merge phase builds a histogram over the
+    union.  We partition the stream round-robin (as a work-stealing scheduler
+    would), locally sort-reduce each partition, then merge the partial
+    histograms.  Results match the other aggregators exactly.
+    """
+    rows, cols, values = _as_arrays(rows, cols, values, n)
+    if num_partitions < 1:
+        raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
+    if rows.size == 0:
+        return rows, cols, values
+    partials = []
+    for start in range(num_partitions):
+        sl = slice(start, None, num_partitions)
+        if rows[sl].size:
+            partials.append(aggregate_sort(rows[sl], cols[sl], values[sl], n))
+    merged_rows = np.concatenate([p[0] for p in partials])
+    merged_cols = np.concatenate([p[1] for p in partials])
+    merged_vals = np.concatenate([p[2] for p in partials])
+    return aggregate_sort(merged_rows, merged_cols, merged_vals, n)

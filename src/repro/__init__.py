@@ -20,7 +20,6 @@ from repro.errors import (
     FactorizationError,
     GraphConstructionError,
     GraphFormatError,
-    HashTableFullError,
     MethodParameterError,
     ReproError,
     SamplingError,
@@ -76,7 +75,6 @@ __all__ = [
     "GraphFormatError",
     "GraphConstructionError",
     "SamplingError",
-    "HashTableFullError",
     "FactorizationError",
     "EvaluationError",
     "DatasetError",

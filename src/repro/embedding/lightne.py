@@ -77,7 +77,8 @@ class LightNEParams:
         ``"sort"`` (default), ``"hash"`` or ``"hash-sharded"``: validated
         and recorded on the spans and in the ledger, it selects no code —
         the sampler already folds each draw into its pair once.  Kept only
-        because ``benchmarks/perf`` sets it.
+        because ``benchmarks/perf`` sets it; the §4.2 hash aggregators the
+        names recall are the E12/E15 fixture ``benchmarks/hashing.py``.
     workers:
         Thread-pool width for sparsifier construction *and* the dense-stage
         SPMMs (randomized SVD, spectral propagation); ``None`` (default)

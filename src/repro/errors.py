@@ -28,10 +28,6 @@ class UnsupportedGraphError(ReproError):
     """The graph shape/weighting is outside what the sparsifier serves."""
 
 
-class HashTableFullError(ReproError):
-    """The open-addressing hash table ran out of free slots."""
-
-
 class FactorizationError(ReproError):
     """Randomized SVD or spectral propagation received invalid input."""
 

@@ -36,11 +36,21 @@ def csr_fault(
 ) -> Optional[Tuple[str, str]]:
     """The first broken CSR rule, as ``(array name, message)``, or ``None``.
 
-    One pass over each array, ``CHECK_BLOCK`` entries at a time: ``offsets``
+    The arrays are checked as given, before any cast: ``offsets`` and
+    ``targets`` must be of an integer dtype and ``weights`` of a real
+    numeric one (a float id ``x.5`` would otherwise become ``x``).  Then one
+    pass over each array, ``CHECK_BLOCK`` entries at a time: ``offsets``
     runs from 0 to ``len(targets)`` and never decreases, every target is a
     vertex id in ``[0, n)``, every row is strictly increasing, every weight
     is finite and non-negative.  The message names the first bad index.
     """
+    for name, array, kinds, what in (
+        ("offsets", offsets, "iu", "an integer"),
+        ("targets", targets, "iu", "an integer"),
+        ("weights", weights, "iuf", "a real numeric"),
+    ):
+        if array is not None and array.dtype.kind not in kinds:
+            return name, f"{name} has dtype {array.dtype}, not {what} dtype"
     if offsets.ndim != 1 or offsets.size == 0:
         return "offsets", "offsets must be a non-empty 1-D array"
     if targets.ndim != 1:
@@ -122,16 +132,19 @@ class CSRGraph:
         *,
         check: bool = True,
     ) -> None:
-        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets = np.asarray(offsets)
         targets = np.asarray(targets)
-        if targets.dtype not in (np.int32, np.int64):
-            targets = targets.astype(np.int64)
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
+            weights = np.asarray(weights)
         if check:
             fault = csr_fault(offsets, targets, weights)
             if fault is not None:
                 raise GraphConstructionError(fault[1])
+        offsets = offsets.astype(np.int64, copy=False)
+        if targets.dtype not in (np.int32, np.int64):
+            targets = targets.astype(np.int64)
+        if weights is not None:
+            weights = weights.astype(np.float64, copy=False)
         self.offsets = offsets
         self.targets = targets
         self.weights = weights

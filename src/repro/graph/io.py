@@ -4,7 +4,8 @@ Three formats:
 
 * **Edge list** (``.txt``/``.edges``) — one ``u v [w]`` pair per line,
   ``#``-prefixed comments allowed (a first line ``# num_vertices: N``, which
-  :func:`write_edge_list` writes, sets the vertex count); the lingua franca
+  :func:`write_edge_list` writes, sets the vertex count, and a second line
+  ``# num_edges: M``, written too, the number of edge lines); the lingua franca
   of the embedding literature (all of the paper's public datasets ship this
   way).  Parsed in
   fixed-size chunks into preallocated int64 arrays, so peak ingest memory is
@@ -32,13 +33,16 @@ Integrity: every reader returns the graph that was written or raises
 :class:`~repro.errors.GraphFormatError`.  :func:`load_csr_v2` checks the
 magic, the declared dtypes and the array lengths against the header; both
 binary loaders, memmapped or not, hold the arrays to the one CSR check
-(:func:`~repro.graph.csr.csr_fault`: monotone offsets, ids in ``[0, n)``,
-strictly increasing rows, finite non-negative weights), and a v2 load
+(:func:`~repro.graph.csr.csr_fault`: integer offsets and ids and real
+weights as stored, monotone offsets, ids in ``[0, n)``, strictly
+increasing rows, finite non-negative weights), and a v2 load
 compares each array's CRC-32 with the header's, so a byte changed after
 writing cannot pass as another valid id.  A v1 archive's zip and zlib
 faults (and a member list that disagrees with the archive's end record),
-and a text file's non-UTF-8 bytes, are ``GraphFormatError`` too, naming
-the file (and the line).
+a text file's non-UTF-8 bytes, and an edge list whose ``# num_edges: M``
+line disagrees with its edge lines or whose last line has no newline (a
+file cut short), are ``GraphFormatError`` too, naming the file (and the
+line).
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ _PARSE_CHUNK = 1 << 20
 # First-line comment carrying the vertex count, so ids with no edge (trailing
 # isolated vertices) survive a write/read round trip.
 _NUM_VERTICES_HEADER = "# num_vertices:"
+# Second-line comment carrying the edge-line count, so a file cut short is
+# an error rather than a smaller graph.
+_NUM_EDGES_HEADER = "# num_edges:"
 
 # Entries per block of a v2 container's CRC-32s: what a memmapped load
 # faults in at once.
@@ -169,7 +176,11 @@ def read_edge_list(
     with ``#`` or ``%`` are skipped.  A first line ``# num_vertices: N`` (what
     :func:`write_edge_list` writes) sets the vertex count unless
     ``num_vertices`` is given; an edge endpoint at or beyond the count is a
-    :class:`~repro.errors.GraphConstructionError`.  Mixing weighted and
+    :class:`~repro.errors.GraphConstructionError`.  A second line
+    ``# num_edges: M`` (written too) makes the file hold exactly ``M`` edge
+    lines and end with a newline, or it is a
+    :class:`~repro.errors.GraphFormatError` naming the file: a file cut
+    short, even inside its last line, is refused.  Mixing weighted and
     unweighted lines, and a NaN or infinite weight, are
     :class:`~repro.errors.GraphFormatError` naming the line.  Parsing
     streams through fixed-size preallocated chunks
@@ -178,15 +189,17 @@ def read_edge_list(
     """
     buffer: Optional[_ChunkedPairBuffer] = None
     saw_weight = None
-    declared = None
+    declared = declared_edges = None
     for lineno, stripped in _lines(path):
         if lineno == 1 and stripped.startswith(_NUM_VERTICES_HEADER):
-            try:
-                declared = int(stripped[len(_NUM_VERTICES_HEADER):])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:1: bad vertex count in {stripped!r}"
-                ) from exc
+            declared = _header_count(
+                path, lineno, stripped, _NUM_VERTICES_HEADER, "vertex"
+            )
+            continue
+        if lineno == 2 and stripped.startswith(_NUM_EDGES_HEADER):
+            declared_edges = _header_count(
+                path, lineno, stripped, _NUM_EDGES_HEADER, "edge"
+            )
             continue
         if not stripped or stripped[0] in "#%":
             continue
@@ -226,6 +239,16 @@ def read_edge_list(
     if buffer is None:
         buffer = _ChunkedPairBuffer(weighted=False)
     sources, targets, weights = buffer.arrays()
+    if declared_edges is not None:
+        if sources.size != declared_edges:
+            raise GraphFormatError(
+                f"{path}: {sources.size} edge lines, the header declares "
+                f"{declared_edges} (truncated?)"
+            )
+        if not _ends_with_newline(path):
+            raise GraphFormatError(
+                f"{path}: no newline at the end of the last line (truncated?)"
+            )
     return from_edges(
         sources,
         targets,
@@ -235,15 +258,38 @@ def read_edge_list(
     )
 
 
+def _header_count(
+    path: PathLike, lineno: int, stripped: str, header: str, what: str
+) -> int:
+    """The count a ``# num_...: K`` header line declares."""
+    try:
+        return int(stripped[len(header):])
+    except ValueError as exc:
+        raise GraphFormatError(
+            f"{path}:{lineno}: bad {what} count in {stripped!r}"
+        ) from exc
+
+
+def _ends_with_newline(path: PathLike) -> bool:
+    with open(path, "rb") as handle:
+        handle.seek(0, os.SEEK_END)
+        if handle.tell() == 0:
+            return False
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) == b"\n"
+
+
 def write_edge_list(graph: CSRGraph, path: PathLike) -> None:
     """Write each undirected edge once (``u < v``), with weight if present,
-    under a ``# num_vertices: N`` first line."""
+    under a ``# num_vertices: N`` first line and a ``# num_edges: M``
+    second line."""
     src, dst = graph.edge_endpoints()
     mask = src < dst
     src, dst = src[mask], dst[mask]
     wts = graph.weights[mask] if graph.weights is not None else None
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{_NUM_VERTICES_HEADER} {graph.num_vertices}\n")
+        handle.write(f"{_NUM_EDGES_HEADER} {src.size}\n")
         if wts is None:
             for u, v in zip(src, dst):
                 handle.write(f"{u} {v}\n")
@@ -450,10 +496,11 @@ def load_csr_v2(path: PathLike, *, mmap: bool = True) -> CSRGraph:
     kernel touches them.  The header is checked against the arrays (magic,
     dtypes, lengths), then the arrays go through the same one-pass CSR
     check in either mode (:func:`~repro.graph.csr.csr_fault`, streamed in
-    blocks): offsets monotone from 0 to
+    blocks): offsets and targets of an integer dtype and weights of a real
+    one, as stored (before any cast), offsets monotone from 0 to
     ``len(targets)``, targets in ``[0, n)``, rows strictly increasing,
     weights finite and non-negative.  The first fault is a
-    :class:`GraphFormatError` naming the array file and the index, never an
+    :class:`GraphFormatError` naming the array file (and the index), never an
     out-of-bounds read or a wrong ``has_edge`` later on.  Last, each array's
     CRC-32 must equal the header's, so a byte changed after writing is a
     ``GraphFormatError`` even where it reads as another valid id (a header

@@ -6,6 +6,11 @@ runs degree-based edge **downsampling** probabilities → per-edge
 where it is produced and the runs are merged in slab order
 (**aggregation**) into the count matrix behind the trunc-log **NetMF matrix
 estimator** factorized downstream.
+
+That sort-reduce path is the one aggregator: the ``aggregator`` names are
+validated and recorded, and select no code.  The §4.2 hash family (shared
+table, per-processor tables, per-processor lists) is the E12/E15 fixture
+``benchmarks/hashing.py``.
 """
 
 from repro.sparsifier.downsampling import downsampling_probabilities
@@ -15,14 +20,7 @@ from repro.sparsifier.path_sampling import (
     per_draw_samples,
     sample_sparsifier_edges,
 )
-from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
-from repro.sparsifier.aggregation import (
-    aggregate_dict,
-    aggregate_hash,
-    aggregate_hash_sharded,
-    aggregate_histogram,
-    aggregate_sort,
-)
+from repro.sparsifier.aggregation import aggregate_dict, aggregate_sort
 from repro.sparsifier.builder import (
     SparsifierResult,
     aggregate_sample_counts,
@@ -37,12 +35,7 @@ __all__ = [
     "path_sample_pairs",
     "per_draw_samples",
     "sample_sparsifier_edges",
-    "SparseParallelHashTable",
-    "hash_partition",
     "aggregate_dict",
-    "aggregate_hash",
-    "aggregate_hash_sharded",
-    "aggregate_histogram",
     "aggregate_sort",
     "SparsifierResult",
     "aggregate_sample_counts",

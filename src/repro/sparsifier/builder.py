@@ -85,11 +85,7 @@ from repro import telemetry
 from repro.errors import SamplingError, UnsupportedGraphError
 from repro.graph import CSRGraph
 from repro.linalg.kernels import scale_csr_columns, scale_csr_rows
-from repro.sparsifier.aggregation import (
-    aggregate_hash,
-    aggregate_hash_sharded,
-    aggregate_sort,
-)
+from repro.sparsifier.aggregation import aggregate_sort
 from repro.sparsifier.path_sampling import (
     DEFAULT_BATCH_SIZE,
     PathSamplingConfig,
@@ -201,31 +197,20 @@ def aggregate_sample_counts(
     backend: str = "thread",
     stats: Optional[Dict[str, float]] = None,
 ):
-    """Merge sample triples into unique ``(rows, cols, vals)`` by name.
+    """Merge sample triples into unique ``(rows, cols, vals)``: the
+    sort-reduce kernel (:func:`~repro.sparsifier.aggregation.aggregate_sort`),
+    output in row-major key order.
 
-    The general entry point — any triples, duplicates or not (the E12/E15
-    ablations feed it per-draw samples, the ``benchmarks/perf`` replay the
-    sampler's stream).  The ``"sparsifier"`` stage never calls it: its
-    stream arrives reduced (:func:`aggregate_to_counts`).
-
-    ``aggregator`` selects ``"sort"`` (the default sort-reduce kernel; one
-    serial pass, ``workers`` not consulted, output in row-major key order),
-    or one of the §4.2 ablation variants: ``"hash"`` (shared table, serial)
-    and ``"hash-sharded"`` (fixed 8-shard key partition mapped onto the
-    thread pool).
+    The general entry point — any triples, duplicates or not (the
+    ``benchmarks/perf`` replay feeds it the sampler's stream).  The
+    ``"sparsifier"`` stage never calls it: its stream arrives reduced
+    (:func:`aggregate_to_counts`).  ``aggregator`` and ``backend`` are
+    validated as :func:`build_sparsifier` validates them, ``workers`` is
+    accepted, and none of the three selects code.  The §4.2 hash
+    aggregators are the E12/E15 fixture ``benchmarks/hashing.py``.
     """
     check_aggregator(aggregator)
-    # Checked only: the frozen benchmark replay still passes it.
     resolve_backend(backend)
-    if aggregator == "hash":
-        return aggregate_hash(u, v, w, n, stats=stats)
-    if aggregator == "hash-sharded":
-        # Fixed shard count: the decomposition (and hence the fp summation
-        # order) must not depend on ``workers``, mirroring the batch_size
-        # design in sampling.  Workers only map shards to threads.
-        return aggregate_hash_sharded(
-            u, v, w, n, workers=workers, num_shards=8, stats=stats
-        )
     return aggregate_sort(u, v, w, n, stats=stats)
 
 
@@ -285,7 +270,9 @@ def build_sparsifier(
     aggregator:
         ``"sort"`` (default), ``"hash"`` or ``"hash-sharded"``, checked
         before anything is sampled and recorded on the stage's spans; it
-        selects no code (:func:`aggregate_to_counts`).
+        selects no code (:func:`aggregate_to_counts`).  The §4.2 hash
+        aggregators the names recall are the E12/E15 fixture
+        ``benchmarks/hashing.py``.
     workers:
         Thread-pool width for sampling; ``None`` resolves to
         :func:`repro.utils.parallel.default_workers`.  For a fixed ``seed``

@@ -30,7 +30,8 @@ def hash_table_bytes(distinct_entries: int, *, max_load: float = 0.5) -> int:
     """Shared-hash-table footprint for ``distinct_entries`` sparsifier entries.
 
     Slot count is the next power of two above ``distinct / max_load``
-    (matching :class:`~repro.sparsifier.hashtable.SparseParallelHashTable`).
+    (matching ``SparseParallelHashTable`` in the E12/E15 fixture
+    ``benchmarks/hashing.py``).
     """
     _check_nonneg(distinct_entries=distinct_entries)
     if not 0.0 < max_load < 1.0:

@@ -12,6 +12,12 @@ Each case damages a file the library wrote:
   weight — is a ``GraphFormatError`` naming the array file and the first
   bad index, memmapped and in RAM: the one CSR check is what stands between
   such a file and the kernels;
+* a container or archive whose ids or offsets are not of an integer dtype,
+  or whose weights are not real numbers — header, ``.npy`` and checksum all
+  agreeing — is a ``GraphFormatError`` naming the array file, memmapped and
+  in RAM (a float id ``x.5`` once loaded as ``x``);
+* an edge list the library wrote, cut short at any byte after its
+  ``# num_edges:`` line, is a ``GraphFormatError`` naming the file;
 * a byte that is not UTF-8 in an edge list, a METIS file or an adjacency
   list is a ``GraphFormatError`` naming its line.
 """
@@ -19,9 +25,11 @@ Each case damages a file the library wrote:
 from __future__ import annotations
 
 import functools
+import json
 import os
 import re
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -226,6 +234,46 @@ def test_a_swapped_row_is_refused_in_either_mode(tmp_path, mmap):
         load_csr_v2(root, mmap=mmap)
 
 
+# (array, the dtype a foreign writer gave it, how its values are rewritten)
+FOREIGN_DTYPES = (
+    ("targets", "<f8", lambda a: a + 0.5),  # id x.5 once loaded as x
+    ("targets", "<f8", lambda a: a.astype(np.float64)),
+    ("offsets", "<f8", lambda a: a.astype(np.float64)),
+    ("weights", "<c16", lambda a: a.astype(np.complex128)),
+)
+
+
+@pytest.mark.parametrize("mmap", [True, False])
+@pytest.mark.parametrize("name, dtype, rewrite", FOREIGN_DTYPES)
+def test_a_container_of_the_wrong_dtype_is_refused(
+    tmp_path, name, dtype, rewrite, mmap
+):
+    """Header and ``.npy`` agree on a dtype the CSR rules do not allow
+    (non-integer ids or offsets, non-real weights), checksum and all: the
+    arrays are checked as stored, before any cast, in either mode; a v1
+    archive holding the same array is refused too."""
+    graph = _graph(True)
+    root = save_csr_v2(graph, tmp_path / "g.csrv2")
+    array = rewrite(np.load(os.path.join(root, f"{name}.npy")))
+    assert array.dtype.str == dtype
+    np.save(os.path.join(root, f"{name}.npy"), array)
+    header_path = os.path.join(root, "header.json")
+    with open(header_path, encoding="utf-8") as handle:
+        header = json.load(handle)
+    header["dtypes"][name] = dtype
+    header["crc32"][name] = zlib.crc32(array)
+    with open(header_path, "w", encoding="utf-8") as handle:
+        json.dump(header, handle)
+    with pytest.raises(GraphFormatError, match=re.escape(f"{name}.npy: {name} has dtype ")):
+        load_csr_v2(root, mmap=mmap)
+    archive = str(tmp_path / "g.csr.npz")
+    arrays = {"magic": np.array("repro-csr-v1"), "offsets": graph.offsets,
+              "targets": graph.targets, "weights": graph.weights}
+    np.savez_compressed(archive, **{**arrays, name: array})
+    with pytest.raises(GraphFormatError, match=re.escape(f"{archive}: {name} has dtype ")):
+        load_csr(archive)
+
+
 def _write_adjacency_list(graph, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for u in range(graph.num_vertices):
@@ -243,6 +291,37 @@ TEXT_FORMATS = {
 @functools.lru_cache(maxsize=None)
 def _text(fmt: str) -> bytes:
     return _written(TEXT_FORMATS[fmt][0], _graph(False), "g.txt")[""]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_every_truncation_of_a_written_edge_list_is_refused(tmp_path, weighted):
+    """Cut a written edge list at every byte: once its ``# num_edges: M``
+    line is whole, each cut short of the end is a ``GraphFormatError``
+    naming the file (too few edge lines, or a last line without its
+    newline), and the whole file is the written graph.  A cut before that
+    line is whole leaves header comments and no edge line: the file no
+    longer says what it held, and reads as an edgeless graph."""
+    content = _written(write_edge_list, _graph(weighted), "g.edges")[""]
+    path = str(tmp_path / "g.edges")
+    with open(path, "wb") as handle:
+        handle.write(content)
+    # The written graph (its weights are the upper triangle's, as %.10g).
+    whole, original = read_edge_list(path), _graph(weighted)
+    assert np.array_equal(whole.offsets, original.offsets)
+    assert np.array_equal(whole.targets, original.targets)
+    assert (whole.weights is None) == (not weighted)
+    header = content.index(b"# num_edges:") + len(b"# num_edges:")
+    for cut in range(len(content)):
+        with open(path, "wb") as handle:
+            handle.write(content[:cut])
+        outcome = _outcome(read_edge_list, path)
+        if cut < header:
+            assert isinstance(outcome, GraphFormatError) or (
+                outcome.num_edges == 0
+            ), (cut, outcome)
+        else:
+            assert isinstance(outcome, GraphFormatError), (cut, outcome)
+            assert str(outcome).startswith(f"{path}:"), (cut, outcome)
 
 
 class TestTextReaders:

@@ -291,3 +291,40 @@ class TestOneCheck:
             assert fault[1].startswith(f"{name}[{index}] = "), fault
             with pytest.raises(GraphConstructionError, match=re.escape(fault[1])):
                 CSRGraph(arrays["offsets"], arrays["targets"], arrays["weights"])
+
+    @pytest.mark.parametrize(
+        "offsets, targets, weights, name",
+        [
+            ([0, 1, 2], [1.7, 0.2], None, "targets"),
+            ([0, 1, 2], [1.0, 0.0], None, "targets"),  # whole floats too
+            ([0.0, 1.0, 2.0], [1, 0], None, "offsets"),
+            ([0, 1, 2], [True, False], None, "targets"),
+            ([0, 1, 2], [1, 0], [True, True], "weights"),
+            ([0, 1, 2], [1, 0], [1 + 0j, 1 + 0j], "weights"),
+            ([0, 1, 2], [1, 0], np.array(["1", "1"]), "weights"),
+        ],
+    )
+    def test_dtype_is_checked_before_any_cast(self, offsets, targets, weights, name):
+        """Ids are integers and weights real numbers as given: a float id
+        ``x.5`` was cast to ``x`` before the check ever saw it."""
+        from repro.graph.csr import csr_fault
+
+        fault = csr_fault(
+            np.asarray(offsets), np.asarray(targets),
+            None if weights is None else np.asarray(weights),
+        )
+        assert fault is not None and fault[0] == name
+        assert fault[1].startswith(f"{name} has dtype ")
+        with pytest.raises(GraphConstructionError, match=f"^{name} has dtype "):
+            CSRGraph(offsets, targets, weights)
+
+    def test_every_integer_and_real_dtype_is_accepted(self):
+        for index in (np.int32, np.int64, np.uint32, np.uint64):
+            for real in (np.float32, np.float64, np.int64, np.uint8):
+                g = CSRGraph(np.array([0, 1, 2], dtype=index),
+                             np.array([1, 0], dtype=index),
+                             np.array([2, 3], dtype=real))
+                assert g.offsets.dtype == np.int64
+                assert g.targets.tolist() == [1, 0]
+                assert g.weights.dtype == np.float64
+                assert g.weights.tolist() == [2.0, 3.0]

@@ -110,6 +110,27 @@ class TestEdgeList:
         path.write_text("0 1\n# num_vertices: 9\n")
         assert read_edge_list(path).num_vertices == 2
 
+    def test_declared_edge_count_is_checked(self, tmp_path):
+        graph = from_edges([0, 1], [1, 2], num_vertices=4)
+        path = tmp_path / "counted.edges"
+        write_edge_list(graph, path)
+        assert path.read_text().splitlines()[:2] == [
+            "# num_vertices: 4", "# num_edges: 2"
+        ]
+        assert read_edge_list(path) == graph
+        for text, problem in (
+            ("# num_vertices: 4\n# num_edges: 2\n0 1\n", "1 edge lines"),
+            ("# num_vertices: 4\n# num_edges: 2\n0 1\n1 2\n2 3\n", "3 edge lines"),
+            ("# num_vertices: 4\n# num_edges: 2\n0 1\n1 2", "no newline"),
+            ("# num_vertices: 4\n# num_edges: two\n0 1\n", ":2: bad edge count"),
+        ):
+            path.write_text(text)
+            with pytest.raises(GraphFormatError, match=problem):
+                read_edge_list(path)
+        # Without the line a file reads as before: any count, any ending.
+        path.write_text("# num_vertices: 4\n0 1\n1 2")
+        assert read_edge_list(path) == graph
+
     def test_line_number_in_error(self, tmp_path):
         path = tmp_path / "lineno.edges"
         path.write_text("0 1\nbroken\n")

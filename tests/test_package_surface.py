@@ -26,7 +26,6 @@ SUBPACKAGES = [
     "repro.sparsifier",
     "repro.sparsifier.path_sampling",
     "repro.sparsifier.downsampling",
-    "repro.sparsifier.hashtable",
     "repro.sparsifier.aggregation",
     "repro.sparsifier.builder",
     "repro.linalg",
@@ -218,7 +217,8 @@ def test_deleted_api_stays_deleted(capsys):
     sketch, no ``sketchne``, no ``--factorizer``), downsampled
     PathSampling the one sampler (no ``ppr``, no ``sparsifier`` switch) and
     the whole-graph embedding the one workflow (no streaming refresh, no
-    partition-then-embed, no ``lightne stream``, one walk step) and threads
+    partition-then-embed, no ``lightne stream``, one walk step), the
+    sort-reduce kernel the one aggregator (no hash table) and threads
     the one substrate (no process pool, no worker telemetry) and counters
     the one metrics instrument (no gauges, no histograms)."""
     import numpy as np
@@ -243,7 +243,7 @@ def test_deleted_api_stays_deleted(capsys):
                  "repro.linalg.sketch", "repro.sparsifier.ppr", "repro.analysis",
                  "repro.streaming", "repro.graph.partition",
                  "repro.graph.transforms", "repro.telemetry.worker",
-                 "repro.telemetry.metrics"):
+                 "repro.telemetry.metrics", "repro.sparsifier.hashtable"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)
     for module in (repro, repro.graph):
@@ -266,6 +266,16 @@ def test_deleted_api_stays_deleted(capsys):
         for name in ("SPARSIFIER_SAMPLERS", "build_netmf_sparsifier",
                      "sparsifier_backend_names", "sample_ppr_counts"):
             assert not hasattr(module, name), (module.__name__, name)
+    # One aggregator: the §4.2 hash family is the fixture benchmarks/hashing.py.
+    import repro.sparsifier.aggregation
+
+    for module in (repro.sparsifier, repro.sparsifier.aggregation):
+        for name in ("SparseParallelHashTable", "hash_partition",
+                     "aggregate_hash", "aggregate_hash_sharded",
+                     "aggregate_histogram"):
+            assert not hasattr(module, name), (module.__name__, name)
+    for module in (repro, repro.errors):
+        assert not hasattr(module, "HashTableFullError"), module.__name__
     import repro.errors
     from repro.graph.csr import CSRGraph
     from repro.utils.parallel import parallel_imap, parallel_map

@@ -1,4 +1,6 @@
-"""Tests: all aggregation strategies agree with each other."""
+"""Tests: all aggregation strategies agree with each other — the library's
+sort-reduce kernel and run reducer (``repro.sparsifier.aggregation``) and
+the §4.2 hash family of the E12/E15 fixture ``benchmarks/hashing.py``."""
 
 from __future__ import annotations
 
@@ -7,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.hashing import (
+    aggregate_hash,
+    aggregate_hash_sharded,
+    aggregate_histogram,
+)
 from repro.errors import SamplingError
 from repro.graph.generators import erdos_renyi_graph
 from repro.sparsifier.aggregation import (
     aggregate_dict,
-    aggregate_hash,
-    aggregate_hash_sharded,
-    aggregate_histogram,
     aggregate_sort,
     merge_runs,
     reduce_pairs,
@@ -149,8 +153,8 @@ class TestSortKernel:
 
     def test_hash_variants_bitwise_equal_below_one_batch(self):
         # A real 1/p_e-weighted sample stream shorter than aggregate_hash's
-        # 1M batch: all three production aggregators sum each key in stream
-        # order, so they agree bit for bit, not just to rounding.
+        # 1M batch: the sort kernel and both hash tables sum each key in
+        # stream order, so they agree bit for bit, not just to rounding.
         graph = erdos_renyi_graph(60, 0.3, seed=0)
         config = PathSamplingConfig(
             window=3, num_samples=20_000, downsample=True,
@@ -376,8 +380,6 @@ class TestHistogramAggregation:
     """The per-processor-lists + sparse-histogram strategy (§4.2 alt #1)."""
 
     def test_matches_dict(self, rng):
-        from repro.sparsifier.aggregation import aggregate_histogram
-
         rows = rng.integers(0, 30, size=2000)
         cols = rng.integers(0, 30, size=2000)
         values = rng.random(2000)
@@ -388,8 +390,6 @@ class TestHistogramAggregation:
         np.testing.assert_allclose(got[2], reference[2])
 
     def test_partition_count_irrelevant(self, rng):
-        from repro.sparsifier.aggregation import aggregate_histogram
-
         rows = rng.integers(0, 10, size=300)
         cols = rng.integers(0, 10, size=300)
         values = np.ones(300)
@@ -398,23 +398,17 @@ class TestHistogramAggregation:
         np.testing.assert_allclose(a[2], b[2])
 
     def test_more_partitions_than_samples(self):
-        from repro.sparsifier.aggregation import aggregate_histogram
-
         r, c, v = aggregate_histogram(
             np.array([0]), np.array([1]), np.array([2.0]), 4, num_partitions=8
         )
         assert r.size == 1 and v[0] == 2.0
 
     def test_empty(self):
-        from repro.sparsifier.aggregation import aggregate_histogram
-
         empty = np.empty(0, dtype=np.int64)
         r, c, v = aggregate_histogram(empty, empty, np.empty(0), 4)
         assert r.size == 0
 
     def test_invalid_partitions(self):
-        from repro.sparsifier.aggregation import aggregate_histogram
-
         with pytest.raises(ValueError):
             aggregate_histogram(
                 np.array([0]), np.array([0]), np.array([1.0]), 2, num_partitions=0

@@ -1,4 +1,5 @@
-"""Tests for the sparse parallel hash table, incl. hypothesis ground-truthing."""
+"""Tests for the sparse parallel hash table of the E12/E15 fixture
+``benchmarks/hashing.py``, incl. hypothesis ground-truthing."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparsifier.hashtable import SparseParallelHashTable, hash_partition
+from benchmarks.hashing import SparseParallelHashTable, hash_partition
 
 
 class TestBasics:
