@@ -180,7 +180,9 @@ def read_edge_list(
     ``# num_edges: M`` (written too) makes the file hold exactly ``M`` edge
     lines and end with a newline, or it is a
     :class:`~repro.errors.GraphFormatError` naming the file: a file cut
-    short, even inside its last line, is refused.  Mixing weighted and
+    short, even inside its last line, is refused.  So is a file without an
+    edge line that is neither empty nor ends with a newline: cut inside its
+    header lines, it no longer says what it held.  Mixing weighted and
     unweighted lines, and a NaN or infinite weight, are
     :class:`~repro.errors.GraphFormatError` naming the line.  Parsing
     streams through fixed-size preallocated chunks
@@ -239,16 +241,15 @@ def read_edge_list(
     if buffer is None:
         buffer = _ChunkedPairBuffer(weighted=False)
     sources, targets, weights = buffer.arrays()
-    if declared_edges is not None:
-        if sources.size != declared_edges:
-            raise GraphFormatError(
-                f"{path}: {sources.size} edge lines, the header declares "
-                f"{declared_edges} (truncated?)"
-            )
-        if not _ends_with_newline(path):
-            raise GraphFormatError(
-                f"{path}: no newline at the end of the last line (truncated?)"
-            )
+    if declared_edges is not None and sources.size != declared_edges:
+        raise GraphFormatError(
+            f"{path}: {sources.size} edge lines, the header declares "
+            f"{declared_edges} (truncated?)"
+        )
+    if (declared_edges is not None or sources.size == 0) and _cut_short(path):
+        raise GraphFormatError(
+            f"{path}: no newline at the end of the last line (truncated?)"
+        )
     return from_edges(
         sources,
         targets,
@@ -270,13 +271,14 @@ def _header_count(
         ) from exc
 
 
-def _ends_with_newline(path: PathLike) -> bool:
+def _cut_short(path: PathLike) -> bool:
+    """Whether the file is not empty and its last byte is not a newline."""
     with open(path, "rb") as handle:
         handle.seek(0, os.SEEK_END)
         if handle.tell() == 0:
             return False
         handle.seek(-1, os.SEEK_END)
-        return handle.read(1) == b"\n"
+        return handle.read(1) != b"\n"
 
 
 def write_edge_list(graph: CSRGraph, path: PathLike) -> None:

@@ -46,7 +46,10 @@ functions and differ in dtype only.
   ``data`` where it lies (the products ``diags(x) @ A`` / ``A @ diags(x)``
   compute, entry for entry), a precision cast copies ``data`` only (in
   column tiles where they pay), and a canonical sum is merged by scipy's
-  compiled kernel straight into the caller's arrays.
+  compiled kernel straight into the caller's arrays.  Every layout
+  :class:`ColumnTiles` writes, tiled or not, is one stable counting sort per
+  row block: scipy's compiled ``coo_tocsr`` moves the block's columns and
+  values together.
 
 **Orthogonality contract** (stated here once; enforced by
 ``tests/contracts/test_tall_skinny.py``).  With ``eps`` the unit roundoff of
@@ -112,10 +115,11 @@ import scipy.sparse as sp
 # The compiled kernels scipy itself dispatches to (they release the GIL).
 # This module is the library's one user of scipy's private ``_sparsetools``.
 from scipy.sparse._sparsetools import (
+    coo_tocsr as _COO_TOCSR,
     csr_has_canonical_format as _CSR_HAS_CANONICAL_FORMAT,
+    csr_has_sorted_indices as _CSR_HAS_SORTED_INDICES,
     csr_matvecs as _CSR_MATVECS,
     csr_plus_csr as _CSR_PLUS_CSR,
-    csr_row_index as _CSR_ROW_INDEX,
     csr_scale_columns as _CSR_SCALE_COLUMNS,
     csr_scale_rows as _CSR_SCALE_ROWS,
 )
@@ -362,7 +366,18 @@ class ColumnTiles:
     last to first), the leading entries included.  The one-tile layout is
     kept when the dense block fits one tile, when its hottest tile already
     takes :data:`HOT_SHARE` of the entries, or when no walk reproduces every
-    row.  :meth:`build` runs the passes.
+    row.
+
+    :meth:`build` moves each row block's entries, columns and values
+    together, with one stable counting sort, scipy's compiled
+    ``coo_tocsr``, keyed ``phase·h + row`` when tiled (``h`` the block's
+    height, rows counted from its first) and ``2·row + 1``, each leading
+    entry at ``2·row``, in one tile.  Tiled, a first pass adds up the same
+    keys' ``np.bincount`` in tile order and closes each walk a row does not
+    follow (``csr_has_sorted_indices`` of the block's tiles); the falling
+    walk then swaps the count rows of its tile phases in place.  The keys
+    stay below ``n + nnz`` (at most as many tiles as entries per row) or
+    ``2n``: inside an int32 index dtype below 2³⁰ rows and entries.
     """
 
     def __init__(self, indptr: np.ndarray, shape, row_bytes: int, *, lead: bool = False):
@@ -382,97 +397,6 @@ class ColumnTiles:
     def phases(self) -> int:
         return 1 if self.tiles == 1 else int(self.lead) + self.tiles
 
-    def _grid(self, shift: int, r0: int, r1: int) -> np.ndarray:
-        """``offsets[p·n + r + shift]`` of the tile phases and rows
-        ``[r0, r1)``, as a ``(r1 - r0, tiles)`` array."""
-        n = self.shape[0]
-        grid = self.offsets[shift : shift + self.phases * n].reshape(self.phases, n)
-        return grid[int(self.lead) :, r0:r1].T
-
-    def _keys(self, r0: int, rows: np.ndarray, columns: np.ndarray, rising: bool):
-        """``row · tiles + walk step`` of each entry, ``row`` counted from
-        the block's first: non-decreasing along the block when every row
-        follows the walk."""
-        height = int(rows[-1]) + 1 - r0 if rows.size else 0
-        wide = height * self.tiles > np.iinfo(rows.dtype).max
-        keys = rows.astype(np.intp) if wide else rows.copy()
-        keys -= r0
-        keys *= self.tiles
-        tiles = columns // self.width
-        if not rising:
-            np.subtract(self.tiles - 1, tiles, out=tiles)
-        keys += tiles
-        return keys
-
-    def _count(self, r0, r1, rows, columns, lead) -> None:
-        """One block's entries per phase and row, and whether its rows
-        follow each walk still open."""
-        keys = None
-        for rising, walk in ((True, "rising"), (False, "falling")):
-            if getattr(self, walk):
-                walked = self._keys(r0, rows, columns, rising)
-                if walked.size > 1 and np.diff(walked).min() < 0:
-                    setattr(self, walk, False)
-                elif keys is None:
-                    keys, ascending = walked, rising
-        if keys is None:  # no walk reproduces this block: one tile
-            return
-        height = r1 - r0
-        counts = np.bincount(keys, minlength=height * self.tiles)
-        if lead is not None:
-            heads = keys[lead]  # at most one per row, so distinct
-            counts[heads] -= 1
-            self.offsets[1 + r0 : 1 + r1] = np.bincount(
-                heads // self.tiles, minlength=height
-            )
-        counts = counts.reshape(height, self.tiles)
-        self._grid(1, r0, r1)[...] = counts if ascending else counts[:, ::-1]
-
-    def _offsets(self) -> None:
-        """Counts to offsets, the tile phases in walk order; one tile when no
-        walk reproduces every row."""
-        if not (self.rising or self.falling):
-            self.tiles, self.offsets = 1, None
-            return
-        if not self.rising:
-            n = self.shape[0]
-            tiles = self.offsets[1 : 1 + self.phases * n].reshape(self.phases, n)
-            tiles = tiles[int(self.lead) :]
-            tiles[...] = tiles[::-1].copy()
-        np.cumsum(self.offsets, out=self.offsets)
-
-    def _place(self, r0, r1, rows, columns, values, lead, indices, data) -> None:
-        """Write one block's entries to their positions in the layout."""
-        lo, hi = int(self.indptr[r0]), int(self.indptr[r1])
-        if lead is not None:
-            # A row's leading entry opens its row, or its row of the leading phase.
-            heads = (self.indptr if self.tiles == 1 else self.offsets)[rows[lead]]
-            indices[heads] = columns[lead]
-            data[heads] = values[lead]
-            columns, values = np.delete(columns, lead), np.delete(values, lead)
-        if self.tiles == 1:  # row-major: the others fill the rest of the row
-            rest = np.ones(hi - lo, dtype=bool)
-            if lead is not None:
-                rest[heads - lo] = False
-            indices[lo:hi][rest] = columns
-            data[lo:hi][rest] = values
-            return
-        start = self._grid(0, r0, r1)
-        counts = self._grid(1, r0, r1) - start
-        # The block's (row, tile) groups are runs of its non-leading entries;
-        # copied tile by tile, the runs of one tile are its rows [r0, r1).
-        runs = np.zeros(counts.size + 1, dtype=indices.dtype)
-        np.cumsum(counts.ravel(), out=runs[1:])
-        order = np.arange(counts.size, dtype=indices.dtype)
-        order = order.reshape(counts.shape).T.ravel()
-        moved = np.empty_like(columns), np.empty_like(values)
-        _CSR_ROW_INDEX(order.size, order, runs, columns, values, *moved)
-        at = 0
-        for begin, size in zip(start[0].tolist(), counts.sum(axis=0).tolist()):
-            indices[begin : begin + size] = moved[0][at : at + size]
-            data[begin : begin + size] = moved[1][at : at + size]
-            at += size
-
     def build(self, blocks, fill, indices: np.ndarray, data: np.ndarray):
         """The operator over the contiguous row ``blocks``, written into
         ``indices``/``data`` (nnz entries each): a :class:`TiledCSR`, or in
@@ -484,25 +408,89 @@ class ColumnTiles:
         most one per row (``None`` without) — or ``None`` to give up, which
         makes the result ``None``.
         """
-        n = self.shape[0]
+        n, lead, tiles = self.shape[0], int(self.lead), self.tiles
 
-        def entries():
-            for r0, r1 in blocks:
-                ptr = self.indptr[r0 : r1 + 1]
-                rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(ptr))
-                yield r0, r1, rows, fill(r0, r1, rows)
+        def entries(r0, r1):
+            ptr = self.indptr[r0 : r1 + 1]
+            rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(ptr))
+            return rows, fill(r0, r1, rows)
 
-        if self.tiles > 1:
-            self.offsets = np.zeros(self.phases * n + 1, dtype=indices.dtype)
-            for r0, r1, rows, block in entries():
-                if block is None:
-                    return None
-                self._count(r0, r1, rows, block[0], block[2])
-            self._offsets()
-        for r0, r1, rows, block in entries():
+        def keys(r0, r1, rows, steps, heads):
+            """``phase·h + row`` in ``steps``: phase ``lead + step``, 0 for
+            a leading entry."""
+            steps += lead
+            if heads is not None:
+                steps[heads] = 0
+            steps *= r1 - r0
+            steps += rows
+            steps -= r0
+            return steps
+
+        def count(r0, r1) -> bool:
+            rows, block = entries(r0, r1)
             if block is None:
+                return False
+            ptr = self.indptr[r0 : r1 + 1] - self.indptr[r0]
+            steps = block[0] // self.width
+            self.rising = self.rising and bool(_CSR_HAS_SORTED_INDICES(r1 - r0, ptr, steps))
+            if self.falling:  # the falling walk steps tiles - 1 - tile
+                np.subtract(tiles - 1, steps, out=steps)
+                self.falling = bool(_CSR_HAS_SORTED_INDICES(r1 - r0, ptr, steps))
+                np.subtract(tiles - 1, steps, out=steps)
+            if self.rising or self.falling:
+                bins = np.bincount(
+                    keys(r0, r1, rows, steps, block[2]),
+                    minlength=self.phases * (r1 - r0),
+                )
+                counts[:, r0:r1] = bins.reshape(self.phases, r1 - r0)
+            return True
+
+        def place(r0, r1) -> bool:
+            rows, block = entries(r0, r1)
+            if block is None:
+                return False
+            columns, values, heads = block
+            values = values.astype(data.dtype, copy=False)
+            lo, hi, height = int(self.indptr[r0]), int(self.indptr[r1]), r1 - r0
+            if self.tiles == 1:  # row-major: the block sorts into its own rows
+                order, bins = 2 * (rows - r0) + 1, 2 * height
+                if heads is not None:
+                    order[heads] -= 1
+                out = indices[lo:hi], data[lo:hi]
+            else:
+                order, bins = columns // self.width, self.phases * height
+                if not self.rising:
+                    np.subtract(tiles - 1, order, out=order)
+                order = keys(r0, r1, rows, order, heads)
+                out = np.empty_like(columns), np.empty_like(values)
+            bounds = np.empty(bins + 1, dtype=indices.dtype)
+            _COO_TOCSR(bins, self.shape[1], hi - lo, order, columns, values, bounds, *out)
+            if self.tiles > 1:  # each phase's rows to their place in it
+                ends = bounds[::height].tolist()
+                starts = self.offsets[r0 : self.phases * n : n].tolist()
+                for at, a, b in zip(starts, ends, ends[1:]):
+                    indices[at : at + b - a] = out[0][a:b]
+                    data[at : at + b - a] = out[1][a:b]
+            return True
+
+        if tiles > 1:
+            self.offsets = np.zeros(self.phases * n + 1, dtype=indices.dtype)
+            counts = self.offsets[1:].reshape(self.phases, n)
+            for r0, r1 in blocks:
+                if not count(r0, r1):
+                    return None
+                if not (self.rising or self.falling):  # no walk for every row
+                    self.tiles, self.offsets = 1, None
+                    break
+            else:
+                if not self.rising:  # walked last tile to first
+                    for p in range(lead, lead + tiles // 2):
+                        q = 2 * lead + tiles - 1 - p
+                        counts[[p, q]] = counts[[q, p]]
+                np.cumsum(self.offsets, out=self.offsets)
+        for r0, r1 in blocks:
+            if not place(r0, r1):
                 return None
-            self._place(r0, r1, rows, *block, indices, data)
         if self.tiles == 1:
             return sp.csr_matrix(
                 (data, indices, self.indptr), shape=self.shape, copy=False

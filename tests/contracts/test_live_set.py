@@ -8,7 +8,8 @@ temporaries it builds are bounded by a block, not by the operator:
   four ``n×d`` buffers and the fused product's scratch sub-blocks — at one
   worker and at two;
 * building the modulated operator costs about one row block above its
-  output, whatever the operator's nnz;
+  output (and, in column tiles, its row pointers), whatever the operator's
+  nnz: in one tile and in column tiles on either walk;
 * when ``lightne_embedding`` enters propagation, the count matrix, the NetMF
   matrix and the factors ``U`` / ``Vᵀ`` are gone, with health digests
   recorded or not;
@@ -101,6 +102,25 @@ class TestOperatorBuild:
         small, large = transient
         assert large <= 1.5 * small + 32 * 1024, transient
         assert large < owned[1] / 8, (transient, owned)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiled_transient_does_not_grow_with_nnz(self, monkeypatch, dtype):
+        # Float32 rows ascend (the rising walk), float64 rows descend (the
+        # falling walk); tiles of 200 columns, capped at the entries per row.
+        monkeypatch.setattr(spectral, "OPERATOR_BLOCK_NNZ", 4096)
+        monkeypatch.setattr(kernels, "TILE_BYTES", 200 * 8)
+        monkeypatch.setattr(kernels, "HOT_SHARE", 2.0)
+        nnz, transient = [], []
+        for n in (1_000, 10_000):
+            graph, _ = dcsbm_graph(n, 4, avg_degree=12, seed=1)
+            da = propagation_operator(graph, dtype)
+            modulated, peak = _traced(lambda: spectral._modulated_operator(da, 0.2, 8))
+            assert isinstance(modulated, kernels.TiledCSR)
+            nnz.append(da.nnz)
+            transient.append(peak - _owned_bytes(modulated) - modulated.offsets.nbytes)
+        assert nnz[1] >= 9 * nnz[0]
+        small, large = transient
+        assert large <= 1.5 * small + 32 * 1024, transient
 
 
 class TestDeadInputs:

@@ -587,6 +587,43 @@ class TestInPlaceOperatorKernels:
         assert cast_csr(matrix, np.float64) is matrix
 
 
+class TestScipyPrivateKernels:
+    """The two compiled ``_sparsetools`` kernels :class:`kernels.ColumnTiles`
+    lays operators out with, pinned so that a scipy change fails here by
+    name rather than as a wrong layout."""
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_coo_tocsr_keeps_input_order_among_equal_keys(self, rng, index, dtype):
+        rows, size = 7, 500
+        keys = rng.integers(0, rows, size).astype(index)
+        columns = rng.permutation(size).astype(index)
+        values = rng.standard_normal(size).astype(dtype)
+        bounds = np.empty(rows + 1, dtype=index)
+        moved = np.empty_like(columns), np.empty_like(values)
+        kernels._COO_TOCSR(rows, size, size, keys, columns, values, bounds, *moved)
+        order = np.argsort(keys, kind="stable")
+        np.testing.assert_array_equal(moved[0], columns[order])
+        np.testing.assert_array_equal(moved[1], values[order])
+        np.testing.assert_array_equal(
+            bounds, np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=rows))))
+        )
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_csr_has_sorted_indices_allows_ties_and_rejects_a_decrease(self, index):
+        indptr = np.array([0, 3, 3, 5], dtype=index)
+
+        def is_sorted(indices):
+            return bool(kernels._CSR_HAS_SORTED_INDICES(
+                3, indptr, np.asarray(indices, dtype=index)
+            ))
+
+        assert is_sorted([1, 1, 2, 0, 0])      # equal neighbours; rows apart
+        assert is_sorted([4, 5, 5, 1, 3])      # a row may start below the last
+        assert not is_sorted([1, 2, 1, 0, 0])  # a decrease within a row
+        assert not is_sorted([1, 1, 2, 3, 2])
+
+
 class TestPolynomialOperatorHorner:
     def test_matches_explicit_polynomial(self, rng):
         walk = sp.random(60, 60, density=0.1, random_state=11, format="csr")
